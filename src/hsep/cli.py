@@ -212,10 +212,18 @@ def cmd_cat_check(args):
 
 
 def cmd_cat_rafael(args):
-    value = _load_cat_doc(args.file)
+    try:
+        value = _load_cat_doc(args.file)
+    except fincat.CategoryLawError as err:
+        raise InputError("%s: %s" % (args.file, err)) from err
     if not isinstance(value, fincat.AdjunctionData):
         raise InputError("%s: rafael needs an adjunction document" % args.file)
-    sep, heavy = fincat.find_rafael_retractions(value, args.side)
+    try:
+        sep, heavy = fincat.find_rafael_retractions(value, args.side)
+    except fincat.CapExceeded as err:
+        doc = {"side": args.side, "h_separable": sepkit.UNDECIDED, "candidates": err.size}
+        _emit(doc, ["side: %s" % args.side, "undecided: %s" % err], args)
+        return EXIT_UNDECIDED
     doc = {
         "side": args.side,
         "separable_witness_count": len(sep),
@@ -269,6 +277,11 @@ def cmd_talg_verify(args):
     return EXIT_HOLDS if report.all_hold else EXIT_FAILS
 
 
+def _scalar(x):
+    """A field element for JSON: an int when integral, else the string "p/q"."""
+    return int(x) if x.denominator == 1 else str(x)
+
+
 def cmd_talg_witness(args):
     field = _parse_field(args.field)
     try:
@@ -279,8 +292,8 @@ def cmd_talg_witness(args):
         "v_dim": rep.v_dim,
         "field": rep.field_name,
         "truncation": rep.truncation,
-        "doubled_projection": [rep.doubled_value[0], list(rep.doubled_value[1])],
-        "evaluated_then_projected": [rep.evaluated_value[0], list(rep.evaluated_value[1])],
+        "doubled_projection": [rep.doubled_value[0], [_scalar(x) for x in rep.doubled_value[1]]],
+        "evaluated_then_projected": [rep.evaluated_value[0], [_scalar(x) for x in rep.evaluated_value[1]]],
         "values_differ": rep.values_differ,
         "unit_retraction": rep.unit_retraction_holds,
     }

@@ -3,20 +3,26 @@
 Categories are label tables: objects, hom-sets of morphism names
 (unique per hom-set, equality is label equality), a composition table
 and identities.  On top of that sit functors, natural transformations,
-adjunctions, monads, and the exhaustive searches: retraction families
-P making a functor (heavily) separable, natural retractions of an
-adjunction unit, Eilenberg-Moore section functors, and monad
-augmentations.  Everything is small and checked exhaustively.
+adjunctions, monads, their opposites, and the exhaustive searches:
+retraction families P making a functor (heavily) separable, natural
+retractions of an adjunction unit (one search, which also yields the
+monad augmentations and, on the opposite adjunction, the counit
+sections), and Eilenberg-Moore section functors.  Searches raise
+CapExceeded past SEARCH_CAP candidates.  Everything is small and
+checked exhaustively.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
 from .exactalg import CapExceeded
+
+SEARCH_CAP = 10**7  # candidates a search may enumerate; read at call time
 
 __all__ = [
     "FiniteCategory",
@@ -89,6 +95,29 @@ class MonadLawFails(CategoryLawError):
     pass
 
 
+def _reverse(key):
+    """(x, y), (x, y, f) or (x, y, z, f, g) with the objects and the names
+    each reversed: the same key read in the opposite category."""
+    n = len(key) // 2 + 1  # objects in the key
+    return key[n - 1 :: -1] + key[: n - 1 : -1]
+
+
+class _OppositeTable(Mapping):
+    """A hom, functor or composition table read through _reverse; nothing is copied."""
+
+    def __init__(self, table):
+        self._table = table
+
+    def __getitem__(self, key):
+        return self._table[_reverse(key)]
+
+    def __iter__(self):
+        return map(_reverse, self._table)
+
+    def __len__(self):
+        return len(self._table)
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteCategory:
     """objects, hom tables, composition table (g∘f), identities."""
@@ -158,6 +187,12 @@ class FiniteCategory:
                         raise NotAssociativeComposition("(h∘g)∘f != h∘(g∘f)", (f, g, h))
         return self
 
+    def opposite(self):
+        """The opposite category: arrows reversed, every name kept."""
+        return FiniteCategory(
+            self.objects, _OppositeTable(self.hom), _OppositeTable(self.compose), self.identity, self.label + "^op"
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class FunctorData:
@@ -198,6 +233,16 @@ class FunctorData:
 
     def component_key(self):
         return tuple(sorted(self.object_map.items())), tuple(sorted(self.morphism_map.items()))
+
+    def opposite(self):
+        """F^op between the opposite categories, with the same maps."""
+        return FunctorData(
+            self.source.opposite(),
+            self.target.opposite(),
+            self.object_map,
+            _OppositeTable(self.morphism_map),
+            self.label + "^op",
+        )
 
 
 def identity_functor(cat: FiniteCategory) -> FunctorData:
@@ -252,6 +297,12 @@ class NatTransform:
     def key(self):
         return tuple(sorted(self.components.items()))
 
+    def opposite(self):
+        """α^op: G^op → F^op, with the same components."""
+        return NatTransform(
+            self.target_functor.opposite(), self.source_functor.opposite(), self.components
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class AdjunctionData:
@@ -279,6 +330,12 @@ class AdjunctionData:
             if lhs != bcat.id_mor(ra):
                 raise TriangleIdentityFails("(Rε)(ηR) != id", a)
         return self
+
+    def opposite(self):
+        """R^op ⊣ L^op, unit and counit swapped; not re-validated."""
+        return AdjunctionData(
+            self.right.opposite(), self.left.opposite(), self.counit.opposite(), self.unit.opposite()
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,7 +487,7 @@ def identity_adjunction(cat: FiniteCategory) -> AdjunctionData:
 # searches
 
 
-def find_h_separability_structures(fun: FunctorData, cap=10**7):
+def find_h_separability_structures(fun: FunctorData, cap=SEARCH_CAP):
     """All families P: Hom(F−,F−) → Hom(−,−) making F heavily separable.
 
     Exhaustive product over function spaces, with the retraction
@@ -532,78 +589,57 @@ def find_h_separability_structures(fun: FunctorData, cap=10**7):
     return results
 
 
+def _unit_retractions(monad: MonadData):
+    """Natural γ: T → Id with γ∘η = id, split into (separable, heavy); the
+    heavy ones, γ∘γT = γ∘μ, are the augmentations of the monad.
+
+    Each object's choices are filtered by the unit law before the capped
+    product is taken.
+    """
+    cat, t = monad.functor.source, monad.functor
+    objects = cat.objects
+    choice_sets = []
+    space = 1
+    for b in objects:
+        tb, eta = t.object_map[b], monad.unit.component(b)
+        choices = [g for g in cat.hom_set(tb, b) if cat.comp(eta, (tb, b, g)) == cat.id_mor(b)]
+        choice_sets.append(choices)
+        space *= len(choices)
+    if space > SEARCH_CAP:
+        raise CapExceeded(space)
+    idf = identity_functor(cat)
+    sep, heavy = [], []
+    for combo in itertools.product(*choice_sets):
+        cand = NatTransform(t, idf, dict(zip(objects, combo)))
+        try:
+            cand.validate()
+        except CategoryLawError:
+            continue
+        sep.append(cand)
+        if all(
+            cat.comp(cand.component(t.object_map[b]), cand.component(b))
+            == cat.comp(monad.mult.component(b), cand.component(b))
+            for b in objects
+        ):
+            heavy.append(cand)
+    sep.sort(key=NatTransform.key)
+    heavy.sort(key=NatTransform.key)
+    return sep, heavy
+
+
 def find_rafael_retractions(adj: AdjunctionData, side="left"):
     """Natural retractions of the unit (side=left) or sections of the
     counit (side=right), split into (separable, heavy) witness lists.
+
+    The right side is the left side of R^op ⊣ L^op; names are kept, so its
+    components are those of natural transformations Id → LR.
     """
     if side == "left":
-        bcat = adj.left.source
-        rl = compose_functors(adj.right, adj.left)
-        idf = identity_functor(bcat)
-        objects = bcat.objects
-        choice_sets = [bcat.hom_set(rl.object_map[b], b) for b in objects]
-        sep, heavy = [], []
-        for combo in itertools.product(*choice_sets):
-            comp = dict(zip(objects, combo))
-            cand = NatTransform(rl, idf, comp)
-            try:
-                cand.validate()
-            except CategoryLawError:
-                continue
-            if any(
-                bcat.comp(adj.unit.component(b), cand.component(b)) != bcat.id_mor(b)
-                for b in objects
-            ):
-                continue
-            sep.append(cand)
-            ok = True
-            for b in objects:
-                rlb = rl.object_map[b]
-                lhs = bcat.comp(cand.component(rlb), cand.component(b))
-                eps_lb = adj.counit.component(adj.left.object_map[b])
-                rhs = bcat.comp(adj.right.apply(eps_lb), cand.component(b))
-                if lhs != rhs:
-                    ok = False
-                    break
-            if ok:
-                heavy.append(cand)
-        sep.sort(key=lambda n: n.key())
-        heavy.sort(key=lambda n: n.key())
-        return sep, heavy
+        return _unit_retractions(monad_from_adjunction(adj))
     if side == "right":
-        acat = adj.left.target
-        lr = compose_functors(adj.left, adj.right)
-        idf = identity_functor(acat)
-        objects = acat.objects
-        choice_sets = [acat.hom_set(a, lr.object_map[a]) for a in objects]
-        sep, heavy = [], []
-        for combo in itertools.product(*choice_sets):
-            comp = dict(zip(objects, combo))
-            cand = NatTransform(idf, lr, comp)
-            try:
-                cand.validate()
-            except CategoryLawError:
-                continue
-            if any(
-                acat.comp(cand.component(a), adj.counit.component(a)) != acat.id_mor(a)
-                for a in objects
-            ):
-                continue
-            sep.append(cand)
-            ok = True
-            for a in objects:
-                lra = lr.object_map[a]
-                lhs = acat.comp(cand.component(a), cand.component(lra))
-                eta_ra = adj.unit.component(adj.right.object_map[a])
-                rhs = acat.comp(cand.component(a), adj.left.apply(eta_ra))
-                if lhs != rhs:
-                    ok = False
-                    break
-            if ok:
-                heavy.append(cand)
-        sep.sort(key=lambda n: n.key())
-        heavy.sort(key=lambda n: n.key())
-        return sep, heavy
+        idf, lr = adj.counit.target_functor, adj.counit.source_functor
+        found = _unit_retractions(monad_from_adjunction(adj.opposite()))
+        return tuple([NatTransform(idf, lr, n.components) for n in part] for part in found)
     raise ValueError("side must be 'left' or 'right'")
 
 
@@ -672,7 +708,7 @@ def eilenberg_moore(adj: AdjunctionData):
     return em, forgetful
 
 
-def find_section_functors(u: FunctorData, cap=10**7):
+def find_section_functors(u: FunctorData, cap=SEARCH_CAP):
     """All functors Γ with U∘Γ = Id on the target of U."""
     src, tgt = u.source, u.target
     fibers = {}
@@ -723,35 +759,7 @@ def find_section_functors(u: FunctorData, cap=10**7):
 def find_monad_augmentations(monad: MonadData):
     """All natural γ: M → Id with γ∘η = id and γγ = γ∘m."""
     monad.validate()
-    bcat = monad.functor.source
-    t = monad.functor
-    idf = identity_functor(bcat)
-    objects = bcat.objects
-    choice_sets = [bcat.hom_set(t.object_map[b], b) for b in objects]
-    found = []
-    for combo in itertools.product(*choice_sets):
-        cand = NatTransform(t, idf, dict(zip(objects, combo)))
-        try:
-            cand.validate()
-        except CategoryLawError:
-            continue
-        if any(
-            bcat.comp(monad.unit.component(b), cand.component(b)) != bcat.id_mor(b)
-            for b in objects
-        ):
-            continue
-        ok = True
-        for b in objects:
-            tb = t.object_map[b]
-            lhs = bcat.comp(cand.component(tb), cand.component(b))
-            rhs = bcat.comp(monad.mult.component(b), cand.component(b))
-            if lhs != rhs:
-                ok = False
-                break
-        if ok:
-            found.append(cand)
-    found.sort(key=lambda n: n.key())
-    return found
+    return _unit_retractions(monad)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -194,24 +194,19 @@ def _kernel_basis(field, rows, ncols):
     return basis
 
 
-def _solve(field, rows, rhs):
-    """One solution of (rows) x = rhs, or None; free variables set to 0."""
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    rr, pivots = _rref(field, aug)
-    sol = [field.zero()] * ncols
-    for i, pc in enumerate(pivots):
-        if pc == ncols:
+def _coordinates(field, basis, targets):
+    """X with basis·X = targets, or None when a column of targets lies
+    outside the span of the (independent) columns of basis; one
+    elimination of [basis | targets] serves every column."""
+    nb = len(basis[0]) if basis else 0
+    nt = len(targets[0]) if targets else 0
+    rr, pivots = _rref(field, [list(b) + list(t) for b, t in zip(basis, targets)])
+    coords = [[field.zero()] * nt for _ in range(nb)]
+    for row, pc in zip(rr, pivots):
+        if pc >= nb:
             return None
-        sol[pc] = rr[i][ncols]
-    # pivots outside the rhs column give the unique reduced solution
-    for r, b in zip(rows, rhs):
-        acc = field.zero()
-        for a, x in zip(r, sol):
-            acc = field.add(acc, field.mul(a, x))
-        if acc != b:
-            return None
-    return sol
+        coords[pc] = row[nb:]
+    return coords
 
 
 def _mat_mul(field, a, b):
@@ -692,25 +687,14 @@ def _evaluation_map(bialg_outer, bialg_inner, letter_realization):
     return GradedMap(bialg_outer.carrier, bialg_inner.carrier, tuple(blocks))
 
 
-def _restrict_to_primitives(bialg_from, prims_from, prims_to, full_map):
+def _restrict_to_primitives(prims_from, prims_to, full_map):
     """Corestrict carrier-level full_map to primitive coordinates."""
-    field = bialg_from.field
+    carried = full_map.compose(prims_from.into_carrier)
     blocks = []
-    for d in range(len(full_map.blocks)):
-        carried = full_map.compose(prims_from.into_carrier).blocks[d]
-        target_cols = prims_to.into_carrier.blocks[d]
-        rows = [[target_cols[i][j] for j in range(len(prims_to.space.labels[d]))] for i in range(len(carried))]
-        out_cols = []
-        for j in range(prims_from.space.dims[d]):
-            rhs = [carried[i][j] for i in range(len(carried))]
-            sol = _solve(field, rows, rhs)
-            assert sol is not None, "image of a primitive is not primitive"
-            out_cols.append(sol)
-        block = tuple(
-            tuple(out_cols[j][i] for j in range(prims_from.space.dims[d]))
-            for i in range(prims_to.space.dims[d])
-        )
-        blocks.append(block)
+    for d, block in enumerate(carried.blocks):
+        coords = _coordinates(prims_to.space.field, prims_to.into_carrier.blocks[d], block)
+        assert coords is not None, "image of a primitive is not primitive"
+        blocks.append(tuple(tuple(row) for row in coords))
     return GradedMap(prims_from.space, prims_to.space, tuple(blocks))
 
 
@@ -756,21 +740,12 @@ def verify_bialgebra_adjunction(v_dim, field, truncation, guard=DIM_GUARD) -> Bi
     eta_blocks = []
     for d in range(truncation + 1):
         nb = b1.base.dims[d] if d <= b1.base.top else 0
-        cols = []
-        rows = [
-            [p1.into_carrier.blocks[d][i][j] for j in range(w_space.dims[d])]
-            for i in range(b1.carrier.dims[d])
-        ]
+        letters = [[fld.zero()] * nb for _ in range(b1.carrier.dims[d])]
         for j in range(nb):
-            target = [fld.zero()] * b1.carrier.dims[d]
-            _, pos = b1.index[((d, j),)]
-            target[pos] = fld.one()
-            sol = _solve(fld, rows, target)
-            assert sol is not None, "letters must be primitive"
-            cols.append(sol)
-        eta_blocks.append(
-            tuple(tuple(cols[j][i] for j in range(nb)) for i in range(w_space.dims[d]))
-        )
+            letters[b1.index[((d, j),)][1]][j] = fld.one()
+        coords = _coordinates(fld, p1.into_carrier.blocks[d], letters)
+        assert coords is not None, "letters must be primitive"
+        eta_blocks.append(tuple(tuple(row) for row in coords))
     bold_eta = GradedMap(b1.letter_projection.target, w_space, tuple(eta_blocks))
     ident_a = gamma_v.compose(bold_eta).equals(GradedMap.identity(b1.letter_projection.target))
     if not ident_a:
@@ -789,7 +764,7 @@ def verify_bialgebra_adjunction(v_dim, field, truncation, guard=DIM_GUARD) -> Bi
         return (p, col)
 
     evaluation = _evaluation_map(b2, b1, realize_w_letter)  # carrier2 -> carrier1
-    eval_on_prims = _restrict_to_primitives(b2, p2, p1, evaluation)  # P2 -> W
+    eval_on_prims = _restrict_to_primitives(p2, p1, evaluation)  # P2 -> W
     lhs = gamma_v.compose(gamma_w)
     rhs = gamma_v.compose(eval_on_prims)
     ident_b = lhs.equals(rhs)

@@ -1,15 +1,24 @@
-"""Shared finite-category corpus: small posets, monoids, adjunctions."""
+"""Shared finite-category corpus: small posets, monoids, adjunctions,
+and the brute-force natural-retraction oracle."""
+
+import itertools
+from pathlib import Path
 
 from hsep.fincat import (
     AdjunctionData,
+    CategoryLawError,
+    FiniteCategory,
     FunctorData,
     NatTransform,
+    adjunction_from_doc,
     chain_poset,
     compose_functors,
     identity_adjunction,
     identity_functor,
     monoid_category,
 )
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def terminal_category():
@@ -107,3 +116,146 @@ def build_adjunctions():
         "rl_identity": rl_identity_adjunction(),
         "c2_twisted": c2_twisted_adjunction(),
     }
+
+
+def _elem(prefix, i, j, g):
+    return "%s%d%d.%d" % (prefix, i, j, g)
+
+
+def cyclic_chain(m, n, prefix):
+    """C_m × [n]: objects <prefix>i, Hom(i, j) = C_m for i <= j, composed
+    by addition; g ∈ Hom(i, j) is named <prefix>ij.g."""
+    names = tuple("%s%d" % (prefix, i) for i in range(n))
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    hom = {(names[i], names[j]): tuple(_elem(prefix, i, j, g) for g in range(m)) for i, j in pairs}
+    compose = {
+        (names[i], names[j], names[k], _elem(prefix, i, j, f), _elem(prefix, j, k, g)):
+            _elem(prefix, i, k, (f + g) % m)
+        for i, j in pairs
+        for k in range(j, n)
+        for f in range(m)
+        for g in range(m)
+    }
+    identity = {names[i]: _elem(prefix, i, i, 0) for i in range(n)}
+    return FiniteCategory(names, hom, compose, identity, "C%dx[%d]" % (m, n)).validate()
+
+
+def cyclic_chain_adjunction(m, n, extra, u, h):
+    """L ⊣ R between B = C_m × [n] and A = C_m × [n + extra].
+
+    L sends i to l(i) = i + extra for i > 0 (and 0 to 0) and acts on C_m
+    by the automorphism x ↦ u·x; R sends j to max{i : l(i) <= j} and acts
+    by u⁻¹.  The unit is the constant h and the counit −u·h.  RL = Id
+    always; LR = Id exactly when extra = 0.
+    """
+    na = n + extra
+    bcat, acat = cyclic_chain(m, n, "b"), cyclic_chain(m, na, "a")
+    l = [0] + [i + extra for i in range(1, n)]
+    r = [max(i for i in range(n) if l[i] <= j) for j in range(na)]
+
+    def functor(src, tgt, size, obj, scale, label):
+        sp, tp = src.objects[0][0], tgt.objects[0][0]
+        morphisms = {
+            (src.objects[i], src.objects[j], _elem(sp, i, j, g)): _elem(tp, obj[i], obj[j], scale * g % m)
+            for i in range(size)
+            for j in range(i, size)
+            for g in range(m)
+        }
+        objects = {src.objects[i]: tgt.objects[obj[i]] for i in range(size)}
+        return FunctorData(src, tgt, objects, morphisms, label).validate()
+
+    left = functor(bcat, acat, n, l, u, "L")
+    right = functor(acat, bcat, na, r, pow(u, -1, m), "R")
+    unit = NatTransform(
+        identity_functor(bcat),
+        compose_functors(right, left),
+        {"b%d" % i: _elem("b", i, i, h % m) for i in range(n)},
+    )
+    counit = NatTransform(
+        compose_functors(left, right),
+        identity_functor(acat),
+        {"a%d" % j: _elem("a", l[r[j]], j, -u * h % m) for j in range(na)},
+    )
+    return AdjunctionData(left, right, unit, counit).validate()
+
+
+def oracle_adjunctions():
+    """build_adjunctions(), both corpus adjunctions, and two C3 × chain
+    adjunctions: one with LR = Id, one with LR != Id."""
+    fixtures = dict(build_adjunctions())
+    for case in ("rafael_c2", "galois_2chain"):
+        fixtures["corpus_" + case] = adjunction_from_doc(str(CORPUS / case / "adjunction.json"))
+    fixtures["c3x2_lr_identity"] = cyclic_chain_adjunction(3, 2, 0, u=2, h=1)
+    fixtures["c3x2_into_c3x3"] = cyclic_chain_adjunction(3, 2, 1, u=2, h=1)
+    return fixtures
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracle: every candidate family of components is built, then
+# naturality, the unit/counit law and the heavy law are checked directly on
+# each side, without the opposite category or the monad.
+
+
+def _natural_families(source, target, cat, hom_of):
+    for combo in itertools.product(*(cat.hom_set(*hom_of(x)) for x in cat.objects)):
+        cand = NatTransform(source, target, dict(zip(cat.objects, combo)))
+        try:
+            cand.validate()
+        except CategoryLawError:
+            continue
+        yield cand
+
+
+def oracle_rafael_retractions(adj, side):
+    """(separable, heavy) component keys of the unit retractions (left) or
+    the counit sections (right)."""
+    sep, heavy = [], []
+    if side == "left":
+        bcat = adj.left.source
+        rl = compose_functors(adj.right, adj.left)
+        for cand in _natural_families(rl, identity_functor(bcat), bcat, lambda b: (rl.object_map[b], b)):
+            if any(
+                bcat.comp(adj.unit.component(b), cand.component(b)) != bcat.id_mor(b)
+                for b in bcat.objects
+            ):
+                continue
+            sep.append(cand.key())
+            if all(
+                bcat.comp(cand.component(rl.object_map[b]), cand.component(b))
+                == bcat.comp(adj.right.apply(adj.counit.component(adj.left.object_map[b])), cand.component(b))
+                for b in bcat.objects
+            ):
+                heavy.append(cand.key())
+    else:
+        acat = adj.left.target
+        lr = compose_functors(adj.left, adj.right)
+        for cand in _natural_families(identity_functor(acat), lr, acat, lambda a: (a, lr.object_map[a])):
+            if any(
+                acat.comp(cand.component(a), adj.counit.component(a)) != acat.id_mor(a)
+                for a in acat.objects
+            ):
+                continue
+            sep.append(cand.key())
+            if all(
+                acat.comp(cand.component(a), cand.component(lr.object_map[a]))
+                == acat.comp(cand.component(a), adj.left.apply(adj.unit.component(adj.right.object_map[a])))
+                for a in acat.objects
+            ):
+                heavy.append(cand.key())
+    return sorted(sep), sorted(heavy)
+
+
+def oracle_monad_augmentations(monad):
+    """Component keys of all natural γ: T → Id with γ∘η = id and γγT = γ∘μ."""
+    cat, t = monad.functor.source, monad.functor
+    found = []
+    for cand in _natural_families(t, identity_functor(cat), cat, lambda b: (t.object_map[b], b)):
+        if any(cat.comp(monad.unit.component(b), cand.component(b)) != cat.id_mor(b) for b in cat.objects):
+            continue
+        if all(
+            cat.comp(cand.component(t.object_map[b]), cand.component(b))
+            == cat.comp(monad.mult.component(b), cand.component(b))
+            for b in cat.objects
+        ):
+            found.append(cand.key())
+    return sorted(found)

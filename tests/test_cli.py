@@ -2,8 +2,10 @@
 
 import json
 import shutil
+from fractions import Fraction
 from pathlib import Path
 
+from hsep import cli
 from hsep.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -142,6 +144,25 @@ class TestCat:
         code, _, _ = run(capsys, "cat", "rafael", str(CORPUS / "galois_2chain" / "adjunction.json"))
         assert code == 1
 
+    def test_rafael_invalid_adjunction_is_input_error(self, capsys, tmp_path):
+        doc = json.loads((CORPUS / "rafael_c2" / "adjunction.json").read_text())
+        doc["unit"] = {"*": "1"}  # breaks the triangle identities
+        path = tmp_path / "adjunction.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "cat", "rafael", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "\n" not in err.strip()
+
+    def test_rafael_capped_search_is_undecided(self, capsys, monkeypatch):
+        from hsep import fincat
+
+        monkeypatch.setattr(fincat, "SEARCH_CAP", 0)
+        path = str(CORPUS / "rafael_c2" / "adjunction.json")
+        for side in ("left", "right"):
+            code, out, _ = run(capsys, "--format", "json", "cat", "rafael", path, "--side", side)
+            assert code == 3
+            assert json.loads(out)["h_separable"] == "undecided-by-enumeration"
+
 
 class TestTalg:
     def test_verify(self, capsys):
@@ -152,6 +173,19 @@ class TestTalg:
         code, out, _ = run(capsys, "talg", "witness", "--dim", "1", "--deg", "2", "--field", "2")
         assert code == 0
         assert "values differ: true" in out
+
+    def test_witness_json_over_rationals(self, capsys):
+        reports = {}
+        for field in ("q", "7"):
+            code, out, _ = run(
+                capsys, "--format", "json", "talg", "witness", "--dim", "2", "--deg", "3", "--field", field
+            )
+            assert code == 0
+            reports[field] = json.loads(out)
+        assert (reports["q"].pop("field"), reports["7"].pop("field")) == ("Q", "F7")
+        assert reports["q"] == reports["7"]
+        assert reports["q"]["evaluated_then_projected"] == [1, [1, 0]]
+        assert cli._scalar(Fraction(-3, 4)) == "-3/4"
 
     def test_bad_field(self, capsys):
         code, _, err = run(capsys, "talg", "verify", "--dim", "1", "--deg", "2", "--field", "6")

@@ -6,14 +6,21 @@ from cat_util import (
     build_adjunctions,
     c2_category,
     collapse_to_terminal,
+    cyclic_chain,
     inclusion_terminal_into_chain,
+    oracle_adjunctions,
+    oracle_monad_augmentations,
+    oracle_rafael_retractions,
 )
 
+from hsep import fincat
 from hsep.exactalg import CapExceeded
 from hsep.fincat import (
     FiniteCategory,
     FunctorData,
     HSepStructure,
+    MonadData,
+    NatTransform,
     NotAssociativeComposition,
     chain_poset,
     compose_functors,
@@ -29,6 +36,7 @@ from hsep.fincat import (
 )
 
 ADJUNCTIONS = build_adjunctions()
+ORACLE_ADJUNCTIONS = oracle_adjunctions()
 
 
 class TestValidation:
@@ -130,6 +138,85 @@ class TestRafael:
         sep, heavy = find_rafael_retractions(adj, "right")
         assert len(sep) == 1 and len(heavy) == 1
         assert find_h_separability_structures(adj.right)
+
+
+class TestRafaelOracle:
+    """The merged search against the brute-force loops in cat_util, which
+    write both sides out directly, without the opposite adjunction."""
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_ADJUNCTIONS))
+    def test_rafael_matches_oracle(self, name, side):
+        adj = ORACLE_ADJUNCTIONS[name]
+        sep, heavy = find_rafael_retractions(adj, side)
+        assert ([n.key() for n in sep], [n.key() for n in heavy]) == oracle_rafael_retractions(adj, side)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_ADJUNCTIONS))
+    def test_augmentations_match_oracle(self, name):
+        monad = monad_from_adjunction(ORACLE_ADJUNCTIONS[name])
+        assert [n.key() for n in find_monad_augmentations(monad)] == oracle_monad_augmentations(monad)
+
+    def test_naturality_and_heavy_law_filter(self):
+        # In every fixture the unit law leaves only natural, heavy families,
+        # so each law is pinned on a pair (T, η, μ) that is not a monad.
+        def pair(cat, unit, mult):
+            idf = identity_functor(cat)
+            return MonadData(idf, NatTransform(idf, idf, unit), NatTransform(idf, idf, mult))
+
+        # η = (1, g) on C2 × [2] is not natural, nor is its only retraction
+        chain = cyclic_chain(2, 2, "b")
+        twisted = pair(chain, {"b0": "b00.0", "b1": "b11.1"}, chain.identity)
+        assert fincat._unit_retractions(twisted) == ([], [])
+        # on C2 with η = 1, μ = g: γ = 1 is a retraction, but γγ = 1 != g = γ∘μ
+        c2 = c2_category()
+        sep, heavy = fincat._unit_retractions(pair(c2, {"*": "1"}, {"*": "g"}))
+        assert [n.components for n in sep] == [{"*": "1"}] and heavy == []
+        assert oracle_monad_augmentations(pair(c2, {"*": "1"}, {"*": "g"})) == []
+
+    def test_cap_is_read_at_call_time(self, monkeypatch):
+        # c2_twisted keeps one candidate after the unit-law filter
+        adj = ADJUNCTIONS["c2_twisted"]
+        monkeypatch.setattr(fincat, "SEARCH_CAP", 1)
+        assert len(find_rafael_retractions(adj, "left")[1]) == 1
+        monkeypatch.setattr(fincat, "SEARCH_CAP", 0)
+        for search in (
+            lambda: find_rafael_retractions(adj, "left"),
+            lambda: find_rafael_retractions(adj, "right"),
+            lambda: find_monad_augmentations(monad_from_adjunction(adj)),
+        ):
+            with pytest.raises(CapExceeded):
+                search()
+
+
+def _tables(cat):
+    return cat.objects, cat.hom, cat.compose, cat.identity
+
+
+class TestOpposite:
+    CATEGORIES = [
+        cat
+        for name in sorted(ORACLE_ADJUNCTIONS)
+        for cat in (ORACLE_ADJUNCTIONS[name].left.source, ORACLE_ADJUNCTIONS[name].left.target)
+    ]
+
+    def test_double_opposite_is_identity(self):
+        for cat in self.CATEGORIES:
+            assert _tables(cat.opposite().opposite()) == _tables(cat)
+        for adj in ORACLE_ADJUNCTIONS.values():
+            for fun in (adj.left, adj.right):
+                twice = fun.opposite().opposite()
+                assert (twice.object_map, twice.morphism_map) == (fun.object_map, fun.morphism_map)
+
+    def test_opposite_category_validates(self):
+        for cat in self.CATEGORIES:
+            cat.opposite().validate()
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_ADJUNCTIONS))
+    def test_opposite_adjunction_validates(self, name):
+        adj = ORACLE_ADJUNCTIONS[name]
+        op = adj.opposite().validate()
+        assert op.unit.components == adj.counit.components
+        assert op.counit.components == adj.unit.components
 
 
 class TestEilenbergMoore:
