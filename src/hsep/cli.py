@@ -162,12 +162,7 @@ def cmd_sep_idempotents(args):
             args,
         )
         return EXIT_UNDECIDED
-    members = locus.members()
-    for member in members:
-        if not locus.verify_member(member):
-            raise sepkit.InternalCriterionMismatch("enumerated member fails substitution")
-    if args.h_only:
-        members = [m for m in members if sepkit.is_h_idempotent(t2, m)]
+    members = sepkit.h_idempotents(t2) if args.h_only else locus.members()
     doc = {
         "locus_size": locus.size,
         "h_only": bool(args.h_only),
@@ -288,19 +283,21 @@ def cmd_talg_witness(args):
         rep = tensorbialg.tensor_algebra_witness(args.dim, field, args.deg)
     except (ValueError, tensorbialg.DimensionGuardExceeded) as err:
         raise InputError(str(err)) from err
+    doubled = [_scalar(x) for x in rep.doubled_value[1]]
+    evaluated = [_scalar(x) for x in rep.evaluated_value[1]]
     doc = {
         "v_dim": rep.v_dim,
         "field": rep.field_name,
         "truncation": rep.truncation,
-        "doubled_projection": [rep.doubled_value[0], [_scalar(x) for x in rep.doubled_value[1]]],
-        "evaluated_then_projected": [rep.evaluated_value[0], [_scalar(x) for x in rep.evaluated_value[1]]],
+        "doubled_projection": [rep.doubled_value[0], doubled],
+        "evaluated_then_projected": [rep.evaluated_value[0], evaluated],
         "values_differ": rep.values_differ,
         "unit_retraction": rep.unit_retraction_holds,
     }
     lines = [
         "witness word: (unit letter) ⊗ (degree-1 letter)",
-        "project twice: %s" % (list(rep.doubled_value[1]),),
-        "evaluate then project: %s" % (list(rep.evaluated_value[1]),),
+        "project twice: %s" % json.dumps(doubled),
+        "evaluate then project: %s" % json.dumps(evaluated),
         "values differ: %s" % str(rep.values_differ).lower(),
         "unit retraction still holds: %s" % str(rep.unit_retraction_holds).lower(),
     ]
@@ -383,8 +380,11 @@ def cmd_corpus_run(args):
     lines = []
     for name, ok, mm in results:
         lines.append("%-28s %s" % (name, "ok" if ok else "MISMATCH"))
-        for key, detail in sorted(mm.items()) if isinstance(mm, dict) else []:
-            lines.append("    %s: expected %r, got %r" % (key, detail["expected"], detail["got"]))
+        for key, detail in sorted(mm.items()):
+            if isinstance(detail, dict):
+                lines.append("    %s: expected %r, got %r" % (key, detail["expected"], detail["got"]))
+            else:  # the case raised: {"error": message}
+                lines.append("    %s: %s" % (key, detail))
     lines.append("%d/%d cases match" % (len(results) - failures, len(results)))
     _emit(doc, lines, args)
     return EXIT_HOLDS if failures == 0 else EXIT_FAILS

@@ -24,6 +24,7 @@ __all__ = [
     "AffineSolutionSet",
     "DimensionMismatch",
     "CapExceeded",
+    "ConstructionCheckFailed",
     "smith_normal_form",
     "cokernel",
     "solve_modular_system",
@@ -41,6 +42,10 @@ class CapExceeded(RuntimeError):
     def __init__(self, size, message=None):
         super().__init__(message or "enumeration of size %d exceeds cap" % size)
         self.size = size
+
+
+class ConstructionCheckFailed(RuntimeError):
+    """A constructed object fails the equations that define it: an implementation bug."""
 
 
 def _xgcd(a, b):
@@ -107,11 +112,6 @@ class IntegerMatrix:
 
     def column(self, j):
         return tuple(r[j] for r in self.entries)
-
-    def transpose(self):
-        if self.rows == 0:
-            return IntegerMatrix(tuple(() for _ in range(self.cols)), 0)
-        return IntegerMatrix(tuple(zip(*self.entries)), self.rows)
 
     def hstack(self, other):
         if other.rows != self.rows:
@@ -259,16 +259,6 @@ class _SnfWorker:
         vs_row, vd_row = self.Vinv[src], self.Vinv[dst]
         for j in range(self.m):
             vs_row[j] -= q * vd_row[j]
-
-    def negate_col(self, a):
-        for i, row in enumerate(self.M):
-            if row[a]:
-                row[a] = -row[a]
-        for row in self.V:
-            row[a] = -row[a]
-        va = self.Vinv[a]
-        for j in range(self.m):
-            va[j] = -va[j]
 
 
 @dataclass(frozen=True)
@@ -686,6 +676,10 @@ class AffineSolutionSet:
     kernel_generators are independent cyclic generators with the given
     orders, so the member count is exactly prod(kernel_orders).  An
     inconsistent system is the empty marker: particular is None.
+
+    A set that carries its defining system checks itself on construction:
+    the congruences are linear and well defined modulo the coordinate
+    moduli, so checking particular and generators covers every member.
     """
 
     ambient: FinAbPresentation
@@ -694,6 +688,23 @@ class AffineSolutionSet:
     kernel_generators: tuple[tuple[int, ...], ...]
     kernel_orders: tuple[int, ...]
     system: tuple | None = None
+
+    def __post_init__(self):
+        if self.system is None or self.is_empty or not self.system[0]:
+            return
+        a_rows, b, mods = self.system
+        coord = self.coordinate_moduli
+        vecs = (self.particular,) + self.kernel_generators
+        # A reduced mod m times vectors reduced mod M: int64 sums stay exact below the bound
+        dtype = np.int64 if max(mods) * max(coord, default=1) * len(coord) < 2**63 else object
+        a = np.array([[x % mi for x in row] for row, mi in zip(a_rows, mods)], dtype=dtype).reshape(len(mods), len(coord))
+        v = np.array([[x % mj for x, mj in zip(vec, coord)] for vec in vecs], dtype=dtype).reshape(len(vecs), len(coord))
+        res = a @ v.T
+        res[:, 0] -= np.array([bi % mi for bi, mi in zip(b, mods)], dtype=dtype)
+        bad = np.flatnonzero((res % np.array(mods, dtype=dtype)[:, None]).any(axis=0))
+        if bad.size:
+            which = "the particular solution" if bad[0] == 0 else "kernel generator %d" % (bad[0] - 1)
+            raise ConstructionCheckFailed("%s fails the defining system" % which)
 
     @property
     def is_empty(self):
@@ -806,6 +817,4 @@ def solve_modular_system(a: IntegerMatrix, b, moduli, unknown_moduli=None) -> Af
     particular = tuple(z0[j] % M[j] for j in range(n_x))
     vecs = [tuple(col[j] % M[j] for j in range(n_x)) for col in kernel]
     gens, orders = subgroup_basis(vecs, M)
-    out = AffineSolutionSet(_ambient_presentation(M), M, particular, gens, orders, system)
-    assert out.verify_member(particular), "solver produced a non-solution"
-    return out
+    return AffineSolutionSet(_ambient_presentation(M), M, particular, gens, orders, system)

@@ -202,9 +202,6 @@ class FunctorData:
     morphism_map: dict
     label: str = "functor"
 
-    def apply_obj(self, x):
-        return self.object_map[x]
-
     def apply(self, f):
         x, y, name = f
         return (self.object_map[x], self.object_map[y], self.morphism_map[(x, y, name)])
@@ -777,15 +774,17 @@ def category_to_doc(cat: FiniteCategory) -> dict:
     }
 
 
-def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+def _resolve(doc, base_dir):
+    """(document, its base directory): inline, or a path relative to base_dir."""
+    if isinstance(doc, str):
+        path = Path(base_dir or ".") / doc
+        with open(path) as fh:
+            return json.load(fh), path.parent
+    return doc, base_dir
 
 
 def category_from_doc(doc, base_dir=None) -> FiniteCategory:
-    if isinstance(doc, str):
-        path = Path(base_dir or ".") / doc
-        return category_from_doc(_load_json(path), path.parent)
+    doc, _ = _resolve(doc, base_dir)
     hom = {(x, y): tuple(names) for x, y, names in doc.get("homs", [])}
     compose = {}
     for entry in doc.get("compose", []):
@@ -800,23 +799,34 @@ def category_from_doc(doc, base_dir=None) -> FiniteCategory:
     ).validate()
 
 
-def functor_from_doc(doc, base_dir=None) -> FunctorData:
-    if isinstance(doc, str):
-        path = Path(base_dir or ".") / doc
-        return functor_from_doc(_load_json(path), path.parent)
-    source = category_from_doc(doc["source"], base_dir)
-    target = category_from_doc(doc["target"], base_dir)
-    object_map = dict(doc["objects"])
+def _functor(doc, base_dir, category) -> FunctorData:
+    """The functor of a document, its categories from `category(spec, base_dir)`; not validated."""
+    doc, base_dir = _resolve(doc, base_dir)
+    source, target = category(doc["source"], base_dir), category(doc["target"], base_dir)
     morphism_map = {(x, y, f): ff for x, y, f, ff in doc["morphisms"]}
-    return FunctorData(source, target, object_map, morphism_map, doc.get("label", "functor")).validate()
+    return FunctorData(source, target, dict(doc["objects"]), morphism_map, doc.get("label", "functor"))
+
+
+def functor_from_doc(doc, base_dir=None) -> FunctorData:
+    return _functor(doc, base_dir, category_from_doc).validate()
 
 
 def adjunction_from_doc(doc, base_dir=None) -> AdjunctionData:
-    if isinstance(doc, str):
-        path = Path(base_dir or ".") / doc
-        return adjunction_from_doc(_load_json(path), path.parent)
-    left = functor_from_doc(doc["left"], base_dir)
-    right = functor_from_doc(doc["right"], base_dir)
+    """Each distinct category document is built and validated once, and
+    each functor once, by `AdjunctionData.validate`."""
+    doc, base_dir = _resolve(doc, base_dir)
+    built = []  # (category document, category)
+
+    def category(spec, base):
+        cdoc, _ = _resolve(spec, base)
+        for seen, cat in built:
+            if seen == cdoc:
+                return cat
+        built.append((cdoc, category_from_doc(cdoc)))
+        return built[-1][1]
+
+    left = _functor(doc["left"], base_dir, category)
+    right = _functor(doc["right"], base_dir, category)
     rl = compose_functors(right, left)
     lr = compose_functors(left, right)
     idb = identity_functor(left.source)

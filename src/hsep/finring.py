@@ -188,13 +188,6 @@ class FiniteRing:
     def scalar_coords(self, c, x):
         return tuple((c * a) % m for a, m in zip(x, self.moduli))
 
-    def left_mul_matrix(self, coords):
-        """Matrix of x -> a*x acting on coordinates (columns = images of basis)."""
-        return tuple(self.mul_coords(coords, self.basis_element(j).coords) for j in range(self.k))
-
-    def right_mul_matrix(self, coords):
-        return tuple(self.mul_coords(self.basis_element(j).coords, coords) for j in range(self.k))
-
     def elements(self, cap=None):
         if cap is not None and self.order > cap:
             raise CapExceeded(self.order)

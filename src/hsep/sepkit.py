@@ -7,6 +7,11 @@ s·e = e·s for every s), filters the quadratic heavy condition
 Σ a_i ⊗ b_i a_j ⊗ b_j = Σ a_i ⊗ 1 ⊗ b_i by exact enumeration, and
 decides the ring-epimorphism criteria with an internal cross-check.
 
+The locus comes from `exactalg.solve_modular_system` as particular +
+Σ c_i g_i, checked there once on those vectors, which covers every
+member.  Enumeration only filters the heavy condition, in the one
+vectorised pass `h_idempotents` that reports and the CLI share.
+
 S⊗_R S is also the Sweedler coring of the extension: comultiplication
 sends a⊗b to a⊗1⊗b and the counit is multiplication, so a heavy
 separability idempotent is exactly an invariant grouplike element of
@@ -41,6 +46,7 @@ __all__ = [
     "tensor_power",
     "separability_locus",
     "is_h_idempotent",
+    "h_idempotents",
     "is_ring_epimorphism",
     "find_ring_retractions",
     "h_separability_report",
@@ -306,16 +312,6 @@ class TensorPower:
 
     counit = mult
 
-    def left_action(self, s_index, coords):
-        left, _ = self.action_matrices
-        out = (left[s_index] @ np.asarray(coords, dtype=np.int64)) % self.np_moduli
-        return tuple(int(x) for x in out)
-
-    def right_action(self, s_index, coords):
-        _, right = self.action_matrices
-        out = (right[s_index] @ np.asarray(coords, dtype=np.int64)) % self.np_moduli
-        return tuple(int(x) for x in out)
-
     def is_central(self, coords):
         diff, mods = self.action_difference
         vals = (diff @ np.asarray(coords, dtype=np.int64)) % mods
@@ -423,6 +419,13 @@ def is_h_idempotent(t2: TensorPower, coords) -> bool:
     return t2.beta(coords, coords) == t2.sweedler_delta(coords)
 
 
+def h_idempotents(t2: TensorPower):
+    """The heavy separability idempotents, sorted: the whole locus through
+    one vectorised heavy filter.  The caller bounds the locus size."""
+    members = t2.locus.member_array()
+    return tuple(sorted(tuple(int(x) for x in row) for row in members[_h_pass_mask(t2, members)]))
+
+
 def _h_pass_mask(t2: TensorPower, members):
     """Vectorized heavy filter over an array of canonical coordinates."""
     n = members.shape[0]
@@ -453,22 +456,6 @@ def _h_pass_mask(t2: TensorPower, members):
             ok = ~np.any(proj, axis=1)
         out[lo : lo + _CHUNK] = ok
     return out
-
-
-def _verify_locus_members(t2: TensorPower, members):
-    """Re-verify every enumerated member by substitution."""
-    if members.shape[0] == 0:
-        return
-    s = t2.hom.target
-    smod = np.array(s.moduli, dtype=np.int64)
-    unit = np.array(s.unit, dtype=np.int64)
-    diff, dmods = t2.action_difference
-    for lo in range(0, members.shape[0], _CHUNK):
-        chunk = members[lo : lo + _CHUNK]
-        prods = (chunk @ t2.np_mult.T) % smod[None, :]
-        assert (prods == unit[None, :] % smod[None, :]).all(), "locus member with mult != 1"
-        cen = (chunk @ diff.T) % dmods[None, :]
-        assert not cen.any(), "locus member is not central"
 
 
 def is_ring_epimorphism(hom: RingHom) -> bool:
@@ -595,10 +582,7 @@ def h_separability_report(hom: RingHom, cap=DEFAULT_CAP) -> SeparabilityVerdict:
     witnesses = ()
     enumerated = None
     if is_sep and locus.size <= cap:
-        members = locus.member_array()
-        _verify_locus_members(t2, members)
-        mask = _h_pass_mask(t2, members)
-        witnesses = tuple(sorted(tuple(int(x) for x in row) for row in members[mask]))
+        witnesses = h_idempotents(t2)
         enumerated = bool(witnesses)
 
     decided_by = None

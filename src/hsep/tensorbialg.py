@@ -366,9 +366,6 @@ class TruncatedTensorBialgebra:
             return "1"
         return ".".join(self.base.labels[p][i] for p, i in word)
 
-    def word_degree(self, word):
-        return sum(p for p, _ in word)
-
     # -- elements are homogeneous: (degree, coefficient list) -------------
 
     def unit_elt(self):

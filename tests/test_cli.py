@@ -77,6 +77,18 @@ class TestExitCodes:
         assert code == 1
         assert "0 idempotent(s)" in out
 
+    def test_h_only_lists_exactly_the_heavy_members(self, capsys):
+        from hsep.finring import hom_from_doc
+        from hsep.sepkit import is_h_idempotent, tensor_power
+
+        for path in sorted(CORPUS.glob("*/hom.json")):
+            t2 = tensor_power(hom_from_doc(json.loads(path.read_text()), path.parent), 2)
+            heavy = [list(m) for m in t2.locus.members() if is_h_idempotent(t2, m)]
+            code, out, _ = run(capsys, "--format", "json", "sep", "idempotents", str(path), "--h-only")
+            listed = [e["coords"] for e in json.loads(out)["idempotents"]]
+            assert listed == heavy, path.parent.name
+            assert code == (0 if heavy else 1)
+
 
 class TestJsonFormat:
     def test_sorted_keys_byte_stable(self, capsys):
@@ -153,6 +165,16 @@ class TestCat:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "\n" not in err.strip()
 
+    def test_broken_category_in_an_adjunction(self, capsys, tmp_path):
+        doc = json.loads((CORPUS / "galois_2chain" / "adjunction.json").read_text())
+        doc["right"]["source"]["identities"] = {x: "missing" for x in doc["right"]["source"]["identities"]}
+        path = tmp_path / "adjunction.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "cat", "check", str(path))
+        assert code == 1 and out.startswith("invalid: ")
+        code, out, err = run(capsys, "cat", "rafael", str(path))
+        assert code == 2 and out == "" and err.startswith("error: ")
+
     def test_rafael_capped_search_is_undecided(self, capsys, monkeypatch):
         from hsep import fincat
 
@@ -187,6 +209,12 @@ class TestTalg:
         assert reports["q"]["evaluated_then_projected"] == [1, [1, 0]]
         assert cli._scalar(Fraction(-3, 4)) == "-3/4"
 
+    def test_witness_text_prints_scalars(self, capsys):
+        code, out, _ = run(capsys, "talg", "witness", "--dim", "2", "--deg", "3", "--field", "q")
+        assert code == 0 and "Fraction" not in out
+        assert "project twice: [0, 0]\nevaluate then project: [1, 0]\n" in out
+        assert "values differ: true\nunit retraction still holds: true\n" in out
+
     def test_bad_field(self, capsys):
         code, _, err = run(capsys, "talg", "verify", "--dim", "1", "--deg", "2", "--field", "6")
         assert code == 2
@@ -210,6 +238,29 @@ class TestCorpusRunner:
         assert code == 1
         assert "MISMATCH" in out
         assert "expected False, got True" in out
+
+    def test_raising_case_is_reported(self, capsys, tmp_path):
+        shutil.copytree(CORPUS / "z4_to_z2", tmp_path / "cases" / "a_ok")
+        case = tmp_path / "cases" / "b_broken"
+        case.mkdir()
+        (case / "expect.json").write_text(json.dumps({
+            "type": "sep_epi", "hom": "no-such-hom.json",
+            "expect": {"ring_epimorphism": True},
+        }))
+        cases = str(tmp_path / "cases")
+        code, out, _ = run(capsys, "corpus", "run", cases)
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0].split() == ["a_ok", "ok"]
+        assert lines[1].split() == ["b_broken", "MISMATCH"]
+        assert lines[2].startswith("    error: ") and "no-such-hom.json" in lines[2]
+        assert lines[3:] == ["1/2 cases match"]
+        code, out, _ = run(capsys, "--format", "json", "corpus", "run", cases)
+        assert code == 1
+        doc = json.loads(out)
+        assert (doc["failures"], doc["total"]) == (1, 2)
+        assert [c["ok"] for c in doc["cases"]] == [True, False]
+        assert "no-such-hom.json" in doc["cases"][1]["mismatches"]["error"]
 
     def test_empty_dir_is_input_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "corpus", "run", str(tmp_path))

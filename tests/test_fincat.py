@@ -1,8 +1,12 @@
 """Finite-category validation and the brute-force h-separability searches."""
 
+import copy
+import json
+
 import pytest
 
 from cat_util import (
+    CORPUS,
     build_adjunctions,
     c2_category,
     collapse_to_terminal,
@@ -19,6 +23,7 @@ from hsep.fincat import (
     FiniteCategory,
     FunctorData,
     HSepStructure,
+    IdentityLawFails,
     MonadData,
     NatTransform,
     NotAssociativeComposition,
@@ -64,6 +69,59 @@ class TestValidation:
 
     def test_monoid_category(self):
         validate(c2_category())
+
+
+class TestAdjunctionDocs:
+    SLOTS = (("left", "source"), ("left", "target"), ("right", "source"), ("right", "target"))
+
+    @staticmethod
+    def load(case):
+        return json.loads((CORPUS / case / "adjunction.json").read_text())
+
+    @staticmethod
+    def count_validations(monkeypatch):
+        counts = {"category": 0, "functor": 0}
+        for kind, cls in (("category", FiniteCategory), ("functor", FunctorData)):
+            def counted(self, _original=cls.validate, _kind=kind):
+                counts[_kind] += 1
+                return _original(self)
+
+            monkeypatch.setattr(cls, "validate", counted)
+        return counts
+
+    @pytest.mark.parametrize("case,categories", [("rafael_c2", 1), ("galois_2chain", 2)])
+    def test_each_category_and_functor_validated_once(self, monkeypatch, case, categories):
+        counts = self.count_validations(monkeypatch)
+        adj = fincat.adjunction_from_doc(self.load(case))
+        assert counts == {"category": categories, "functor": 2}
+        assert adj.left.target is adj.right.source and adj.left.source is adj.right.target
+
+    def test_categories_by_path_are_shared(self, monkeypatch, tmp_path):
+        doc = self.load("galois_2chain")
+        (tmp_path / "cats").mkdir()
+        (tmp_path / "cats" / "b.json").write_text(json.dumps(doc["left"]["source"]))
+        (tmp_path / "a.json").write_text(json.dumps(doc["left"]["target"]))
+        doc["left"]["source"] = "cats/b.json"
+        doc["left"]["target"] = "a.json"
+        right = dict(doc["right"], source="../a.json", target="b.json")
+        (tmp_path / "cats" / "right.json").write_text(json.dumps(right))
+        doc["right"] = "cats/right.json"
+        (tmp_path / "adjunction.json").write_text(json.dumps(doc))
+        counts = self.count_validations(monkeypatch)
+        adj = fincat.adjunction_from_doc(str(tmp_path / "adjunction.json"))
+        assert counts == {"category": 2, "functor": 2}
+        assert adj.left.target is adj.right.source
+
+    @pytest.mark.parametrize("functor,slot", SLOTS)
+    def test_broken_category_in_any_slot(self, functor, slot):
+        doc = self.load("rafael_c2")
+        cat = copy.deepcopy(doc[functor][slot])
+        for entry in cat["compose"]:
+            if entry[3:5] == ["1", "g"]:
+                entry[5] = "1"  # 1;g = 1 breaks the identity law
+        doc[functor][slot] = cat
+        with pytest.raises(IdentityLawFails):
+            fincat.adjunction_from_doc(doc)
 
 
 class TestHSepStructures:
