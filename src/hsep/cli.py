@@ -249,7 +249,7 @@ def cmd_talg_verify(args):
     field = _parse_field(args.field)
     try:
         report = tensorbialg.verify_bialgebra_adjunction(args.dim, field, args.deg)
-    except tensorbialg.DimensionGuardExceeded as err:
+    except ValueError as err:  # bad sizes, or past the dimension guard
         raise InputError(str(err)) from err
     doc = {
         "v_dim": report.v_dim,
@@ -281,7 +281,7 @@ def cmd_talg_witness(args):
     field = _parse_field(args.field)
     try:
         rep = tensorbialg.tensor_algebra_witness(args.dim, field, args.deg)
-    except (ValueError, tensorbialg.DimensionGuardExceeded) as err:
+    except ValueError as err:  # bad sizes, or past the dimension guard
         raise InputError(str(err)) from err
     doubled = [_scalar(x) for x in rep.doubled_value[1]]
     evaluated = [_scalar(x) for x in rep.evaluated_value[1]]
@@ -471,10 +471,7 @@ def main(argv=None):
         if hasattr(args, "cap") and args.cap is None:
             args.cap = default_cap()
         return args.func(args)
-    except InputError as err:
-        sys.stderr.write("error: %s\n" % str(err).replace("\n", " "))
-        return EXIT_INPUT
-    except FileNotFoundError as err:
+    except (InputError, FileNotFoundError, sepkit.ModuliTooLarge) as err:
         sys.stderr.write("error: %s\n" % str(err).replace("\n", " "))
         return EXIT_INPUT
 

@@ -23,6 +23,7 @@ from .exactalg import (
     CapExceeded,
     DimensionMismatch,
     IntegerMatrix,
+    _is_prime,
     cokernel,
     solve_modular_system,
     subgroup_basis,
@@ -698,17 +699,6 @@ def _standard_polynomial_quotient(params):
     scalar = check_ring_hom((ring.one().coords,), base, ring)
     elements = {"x": ring.basis_element(1)} if d >= 2 else {}
     return StandardRing(ring, {"scalar": scalar}, elements)
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 1
-    return True
 
 
 def _standard_tensor_product(params):

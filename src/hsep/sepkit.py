@@ -40,6 +40,7 @@ __all__ = [
     "TensorPower",
     "SeparabilityVerdict",
     "NotSeparabilityIdempotent",
+    "ModuliTooLarge",
     "InternalCriterionMismatch",
     "UNDECIDED",
     "DEFAULT_CAP",
@@ -61,6 +62,10 @@ _CHUNK = 2048
 
 class NotSeparabilityIdempotent(ValueError):
     """The element fails the linear separability conditions."""
+
+
+class ModuliTooLarge(ValueError):
+    """k⁵·(largest modulus)⁴ reaches 2⁶², past the int64 tensor kernels."""
 
 
 class InternalCriterionMismatch(RuntimeError):
@@ -89,7 +94,7 @@ class TensorPower:
         big = max(s.moduli, default=1)
         # the vectorized kernels accumulate in int64
         if k and k**5 * big**4 >= 2**62:
-            raise ValueError(
+            raise ModuliTooLarge(
                 "moduli too large for the exact vectorized tensor kernels"
             )
         self.gens = k**arity

@@ -5,8 +5,13 @@ import shutil
 from fractions import Fraction
 from pathlib import Path
 
-from hsep import cli
+import pytest
+
+from corpus_util import zmod
+
+from hsep import cli, sepkit
 from hsep.cli import main
+from hsep.finring import identity_hom
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -218,6 +223,73 @@ class TestTalg:
     def test_bad_field(self, capsys):
         code, _, err = run(capsys, "talg", "verify", "--dim", "1", "--deg", "2", "--field", "6")
         assert code == 2
+
+    @pytest.mark.parametrize("dim, deg, message", [("-1", "2", "v_dim must be >= 0"), ("1", "0", "truncation degree must be >= 1")])
+    def test_verify_bad_sizes_are_input_errors(self, capsys, dim, deg, message):
+        code, out, err = run(capsys, "talg", "verify", "--dim", dim, "--deg", deg, "--field", "q")
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+def modular(m):
+    return {"kind": "modular", "params": {"n": m}}
+
+
+class TestTensorKernelGuard:
+    """TensorPower refuses k⁵·(largest modulus)⁴ >= 2⁶², its int64 bound; the
+    sep commands report that as an input error, and just below the bound
+    they decide exactly."""
+
+    @staticmethod
+    def identity_doc(tmp_path, m):
+        path = tmp_path / "id.json"
+        path.write_text(json.dumps({"source": modular(m), "target": modular(m), "matrix": [[1]]}))
+        return str(path)
+
+    @staticmethod
+    def diagonal_doc(tmp_path, m):
+        target = {"kind": "product", "params": {"factors": [modular(m), modular(m)]}}
+        path = tmp_path / "diag.json"
+        path.write_text(json.dumps({"source": modular(m), "target": target, "matrix": [[1, 1]]}))
+        return str(path)
+
+    def test_bounds(self):
+        # k = 1: 46340 is the largest m with m^4 < 2^62; k = 2: 19483 with 32·m^4 < 2^62
+        assert 46340**4 < 2**62 <= 46341**4
+        assert 2**5 * 19483**4 < 2**62 <= 2**5 * 19484**4
+
+    def test_identity_at_the_bound(self, capsys, tmp_path):
+        doc = self.identity_doc(tmp_path, 46340)
+        code, out, _ = run(capsys, "--format", "json", "sep", "report", doc)
+        report = json.loads(out)
+        assert code == 0 and report["separable"] and report["ring_epimorphism"]
+        assert report["h_separable"] is True
+        assert [w["coords"] for w in report["h_witnesses"]] == [[1]]
+        assert run(capsys, "sep", "epi", doc)[0] == 0
+        code, out, _ = run(capsys, "--format", "json", "sep", "idempotents", "--h-only", doc)
+        assert code == 0 and [w["coords"] for w in json.loads(out)["idempotents"]] == [[1]]
+
+    def test_diagonal_at_the_bound(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "--format", "json", "sep", "report", self.diagonal_doc(tmp_path, 19483))
+        report = json.loads(out)
+        assert code == 1
+        assert report["separable"] is True and report["h_separable"] is False
+        assert report["locus_particular"]["coords"] == [1, 0, 0, 1]
+
+    @pytest.mark.parametrize("command", ["report", "epi", "idempotents"])
+    @pytest.mark.parametrize("kind, m", [("identity", 46341), ("diagonal", 19484)])
+    def test_past_the_bound_is_input_error(self, capsys, tmp_path, command, kind, m):
+        doc = getattr(self, kind + "_doc")(tmp_path, m)
+        code, out, err = run(capsys, "sep", command, doc)
+        assert (code, out) == (2, "")
+        assert err == "error: moduli too large for the exact vectorized tensor kernels\n"
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_guard_at_each_arity(self, arity):
+        assert sepkit.tensor_power(identity_hom(zmod(46340)), arity).arity == arity
+        with pytest.raises(sepkit.ModuliTooLarge):
+            sepkit.tensor_power(identity_hom(zmod(46341)), arity)
+        # the CLI catches this class, which must not swallow other ValueErrors
+        assert not issubclass(sepkit.NotSeparabilityIdempotent, sepkit.ModuliTooLarge)
 
 
 class TestCorpusRunner:

@@ -1,21 +1,58 @@
-"""Truncated tensor bialgebra: construction, primitives, the identities."""
+"""Truncated tensor bialgebra: construction, the bialgebra laws, primitives,
+the identities, and the span gates."""
 
+import ast
+import functools
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from hsep import tensorbialg
+from hsep.exactalg import ConstructionCheckFailed
 from hsep.tensorbialg import (
     DimensionGuardExceeded,
     GradedMap,
+    GradedSpace,
     PrimeField,
     RationalField,
+    TruncatedTensorBialgebra,
     build_truncated,
     exact_field,
     primitives,
     tensor_algebra_witness,
     verify_bialgebra_adjunction,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def counit(bialg):
+    """Projection onto the empty word, as a map to a point space."""
+    field, n = bialg.field, bialg.N
+    point = GradedSpace(field, (1,) + (0,) * n, (("1",),) + ((),) * n)
+    blocks = ((tuple(field.one() for _ in range(bialg.carrier.dims[0])),),) + ((),) * n
+    return GradedMap(bialg.carrier, point, blocks)
+
+
+def length_component(bialg, n):
+    """(space of length-n words, inclusion into the carrier)."""
+    members = [[i for i, w in enumerate(ws) if len(w) == n] for ws in bialg.words]
+    space = GradedSpace(
+        bialg.field,
+        tuple(len(m) for m in members),
+        tuple(tuple(bialg.carrier.labels[d][i] for i in m) for d, m in enumerate(members)),
+    )
+    one, zero = bialg.field.one(), bialg.field.zero()
+    blocks = tuple(
+        tuple(tuple(one if i == k else zero for k in m) for i in range(bialg.carrier.dims[d]))
+        for d, m in enumerate(members)
+    )
+    return space, GradedMap(space, bialg.carrier, blocks)
 
 
 def oracle_primitive_dims(v_dim, field, upto):
@@ -76,6 +113,104 @@ def oracle_primitive_dims(v_dim, field, upto):
         rank = r
         dims.append(len(words) - rank)
     return dims
+
+
+def reduce_counts(field, counts):
+    """Integer coefficients as field elements, zeros dropped."""
+    values = {key: field.from_int(c) for key, c in counts.items()}
+    return {key: x for key, x in values.items() if not field.is_zero(x)}
+
+
+# (base, field): T(V) with dim V = 0..3; the same model built on the
+# primitives of T(V), dim V = 2, which are graded with dims (0, 2, 1, 2)
+# over Q; a graded base with an empty degree; the augmentation kernel of
+# T(V), dim V = 2.  These are shaped like the three models that
+# verify_bialgebra_adjunction builds.
+LAW_MODELS = [(base, f) for f in ("q", "2") for base in ("V0", "V1", "V2", "V3", "P(V2)", "gap0201", "Aug(V2)")]
+
+
+@functools.lru_cache(maxsize=None)
+def law_model(base, fname):
+    field = exact_field(fname)
+    if base.startswith("V"):
+        return build_truncated(int(base[1:]), field, 4)
+    if base == "gap0201":
+        return TruncatedTensorBialgebra(GradedSpace(field, (0, 2, 0, 1), ((), ("a", "b"), (), ("c",))), 4)
+    prims = primitives(build_truncated(2, field, 3))
+    return TruncatedTensorBialgebra(prims.space if base == "P(V2)" else prims.aug_kernel, 3)
+
+
+def all_words(b, upto=None):
+    return [w for d in range(b.N + 1 if upto is None else upto + 1) for w in b.words[d]]
+
+
+@pytest.mark.parametrize("base, fname", LAW_MODELS, ids=["%s-%s" % m for m in LAW_MODELS])
+class TestModelLaws:
+    """The bialgebra laws, on every basis word, pair and triple within the
+    cutoff.  They hold for every base, so no model checks them itself."""
+
+    def test_unit_and_concatenation(self, base, fname):
+        b = law_model(base, fname)
+        for w in all_words(b):
+            assert b.mult_elt(b.unit_elt(), b.word_elt(w)) == b.word_elt(w)
+            assert b.mult_elt(b.word_elt(w), b.unit_elt()) == b.word_elt(w)
+        zero_top = (b.N, b.carrier.zero_vec(b.N))
+        for w1, w2 in itertools.product(all_words(b), repeat=2):
+            d = b.index[w1][0] + b.index[w2][0]
+            expect = b.word_elt(w1 + w2) if d <= b.N else zero_top
+            assert b.mult_elt(b.word_elt(w1), b.word_elt(w2)) == expect, (w1, w2)
+
+    def test_associativity(self, base, fname):
+        b = law_model(base, fname)
+        for w1 in all_words(b):
+            d1 = b.index[w1][0]
+            for w2 in all_words(b, b.N - d1):
+                d2 = b.index[w2][0]
+                for w3 in all_words(b, b.N - d1 - d2):
+                    x, y, z = b.word_elt(w1), b.word_elt(w2), b.word_elt(w3)
+                    assert b.mult_elt(b.mult_elt(x, y), z) == b.mult_elt(x, b.mult_elt(y, z)), (w1, w2, w3)
+
+    def test_coassociativity_and_counit(self, base, fname):
+        b = law_model(base, fname)
+        field = b.field
+        for w in all_words(b):
+            delta = b.delta_word(w)
+            left, right, eps_left, eps_right = {}, {}, {}, {}
+            for (w1, w2), c in delta.items():
+                for (u1, u2), c2 in b.delta_word(w1).items():
+                    left[(u1, u2, w2)] = left.get((u1, u2, w2), 0) + c * c2
+                for (u1, u2), c2 in b.delta_word(w2).items():
+                    right[(w1, u1, u2)] = right.get((w1, u1, u2), 0) + c * c2
+                if w1 == ():
+                    eps_left[w2] = eps_left.get(w2, 0) + c
+                if w2 == ():
+                    eps_right[w1] = eps_right.get(w1, 0) + c
+            assert reduce_counts(field, left) == reduce_counts(field, right), w
+            assert reduce_counts(field, eps_left) == reduce_counts(field, {w: 1}), w
+            assert reduce_counts(field, eps_right) == reduce_counts(field, {w: 1}), w
+
+    def test_coproduct_is_multiplicative(self, base, fname):
+        b = law_model(base, fname)
+        for w1 in all_words(b):
+            for w2 in all_words(b, b.N - b.index[w1][0]):
+                rhs = {}
+                for (a1, a2), c1 in b.delta_word(w1).items():
+                    for (b1, b2), c2 in b.delta_word(w2).items():
+                        key = (a1 + b1, a2 + b2)
+                        rhs[key] = rhs.get(key, 0) + c1 * c2
+                lhs = reduce_counts(b.field, b.delta_word(w1 + w2))
+                assert lhs == reduce_counts(b.field, rhs), (w1, w2)
+
+    def test_letter_projection_retracts_letters(self, base, fname):
+        b = law_model(base, fname)
+        omega = b.letter_projection
+        letters, incl = length_component(b, 1)
+        assert incl.blocks == b.unit_inclusion.blocks
+        assert omega.compose(incl).equals(GradedMap.identity(omega.target))
+        for n in range(b.N + 1):
+            if n != 1:
+                comp = omega.compose(length_component(b, n)[1])
+                assert not any(x for block in comp.blocks for row in block for x in row), n
 
 
 class TestConstruction:
@@ -149,7 +284,7 @@ class TestPrimitives:
         # projecting to single letters kills every length component but n = 1
         b = build_truncated(2, "q", 3)
         for n in range(4):
-            space, incl = b.length_component(n)
+            space, incl = length_component(b, n)
             comp = b.letter_projection.compose(incl)
             for d in range(4):
                 for i, row in enumerate(comp.blocks[d]):
@@ -163,17 +298,24 @@ class TestPrimitives:
     def test_primitives_in_augmentation_kernel(self):
         b = build_truncated(2, 5, 3)
         p = primitives(b)
-        comp = b.counit.compose(p.into_carrier)
+        eps = counit(b)
+        comp = eps.compose(p.into_carrier)
         zero = GradedMap(
             p.space,
-            b.counit.target,
+            eps.target,
             tuple(
-                tuple(tuple(b.field.zero() for _ in range(p.space.dims[d])) for _ in range(b.counit.target.dims[d]))
+                tuple(tuple(b.field.zero() for _ in range(p.space.dims[d])) for _ in range(eps.target.dims[d]))
                 for d in range(b.N + 1)
             ),
         )
         assert comp.equals(zero)
-        assert p.aug_inclusion.compose(p.into_aug_kernel).equals(p.into_carrier)
+        # the unit is not primitive, and the inclusion factors through the
+        # augmentation kernel: ζ∘ξ̂ = ξ with ζ the identity in degrees >= 1
+        assert p.space.dims[0] == 0
+        assert p.aug_kernel.dims == (0,) + b.carrier.dims[1:]
+        zeta = GradedMap(p.aug_kernel, b.carrier, (((),),) + GradedMap.identity(b.carrier).blocks[1:])
+        xi_hat = GradedMap(p.space, p.aug_kernel, ((),) + p.into_carrier.blocks[1:])
+        assert zeta.compose(xi_hat).equals(p.into_carrier)
 
 
 class TestAdjunctionIdentities:
@@ -211,3 +353,70 @@ class TestAlgebraWitness:
             tensor_algebra_witness(0, "q", 3)
         with pytest.raises(ValueError):
             tensor_algebra_witness(1, "q", 1)
+
+
+class TestSpanGates:
+    """The letters, and the image of each primitive of the double model,
+    must lie in the span of the computed primitives; a kernel solve that
+    loses or corrupts a primitive raises, also under python -O."""
+
+    @staticmethod
+    def patch_kernel(monkeypatch, ncols, change):
+        original = tensorbialg._kernel_basis
+
+        def patched(field, rows, cols):
+            kern = original(field, rows, cols)
+            return change(kern) if cols == ncols else kern
+
+        monkeypatch.setattr(tensorbialg, "_kernel_basis", patched)
+
+    # in T(V) with dim V = 2 and N = 3 only degree 1 has 2 words
+    @pytest.mark.parametrize("change", [lambda k: k[:-1], lambda k: k[:-1] + [k[0]]], ids=["lost", "duplicated"])
+    def test_letter_primitive_lost(self, monkeypatch, change):
+        self.patch_kernel(monkeypatch, 2, change)
+        with pytest.raises(ConstructionCheckFailed, match="letters must be primitive"):
+            verify_bialgebra_adjunction(2, "q", 3)
+
+    def test_non_primitive_in_the_double_model(self, monkeypatch):
+        # the double model on the primitives (dims 0, 2, 1, 2) has 5 words of
+        # degree 2, the first being w0·w0; it evaluates to v0·v0, which is
+        # not primitive over Q
+        def corrupt(kern):
+            return [[1] + [0] * (len(kern[0]) - 1)] + kern[1:]
+
+        self.patch_kernel(monkeypatch, 5, corrupt)
+        with pytest.raises(ConstructionCheckFailed, match="image of a primitive is not primitive"):
+            verify_bialgebra_adjunction(2, "q", 3)
+
+    def test_gate_fires_under_optimize(self):
+        script = (
+            "import sys\n"
+            "from hsep import tensorbialg\n"
+            "from hsep.exactalg import ConstructionCheckFailed\n"
+            "original = tensorbialg._kernel_basis\n"
+            "def lose(field, rows, cols):\n"
+            "    kern = original(field, rows, cols)\n"
+            "    return kern[:-1] if cols == 2 else kern\n"
+            "tensorbialg._kernel_basis = lose\n"
+            "try:\n"
+            "    tensorbialg.verify_bialgebra_adjunction(2, 'q', 3)\n"
+            "except ConstructionCheckFailed as err:\n"
+            "    print('optimize=%d raised: %s' % (sys.flags.optimize, err))\n"
+        )
+        path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "optimize=1 raised: letters must be primitive"
+
+    def test_no_assert_statements(self):
+        # gates in tensorbialg must raise, not assert: python -O strips asserts
+        path = ROOT / "src" / "hsep" / "tensorbialg.py"
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], "assert statements at lines %s" % lines
