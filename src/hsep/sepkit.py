@@ -7,6 +7,15 @@ s·e = e·s for every s), filters the quadratic heavy condition
 Σ a_i ⊗ b_i a_j ⊗ b_j = Σ a_i ⊗ 1 ⊗ b_i by exact enumeration, and
 decides the ring-epimorphism criteria with an internal cross-check.
 
+S⊗_R S⊗_R S is presented from S⊗_R S, by associativity, as
+(S⊗_R S)⊗_R S: its generators are x_i⊗e_b for the canonical generators
+x_i of S⊗_R S and the basis e_b of S, rank₂·k of them instead of the k³
+pure tensors.  Its projection and lift on the pure tensors are
+composites through S⊗_R S, and construction checks them against every
+balance relation of the pure tensors.  Every construction check raises
+`exactalg.ConstructionCheckFailed` and every verdict cross-check
+`InternalCriterionMismatch`, so both also run under `python -O`.
+
 The locus comes from `exactalg.solve_modular_system` as particular +
 Σ c_i g_i, checked there once on those vectors, which covers every
 member.  Enumeration only filters the heavy condition, in the one
@@ -29,6 +38,7 @@ import numpy as np
 from .exactalg import (
     AffineSolutionSet,
     CapExceeded,
+    ConstructionCheckFailed,
     IntegerMatrix,
     solve_modular_system,
     subgroup_basis,
@@ -38,6 +48,7 @@ from .finring import RingHom, check_ring_hom, commutativity_report
 
 __all__ = [
     "TensorPower",
+    "TripleTensorPower",
     "SeparabilityVerdict",
     "NotSeparabilityIdempotent",
     "ModuliTooLarge",
@@ -72,131 +83,101 @@ class InternalCriterionMismatch(RuntimeError):
     """Two provably equivalent criteria disagreed: an implementation bug."""
 
 
+def _phi_actions(hom):
+    """(right, left), both of shape (kr, k, k): right[r, a, c] is coordinate
+    c of e_a·φ(r) and left[r, b, c] is coordinate c of φ(r)·e_b."""
+    s = hom.target
+    t = s.np_mul
+    phi = np.array(hom.matrix, dtype=np.int64).reshape(hom.source.k, s.k)
+    right = np.einsum("asc,rs->rac", t, phi) % s.np_moduli
+    left = np.einsum("rs,sbc->rbc", phi, t) % s.np_moduli
+    return right, left
+
+
+def _balance_relations(right, left):
+    """Relation columns (x_i·φ(r))⊗e_b − x_i⊗(φ(r)·e_b) of X⊗_R S.
+
+    right[r, i, j] is coordinate j of x_i·φ(r), for the generators x_i of
+    the right R-module X; left[r, b, c] is coordinate c of φ(r)·e_b.  Rows
+    are the generators x_j⊗e_c, j-major.  Zero and repeated columns are
+    dropped.
+    """
+    kr, n, _ = right.shape
+    k = left.shape[1]
+    rel = np.einsum("rij,bc->jcrib", right, np.eye(k, dtype=np.int64))
+    rel -= np.einsum("ij,rbc->jcrib", np.eye(n, dtype=np.int64), left)
+    arr = rel.reshape(n * k, kr * n * k)
+    arr = arr[:, np.any(arr, axis=0)]
+    if arr.shape[1]:
+        arr = np.unique(arr, axis=1)
+    return arr
+
+
+def _cokernel(rel, generator_moduli):
+    return cokernel(IntegerMatrix.from_rows(rel.tolist(), rel.shape[1]), generator_moduli)
+
+
 class TensorPower:
-    """S⊗_R S (arity 2) or S⊗_R S⊗_R S (arity 3) over φ: R → S.
+    """S⊗_R S over φ: R → S; `triple` is S⊗_R S⊗_R S.
 
     The group is the cokernel of the balance relations
-    (x·φ(r))⊗y − x⊗(φ(r)·y) on basis generators together with the
-    order relation gcd(orders of the slots) on each pure generator.
-    Construction verifies, as exact matrix identities, that projection
-    kills every balance relation and that multiplication and the
-    Sweedler comultiplication are well defined on classes.
+    (e_a·φ(r))⊗e_b − e_a⊗(φ(r)·e_b) on the k² pure tensors of basis
+    elements, each of order the gcd of its slots' orders.  `np_project`
+    maps pure-tensor coordinates onto canonical ones and `np_lift` is a
+    section of it.  Construction verifies, as exact matrix identities,
+    that projection kills every balance relation and that multiplication
+    is well defined on classes.  S⊗_R S⊗_R S is presented from this group,
+    as (S⊗_R S)⊗_R S (`TripleTensorPower`).
     """
 
-    def __init__(self, hom: RingHom, arity: int):
-        if arity not in (2, 3):
-            raise ValueError("arity must be 2 or 3")
+    arity = 2
+
+    def __init__(self, hom: RingHom):
         self.hom = hom
-        self.arity = arity
         s = hom.target
-        self.k = s.k
-        k = s.k
+        k = self.k = s.k
         big = max(s.moduli, default=1)
-        # the vectorized kernels accumulate in int64
+        # The kernels accumulate in int64.  Every entry they multiply is
+        # reduced below its modulus, and each modulus, canonical ones
+        # included, is taken to be at most big.  The largest sum is the heavy
+        # filter's projection of β(e,e) − Δ(e): k³ terms, each a canonical
+        # entry times k² products of three entries, so below k⁵·big⁴.  The
+        # products that build and check S⊗_R S⊗_R S sum at most k³ products
+        # of two entries (rank₂ ≤ k² terms in the composites), so stay below
+        # k³·big².
         if k and k**5 * big**4 >= 2**62:
             raise ModuliTooLarge(
                 "moduli too large for the exact vectorized tensor kernels"
             )
-        self.gens = k**arity
-        if arity == 2:
-            gen_moduli = [
-                math.gcd(s.moduli[a], s.moduli[b]) for a in range(k) for b in range(k)
-            ]
-        else:
-            gen_moduli = [
-                math.gcd(math.gcd(s.moduli[a], s.moduli[b]), s.moduli[c])
-                for a in range(k)
-                for b in range(k)
-                for c in range(k)
-            ]
-        self.gen_moduli = tuple(gen_moduli)
-        rel = self._balance_relations()
-        self.relation_array = rel  # gens x ncols, kept for well-definedness tests
-        relations = IntegerMatrix.from_rows(rel.tolist(), rel.shape[1])
-        self.group = cokernel(relations, gen_moduli)
+        self.gens = k * k
+        self.np_gen_moduli = np.gcd.outer(s.np_moduli, s.np_moduli).ravel()
+        self.gen_moduli = tuple(int(m) for m in self.np_gen_moduli)
+        # gens x ncols, kept for the well-definedness checks
+        self.relation_array = _balance_relations(*_phi_actions(hom))
+        self.group = _cokernel(self.relation_array, self.gen_moduli)
+        self.np_moduli = np.array(self.group.moduli, dtype=np.int64)
+        self.np_project = self.group.np_project % self.np_moduli[:, None]
+        self.np_lift = self.group.np_lift % self.np_gen_moduli[:, None]
         self._verify_construction()
 
     # -- construction ---------------------------------------------------
 
-    def _balance_relations(self):
-        hom, k, arity = self.hom, self.k, self.arity
-        s = hom.target
-        src = hom.source
-        cols = []
-        for r in range(src.k):
-            ra = hom.matrix[r]
-            xr = [s.mul_coords(s.basis_element(a).coords, ra) for a in range(k)]
-            rx = [s.mul_coords(ra, s.basis_element(b).coords) for b in range(k)]
-            for a in range(k):
-                for b in range(k):
-                    if arity == 2:
-                        col = np.zeros(self.gens, dtype=np.int64)
-                        for c in range(k):
-                            col[c * k + b] += xr[a][c]
-                            col[a * k + c] -= rx[b][c]
-                        cols.append(col)
-                    else:
-                        for d in range(k):
-                            col = np.zeros(self.gens, dtype=np.int64)
-                            # balance across slots (0,1), third slot fixed at d
-                            for c in range(k):
-                                col[(c * k + b) * k + d] += xr[a][c]
-                                col[(a * k + c) * k + d] -= rx[b][c]
-                            cols.append(col)
-                            col = np.zeros(self.gens, dtype=np.int64)
-                            # balance across slots (1,2), first slot fixed at d
-                            for c in range(k):
-                                col[(d * k + c) * k + b] += xr[a][c]
-                                col[(d * k + a) * k + c] -= rx[b][c]
-                            cols.append(col)
-        if not cols:
-            return np.zeros((self.gens, 0), dtype=np.int64)
-        arr = np.stack(cols, axis=1)
-        arr = arr[:, np.any(arr, axis=0)]
-        if arr.shape[1]:
-            arr = np.unique(arr, axis=1)
-        return arr
-
     def _verify_construction(self):
-        # projection must kill every balance relation
-        if self.relation_array.shape[1]:
-            img = (self.np_project @ self.relation_array) % self.np_moduli[:, None]
-            assert not img.any(), "projection does not kill a balance relation"
-        if self.arity == 2 and self.k:
-            s = self.hom.target
-            smod = np.array(s.moduli, dtype=np.int64)
-            # multiplication is well defined on classes
-            if self.relation_array.shape[1]:
-                img = (self._raw_mult @ self.relation_array) % smod[:, None]
-                assert not img.any(), "multiplication not balanced"
-            # and computes products of pure tensors
-            lhs = (self.np_mult @ self.np_project) % smod[:, None]
-            rhs = self._raw_mult % smod[:, None]
-            assert (lhs == rhs).all(), "mult disagrees with the product on pure tensors"
+        rel = self.relation_array
+        if rel.shape[1] and ((self.np_project @ rel) % self.np_moduli[:, None]).any():
+            raise ConstructionCheckFailed("projection does not kill a balance relation")
+        if self.k:
+            smod = self.hom.target.np_moduli[:, None]
+            if rel.shape[1] and ((self._raw_mult @ rel) % smod).any():
+                raise ConstructionCheckFailed("multiplication not balanced")
+            if ((self.np_mult @ self.np_project - self._raw_mult) % smod).any():
+                raise ConstructionCheckFailed("mult disagrees with the product on pure tensors")
+
+    def _require_square(self, what):
+        if self.arity != 2:
+            raise ValueError("%s is defined on S⊗_R S only" % what)
 
     # -- numpy views -----------------------------------------------------
-
-    @cached_property
-    def np_moduli(self):
-        return np.array(self.group.moduli, dtype=np.int64)
-
-    @cached_property
-    def np_gen_moduli(self):
-        return np.array(self.gen_moduli, dtype=np.int64)
-
-    @cached_property
-    def np_project(self):
-        p = np.array(self.group.project_matrix, dtype=np.int64).reshape(
-            self.group.rank, self.gens
-        )
-        return p % self.np_moduli[:, None]
-
-    @cached_property
-    def np_lift(self):
-        l = np.array(self.group.lift_matrix, dtype=np.int64).reshape(
-            self.gens, self.group.rank
-        )
-        return l % self.np_gen_moduli[:, None]
 
     @cached_property
     def is_identity_presentation(self):
@@ -214,21 +195,22 @@ class TensorPower:
     @cached_property
     def np_mult(self):
         """Multiplication S⊗S → S on canonical coordinates (k x rank)."""
-        assert self.arity == 2
-        smod = np.array(self.hom.target.moduli, dtype=np.int64)
+        self._require_square("multiplication")
+        smod = self.hom.target.np_moduli
         return (self._raw_mult @ self.np_lift) % smod[:, None]
 
     @cached_property
     def triple(self):
-        assert self.arity == 2
-        tri = tensor_power(self.hom, 3)
+        """S⊗_R S⊗_R S, presented from this group and checked."""
+        self._require_square("triple")
+        tri = TripleTensorPower(self)
         self._verify_triple(tri)
         return tri
 
     @cached_property
     def action_matrices(self):
         """(left, right): arrays of shape (k, rank, rank), canonical coords."""
-        assert self.arity == 2
+        self._require_square("the S-actions")
         k, rank = self.k, self.group.rank
         t = self.hom.target.np_mul
         p = self.np_project.reshape(rank, k, k)
@@ -250,7 +232,7 @@ class TensorPower:
     @cached_property
     def np_sweedler(self):
         """a⊗b ↦ a⊗1⊗b on canonical coordinates (rank3 x rank)."""
-        assert self.arity == 2
+        self._require_square("the Sweedler comultiplication")
         tri = self.triple
         k = self.k
         p3 = tri.np_project.reshape(tri.group.rank, k, k, k)
@@ -267,7 +249,7 @@ class TensorPower:
     @cached_property
     def locus(self):
         """Affine set of separability idempotents in canonical coordinates."""
-        assert self.arity == 2
+        self._require_square("the separability locus")
         s = self.hom.target
         rank = self.group.rank
         rows = [list(map(int, r)) for r in self.np_mult]
@@ -375,15 +357,17 @@ class TensorPower:
             # beta(δ, y) over all pure generators y = (c, d)
             z = np.einsum("ab,bce->ace", x, t, optimize=True)
             vals = np.einsum("raed,ace->rcd", p3, z, optimize=True) % mods3[:, None, None]
-            assert not vals.any(), "beta is not balanced in its left slot"
+            if vals.any():
+                raise ConstructionCheckFailed("beta is not balanced in its left slot")
             # beta(y, δ) over all pure generators y = (a, b)
             z = np.einsum("bce,cd->bed", t, x, optimize=True)
             vals = np.einsum("raed,bed->rab", p3, z, optimize=True) % mods3[:, None, None]
-            assert not vals.any(), "beta is not balanced in its right slot"
+            if vals.any():
+                raise ConstructionCheckFailed("beta is not balanced in its right slot")
 
     def verify_coring_laws(self):
         """(ε⊗1)Δ = id and (1⊗ε)Δ = id on canonical coordinates."""
-        assert self.arity == 2
+        self._require_square("the coring laws")
         tri = self.triple
         k, rank = self.k, self.group.rank
         t = self.hom.target.np_mul
@@ -400,10 +384,126 @@ class TensorPower:
         return bool(ok1 and ok2)
 
 
+class TripleTensorPower(TensorPower):
+    """S⊗_R S⊗_R S, presented as (S⊗_R S)⊗_R S.
+
+    The generators are x_i⊗e_b, for the canonical generators x_i of
+    S⊗_R S (order d_i) and the basis e_b of S, each of order gcd(d_i, m_b).
+    The relations are (x_i·φ(r))⊗e_b − x_i⊗(φ(r)·e_b), for every source
+    basis element r; x_i·φ(r) is read off the right action of S on S⊗_R S.
+    So the cokernel is solved on rank₂·k generators, not on the k³ pure
+    tensors.  `group` is that cokernel; its own project and lift act on
+    the x_i⊗e_b.  Projection and lift on the k³ pure tensors are
+    composites through S⊗_R S: P = P_new·(P₂⊗I_k) and L = (L₂⊗I_k)·L_new.
+    When P_new and L_new are the identity, as when the relations vanish,
+    they are P₂⊗I_k and L₂⊗I_k, and nothing is multiplied.  P and L are
+    built on first use: an M_n(Z/m)/(Z/m) report reads neither.
+
+    Construction verifies, as exact matrix identities, that the right
+    action agrees with the product on pure tensors, that P kills every
+    balance relation of the pure tensors in slots (0,1) and (1,2), and
+    that P·L is the identity on canonical coordinates.
+    """
+
+    arity = 3
+
+    def __init__(self, square: TensorPower):
+        hom = self.hom = square.hom
+        s = hom.target
+        k = self.k = square.k
+        n = square.group.rank
+        self.gens = k**3
+        self.np_gen_moduli = np.gcd.outer(square.np_gen_moduli, s.np_moduli).ravel()
+        phi = np.array(hom.matrix, dtype=np.int64).reshape(hom.source.k, k)
+        actions = square.action_matrices[1]
+        # right[r, i, j]: coordinate j of x_i·φ(r)
+        right = np.einsum("rs,sji->rij", phi, actions) % square.np_moduli
+        gen_moduli = np.gcd.outer(square.np_moduli, s.np_moduli).ravel()
+        rel = _balance_relations(right, _phi_actions(hom)[1])
+        group = self.group = _cokernel(rel, gen_moduli.tolist())
+        mods = self.np_moduli = np.array(group.moduli, dtype=np.int64)
+        rank = group.rank
+        self._square = square
+        # tested on the tuples, so an identity P_new is never converted or multiplied
+        if _is_identity(group.project_matrix, n * k) and _is_identity(group.lift_matrix, n * k):
+            self._project_new = self._lift_new = None
+        else:
+            self._project_new = (group.np_project % mods[:, None]).reshape(rank, n, k)
+            self._lift_new = (group.np_lift % gen_moduli[:, None]).reshape(n, k, rank)
+        self._verify_presentation(square, actions)
+
+    @cached_property
+    def np_project(self):
+        """P = P_new·(P₂⊗I_k), or P₂⊗I_k when P_new is the identity."""
+        p2 = self._square.np_project
+        if self._project_new is None:
+            p = np.kron(p2, np.eye(self.k, dtype=np.int64))
+        else:
+            p = np.einsum("ric,ia->rac", self._project_new, p2).reshape(self.group.rank, self.gens)
+        p %= self.np_moduli[:, None]
+        return p
+
+    @cached_property
+    def np_lift(self):
+        """L = (L₂⊗I_k)·L_new, or L₂⊗I_k when L_new is the identity."""
+        l2 = self._square.np_lift
+        if self._lift_new is None:
+            l = np.kron(l2, np.eye(self.k, dtype=np.int64))
+        else:
+            l = np.einsum("ai,icq->acq", l2, self._lift_new).reshape(self.gens, self.group.rank)
+        l %= self.np_gen_moduli[:, None]
+        return l
+
+    @cached_property
+    def is_identity_presentation(self):
+        # P₂⊗I_k is the identity exactly when P₂ is
+        if self._project_new is None:
+            return self._square.is_identity_presentation
+        return super().is_identity_presentation
+
+    def _verify_presentation(self, square, actions):
+        k, n, rank = self.k, square.group.rank, self.group.rank
+        # P₂(e_a⊗e_b·e_s) = P₂(e_a⊗e_b)·e_s for every basis element s
+        p2 = square.np_project
+        lhs = (actions @ p2).reshape(k, n, k, k)
+        rhs = np.einsum("jac,bsc->sjab", p2.reshape(n, k, k), self.hom.target.np_mul)
+        if ((lhs - rhs) % square.np_moduli[None, :, None, None]).any():
+            raise ConstructionCheckFailed("right action disagrees with the product on pure tensors")
+        # the balance relations of S⊗S⊗S are ρ⊗e_d (slots 0,1) and e_d⊗ρ
+        # (slots 1,2), for the balance relations ρ of S⊗S
+        rel = square.relation_array
+        if rel.shape[1]:
+            p3 = self.np_project.reshape(rank, k * k, k)
+            slots01 = np.matmul(rel.T, p3)
+            slots12 = self.np_project.reshape(rank * k, k * k) @ rel
+            if (slots01 % self.np_moduli[:, None, None]).any() or (
+                slots12.reshape(rank, k * rel.shape[1]) % self.np_moduli[:, None]
+            ).any():
+                raise ConstructionCheckFailed("projection does not kill a balance relation of S⊗S⊗S")
+        if self._project_new is None:
+            # P·L = (P₂·L₂)⊗I_k, and each order gcd(d_i, m_c) divides d_i
+            pl, pl_mods = p2 @ square.np_lift, square.np_moduli
+        else:
+            pl, pl_mods = self.np_project @ self.np_lift, self.np_moduli
+        if ((pl - np.eye(len(pl_mods), dtype=np.int64)) % pl_mods[:, None]).any():
+            raise ConstructionCheckFailed("projection after lift is not the identity on S⊗S⊗S")
+
+
+def _is_identity(rows, n):
+    """Whether a matrix given as a tuple of rows is the n x n identity."""
+    return len(rows) == n and all(
+        len(row) == n and row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(rows)
+    )
+
+
 @lru_cache(maxsize=None)
 def tensor_power(hom: RingHom, arity: int) -> TensorPower:
-    """Tensor power of the extension with all structure maps verified."""
-    return TensorPower(hom, arity)
+    """S⊗_R S (arity 2) or S⊗_R S⊗_R S (arity 3), structure maps verified."""
+    if arity == 2:
+        return TensorPower(hom)
+    if arity == 3:
+        return tensor_power(hom, 2).triple
+    raise ValueError("arity must be 2 or 3")
 
 
 def separability_locus(hom: RingHom) -> AffineSolutionSet:
@@ -445,7 +545,6 @@ def _h_pass_mask(t2: TensorPower, members):
     lmat = t2.np_lift
     gmod = np.where(t2.np_gen_moduli > 0, t2.np_gen_moduli, 1)
     mods3 = tri.np_moduli
-    p3 = tri.np_project
     out = np.zeros(n, dtype=bool)
     for lo in range(0, n, _CHUNK):
         chunk = members[lo : lo + _CHUNK]
@@ -457,7 +556,7 @@ def _h_pass_mask(t2: TensorPower, members):
         if tri.is_identity_presentation:
             ok = ~np.any(diff % mods3[None, :], axis=1)
         else:
-            proj = (diff @ p3.T) % mods3[None, :]
+            proj = (diff @ tri.np_project.T) % mods3[None, :]
             ok = ~np.any(proj, axis=1)
         out[lo : lo + _CHUNK] = ok
     return out
@@ -559,12 +658,12 @@ class SeparabilityVerdict:
     notes: dict
 
     def check_invariants(self):
-        if self.is_h_separable is True:
-            assert self.is_separable
-        if self.is_ring_epi:
-            assert self.is_h_separable is True
-        if self.notes["image_central"]:
-            assert self.is_h_separable == self.is_ring_epi
+        if self.is_h_separable is True and not self.is_separable:
+            raise InternalCriterionMismatch("h-separable but not separable")
+        if self.is_ring_epi and self.is_h_separable is not True:
+            raise InternalCriterionMismatch("ring epimorphism but not h-separable")
+        if self.notes["image_central"] and self.is_h_separable != self.is_ring_epi:
+            raise InternalCriterionMismatch("central image, but h-separability differs from epi")
         return True
 
 
@@ -614,7 +713,8 @@ def h_separability_report(hom: RingHom, cap=DEFAULT_CAP) -> SeparabilityVerdict:
         h_state = UNDECIDED
 
     if not is_sep:
-        assert h_state is not True
+        if h_state is True:
+            raise InternalCriterionMismatch("h-separable with an empty separability locus")
         h_state = False if h_state is UNDECIDED else h_state
         decided_by = decided_by or "empty-locus"
 

@@ -1,17 +1,27 @@
 """Independent brute-force oracles for the tensor-power machinery.
 
 Everything here recomputes results with plain loops and set arithmetic,
-sharing no code path with the solver / einsum implementations.
+sharing no code path with the solver / einsum implementations, except
+that the direct presentation of S⊗S⊗S goes through `exactalg.cokernel`.
 """
 
 import itertools
+import json
+import math
 import random
+from pathlib import Path
 
-from corpus_util import build_corpus
+import numpy as np
+import pytest
 
+from corpus_util import build_corpus, zmod
+
+from hsep.exactalg import IntegerMatrix, cokernel
+from hsep.finring import construct_standard_ring, hom_from_doc
 from hsep.sepkit import is_h_idempotent, separability_locus, tensor_power
 
 HOMS, STD = build_corpus()
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def balance_relation_vectors(hom, arity):
@@ -169,7 +179,7 @@ class TestHeavyOracle:
                 for e in range(k):
                     if s.unit[e]:
                         rhs[(a * k + e) * k + b] += cab * s.unit[e]
-        return t3.group.project(lhs) == t3.group.project(rhs)
+        return t3.project(lhs) == t3.project(rhs)
 
     def test_formal_expansion_agrees_with_filter(self):
         for name in ("f2_diag_f2sq", "t2_into_m2", "f3_into_f9", "f2_into_m2"):
@@ -179,3 +189,54 @@ class TestHeavyOracle:
                 assert self.formal_heavy_check(hom, member) == is_h_idempotent(
                     t2, member
                 ), (name, member)
+
+
+def direct_triple(hom):
+    """S⊗_R S⊗_R S presented directly on the k³ pure tensors, each of order
+    the gcd of its slots' orders: every balance relation in slots (0,1)
+    and (1,2), passed to `cokernel`."""
+    s, k = hom.target, hom.target.k
+    gen_moduli = [
+        math.gcd(math.gcd(s.moduli[a], s.moduli[b]), s.moduli[c])
+        for a in range(k)
+        for b in range(k)
+        for c in range(k)
+    ]
+    cols = sorted(set(balance_relation_vectors(hom, 3)))
+    rows = [[col[g] for col in cols] for g in range(k**3)]
+    return cokernel(IntegerMatrix.from_rows(rows, len(cols)), gen_moduli), gen_moduli
+
+
+def oracle_homs():
+    homs = dict(HOMS)
+    for path in sorted(CORPUS.glob("*/hom.json")):
+        homs["corpus/" + path.parent.name] = hom_from_doc(json.loads(path.read_text()), path.parent)
+    for m in range(2, 10):
+        base = zmod(m)
+        homs["T2(Z/%d)" % m] = construct_standard_ring("triangular", {"base": base, "n": 2}).homs["into_matrix"]
+        homs["M2(Z/%d)" % m] = construct_standard_ring("matrix", {"base": base, "n": 2}).homs["scalar"]
+    return homs
+
+
+ORACLE_HOMS = oracle_homs()
+
+
+class TestTripleOracle:
+    """S⊗S⊗S built as (S⊗S)⊗S against the direct k³ presentation.  Both
+    take projections on the same k³ pure tensors, so they agree iff their
+    invariant factors and their kernels agree."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_HOMS))
+    def test_same_group_and_kernel(self, name):
+        hom = ORACLE_HOMS[name]
+        t3 = tensor_power(hom, 3)
+        direct, gen_moduli = direct_triple(hom)
+        assert t3.group.moduli == direct.moduli
+        mods = np.array(direct.moduli, dtype=np.int64)[:, None]
+        p_old = np.array(direct.project_matrix, dtype=np.int64).reshape(direct.rank, t3.gens) % mods
+        l_old = np.array(direct.lift_matrix, dtype=np.int64).reshape(t3.gens, direct.rank)
+        l_old %= np.array(gen_moduli, dtype=np.int64)[:, None]
+        p_new, l_new = t3.np_project, t3.np_lift
+        # ker P_old = {x − L_old·P_old·x}, so P kills it iff P·L_old·P_old ≡ P
+        assert not (((p_new @ l_old % mods) @ p_old - p_new) % mods).any()
+        assert not (((p_old @ l_new % mods) @ p_new - p_old) % mods).any()
