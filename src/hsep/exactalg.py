@@ -4,8 +4,12 @@ Smith normal forms of arbitrary-precision integer matrices, canonical
 invariant-factor presentations of finite abelian groups, and affine
 solution sets of simultaneous congruences with mixed moduli.  Every
 quotient construction and solver in the workbench sits on these
-kernels.  All values are immutable after construction and all
-operations are pure, so concurrent reads are safe.
+kernels.  A presentation holds its projection and lift as reduced,
+read-only numpy arrays (int64 below the overflow bound, Python ints
+past it), and an identity presentation holds no matrix at all.  All
+values are immutable after construction and all operations are pure,
+so concurrent reads are safe.  A construction that fails its defining
+equations raises `ConstructionCheckFailed`, also under `python -O`.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -359,69 +362,81 @@ def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FinAbPresentation:
     """Finite abelian group in canonical invariant-factor coordinates.
 
     `moduli` are the nontrivial invariant factors d1 | d2 | ...; the
-    trivial group has empty moduli.  `project` maps original-generator
-    coordinates onto canonical coordinates and `lift` is a section of
-    it: project(lift(x)) == x for every canonical x.
+    trivial group has empty moduli.  The group is a quotient of the
+    generators ⊕ Z/m_j, m_j = generator_moduli[j].  `P` (rank x
+    generators) maps generator coordinates onto canonical ones, row i
+    reduced mod d_i, and `L` (generators x rank) is a section of it, row j
+    reduced mod m_j: P·L·x ≡ x for every canonical x.  Both are int64
+    when every product sum they take stays below 2⁶³, object arrays of
+    Python ints past that.  An identity presentation, whose canonical
+    coordinates are the generator coordinates, stores neither: P and L
+    are None and `is_identity` is true.
     """
 
     moduli: tuple[int, ...]
-    generator_count: int
-    project_matrix: tuple[tuple[int, ...], ...]
-    lift_matrix: tuple[tuple[int, ...], ...]
-    generator_moduli: tuple[int, ...] = ()
+    generator_moduli: tuple[int, ...]
+    P: np.ndarray | None = None
+    L: np.ndarray | None = None
+
+    @property
+    def is_identity(self):
+        return self.P is None
 
     @property
     def rank(self):
         return len(self.moduli)
 
     @property
+    def generator_count(self):
+        return len(self.generator_moduli)
+
+    @property
     def order(self):
         return math.prod(self.moduli)
 
-    @cached_property
-    def np_project(self):
-        return np.array(self.project_matrix, dtype=np.int64).reshape(self.rank, self.generator_count)
-
-    @cached_property
-    def np_lift(self):
-        return np.array(self.lift_matrix, dtype=np.int64).reshape(self.generator_count, self.rank)
-
-    @cached_property
-    def np_moduli(self):
-        return np.array(self.moduli, dtype=np.int64)
+    def _apply(self, mat, vec, vec_moduli, out_moduli):
+        vec = [int(x) % m for x, m in zip(vec, vec_moduli)]
+        if mat is None:
+            return tuple(vec)
+        out = mat @ np.array(vec, dtype=mat.dtype)
+        return tuple(int(x) % m for x, m in zip(out, out_moduli))
 
     def project(self, vec):
+        """Canonical coordinates of a vector of generator coordinates."""
         if len(vec) != self.generator_count:
             raise DimensionMismatch("project expects %d coordinates" % self.generator_count)
-        return tuple(
-            sum(row[j] * vec[j] for j in range(self.generator_count)) % mod
-            for row, mod in zip(self.project_matrix, self.moduli)
-        )
+        return self._apply(self.P, vec, self.generator_moduli, self.moduli)
 
     def lift(self, vec):
+        """Generator coordinates of a canonical vector, read modulo the moduli."""
         if len(vec) != self.rank:
             raise DimensionMismatch("lift expects %d coordinates" % self.rank)
-        out = [sum(row[a] * vec[a] for a in range(self.rank)) for row in self.lift_matrix]
-        if self.generator_moduli:
-            out = [x % m if m > 0 else x for x, m in zip(out, self.generator_moduli)]
-        return tuple(out)
+        return self._apply(self.L, vec, self.moduli, self.generator_moduli)
 
     def zero(self):
         return (0,) * self.rank
-
-    def reduce(self, vec):
-        return tuple(x % m for x, m in zip(vec, self.moduli))
 
     def elements(self, cap=None):
         """All canonical coordinate tuples in lexicographic order."""
         if cap is not None and self.order > cap:
             raise CapExceeded(self.order)
         return itertools.product(*(range(m) for m in self.moduli))
+
+
+def _presentation(moduli, generator_moduli, p_rows, l_rows):
+    """A presentation from P and L given reduced, as integer arrays or nested lists."""
+    g, rank = len(generator_moduli), len(moduli)
+    # P·x and L·y each sum at most g products of two reduced entries
+    dtype = np.int64 if g * max(moduli, default=1) * max(generator_moduli, default=1) < 2**63 else object
+    p = np.array(p_rows, dtype=dtype).reshape(rank, g)
+    l = np.array(l_rows, dtype=dtype).reshape(g, rank)
+    p.flags.writeable = l.flags.writeable = False
+    return FinAbPresentation(tuple(moduli), tuple(generator_moduli), p, l)
 
 
 def _is_divisor_chain(mods):
@@ -487,36 +502,28 @@ def _rref_mod_p(rows, p):
 
 def _cokernel_mod_prime(relations, mods, p):
     g = len(mods)
-    if relations.cols:
-        rel = np.array(relations.entries, dtype=np.int64).T % p
-        rel = np.unique(rel, axis=0)
-        rref, pivots = _rref_mod_p(rel, p)
-    else:
-        rref, pivots = np.zeros((0, g), dtype=np.int64), []
-    pivot_set = set(pivots)
-    free = [j for j in range(g) if j not in pivot_set]
-    proj = []
-    for fcol in free:
-        row = [0] * g
-        row[fcol] = 1
-        for i, pc in enumerate(pivots):
-            row[pc] = int(-rref[i][fcol]) % p
-        proj.append(tuple(row))
-    lift = [tuple(1 if free[a] == r else 0 for a in range(len(free))) for r in range(g)]
-    return FinAbPresentation(
-        moduli=(p,) * len(free),
-        generator_count=g,
-        project_matrix=tuple(proj),
-        lift_matrix=tuple(lift),
-        generator_moduli=mods,
-    )
+    rel = np.array(relations.entries, dtype=np.int64).T % p
+    rref, pivots = _rref_mod_p(np.unique(rel, axis=0), p)
+    if not pivots:
+        return FinAbPresentation(mods, mods)
+    free = np.setdiff1d(np.arange(g), pivots)
+    # x_free stays, and each pivot coordinate is minus its rref row on the free ones
+    proj = np.zeros((len(free), g), dtype=np.int64)
+    proj[np.arange(len(free)), free] = 1
+    proj[:, pivots] = -rref[:, free].T % p
+    lift = np.zeros((g, len(free)), dtype=np.int64)
+    lift[free, np.arange(len(free))] = 1
+    return _presentation((p,) * len(free), mods, proj, lift)
 
 
 def cokernel(relations: IntegerMatrix, generator_moduli) -> FinAbPresentation:
     """Canonical presentation of ⊕ Z/m_i modulo the relation columns.
 
     Each generator g_i carries the order relation m_i * g_i == 0 in
-    addition to the explicit relation columns.
+    addition to the explicit relation columns.  The presentation is the
+    identity, and stores no matrix, when there are no relations and the
+    m_i are a divisor chain of nontrivial moduli, or when every m_i is
+    one prime p and no relation is nonzero mod p.
     """
     mods = tuple(int(x) for x in generator_moduli)
     g = len(mods)
@@ -525,24 +532,26 @@ def cokernel(relations: IntegerMatrix, generator_moduli) -> FinAbPresentation:
     if any(x < 1 for x in mods):
         raise ValueError("generator moduli must be >= 1")
     if g == 0:
-        return FinAbPresentation((), 0, (), (), ())
+        return FinAbPresentation((), ())
     if relations.cols == 0 and _is_divisor_chain(mods):
         keep = [i for i, mi in enumerate(mods) if mi > 1]
-        proj = tuple(tuple(1 if j == i else 0 for j in range(g)) for i in keep)
-        lift = tuple(tuple(1 if keep[a] == r else 0 for a in range(len(keep))) for r in range(g))
-        return FinAbPresentation(tuple(mods[i] for i in keep), g, proj, lift, mods)
+        if len(keep) == g:
+            return FinAbPresentation(mods, mods)
+        eye = np.eye(g, dtype=np.int64)
+        return _presentation(tuple(mods[i] for i in keep), mods, eye[keep], eye[:, keep])
     p = mods[0]
     if all(mi == p for mi in mods) and _is_prime(p):
         return _cokernel_mod_prime(relations, mods, p)
     comb = relations.hstack(IntegerMatrix.diagonal(mods))
     snf = smith_normal_form(comb)
     d = [snf.D[i, i] for i in range(g)]
-    assert all(di >= 1 for di in d), "generator moduli guarantee full rank"
+    if not all(di >= 1 for di in d):
+        raise ConstructionCheckFailed("the generator moduli leave a zero invariant factor")
     keep = [i for i in range(g) if d[i] != 1]
     moduli = tuple(d[i] for i in keep)
-    proj = tuple(snf.U.row(i) for i in keep)
-    lift = tuple(tuple(snf.u_inv[r, i] for i in keep) for r in range(g))
-    return FinAbPresentation(moduli, g, proj, lift, mods)
+    proj = [[x % d[i] for x in snf.U.row(i)] for i in keep]
+    lift = [[snf.u_inv[r, i] % mods[r] for i in keep] for r in range(g)]
+    return _presentation(moduli, mods, proj, lift)
 
 
 def subgroup_basis(vectors, ambient_moduli):
@@ -569,7 +578,8 @@ def subgroup_basis(vectors, ambient_moduli):
     b = IntegerMatrix.from_rows([[c[i] for c in cols] + [M[i] if j == i else 0 for j in range(n)] for i in range(n)], len(cols) + n)
     s1 = smith_normal_form(b)
     d = [s1.D[i, i] for i in range(n)]
-    assert all(di >= 1 for di in d)
+    if not all(di >= 1 for di in d):
+        raise ConstructionCheckFailed("the ambient moduli leave a zero invariant factor")
     # lattice basis of span(vectors, diag(M)): C = Uinv @ diag(d)
     C = [[s1.u_inv[i, j] * d[j] for j in range(n)] for i in range(n)]
     # coordinates of diag(M) in basis C: X = diag(d)^-1 @ U @ diag(M)
@@ -578,7 +588,8 @@ def subgroup_basis(vectors, ambient_moduli):
         row = []
         for j in range(n):
             num = s1.U[i, j] * M[j]
-            assert num % d[i] == 0
+            if num % d[i]:
+                raise ConstructionCheckFailed("the lattice basis does not span the ambient moduli")
             row.append(num // d[i])
         X.append(row)
     s2 = smith_normal_form(IntegerMatrix.from_rows(X, n))
@@ -661,14 +672,6 @@ def _integer_solve_full(mat_rows, rhs, width):
     return z0, kernel
 
 
-def _ambient_presentation(M):
-    n = len(M)
-    if _is_divisor_chain(M) and all(m > 1 for m in M):
-        eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        return FinAbPresentation(tuple(M), n, eye, eye, tuple(M))
-    return cokernel(IntegerMatrix.zeros(n, 0), M)
-
-
 @dataclass(frozen=True)
 class AffineSolutionSet:
     """particular + subgroup, in the coordinates of `coordinate_moduli`.
@@ -682,7 +685,6 @@ class AffineSolutionSet:
     moduli, so checking particular and generators covers every member.
     """
 
-    ambient: FinAbPresentation
     coordinate_moduli: tuple[int, ...]
     particular: tuple[int, ...] | None
     kernel_generators: tuple[tuple[int, ...], ...]
@@ -789,7 +791,7 @@ def solve_modular_system(a: IntegerMatrix, b, moduli, unknown_moduli=None) -> Af
     def full_ambient():
         eye = [tuple(1 if i == j else 0 for j in range(n_x)) for i in range(n_x)]
         gens, orders = subgroup_basis(eye, M)
-        return AffineSolutionSet(_ambient_presentation(M), M, (0,) * n_x, gens, orders, system)
+        return AffineSolutionSet(M, (0,) * n_x, gens, orders, system)
 
     if L == 1 or n_eq == 0:
         return full_ambient()
@@ -798,7 +800,7 @@ def solve_modular_system(a: IntegerMatrix, b, moduli, unknown_moduli=None) -> Af
         s = L // mods[i]
         aug.append([(x * s) % L for x in a.row(i)] + [(b[i] * s) % L])
     ech = _echelon_mod(aug, L)
-    empty = AffineSolutionSet(_ambient_presentation(M), M, None, (), (), system)
+    empty = AffineSolutionSet(M, None, (), (), system)
     eqs = []
     for row in ech:
         if any(row[:n_x]):
@@ -817,4 +819,4 @@ def solve_modular_system(a: IntegerMatrix, b, moduli, unknown_moduli=None) -> Af
     particular = tuple(z0[j] % M[j] for j in range(n_x))
     vecs = [tuple(col[j] % M[j] for j in range(n_x)) for col in kernel]
     gens, orders = subgroup_basis(vecs, M)
-    return AffineSolutionSet(_ambient_presentation(M), M, particular, gens, orders, system)
+    return AffineSolutionSet(M, particular, gens, orders, system)

@@ -12,9 +12,13 @@ S⊗_R S⊗_R S is presented from S⊗_R S, by associativity, as
 x_i of S⊗_R S and the basis e_b of S, rank₂·k of them instead of the k³
 pure tensors.  Its projection and lift on the pure tensors are
 composites through S⊗_R S, and construction checks them against every
-balance relation of the pure tensors.  Every construction check raises
-`exactalg.ConstructionCheckFailed` and every verdict cross-check
-`InternalCriterionMismatch`, so both also run under `python -O`.
+balance relation of the pure tensors; that β is balanced follows, and
+is left to the test oracles.  Both groups read the projection and lift
+arrays of their `exactalg.FinAbPresentation`; an identity presentation
+has none, and S⊗_R S⊗_R S then never multiplies by it.  Every
+construction check raises `exactalg.ConstructionCheckFailed` and every
+verdict cross-check `InternalCriterionMismatch`, so both also run under
+`python -O`.
 
 The locus comes from `exactalg.solve_modular_system` as particular +
 Σ c_i g_i, checked there once on those vectors, which covers every
@@ -76,7 +80,7 @@ class NotSeparabilityIdempotent(ValueError):
 
 
 class ModuliTooLarge(ValueError):
-    """k⁵·(largest modulus)⁴ reaches 2⁶², past the int64 tensor kernels."""
+    """k⁵·(exponent of S)⁴ reaches 2⁶², past the int64 tensor kernels."""
 
 
 class InternalCriterionMismatch(RuntimeError):
@@ -124,9 +128,10 @@ class TensorPower:
     (e_a·φ(r))⊗e_b − e_a⊗(φ(r)·e_b) on the k² pure tensors of basis
     elements, each of order the gcd of its slots' orders.  `np_project`
     maps pure-tensor coordinates onto canonical ones and `np_lift` is a
-    section of it.  Construction verifies, as exact matrix identities,
-    that projection kills every balance relation and that multiplication
-    is well defined on classes.  S⊗_R S⊗_R S is presented from this group,
+    section of it: the presentation's reduced arrays, or the identity
+    when the presentation is.  Construction verifies, as exact matrix
+    identities, that projection kills every balance relation and that
+    multiplication is well defined on classes.  S⊗_R S⊗_R S is presented from this group,
     as (S⊗_R S)⊗_R S (`TripleTensorPower`).
     """
 
@@ -136,15 +141,17 @@ class TensorPower:
         self.hom = hom
         s = hom.target
         k = self.k = s.k
-        big = max(s.moduli, default=1)
+        big = math.lcm(*s.moduli)
         # The kernels accumulate in int64.  Every entry they multiply is
-        # reduced below its modulus, and each modulus, canonical ones
-        # included, is taken to be at most big.  The largest sum is the heavy
-        # filter's projection of β(e,e) − Δ(e): k³ terms, each a canonical
-        # entry times k² products of three entries, so below k⁵·big⁴.  The
-        # products that build and check S⊗_R S⊗_R S sum at most k³ products
-        # of two entries (rank₂ ≤ k² terms in the composites), so stay below
-        # k³·big².
+        # reduced below its modulus, and each modulus is at most big, the
+        # exponent of S: S⊗_R S and S⊗_R S⊗_R S are quotients of sums of
+        # Z/m with m | big, so their canonical moduli divide big too.  The
+        # largest sum is the heavy filter's projection of β(e,e) − Δ(e): k³
+        # terms, each a canonical entry times k² products of three entries,
+        # so below k⁵·big⁴.  The products that build and check S⊗_R S⊗_R S
+        # sum at most k³ products of two entries (rank₂ ≤ k² terms in the
+        # composites), so stay below k³·big².  The same bound keeps the
+        # presentations of both groups in int64.
         if k and k**5 * big**4 >= 2**62:
             raise ModuliTooLarge(
                 "moduli too large for the exact vectorized tensor kernels"
@@ -154,10 +161,12 @@ class TensorPower:
         self.gen_moduli = tuple(int(m) for m in self.np_gen_moduli)
         # gens x ncols, kept for the well-definedness checks
         self.relation_array = _balance_relations(*_phi_actions(hom))
-        self.group = _cokernel(self.relation_array, self.gen_moduli)
-        self.np_moduli = np.array(self.group.moduli, dtype=np.int64)
-        self.np_project = self.group.np_project % self.np_moduli[:, None]
-        self.np_lift = self.group.np_lift % self.np_gen_moduli[:, None]
+        group = self.group = _cokernel(self.relation_array, self.gen_moduli)
+        self.np_moduli = np.array(group.moduli, dtype=np.int64)
+        if group.is_identity:
+            self.np_project = self.np_lift = np.eye(self.gens, dtype=np.int64)
+        else:
+            self.np_project, self.np_lift = group.P, group.L
         self._verify_construction()
 
     # -- construction ---------------------------------------------------
@@ -180,13 +189,6 @@ class TensorPower:
     # -- numpy views -----------------------------------------------------
 
     @cached_property
-    def is_identity_presentation(self):
-        g, r = self.gens, self.group.rank
-        if g != r:
-            return False
-        return (self.np_project == np.eye(g, dtype=np.int64)).all()
-
-    @cached_property
     def _raw_mult(self):
         # raw map on generators: a⊗b -> a*b, shape (k, gens); arity 2 only
         t = self.hom.target.np_mul
@@ -203,9 +205,7 @@ class TensorPower:
     def triple(self):
         """S⊗_R S⊗_R S, presented from this group and checked."""
         self._require_square("triple")
-        tri = TripleTensorPower(self)
-        self._verify_triple(tri)
-        return tri
+        return TripleTensorPower(self)
 
     @cached_property
     def action_matrices(self):
@@ -287,7 +287,7 @@ class TensorPower:
 
     def lift(self, coords):
         coords = np.asarray(coords, dtype=np.int64)
-        return (self.np_lift @ coords) % np.where(self.np_gen_moduli > 0, self.np_gen_moduli, 1)
+        return (self.np_lift @ coords) % self.np_gen_moduli
 
     def mult(self, coords):
         """Counit of the Sweedler coring: a⊗b ↦ ab."""
@@ -342,28 +342,6 @@ class TensorPower:
             name = "⊗".join(s.basis_labels[i] for i in idx)
             terms.append(name if c == 1 else "%d*%s" % (c, name))
         return " + ".join(terms) if terms else "0"
-
-    def _verify_triple(self, tri):
-        # beta must be constant on classes: beta(δ, y) = 0 = beta(y, δ)
-        # for every balance relation δ and every generator y
-        k = self.k
-        if k == 0 or self.relation_array.shape[1] == 0:
-            return
-        t = self.hom.target.np_mul
-        p3 = tri.np_project.reshape(tri.group.rank, k, k, k)
-        mods3 = tri.np_moduli
-        rels = self.relation_array.T.reshape(-1, k, k)
-        for x in rels:
-            # beta(δ, y) over all pure generators y = (c, d)
-            z = np.einsum("ab,bce->ace", x, t, optimize=True)
-            vals = np.einsum("raed,ace->rcd", p3, z, optimize=True) % mods3[:, None, None]
-            if vals.any():
-                raise ConstructionCheckFailed("beta is not balanced in its left slot")
-            # beta(y, δ) over all pure generators y = (a, b)
-            z = np.einsum("bce,cd->bed", t, x, optimize=True)
-            vals = np.einsum("raed,bed->rab", p3, z, optimize=True) % mods3[:, None, None]
-            if vals.any():
-                raise ConstructionCheckFailed("beta is not balanced in its right slot")
 
     def verify_coring_laws(self):
         """(ε⊗1)Δ = id and (1⊗ε)Δ = id on canonical coordinates."""
@@ -421,15 +399,14 @@ class TripleTensorPower(TensorPower):
         gen_moduli = np.gcd.outer(square.np_moduli, s.np_moduli).ravel()
         rel = _balance_relations(right, _phi_actions(hom)[1])
         group = self.group = _cokernel(rel, gen_moduli.tolist())
-        mods = self.np_moduli = np.array(group.moduli, dtype=np.int64)
+        self.np_moduli = np.array(group.moduli, dtype=np.int64)
         rank = group.rank
         self._square = square
-        # tested on the tuples, so an identity P_new is never converted or multiplied
-        if _is_identity(group.project_matrix, n * k) and _is_identity(group.lift_matrix, n * k):
+        if group.is_identity:
             self._project_new = self._lift_new = None
         else:
-            self._project_new = (group.np_project % mods[:, None]).reshape(rank, n, k)
-            self._lift_new = (group.np_lift % gen_moduli[:, None]).reshape(n, k, rank)
+            self._project_new = group.P.reshape(rank, n, k)
+            self._lift_new = group.L.reshape(n, k, rank)
         self._verify_presentation(square, actions)
 
     @cached_property
@@ -453,13 +430,6 @@ class TripleTensorPower(TensorPower):
             l = np.einsum("ai,icq->acq", l2, self._lift_new).reshape(self.gens, self.group.rank)
         l %= self.np_gen_moduli[:, None]
         return l
-
-    @cached_property
-    def is_identity_presentation(self):
-        # P₂⊗I_k is the identity exactly when P₂ is
-        if self._project_new is None:
-            return self._square.is_identity_presentation
-        return super().is_identity_presentation
 
     def _verify_presentation(self, square, actions):
         k, n, rank = self.k, square.group.rank, self.group.rank
@@ -487,13 +457,6 @@ class TripleTensorPower(TensorPower):
             pl, pl_mods = self.np_project @ self.np_lift, self.np_moduli
         if ((pl - np.eye(len(pl_mods), dtype=np.int64)) % pl_mods[:, None]).any():
             raise ConstructionCheckFailed("projection after lift is not the identity on S⊗S⊗S")
-
-
-def _is_identity(rows, n):
-    """Whether a matrix given as a tuple of rows is the n x n identity."""
-    return len(rows) == n and all(
-        len(row) == n and row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(rows)
-    )
 
 
 @lru_cache(maxsize=None)
@@ -543,17 +506,18 @@ def _h_pass_mask(t2: TensorPower, members):
     t = t2.hom.target.np_mul
     u = np.array(t2.hom.target.unit, dtype=np.int64)
     lmat = t2.np_lift
-    gmod = np.where(t2.np_gen_moduli > 0, t2.np_gen_moduli, 1)
     mods3 = tri.np_moduli
+    # P = P_new·(P₂⊗I_k) is the identity when both factors are
+    identity = tri.group.is_identity and t2.group.is_identity
     out = np.zeros(n, dtype=bool)
     for lo in range(0, n, _CHUNK):
         chunk = members[lo : lo + _CHUNK]
-        raw = (chunk @ lmat.T) % gmod[None, :]
+        raw = (chunk @ lmat.T) % t2.np_gen_moduli
         x = raw.reshape(-1, k, k)
         t1 = np.einsum("nab,bce,ncd->naed", x, t, x, optimize=True)
         t2v = np.einsum("nad,c->nacd", x, u)
         diff = (t1 - t2v).reshape(len(chunk), -1)
-        if tri.is_identity_presentation:
+        if identity:
             ok = ~np.any(diff % mods3[None, :], axis=1)
         else:
             proj = (diff @ tri.np_project.T) % mods3[None, :]

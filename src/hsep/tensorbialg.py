@@ -707,6 +707,16 @@ class AlgebraWitnessReport:
     unit_retraction_holds: bool
 
 
+def _outer_letter_projection(bialg, word):
+    """The letter projection T(T(V)) → T(V) on a word of homogeneous
+    elements of T(V): a length-1 word keeps its letter, and any other
+    length gives 0, in the word's total degree."""
+    if len(word) == 1:
+        return word[0]
+    d = sum(deg for deg, _ in word)
+    return (d, bialg.carrier.zero_vec(d))
+
+
 def tensor_algebra_witness(v_dim, field, truncation, guard=DIM_GUARD) -> AlgebraWitnessReport:
     """Evaluate both sides of the failing heavy identity on the word 1⊗v.
 
@@ -723,8 +733,9 @@ def tensor_algebra_witness(v_dim, field, truncation, guard=DIM_GUARD) -> Algebra
     v_letter = b1.word_elt(((1, 0),))
     witness = [unit_letter, v_letter]  # a single length-2 word of elements
 
-    # outer projection onto length-1 words of T(carrier): a 2-letter word dies
-    doubled = (1, [fld.zero()] * b1.base.dims[1])
+    # project twice: onto the length-1 words of T(T(V)), then onto V
+    outer = _outer_letter_projection(b1, witness)
+    doubled = (outer[0], b1.letter_projection.apply(*outer))
     # evaluation multiplies the letters, then projects to single letters
     prod = b1.unit_elt()
     for elt in witness:
@@ -738,7 +749,7 @@ def tensor_algebra_witness(v_dim, field, truncation, guard=DIM_GUARD) -> Algebra
         v_dim=v_dim,
         field_name=fld.name,
         truncation=truncation,
-        doubled_value=(1, tuple(doubled[1])),
+        doubled_value=(doubled[0], tuple(doubled[1])),
         evaluated_value=(evaluated[0], tuple(evaluated[1])),
         values_differ=tuple(doubled[1]) != tuple(evaluated[1]),
         unit_retraction_holds=retr,

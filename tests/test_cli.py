@@ -1,6 +1,7 @@
 """Exit codes, report stability, and the corpus runner."""
 
 import json
+import math
 import shutil
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +12,7 @@ from corpus_util import zmod
 
 from hsep import cli, sepkit
 from hsep.cli import main
-from hsep.finring import identity_hom
+from hsep.finring import check_ring_hom, construct_standard_ring, identity_hom
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -290,6 +291,46 @@ class TestTensorKernelGuard:
             sepkit.tensor_power(identity_hom(zmod(46341)), arity)
         # the CLI catches this class, which must not swallow other ValueErrors
         assert not issubclass(sepkit.NotSeparabilityIdempotent, sepkit.ModuliTooLarge)
+
+
+class TestCoprimeModuliGuard:
+    """The guard bounds by the exponent of S, the lcm of its basis moduli:
+    Z/(ab) → Z/a × Z/b has S⊗S = Z/(ab) while the largest basis modulus
+    is max(a, b)."""
+
+    @staticmethod
+    def crt_doc(tmp_path, a, b):
+        target = {"kind": "product", "params": {"factors": [modular(a), modular(b)]}}
+        path = tmp_path / "crt.json"
+        path.write_text(json.dumps({"source": modular(a * b), "target": target, "matrix": [[1, 1]]}))
+        return str(path)
+
+    def test_bounds(self):
+        # k = 2: 19482 = 2·9741 is the largest coprime product with 32·m⁴ < 2⁶²
+        # (19483 is prime); 4·4871 is the next, and max(4, 4871) passes
+        assert 2**5 * 19482**4 < 2**62 <= 2**5 * (4 * 4871) ** 4
+        assert math.gcd(2, 9741) == math.gcd(4, 4871) == 1
+        assert 2**5 * 4871**4 < 2**62
+
+    def test_at_the_bound(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "--format", "json", "sep", "report", self.crt_doc(tmp_path, 2, 9741))
+        report = json.loads(out)
+        assert code == 0 and report["ring_epimorphism"] and report["h_separable"] is True
+        assert report["locus_size"] == 1
+
+    def test_past_the_bound_is_input_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "sep", "report", self.crt_doc(tmp_path, 4, 4871))
+        assert (code, out) == (2, "")
+        assert err == "error: moduli too large for the exact vectorized tensor kernels\n"
+
+    def test_tensor_power_sees_the_exponent(self):
+        hom = check_ring_hom(
+            ((1, 1),),
+            zmod(4 * 4871),
+            construct_standard_ring("product", {"factors": [zmod(4), zmod(4871)]}).ring,
+        )
+        with pytest.raises(sepkit.ModuliTooLarge):
+            sepkit.tensor_power(hom, 2)
 
 
 class TestCorpusRunner:

@@ -1,13 +1,21 @@
 """Exact linear algebra kernels, checked against independent oracles."""
 
+import dataclasses
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hsep import exactalg
 from hsep.exactalg import (
     CapExceeded,
+    ConstructionCheckFailed,
     DimensionMismatch,
     IntegerMatrix,
     cokernel,
@@ -15,6 +23,8 @@ from hsep.exactalg import (
     solve_modular_system,
     subgroup_basis,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def determinantal_divisors(mat):
@@ -190,6 +200,135 @@ class TestCokernel:
                 assert (fast.project(x) == fast.project(y)) == (
                     snf_project(x) == snf_project(y)
                 )
+
+
+class TestPresentationArrays:
+    """P and L are reduced numpy arrays; an identity presentation stores
+    neither, and only `cokernel`'s two identity cases set the flag."""
+
+    @pytest.mark.parametrize("mods", [(2, 4, 8), (3, 3), (5,), ()])
+    def test_identity_without_relations(self, mods):
+        pres = cokernel(IntegerMatrix.zeros(len(mods), 0), mods)
+        assert pres.is_identity and pres.P is None and pres.L is None
+        assert pres.moduli == mods
+        vec = tuple(m + 1 for m in mods)
+        assert pres.project(vec) == tuple(1 % m for m in mods) == pres.lift(vec)
+
+    def test_identity_when_no_relation_survives_mod_p(self):
+        pres = cokernel(IntegerMatrix.from_rows([[3, 0], [6, 9]]), (3, 3))
+        assert pres.is_identity and pres.moduli == (3, 3)
+
+    def test_dropped_order_one_generator(self):
+        pres = cokernel(IntegerMatrix.zeros(3, 0), (1, 2, 4))
+        assert not pres.is_identity and pres.moduli == (2, 4)
+        assert pres.P.tolist() == [[0, 1, 0], [0, 0, 1]]
+        assert pres.L.tolist() == [[0, 0], [1, 0], [0, 1]]
+
+    @pytest.mark.parametrize(
+        "rel, mods",
+        [
+            ([[1], [1]], (2, 2)),  # the prime path finds a pivot
+            ([[0], [0]], (4, 4)),  # the Smith path, even though P comes out as I
+            ([[], []], (2, 3)),  # no relations, but not a divisor chain
+        ],
+    )
+    def test_not_identity(self, rel, mods):
+        pres = cokernel(IntegerMatrix.from_rows(rel, len(rel[0])), mods)
+        assert not pres.is_identity
+        assert pres.P.shape == (pres.rank, 2) and pres.L.shape == (2, pres.rank)
+
+    def test_rows_are_reduced_and_read_only(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            g = rng.randint(1, 4)
+            mods = [rng.choice([2, 3, 4, 6, 9]) for _ in range(g)]
+            rel = IntegerMatrix.from_rows([[rng.randint(-9, 9)] for _ in range(g)], 1)
+            pres = cokernel(rel, mods)
+            assert pres.P.dtype == np.int64
+            assert ((0 <= pres.P) & (pres.P < np.array(pres.moduli)[:, None])).all()
+            assert ((0 <= pres.L) & (pres.L < np.array(mods)[:, None])).all()
+            assert not pres.P.flags.writeable and not pres.L.flags.writeable
+
+    def test_past_int64_like_python_ints(self):
+        # P·x and L·y take products past 2⁶³: the arrays hold Python ints
+        # and agree with the Smith transforms computed directly
+        mods = (2**62, 3 * 2**62)
+        rel = IntegerMatrix.from_rows([[2**40 + 1], [5]], 1)
+        pres = cokernel(rel, mods)
+        assert pres.P.dtype == object and pres.L.dtype == object
+        snf = smith_normal_form(rel.hstack(IntegerMatrix.diagonal(mods)))
+        d = [snf.D[i, i] for i in range(2)]
+        keep = [i for i in range(2) if d[i] != 1]
+        assert pres.moduli == tuple(d[i] for i in keep)
+        assert int(pres.P.max()) * (max(mods) - 1) >= 2**63
+        assert int(pres.L.max()) * (max(pres.moduli) - 1) >= 2**63
+        rng = random.Random(3)
+        for _ in range(50):
+            x = [rng.randrange(-(2**70), 2**70) for _ in range(2)]
+            assert pres.project(x) == tuple(snf.U.mul_vec(x)[i] % d[i] for i in keep)
+            y = [rng.randrange(d[i]) for i in keep]
+            lifted = tuple(sum(snf.u_inv[r, i] * yi for i, yi in zip(keep, y)) % mods[r] for r in range(2))
+            assert pres.lift(y) == lifted
+            assert pres.project(lifted) == tuple(y)
+
+
+class TestSmithGates:
+    """The invariant factors `cokernel` and `subgroup_basis` read off a
+    Smith form are checked, and a corrupt form raises, also under -O."""
+
+    @staticmethod
+    def corrupt_diagonal(monkeypatch, value):
+        original = exactalg.smith_normal_form
+
+        def corrupted(a):
+            snf = original(a)
+            diag = [value(snf.D[i, i]) for i in range(min(a.rows, a.cols))]
+            rows = [[diag[i] if i == j else 0 for j in range(a.cols)] for i in range(a.rows)]
+            return dataclasses.replace(snf, D=IntegerMatrix.from_rows(rows, a.cols))
+
+        monkeypatch.setattr(exactalg, "smith_normal_form", corrupted)
+
+    def test_cokernel_zero_invariant_factor(self, monkeypatch):
+        self.corrupt_diagonal(monkeypatch, lambda d: 0)
+        with pytest.raises(ConstructionCheckFailed, match="zero invariant factor"):
+            cokernel(IntegerMatrix.zeros(2, 0), (2, 3))
+
+    def test_subgroup_zero_invariant_factor(self, monkeypatch):
+        self.corrupt_diagonal(monkeypatch, lambda d: 0)
+        with pytest.raises(ConstructionCheckFailed, match="zero invariant factor"):
+            subgroup_basis([(1,)], (4,))
+
+    def test_subgroup_lattice_misses_a_modulus(self, monkeypatch):
+        # span((1), (4)) is Z with d = 1; d = 8 claims the lattice 8Z,
+        # which does not hold the modulus 4
+        self.corrupt_diagonal(monkeypatch, lambda d: 8 * d)
+        with pytest.raises(ConstructionCheckFailed, match="does not span the ambient moduli"):
+            subgroup_basis([(1,)], (4,))
+
+    def test_gate_fires_under_optimize(self):
+        script = (
+            "import dataclasses, sys\n"
+            "from hsep import exactalg\n"
+            "original = exactalg.smith_normal_form\n"
+            "def corrupted(a):\n"
+            "    snf = original(a)\n"
+            "    return dataclasses.replace(snf, D=exactalg.IntegerMatrix.zeros(a.rows, a.cols))\n"
+            "exactalg.smith_normal_form = corrupted\n"
+            "try:\n"
+            "    exactalg.cokernel(exactalg.IntegerMatrix.zeros(2, 0), (2, 3))\n"
+            "except exactalg.ConstructionCheckFailed as err:\n"
+            "    print('optimize=%d raised: %s' % (sys.flags.optimize, err))\n"
+        )
+        path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "optimize=1 raised: the generator moduli leave a zero invariant factor"
 
 
 class TestSolveModularSystem:

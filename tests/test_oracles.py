@@ -207,6 +207,36 @@ def direct_triple(hom):
     return cokernel(IntegerMatrix.from_rows(rows, len(cols)), gen_moduli), gen_moduli
 
 
+def dense(pres):
+    """P and L of a presentation as int64 arrays, the identity spelled out."""
+    if pres.is_identity:
+        eye = np.eye(pres.generator_count, dtype=np.int64)
+        return eye, eye
+    return pres.P.astype(np.int64), pres.L.astype(np.int64)
+
+
+def beta_unbalanced(t2, p3, mods3):
+    """The slot, "left" or "right", in which β is not constant on classes
+    under the projection p3 of the k³ pure tensors, or None: β(δ, y) and
+    β(y, δ) must vanish for every balance relation δ of S⊗S and every
+    pure generator y."""
+    k = t2.k
+    if k == 0:
+        return None
+    t = t2.hom.target.np_mul
+    p3 = p3.reshape(-1, k, k, k)
+    for x in t2.relation_array.T.reshape(-1, k, k):
+        # β(δ, e_c⊗e_d) = (δ·e_c)⊗e_d
+        z = np.einsum("ab,bce->ace", x, t)
+        if (np.einsum("raed,ace->rcd", p3, z) % mods3[:, None, None]).any():
+            return "left"
+        # β(e_a⊗e_b, δ) = e_a⊗(e_b·δ)
+        z = np.einsum("bce,cd->bed", t, x)
+        if (np.einsum("raed,bed->rab", p3, z) % mods3[:, None, None]).any():
+            return "right"
+    return None
+
+
 def oracle_homs():
     homs = dict(HOMS)
     for path in sorted(CORPUS.glob("*/hom.json")):
@@ -233,10 +263,22 @@ class TestTripleOracle:
         direct, gen_moduli = direct_triple(hom)
         assert t3.group.moduli == direct.moduli
         mods = np.array(direct.moduli, dtype=np.int64)[:, None]
-        p_old = np.array(direct.project_matrix, dtype=np.int64).reshape(direct.rank, t3.gens) % mods
-        l_old = np.array(direct.lift_matrix, dtype=np.int64).reshape(t3.gens, direct.rank)
-        l_old %= np.array(gen_moduli, dtype=np.int64)[:, None]
+        p_old, l_old = dense(direct)
         p_new, l_new = t3.np_project, t3.np_lift
         # ker P_old = {x − L_old·P_old·x}, so P kills it iff P·L_old·P_old ≡ P
         assert not (((p_new @ l_old % mods) @ p_old - p_new) % mods).any()
         assert not (((p_old @ l_new % mods) @ p_new - p_old) % mods).any()
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_HOMS))
+    def test_beta_balanced(self, name):
+        # β(δ, y) is a combination of the relations ρ⊗e_d and β(y, δ) of
+        # e_d⊗ρ, which construction checks P to kill; this recomputes β
+        t2 = tensor_power(ORACLE_HOMS[name], 2)
+        assert beta_unbalanced(t2, t2.triple.np_project, t2.triple.np_moduli) is None
+
+    def test_beta_oracle_sees_an_identity_projection(self):
+        # the identity on the k³ pure tensors kills no balance relation
+        t2 = tensor_power(STD["t2"].homs["into_matrix"], 2)
+        gens = t2.k**3
+        eye = np.eye(gens, dtype=np.int64)
+        assert beta_unbalanced(t2, eye, np.full(gens, 2, dtype=np.int64)) == "left"
