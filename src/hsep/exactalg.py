@@ -4,7 +4,11 @@ Smith normal forms of arbitrary-precision integer matrices, canonical
 invariant-factor presentations of finite abelian groups, and affine
 solution sets of simultaneous congruences with mixed moduli.  Every
 quotient construction and solver in the workbench sits on these
-kernels.  A presentation holds its projection and lift as reduced,
+kernels.  `_rref` is the workbench's one row reduction, with `_kernel`
+beside it: over 𝔽_p for every prime (XOR on GF(2), int64 while no
+product can overflow, Python ints past that) and over ℚ in exact
+`Fraction`s.  `cokernel` over a prime and the tensor bialgebra's
+primitives both solve through it.  A presentation holds its projection and lift as reduced,
 read-only numpy arrays (int64 below the overflow bound, Python ints
 past it), and an identity presentation holds no matrix at all.  All
 values are immutable after construction and all operations are pure,
@@ -17,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -454,12 +459,39 @@ def _is_prime(p):
     return True
 
 
-def _rref_mod_p(rows, p):
-    """Reduced row echelon form over GF(p). Returns (rref rows, pivot cols)."""
+def _field_dtype(p):
+    """int64 while every x − a·b of reduced entries mod p stays below 2⁶³, Python ints past that."""
+    return np.int64 if (p - 1) ** 2 + (p - 1) < 2**63 else object
+
+
+def _clear(rows, c, pivot_row, p):
+    """Subtract multiples of pivot_row from rows until column c is zero."""
+    colv = rows[:, c]
+    mask = colv != 0
+    if not mask.any():
+        return
     if p == 2:
+        rows[mask] ^= pivot_row
+    elif p == 0:
+        # Fraction arithmetic is slow, so touch only the pivot row's support
+        support = np.flatnonzero(pivot_row)
+        at = np.ix_(mask, support)
+        rows[at] = rows[at] - np.outer(colv[mask], pivot_row[support])
+    else:
+        rows[mask] = (rows[mask] - np.outer(colv[mask], pivot_row)) % p
+
+
+def _rref(rows, p):
+    """Reduced row echelon form of a 2-D integer array over GF(p), or of
+    a rational one over ℚ in exact `Fraction`s when p = 0.  Returns (the
+    nonzero rref rows, pivot columns).  GF(2) eliminates by XOR of uint8
+    rows, other primes in int64 or Python ints by `_field_dtype`."""
+    if p == 0:
+        A = rows.astype(object) + Fraction(0)
+    elif p == 2:
         A = (rows % 2).astype(np.uint8)
     else:
-        A = (rows % p).astype(np.int64)
+        A = rows.astype(_field_dtype(p)) % p
     nrows, ncols = A.shape
     r = 0
     pivots = []
@@ -472,48 +504,46 @@ def _rref_mod_p(rows, p):
         pr = r + int(nzr[0])
         if pr != r:
             A[[r, pr]] = A[[pr, r]]
-        if p != 2:
-            inv = pow(int(A[r, c]), -1, p)
-            A[r] = (A[r] * inv) % p
-        below = A[r + 1:]
-        if below.shape[0]:
-            colv = below[:, c]
-            mask = colv != 0
-            if mask.any():
-                if p == 2:
-                    below[mask] ^= A[r]
-                else:
-                    below[mask] = (below[mask] - np.outer(colv[mask], A[r])) % p
+        if p == 0:
+            A[r] = A[r] / A[r, c]
+        elif p != 2:
+            A[r] = A[r] * pow(int(A[r, c]), -1, p) % p
+        _clear(A[r + 1:], c, A[r], p)
         pivots.append(c)
         r += 1
-    for i in range(len(pivots) - 1, -1, -1):
-        c = pivots[i]
-        above = A[:i]
-        if above.shape[0]:
-            colv = above[:, c]
-            mask = colv != 0
-            if mask.any():
-                if p == 2:
-                    above[mask] ^= A[i]
-                else:
-                    above[mask] = (above[mask] - np.outer(colv[mask], A[i])) % p
-    return A[: len(pivots)].astype(np.int64), pivots
+    for i in range(len(pivots) - 1, 0, -1):
+        _clear(A[:i], pivots[i], A[i], p)
+    A = A[: len(pivots)]
+    return (A.astype(np.int64) if p == 2 else A), pivots
+
+
+def _kernel(rows, p):
+    """Kernel basis of a 2-D array over GF(p), or over ℚ when p = 0.
+
+    Returns (K, free): K has one column per free column of the rref, is the
+    identity on the free columns, and rows·K ≡ 0; each pivot coordinate is
+    minus its rref row on the free columns."""
+    rref, pivots = _rref(rows, p)
+    ncols = rows.shape[1]
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    K = np.zeros((ncols, len(free)), dtype=rref.dtype)
+    K[free, np.arange(len(free))] = 1
+    K[pivots, :] = -rref[:, free] % p if p else -rref[:, free]
+    return (K if p else K + Fraction(0)), free
 
 
 def _cokernel_mod_prime(relations, mods, p):
     g = len(mods)
-    rel = np.array(relations.entries, dtype=np.int64).T % p
-    rref, pivots = _rref_mod_p(np.unique(rel, axis=0), p)
-    if not pivots:
+    rel = np.array(relations.entries, dtype=_field_dtype(p)).T % p
+    if rel.dtype != object:  # np.unique takes no axis on object arrays; it only saves time
+        rel = np.unique(rel, axis=0)
+    K, free = _kernel(rel, p)
+    if len(free) == g:
         return FinAbPresentation(mods, mods)
-    free = np.setdiff1d(np.arange(g), pivots)
-    # x_free stays, and each pivot coordinate is minus its rref row on the free ones
-    proj = np.zeros((len(free), g), dtype=np.int64)
-    proj[np.arange(len(free)), free] = 1
-    proj[:, pivots] = -rref[:, free].T % p
-    lift = np.zeros((g, len(free)), dtype=np.int64)
+    # the relations are the row span, so x ↦ Kᵀx kills exactly them
+    lift = np.zeros((g, len(free)), dtype=K.dtype)
     lift[free, np.arange(len(free))] = 1
-    return _presentation((p,) * len(free), mods, proj, lift)
+    return _presentation((p,) * len(free), mods, K.T, lift)
 
 
 def cokernel(relations: IntegerMatrix, generator_moduli) -> FinAbPresentation:

@@ -18,6 +18,11 @@ every primitive of the double model, must lie in the span of the
 computed primitives, or `exactalg.ConstructionCheckFailed` is raised
 (also under `python -O`).
 
+Δ keeps the multiset of letters of a word, so the primitives of each
+degree are solved one letter-content block at a time, on `exactalg`'s
+row reduction; no pair model of the whole degree is built.  The
+dimension guard counts the words of each degree before building any.
+
 Scalars are exact: rationals or a prime field with p <= 97.
 """
 
@@ -28,7 +33,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exactalg import ConstructionCheckFailed, _is_prime
+import numpy as np
+
+from .exactalg import ConstructionCheckFailed, _is_prime, _kernel, _rref
 
 __all__ = [
     "ExactField",
@@ -89,12 +96,6 @@ class RationalField(ExactField):
     def mul(self, a, b):
         return a * b
 
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        return 1 / Fraction(a)
-
     def is_zero(self, a):
         return a == 0
 
@@ -133,12 +134,6 @@ class PrimeField(ExactField):
     def mul(self, a, b):
         return (a * b) % self.p
 
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
-
     def is_zero(self, a):
         return a % self.p == 0
 
@@ -163,46 +158,7 @@ def exact_field(spec) -> ExactField:
 
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra over a field
-
-
-def _rref(field, rows):
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        pr = next((i for i in range(r, nrows) if not field.is_zero(m[i][c])), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(nrows):
-            if i != r and not field.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
-
-
-def _kernel_basis(field, rows, ncols):
-    """Deterministic kernel basis (one vector per free column)."""
-    rr, pivots = _rref(field, rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [field.zero()] * ncols
-        vec[fc] = field.one()
-        for i, pc in enumerate(pivots):
-            vec[pc] = field.neg(rr[i][fc])
-        basis.append(vec)
-    return basis
+# small exact linear algebra over a field; eliminations run in exactalg
 
 
 def _coordinates(field, basis, targets):
@@ -211,9 +167,10 @@ def _coordinates(field, basis, targets):
     elimination of [basis | targets] serves every column."""
     nb = len(basis[0]) if basis else 0
     nt = len(targets[0]) if targets else 0
-    rr, pivots = _rref(field, [list(b) + list(t) for b, t in zip(basis, targets)])
+    rows = [list(b) + list(t) for b, t in zip(basis, targets)]
+    rr, pivots = _rref(np.array(rows, dtype=object).reshape(len(rows), nb + nt), field.characteristic)
     coords = [[field.zero()] * nt for _ in range(nb)]
-    for row, pc in zip(rr, pivots):
+    for row, pc in zip(rr.tolist(), pivots):
         if pc >= nb:
             return None
         coords[pc] = row[nb:]
@@ -329,6 +286,15 @@ def _compositions(total, max_part):
             yield (first,) + rest
 
 
+def _word_counts(dims, truncation):
+    """Words of each degree 0..truncation over letters with dims[p] of
+    degree p: n_0 = 1 and n_d = Σ_p dims[p]·n_(d−p)."""
+    counts = [1]
+    for d in range(1, truncation + 1):
+        counts.append(sum(dims[p] * counts[d - p] for p in range(1, min(d, len(dims) - 1) + 1)))
+    return counts
+
+
 class TruncatedTensorBialgebra:
     """Tensor algebra on a graded base, truncated past internal degree N.
 
@@ -346,20 +312,19 @@ class TruncatedTensorBialgebra:
         self.base = base
         self.field = base.field
         self.N = truncation
+        for total in itertools.accumulate(_word_counts(base.dims, truncation)):
+            if total > guard:
+                raise DimensionGuardExceeded(
+                    "truncated model needs %d+ dimensions (guard %d)" % (total, guard)
+                )
         maxdeg = min(truncation, base.top)
         words = [[] for _ in range(truncation + 1)]
-        total = 0
         for d in range(truncation + 1):
             for comp in _compositions(d, maxdeg):
                 if any(base.dims[p] == 0 for p in comp):
                     continue
                 for choice in itertools.product(*(range(base.dims[p]) for p in comp)):
                     words[d].append(tuple(zip(comp, choice)))
-            total += len(words[d])
-            if total > guard:
-                raise DimensionGuardExceeded(
-                    "truncated model needs %d+ dimensions (guard %d)" % (total, guard)
-                )
         self.words = tuple(tuple(ws) for ws in words)
         self.index = {
             w: (d, i) for d in range(truncation + 1) for i, w in enumerate(self.words[d])
@@ -406,24 +371,7 @@ class TruncatedTensorBialgebra:
                 out[pos] = self.field.add(out[pos], self.field.mul(a, b))
         return (d, out)
 
-    # -- coproduct into the pair model -------------------------------------
-
-    @cached_property
-    def square_basis(self):
-        """Per degree: ordered pairs of words with degrees summing to it."""
-        pairs = []
-        for d in range(self.N + 1):
-            at_d = []
-            for d1 in range(d + 1):
-                for w1 in self.words[d1]:
-                    for w2 in self.words[d - d1]:
-                        at_d.append((w1, w2))
-            pairs.append(tuple(at_d))
-        return tuple(pairs)
-
-    @cached_property
-    def square_index(self):
-        return tuple({pair: i for i, pair in enumerate(at_d)} for at_d in self.square_basis)
+    # -- coproduct -----------------------------------------------------------
 
     def delta_word(self, word):
         """Coproduct of a basis word as a dict pair -> integer coefficient."""
@@ -435,20 +383,6 @@ class TruncatedTensorBialgebra:
             key = (left, right)
             out[key] = out.get(key, 0) + 1
         return out
-
-    @cached_property
-    def delta_blocks(self):
-        """Matrix of the coproduct per degree, carrier -> pair model."""
-        blocks = []
-        for d in range(self.N + 1):
-            rows = len(self.square_basis[d])
-            cols = self.carrier.dims[d]
-            block = [[self.field.zero()] * cols for _ in range(rows)]
-            for j, w in enumerate(self.words[d]):
-                for pair, coeff in self.delta_word(w).items():
-                    block[self.square_index[d][pair]][j] = self.field.from_int(coeff)
-            blocks.append(tuple(tuple(r) for r in block))
-        return tuple(blocks)
 
     # -- structural maps ----------------------------------------------------
 
@@ -507,22 +441,45 @@ class PrimitivesData:
     aug_kernel: GradedSpace  # all words of degree >= 1
 
 
+def _primitive_block(bialg, block):
+    """Kernel of Δ − (−)⊗1 − 1⊗(−) on the span of the words in `block`, which
+    share their letters; (K, free) as `exactalg._kernel` gives them."""
+    rows = {}  # pair of words -> its row
+    for k, w in enumerate(block):
+        counts = bialg.delta_word(w)
+        counts[(w, ())] -= 1
+        counts[((), w)] -= 1
+        for pair, c in counts.items():
+            rows.setdefault(pair, [0] * len(block))[k] = c
+    mat = np.array(list(rows.values()), dtype=np.int64).reshape(len(rows), len(block))
+    return _kernel(mat, bialg.field.characteristic)
+
+
 def primitives(bialg: TruncatedTensorBialgebra) -> PrimitivesData:
     """Degree-n primitives: kernel of Δ − (−)⊗1 − 1⊗(−).
 
+    Δ keeps the multiset of letters of a word, so the system splits into
+    one block per letter content, each solved on its own.  A block's free
+    columns are those of the whole degree's elimination, and the basis is
+    ordered by them, as one elimination of the whole degree would order it.
     In degree 0 the map is −1⊗1, so every primitive lies in the
     augmentation kernel.
     """
     field = bialg.field
     kernels = []
     for d in range(bialg.N + 1):
-        cols = bialg.carrier.dims[d]
-        mat = [list(row) for row in bialg.delta_blocks[d]]
+        content = {}
         for j, w in enumerate(bialg.words[d]):
-            for pair in ((w, ()), ((), w)):
-                i = bialg.square_index[d][pair]
-                mat[i][j] = field.sub(mat[i][j], field.one())
-        kernels.append(_kernel_basis(field, mat, cols))
+            content.setdefault(tuple(sorted(w)), []).append(j)
+        found = []  # (free column, kernel vector)
+        for cols in content.values():
+            K, free = _primitive_block(bialg, [bialg.words[d][j] for j in cols])
+            for f, kvec in zip(free, K.T.tolist()):
+                vec = [field.zero()] * bialg.carrier.dims[d]
+                for j, x in zip(cols, kvec):
+                    vec[j] = x
+                found.append((cols[f], vec))
+        kernels.append([vec for _, vec in sorted(found)])
     dims = tuple(len(k) for k in kernels)
     labels = tuple(
         tuple("p%d_%d" % (d, i) for i in range(dims[d])) for d in range(bialg.N + 1)

@@ -15,6 +15,7 @@ from hsep.cli import main
 from hsep.finring import check_ring_hom, construct_standard_ring, identity_hom
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -224,6 +225,22 @@ class TestTalg:
     def test_bad_field(self, capsys):
         code, _, err = run(capsys, "talg", "verify", "--dim", "1", "--deg", "2", "--field", "6")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, dim, deg, field",
+        [("verify", 3, 4, "q"), ("verify", 2, 5, "7"), ("verify", 4, 3, "q"), ("witness", 3, 4, "q")],
+    )
+    def test_json_report_bytes(self, capsys, command, dim, deg, field):
+        code, out, err = run(
+            capsys, "--format", "json", "talg", command, "--dim", str(dim), "--deg", str(deg), "--field", field
+        )
+        golden = GOLDEN / ("talg-%s-%d-%d-%s.json" % (command, dim, deg, field))
+        assert (code, out.encode(), err) == (0, golden.read_bytes(), "")
+
+    def test_guard_is_an_input_error(self, capsys):
+        # T(V) fits under the guard, the double model on its primitives does not
+        code, out, err = run(capsys, "talg", "verify", "--dim", "2", "--deg", "7", "--field", "7")
+        assert (code, out, err) == (2, "", "error: truncated model needs 10923+ dimensions (guard 4096)\n")
 
     @pytest.mark.parametrize("dim, deg, message", [("-1", "2", "v_dim must be >= 0"), ("1", "0", "truncation degree must be >= 1")])
     def test_verify_bad_sizes_are_input_errors(self, capsys, dim, deg, message):

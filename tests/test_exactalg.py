@@ -7,10 +7,13 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from talg_util import rref as oracle_rref
 
 from hsep import exactalg
 from hsep.exactalg import (
@@ -23,6 +26,8 @@ from hsep.exactalg import (
     solve_modular_system,
     subgroup_basis,
 )
+from hsep.finring import construct_standard_ring
+from hsep.tensorbialg import exact_field
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -270,6 +275,87 @@ class TestPresentationArrays:
             lifted = tuple(sum(snf.u_inv[r, i] * yi for i, yi in zip(keep, y)) % mods[r] for r in range(2))
             assert pres.lift(y) == lifted
             assert pres.project(lifted) == tuple(y)
+
+
+# (rows, cols), with the empty shapes of a degree that has no words
+ROW_SHAPES = [(0, 0), (0, 4), (3, 0), (1, 1), (2, 5), (4, 3), (5, 5), (6, 4)]
+
+
+class TestRowReduction:
+    """`_rref` and `_kernel` over Q (p = 0), GF(2), GF(3) and GF(7), on
+    seeded integer matrices, against Gauss–Jordan on lists of the field's
+    own elements."""
+
+    @staticmethod
+    def matrices(p):
+        rng = random.Random(200 + p)
+        for rows, cols in ROW_SHAPES:
+            for _ in range(6):
+                a = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+                if rows >= 3 and rng.random() < 0.5:
+                    a[-1] = [x + 2 * y for x, y in zip(a[0], a[1])]  # rank below the row count
+                yield np.array(a, dtype=np.int64).reshape(rows, cols)
+
+    @staticmethod
+    def oracle(p, a):
+        field = exact_field(p)
+        return oracle_rref(field, [[field.from_int(int(x)) for x in row] for row in a])
+
+    @pytest.mark.parametrize("p", [0, 2, 3, 7])
+    def test_rref_matches_oracle(self, p):
+        for a in self.matrices(p):
+            rref, pivots = exactalg._rref(a, p)
+            expect, expect_pivots = self.oracle(p, a)
+            assert pivots == expect_pivots
+            assert rref.shape == (len(pivots), a.shape[1])
+            assert rref.tolist() == expect
+
+    @pytest.mark.parametrize("p", [0, 2, 3, 7])
+    def test_kernel(self, p):
+        for a in self.matrices(p):
+            K, free = exactalg._kernel(a, p)
+            cols = a.shape[1]
+            _, expect_pivots = self.oracle(p, a)
+            assert len(expect_pivots) + len(free) == cols
+            assert list(free) == [c for c in range(cols) if c not in expect_pivots]
+            assert K.shape == (cols, len(free))
+            assert K[free].tolist() == np.eye(len(free), dtype=np.int64).tolist()
+            product = a.astype(object) @ K.astype(object)
+            assert not (product % p if p else product).any()
+            if p:
+                assert ((0 <= K) & (K < p)).all()
+            else:
+                assert all(isinstance(x, Fraction) for x in K.flat)
+
+
+class TestPrimesPastInt64:
+    """Past p(p − 1) ≥ 2⁶³ the elimination runs on Python ints."""
+
+    P = 4294967311  # the first prime past 2³²
+
+    def test_dtype_bound(self):
+        # 3037000493 is the largest prime with (p − 1)² + (p − 1) < 2⁶³
+        assert exactalg._field_dtype(3037000493) is np.int64
+        assert exactalg._field_dtype(3037000507) is object
+
+    def test_cokernel_kills_its_relations(self):
+        p = self.P
+        rel = IntegerMatrix.from_rows([[1, 0], [p - 1, 1], [0, p - 1]], 2)
+        pres = cokernel(rel, (p,) * 3)
+        assert pres.moduli == (p,)
+        for c in range(2):
+            assert pres.project(rel.column(c)) == (0,)
+        assert pres.project((1, 0, 0)) == pres.project((0, 1, 0)) == pres.project((0, 0, 1)) != (0,)
+        assert pres.project(pres.lift((p - 2,))) == (p - 2,)
+
+    @pytest.mark.parametrize("p", [7, 2147483647, P])
+    def test_group_ring_quotient_is_the_prime_field(self, p):
+        # Z/p[C3] modulo 1 − g is Z/p
+        zp = construct_standard_ring("modular", {"n": p}).ring
+        c3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+        base = construct_standard_ring("group_ring", {"base": zp, "cayley": c3}).ring
+        quotient = construct_standard_ring("quotient", {"base": base, "ideal": [(1, p - 1, 0)]})
+        assert quotient.ring.moduli == (p,)
 
 
 class TestSmithGates:

@@ -9,7 +9,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from talg_util import oracle_primitives, rank, spans_within
 
 from hsep import tensorbialg
 from hsep.exactalg import ConstructionCheckFailed
@@ -241,6 +244,22 @@ class TestConstruction:
         with pytest.raises(DimensionGuardExceeded):
             build_truncated(8, "q", 5)
 
+    @pytest.mark.parametrize("base, fname", LAW_MODELS, ids=["%s-%s" % m for m in LAW_MODELS])
+    def test_word_counts(self, base, fname):
+        b = law_model(base, fname)
+        assert tensorbialg._word_counts(b.base.dims, b.N) == [len(ws) for ws in b.words]
+
+    @pytest.mark.parametrize("v_dim, total", [(4000, 16004001), (10**5, 100001)])
+    def test_guard_trips_before_any_word(self, monkeypatch, v_dim, total):
+        # 4000 letters fit under the guard; their 16M words of degree 2 do not
+        def no_words(*args):
+            raise AssertionError("words enumerated before the guard")
+
+        monkeypatch.setattr(tensorbialg, "_compositions", no_words)
+        message = r"truncated model needs %d\+ dimensions \(guard 4096\)" % total
+        with pytest.raises(DimensionGuardExceeded, match=message):
+            build_truncated(v_dim, "q", 2)
+
     def test_field_parsing(self):
         assert isinstance(exact_field("q"), RationalField)
         assert isinstance(exact_field("5"), PrimeField)
@@ -317,6 +336,25 @@ class TestPrimitives:
         assert zeta.compose(xi_hat).equals(p.into_carrier)
 
 
+ORACLE_MODELS = LAW_MODELS + [("V3", "7")]
+
+
+@pytest.mark.parametrize("base, fname", ORACLE_MODELS, ids=["%s-%s" % m for m in ORACLE_MODELS])
+def test_blockwise_primitives_match_whole_degree_oracle(base, fname):
+    """Solving by letter content spans what one elimination of the whole
+    degree spans, with the very same basis vectors in the same order.
+    V3 is T(V), dim V = 3, truncated at 4: the first model of `talg
+    verify` at (3,4), here over Q, F2 and F7."""
+    b = law_model(base, fname)
+    prims = primitives(b)
+    for d in range(b.N + 1):
+        blockwise = [list(col) for col in zip(*prims.into_carrier.blocks[d])]
+        whole = oracle_primitives(b, d)
+        assert rank(b.field, blockwise) == rank(b.field, whole) == len(whole) == prims.space.dims[d]
+        assert spans_within(b.field, blockwise, whole) and spans_within(b.field, whole, blockwise)
+        assert blockwise == whole, d
+
+
 class TestAdjunctionIdentities:
     @pytest.mark.parametrize("v_dim", [1, 2])
     @pytest.mark.parametrize("field", ["q", "2", "5"])
@@ -370,36 +408,68 @@ class TestAlgebraWitness:
             tensor_algebra_witness(1, "q", 1)
 
 
+def lose_letters(rows, K, free):
+    """Each letter's solve returns no primitive.  Only a letter's block has
+    all-zero rows: Δ − (−)⊗1 − 1⊗(−) vanishes on single letters alone."""
+    return (K, free) if rows.any() else (K[:, :0], free[:0])
+
+
+def duplicate_first_letter():
+    """The first letter's primitive comes back twice and the second letter's
+    not at all, so degree 1 keeps its count but loses its span."""
+    letters = []
+
+    def change(rows, K, free):
+        if rows.any():
+            return K, free
+        letters.append(K)
+        if len(letters) == 1:
+            return np.hstack([K, K]), np.concatenate([free, free])
+        return K[:, :0], free[:0]
+
+    return change
+
+
 class TestSpanGates:
     """The letters, and the image of each primitive of the double model,
     must lie in the span of the computed primitives; a kernel solve that
     loses or corrupts a primitive raises, also under python -O."""
 
     @staticmethod
-    def patch_kernel(monkeypatch, ncols, change):
-        original = tensorbialg._kernel_basis
+    def patch_kernel(monkeypatch, change, model=None):
+        """Pass each letter-content block's (rows, K, free) through `change`;
+        with `model`, only while the primitives of the model on a base of
+        those dims are solved."""
+        solving = [None]
+        original_primitives, original_kernel = tensorbialg.primitives, tensorbialg._kernel
 
-        def patched(field, rows, cols):
-            kern = original(field, rows, cols)
-            return change(kern) if cols == ncols else kern
+        def tracked(bialg):
+            solving[0] = bialg.base.dims
+            return original_primitives(bialg)
 
-        monkeypatch.setattr(tensorbialg, "_kernel_basis", patched)
+        def patched(rows, p):
+            K, free = original_kernel(rows, p)
+            return change(rows, K, free) if model in (None, solving[0]) else (K, free)
 
-    # in T(V) with dim V = 2 and N = 3 only degree 1 has 2 words
-    @pytest.mark.parametrize("change", [lambda k: k[:-1], lambda k: k[:-1] + [k[0]]], ids=["lost", "duplicated"])
+        monkeypatch.setattr(tensorbialg, "primitives", tracked)
+        monkeypatch.setattr(tensorbialg, "_kernel", patched)
+
+    # in T(V) with dim V = 2 and N = 3 the letters are the two words of degree 1
+    @pytest.mark.parametrize("change", [lambda: lose_letters, duplicate_first_letter], ids=["lost", "duplicated"])
     def test_letter_primitive_lost(self, monkeypatch, change):
-        self.patch_kernel(monkeypatch, 2, change)
+        self.patch_kernel(monkeypatch, change())
         with pytest.raises(ConstructionCheckFailed, match="letters must be primitive"):
             verify_bialgebra_adjunction(2, "q", 3)
 
     def test_non_primitive_in_the_double_model(self, monkeypatch):
-        # the double model on the primitives (dims 0, 2, 1, 2) has 5 words of
-        # degree 2, the first being w0·w0; it evaluates to v0·v0, which is
+        # the double model on the primitives (dims 0, 2, 1, 2) has the squares
+        # w0·w0 and w1·w1 of its degree-1 letters, each alone in its block of
+        # three pairs; claimed primitive, w0·w0 evaluates to v0·v0, which is
         # not primitive over Q
-        def corrupt(kern):
-            return [[1] + [0] * (len(kern[0]) - 1)] + kern[1:]
+        def claim_squares(rows, K, free):
+            return (np.ones((1, 1), dtype=K.dtype), np.array([0])) if rows.shape == (3, 1) else (K, free)
 
-        self.patch_kernel(monkeypatch, 5, corrupt)
+        self.patch_kernel(monkeypatch, claim_squares, model=(0, 2, 1, 2))
         with pytest.raises(ConstructionCheckFailed, match="image of a primitive is not primitive"):
             verify_bialgebra_adjunction(2, "q", 3)
 
@@ -408,11 +478,11 @@ class TestSpanGates:
             "import sys\n"
             "from hsep import tensorbialg\n"
             "from hsep.exactalg import ConstructionCheckFailed\n"
-            "original = tensorbialg._kernel_basis\n"
-            "def lose(field, rows, cols):\n"
-            "    kern = original(field, rows, cols)\n"
-            "    return kern[:-1] if cols == 2 else kern\n"
-            "tensorbialg._kernel_basis = lose\n"
+            "original = tensorbialg._kernel\n"
+            "def lose(rows, p):\n"
+            "    K, free = original(rows, p)\n"
+            "    return (K, free) if rows.any() else (K[:, :0], free[:0])\n"
+            "tensorbialg._kernel = lose\n"
             "try:\n"
             "    tensorbialg.verify_bialgebra_adjunction(2, 'q', 3)\n"
             "except ConstructionCheckFailed as err:\n"
