@@ -9,7 +9,12 @@ retractions of an adjunction unit (one search, which also yields the
 monad augmentations and, on the opposite adjunction, the counit
 sections), and Eilenberg-Moore section functors.  Searches raise
 CapExceeded past SEARCH_CAP candidates.  Everything is small and
-checked exhaustively.
+checked exhaustively.  Composable morphisms come from each category's
+index of its morphisms by source and target, kept in morphisms() order
+so that the first failure found does not move.  The naturality and
+multiplicativity laws of a retraction family are written once, in
+_structure_law_failure: HSepStructure.validate checks them on the whole
+family, and the search on each newly assigned pair.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import itertools
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .exactalg import CapExceeded
@@ -136,6 +142,21 @@ class FiniteCategory:
             for name in names:
                 yield (x, y, name)
 
+    @cached_property
+    def _ends(self):
+        """The morphisms by source and by target, each list in morphisms() order."""
+        out, into = {}, {}
+        for f in self.morphisms():
+            out.setdefault(f[0], []).append(f)
+            into.setdefault(f[1], []).append(f)
+        return out, into
+
+    def out_of(self, x):
+        return self._ends[0].get(x, ())
+
+    def into(self, y):
+        return self._ends[1].get(y, ())
+
     def id_mor(self, x):
         return (x, x, self.identity[x])
 
@@ -161,9 +182,7 @@ class FiniteCategory:
             if self.identity[x] not in self.hom_set(x, x):
                 raise MalformedData("identity not in hom-set", x)
         for f in self.morphisms():
-            for g in self.morphisms():
-                if f[1] != g[0]:
-                    continue
+            for g in self.out_of(f[1]):
                 key = (f[0], f[1], g[1], f[2], g[2])
                 if key not in self.compose:
                     raise MalformedData("missing composite", key)
@@ -176,13 +195,9 @@ class FiniteCategory:
             if self.comp(f, self.id_mor(y)) != f:
                 raise IdentityLawFails("f;id != f", f)
         for f in self.morphisms():
-            for g in self.morphisms():
-                if f[1] != g[0]:
-                    continue
+            for g in self.out_of(f[1]):
                 fg = self.comp(f, g)
-                for h in self.morphisms():
-                    if g[1] != h[0]:
-                        continue
+                for h in self.out_of(g[1]):
                     if self.comp(fg, h) != self.comp(f, self.comp(g, h)):
                         raise NotAssociativeComposition("(h∘g)∘f != h∘(g∘f)", (f, g, h))
         return self
@@ -221,9 +236,7 @@ class FunctorData:
             if self.apply(self.source.id_mor(x)) != self.target.id_mor(self.object_map[x]):
                 raise FunctorLawFails("identity not preserved", x)
         for f in self.source.morphisms():
-            for g in self.source.morphisms():
-                if f[1] != g[0]:
-                    continue
+            for g in self.source.out_of(f[1]):
                 if self.apply(self.source.comp(f, g)) != self.target.comp(self.apply(f), self.apply(g)):
                     raise FunctorLawFails("composition not preserved", (f, g))
         return self
@@ -359,6 +372,53 @@ class MonadData:
         return self
 
 
+def _structure_law_failure(fun, P, new=None):
+    """The first failure of naturality, then of multiplicativity, of the
+    partial family P, or None.  Checked are the conditions all of whose
+    pairs P assigns; given the pair `new`, only those that involve it."""
+    bcat, acat = fun.source, fun.target
+
+    def p_apply(x, y, m):
+        return (x, y, P[(x, y)][m[2]])
+
+    def image_hom(x, y, name):
+        return (fun.object_map[x], fun.object_map[y], name)
+
+    # naturality: P(Fv∘m∘Fu) = v∘P(m)∘u for m: Fx → Fy, u: w → x, v: y → z
+    inner = P if new is None else [new]
+    squares = [(u, (x, y), v) for x, y in inner
+               for u in bcat.into(x) for v in bcat.out_of(y) if (u[0], v[1]) in P]
+    if new is not None:  # new as the outer pair (w, z)
+        w, z = new
+        squares += [((w, x, un), (x, y), (y, z, vn)) for x, y in P if (x, y) != new
+                    for un in bcat.hom_set(w, x) for vn in bcat.hom_set(y, z)]
+    for u, (x, y), v in squares:
+        for name in P[(x, y)]:
+            m = image_hom(x, y, name)
+            conj = acat.comp(acat.comp(fun.apply(u), m), fun.apply(v))
+            if p_apply(u[0], v[1], conj) != bcat.comp(bcat.comp(u, p_apply(x, y, m)), v):
+                return NaturalityFails("P not natural", (u, m, v))
+    # multiplicativity: P(f∘g) = P(f)∘P(g) for g: Fx → Fy, f: Fy → Fz
+    objects = bcat.objects
+    if new is None:
+        triples = [(x, y, z) for x, y in P for z in objects]
+    else:
+        a, b = new
+        triples = dict.fromkeys(
+            [(a, b, t) for t in objects] + [(t, a, b) for t in objects] + [(a, t, b) for t in objects]
+        )
+    for x, y, z in triples:
+        if (x, y) not in P or (y, z) not in P or (x, z) not in P:
+            continue
+        for gname in P[(x, y)]:
+            g = image_hom(x, y, gname)
+            for fname in P[(y, z)]:
+                f = image_hom(y, z, fname)
+                if p_apply(x, z, acat.comp(g, f)) != bcat.comp(p_apply(x, y, g), p_apply(y, z, f)):
+                    return CategoryLawError("P not multiplicative", (g, f))
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class HSepStructure:
     """Retraction family P for F with P(f∘g) = P(f)∘P(g)."""
@@ -367,8 +427,6 @@ class HSepStructure:
     P: dict  # (X, Y) -> dict: name in Hom(FX,FY) -> name in Hom(X,Y)
 
     def apply(self, x, y, f):
-        fx = self.functor.object_map[x]
-        fy = self.functor.object_map[y]
         return (x, y, self.P[(x, y)][f[2]])
 
     def validate(self):
@@ -387,38 +445,9 @@ class HSepStructure:
         for f in bcat.morphisms():
             if self.apply(f[0], f[1], fun.apply(f)) != f:
                 raise CategoryLawError("P∘F != id", f)
-        # naturality in both variables
-        for (x, y), table in self.P.items():
-            fx, fy = fun.object_map[x], fun.object_map[y]
-            for fname in table:
-                fmor = (fx, fy, fname)
-                for u in bcat.morphisms():
-                    if u[1] != x:
-                        continue
-                    for v in bcat.morphisms():
-                        if v[0] != y:
-                            continue
-                        conj = acat.comp(acat.comp(fun.apply(u), fmor), fun.apply(v))
-                        lhs = self.apply(u[0], v[1], conj)
-                        rhs = bcat.comp(bcat.comp(u, self.apply(x, y, fmor)), v)
-                        if lhs != rhs:
-                            raise NaturalityFails("P not natural", (u, fmor, v))
-        # multiplicativity
-        for (x, y), t1 in self.P.items():
-            fx, fy = fun.object_map[x], fun.object_map[y]
-            for (y2, z), t2 in self.P.items():
-                if y2 != y:
-                    continue
-                fz = fun.object_map[z]
-                for gname in t1:
-                    g = (fx, fy, gname)
-                    for fname in t2:
-                        f = (fy, fz, fname)
-                        comp = acat.comp(g, f)
-                        lhs = self.apply(x, z, comp)
-                        rhs = bcat.comp(self.apply(x, y, g), self.apply(y, z, f))
-                        if lhs != rhs:
-                            raise CategoryLawError("P not multiplicative", (g, f))
+        failure = _structure_law_failure(fun, self.P)
+        if failure is not None:
+            raise failure
         return self
 
     def key(self):
@@ -488,8 +517,9 @@ def find_h_separability_structures(fun: FunctorData, cap=SEARCH_CAP):
     """All families P: Hom(F−,F−) → Hom(−,−) making F heavily separable.
 
     Exhaustive product over function spaces, with the retraction
-    constraint pinned first and naturality/multiplicativity checked
-    incrementally pair by pair.
+    constraint pinned first.  Each naturality and multiplicativity
+    condition is checked once, when the last of its pairs is assigned,
+    so the structures found are not validated again.
     """
     bcat, acat = fun.source, fun.target
     pairs = [(x, y) for x in bcat.objects for y in bcat.objects]
@@ -529,55 +559,13 @@ def find_h_separability_structures(fun: FunctorData, cap=SEARCH_CAP):
             table.update(zip(free, choice))
             yield table
 
-    def consistent(upto):
-        # check all conditions whose pairs are assigned (index <= upto)
-        assigned = set(pairs[: upto + 1])
-
-        def p_apply(x, y, mor):
-            return (x, y, assignment[(x, y)][mor[2]])
-
-        # naturality involving the newly assigned pair
-        x0, y0 = pairs[upto]
-        for (x, y) in assigned:
-            fx, fy = fun.object_map[x], fun.object_map[y]
-            for fname in assignment[(x, y)]:
-                fmor = (fx, fy, fname)
-                for u in bcat.morphisms():
-                    if u[1] != x:
-                        continue
-                    for v in bcat.morphisms():
-                        if v[0] != y:
-                            continue
-                        if (u[0], v[1]) not in assigned:
-                            continue
-                        if (x, y) != (x0, y0) and (u[0], v[1]) != (x0, y0):
-                            continue
-                        conj = acat.comp(acat.comp(fun.apply(u), fmor), fun.apply(v))
-                        if p_apply(u[0], v[1], conj) != bcat.comp(bcat.comp(u, p_apply(x, y, fmor)), v):
-                            return False
-        # multiplicativity on triples fully assigned, involving the new pair
-        for (x, y) in assigned:
-            for (y2, z) in assigned:
-                if y2 != y or (x, z) not in assigned:
-                    continue
-                if (x0, y0) not in ((x, y), (y, z), (x, z)):
-                    continue
-                fx, fy, fz = (fun.object_map[w] for w in (x, y, z))
-                for gname in assignment[(x, y)]:
-                    g = (fx, fy, gname)
-                    for fname in assignment[(y, z)]:
-                        f = (fy, fz, fname)
-                        if p_apply(x, z, acat.comp(g, f)) != bcat.comp(p_apply(x, y, g), p_apply(y, z, f)):
-                            return False
-        return True
-
     def backtrack(i):
         if i == len(pairs):
-            results.append(HSepStructure(fun, dict(assignment)).validate())
+            results.append(HSepStructure(fun, dict(assignment)))
             return
         for table in tables_for(pairs[i]):
             assignment[pairs[i]] = table
-            if consistent(i):
+            if _structure_law_failure(fun, assignment, pairs[i]) is None:
                 backtrack(i + 1)
             del assignment[pairs[i]]
 
@@ -706,7 +694,10 @@ def eilenberg_moore(adj: AdjunctionData):
 
 
 def find_section_functors(u: FunctorData, cap=SEARCH_CAP):
-    """All functors Γ with U∘Γ = Id on the target of U."""
+    """All functors Γ with U∘Γ = Id on the target of U.
+
+    The cap bounds the candidates enumerated over all object choices
+    together, not those of each choice."""
     src, tgt = u.source, u.target
     fibers = {}
     space = 1
@@ -719,11 +710,11 @@ def find_section_functors(u: FunctorData, cap=SEARCH_CAP):
         if space > cap:
             raise CapExceeded(space)
     results = []
+    tgt_mors = list(tgt.morphisms())
+    enumerated = 0  # candidates of the object choices before this one
     for combo in itertools.product(*(fibers[x] for x in tgt.objects)):
         gamma_obj = dict(zip(tgt.objects, combo))
         mor_candidates = []
-        feasible = True
-        tgt_mors = list(tgt.morphisms())
         total = 1
         for f in tgt_mors:
             gx, gy = gamma_obj[f[0]], gamma_obj[f[1]]
@@ -732,15 +723,13 @@ def find_section_functors(u: FunctorData, cap=SEARCH_CAP):
                 for name in src.hom_set(gx, gy)
                 if u.morphism_map[(gx, gy, name)] == f[2]
             )
-            if not cands:
-                feasible = False
-                break
             mor_candidates.append(cands)
             total *= len(cands)
-            if total > cap:
-                raise CapExceeded(total)
-        if not feasible:
-            continue
+            if not total:
+                break
+            if enumerated + total > cap:
+                raise CapExceeded(enumerated + total)
+        enumerated += total
         for mor_combo in itertools.product(*mor_candidates):
             gamma_mor = {f: name for f, name in zip(tgt_mors, mor_combo)}
             cand = FunctorData(tgt, src, gamma_obj, gamma_mor, label="Γ")

@@ -109,6 +109,63 @@ def c2_twisted_adjunction():
     return AdjunctionData(idf, idf, unit, counit).validate()
 
 
+def c4_category():
+    return monoid_category(
+        ("1", "a", "a2", "a3"), [[(i + j) % 4 for j in range(4)] for i in range(4)], 0, label="C4"
+    )
+
+
+def v4_category():
+    """The Klein four-group {1, a, b, ab}."""
+    names = ("1", "a", "b", "ab")
+    return monoid_category(names, [[i ^ j for j in range(4)] for i in range(4)], 0, label="V4")
+
+
+def c2_into_v4():
+    """g ↦ a: two h-separability structures, P(b) = 1 or g."""
+    return FunctorData(
+        c2_category(), v4_category(), {"*": "*"}, {("*", "*", "1"): "1", ("*", "*", "g"): "a"}, label="C2<V4"
+    ).validate()
+
+
+def c2_doubling_into_c4():
+    """g ↦ a2: no h-separability structure, as P(a)∘P(a) = P(a2) = g has no root in C2."""
+    return FunctorData(
+        c2_category(), c4_category(), {"*": "*"}, {("*", "*", "1"): "1", ("*", "*", "g"): "a2"}, label="C2<C4"
+    ).validate()
+
+
+def parallel_arrows_inclusion(order=(0, 1, 2), composite="t"):
+    """B ⊂ A on objects o0, o1, o2, listed in `order`, with identity
+    endomorphisms only.  B has p, q: o0 → o1, r, r2: o1 → o2 and s, t: o0 →
+    o2, with p;r = p;r2 = s and q;r = q;r2 = t.  A adds p': o0 → o1 with
+    p';r = p';r2 = s, and r': o1 → o2 with p;r' = s, q;r' = t and p';r' = composite.
+    Naturality forces P(p') = p and leaves P(r') free, so multiplicativity
+    at p';r' decides: two structures if composite = s, none if it is t.  The order
+    of the objects sets which of the three pairs the search assigns last."""
+    objects = tuple("o%d" % i for i in order)
+    composites = {("p", "r"): "s", ("p", "r2"): "s", ("q", "r"): "t", ("q", "r2"): "t"}
+    extra = {("p'", "r"): "s", ("p'", "r2"): "s", ("p", "r'"): "s", ("q", "r'"): "t", ("p'", "r'"): composite}
+
+    def category(homs, composites, label):
+        hom = {**homs, **{(o, o): ("i" + o[1],) for o in objects}}
+        compose = {(o, o, o, "i" + o[1], "i" + o[1]): "i" + o[1] for o in objects}
+        for (x, y), names in homs.items():
+            for name in names:
+                compose[(x, x, y, "i" + x[1], name)] = compose[(x, y, y, name, "i" + y[1])] = name
+        for (f, g), h in composites.items():
+            compose[("o0", "o1", "o2", f, g)] = h
+        return FiniteCategory(objects, hom, compose, {o: "i" + o[1] for o in objects}, label).validate()
+
+    bhoms = {("o0", "o1"): ("p", "q"), ("o1", "o2"): ("r", "r2"), ("o0", "o2"): ("s", "t")}
+    ahoms = {("o0", "o1"): ("p", "q", "p'"), ("o1", "o2"): ("r", "r2", "r'"), ("o0", "o2"): ("s", "t")}
+    bcat = category(bhoms, composites, "B")
+    acat = category(ahoms, {**composites, **extra}, "A")
+    return FunctorData(
+        bcat, acat, {o: o for o in objects}, {f: f[2] for f in bcat.morphisms()}, label="B<A"
+    ).validate()
+
+
 def build_adjunctions():
     return {
         "identity_2chain": identity_adjunction(chain_poset(2)),
@@ -122,22 +179,42 @@ def _elem(prefix, i, j, g):
     return "%s%d%d.%d" % (prefix, i, j, g)
 
 
-def cyclic_chain(m, n, prefix):
-    """C_m × [n]: objects <prefix>i, Hom(i, j) = C_m for i <= j, composed
-    by addition; g ∈ Hom(i, j) is named <prefix>ij.g."""
+def group_chain(m, n, prefix, mul, label):
+    """G × [n] for the group {0, .., m-1} under mul: objects <prefix>i,
+    Hom(i, j) = G for i <= j; g ∈ Hom(i, j) is named <prefix>ij.g."""
     names = tuple("%s%d" % (prefix, i) for i in range(n))
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     hom = {(names[i], names[j]): tuple(_elem(prefix, i, j, g) for g in range(m)) for i, j in pairs}
     compose = {
         (names[i], names[j], names[k], _elem(prefix, i, j, f), _elem(prefix, j, k, g)):
-            _elem(prefix, i, k, (f + g) % m)
+            _elem(prefix, i, k, mul(f, g))
         for i, j in pairs
         for k in range(j, n)
         for f in range(m)
         for g in range(m)
     }
     identity = {names[i]: _elem(prefix, i, i, 0) for i in range(n)}
-    return FiniteCategory(names, hom, compose, identity, "C%dx[%d]" % (m, n)).validate()
+    return FiniteCategory(names, hom, compose, identity, label).validate()
+
+
+def cyclic_chain(m, n, prefix):
+    """C_m × [n], composed by addition mod m."""
+    return group_chain(m, n, prefix, lambda f, g: (f + g) % m, "C%dx[%d]" % (m, n))
+
+
+def c2_chain_into_v4_chain(n=2):
+    """C2 × [n] → V4 × [n], g ↦ a on every hom-set, where V4 = {0, 1, 2, 3}
+    under xor and a = 1.  Each hom-set leaves P(b) and P(ab) free, and
+    naturality ties them across hom-sets: two structures."""
+    bcat = cyclic_chain(2, n, "b")
+    acat = group_chain(4, n, "a", lambda f, g: f ^ g, "V4x[%d]" % n)
+    return FunctorData(
+        bcat,
+        acat,
+        {"b%d" % i: "a%d" % i for i in range(n)},
+        {(x, y, name): "a" + name[1:] for x, y, name in bcat.morphisms()},
+        label="C2x[%d]<V4x[%d]" % (n, n),
+    ).validate()
 
 
 def cyclic_chain_adjunction(m, n, extra, u, h):
@@ -259,3 +336,72 @@ def oracle_monad_augmentations(monad):
         ):
             found.append(cand.key())
     return sorted(found)
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracle for h-separability structures: every family P with the
+# values P(Ff) = f pinned, filtered by the naturality and multiplicativity
+# loops written out over every morphism.
+
+
+def structure_candidates(fun):
+    """Every family P: Hom(F−, F−) → Hom(−, −) with P(Ff) = f."""
+    bcat, acat = fun.source, fun.target
+    pairs = [(x, y) for x in bcat.objects for y in bcat.objects]
+    per_pair = []
+    for x, y in pairs:
+        pinned = {}
+        for name in bcat.hom_set(x, y):
+            pinned.setdefault(fun.morphism_map[(x, y, name)], []).append(name)
+        if any(len(names) > 1 for names in pinned.values()):
+            return  # F is not faithful: no retraction
+        dom = acat.hom_set(fun.object_map[x], fun.object_map[y])
+        values = [pinned.get(m, bcat.hom_set(x, y)) for m in dom]
+        per_pair.append([dict(zip(dom, combo)) for combo in itertools.product(*values)])
+    for tables in itertools.product(*per_pair):
+        yield dict(zip(pairs, tables))
+
+
+def oracle_structure_law_failure(fun, P):
+    """"natural" or "multiplicative", the first law the family P breaks, or
+    None; P may leave pairs unassigned, and conditions on them are skipped."""
+    bcat, acat = fun.source, fun.target
+
+    def p_apply(x, y, m):
+        return (x, y, P[(x, y)][m[2]])
+
+    for (x, y), table in P.items():
+        fx, fy = fun.object_map[x], fun.object_map[y]
+        for fname in table:
+            fmor = (fx, fy, fname)
+            for u in bcat.morphisms():
+                if u[1] != x:
+                    continue
+                for v in bcat.morphisms():
+                    if v[0] != y or (u[0], v[1]) not in P:
+                        continue
+                    conj = acat.comp(acat.comp(fun.apply(u), fmor), fun.apply(v))
+                    if p_apply(u[0], v[1], conj) != bcat.comp(bcat.comp(u, p_apply(x, y, fmor)), v):
+                        return "natural"
+    for (x, y), t1 in P.items():
+        fx, fy = fun.object_map[x], fun.object_map[y]
+        for (y2, z), t2 in P.items():
+            if y2 != y or (x, z) not in P:
+                continue
+            fz = fun.object_map[z]
+            for gname in t1:
+                g = (fx, fy, gname)
+                for fname in t2:
+                    f = (fy, fz, fname)
+                    if p_apply(x, z, acat.comp(g, f)) != bcat.comp(p_apply(x, y, g), p_apply(y, z, f)):
+                        return "multiplicative"
+    return None
+
+
+def structure_key(P):
+    return tuple(sorted((pair, tuple(sorted(table.items()))) for pair, table in P.items()))
+
+
+def oracle_h_separability_structures(fun):
+    """Sorted keys of all h-separability structures of fun."""
+    return sorted(structure_key(P) for P in structure_candidates(fun) if oracle_structure_law_failure(fun, P) is None)

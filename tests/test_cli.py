@@ -193,6 +193,28 @@ class TestCat:
             assert json.loads(out)["h_separable"] == "undecided-by-enumeration"
 
 
+class TestCatGolden:
+    """Reports captured before the category laws used an endpoint index:
+    the first failure found, and so its witness, must not move."""
+
+    @pytest.mark.parametrize(
+        "name", ["not-associative", "functor-breaks-composition", "unit-not-natural", "triangle-fails"]
+    )
+    def test_check_broken_bytes(self, capsys, name):
+        doc = GOLDEN / "cat-broken" / ("%s.json" % name)
+        code, out, err = run(capsys, "--format", "json", "cat", "check", str(doc))
+        golden = GOLDEN / ("cat-check-%s.json" % name)
+        assert (code, out.encode(), err) == (1, golden.read_bytes(), "")
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("case, left_code", [("rafael_c2", 0), ("galois_2chain", 1)])
+    def test_rafael_bytes(self, capsys, case, left_code, side):
+        path = str(CORPUS / case / "adjunction.json")
+        code, out, err = run(capsys, "--format", "json", "cat", "rafael", path, "--side", side)
+        golden = GOLDEN / ("cat-rafael-%s-%s.json" % (case, side))
+        assert (code, out.encode(), err) == (left_code if side == "left" else 0, golden.read_bytes(), "")
+
+
 class TestTalg:
     def test_verify(self, capsys):
         code, out, _ = run(capsys, "talg", "verify", "--dim", "1", "--deg", "2", "--field", "q")

@@ -2,6 +2,10 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,23 +13,35 @@ from cat_util import (
     CORPUS,
     build_adjunctions,
     c2_category,
+    c2_chain_into_v4_chain,
+    c2_doubling_into_c4,
+    c2_into_v4,
     collapse_to_terminal,
     cyclic_chain,
     inclusion_terminal_into_chain,
     oracle_adjunctions,
+    oracle_h_separability_structures,
     oracle_monad_augmentations,
     oracle_rafael_retractions,
+    oracle_structure_law_failure,
+    parallel_arrows_inclusion,
+    structure_candidates,
+    structure_key,
+    v4_category,
 )
 
 from hsep import fincat
 from hsep.exactalg import CapExceeded
 from hsep.fincat import (
+    CategoryLawError,
     FiniteCategory,
     FunctorData,
     HSepStructure,
     IdentityLawFails,
+    MalformedData,
     MonadData,
     NatTransform,
+    NaturalityFails,
     NotAssociativeComposition,
     chain_poset,
     compose_functors,
@@ -36,7 +52,6 @@ from hsep.fincat import (
     find_section_functors,
     identity_functor,
     monad_from_adjunction,
-    monoid_category,
     validate,
 )
 
@@ -151,18 +166,191 @@ class TestHSepStructures:
         assert structures == []
 
     def test_cap_exceeded(self):
-        c2 = c2_category()
-        c4 = monoid_category(
-            ("1", "a", "a2", "a3"),
-            [[(i + j) % 4 for j in range(4)] for i in range(4)],
-            0,
-            label="C4",
-        )
-        doubling = FunctorData(
-            c2, c4, {"*": "*"}, {("*", "*", "1"): "1", ("*", "*", "g"): "a2"}
-        ).validate()
         with pytest.raises(CapExceeded):
-            find_h_separability_structures(doubling, cap=1)
+            find_h_separability_structures(c2_doubling_into_c4(), cap=1)
+
+    def test_two_structures_into_v4(self):
+        found = find_h_separability_structures(c2_into_v4())
+        assert [s.P[("*", "*")] for s in found] == [
+            {"1": "1", "a": "g", "b": "g", "ab": "1"},
+            {"1": "1", "a": "g", "b": "1", "ab": "g"},
+        ]
+
+    def test_results_are_not_validated_again(self, monkeypatch):
+        def fail(self):
+            raise AssertionError("validate called")
+
+        monkeypatch.setattr(HSepStructure, "validate", fail)
+        assert len(find_h_separability_structures(c2_into_v4())) == 2
+
+
+def _ff_chain_functor():
+    """The 2-chain into the 3-chain, c0 ↦ d0, c1 ↦ d1."""
+    chain3, chain2 = chain_poset(3, prefix="d"), chain_poset(2)
+    lmap = {"c0": "d0", "c1": "d1"}
+    return FunctorData(
+        chain2,
+        chain3,
+        lmap,
+        {(x, y, n): "%s<=%s" % (lmap[x], lmap[y]) for x, y, n in chain2.morphisms()},
+        label="G",
+    ).validate()
+
+
+def _structure_fixtures():
+    chain2, chain3 = chain_poset(2), chain_poset(3, prefix="d")
+    incl = inclusion_terminal_into_chain(chain2, "c1")
+    collapse = collapse_to_terminal(chain2)
+    fixtures = {
+        "id_2chain": identity_functor(chain2),
+        "id_c2": identity_functor(c2_category()),
+        "terminal_into_2chain": incl,
+        "collapse_2chain": collapse,
+        "c2_doubling_into_c4": c2_doubling_into_c4(),
+        "c2_into_v4": c2_into_v4(),
+        "c2x2_into_v4x2": c2_chain_into_v4_chain(2),
+        "c2x3_into_v4x3": c2_chain_into_v4_chain(3),
+        "2chain_into_3chain": _ff_chain_functor(),
+        "2chain_into_3chain_after_terminal": compose_functors(_ff_chain_functor(), incl),
+        "collapse_after_terminal": compose_functors(collapse, incl),
+        "terminal_into_3chain_after_collapse": compose_functors(
+            inclusion_terminal_into_chain(chain3, "d2"), collapse
+        ),
+    }
+    for order in ((0, 1, 2), (2, 1, 0), (1, 0, 2)):
+        fixtures["parallel_arrows_%d%d%d" % order] = parallel_arrows_inclusion(order)
+    fixtures["parallel_arrows_multiplicative"] = parallel_arrows_inclusion(composite="s")
+    for name, adj in ORACLE_ADJUNCTIONS.items():
+        fixtures[name + "/L"] = adj.left
+        fixtures[name + "/R"] = adj.right
+    return fixtures
+
+
+STRUCTURE_FIXTURES = _structure_fixtures()
+
+
+class TestHSepOracle:
+    """The incremental search and HSepStructure.validate against the loops
+    in cat_util, which scan every morphism and share no code with fincat's
+    law check."""
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURE_FIXTURES))
+    def test_search_matches_oracle(self, name):
+        fun = STRUCTURE_FIXTURES[name]
+        found = [s.key() for s in find_h_separability_structures(fun)]
+        assert found == oracle_h_separability_structures(fun)
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURE_FIXTURES))
+    def test_validate_matches_oracle_on_every_candidate(self, name):
+        fun = STRUCTURE_FIXTURES[name]
+        for P in structure_candidates(fun):
+            try:
+                HSepStructure(fun, P).validate()
+                failure = None
+            except CategoryLawError as err:
+                failure = str(err).split(" at ")[0]
+            expected = oracle_structure_law_failure(fun, P)
+            assert failure == (expected and "P not " + expected), structure_key(P)
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURE_FIXTURES))
+    def test_each_condition_is_checked_at_its_last_pair(self, name):
+        # replay the search's order on every candidate: the first pair at
+        # which the check fails is the first prefix the oracle rejects, and
+        # the law it names is the oracle's
+        fun = STRUCTURE_FIXTURES[name]
+        for P in structure_candidates(fun):
+            prefix = {}
+            for pair, table in P.items():
+                prefix[pair] = table
+                failure = fincat._structure_law_failure(fun, prefix, pair)
+                expected = oracle_structure_law_failure(fun, prefix)
+                assert (failure and str(failure).split(" at ")[0]) == (expected and "P not " + expected)
+                if failure:
+                    break
+
+    def test_fixture_counts(self):
+        counts = {name: len(oracle_h_separability_structures(fun)) for name, fun in STRUCTURE_FIXTURES.items()}
+        assert counts["c2_into_v4"] == counts["c2x2_into_v4x2"] == counts["c2x3_into_v4x3"] == 2
+        assert counts["c2_doubling_into_c4"] == counts["collapse_2chain"] == counts["parallel_arrows_012"] == 0
+        assert counts["parallel_arrows_multiplicative"] == 2
+
+
+class TestHSepValidateFailures:
+    """Each law of HSepStructure.validate raises its own error, on one
+    value changed from a structure the search finds."""
+
+    @staticmethod
+    def changed(fun, **values):
+        P = copy.deepcopy(find_h_separability_structures(fun)[0].P)
+        P[("*", "*")].update(values)
+        return HSepStructure(fun, P)
+
+    def test_domain_mismatch(self):
+        fun = c2_into_v4()
+        P = copy.deepcopy(find_h_separability_structures(fun)[0].P)
+        del P[("*", "*")]["ab"]
+        with pytest.raises(MalformedData, match="P table domain mismatch"):
+            HSepStructure(fun, P).validate()
+
+    def test_value_outside_hom_set(self):
+        with pytest.raises(MalformedData, match="P value outside hom-set"):
+            self.changed(c2_into_v4(), b="h").validate()
+
+    def test_not_a_retraction(self):
+        with pytest.raises(CategoryLawError, match="P∘F != id") as err:
+            self.changed(c2_into_v4(), a="1").validate()
+        assert type(err.value) is CategoryLawError
+
+    def test_not_natural(self):
+        # P(ab) = P(a·b) must be g·P(b), and the first structure has P(b) = g
+        with pytest.raises(NaturalityFails, match="P not natural"):
+            self.changed(c2_into_v4(), ab="g").validate()
+
+    def test_not_multiplicative(self):
+        # the doubling has no structure; P(a) = 1, P(a3) = g is natural,
+        # but P(a)∘P(a) = 1 != g = P(a2)
+        P = {("*", "*"): {"1": "1", "a": "1", "a2": "g", "a3": "g"}}
+        with pytest.raises(CategoryLawError, match="P not multiplicative") as err:
+            HSepStructure(c2_doubling_into_c4(), P).validate()
+        assert type(err.value) is CategoryLawError
+
+    def test_gate_fires_under_optimize(self):
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, %r)\n"
+            "from cat_util import c2_into_v4\n"
+            "from hsep.fincat import HSepStructure, NaturalityFails\n"
+            "P = {('*', '*'): {'1': '1', 'a': 'g', 'b': '1', 'ab': '1'}}\n"
+            "try:\n"
+            "    HSepStructure(c2_into_v4(), P).validate()\n"
+            "except NaturalityFails as err:\n"
+            "    print('optimize=%%d raised: %%s' %% (sys.flags.optimize, str(err).split(' at ')[0]))\n"
+        ) % str(Path(__file__).resolve().parent)
+        root = Path(__file__).resolve().parent.parent
+        path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "optimize=1 raised: P not natural"
+
+
+class TestEndpointIndex:
+    CATEGORIES = [
+        cat
+        for adj in ORACLE_ADJUNCTIONS.values()
+        for cat in (adj.left.source, adj.left.target, adj.left.target.opposite())
+    ] + [v4_category()]
+
+    def test_index_keeps_morphisms_order(self):
+        for cat in self.CATEGORIES:
+            for x in cat.objects:
+                assert list(cat.out_of(x)) == [f for f in cat.morphisms() if f[0] == x]
+                assert list(cat.into(x)) == [f for f in cat.morphisms() if f[1] == x]
 
 
 class TestRafael:
@@ -336,6 +524,33 @@ class TestSections:
         ).validate()
         assert len(find_section_functors(u)) == 2
 
+    @staticmethod
+    def v4_pair_onto_c2():
+        """V4 ⊔ V4 → C2 with a, ab ↦ g: each object's fiber has 4 candidates,
+        2 of them sections."""
+        v4 = v4_category()
+        objects = ("p", "q")
+        names = v4.hom_set("*", "*")
+        two = FiniteCategory(
+            objects,
+            {(o, o): names for o in objects},
+            {(o, o, o, f, g): h for o in objects for (_, _, _, f, g), h in v4.compose.items()},
+            {o: "1" for o in objects},
+        ).validate()
+        c2 = c2_category()
+        image = {"1": "1", "a": "g", "b": "1", "ab": "g"}
+        return FunctorData(
+            two, c2, {o: "*" for o in objects}, {(o, o, n): image[n] for o in objects for n in names}
+        ).validate()
+
+    def test_cap_counts_candidates_across_object_choices(self):
+        u = self.v4_pair_onto_c2()
+        assert len(find_section_functors(u, cap=8)) == 4
+        for cap in (4, 7):
+            with pytest.raises(CapExceeded) as err:
+                find_section_functors(u, cap=cap)
+            assert cap < err.value.size <= 8
+
 
 class TestAugmentations:
     def test_identity_monad(self):
@@ -388,17 +603,8 @@ class TestFunctorLemmas:
 
     def test_composite_structure_from_factors(self):
         # P for GF is built as P^F ∘ P^G from the factor structures
-        chain3 = chain_poset(3, prefix="d")
-        chain2 = chain_poset(2)
-        lmap = {"c0": "d0", "c1": "d1"}
-        g = FunctorData(
-            chain2,
-            chain3,
-            lmap,
-            {(x, y, n): "%s<=%s" % (lmap[x], lmap[y]) for x, y, n in chain2.morphisms()},
-            label="G",
-        ).validate()
-        f = inclusion_terminal_into_chain(chain2, "c1")
+        g = _ff_chain_functor()
+        f = inclusion_terminal_into_chain(g.source, "c1")
         gf = compose_functors(g, f)
         sf = find_h_separability_structures(f)
         sg = find_h_separability_structures(g)
