@@ -4,29 +4,35 @@ Smith normal forms of arbitrary-precision integer matrices, canonical
 invariant-factor presentations of finite abelian groups, and affine
 solution sets of simultaneous congruences with mixed moduli.  Every
 quotient construction and solver in the workbench sits on these
-kernels.  `_rref` is the workbench's one row reduction, with `_kernel`
-beside it: over 𝔽_p for every prime (XOR on GF(2), int64 while no
-product can overflow, Python ints past that) and over ℚ in exact
-`Fraction`s.  `cokernel` over a prime and the tensor bialgebra's
-primitives both solve through it.  A presentation holds its projection and lift as reduced,
-read-only numpy arrays (int64 below the overflow bound, Python ints
-past it), and an identity presentation holds no matrix at all.  All
-values are immutable after construction and all operations are pure,
-so concurrent reads are safe.  A construction that fails its defining
-equations raises `ConstructionCheckFailed`, also under `python -O`.
+kernels.  Numpy arrays are the one matrix type: `smith_normal_form`,
+`cokernel`, `subgroup_basis` and `solve_modular_system` take 2-D
+integer arrays (signed integers, or object arrays of Python ints) and
+raise `DimensionMismatch` on anything else.  The big-integer algorithms
+convert their input to Python ints once, and the Smith transforms come
+back as object arrays.  `_rref` is the workbench's one row reduction,
+with `_kernel` beside it: over 𝔽_p for every prime (XOR on GF(2), int64
+while no product can overflow, Python ints past that) and over ℚ in
+exact `Fraction`s.  `cokernel` over a prime and the tensor bialgebra's
+primitives both solve through it.  A presentation holds its projection
+and lift as reduced, read-only numpy arrays (int64 below the overflow
+bound, Python ints past it), and an identity presentation holds no
+matrix at all.  All values are immutable after construction and all
+operations are pure, so concurrent reads are safe.  A construction that
+fails its defining equations raises `ConstructionCheckFailed`, also
+under `python -O`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
-    "IntegerMatrix",
     "SmithDecomposition",
     "FinAbPresentation",
     "AffineSolutionSet",
@@ -41,7 +47,8 @@ __all__ = [
 
 
 class DimensionMismatch(ValueError):
-    """Shapes of a matrix, right-hand side and moduli disagree."""
+    """A matrix is not a 2-D integer array, or the shapes of a matrix,
+    right-hand side and moduli disagree."""
 
 
 class CapExceeded(RuntimeError):
@@ -71,100 +78,21 @@ def _xgcd(a, b):
     return x, y, g
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
-    """Dense arbitrary-precision integer matrix.
+def _check_matrix(a, what):
+    """The shape of `a`, which must be a 2-D integer array: signed
+    integers, or object of Python ints.  Zero-row and zero-column shapes
+    keep their width."""
+    if not isinstance(a, np.ndarray) or a.ndim != 2 or a.dtype.kind not in "iO":
+        raise DimensionMismatch("%s must be a 2-D integer array" % what)
+    return a.shape
 
-    `cols` is stored explicitly so zero-row matrices keep their width.
-    """
 
-    entries: tuple[tuple[int, ...], ...]
-    cols: int
-
-    def __post_init__(self):
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise DimensionMismatch("row width %d != cols %d" % (len(row), self.cols))
-
-    @staticmethod
-    def from_rows(rows, cols=None):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        return IntegerMatrix(rows, cols)
-
-    @staticmethod
-    def identity(n):
-        return IntegerMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
-
-    @staticmethod
-    def zeros(rows, cols):
-        return IntegerMatrix(tuple((0,) * cols for _ in range(rows)), cols)
-
-    @staticmethod
-    def diagonal(diag):
-        diag = tuple(int(d) for d in diag)
-        n = len(diag)
-        return IntegerMatrix(tuple(tuple(diag[i] if i == j else 0 for j in range(n)) for i in range(n)), n)
-
-    @property
-    def rows(self):
-        return len(self.entries)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def row(self, i):
-        return self.entries[i]
-
-    def column(self, j):
-        return tuple(r[j] for r in self.entries)
-
-    def hstack(self, other):
-        if other.rows != self.rows:
-            raise DimensionMismatch("hstack row counts differ")
-        return IntegerMatrix(tuple(a + b for a, b in zip(self.entries, other.entries)), self.cols + other.cols)
-
-    def mul_vec(self, vec):
-        if len(vec) != self.cols:
-            raise DimensionMismatch("vector length %d != cols %d" % (len(vec), self.cols))
-        return tuple(sum(r[j] * vec[j] for j in range(self.cols)) for r in self.entries)
-
-    def __matmul__(self, other):
-        if isinstance(other, IntegerMatrix):
-            if self.cols != other.rows:
-                raise DimensionMismatch("matmul shapes")
-            ot = other.entries
-            out = []
-            for r in self.entries:
-                out.append(tuple(sum(r[k] * ot[k][j] for k in range(self.cols)) for j in range(other.cols)))
-            return IntegerMatrix(tuple(out), other.cols)
-        return self.mul_vec(other)
-
-    def determinant(self):
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise DimensionMismatch("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
-                if pivot is None:
-                    return 0
-                m[k], m[pivot] = m[pivot], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+def _int_rows(a, what):
+    """The rows of a 2-D integer array as lists of Python ints: the one
+    conversion into the big-integer algorithms."""
+    _check_matrix(a, what)
+    rows = a.tolist()
+    return rows if a.dtype != object else [[operator.index(x) for x in row] for row in rows]
 
 
 def _eye_list(n):
@@ -172,21 +100,20 @@ def _eye_list(n):
 
 
 class _SnfWorker:
-    """Mutable reduction state: M together with U, V and their inverses.
+    """Mutable reduction state: M together with U, V and U⁻¹.
 
-    Invariant after every operation: M == U @ source @ V, U @ Uinv == I,
-    Vinv @ V == I.  Per-row nonzero column sets keep pivot search cheap
-    on large mostly-diagonal inputs.
+    Invariant after every operation: M == U @ source @ V and U @ Uinv == I.
+    Per-row nonzero column sets keep pivot search cheap on large
+    mostly-diagonal inputs.
     """
 
-    def __init__(self, a: IntegerMatrix):
-        self.n = a.rows
-        self.m = a.cols
-        self.M = [list(r) for r in a.entries]
+    def __init__(self, rows, m):
+        self.n = len(rows)
+        self.m = m
+        self.M = rows
         self.U = _eye_list(self.n)
         self.Uinv = _eye_list(self.n)
         self.V = _eye_list(self.m)
-        self.Vinv = _eye_list(self.m)
         self.nz = [set(j for j, v in enumerate(row) if v) for row in self.M]
 
     def swap_rows(self, a, b):
@@ -246,11 +173,9 @@ class _SnfWorker:
                         nzi.add(a)
         for row in self.V:
             row[a], row[b] = row[b], row[a]
-        vi = self.Vinv
-        vi[a], vi[b] = vi[b], vi[a]
 
     def addmul_col(self, dst, src, q):
-        # col_dst += q*col_src; Vinv picks up the inverse row op
+        # col_dst += q*col_src
         if q == 0:
             return
         for i, row in enumerate(self.M):
@@ -264,39 +189,28 @@ class _SnfWorker:
                     self.nz[i].discard(dst)
         for row in self.V:
             row[dst] += q * row[src]
-        vs_row, vd_row = self.Vinv[src], self.Vinv[dst]
-        for j in range(self.m):
-            vs_row[j] -= q * vd_row[j]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmithDecomposition:
-    """D == U @ source @ V with U, V unimodular, D diagonal, d1 | d2 | ...
+    """U @ source @ V is diagonal with d1 | d2 | ... on its diagonal.
 
-    u_inv and v_inv are the exact integer inverses accumulated during
-    reduction, so `source == u_inv @ D @ v_inv`.
+    U and V are unimodular and u_inv is the exact inverse of U,
+    accumulated during the reduction; all three are object arrays of
+    Python ints.  `diagonal` holds the min(rows, cols) diagonal entries.
     """
 
-    U: IntegerMatrix
-    D: IntegerMatrix
-    V: IntegerMatrix
-    source: IntegerMatrix
-    u_inv: IntegerMatrix
-    v_inv: IntegerMatrix
-
-    def diagonal(self):
-        k = min(self.D.rows, self.D.cols)
-        return tuple(self.D[i, i] for i in range(k))
+    diagonal: tuple[int, ...]
+    U: np.ndarray
+    u_inv: np.ndarray
+    V: np.ndarray
 
 
-def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
-    """Smith normal form with transforms.
-
-    Deterministic: the pivot is the smallest absolute nonzero entry of
-    the remaining submatrix, ties broken in row-major order.
-    """
-    w = _SnfWorker(a)
-    n, m, M, nz = w.n, w.m, w.M, w.nz
+def _smith(rows, m):
+    """Smith normal form of the n x m matrix given as lists of Python ints,
+    which it reduces in place."""
+    w = _SnfWorker(rows, m)
+    n, M, nz = w.n, w.M, w.nz
     limit = min(n, m)
     t = 0
     while t < limit:
@@ -357,14 +271,22 @@ def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
                 break
             w.addmul_row(t, bad, 1)
         t += 1
+    square = lambda rows, k: np.array(rows, dtype=object).reshape(k, k)
     return SmithDecomposition(
-        U=IntegerMatrix.from_rows(w.U, n),
-        D=IntegerMatrix.from_rows(w.M, m),
-        V=IntegerMatrix.from_rows(w.V, m),
-        source=a,
-        u_inv=IntegerMatrix.from_rows(w.Uinv, n),
-        v_inv=IntegerMatrix.from_rows(w.Vinv, m),
+        diagonal=tuple(M[i][i] for i in range(limit)),
+        U=square(w.U, n),
+        u_inv=square(w.Uinv, n),
+        V=square(w.V, m),
     )
+
+
+def smith_normal_form(a: np.ndarray) -> SmithDecomposition:
+    """Smith normal form with transforms of a 2-D integer array.
+
+    Deterministic: the pivot is the smallest absolute nonzero entry of
+    the remaining submatrix, ties broken in row-major order.
+    """
+    return _smith(_int_rows(a, "matrix"), a.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -534,7 +456,8 @@ def _kernel(rows, p):
 
 def _cokernel_mod_prime(relations, mods, p):
     g = len(mods)
-    rel = np.array(relations.entries, dtype=_field_dtype(p)).T % p
+    dtype = _field_dtype(p)
+    rel = ((relations.astype(object) if dtype is object else relations) % p).astype(dtype).T
     if rel.dtype != object:  # np.unique takes no axis on object arrays; it only saves time
         rel = np.unique(rel, axis=0)
     K, free = _kernel(rel, p)
@@ -546,24 +469,30 @@ def _cokernel_mod_prime(relations, mods, p):
     return _presentation((p,) * len(free), mods, K.T, lift)
 
 
-def cokernel(relations: IntegerMatrix, generator_moduli) -> FinAbPresentation:
+def _diagonal(values):
+    return np.diag(np.array(values, dtype=object))
+
+
+def cokernel(relations: np.ndarray, generator_moduli) -> FinAbPresentation:
     """Canonical presentation of ⊕ Z/m_i modulo the relation columns.
 
-    Each generator g_i carries the order relation m_i * g_i == 0 in
-    addition to the explicit relation columns.  The presentation is the
-    identity, and stores no matrix, when there are no relations and the
-    m_i are a divisor chain of nontrivial moduli, or when every m_i is
-    one prime p and no relation is nonzero mod p.
+    `relations` is a 2-D integer array with one row per generator.  Each
+    generator g_i carries the order relation m_i * g_i == 0 in addition
+    to the explicit relation columns.  The presentation is the identity,
+    and stores no matrix, when there are no relations and the m_i are a
+    divisor chain of nontrivial moduli, or when every m_i is one prime p
+    and no relation is nonzero mod p.
     """
     mods = tuple(int(x) for x in generator_moduli)
     g = len(mods)
-    if relations.rows != g:
-        raise DimensionMismatch("relations have %d rows for %d generators" % (relations.rows, g))
+    rows, cols = _check_matrix(relations, "relations")
+    if rows != g:
+        raise DimensionMismatch("relations have %d rows for %d generators" % (rows, g))
     if any(x < 1 for x in mods):
         raise ValueError("generator moduli must be >= 1")
     if g == 0:
         return FinAbPresentation((), ())
-    if relations.cols == 0 and _is_divisor_chain(mods):
+    if cols == 0 and _is_divisor_chain(mods):
         keep = [i for i, mi in enumerate(mods) if mi > 1]
         if len(keep) == g:
             return FinAbPresentation(mods, mods)
@@ -572,20 +501,20 @@ def cokernel(relations: IntegerMatrix, generator_moduli) -> FinAbPresentation:
     p = mods[0]
     if all(mi == p for mi in mods) and _is_prime(p):
         return _cokernel_mod_prime(relations, mods, p)
-    comb = relations.hstack(IntegerMatrix.diagonal(mods))
-    snf = smith_normal_form(comb)
-    d = [snf.D[i, i] for i in range(g)]
+    snf = smith_normal_form(np.hstack([relations, _diagonal(mods)]))
+    d = snf.diagonal
     if not all(di >= 1 for di in d):
         raise ConstructionCheckFailed("the generator moduli leave a zero invariant factor")
     keep = [i for i in range(g) if d[i] != 1]
     moduli = tuple(d[i] for i in keep)
-    proj = [[x % d[i] for x in snf.U.row(i)] for i in keep]
-    lift = [[snf.u_inv[r, i] % mods[r] for i in keep] for r in range(g)]
+    proj = snf.U[keep] % np.array(moduli, dtype=object)[:, None]
+    lift = snf.u_inv[:, keep] % np.array(mods, dtype=object)[:, None]
     return _presentation(moduli, mods, proj, lift)
 
 
-def subgroup_basis(vectors, ambient_moduli):
-    """Independent generators of the subgroup of ⊕ Z/M_j the vectors span.
+def subgroup_basis(vectors: np.ndarray, ambient_moduli):
+    """Independent generators of the subgroup of ⊕ Z/M_j spanned by the
+    rows of the 2-D integer array `vectors`.
 
     Returns (generators, orders); orders form a divisor chain and the
     subgroup is the internal direct sum of the cyclic pieces, so
@@ -593,43 +522,31 @@ def subgroup_basis(vectors, ambient_moduli):
     """
     M = tuple(int(x) for x in ambient_moduli)
     n = len(M)
+    width = _check_matrix(vectors, "subgroup vectors")[1]
+    if width != n:
+        raise DimensionMismatch("subgroup vectors have %d coordinates for %d moduli" % (width, n))
     if n == 0:
         return (), ()
-    seen = set()
-    vecs = []
-    for v in vectors:
-        if len(v) != n:
-            raise DimensionMismatch("subgroup vector length")
-        vv = tuple(int(x) % m for x, m in zip(v, M))
-        if any(vv) and vv not in seen:
-            seen.add(vv)
-            vecs.append(vv)
-    cols = [list(v) for v in vecs]
-    b = IntegerMatrix.from_rows([[c[i] for c in cols] + [M[i] if j == i else 0 for j in range(n)] for i in range(n)], len(cols) + n)
-    s1 = smith_normal_form(b)
-    d = [s1.D[i, i] for i in range(n)]
+    mods = np.array(M, dtype=object)
+    reduced = (vectors.astype(object) % mods).tolist()
+    vecs = [v for v in dict.fromkeys(map(tuple, reduced)) if any(v)]
+    cols = np.array(vecs, dtype=object).reshape(len(vecs), n).T
+    s1 = smith_normal_form(np.hstack([cols, _diagonal(M)]))
+    d = np.array(s1.diagonal, dtype=object)
     if not all(di >= 1 for di in d):
         raise ConstructionCheckFailed("the ambient moduli leave a zero invariant factor")
     # lattice basis of span(vectors, diag(M)): C = Uinv @ diag(d)
-    C = [[s1.u_inv[i, j] * d[j] for j in range(n)] for i in range(n)]
+    C = s1.u_inv * d
     # coordinates of diag(M) in basis C: X = diag(d)^-1 @ U @ diag(M)
-    X = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            num = s1.U[i, j] * M[j]
-            if num % d[i]:
-                raise ConstructionCheckFailed("the lattice basis does not span the ambient moduli")
-            row.append(num // d[i])
-        X.append(row)
-    s2 = smith_normal_form(IntegerMatrix.from_rows(X, n))
+    X = s1.U * mods
+    if (X % d[:, None]).any():
+        raise ConstructionCheckFailed("the lattice basis does not span the ambient moduli")
+    s2 = smith_normal_form(X // d[:, None])
     gens = []
     orders = []
-    for i in range(n):
-        o = s2.D[i, i]
+    for i, o in enumerate(s2.diagonal):
         if o > 1:
-            col = tuple(sum(C[r][k] * s2.u_inv[k, i] for k in range(n)) % M[r] for r in range(n))
-            gens.append(col)
+            gens.append(tuple(((C @ s2.u_inv[:, i]) % mods).tolist()))
             orders.append(o)
     return tuple(gens), tuple(orders)
 
@@ -682,24 +599,23 @@ def _echelon_mod(rows, L):
 
 
 def _integer_solve_full(mat_rows, rhs, width):
-    """Solve M z == rhs over Z. Returns (particular, kernel basis) or None."""
-    a = IntegerMatrix.from_rows(mat_rows, width)
-    s = smith_normal_form(a)
-    ub = s.U.mul_vec(rhs)
-    n, m = a.rows, a.cols
-    k = min(n, m)
-    w = [0] * m
-    for i in range(n):
-        d = s.D[i, i] if i < k else 0
-        if d:
-            if ub[i] % d:
+    """Solve M z == rhs over Z, M given as lists of Python ints.
+
+    Returns (particular, kernel basis as the rows of an array) or None."""
+    s = _smith(mat_rows, width)
+    ub = s.U @ np.array(rhs, dtype=object)
+    d = s.diagonal
+    w = np.zeros(width, dtype=object)
+    for i, ui in enumerate(ub):
+        di = d[i] if i < len(d) else 0
+        if di:
+            if ui % di:
                 return None
-            w[i] = ub[i] // d
-        elif ub[i]:
+            w[i] = ui // di
+        elif ui:
             return None
-    z0 = s.V.mul_vec(w)
-    kernel = [s.V.column(j) for j in range(m) if j >= k or s.D[j, j] == 0]
-    return z0, kernel
+    free = [j for j in range(width) if j >= len(d) or d[j] == 0]
+    return s.V @ w, s.V[:, free].T
 
 
 @dataclass(frozen=True)
@@ -710,30 +626,33 @@ class AffineSolutionSet:
     orders, so the member count is exactly prod(kernel_orders).  An
     inconsistent system is the empty marker: particular is None.
 
-    A set that carries its defining system checks itself on construction:
-    the congruences are linear and well defined modulo the coordinate
-    moduli, so checking particular and generators covers every member.
+    A set that carries its defining system (A as a read-only 2-D integer
+    array, b, moduli) checks itself on construction: the congruences are
+    linear and well defined modulo the coordinate moduli, so checking
+    particular and generators covers every member.  Equality compares the
+    sets, not the systems.
     """
 
     coordinate_moduli: tuple[int, ...]
     particular: tuple[int, ...] | None
     kernel_generators: tuple[tuple[int, ...], ...]
     kernel_orders: tuple[int, ...]
-    system: tuple | None = None
+    system: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.system is None or self.is_empty or not self.system[0]:
+        if self.system is None or self.is_empty or not self.system[2]:
             return
-        a_rows, b, mods = self.system
+        a, b, mods = self.system
         coord = self.coordinate_moduli
         vecs = (self.particular,) + self.kernel_generators
         # A reduced mod m times vectors reduced mod M: int64 sums stay exact below the bound
         dtype = np.int64 if max(mods) * max(coord, default=1) * len(coord) < 2**63 else object
-        a = np.array([[x % mi for x in row] for row, mi in zip(a_rows, mods)], dtype=dtype).reshape(len(mods), len(coord))
+        m = np.array(mods, dtype=dtype)[:, None]
+        a = (a % m).astype(dtype)
         v = np.array([[x % mj for x, mj in zip(vec, coord)] for vec in vecs], dtype=dtype).reshape(len(vecs), len(coord))
         res = a @ v.T
         res[:, 0] -= np.array([bi % mi for bi, mi in zip(b, mods)], dtype=dtype)
-        bad = np.flatnonzero((res % np.array(mods, dtype=dtype)[:, None]).any(axis=0))
+        bad = np.flatnonzero((res % m).any(axis=0))
         if bad.size:
             which = "the particular solution" if bad[0] == 0 else "kernel generator %d" % (bad[0] - 1)
             raise ConstructionCheckFailed("%s fails the defining system" % which)
@@ -779,23 +698,25 @@ class AffineSolutionSet:
         """Substitute into the defining congruence system."""
         if self.system is None:
             raise ValueError("solution set carries no defining system")
-        a_rows, b, mods = self.system
-        for row, bi, mi in zip(a_rows, b, mods):
+        a, b, mods = self.system
+        for row, bi, mi in zip(a.tolist(), b, mods):
             if (sum(r * v for r, v in zip(row, vec)) - bi) % mi:
                 return False
         return True
 
 
-def solve_modular_system(a: IntegerMatrix, b, moduli, unknown_moduli=None) -> AffineSolutionSet:
+def solve_modular_system(a: np.ndarray, b, moduli, unknown_moduli=None) -> AffineSolutionSet:
     """Full affine solution set of A x ≡ b, row i taken modulo moduli[i].
 
-    Unknown j ranges over Z/unknown_moduli[j]; by default every unknown
-    is taken modulo lcm(moduli), which loses no solutions.  Redundant
-    congruences are deduplicated by an echelon pass over Z/lcm, then
-    the modulus columns are adjoined and the single integer system is
-    solved through the Smith normal form.
+    A is a 2-D integer array.  Unknown j ranges over
+    Z/unknown_moduli[j]; by default every unknown is taken modulo
+    lcm(moduli), which loses no solutions.  Redundant congruences are
+    deduplicated by an echelon pass over Z/lcm, then the modulus columns
+    are adjoined and the single integer system is solved through the
+    Smith normal form.
     """
-    n_eq, n_x = a.rows, a.cols
+    a_rows = _int_rows(a, "system matrix")
+    n_eq, n_x = a.shape
     if len(b) != n_eq or len(moduli) != n_eq:
         raise DimensionMismatch("system has %d equations, got %d rhs / %d moduli" % (n_eq, len(b), len(moduli)))
     mods = tuple(int(m) for m in moduli)
@@ -811,24 +732,23 @@ def solve_modular_system(a: IntegerMatrix, b, moduli, unknown_moduli=None) -> Af
             raise DimensionMismatch("unknown_moduli length")
         if any(m < 1 for m in M):
             raise ValueError("unknown moduli must be >= 1")
-        for i in range(n_eq):
-            row = a.row(i)
-            for j in range(n_x):
-                if (row[j] * M[j]) % mods[i]:
-                    raise ValueError("system is not well defined modulo the unknown moduli")
-    system = (tuple(a.entries), b, mods)
+        for row, mi in zip(a_rows, mods):
+            if any((x * mj) % mi for x, mj in zip(row, M)):
+                raise ValueError("system is not well defined modulo the unknown moduli")
+    a = a.copy()
+    a.flags.writeable = False
+    system = (a, b, mods)
 
     def full_ambient():
-        eye = [tuple(1 if i == j else 0 for j in range(n_x)) for i in range(n_x)]
-        gens, orders = subgroup_basis(eye, M)
+        gens, orders = subgroup_basis(np.eye(n_x, dtype=np.int64), M)
         return AffineSolutionSet(M, (0,) * n_x, gens, orders, system)
 
     if L == 1 or n_eq == 0:
         return full_ambient()
     aug = []
-    for i in range(n_eq):
-        s = L // mods[i]
-        aug.append([(x * s) % L for x in a.row(i)] + [(b[i] * s) % L])
+    for row, mi, bi in zip(a_rows, mods, b):
+        s = L // mi
+        aug.append([(x * s) % L for x in row] + [(bi * s) % L])
     ech = _echelon_mod(aug, L)
     empty = AffineSolutionSet(M, None, (), (), system)
     eqs = []
@@ -846,7 +766,6 @@ def solve_modular_system(a: IntegerMatrix, b, moduli, unknown_moduli=None) -> Af
     if sol is None:
         return empty
     z0, kernel = sol
-    particular = tuple(z0[j] % M[j] for j in range(n_x))
-    vecs = [tuple(col[j] % M[j] for j in range(n_x)) for col in kernel]
-    gens, orders = subgroup_basis(vecs, M)
+    particular = tuple(int(z0[j]) % M[j] for j in range(n_x))
+    gens, orders = subgroup_basis(kernel[:, :n_x], M)
     return AffineSolutionSet(M, particular, gens, orders, system)

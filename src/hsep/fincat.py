@@ -513,7 +513,7 @@ def identity_adjunction(cat: FiniteCategory) -> AdjunctionData:
 # searches
 
 
-def find_h_separability_structures(fun: FunctorData, cap=SEARCH_CAP):
+def find_h_separability_structures(fun: FunctorData, cap=None):
     """All families P: Hom(F−,F−) → Hom(−,−) making F heavily separable.
 
     Exhaustive product over function spaces, with the retraction
@@ -521,6 +521,7 @@ def find_h_separability_structures(fun: FunctorData, cap=SEARCH_CAP):
     condition is checked once, when the last of its pairs is assigned,
     so the structures found are not validated again.
     """
+    cap = SEARCH_CAP if cap is None else cap
     bcat, acat = fun.source, fun.target
     pairs = [(x, y) for x in bcat.objects for y in bcat.objects]
     domains = {}
@@ -693,11 +694,12 @@ def eilenberg_moore(adj: AdjunctionData):
     return em, forgetful
 
 
-def find_section_functors(u: FunctorData, cap=SEARCH_CAP):
+def find_section_functors(u: FunctorData, cap=None):
     """All functors Γ with U∘Γ = Id on the target of U.
 
     The cap bounds the candidates enumerated over all object choices
     together, not those of each choice."""
+    cap = SEARCH_CAP if cap is None else cap
     src, tgt = u.source, u.target
     fibers = {}
     space = 1

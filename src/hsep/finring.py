@@ -22,7 +22,6 @@ import numpy as np
 from .exactalg import (
     CapExceeded,
     DimensionMismatch,
-    IntegerMatrix,
     _is_prime,
     cokernel,
     solve_modular_system,
@@ -265,14 +264,12 @@ def construct_ring(moduli, mul_table, unit, label="ring", basis_labels=None) -> 
             raise DimensionMismatch("need %d basis labels" % k)
     if len(mul_table) != k or any(len(r) != k for r in mul_table):
         raise DimensionMismatch("mul_table must be k x k")
+    if any(len(cell) != k for row in mul_table for cell in row):
+        raise DimensionMismatch("mul_table cell width")
     table = tuple(
         tuple(tuple(int(c) % m for c, m in zip(cell, moduli)) for cell in row)
         for row in mul_table
     )
-    for row in table:
-        for cell in row:
-            if len(cell) != k:
-                raise DimensionMismatch("mul_table cell width")
     if len(unit) != k:
         raise DimensionMismatch("unit width")
     unit = tuple(int(c) % m for c, m in zip(unit, moduli))
@@ -288,37 +285,23 @@ def construct_ring(moduli, mul_table, unit, label="ring", basis_labels=None) -> 
                 if (moduli[i] * cell[l]) % moduli[l] or (moduli[j] * cell[l]) % moduli[l]:
                     raise BilinearityIncompatible((i, j))
 
-    big = max(moduli)
-    if k * big * big < 2**62:
-        t = ring.np_mul
-        mods = ring.np_moduli
-        left = np.einsum("ija,alc->ijlc", t, t)
-        right = np.einsum("jla,iac->ijlc", t, t)
-        bad = np.argwhere((left - right) % mods[None, None, None, :] != 0)
-        if bad.size:
-            i, j, l, _ = (int(x) for x in bad[0])
-            raise NotAssociative((i, j, l))
-        u = np.array(unit, dtype=np.int64)
-        lhs = np.einsum("j,jil->il", u, t) % mods[None, :]
-        rhs = np.einsum("j,ijl->il", u, t) % mods[None, :]
-        eye = np.array([[1 if i == l else 0 for l in range(k)] for i in range(k)]) % mods[None, :]
-        for i in range(k):
-            if (lhs[i] != eye[i]).any() or (rhs[i] != eye[i]).any():
-                raise UnitLawFails(i)
-    else:
-        for i in range(k):
-            ei = ring.basis_element(i).coords
-            for j in range(k):
-                ej = ring.basis_element(j).coords
-                ij = table[i][j]
-                for l in range(k):
-                    el = ring.basis_element(l).coords
-                    if ring.mul_coords(ij, el) != ring.mul_coords(ei, table[j][l]):
-                        raise NotAssociative((i, j, l))
-        for i in range(k):
-            ei = ring.basis_element(i).coords
-            if ring.mul_coords(unit, ei) != ei or ring.mul_coords(ei, unit) != ei:
-                raise UnitLawFails(i)
+    # each einsum sums k products of two reduced entries: int64 below the
+    # bound, Python ints past it
+    dtype = np.int64 if k * max(moduli) ** 2 < 2**62 else object
+    t = np.array(table, dtype=dtype).reshape(k, k, k)
+    mods = np.array(moduli, dtype=dtype)
+    left = np.einsum("ija,alc->ijlc", t, t)
+    right = np.einsum("jla,iac->ijlc", t, t)
+    bad = np.argwhere((left - right) % mods != 0)
+    if bad.size:
+        raise NotAssociative(tuple(int(x) for x in bad[0][:3]))
+    u = np.array(unit, dtype=dtype)
+    eye = np.eye(k, dtype=dtype) % mods
+    lhs = np.einsum("j,jil->il", u, t) % mods
+    rhs = np.einsum("j,ijl->il", u, t) % mods
+    bad = np.flatnonzero(((lhs != eye) | (rhs != eye)).any(axis=1))
+    if bad.size:
+        raise UnitLawFails(int(bad[0]))
     return ring
 
 
@@ -354,7 +337,8 @@ class RingHom:
         return True
 
     def image_order(self):
-        _, orders = subgroup_basis(self.matrix, self.target.moduli)
+        matrix = np.array(self.matrix, dtype=object).reshape(self.source.k, self.target.k)
+        _, orders = subgroup_basis(matrix, self.target.moduli)
         return math.prod(orders)
 
     def is_surjective(self):
@@ -366,9 +350,11 @@ class RingHom:
 
 def check_ring_hom(matrix, source: FiniteRing, target: FiniteRing) -> RingHom:
     """Accept iff the matrix is additive well-defined, multiplicative, unital."""
-    matrix = tuple(tuple(int(c) % m for c, m in zip(col, target.moduli)) for col in matrix)
     if len(matrix) != source.k:
         raise DimensionMismatch("hom matrix needs one column per source basis element")
+    if any(len(col) != target.k for col in matrix):
+        raise DimensionMismatch("hom matrix columns need one coordinate per target basis element")
+    matrix = tuple(tuple(int(c) % m for c, m in zip(col, target.moduli)) for col in matrix)
     hom = RingHom(source, target, matrix)
     for i in range(source.k):
         img = matrix[i]
@@ -415,15 +401,11 @@ def commutativity_report(ring: FiniteRing) -> CommutativityReport:
     is_comm = all(
         ring.mul_table[i][j] == ring.mul_table[j][i] for i in range(k) for j in range(k)
     )
-    rows = []
-    mods = []
-    for i in range(k):
-        # x*e_i - e_i*x == 0, one congruence per output coordinate
-        for l in range(k):
-            rows.append([ring.mul_table[j][i][l] - ring.mul_table[i][j][l] for j in range(k)])
-            mods.append(ring.moduli[l])
-    a = IntegerMatrix.from_rows(rows, k)
-    center = solve_modular_system(a, [0] * len(rows), mods, unknown_moduli=ring.moduli)
+    # x*e_i - e_i*x == 0, one congruence per output coordinate l: row (i, l)
+    # holds coordinate l of e_j*e_i - e_i*e_j in column j
+    t = np.array(ring.mul_table, dtype=object).reshape(k, k, k)
+    a = (t.transpose(1, 2, 0) - t.transpose(0, 2, 1)).reshape(k * k, k)
+    center = solve_modular_system(a, [0] * (k * k), ring.moduli * k, unknown_moduli=ring.moduli)
     return CommutativityReport(is_comm, center)
 
 
@@ -734,9 +716,7 @@ def _standard_tensor_product(params):
                         col[idx(i, c)] -= yj[c]
                 if any(col):
                     rel_cols.append(col)
-    relations = IntegerMatrix.from_rows(
-        [[col[g] for col in rel_cols] for g in range(gens)], len(rel_cols)
-    )
+    relations = np.array(rel_cols, dtype=object).reshape(len(rel_cols), gens).T
     pres = cokernel(relations, gen_moduli)
 
     def pure_pair(xa, xb):
@@ -791,7 +771,10 @@ def _standard_tensor_product(params):
 
 
 def _ideal_subgroup(ring: FiniteRing, generators):
-    gens, orders = subgroup_basis([ring.reduce(g) for g in generators], ring.moduli)
+    if any(len(g) != ring.k for g in generators):
+        raise DimensionMismatch("ideal generators need one coordinate per basis element")
+    vectors = lambda vecs: np.array(vecs, dtype=object).reshape(len(vecs), ring.k)
+    gens, orders = subgroup_basis(vectors([ring.reduce(g) for g in generators]), ring.moduli)
     while True:
         new = list(gens)
         for g in gens:
@@ -799,7 +782,7 @@ def _ideal_subgroup(ring: FiniteRing, generators):
                 ei = ring.basis_element(i).coords
                 new.append(ring.mul_coords(ei, g))
                 new.append(ring.mul_coords(g, ei))
-        gens2, orders2 = subgroup_basis(new, ring.moduli)
+        gens2, orders2 = subgroup_basis(vectors(new), ring.moduli)
         if math.prod(orders2) == math.prod(orders):
             return gens2
         gens, orders = gens2, orders2
@@ -808,9 +791,7 @@ def _ideal_subgroup(ring: FiniteRing, generators):
 def _standard_quotient(params):
     base = params["base"]
     ideal = _ideal_subgroup(base, params["ideal"])
-    relations = IntegerMatrix.from_rows(
-        [[g[i] for g in ideal] for i in range(base.k)], len(ideal)
-    )
+    relations = np.array(ideal, dtype=object).reshape(len(ideal), base.k).T
     pres = cokernel(relations, base.moduli)
     rank = pres.rank
     lifts = [pres.lift(tuple(1 if i == u else 0 for i in range(rank))) for u in range(rank)]

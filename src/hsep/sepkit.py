@@ -43,7 +43,6 @@ from .exactalg import (
     AffineSolutionSet,
     CapExceeded,
     ConstructionCheckFailed,
-    IntegerMatrix,
     solve_modular_system,
     subgroup_basis,
     cokernel,
@@ -117,10 +116,6 @@ def _balance_relations(right, left):
     return arr
 
 
-def _cokernel(rel, generator_moduli):
-    return cokernel(IntegerMatrix.from_rows(rel.tolist(), rel.shape[1]), generator_moduli)
-
-
 class TensorPower:
     """S⊗_R S over φ: R → S; `triple` is S⊗_R S⊗_R S.
 
@@ -161,7 +156,7 @@ class TensorPower:
         self.gen_moduli = tuple(int(m) for m in self.np_gen_moduli)
         # gens x ncols, kept for the well-definedness checks
         self.relation_array = _balance_relations(*_phi_actions(hom))
-        group = self.group = _cokernel(self.relation_array, self.gen_moduli)
+        group = self.group = cokernel(self.relation_array, self.gen_moduli)
         self.np_moduli = np.array(group.moduli, dtype=np.int64)
         if group.is_identity:
             self.np_project = self.np_lift = np.eye(self.gens, dtype=np.int64)
@@ -251,15 +246,10 @@ class TensorPower:
         """Affine set of separability idempotents in canonical coordinates."""
         self._require_square("the separability locus")
         s = self.hom.target
-        rank = self.group.rank
-        rows = [list(map(int, r)) for r in self.np_mult]
-        b = list(s.unit)
-        mods = list(s.moduli)
         diff, dmods = self.action_difference
-        rows.extend(list(map(int, r)) for r in diff)
-        b.extend([0] * diff.shape[0])
-        mods.extend(int(m) for m in dmods)
-        a = IntegerMatrix.from_rows(rows, rank)
+        a = np.vstack([self.np_mult, diff])
+        b = list(s.unit) + [0] * diff.shape[0]
+        mods = list(s.moduli) + dmods.tolist()
         return solve_modular_system(a, b, mods, unknown_moduli=self.group.moduli)
 
     # -- operations --------------------------------------------------------
@@ -398,7 +388,7 @@ class TripleTensorPower(TensorPower):
         right = np.einsum("rs,sji->rij", phi, actions) % square.np_moduli
         gen_moduli = np.gcd.outer(square.np_moduli, s.np_moduli).ravel()
         rel = _balance_relations(right, _phi_actions(hom)[1])
-        group = self.group = _cokernel(rel, gen_moduli.tolist())
+        group = self.group = cokernel(rel, gen_moduli.tolist())
         self.np_moduli = np.array(group.moduli, dtype=np.int64)
         rank = group.rank
         self._square = square
@@ -530,8 +520,7 @@ def is_ring_epimorphism(hom: RingHom) -> bool:
     """Lemma criteria: mult bijective (2), cross-checked against 1⊗1 (3)."""
     t2 = tensor_power(hom, 2)
     s = hom.target
-    vectors = [tuple(int(x) for x in col) for col in t2.np_mult.T]
-    _, orders = subgroup_basis(vectors, s.moduli)
+    _, orders = subgroup_basis(t2.np_mult.T, s.moduli)
     surjective = math.prod(orders) == s.order
     crit2 = surjective and t2.group.order == s.order
     crit3 = t2.is_separability_idempotent(t2.one_one)
@@ -546,34 +535,20 @@ def find_ring_retractions(hom: RingHom, cap=DEFAULT_CAP):
     """All ring homs E: S → R with E∘φ = id, by linear solve + filter."""
     src, tgt = hom.source, hom.target
     kr, ks = src.k, tgt.k
-    nx = kr * ks  # unknown t[l][j] = coordinate l of E(e_j)
-    idx = lambda l, j: l * ks + j
-    rows, b, mods = [], [], []
-    for l in range(kr):
-        for j in range(ks):
-            row = [0] * nx
-            row[idx(l, j)] = tgt.moduli[j]
-            rows.append(row)
-            b.append(0)
-            mods.append(src.moduli[l])
-    for i in range(kr):
-        img = hom.matrix[i]
-        for l in range(kr):
-            row = [0] * nx
-            for j in range(ks):
-                row[idx(l, j)] = img[j]
-            rows.append(row)
-            b.append(1 if l == i else 0)
-            mods.append(src.moduli[l])
-    for l in range(kr):
-        row = [0] * nx
-        for j in range(ks):
-            row[idx(l, j)] = tgt.unit[j]
-        rows.append(row)
-        b.append(src.unit[l])
-        mods.append(src.moduli[l])
-    unknown = tuple(src.moduli[l] for l in range(kr) for _ in range(ks))
-    sol = solve_modular_system(IntegerMatrix.from_rows(rows, nx), b, mods, unknown_moduli=unknown)
+    nx = kr * ks  # unknown l·ks + j is coordinate l of E(e_j)
+    phi = np.array(hom.matrix, dtype=np.int64).reshape(kr, ks)
+    eye = np.eye(kr, dtype=np.int64)
+    # E(e_j) is killed by the order of e_j, E∘φ = id and E(1) = 1, with
+    # each congruence on coordinate l of E taken modulo src.moduli[l]
+    rows = np.vstack([
+        np.diag(np.tile(tgt.np_moduli, kr)),
+        np.einsum("ij,lm->ilmj", phi, eye).reshape(kr * kr, nx),
+        np.kron(eye, np.array(tgt.unit, dtype=np.int64)),
+    ])
+    b = [0] * nx + eye.ravel().tolist() + list(src.unit)
+    unknown = tuple(m for m in src.moduli for _ in range(ks))
+    mods = unknown + src.moduli * kr + src.moduli
+    sol = solve_modular_system(rows, b, mods, unknown_moduli=unknown)
     if sol.is_empty:
         return ()
     if sol.size > cap:
@@ -600,9 +575,7 @@ def find_ring_retractions(hom: RingHom, cap=DEFAULT_CAP):
                 alive = alive[~np.any((lhs - rhs) % smod, axis=1)]
         candidates = alive.reshape(-1, nx)
     for member in candidates:
-        matrix = tuple(
-            tuple(int(member[idx(l, j)]) for l in range(kr)) for j in range(ks)
-        )
+        matrix = tuple(map(tuple, member.reshape(kr, ks).T.tolist()))
         found.append(check_ring_hom(matrix, tgt, src))
     found.sort(key=lambda h: h.matrix)
     return tuple(found)

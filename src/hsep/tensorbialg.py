@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exactalg import ConstructionCheckFailed, _is_prime, _kernel, _rref
+from .exactalg import ConstructionCheckFailed, _is_prime, _kernel
 
 __all__ = [
     "ExactField",
@@ -161,20 +161,22 @@ def exact_field(spec) -> ExactField:
 # small exact linear algebra over a field; eliminations run in exactalg
 
 
-def _coordinates(field, basis, targets):
+def _coordinates(field, basis, free, targets):
     """X with basis·X = targets, or None when a column of targets lies
-    outside the span of the (independent) columns of basis; one
-    elimination of [basis | targets] serves every column."""
-    nb = len(basis[0]) if basis else 0
+    outside the span of the columns of basis.  Column i of basis is the
+    unit vector on row free[i] there, so X is targets on the free rows;
+    one sparse product against basis checks it."""
     nt = len(targets[0]) if targets else 0
-    rows = [list(b) + list(t) for b, t in zip(basis, targets)]
-    rr, pivots = _rref(np.array(rows, dtype=object).reshape(len(rows), nb + nt), field.characteristic)
-    coords = [[field.zero()] * nt for _ in range(nb)]
-    for row, pc in zip(rr.tolist(), pivots):
-        if pc >= nb:
-            return None
-        coords[pc] = row[nb:]
-    return coords
+    rest = np.array(targets, dtype=object).reshape(len(targets), nt)
+    X = rest[list(free)]
+    B = np.array(basis, dtype=object).reshape(len(basis), len(free))
+    for k, row in enumerate(X):
+        rows, cols = np.flatnonzero(B[:, k]), np.flatnonzero(row)
+        rest[np.ix_(rows, cols)] -= np.outer(B[rows, k], row[cols])
+    p = field.characteristic
+    if (rest % p if p else rest).any():
+        return None
+    return X.tolist()
 
 
 def _mat_mul(field, a, b):
@@ -434,11 +436,15 @@ def build_truncated(v_dim, field, truncation, guard=DIM_GUARD) -> TruncatedTenso
 
 @dataclass(frozen=True, eq=False)
 class PrimitivesData:
-    """Primitive subspace, its inclusion and the augmentation kernel."""
+    """Primitive subspace, its inclusion and the augmentation kernel.
+
+    free[d] lists the free columns of degree d in ascending order: basis
+    vector i of that degree is the unit vector on free[d][i] there."""
 
     space: GradedSpace
     into_carrier: GradedMap  # the subobject inclusion
     aug_kernel: GradedSpace  # all words of degree >= 1
+    free: tuple[tuple[int, ...], ...]
 
 
 def _primitive_block(bialg, block):
@@ -466,7 +472,7 @@ def primitives(bialg: TruncatedTensorBialgebra) -> PrimitivesData:
     augmentation kernel.
     """
     field = bialg.field
-    kernels = []
+    kernels, free_cols = [], []
     for d in range(bialg.N + 1):
         content = {}
         for j, w in enumerate(bialg.words[d]):
@@ -479,7 +485,9 @@ def primitives(bialg: TruncatedTensorBialgebra) -> PrimitivesData:
                 for j, x in zip(cols, kvec):
                     vec[j] = x
                 found.append((cols[f], vec))
-        kernels.append([vec for _, vec in sorted(found)])
+        found.sort()
+        kernels.append([vec for _, vec in found])
+        free_cols.append(tuple(f for f, _ in found))
     dims = tuple(len(k) for k in kernels)
     labels = tuple(
         tuple("p%d_%d" % (d, i) for i in range(dims[d])) for d in range(bialg.N + 1)
@@ -494,7 +502,7 @@ def primitives(bialg: TruncatedTensorBialgebra) -> PrimitivesData:
         blocks.append(tuple(tuple(r) for r in block))
     xi = GradedMap(space, bialg.carrier, tuple(blocks))
     aug = GradedSpace(field, (0,) + bialg.carrier.dims[1:], ((),) + bialg.carrier.labels[1:])
-    return PrimitivesData(space, xi, aug)
+    return PrimitivesData(space, xi, aug, tuple(free_cols))
 
 
 def _evaluation_map(bialg_outer, bialg_inner, letter_realization):
@@ -526,7 +534,7 @@ def _restrict_to_primitives(prims_from, prims_to, full_map):
     carried = full_map.compose(prims_from.into_carrier)
     blocks = []
     for d, block in enumerate(carried.blocks):
-        coords = _coordinates(prims_to.space.field, prims_to.into_carrier.blocks[d], block)
+        coords = _coordinates(prims_to.space.field, prims_to.into_carrier.blocks[d], prims_to.free[d], block)
         if coords is None:
             raise ConstructionCheckFailed("image of a primitive is not primitive")
         blocks.append(tuple(tuple(row) for row in coords))
@@ -574,7 +582,7 @@ def verify_bialgebra_adjunction(v_dim, field, truncation, guard=DIM_GUARD) -> Bi
     # (a) unit retraction: V -> W -> V is the identity
     eta_blocks = []
     for d in range(truncation + 1):
-        coords = _coordinates(fld, p1.into_carrier.blocks[d], b1.unit_inclusion.blocks[d])
+        coords = _coordinates(fld, p1.into_carrier.blocks[d], p1.free[d], b1.unit_inclusion.blocks[d])
         if coords is None:
             raise ConstructionCheckFailed("letters must be primitive")
         eta_blocks.append(tuple(tuple(row) for row in coords))

@@ -16,6 +16,8 @@ from hsep.finring import check_ring_hom, construct_standard_ring, identity_hom
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+F2 = {"kind": "modular", "params": {"n": 2}}
+F2_SQUARED = {"kind": "product", "params": {"factors": [F2, F2]}}
 
 
 def run(capsys, *argv):
@@ -49,6 +51,20 @@ class TestExitCodes:
         doc.write_text(json.dumps({"moduli": [4], "unit": [1], "mul": [[[2]]]}))
         code, out, _ = run(capsys, "ring", "validate", str(doc))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("sep epi", {"source": F2, "target": F2_SQUARED, "matrix": [[1]]}),
+            ("sep epi", {"source": F2, "target": F2_SQUARED, "matrix": [[1, 1, 7]]}),
+            ("ring validate", {"moduli": [2], "unit": [1], "mul": [[[1, 5]]]}),
+        ],
+    )
+    def test_malformed_widths_are_input_errors(self, capsys, tmp_path, command, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *command.split(), str(path))
+        assert (code, out) == (2, "") and err.startswith("error: ")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "sep", "epi", "no-such-file.json")
@@ -213,6 +229,45 @@ class TestCatGolden:
         code, out, err = run(capsys, "--format", "json", "cat", "rafael", path, "--side", side)
         golden = GOLDEN / ("cat-rafael-%s-%s.json" % (case, side))
         assert (code, out.encode(), err) == (left_code if side == "left" else 0, golden.read_bytes(), "")
+
+
+# name -> (hom document, exit code of `sep report`)
+SEP_GOLDEN = {
+    name: (CORPUS / name / "hom.json", code)
+    for name, code in [
+        ("f2_diag_f2sq", 1), ("f2c2_over_f2", 1), ("f3_into_f9", 1), ("m2_f2_over_f2", 1),
+        ("t2_into_m2_f2", 0), ("z4_to_z2", 0),
+    ]
+}
+SEP_GOLDEN.update(
+    (name, (GOLDEN / "sep-homs" / ("%s.json" % name), code))
+    for name, code in [
+        ("m3-z4-scalar", 1), ("t3-z2-into-m3", 0), ("d3-f3-into-m3", 0), ("z8-to-z4", 0), ("z6-quotient", 0),
+    ]
+)
+RING_STANDARD_CASES = json.loads((GOLDEN / "ring-standard" / "cases.json").read_text())
+
+
+class TestSepGolden:
+    """Reports captured while exactalg still took tuple matrices: the
+    Smith pivot rule did not change with the container, so neither may a
+    byte.  The hom documents outside the corpus are in golden/sep-homs/."""
+
+    @pytest.mark.parametrize("name", sorted(SEP_GOLDEN))
+    def test_report_bytes(self, capsys, name):
+        path, expect_code = SEP_GOLDEN[name]
+        code, out, err = run(capsys, "--format", "json", "sep", "report", str(path))
+        golden = GOLDEN / ("sep-report-%s.json" % name)
+        assert (code, out.encode(), err) == (expect_code, golden.read_bytes(), "")
+
+    @pytest.mark.parametrize("name", sorted(RING_STANDARD_CASES))
+    def test_ring_standard_bytes(self, capsys, name):
+        # tensor products and quotients over composite moduli take their
+        # basis from the Smith path
+        kind, params = RING_STANDARD_CASES[name]
+        code, out, err = run(capsys, "--format", "json", "ring", "standard", kind, "--params", json.dumps(params))
+        golden = GOLDEN / "ring-standard" / ("%s.json" % name)
+        assert (code, out.encode(), err) == (0, golden.read_bytes(), "")
 
 
 class TestTalg:

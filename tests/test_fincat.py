@@ -420,15 +420,20 @@ class TestRafaelOracle:
         assert oracle_monad_augmentations(pair(c2, {"*": "1"}, {"*": "g"})) == []
 
     def test_cap_is_read_at_call_time(self, monkeypatch):
-        # c2_twisted keeps one candidate after the unit-law filter
+        # c2_twisted keeps one candidate after the unit-law filter; at the
+        # default cap, c2_into_v4 has 2 structures and the forgetful functor
+        # of rl_identity 1 section
         adj = ADJUNCTIONS["c2_twisted"]
         monkeypatch.setattr(fincat, "SEARCH_CAP", 1)
         assert len(find_rafael_retractions(adj, "left")[1]) == 1
         monkeypatch.setattr(fincat, "SEARCH_CAP", 0)
+        forget = eilenberg_moore(ADJUNCTIONS["rl_identity"])[1]
         for search in (
             lambda: find_rafael_retractions(adj, "left"),
             lambda: find_rafael_retractions(adj, "right"),
             lambda: find_monad_augmentations(monad_from_adjunction(adj)),
+            lambda: find_h_separability_structures(c2_into_v4()),
+            lambda: find_section_functors(forget),
         ):
             with pytest.raises(CapExceeded):
                 search()

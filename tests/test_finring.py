@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from hsep.exactalg import DimensionMismatch
 from hsep.finring import (
     BilinearityIncompatible,
     InvalidCayleyTable,
@@ -84,6 +85,12 @@ class TestConstructRing:
         with pytest.raises(BilinearityIncompatible):
             construct_ring((4, 2), table, (1, 0))
 
+    @pytest.mark.parametrize("cell", [(1,), (1, 0, 5)])
+    def test_mul_cell_width(self, cell):
+        # a cell of the wrong width is rejected before it is reduced
+        with pytest.raises(DimensionMismatch, match="cell width"):
+            construct_ring((2, 2), ((cell, (0, 0)), ((0, 0), (0, 1))), (1, 1))
+
     def test_zero_ring(self):
         ring = construct_ring((), (), (), "0")
         assert ring.order == 1
@@ -160,6 +167,13 @@ class TestStandardRings:
         with pytest.raises((NonCentralImage, ValueError)):
             construct_standard_ring("tensor_product", {"homs": [incl, incl]})
 
+    @pytest.mark.parametrize("generator", [(2,), (2, 5, 1)])
+    def test_quotient_ideal_width(self, generator):
+        # Z/6 × Z/6: a generator of the wrong width used to be cut to length
+        base = construct_standard_ring("product", {"factors": [zmod(6), zmod(6)]}).ring
+        with pytest.raises(DimensionMismatch, match="ideal generators"):
+            construct_standard_ring("quotient", {"base": base, "ideal": [generator]})
+
     def test_quotient(self):
         std = construct_standard_ring("quotient", {"base": zmod(6), "ideal": [(2,)]})
         assert std.ring.order == 2
@@ -204,6 +218,14 @@ class TestRingHom:
 
         with pytest.raises(NotAdditiveWellDefined):
             check_ring_hom(((1,),), zmod(2), zmod(4))
+
+    @pytest.mark.parametrize("col", [(1,), (1, 1, 7)])
+    def test_column_width(self, col):
+        # F2 → F2 × F2: a short column used to raise IndexError, a long
+        # one was cut to (1, 1)
+        f2sq = construct_standard_ring("product", {"factors": [zmod(2), zmod(2)]}).ring
+        with pytest.raises(DimensionMismatch, match="one coordinate per target basis element"):
+            check_ring_hom((col,), zmod(2), f2sq)
 
     def test_composition_is_valid(self):
         h1 = check_ring_hom(((1,),), zmod(4), zmod(2))

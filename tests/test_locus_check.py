@@ -15,7 +15,7 @@ import pytest
 from corpus_util import build_corpus, zmod
 
 from hsep import exactalg
-from hsep.exactalg import ConstructionCheckFailed, IntegerMatrix, solve_modular_system
+from hsep.exactalg import ConstructionCheckFailed, solve_modular_system
 from hsep.finring import construct_standard_ring, hom_from_doc
 from hsep.sepkit import separability_locus, tensor_power
 
@@ -54,15 +54,14 @@ def substitution_failures(t2, members):
 
 def resolve(locus):
     """Solve the locus's defining system again, outside the tensor-power cache."""
-    a_rows, b, mods = locus.system
-    a = IntegerMatrix.from_rows(a_rows, len(locus.coordinate_moduli))
+    a, b, mods = locus.system
     return solve_modular_system(a, b, mods, unknown_moduli=locus.coordinate_moduli)
 
 
 def failing_column(locus):
     """A coordinate j whose unit vector the homogeneous system rejects."""
-    a_rows, _, mods = locus.system
-    return next(j for j in range(len(locus.coordinate_moduli)) if any(row[j] % m for row, m in zip(a_rows, mods)))
+    a, _, mods = locus.system
+    return next(j for j in range(len(locus.coordinate_moduli)) if any(row[j] % m for row, m in zip(a.tolist(), mods)))
 
 
 class TestEveryMemberOracle:
@@ -126,12 +125,12 @@ class TestFaultInjection:
     def test_products_beyond_int64(self):
         # entries and moduli fit int64, but A·p does not: (−1)·(−1) mod 2^61 − 1
         m = 2**61 - 1
-        sol = solve_modular_system(IntegerMatrix.from_rows([[m - 1]]), [1], [m])
+        sol = solve_modular_system(np.array([[m - 1]]), [1], [m])
         assert sol.particular == (m - 1,) and sol.size == 1
 
     def test_moduli_beyond_int64(self):
         big = 2**70
-        a = IntegerMatrix.from_rows([[3, 0], [0, 2**65]])
+        a = np.array([[3, 0], [0, 2**65]], dtype=object)
         sol = solve_modular_system(a, [6, 2**66], [big, big])
         assert sol.verify_member(sol.particular)
         with pytest.raises(ConstructionCheckFailed, match="particular solution"):

@@ -16,7 +16,7 @@ import pytest
 
 from corpus_util import build_corpus, zmod
 
-from hsep.exactalg import IntegerMatrix, cokernel
+from hsep.exactalg import cokernel
 from hsep.finring import construct_standard_ring, hom_from_doc
 from hsep.sepkit import is_h_idempotent, separability_locus, tensor_power
 
@@ -203,8 +203,8 @@ def direct_triple(hom):
         for c in range(k)
     ]
     cols = sorted(set(balance_relation_vectors(hom, 3)))
-    rows = [[col[g] for col in cols] for g in range(k**3)]
-    return cokernel(IntegerMatrix.from_rows(rows, len(cols)), gen_moduli), gen_moduli
+    rel = np.array(cols, dtype=np.int64).reshape(len(cols), k**3).T
+    return cokernel(rel, gen_moduli), gen_moduli
 
 
 def dense(pres):

@@ -50,8 +50,8 @@ def corrupt_right_action(monkeypatch, entry):
 
 def corrupt_cokernel(monkeypatch, change):
     """Pass every cokernel sepkit computes from now on through `change`."""
-    original = sepkit._cokernel
-    monkeypatch.setattr(sepkit, "_cokernel", lambda rel, mods: change(original(rel, mods)))
+    original = sepkit.cokernel
+    monkeypatch.setattr(sepkit, "cokernel", lambda rel, mods: change(original(rel, mods)))
 
 
 class TestTripleGates:
@@ -170,8 +170,8 @@ class TestTripleGates:
 class TestSquareGates:
     def test_projection_misses_a_relation(self, monkeypatch):
         # the cokernel of S⊗S without its relations: too large a group
-        original = sepkit._cokernel
-        monkeypatch.setattr(sepkit, "_cokernel", lambda rel, mods: original(rel[:, :0], mods))
+        original = sepkit.cokernel
+        monkeypatch.setattr(sepkit, "cokernel", lambda rel, mods: original(rel[:, :0], mods))
         with pytest.raises(ConstructionCheckFailed, match="projection does not kill a balance relation"):
             TensorPower(triangular(2, 2))
 

@@ -1,5 +1,7 @@
 """Corpus-wide laws: implication chain, composition, products, triviality."""
 
+import numpy as np
+
 from corpus_util import build_corpus, zmod
 
 from hsep.finring import commutativity_report, compose_homs, construct_standard_ring
@@ -191,14 +193,12 @@ class TestRandomInstances:
 
 def image_subring(hom):
     """The image of φ as a ring, with inclusion and corestriction homs."""
-    from hsep.exactalg import IntegerMatrix, solve_modular_system, subgroup_basis
+    from hsep.exactalg import solve_modular_system, subgroup_basis
     from hsep.finring import check_ring_hom, construct_ring
 
     s = hom.target
-    gens, orders = subgroup_basis(hom.matrix, s.moduli)
-    mat = IntegerMatrix.from_rows(
-        [[g[l] for g in gens] for l in range(s.k)], len(gens)
-    )
+    gens, orders = subgroup_basis(np.array(hom.matrix, dtype=np.int64).reshape(hom.source.k, s.k), s.moduli)
+    mat = np.array(gens, dtype=np.int64).reshape(len(gens), s.k).T
 
     def express(coords):
         sol = solve_modular_system(mat, list(coords), s.moduli, unknown_moduli=orders)

@@ -353,6 +353,10 @@ def test_blockwise_primitives_match_whole_degree_oracle(base, fname):
         assert rank(b.field, blockwise) == rank(b.field, whole) == len(whole) == prims.space.dims[d]
         assert spans_within(b.field, blockwise, whole) and spans_within(b.field, whole, blockwise)
         assert blockwise == whole, d
+        # the basis is the identity on the ascending free columns
+        free = prims.free[d]
+        assert list(free) == sorted(set(free))
+        assert [[v[f] for f in free] for v in blockwise] == np.eye(len(free), dtype=int).tolist()
 
 
 class TestAdjunctionIdentities:
