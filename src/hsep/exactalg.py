@@ -13,7 +13,10 @@ back as object arrays.  `_rref` is the workbench's one row reduction,
 with `_kernel` beside it: over 𝔽_p for every prime (XOR on GF(2), int64
 while no product can overflow, Python ints past that) and over ℚ in
 exact `Fraction`s.  `cokernel` over a prime and the tensor bialgebra's
-primitives both solve through it.  A presentation holds its projection
+primitives both solve through it, and so does `solve_quadratic`, which
+finds the members of an affine set where a system of quadratic forms
+vanishes: by CRT over the prime powers of the moduli, linearization with
+branching over 𝔽_p, and Hensel lifting mod p^k.  A presentation holds its projection
 and lift as reduced, read-only numpy arrays (int64 below the overflow
 bound, Python ints past it), and an identity presentation holds no
 matrix at all.  All values are immutable after construction and all
@@ -42,6 +45,7 @@ __all__ = [
     "smith_normal_form",
     "cokernel",
     "solve_modular_system",
+    "solve_quadratic",
     "subgroup_basis",
 ]
 
@@ -769,3 +773,250 @@ def solve_modular_system(a: np.ndarray, b, moduli, unknown_moduli=None) -> Affin
     particular = tuple(int(z0[j]) % M[j] for j in range(n_x))
     gens, orders = subgroup_basis(kernel[:, :n_x], M)
     return AffineSolutionSet(M, particular, gens, orders, system)
+
+
+# -- quadratic systems on an affine set -----------------------------------
+
+
+def _prime_factors(n):
+    """The primes dividing n, by trial division."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _valuation(n, q):
+    v = 0
+    while n % q == 0:
+        n //= q
+        v += 1
+    return v
+
+
+def _grid(sizes):
+    """Every point of Π range(s) as the rows of an int64 array, in lexicographic order."""
+    if not len(sizes):
+        return np.zeros((1, 0), dtype=np.int64)
+    return np.indices(tuple(sizes), dtype=np.int64).reshape(len(sizes), -1).T
+
+
+def _distinct_rows(rows):
+    rows = rows[(rows != 0).any(axis=1)]
+    if rows.dtype != object and rows.shape[0] > 1:  # np.unique takes no axis on object arrays
+        rows = np.unique(rows, axis=0)
+    return rows
+
+
+def _affine_map(rows, pivots, q):
+    """x̂ = A·ŷ onto the solutions over 𝔽_q of reduced echelon rows over
+    (x_1, ..., x_n, 1) with no pivot in the constant column; ŷ is 1
+    followed by the free variables."""
+    n = rows.shape[1] - 1
+    free = np.setdiff1d(np.arange(n), pivots)
+    A = np.zeros((n + 1, len(free) + 1), dtype=np.int64)
+    A[0, 0] = 1
+    A[free + 1, np.arange(1, len(free) + 1)] = 1
+    piv = np.array(pivots, dtype=np.int64) + 1
+    A[piv, 0] = -rows[:, n] % q
+    A[piv, 1:] = -rows[:, free] % q
+    return A
+
+
+def _apply_map(A, points, q):
+    """The points x of x̂ = A·ŷ for the rows y of `points`, reduced mod q."""
+    dtype = np.int64 if A.shape[0] * q * q < 2**63 else object
+    yhat = np.hstack([np.ones((len(points), 1), dtype=np.int64), points]).astype(dtype)
+    return ((yhat @ A.T.astype(dtype))[:, 1:] % q).astype(np.int64)
+
+
+def _linear_roots(rows, q):
+    """Every d ∈ 𝔽_q^m with rows·(d, 1) ≡ 0 (mod q)."""
+    m = rows.shape[1] - 1
+    rows = _distinct_rows(rows)
+    if not rows.shape[0]:
+        return _grid((q,) * m)
+    rref, pivots = _rref(rows, q)
+    if pivots[-1] == m:
+        return np.zeros((0, m), dtype=np.int64)
+    A = _affine_map(rref, pivots, q)
+    return _apply_map(A, _grid((q,) * (A.shape[1] - 1)), q)
+
+
+def _linearized(Q, q):
+    """The forms x̂ᵀQ_r x̂ over 𝔽_q as rows over the monomials: x_i·x_j
+    (i < j, and i = j unless q = 2, where x_i² = x_i), then x_1..x_n, then
+    1.  Also returns, per quadratic column, the lower variable index."""
+    n = Q.shape[1] - 1
+    sym = Q + Q.transpose(0, 2, 1)
+    iu, ju = np.triu_indices(n, 1 if q == 2 else 0)
+    quad = sym[:, iu + 1, ju + 1]
+    diag = Q[:, np.arange(1, n + 1), np.arange(1, n + 1)]
+    lin = sym[:, 0, 1:]
+    if q == 2:
+        lin = lin + diag
+    else:
+        quad[:, iu == ju] = diag
+    return np.hstack([quad, lin, Q[:, 0, :1]]) % q, iu
+
+
+def _substitute(Q, A, q):
+    """The forms ŷᵀ(AᵀQ_r A)ŷ of x̂ᵀQ_r x̂ at x̂ = A·ŷ, reduced mod q."""
+    dtype = np.int64 if Q.shape[1] ** 2 * q**3 < 2**63 else object
+    A = A.astype(dtype)
+    return np.einsum("ui,ruv,vj->rij", A, Q.astype(dtype), A, optimize=True) % q
+
+
+def _field_roots(Q, q):
+    """Every x ∈ 𝔽_q^n with x̂ᵀQ_r x̂ ≡ 0 (mod q) for every r, x̂ = (1, x).
+
+    XL with branching (Courtois, Klimov, Patarin and Shamir, EUROCRYPT
+    2000): linearize the monomials and row-reduce.  A pivot in the
+    constant column leaves no root; rows whose pivot is a variable are
+    linear and cut the variables down; otherwise branch on a variable of
+    the leading monomial, q ways.  Each case substitutes and reduces
+    again.  Every step removes a variable, so there are at most
+    (n+1)·q^n reductions, and far fewer when linear rows appear early."""
+    n = Q.shape[1] - 1
+    rows, lower = _linearized(Q, q)
+    rows = _distinct_rows(rows)
+    if not rows.shape[0]:
+        return _grid((q,) * n)
+    rref, pivots = _rref(rows, q)
+    first_linear = rows.shape[1] - n - 1
+    if pivots[-1] == n + first_linear:
+        return np.zeros((0, n), dtype=np.int64)
+    linear = [i for i, c in enumerate(pivots) if c >= first_linear]
+    if linear:
+        maps = [_affine_map(rref[linear, first_linear:], [pivots[i] - first_linear for i in linear], q)]
+    else:
+        v = int(lower[pivots[0]]) + 1
+        maps = []
+        for a in range(q):
+            A = np.delete(np.eye(n + 1, dtype=np.int64), v, axis=1)
+            A[v, 0] = a
+            maps.append(A)
+    return np.vstack([_apply_map(A, _field_roots(_substitute(Q, A, q), q), q) for A in maps])
+
+
+def _prime_power_roots(Q, b, e, q):
+    """Every c, with c_i read mod q^e[i], such that ĉᵀQ_r ĉ ≡ 0 (mod q^b[r])
+    for every r.  Q must be reduced mod q^b[r], row r, in a dtype that
+    holds (n+1)²·q^(3·max b) exactly.
+
+    The roots mod q come from `_field_roots`, and each is lifted one digit
+    at a time (Hensel): at c = c₀ + q^j·d, F_r ≡ F_r(c₀) + q^j·J_r(c₀)·d
+    (mod q^(j+1)), so the next digits solve a linear system over 𝔽_q.
+    Equations with b_r ≤ j already hold, and variables with e_i ≤ j are
+    fully read, so neither changes after step j."""
+    n = Q.shape[1] - 1
+    b, e = np.asarray(b), np.asarray(e)
+    active = np.flatnonzero(e > 0)
+    keep = np.concatenate([[0], active + 1])
+    Q = Q[:, keep][:, :, keep]
+    e = e[active]
+    roots = _field_roots(Q % q, q)
+    for j in range(1, int(b.max(initial=0))):
+        forms = Q[b > j]
+        sym = forms + forms.transpose(0, 2, 1)
+        grow = np.flatnonzero(e > j)
+        qj = q**j
+        lifted = [np.zeros((0, len(active)), dtype=np.int64)]
+        for c0 in roots:
+            chat = np.concatenate([[1], c0]).astype(forms.dtype)
+            vals = np.einsum("u,ruv,v->r", chat, forms, chat) % (qj * q)
+            if (vals % qj).any():
+                raise ConstructionCheckFailed("a root mod %d^%d fails its equations" % (q, j))
+            rows = np.hstack([(sym @ chat)[:, grow + 1] % q, (vals // qj)[:, None]])
+            digits = _linear_roots(rows, q)
+            new = np.repeat(c0[None], len(digits), axis=0)
+            new[:, grow] += qj * digits
+            lifted.append(new)
+        roots = np.vstack(lifted)
+    out = np.zeros((len(roots), n), dtype=np.int64)
+    out[:, active] = roots
+    return out
+
+
+def _vanishes(Q, mods, chat):
+    """Whether every ĉᵀQ_r ĉ ≡ 0 (mod mods[r]), for each row ĉ of chat."""
+    m = np.array(mods, dtype=np.int64 if max(mods, default=1) < 2**63 else object)[:, None, None]
+    top = max(int(chat.max(initial=1)), 1)
+    dtype = np.int64 if Q.shape[1] ** 2 * int(m.max(initial=1)) * top**2 < 2**63 else object
+    forms, chat = (Q % m).astype(dtype), chat.astype(dtype)
+    m = m[:, 0, 0]
+    ok = np.ones(len(chat), dtype=bool)
+    step = max(1, 2**20 // max(Q.shape[0] * Q.shape[1], 1))
+    for lo in range(0, len(chat), step):
+        c = chat[lo : lo + step]
+        ok[lo : lo + step] = ~(np.einsum("nu,ruv,nv->nr", c, forms, c) % m).any(axis=1)
+    return ok
+
+
+def solve_quadratic(affine: AffineSolutionSet, Q: np.ndarray, mods) -> np.ndarray:
+    """The members of `affine` at which a system of quadratic forms vanishes.
+
+    `affine` is p + Σ c_i g_i with c_i ∈ Z/o_i, for its kernel orders o_i.
+    Q is an (R, n+1, n+1) integer array, and F_r(c) = ĉᵀQ_r ĉ with
+    ĉ = (1, c) must vanish modulo mods[r].  Each F_r must be well defined
+    on the c_i mod o_i.  Returns the members as the rows of an int64
+    array, in the lexicographic order of c.
+
+    The moduli split into prime powers (CRT).  In c_i, both q^b and o_i
+    are periods of F mod q^b, so F mod q^b reads only c_i mod
+    q^min(v_q(o_i), b).  `_prime_power_roots` solves each prime, the
+    residues are recombined, and the digits of c that no modulus reads
+    are free.  Every root is substituted back into F in one vectorised
+    evaluation, and a miss raises `ConstructionCheckFailed`.  The work is
+    bounded by the size of `affine`, which the caller caps.
+    """
+    n = len(affine.kernel_orders)
+    width = len(affine.coordinate_moduli)
+    if not isinstance(Q, np.ndarray) or Q.ndim != 3 or Q.dtype.kind not in "iO" or Q.shape[1:] != (n + 1, n + 1):
+        raise DimensionMismatch("forms must be an integer array of shape (R, %d, %d)" % (n + 1, n + 1))
+    mods = tuple(int(m) for m in mods)
+    if len(mods) != Q.shape[0]:
+        raise DimensionMismatch("%d forms, got %d moduli" % (Q.shape[0], len(mods)))
+    if any(m < 1 for m in mods):
+        raise ValueError("form moduli must be >= 1")
+    if affine.is_empty:
+        return np.zeros((0, width), dtype=np.int64)
+    if max(mods, default=1) >= 2**63:
+        Q = Q.astype(object)
+    orders = affine.kernel_orders
+    dtype = np.int64 if max(orders, default=1) ** 2 < 2**63 else object
+    # c is known mod step; it starts unknown
+    coeffs = np.zeros((1, n), dtype=dtype)
+    step = np.ones(n, dtype=dtype)
+    for q in _prime_factors(math.lcm(*mods)):
+        b = np.array([_valuation(m, q) for m in mods])
+        rows = np.flatnonzero(b)
+        top = int(b.max())
+        e = [min(_valuation(o, q), top) for o in orders]
+        qb = np.array([q ** int(x) for x in b[rows]], dtype=Q.dtype)[:, None, None]
+        form_dtype = np.int64 if (n + 1) ** 2 * q ** (3 * top) < 2**63 else object
+        roots = _prime_power_roots((Q[rows] % qb).astype(form_dtype), b[rows], e, q)
+        if not len(roots):
+            return np.zeros((0, width), dtype=np.int64)
+        # CRT: c ≡ coeffs (mod step) and c ≡ roots (mod q^e)
+        qe = np.array([q**x for x in e], dtype=dtype)
+        inv = np.array([pow(int(s), -1, int(m)) if m > 1 else 0 for s, m in zip(step, qe)], dtype=dtype)
+        t = ((roots[None].astype(dtype) - coeffs[:, None]) * inv) % qe
+        coeffs = (coeffs[:, None] + step * t).reshape(len(coeffs) * len(roots), n)
+        step = step * qe
+    grid = _grid([o // int(s) for o, s in zip(orders, step)]).astype(dtype)
+    coeffs = (coeffs[:, None] + step * grid[None]).reshape(len(coeffs) * len(grid), n)
+    if n:
+        coeffs = coeffs[np.lexsort(coeffs.T[::-1])]
+    chat = np.hstack([np.ones((len(coeffs), 1), dtype=dtype), coeffs])
+    if not _vanishes(Q, mods, chat).all():
+        raise ConstructionCheckFailed("a root of the quadratic system fails it")
+    gens = np.array(affine.kernel_generators, dtype=np.int64).reshape(n, width)
+    base = np.array(affine.particular, dtype=np.int64)
+    return (base + coeffs.astype(np.int64) @ gens) % np.array(affine.coordinate_moduli, dtype=np.int64)

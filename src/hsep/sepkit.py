@@ -3,8 +3,8 @@
 For a homomorphism φ: R → S this module builds the tensor powers
 S⊗_R S and S⊗_R S⊗_R S as canonically presented finite abelian groups,
 solves for the locus of separability idempotents (Σ a_i b_i = 1 and
-s·e = e·s for every s), filters the quadratic heavy condition
-Σ a_i ⊗ b_i a_j ⊗ b_j = Σ a_i ⊗ 1 ⊗ b_i by exact enumeration, and
+s·e = e·s for every s), solves the quadratic heavy condition
+Σ a_i ⊗ b_i a_j ⊗ b_j = Σ a_i ⊗ 1 ⊗ b_i on that locus exactly, and
 decides the ring-epimorphism criteria with an internal cross-check.
 
 S⊗_R S⊗_R S is presented from S⊗_R S, by associativity, as
@@ -22,8 +22,12 @@ verdict cross-check `InternalCriterionMismatch`, so both also run under
 
 The locus comes from `exactalg.solve_modular_system` as particular +
 Σ c_i g_i, checked there once on those vectors, which covers every
-member.  Enumeration only filters the heavy condition, in the one
-vectorised pass `h_idempotents` that reports and the CLI share.
+member.  On it β(e,e) − Δ(e) is a quadratic form in the c_i, and
+`h_idempotents`, which reports and the CLI share, finds its roots with
+`exactalg.solve_quadratic` instead of visiting every member.  A ring
+retraction's E(xy) = E(x)E(y) is quadratic in the same way on the linear
+solutions of E∘φ = id, and `find_ring_retractions` solves it with the
+same solver.  Both still run only on sets within the caller's cap.
 
 S⊗_R S is also the Sweedler coring of the extension: comultiplication
 sends a⊗b to a⊗1⊗b and the counit is multiplication, so a heavy
@@ -46,6 +50,7 @@ from .exactalg import (
     solve_modular_system,
     subgroup_basis,
     cokernel,
+    solve_quadratic,
 )
 from .finring import RingHom, check_ring_hom, commutativity_report
 
@@ -70,8 +75,6 @@ __all__ = [
 
 DEFAULT_CAP = 10**6
 UNDECIDED = "undecided-by-enumeration"
-
-_CHUNK = 2048
 
 
 class NotSeparabilityIdempotent(ValueError):
@@ -141,12 +144,12 @@ class TensorPower:
         # reduced below its modulus, and each modulus is at most big, the
         # exponent of S: S⊗_R S and S⊗_R S⊗_R S are quotients of sums of
         # Z/m with m | big, so their canonical moduli divide big too.  The
-        # largest sum is the heavy filter's projection of β(e,e) − Δ(e): k³
-        # terms, each a canonical entry times k² products of three entries,
-        # so below k⁵·big⁴.  The products that build and check S⊗_R S⊗_R S
-        # sum at most k³ products of two entries (rank₂ ≤ k² terms in the
-        # composites), so stay below k³·big².  The same bound keeps the
-        # presentations of both groups in int64.
+        # largest sum is the projection of β(v_u, v_v) in `_heavy_forms`:
+        # k³ terms, each a canonical entry times k² products of three
+        # entries, so below k⁵·big⁴.  The products that build and check
+        # S⊗_R S⊗_R S sum at most k³ products of two entries (rank₂ ≤ k²
+        # terms in the composites), so stay below k³·big².  The same bound
+        # keeps the presentations of both groups in int64.
         if k and k**5 * big**4 >= 2**62:
             raise ModuliTooLarge(
                 "moduli too large for the exact vectorized tensor kernels"
@@ -208,10 +211,17 @@ class TensorPower:
         self._require_square("the S-actions")
         k, rank = self.k, self.group.rank
         t = self.hom.target.np_mul
-        p = self.np_project.reshape(rank, k, k)
-        l = self.np_lift.reshape(k, k, rank)
-        left = np.einsum("rcb,sac,abq->srq", p, t, l, optimize=True)
-        right = np.einsum("rac,bsc,abq->srq", p, t, l, optimize=True)
+        if self.group.is_identity:
+            # s·(e_a⊗e_b) = (s·e_a)⊗e_b and (e_a⊗e_b)·s = e_a⊗(e_b·s): the
+            # product table re-indexed
+            eye = np.eye(k, dtype=np.int64)
+            left = np.einsum("sac,bd->scbad", t, eye).reshape(k, rank, rank)
+            right = np.einsum("ac,bsd->sadcb", eye, t).reshape(k, rank, rank)
+        else:
+            p = self.np_project.reshape(rank, k, k)
+            l = self.np_lift.reshape(k, k, rank)
+            left = np.einsum("rcb,sac,abq->srq", p, t, l, optimize=True)
+            right = np.einsum("rac,bsc,abq->srq", p, t, l, optimize=True)
         mods = self.np_moduli[None, :, None]
         return left % mods, right % mods
 
@@ -478,42 +488,36 @@ def is_h_idempotent(t2: TensorPower, coords) -> bool:
 
 
 def h_idempotents(t2: TensorPower):
-    """The heavy separability idempotents, sorted: the whole locus through
-    one vectorised heavy filter.  The caller bounds the locus size."""
-    members = t2.locus.member_array()
-    return tuple(sorted(tuple(int(x) for x in row) for row in members[_h_pass_mask(t2, members)]))
+    """The heavy separability idempotents, sorted: the roots of the heavy
+    quadratic system on the locus.  The caller bounds the locus size."""
+    if t2.locus.is_empty:
+        return ()
+    forms, mods = _heavy_forms(t2)
+    members = solve_quadratic(t2.locus, forms, mods)
+    return tuple(sorted(tuple(int(x) for x in row) for row in members))
 
 
-def _h_pass_mask(t2: TensorPower, members):
-    """Vectorized heavy filter over an array of canonical coordinates."""
-    n = members.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    k = t2.k
-    if k == 0:
-        return np.ones(n, dtype=bool)
-    tri = t2.triple
-    t = t2.hom.target.np_mul
-    u = np.array(t2.hom.target.unit, dtype=np.int64)
-    lmat = t2.np_lift
-    mods3 = tri.np_moduli
+def _heavy_forms(t2: TensorPower):
+    """(Q, moduli) with ĉᵀQ_r ĉ coordinate r of β(e,e) − Δ(e) in S⊗_R S⊗_R S,
+    at e = p + Σ c_i g_i on the locus, ĉ = (1, c).
+
+    Q_r[u, v] is coordinate r of β(v_u, v_v) for v_0 = p and v_i = g_i,
+    computed on their lifts, with Δ(v_v) folded into row 0: (n+1)² β
+    evaluations.  Every sum stays below the k⁵·big⁴ < 2⁶² of
+    `TensorPower`'s guard: a raw coordinate is k² products of three
+    reduced entries, and a projected one k³ of those times an entry of P.
+    """
+    locus, tri, k = t2.locus, t2.triple, t2.k
+    vecs = np.array((locus.particular,) + locus.kernel_generators, dtype=np.int64)
+    x = ((vecs @ t2.np_lift.T) % t2.np_gen_moduli).reshape(len(vecs), k, k)
+    s = t2.hom.target
+    raw = np.einsum("uab,bce,vcd->uvaed", x, s.np_mul, x, optimize=True)
+    raw[0] -= np.einsum("vad,c->vacd", x, np.array(s.unit, dtype=np.int64))
+    raw = raw.reshape(len(vecs), len(vecs), k**3)
     # P = P_new·(P₂⊗I_k) is the identity when both factors are
-    identity = tri.group.is_identity and t2.group.is_identity
-    out = np.zeros(n, dtype=bool)
-    for lo in range(0, n, _CHUNK):
-        chunk = members[lo : lo + _CHUNK]
-        raw = (chunk @ lmat.T) % t2.np_gen_moduli
-        x = raw.reshape(-1, k, k)
-        t1 = np.einsum("nab,bce,ncd->naed", x, t, x, optimize=True)
-        t2v = np.einsum("nad,c->nacd", x, u)
-        diff = (t1 - t2v).reshape(len(chunk), -1)
-        if identity:
-            ok = ~np.any(diff % mods3[None, :], axis=1)
-        else:
-            proj = (diff @ tri.np_project.T) % mods3[None, :]
-            ok = ~np.any(proj, axis=1)
-        out[lo : lo + _CHUNK] = ok
-    return out
+    if not (tri.group.is_identity and t2.group.is_identity):
+        raw = raw @ tri.np_project.T
+    return (raw % tri.np_moduli).transpose(2, 0, 1), tri.np_moduli
 
 
 def is_ring_epimorphism(hom: RingHom) -> bool:
@@ -532,7 +536,8 @@ def is_ring_epimorphism(hom: RingHom) -> bool:
 
 
 def find_ring_retractions(hom: RingHom, cap=DEFAULT_CAP):
-    """All ring homs E: S → R with E∘φ = id, by linear solve + filter."""
+    """All ring homs E: S → R with E∘φ = id: E∘φ = id and E(1) = 1 are
+    solved as a linear system, E(xy) = E(x)E(y) as a quadratic one on it."""
     src, tgt = hom.source, hom.target
     kr, ks = src.k, tgt.k
     nx = kr * ks  # unknown l·ks + j is coordinate l of E(e_j)
@@ -553,30 +558,17 @@ def find_ring_retractions(hom: RingHom, cap=DEFAULT_CAP):
         return ()
     if sol.size > cap:
         raise CapExceeded(sol.size)
-    members = sol.member_array()
-    found = []
-    if nx == 0:
-        candidates = members
-    else:
-        # multiplicativity filter E(e_i e_j) == E(e_i) E(e_j), one basis
-        # pair at a time so failing candidates drop out early
-        tsrc = src.np_mul
-        ttgt = tgt.np_mul
-        smod = np.array(src.moduli, dtype=np.int64)[None, :]
-        alive = members.reshape(-1, kr, ks)
-        for i in range(ks):
-            for j in range(ks):
-                if not alive.shape[0]:
-                    break
-                lhs = np.einsum("c,nlc->nl", ttgt[i, j], alive, optimize=True)
-                rhs = np.einsum(
-                    "na,nb,abl->nl", alive[:, :, i], alive[:, :, j], tsrc, optimize=True
-                )
-                alive = alive[~np.any((lhs - rhs) % smod, axis=1)]
-        candidates = alive.reshape(-1, nx)
-    for member in candidates:
-        matrix = tuple(map(tuple, member.reshape(kr, ks).T.tolist()))
-        found.append(check_ring_hom(matrix, tgt, src))
+    # E(e_i e_j) − E(e_i)E(e_j), coordinate l, is quadratic on E = v_0 + Σ c_u v_u
+    n1 = 1 + len(sol.kernel_generators)
+    big = max(src.moduli + tgt.moduli, default=1)
+    # a coordinate of E(e_i)E(e_j) sums kr² products of three reduced
+    # entries, and one of E(e_i e_j) ks products of two
+    dtype = np.int64 if (kr * kr + ks) * big**3 < 2**63 else object
+    vecs = np.array((sol.particular,) + sol.kernel_generators, dtype=dtype).reshape(n1, kr, ks)
+    forms = -np.einsum("uai,vbj,abl->ijluv", vecs, vecs, src.np_mul.astype(dtype), optimize=True)
+    forms[..., 0, :] += np.einsum("ijc,ulc->ijlu", tgt.np_mul.astype(dtype), vecs, optimize=True)
+    members = solve_quadratic(sol, forms.reshape(ks * ks * kr, n1, n1), src.moduli * (ks * ks))
+    found = [check_ring_hom(tuple(map(tuple, m.reshape(kr, ks).T.tolist())), tgt, src) for m in members]
     found.sort(key=lambda h: h.matrix)
     return tuple(found)
 
@@ -607,10 +599,11 @@ class SeparabilityVerdict:
 def h_separability_report(hom: RingHom, cap=DEFAULT_CAP) -> SeparabilityVerdict:
     """Full verdict for S/R: separable, h-separable, ring epi, witnesses.
 
-    h-separability is decided by enumerating the separability locus and
-    filtering the heavy condition; the ring-epi and central-image
-    shortcuts are computed independently and any disagreement with the
-    enumeration is a fatal internal error.
+    h-separability is decided by solving the heavy condition on the
+    separability locus, when the locus is within the cap; the ring-epi and
+    central-image shortcuts are computed independently and any
+    disagreement with the solved verdict is a fatal internal error.  The
+    report keys keep their names: "enumeration" is the solver's verdict.
     """
     t2 = tensor_power(hom, 2)
     locus = t2.locus

@@ -11,6 +11,22 @@ def cyclic_cayley(n):
     return [[(i + j) % n for j in range(n)] for i in range(n)]
 
 
+def diagonal_into_matrix(n, m):
+    """D_n(Z/m) → M_n(Z/m): the diagonal matrices, built as the nested
+    product ((Z/m × Z/m) × ...) × Z/m, whose i-th basis element goes to E_ii."""
+    base = zmod(m)
+    diag = base
+    for _ in range(n - 1):
+        diag = construct_standard_ring("product", {"factors": [diag, base]}).ring
+    full = construct_standard_ring("matrix", {"base": base, "n": n}).ring
+    by_label = {lab: c for c, lab in enumerate(full.basis_labels)}
+    cols = [
+        tuple(1 if c == by_label["E%d%d" % (i, i)] else 0 for c in range(full.k))
+        for i in range(1, n + 1)
+    ]
+    return check_ring_hom(cols, diag, full)
+
+
 def build_corpus():
     """name -> RingHom, the standing corpus for property and acceptance tests."""
     f2, f3 = zmod(2), zmod(3)

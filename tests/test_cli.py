@@ -112,6 +112,24 @@ class TestExitCodes:
             assert listed == heavy, path.parent.name
             assert code == (0 if heavy else 1)
 
+    def test_h_only_on_the_diagonal_extension(self, capsys, tmp_path):
+        # D3(F2) → M3(F2): three of the four separability idempotents are
+        # heavy, the sums Σ_i E_ij⊗E_ji for j = 1, 2, 3
+        from corpus_util import diagonal_into_matrix
+        from hsep.finring import hom_to_doc
+
+        path = tmp_path / "d3.json"
+        path.write_text(json.dumps(hom_to_doc(diagonal_into_matrix(3, 2))))
+        code, out, _ = run(capsys, "--format", "json", "sep", "idempotents", str(path), "--h-only")
+        doc = json.loads(out)
+        assert code == 0 and doc["locus_size"] == 4 and doc["h_only"] is True
+        sums = sorted(e["formal_sum"] for e in doc["idempotents"])
+        assert sums == [
+            "E11⊗E11 + E21⊗E12 + E31⊗E13",
+            "E12⊗E21 + E22⊗E22 + E32⊗E23",
+            "E13⊗E31 + E23⊗E32 + E33⊗E33",
+        ]
+
 
 class TestJsonFormat:
     def test_sorted_keys_byte_stable(self, capsys):
