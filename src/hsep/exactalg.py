@@ -687,27 +687,6 @@ class AffineSolutionSet:
             raise CapExceeded(self.size)
         return sorted(tuple(int(x) for x in row) for row in self.member_array())
 
-    def contains(self, vec):
-        if self.is_empty:
-            return False
-        n = len(self.coordinate_moduli)
-        if len(vec) != n:
-            raise DimensionMismatch("member length")
-        diff = [(int(v) - p) % m for v, p, m in zip(vec, self.particular, self.coordinate_moduli)]
-        cols = [list(g) for g in self.kernel_generators]
-        rows = [[c[i] for c in cols] + [self.coordinate_moduli[i] if j == i else 0 for j in range(n)] for i in range(n)]
-        return _integer_solve_full(rows, diff, len(cols) + n) is not None
-
-    def verify_member(self, vec):
-        """Substitute into the defining congruence system."""
-        if self.system is None:
-            raise ValueError("solution set carries no defining system")
-        a, b, mods = self.system
-        for row, bi, mi in zip(a.tolist(), b, mods):
-            if (sum(r * v for r, v in zip(row, vec)) - bi) % mi:
-                return False
-        return True
-
 
 def solve_modular_system(a: np.ndarray, b, moduli, unknown_moduli=None) -> AffineSolutionSet:
     """Full affine solution set of A x ≡ b, row i taken modulo moduli[i].

@@ -11,10 +11,24 @@ sections), and Eilenberg-Moore section functors.  Searches raise
 CapExceeded past SEARCH_CAP candidates.  Everything is small and
 checked exhaustively.  Composable morphisms come from each category's
 index of its morphisms by source and target, kept in morphisms() order
-so that the first failure found does not move.  The naturality and
-multiplicativity laws of a retraction family are written once, in
-_structure_law_failure: HSepStructure.validate checks them on the whole
-family, and the search on each newly assigned pair.
+so that the first failure found does not move.
+
+Each category also keeps one integer view of its composition table,
+built once in the scan that checks every composite exists and lies in
+its hom-set.  Morphism ids follow morphisms(); pos[g] is g's index in
+out_of(g[0]), ptr[f] is the prefix sum of len(out_of(f[1])), and
+vals[ptr[f] + pos[g]] is the id of g∘f: one entry per composable pair,
+no N×N array.  The identity laws, associativity on every composable
+triple, (h∘g)∘f against h∘(g∘f), and a functor's F(g∘f) = F(g)∘F(f) on
+every pair are array comparisons on it.  The first failure reported is
+the first index of the failure mask, with pairs in (f, g ∈ out_of(f[1]))
+order and triples in (f, g, h ∈ out_of(g[1])) order, the order of the
+loops over morphisms in tests/cat_util.py, so the witness is the one
+those loops find.
+
+The naturality and multiplicativity laws of a retraction family are
+written once, in _structure_law_failure: HSepStructure.validate checks
+them on the whole family, and the search on each newly assigned pair.
 """
 
 from __future__ import annotations
@@ -25,6 +39,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 from .exactalg import CapExceeded
 
@@ -124,6 +141,31 @@ class _OppositeTable(Mapping):
         return len(self._table)
 
 
+class _CompositionTable(NamedTuple):
+    """A category's composition on integer ids, which follow morphisms().
+
+    pos[g] is g's index in out_of(g[0]), and the row of f, from ptr[f],
+    lists g∘f for each g in out_of(f[1]): vals[ptr[f] + pos[g]] is the id
+    of g∘f, and first and second are the ids of f and g along vals.
+    """
+
+    mors: list
+    index: dict
+    pos: np.ndarray
+    ptr: np.ndarray
+    second: np.ndarray
+    vals: np.ndarray
+
+    @property
+    def out_degree(self):
+        """len(out_of(f[1])) for each f: the length of f's row."""
+        return np.diff(self.ptr, append=len(self.vals))
+
+    @property
+    def first(self):
+        return np.repeat(np.arange(len(self.mors)), self.out_degree)
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteCategory:
     """objects, hom tables, composition table (g∘f), identities."""
@@ -167,6 +209,28 @@ class FiniteCategory:
             raise MalformedData("morphisms do not compose", (f, g))
         return (x, z, self.compose[(x, y1, z, fn, gn)])
 
+    @cached_property
+    def _table(self):
+        """The integer composition table, built in the scan that checks that
+        each composite exists and lies in its hom-set."""
+        mors = list(self.morphisms())
+        index = {f: i for i, f in enumerate(mors)}
+        ptr, second, vals = [], [], []
+        for f in mors:
+            ptr.append(len(vals))
+            for g in self.out_of(f[1]):
+                key = (f[0], f[1], g[1], f[2], g[2])
+                try:
+                    name = self.compose[key]
+                except KeyError:
+                    raise MalformedData("missing composite", key) from None
+                if name not in self.hom_set(f[0], g[1]):
+                    raise MalformedData("composite outside hom-set", key)
+                second.append(index[g])
+                vals.append(index[(f[0], g[1], name)])
+        pos = [self.out_of(f[0]).index(f) for f in mors]
+        return _CompositionTable(mors, index, *(np.array(a, dtype=np.int64) for a in (pos, ptr, second, vals)))
+
     def validate(self):
         seen = set(self.objects)
         if len(seen) != len(self.objects):
@@ -181,29 +245,36 @@ class FiniteCategory:
                 raise MalformedData("missing identity", x)
             if self.identity[x] not in self.hom_set(x, x):
                 raise MalformedData("identity not in hom-set", x)
-        for f in self.morphisms():
-            for g in self.out_of(f[1]):
-                key = (f[0], f[1], g[1], f[2], g[2])
-                if key not in self.compose:
-                    raise MalformedData("missing composite", key)
-                if self.compose[key] not in self.hom_set(f[0], g[1]):
-                    raise MalformedData("composite outside hom-set", key)
-        for x, y, fn in self.morphisms():
-            f = (x, y, fn)
-            if self.comp(self.id_mor(x), f) != f:
-                raise IdentityLawFails("id;f != f", f)
-            if self.comp(f, self.id_mor(y)) != f:
-                raise IdentityLawFails("f;id != f", f)
-        for f in self.morphisms():
-            for g in self.out_of(f[1]):
-                fg = self.comp(f, g)
-                for h in self.out_of(g[1]):
-                    if self.comp(fg, h) != self.comp(f, self.comp(g, h)):
-                        raise NotAssociativeComposition("(h∘g)∘f != h∘(g∘f)", (f, g, h))
+        t = self._table
+        ids = np.arange(len(t.mors))
+        source_id = np.array([t.index[self.id_mor(f[0])] for f in t.mors], dtype=np.int64)
+        target_id = np.array([t.index[self.id_mor(f[1])] for f in t.mors], dtype=np.int64)
+        left = t.vals[t.ptr[source_id] + t.pos] != ids  # f∘id
+        bad = left | (t.vals[t.ptr + t.pos[target_id]] != ids)  # id∘f
+        if bad.any():
+            i = bad.argmax()
+            raise IdentityLawFails("id;f != f" if left[i] else "f;id != f", t.mors[i])
+        # the triples (f, g, h) in scan order: pair p = (f, g) once for each
+        # h, and k the position of h in out_of(g[1])
+        reps = t.out_degree[t.second]
+        p = np.repeat(np.arange(len(t.vals)), reps)
+        k = np.arange(len(p)) - np.repeat(np.cumsum(reps) - reps, reps)
+        h_gf = t.vals[t.ptr[t.vals[p]] + k]
+        hg = t.vals[t.ptr[t.second[p]] + k]
+        bad = h_gf != t.vals[t.ptr[t.first[p]] + t.pos[hg]]  # against (h∘g)∘f
+        if bad.any():
+            i = bad.argmax()
+            f, g = t.mors[t.first[p[i]]], t.mors[t.second[p[i]]]
+            raise NotAssociativeComposition("(h∘g)∘f != h∘(g∘f)", (f, g, self.out_of(g[1])[k[i]]))
         return self
 
     def opposite(self):
-        """The opposite category: arrows reversed, every name kept."""
+        """The opposite category: arrows reversed, every name kept.  It is
+        made once per category, so its composition table is built once."""
+        return self._opposite
+
+    @cached_property
+    def _opposite(self):
         return FiniteCategory(
             self.objects, _OppositeTable(self.hom), _OppositeTable(self.compose), self.identity, self.label + "^op"
         )
@@ -235,10 +306,14 @@ class FunctorData:
         for x in self.source.objects:
             if self.apply(self.source.id_mor(x)) != self.target.id_mor(self.object_map[x]):
                 raise FunctorLawFails("identity not preserved", x)
-        for f in self.source.morphisms():
-            for g in self.source.out_of(f[1]):
-                if self.apply(self.source.comp(f, g)) != self.target.comp(self.apply(f), self.apply(g)):
-                    raise FunctorLawFails("composition not preserved", (f, g))
+        # F(g∘f) = F(g)∘F(f) on every pair (f, g) of the source's table, in its order
+        s, t = self.source._table, self.target._table
+        img = np.array([t.index[self.apply(f)] for f in s.mors], dtype=np.int64)
+        first = s.first
+        bad = img[s.vals] != t.vals[t.ptr[img[first]] + t.pos[img[s.second]]]
+        if bad.any():
+            p = bad.argmax()
+            raise FunctorLawFails("composition not preserved", (s.mors[first[p]], s.mors[s.second[p]]))
         return self
 
     def component_key(self):

@@ -1,5 +1,6 @@
 """Shared finite-category corpus: small posets, monoids, adjunctions,
-and the brute-force natural-retraction oracle."""
+the brute-force natural-retraction oracle, and the category and functor
+law checks written out as loops over morphisms."""
 
 import itertools
 from pathlib import Path
@@ -9,7 +10,11 @@ from hsep.fincat import (
     CategoryLawError,
     FiniteCategory,
     FunctorData,
+    FunctorLawFails,
+    IdentityLawFails,
+    MalformedData,
     NatTransform,
+    NotAssociativeComposition,
     adjunction_from_doc,
     chain_poset,
     compose_functors,
@@ -405,3 +410,70 @@ def structure_key(P):
 def oracle_h_separability_structures(fun):
     """Sorted keys of all h-separability structures of fun."""
     return sorted(structure_key(P) for P in structure_candidates(fun) if oracle_structure_law_failure(fun, P) is None)
+
+
+# ---------------------------------------------------------------------------
+# law-check oracle: the category and functor laws as loops over morphisms,
+# pairs and triples, on the dict tables and `comp`, in the scan order the
+# integer tables of `FiniteCategory.validate` and `FunctorData.validate`
+# report their first failure in.
+
+
+def oracle_category_law_failure(cat):
+    """The first failure of `cat`'s tables or laws as an exception, or None."""
+    seen = set(cat.objects)
+    if len(seen) != len(cat.objects):
+        return MalformedData("duplicate object labels")
+    for (x, y), names in cat.hom.items():
+        if x not in seen or y not in seen:
+            return MalformedData("hom-set over unknown object", (x, y))
+        if len(set(names)) != len(names):
+            return MalformedData("duplicate morphism labels", (x, y))
+    for x in cat.objects:
+        if x not in cat.identity:
+            return MalformedData("missing identity", x)
+        if cat.identity[x] not in cat.hom_set(x, x):
+            return MalformedData("identity not in hom-set", x)
+    for f in cat.morphisms():
+        for g in cat.morphisms():
+            if g[0] != f[1]:
+                continue
+            key = (f[0], f[1], g[1], f[2], g[2])
+            if key not in cat.compose:
+                return MalformedData("missing composite", key)
+            if cat.compose[key] not in cat.hom_set(f[0], g[1]):
+                return MalformedData("composite outside hom-set", key)
+    for f in cat.morphisms():
+        if cat.comp(cat.id_mor(f[0]), f) != f:
+            return IdentityLawFails("id;f != f", f)
+        if cat.comp(f, cat.id_mor(f[1])) != f:
+            return IdentityLawFails("f;id != f", f)
+    for f in cat.morphisms():
+        for g in cat.morphisms():
+            if g[0] != f[1]:
+                continue
+            for h in cat.morphisms():
+                if h[0] == g[1] and cat.comp(cat.comp(f, g), h) != cat.comp(f, cat.comp(g, h)):
+                    return NotAssociativeComposition("(h∘g)∘f != h∘(g∘f)", (f, g, h))
+    return None
+
+
+def oracle_functor_law_failure(fun):
+    """The first failure of `fun`'s maps or laws as an exception, or None."""
+    src, tgt = fun.source, fun.target
+    for x in src.objects:
+        if fun.object_map.get(x) not in tgt.objects:
+            return MalformedData("object image missing", x)
+    for f in src.morphisms():
+        if f not in fun.morphism_map:
+            return MalformedData("morphism image missing", f)
+        if fun.morphism_map[f] not in tgt.hom_set(fun.object_map[f[0]], fun.object_map[f[1]]):
+            return MalformedData("morphism image outside hom-set", f)
+    for x in src.objects:
+        if fun.apply(src.id_mor(x)) != tgt.id_mor(fun.object_map[x]):
+            return FunctorLawFails("identity not preserved", x)
+    for f in src.morphisms():
+        for g in src.morphisms():
+            if g[0] == f[1] and fun.apply(src.comp(f, g)) != tgt.comp(fun.apply(f), fun.apply(g)):
+                return FunctorLawFails("composition not preserved", (f, g))
+    return None

@@ -1,0 +1,102 @@
+"""Test-only views of sepkit and exactalg values, which no verdict uses.
+
+S⊗_R S is the Sweedler coring of the extension: comultiplication sends
+a⊗b to a⊗1⊗b and the counit is multiplication, so a heavy separability
+idempotent is exactly an invariant grouplike element of that coring.
+`is_h_idempotent` checks that equation one element at a time; sepkit
+solves it as a quadratic system instead.  `contains` and
+`verify_member` test membership in an `AffineSolutionSet` directly, by
+an integer solve and by substitution.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+
+from hsep import exactalg
+from hsep.sepkit import NotSeparabilityIdempotent
+
+
+@lru_cache(maxsize=None)
+def np_sweedler(t2):
+    """a⊗b ↦ a⊗1⊗b on canonical coordinates (rank3 x rank)."""
+    t2._require_square("the Sweedler comultiplication")
+    tri = t2.triple
+    k = t2.k
+    p3 = tri.np_project.reshape(tri.group.rank, k, k, k)
+    l2 = t2.np_lift.reshape(k, k, t2.group.rank)
+    u = np.array(t2.hom.target.unit, dtype=np.int64)
+    sw = np.einsum("racb,c,abq->rq", p3, u, l2, optimize=True)
+    return sw % tri.np_moduli[:, None]
+
+
+def sweedler_delta(t2, coords):
+    tri = t2.triple
+    out = (np_sweedler(t2) @ np.asarray(coords, dtype=np.int64)) % tri.np_moduli
+    return tuple(int(x) for x in out)
+
+
+def beta(t2, x, y):
+    """Middle multiplication (a⊗b, c⊗d) ↦ a⊗bc⊗d, computed on lifts."""
+    k = t2.k
+    t = t2.hom.target.np_mul
+    xm = t2.lift(x).reshape(k, k)
+    ym = t2.lift(y).reshape(k, k)
+    raw = np.einsum("ab,bce,cd->aed", xm, t, ym, optimize=True).ravel()
+    return t2.triple.project(raw)
+
+
+def verify_coring_laws(t2):
+    """(ε⊗1)Δ = id and (1⊗ε)Δ = id on canonical coordinates."""
+    t2._require_square("the coring laws")
+    tri = t2.triple
+    k, rank = t2.k, t2.group.rank
+    t = t2.hom.target.np_mul
+    p2 = t2.np_project.reshape(rank, k, k)
+    l3 = tri.np_lift.reshape(k, k, k, tri.group.rank)
+    # collapse the first two slots by multiplication, keep the third
+    e1 = np.einsum("rub,acu,acbq->rq", p2, t, l3, optimize=True)
+    # keep the first slot, collapse the last two
+    e2 = np.einsum("rau,cbu,acbq->rq", p2, t, l3, optimize=True)
+    mods = t2.np_moduli[:, None]
+    eye = np.eye(rank, dtype=np.int64)
+    ok1 = ((e1 @ np_sweedler(t2)) % mods == eye % mods).all()
+    ok2 = ((e2 @ np_sweedler(t2)) % mods == eye % mods).all()
+    return bool(ok1 and ok2)
+
+
+def is_h_idempotent(t2, coords) -> bool:
+    """Heavy condition β(e,e) = a⊗1⊗b-expansion of e, i.e. Δ(e) = e⊗e.
+
+    Precondition: e is a separability idempotent (raises otherwise).
+    In coring language: e is already invariant and counit-1, and this
+    decides whether it is grouplike.
+    """
+    coords = tuple(int(c) for c in coords)
+    if not t2.is_separability_idempotent(coords):
+        raise NotSeparabilityIdempotent("element %r fails the linear conditions" % (coords,))
+    return beta(t2, coords, coords) == sweedler_delta(t2, coords)
+
+
+def contains(affine, vec):
+    """vec ∈ particular + ⟨kernel generators⟩, by an integer solve."""
+    if affine.is_empty:
+        return False
+    n = len(affine.coordinate_moduli)
+    if len(vec) != n:
+        raise exactalg.DimensionMismatch("member length")
+    diff = [(int(v) - p) % m for v, p, m in zip(vec, affine.particular, affine.coordinate_moduli)]
+    cols = [list(g) for g in affine.kernel_generators]
+    rows = [[c[i] for c in cols] + [affine.coordinate_moduli[i] if j == i else 0 for j in range(n)] for i in range(n)]
+    return exactalg._integer_solve_full(rows, diff, len(cols) + n) is not None
+
+
+def verify_member(affine, vec):
+    """Substitute vec into the set's defining congruence system."""
+    if affine.system is None:
+        raise ValueError("solution set carries no defining system")
+    a, b, mods = affine.system
+    for row, bi, mi in zip(a.tolist(), b, mods):
+        if (sum(r * v for r, v in zip(row, vec)) - bi) % mi:
+            return False
+    return True

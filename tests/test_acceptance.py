@@ -14,6 +14,7 @@ from cat_util import (
 )
 from conftest import record_acceptance
 from corpus_util import build_corpus, zmod
+from sepkit_util import contains, is_h_idempotent
 from test_tensorbialg import oracle_primitive_dims
 
 from hsep.fincat import (
@@ -36,7 +37,6 @@ from hsep.finring import (
 from hsep.sepkit import (
     find_ring_retractions,
     h_separability_report,
-    is_h_idempotent,
     is_ring_epimorphism,
     tensor_power,
 )
@@ -130,7 +130,7 @@ def test_criterion_2_matrix_rings_never_heavy():
             case = "M%d(Z/%d)" % (n, base_n)
             if not t2.is_separability_idempotent(e):
                 problems.append("%s: standard idempotent fails substitution" % case)
-            if not t2.locus.contains(e):
+            if not contains(t2.locus, e):
                 problems.append("%s: standard idempotent not in locus" % case)
             verdict = h_separability_report(hom)
             if not verdict.is_separable:

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -101,8 +104,10 @@ class TestExitCodes:
         assert "0 idempotent(s)" in out
 
     def test_h_only_lists_exactly_the_heavy_members(self, capsys):
+        from sepkit_util import is_h_idempotent
+
         from hsep.finring import hom_from_doc
-        from hsep.sepkit import is_h_idempotent, tensor_power
+        from hsep.sepkit import tensor_power
 
         for path in sorted(CORPUS.glob("*/hom.json")):
             t2 = tensor_power(hom_from_doc(json.loads(path.read_text()), path.parent), 2)
@@ -239,6 +244,23 @@ class TestCatGolden:
         code, out, err = run(capsys, "--format", "json", "cat", "check", str(doc))
         golden = GOLDEN / ("cat-check-%s.json" % name)
         assert (code, out.encode(), err) == (1, golden.read_bytes(), "")
+
+    @pytest.mark.parametrize(
+        "name", ["not-associative", "functor-breaks-composition", "unit-not-natural", "triangle-fails"]
+    )
+    def test_check_broken_bytes_under_optimize(self, name):
+        """The law checks are gates, not asserts: `python -O` reports the same bytes."""
+        doc = GOLDEN / "cat-broken" / ("%s.json" % name)
+        root = Path(__file__).resolve().parent.parent
+        path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+        out = subprocess.run(
+            [sys.executable, "-O", "-m", "hsep.cli", "--format", "json", "cat", "check", str(doc)],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            timeout=120,
+        )
+        golden = GOLDEN / ("cat-check-%s.json" % name)
+        assert (out.returncode, out.stdout, out.stderr) == (1, golden.read_bytes(), b"")
 
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("case, left_code", [("rafael_c2", 0), ("galois_2chain", 1)])

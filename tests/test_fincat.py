@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -18,8 +19,11 @@ from cat_util import (
     c2_into_v4,
     collapse_to_terminal,
     cyclic_chain,
+    cyclic_chain_adjunction,
     inclusion_terminal_into_chain,
     oracle_adjunctions,
+    oracle_category_law_failure,
+    oracle_functor_law_failure,
     oracle_h_separability_structures,
     oracle_monad_augmentations,
     oracle_rafael_retractions,
@@ -36,6 +40,7 @@ from hsep.fincat import (
     CategoryLawError,
     FiniteCategory,
     FunctorData,
+    FunctorLawFails,
     HSepStructure,
     IdentityLawFails,
     MalformedData,
@@ -353,6 +358,117 @@ class TestEndpointIndex:
                 assert list(cat.into(x)) == [f for f in cat.morphisms() if f[1] == x]
 
 
+def _first_failure(value):
+    try:
+        value.validate()
+    except CategoryLawError as err:
+        return err
+    return None
+
+
+def _same_failure(got, expected):
+    """Both None, or the same exception class, message and witness."""
+    if got is None or expected is None:
+        return got is expected
+    return (type(got), str(got), got.witness) == (type(expected), str(expected), expected.witness)
+
+
+class TestLawTableOracle:
+    """`validate` on the integer composition tables against the loops over
+    morphisms in cat_util, on C_m×[n], their opposites and an
+    Eilenberg-Moore category, each with one entry corrupted."""
+
+    ADJ = cyclic_chain_adjunction(3, 3, 1, u=2, h=1)
+    EM, FORGET = eilenberg_moore(ADJ)
+    CATEGORIES = [cyclic_chain(m, n, "b") for m, n in ((2, 3), (3, 2), (4, 2))] + [ADJ.left.target, EM]
+    FUNCTORS = [ADJ.left, ADJ.right, FORGET, c2_chain_into_v4_chain(2)]
+
+    @staticmethod
+    def corrupt_category(cat, rng):
+        """A fresh copy of cat with one composite renamed within its
+        hom-set, moved outside it or removed."""
+        compose = dict(cat.compose)
+        key = rng.choice(sorted(compose))
+        roll = rng.random()
+        if roll < 0.1:
+            del compose[key]
+        elif roll < 0.2:
+            compose[key] = "outside"
+        else:
+            compose[key] = rng.choice(cat.hom_set(key[0], key[2]))
+        return FiniteCategory(cat.objects, cat.hom, compose, cat.identity, cat.label)
+
+    @staticmethod
+    def corrupt_functor(fun, rng):
+        """A copy of fun with one morphism image renamed within its hom-set."""
+        morphism_map = dict(fun.morphism_map)
+        x, y, name = key = rng.choice(sorted(morphism_map))
+        morphism_map[key] = rng.choice(fun.target.hom_set(fun.object_map[x], fun.object_map[y]))
+        return FunctorData(fun.source, fun.target, fun.object_map, morphism_map, fun.label)
+
+    def test_uncorrupted_inputs_pass_both(self):
+        for cat in self.CATEGORIES:
+            for side in (cat, cat.opposite()):
+                assert oracle_category_law_failure(side) is None and _first_failure(side) is None
+        for fun in self.FUNCTORS:
+            for side in (fun, fun.opposite()):
+                assert oracle_functor_law_failure(side) is None and _first_failure(side) is None
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_corrupted_category_fails_as_the_oracle(self, seed):
+        rng = random.Random(seed)
+        for cat in self.CATEGORIES:
+            for side in (False, True):
+                broken = self.corrupt_category(cat, rng)
+                broken = broken.opposite() if side else broken
+                expected = oracle_category_law_failure(broken)
+                assert _same_failure(_first_failure(broken), expected), (seed, broken.label)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_corrupted_functor_fails_as_the_oracle(self, seed):
+        rng = random.Random(seed)
+        for fun in self.FUNCTORS:
+            for side in (False, True):
+                broken = self.corrupt_functor(fun, rng)
+                broken = broken.opposite() if side else broken
+                expected = oracle_functor_law_failure(broken)
+                assert _same_failure(_first_failure(broken), expected), (seed, broken.label)
+
+    def test_every_failure_kind_is_reached(self):
+        kinds = set()
+        for seed in range(12):
+            rng = random.Random(seed)
+            for cat in self.CATEGORIES:
+                kinds.add(type(oracle_category_law_failure(self.corrupt_category(cat, rng))))
+            for fun in self.FUNCTORS:
+                kinds.add(type(oracle_functor_law_failure(self.corrupt_functor(fun, rng))))
+        assert {MalformedData, IdentityLawFails, NotAssociativeComposition, FunctorLawFails} <= kinds
+
+
+class TestLawCheckCost:
+    """The category and functor laws are checked on integer tables: `comp`
+    is not called once per composable pair or triple."""
+
+    def test_validate_does_not_compose_per_triple(self, monkeypatch):
+        left = cyclic_chain_adjunction(4, 7, 1, u=3, h=1).left  # C4×[7] → C4×[8]
+
+        def fresh(cat):
+            return FiniteCategory(cat.objects, cat.hom, cat.compose, cat.identity, cat.label)
+
+        bcat, acat = fresh(left.source), fresh(left.target)
+        fun = FunctorData(fresh(left.source), fresh(left.target), left.object_map, left.morphism_map)
+        calls = []
+        original = FiniteCategory.comp
+        monkeypatch.setattr(FiniteCategory, "comp", lambda self, f, g: calls.append(1) or original(self, f, g))
+        morphisms = len(list(acat.morphisms()))
+        triples = sum(len(acat.out_of(g[1])) for f in acat.morphisms() for g in acat.out_of(f[1]))
+        assert (morphisms, triples) == (144, 21120)
+        for value, size in ((bcat, 112), (acat, morphisms), (fun, morphisms)):
+            calls.clear()
+            value.validate()
+            assert len(calls) <= 2 * size, value
+
+
 class TestRafael:
     def test_identity_adjunction(self):
         sep, heavy = find_rafael_retractions(ADJUNCTIONS["identity_2chain"], "left")
@@ -461,6 +577,13 @@ class TestOpposite:
     def test_opposite_category_validates(self):
         for cat in self.CATEGORIES:
             cat.opposite().validate()
+
+    def test_opposite_is_made_once(self):
+        # the opposite adjunction's functors then share one table per category
+        for cat in self.CATEGORIES:
+            assert cat.opposite() is cat.opposite()
+        adj = ORACLE_ADJUNCTIONS["c3x2_into_c3x3"].opposite()
+        assert adj.left.source is adj.right.target and adj.left.target is adj.right.source
 
     @pytest.mark.parametrize("name", sorted(ORACLE_ADJUNCTIONS))
     def test_opposite_adjunction_validates(self, name):

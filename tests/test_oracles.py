@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from corpus_util import build_corpus, zmod
+from sepkit_util import is_h_idempotent
 
 from hsep.exactalg import cokernel
 from hsep.finring import construct_standard_ring, hom_from_doc
-from hsep.sepkit import is_h_idempotent, separability_locus, tensor_power
+from hsep.sepkit import separability_locus, tensor_power
 
 HOMS, STD = build_corpus()
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
