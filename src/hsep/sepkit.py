@@ -59,7 +59,6 @@ __all__ = [
     "TensorPower",
     "TripleTensorPower",
     "SeparabilityVerdict",
-    "NotSeparabilityIdempotent",
     "ModuliTooLarge",
     "InternalCriterionMismatch",
     "UNDECIDED",
@@ -75,10 +74,6 @@ __all__ = [
 
 DEFAULT_CAP = 10**6
 UNDECIDED = "undecided-by-enumeration"
-
-
-class NotSeparabilityIdempotent(ValueError):
-    """The element fails the linear separability conditions."""
 
 
 class ModuliTooLarge(ValueError):

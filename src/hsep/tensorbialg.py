@@ -18,19 +18,36 @@ every primitive of the double model, must lie in the span of the
 computed primitives, or `exactalg.ConstructionCheckFailed` is raised
 (also under `python -O`).
 
+Scalars are exact, and a field is passed as its characteristic: 0 for
+the rationals, or a prime p <= 97.  A graded map keeps one 2-D numpy
+array per degree.  Over 𝔽_p it is int64 reduced mod p.  Over ℚ it is
+int64 while every entry is an integer and each product stays below 2⁶³
+in size, and an object array of `Fraction`s otherwise; `_product` and
+`_kron` choose, as `exactalg._field_dtype` chooses for eliminations.
+
 Δ keeps the multiset of letters of a word, so the primitives of each
 degree are solved one letter-content block at a time, on `exactalg`'s
-row reduction; no pair model of the whole degree is built.  The
-dimension guard counts the words of each degree before building any.
+row reduction.  A block's system depends only on its key, its words with
+each letter replaced by its rank among the block's letters, so each key
+is solved once per verification, for both models that need primitives.
 
-Scalars are exact: rationals or a prime field with p <= 97.
+The base model has its letters in degree 1, where the words with letters
+of degrees c₁, …, c_k multiply, in `itertools.product` order, onto the
+degree-(c₁ + … + c_k) words in lexicographic order.  Evaluating words of
+realized letters is therefore a Kronecker product of the realizations
+for each composition of the degree.
+
+The primitives of T(V) are the free restricted Lie algebra on V in
+characteristic p and the free Lie algebra over ℚ, so their dimensions
+are known in advance, and the dimension guard checks all three models
+before anything is solved.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -38,9 +55,6 @@ import numpy as np
 from .exactalg import ConstructionCheckFailed, _is_prime, _kernel
 
 __all__ = [
-    "ExactField",
-    "RationalField",
-    "PrimeField",
     "exact_field",
     "GradedSpace",
     "GradedMap",
@@ -63,148 +77,89 @@ class DimensionGuardExceeded(ValueError):
     """The truncated model would exceed the configured total dimension."""
 
 
-class ExactField:
-    name = "field"
-    characteristic = None
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-
-class RationalField(ExactField):
-    name = "Q"
-    characteristic = 0
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def from_int(self, n):
-        return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a):
-        return a == 0
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("Q")
-
-
-class PrimeField(ExactField):
-    def __init__(self, p):
-        if not _is_prime(p):
-            raise ValueError("field order must be prime")
-        if p > 97:
-            raise ValueError("prime fields are supported up to p = 97")
-        self.p = p
-        self.name = "F%d" % p
-        self.characteristic = p
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def from_int(self, n):
-        return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("F", self.p))
-
-
-def exact_field(spec) -> ExactField:
-    """'q'/'Q'/0 gives the rationals, an integer gives a prime field."""
-    if isinstance(spec, ExactField):
-        return spec
+def exact_field(spec) -> int:
+    """The characteristic of a field: 'q', 'Q' or 0 give the rationals (0),
+    a prime p <= 97, or its decimal string, gives 𝔽_p (p)."""
     if isinstance(spec, str):
-        if spec.lower() == "q":
-            return RationalField()
-        spec = int(spec)
+        spec = 0 if spec.lower() == "q" else int(spec)
     if spec == 0:
-        return RationalField()
-    return PrimeField(spec)
+        return 0
+    if not _is_prime(spec):
+        raise ValueError("field order must be prime")
+    if spec > 97:
+        raise ValueError("prime fields are supported up to p = 97")
+    return int(spec)
+
+
+def _field_name(p):
+    return "F%d" % p if p else "Q"
 
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra over a field; eliminations run in exactalg
+# exact products; eliminations run in exactalg
 
 
-def _coordinates(field, basis, free, targets):
+def _absmax(a):
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def _exact(op, a, b, p, terms):
+    """op(a, b) over the field of characteristic p, where each entry sums
+    `terms` products of an entry of a and one of b: in int64 when both are
+    int64 and terms·|a|·|b| < 2⁶³, else in Python ints or `Fraction`s.
+    Reduced to int64 mod p over 𝔽_p."""
+    if a.dtype == b.dtype == np.int64 and terms * _absmax(a) * _absmax(b) < 2**63:
+        out = op(a, b)
+        return out % p if p else out
+    out = op(a.astype(object), b.astype(object))
+    return (out % p).astype(np.int64) if p else out
+
+
+def _product(a, b, p):
+    return _exact(np.matmul, a, b, p, a.shape[-1])
+
+
+def _kronecker(a, b):
+    """np.kron of two vectors or two matrices, as one broadcast product."""
+    out = np.multiply.outer(a, b)
+    if a.ndim == 2:
+        out = out.transpose(0, 2, 1, 3)
+    return out.reshape(np.multiply(a.shape, b.shape))
+
+
+def _kron(a, b, p):
+    return _exact(_kronecker, a, b, p, 1)
+
+
+def _integral(K):
+    """An object array of rationals as int64 when its entries are integers
+    below 2⁶³ in size; otherwise unchanged."""
+    if K.dtype == object and all(x.denominator == 1 and abs(x) < 2**63 for x in K.flat):
+        return np.array([int(x) for x in K.flat], dtype=np.int64).reshape(K.shape)
+    return K
+
+
+def _coordinates(p, basis, free, targets):
     """X with basis·X = targets, or None when a column of targets lies
     outside the span of the columns of basis.  Column i of basis is the
     unit vector on row free[i] there, so X is targets on the free rows;
-    one sparse product against basis checks it."""
-    nt = len(targets[0]) if targets else 0
-    rest = np.array(targets, dtype=object).reshape(len(targets), nt)
-    X = rest[list(free)]
-    B = np.array(basis, dtype=object).reshape(len(basis), len(free))
-    for k, row in enumerate(X):
-        rows, cols = np.flatnonzero(B[:, k]), np.flatnonzero(row)
-        rest[np.ix_(rows, cols)] -= np.outer(B[rows, k], row[cols])
-    p = field.characteristic
-    if (rest % p if p else rest).any():
-        return None
-    return X.tolist()
+    one product against basis checks it."""
+    X = targets[list(free)]
+    return X if not (_product(basis, X, p) != targets).any() else None
 
 
-def _mat_mul(field, a, b):
-    if not a or not b:
-        return [[field.zero()] * (len(b[0]) if b else 0) for _ in a]
-    rows = len(a)
-    cols = len(b[0])
-    inner = len(b)
-    out = [[field.zero()] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            f = ai[k]
-            if field.is_zero(f):
-                continue
-            bk = b[k]
-            for j in range(cols):
-                if not field.is_zero(bk[j]):
-                    oi[j] = field.add(oi[j], field.mul(f, bk[j]))
-    return out
+def _first_column(a, b):
+    """Index of the first column where two arrays of one shape differ."""
+    cols = np.flatnonzero((a != b).any(axis=0))
+    return int(cols[0]) if cols.size else None
 
 
 @dataclass(frozen=True)
 class GradedSpace:
-    """Finite-dimensional graded vector space with labeled bases."""
+    """Finite-dimensional graded vector space with labeled bases over the
+    field of characteristic `field`."""
 
-    field: ExactField
+    field: int
     dims: tuple[int, ...]
     labels: tuple[tuple[str, ...], ...]
 
@@ -216,66 +171,37 @@ class GradedSpace:
     def total_dim(self):
         return sum(self.dims)
 
-    def zero_vec(self, degree):
-        return [self.field.zero()] * self.dims[degree]
-
 
 @dataclass(frozen=True, eq=False)
 class GradedMap:
-    """Degree-preserving linear map given by one block per degree."""
+    """Degree-preserving linear map given by one 2-D array per degree."""
 
     source: GradedSpace
     target: GradedSpace
     blocks: tuple  # blocks[d]: target.dims[d] x source.dims[d]
 
-    def apply(self, degree, vec):
-        field = self.source.field
-        out = [field.zero()] * self.target.dims[degree]
-        block = self.blocks[degree]
-        for j, x in enumerate(vec):
-            if field.is_zero(x):
-                continue
-            for i in range(len(out)):
-                out[i] = field.add(out[i], field.mul(block[i][j], x))
-        return out
-
     def compose(self, inner):
         """self ∘ inner."""
-        field = self.source.field
-        blocks = tuple(
-            tuple(tuple(row) for row in _mat_mul(field, self.blocks[d], inner.blocks[d]))
-            for d in range(len(self.blocks))
-        )
+        p = self.source.field
+        blocks = tuple(_product(a, b, p) for a, b in zip(self.blocks, inner.blocks))
         return GradedMap(inner.source, self.target, blocks)
 
     def equals(self, other):
         if self.source.dims != other.source.dims or self.target.dims != other.target.dims:
             return False
-        field = self.source.field
-        for b1, b2 in zip(self.blocks, other.blocks):
-            for r1, r2 in zip(b1, b2):
-                for x, y in zip(r1, r2):
-                    if not field.is_zero(field.sub(x, y)):
-                        return False
-        return True
+        return self.first_difference(other) is None
 
     def first_difference(self, other):
         """(degree, source basis index) of the first disagreeing column."""
         for d, (b1, b2) in enumerate(zip(self.blocks, other.blocks)):
-            cols = len(b1[0]) if b1 else 0
-            for j in range(cols):
-                for r1, r2 in zip(b1, b2):
-                    if not self.source.field.is_zero(self.source.field.sub(r1[j], r2[j])):
-                        return d, j
+            j = _first_column(b1, b2)
+            if j is not None:
+                return d, j
         return None
 
     @staticmethod
     def identity(space):
-        blocks = []
-        for d in range(len(space.dims)):
-            n = space.dims[d]
-            blocks.append(tuple(tuple(space.field.one() if i == j else space.field.zero() for j in range(n)) for i in range(n)))
-        return GradedMap(space, space, tuple(blocks))
+        return GradedMap(space, space, tuple(np.eye(n, dtype=np.int64) for n in space.dims))
 
 
 def _compositions(total, max_part):
@@ -297,6 +223,59 @@ def _word_counts(dims, truncation):
     return counts
 
 
+def _check_guard(dims, truncation, guard):
+    """Raise when the model on a base of these dims would pass the guard."""
+    for total in itertools.accumulate(_word_counts(dims, truncation)):
+        if total > guard:
+            raise DimensionGuardExceeded(
+                "truncated model needs %d+ dimensions (guard %d)" % (total, guard)
+            )
+
+
+def _mobius(n):
+    mu, f = 1, 2
+    while f * f <= n:
+        if n % f == 0:
+            n //= f
+            if n % f == 0:
+                return 0
+            mu = -mu
+        f += 1
+    return -mu if n > 1 else mu
+
+
+def _necklaces(v, n):
+    """Witt's count of aperiodic necklaces of length n on v letters: the
+    degree-n dimension of the free Lie algebra on v letters of degree 1."""
+    return sum(_mobius(e) * v ** (n // e) for e in range(1, n + 1) if n % e == 0) // n
+
+
+def _primitive_dims(v_dim, p, truncation):
+    """Dimensions of the primitives of T(V), dim V = v_dim in degree 1:
+    Witt's W(d) over ℚ, and Σ over p^k dividing d of W(d/p^k) over 𝔽_p,
+    where the p^k-th powers of Lie elements are primitive too."""
+    dims = [0]
+    for d in range(1, truncation + 1):
+        total, n = _necklaces(v_dim, d), d
+        while p and n % p == 0:
+            n //= p
+            total += _necklaces(v_dim, n)
+        dims.append(total)
+    return tuple(dims)
+
+
+def _delta(word):
+    """Coproduct of a word as a dict pair -> integer coefficient."""
+    out = {}
+    n = len(word)
+    for mask in range(1 << n):
+        left = tuple(word[i] for i in range(n) if mask >> i & 1)
+        right = tuple(word[i] for i in range(n) if not mask >> i & 1)
+        key = (left, right)
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
 class TruncatedTensorBialgebra:
     """Tensor algebra on a graded base, truncated past internal degree N.
 
@@ -314,120 +293,56 @@ class TruncatedTensorBialgebra:
         self.base = base
         self.field = base.field
         self.N = truncation
-        for total in itertools.accumulate(_word_counts(base.dims, truncation)):
-            if total > guard:
-                raise DimensionGuardExceeded(
-                    "truncated model needs %d+ dimensions (guard %d)" % (total, guard)
-                )
+        _check_guard(base.dims, truncation, guard)
         maxdeg = min(truncation, base.top)
         words = [[] for _ in range(truncation + 1)]
+        labels = [[] for _ in range(truncation + 1)]
         for d in range(truncation + 1):
             for comp in _compositions(d, maxdeg):
                 if any(base.dims[p] == 0 for p in comp):
                     continue
                 for choice in itertools.product(*(range(base.dims[p]) for p in comp)):
                     words[d].append(tuple(zip(comp, choice)))
+                # the letters' labels joined by dots; the empty word is "1"
+                labels[d].extend(".".join(ls) or "1" for ls in itertools.product(*(base.labels[p] for p in comp)))
         self.words = tuple(tuple(ws) for ws in words)
         self.index = {
             w: (d, i) for d in range(truncation + 1) for i, w in enumerate(self.words[d])
         }
-        labels = tuple(
-            tuple(self._word_label(w) for w in self.words[d])
-            for d in range(truncation + 1)
-        )
-        self.carrier = GradedSpace(self.field, tuple(len(ws) for ws in self.words), labels)
+        self.carrier = GradedSpace(self.field, tuple(len(ws) for ws in self.words), tuple(map(tuple, labels)))
 
-    def _word_label(self, word):
-        if not word:
-            return "1"
-        return ".".join(self.base.labels[p][i] for p, i in word)
-
-    # -- elements are homogeneous: (degree, coefficient list) -------------
-
-    def unit_elt(self):
-        return (0, [self.field.one()] + [self.field.zero()] * (self.carrier.dims[0] - 1))
-
-    def word_elt(self, word):
-        d, i = self.index[word]
-        vec = self.carrier.zero_vec(d)
-        vec[i] = self.field.one()
-        return (d, vec)
-
-    def mult_elt(self, x, y):
-        """Concatenation product of homogeneous elements; zero past N."""
-        dx, vx = x
-        dy, vy = y
-        d = dx + dy
-        if d > self.N:
-            return (self.N, self.carrier.zero_vec(self.N))
-        out = self.carrier.zero_vec(d)
-        for i, a in enumerate(vx):
-            if self.field.is_zero(a):
-                continue
-            wx = self.words[dx][i]
-            for j, b in enumerate(vy):
-                if self.field.is_zero(b):
-                    continue
-                wy = self.words[dy][j]
-                _, pos = self.index[wx + wy]
-                out[pos] = self.field.add(out[pos], self.field.mul(a, b))
-        return (d, out)
-
-    # -- coproduct -----------------------------------------------------------
-
-    def delta_word(self, word):
-        """Coproduct of a basis word as a dict pair -> integer coefficient."""
-        out = {}
-        n = len(word)
-        for mask in range(1 << n):
-            left = tuple(word[i] for i in range(n) if mask >> i & 1)
-            right = tuple(word[i] for i in range(n) if not mask >> i & 1)
-            key = (left, right)
-            out[key] = out.get(key, 0) + 1
-        return out
-
-    # -- structural maps ----------------------------------------------------
+    delta_word = staticmethod(_delta)
 
     @cached_property
     def letter_projection(self):
         """Projection onto single-letter words, carrier -> base."""
-        blocks = []
-        for d in range(self.N + 1):
-            nb = self.base.dims[d] if d <= self.base.top else 0
-            block = [[self.field.zero()] * self.carrier.dims[d] for _ in range(nb)]
-            for j, w in enumerate(self.words[d]):
-                if len(w) == 1:
-                    p, i = w[0]
-                    block[i][j] = self.field.one()
-            blocks.append(tuple(tuple(r) for r in block))
+        top = self.base.top
         target = GradedSpace(
             self.field,
-            tuple(self.base.dims[d] if d <= self.base.top else 0 for d in range(self.N + 1)),
-            tuple(self.base.labels[d] if d <= self.base.top else () for d in range(self.N + 1)),
+            tuple(self.base.dims[d] if d <= top else 0 for d in range(self.N + 1)),
+            tuple(self.base.labels[d] if d <= top else () for d in range(self.N + 1)),
         )
+        blocks = []
+        for d in range(self.N + 1):
+            block = np.zeros((target.dims[d], self.carrier.dims[d]), dtype=np.int64)
+            for i in range(target.dims[d]):
+                block[i, self.index[((d, i),)][1]] = 1
+            blocks.append(block)
         return GradedMap(self.carrier, target, tuple(blocks))
 
     @cached_property
     def unit_inclusion(self):
         """Base -> carrier as single-letter words (the adjunction unit)."""
-        blocks = []
-        for d in range(self.N + 1):
-            nb = self.base.dims[d] if d <= self.base.top else 0
-            block = [[self.field.zero()] * nb for _ in range(self.carrier.dims[d])]
-            for j in range(nb):
-                _, pos = self.index[((d, j),)]
-                block[pos][j] = self.field.one()
-            blocks.append(tuple(tuple(r) for r in block))
-        return GradedMap(self.letter_projection.target, self.carrier, tuple(blocks))
+        omega = self.letter_projection
+        return GradedMap(omega.target, self.carrier, tuple(b.T for b in omega.blocks))
 
 
 def build_truncated(v_dim, field, truncation, guard=DIM_GUARD) -> TruncatedTensorBialgebra:
     """Tensor bialgebra on an ungraded space placed in degree 1."""
     if v_dim < 0:
         raise ValueError("v_dim must be >= 0")
-    fld = exact_field(field)
     base = GradedSpace(
-        fld,
+        exact_field(field),
         (0, v_dim) + (0,) * max(0, truncation - 1),
         ((), tuple("v%d" % i for i in range(v_dim))) + ((),) * max(0, truncation - 1),
     )
@@ -447,97 +362,96 @@ class PrimitivesData:
     free: tuple[tuple[int, ...], ...]
 
 
-def _primitive_block(bialg, block):
-    """Kernel of Δ − (−)⊗1 − 1⊗(−) on the span of the words in `block`, which
-    share their letters; (K, free) as `exactalg._kernel` gives them."""
+def _primitive_block(key, p):
+    """Kernel of Δ − (−)⊗1 − 1⊗(−) on the span of the words of `key`, which
+    share their letters; (K, free) as `exactalg._kernel` gives them, with K
+    in int64 when its entries are integers."""
     rows = {}  # pair of words -> its row
-    for k, w in enumerate(block):
-        counts = bialg.delta_word(w)
+    for k, w in enumerate(key):
+        counts = _delta(w)
         counts[(w, ())] -= 1
         counts[((), w)] -= 1
         for pair, c in counts.items():
-            rows.setdefault(pair, [0] * len(block))[k] = c
-    mat = np.array(list(rows.values()), dtype=np.int64).reshape(len(rows), len(block))
-    return _kernel(mat, bialg.field.characteristic)
+            rows.setdefault(pair, [0] * len(key))[k] = c
+    mat = np.array(list(rows.values()), dtype=np.int64).reshape(len(rows), len(key))
+    K, free = _kernel(mat, p)
+    return _integral(K), free
 
 
-def primitives(bialg: TruncatedTensorBialgebra) -> PrimitivesData:
+def primitives(bialg: TruncatedTensorBialgebra, kernels=None) -> PrimitivesData:
     """Degree-n primitives: kernel of Δ − (−)⊗1 − 1⊗(−).
 
     Δ keeps the multiset of letters of a word, so the system splits into
-    one block per letter content, each solved on its own.  A block's free
-    columns are those of the whole degree's elimination, and the basis is
-    ordered by them, as one elimination of the whole degree would order it.
-    In degree 0 the map is −1⊗1, so every primitive lies in the
-    augmentation kernel.
+    one block per letter content.  Each block is solved as its key: its
+    words with each letter replaced by its rank among the block's letters.
+    Blocks with one key have one integer system, so `kernels` (key ->
+    (K, free)) may be shared by the models of one field; each key missing
+    from it is solved and added.  A block's free columns are those of the
+    whole degree's elimination, and the basis is ordered by them, as one
+    elimination of the whole degree would order it.  In degree 0 the map
+    is −1⊗1, so every primitive lies in the augmentation kernel.
     """
-    field = bialg.field
-    kernels, free_cols = [], []
-    for d in range(bialg.N + 1):
+    p = bialg.field
+    kernels = {} if kernels is None else kernels
+    blocks, free_cols = [], []
+    for words in bialg.words:
         content = {}
-        for j, w in enumerate(bialg.words[d]):
+        for j, w in enumerate(words):
             content.setdefault(tuple(sorted(w)), []).append(j)
-        found = []  # (free column, kernel vector)
-        for cols in content.values():
-            K, free = _primitive_block(bialg, [bialg.words[d][j] for j in cols])
-            for f, kvec in zip(free, K.T.tolist()):
-                vec = [field.zero()] * bialg.carrier.dims[d]
-                for j, x in zip(cols, kvec):
-                    vec[j] = x
-                found.append((cols[f], vec))
-        found.sort()
-        kernels.append([vec for _, vec in found])
-        free_cols.append(tuple(f for f, _ in found))
-    dims = tuple(len(k) for k in kernels)
-    labels = tuple(
-        tuple("p%d_%d" % (d, i) for i in range(dims[d])) for d in range(bialg.N + 1)
-    )
-    space = GradedSpace(field, dims, labels)
-    blocks = []
-    for d in range(bialg.N + 1):
-        block = [
-            [kernels[d][j][i] for j in range(dims[d])]
-            for i in range(bialg.carrier.dims[d])
-        ]
-        blocks.append(tuple(tuple(r) for r in block))
+        found = []  # (free column, the block's columns, kernel vector)
+        for letters, cols in content.items():
+            rank = {x: r for r, x in enumerate(sorted(set(letters)))}
+            key = tuple(tuple(rank[x] for x in words[j]) for j in cols)
+            if key not in kernels:
+                kernels[key] = _primitive_block(key, p)
+            K, free = kernels[key]
+            found.extend((cols[f], cols, K[:, i]) for i, f in enumerate(free))
+        found.sort(key=lambda item: item[0])
+        block = np.zeros((len(words), len(found)), dtype=np.result_type(np.int64, *(v for *_, v in found)))
+        for i, (_, cols, vec) in enumerate(found):
+            block[cols, i] = vec
+        blocks.append(block)
+        free_cols.append(tuple(f for f, *_ in found))
+    dims = tuple(len(f) for f in free_cols)
+    labels = tuple(tuple("p%d_%d" % (d, i) for i in range(n)) for d, n in enumerate(dims))
+    space = GradedSpace(p, dims, labels)
+    aug = GradedSpace(p, (0,) + bialg.carrier.dims[1:], ((),) + bialg.carrier.labels[1:])
     xi = GradedMap(space, bialg.carrier, tuple(blocks))
-    aug = GradedSpace(field, (0,) + bialg.carrier.dims[1:], ((),) + bialg.carrier.labels[1:])
     return PrimitivesData(space, xi, aug, tuple(free_cols))
 
 
-def _evaluation_map(bialg_outer, bialg_inner, letter_realization):
-    """T(letters) -> inner carrier: multiply the realized letters.
+def _evaluation(outer, inner, letters):
+    """outer carrier -> inner carrier: multiply the realized letters.
 
-    bialg_outer is a truncated tensor bialgebra whose base letters are
-    realized as homogeneous elements of bialg_inner by
-    letter_realization(degree, index).
+    inner is built by `build_truncated`, and column i of letters[c]
+    realizes the letter (c, i) of outer in inner's degree c.  The degree-d
+    block is the hstack, over the compositions c₁…c_k of d in the order
+    outer enumerates its words, of kron(letters[c₁], …, letters[c_k]).
     """
-    field = bialg_inner.field
-    blocks = []
-    for d in range(bialg_outer.N + 1):
-        cols = bialg_outer.carrier.dims[d]
-        rows = bialg_inner.carrier.dims[d]
-        block = [[field.zero()] * cols for _ in range(rows)]
-        for j, w in enumerate(bialg_outer.words[d]):
-            acc = bialg_inner.unit_elt()
-            for p, i in w:
-                acc = bialg_inner.mult_elt(acc, letter_realization(p, i))
-            for i, x in enumerate(acc[1]):
-                if not field.is_zero(x):
-                    block[i][j] = field.add(block[i][j], x)
-        blocks.append(tuple(tuple(r) for r in block))
-    return GradedMap(bialg_outer.carrier, bialg_inner.carrier, tuple(blocks))
+    top = min(outer.N, outer.base.top)
+    blocks = tuple(
+        np.hstack([_monomials(letters, comp, inner.field) for comp in _compositions(d, top)])
+        for d in range(outer.N + 1)
+    )
+    return GradedMap(outer.carrier, inner.carrier, blocks)
+
+
+def _monomials(letters, comp, p):
+    """kron(letters[c₁], …, letters[c_k]) for comp = (c₁, …, c_k): the
+    products, in `itertools.product` order, of the realized letters of
+    those degrees."""
+    return functools.reduce(lambda a, b: _kron(a, b, p), (letters[c] for c in comp), np.ones((1, 1), dtype=np.int64))
 
 
 def _restrict_to_primitives(prims_from, prims_to, full_map):
     """Corestrict carrier-level full_map to primitive coordinates."""
     carried = full_map.compose(prims_from.into_carrier)
     blocks = []
-    for d, block in enumerate(carried.blocks):
-        coords = _coordinates(prims_to.space.field, prims_to.into_carrier.blocks[d], prims_to.free[d], block)
+    for block, basis, free in zip(carried.blocks, prims_to.into_carrier.blocks, prims_to.free):
+        coords = _coordinates(prims_to.space.field, basis, free, block)
         if coords is None:
             raise ConstructionCheckFailed("image of a primitive is not primitive")
-        blocks.append(tuple(tuple(row) for row in coords))
+        blocks.append(coords)
     return GradedMap(prims_from.space, prims_to.space, tuple(blocks))
 
 
@@ -572,84 +486,79 @@ def verify_bialgebra_adjunction(v_dim, field, truncation, guard=DIM_GUARD) -> Bi
     restricted letter-projection identity on words of augmentation
     kernel elements.
     """
-    fld = exact_field(field)
-    b1 = build_truncated(v_dim, fld, truncation, guard=guard)
-    p1 = primitives(b1)
-    w_space = p1.space
-    gamma_v = b1.letter_projection.compose(p1.into_carrier)  # W -> V
+    p = exact_field(field)
+    b1 = build_truncated(v_dim, p, truncation, guard=guard)
+    # the double and augmentation-kernel models must fit as well, and
+    # their bases are known before anything is solved
+    _check_guard(_primitive_dims(v_dim, p, truncation), truncation, guard)
+    if v_dim:
+        _check_guard((0,) + b1.carrier.dims[1:], truncation, guard)
+    kernels = {}  # block key -> (K, free), shared by both models
+    p1 = primitives(b1, kernels)
+    omega = b1.letter_projection
+    gamma_v = omega.compose(p1.into_carrier)  # W -> V
     failures = []
 
     # (a) unit retraction: V -> W -> V is the identity
     eta_blocks = []
-    for d in range(truncation + 1):
-        coords = _coordinates(fld, p1.into_carrier.blocks[d], p1.free[d], b1.unit_inclusion.blocks[d])
+    for basis, free, letters in zip(p1.into_carrier.blocks, p1.free, b1.unit_inclusion.blocks):
+        coords = _coordinates(p, basis, free, letters)
         if coords is None:
             raise ConstructionCheckFailed("letters must be primitive")
-        eta_blocks.append(tuple(tuple(row) for row in coords))
-    bold_eta = GradedMap(b1.letter_projection.target, w_space, tuple(eta_blocks))
-    ident_a = gamma_v.compose(bold_eta).equals(GradedMap.identity(b1.letter_projection.target))
-    if not ident_a:
-        where = gamma_v.compose(bold_eta).first_difference(
-            GradedMap.identity(b1.letter_projection.target)
-        )
+        eta_blocks.append(coords)
+    bold_eta = GradedMap(omega.target, p1.space, tuple(eta_blocks))
+    where = gamma_v.compose(bold_eta).first_difference(GradedMap.identity(omega.target))
+    if where is not None:
         failures.append(("unit-retraction", b1.base.labels[where[0]][where[1]]))
+    ident_a = where is None
 
     # (b) heavy composition on the double model
-    b2 = TruncatedTensorBialgebra(w_space, truncation, guard=guard)
-    p2 = primitives(b2)
+    b2 = TruncatedTensorBialgebra(p1.space, truncation, guard=guard)
+    p2 = primitives(b2, kernels)
     gamma_w = b2.letter_projection.compose(p2.into_carrier)  # P2 -> W
-
-    def realize_w_letter(p, i):
-        col = [p1.into_carrier.blocks[p][r][i] for r in range(b1.carrier.dims[p])]
-        return (p, col)
-
-    evaluation = _evaluation_map(b2, b1, realize_w_letter)  # carrier2 -> carrier1
+    evaluation = _evaluation(b2, b1, p1.into_carrier.blocks)  # carrier2 -> carrier1
     eval_on_prims = _restrict_to_primitives(p2, p1, evaluation)  # P2 -> W
-    lhs = gamma_v.compose(gamma_w)
-    rhs = gamma_v.compose(eval_on_prims)
-    ident_b = lhs.equals(rhs)
-    if not ident_b:
-        where = lhs.first_difference(rhs)
+    where = gamma_v.compose(gamma_w).first_difference(gamma_v.compose(eval_on_prims))
+    if where is not None:
         failures.append(("heavy-composition", p2.space.labels[where[0]][where[1]]))
+    ident_b = where is None
 
     # (c) restricted letter-projection identity on words over the
-    # augmentation kernel
+    # augmentation kernel, whose letters are the words of T(V) of degree
+    # >= 1: projecting to the letters (a one-letter word keeps its letter,
+    # longer words vanish) and then onto V agrees with multiplying the
+    # letters out in T(V) and projecting.  The words of each composition
+    # of d are one column group of that model's degree d, so the groups
+    # are checked in turn, and the model is built only to name a failure.
     aug = p1.aug_kernel
-    ident_c = True
-    witness_c = None
-    if aug.total_dim:
-        b3 = TruncatedTensorBialgebra(aug, truncation, guard=guard)
-        for d in range(truncation + 1):
-            for j, w in enumerate(b3.words[d]):
-                # left side: outer projection keeps only single letters
-                if len(w) == 1:
-                    p, i = w[0]
-                    left = b1.letter_projection.apply(*b1.word_elt(b1.words[p][i]))
-                else:
-                    left = [fld.zero()] * (b1.base.dims[d] if d <= b1.base.top else 0)
-                # right side: multiply the letters in the inner algebra,
-                # then project to single letters
-                acc = b1.unit_elt()
-                for p, i in w:
-                    acc = b1.mult_elt(acc, b1.word_elt(b1.words[p][i]))
-                if left != b1.letter_projection.apply(*acc):
-                    ident_c = False
-                    witness_c = (d, b3.carrier.labels[d][j])
-                    break
-            if not ident_c:
+    zeta = tuple(np.eye(n, m, dtype=np.int64) for n, m in zip(b1.carrier.dims, aug.dims))
+    where = None
+    for d in range(truncation + 1):
+        start = 0
+        for comp in _compositions(d, truncation):
+            right = _product(omega.blocks[d], _monomials(zeta, comp, p), p)
+            left = _product(omega.blocks[d], zeta[d], p) if len(comp) == 1 else np.zeros_like(right)
+            j = _first_column(left, right)
+            if j is not None:
+                where = d, start + j
                 break
-    if not ident_c:
-        failures.append(("letter-projection-restriction", witness_c))
+            start += right.shape[1]
+        if where is not None:
+            break
+    if where is not None:
+        labels = TruncatedTensorBialgebra(aug, truncation, guard=guard).carrier.labels
+        failures.append(("letter-projection-restriction", (where[0], labels[where[0]][where[1]])))
+    ident_c = where is None
 
     dims = {
         "carrier": list(b1.carrier.dims),
-        "primitives": list(w_space.dims),
+        "primitives": list(p1.space.dims),
         "double_carrier": list(b2.carrier.dims),
         "double_primitives": list(p2.space.dims),
     }
     return BialgebraReport(
         v_dim=v_dim,
-        field_name=fld.name,
+        field_name=_field_name(p),
         truncation=truncation,
         dims=dims,
         unit_retraction_holds=ident_a,
@@ -679,7 +588,14 @@ def _outer_letter_projection(bialg, word):
     if len(word) == 1:
         return word[0]
     d = sum(deg for deg, _ in word)
-    return (d, bialg.carrier.zero_vec(d))
+    return (d, np.zeros(bialg.carrier.dims[d], dtype=np.int64))
+
+
+def _letter_part(bialg, elt):
+    """The letter projection of a homogeneous element, as Python scalars."""
+    d, vec = elt
+    vec = np.asarray(vec).reshape(-1, 1)
+    return d, tuple(_product(bialg.letter_projection.blocks[d], vec, bialg.field)[:, 0].tolist())
 
 
 def tensor_algebra_witness(v_dim, field, truncation, guard=DIM_GUARD) -> AlgebraWitnessReport:
@@ -692,30 +608,27 @@ def tensor_algebra_witness(v_dim, field, truncation, guard=DIM_GUARD) -> Algebra
     """
     if v_dim < 1 or truncation < 2:
         raise ValueError("need v_dim >= 1 and truncation >= 2")
-    fld = exact_field(field)
-    b1 = build_truncated(v_dim, fld, truncation, guard=guard)
-    unit_letter = b1.unit_elt()
-    v_letter = b1.word_elt(((1, 0),))
+    p = exact_field(field)
+    b1 = build_truncated(v_dim, p, truncation, guard=guard)
+    unit_letter = (0, np.ones(1, dtype=np.int64))
+    v_letter = (1, np.eye(1, v_dim, dtype=np.int64)[0])
     witness = [unit_letter, v_letter]  # a single length-2 word of elements
 
     # project twice: onto the length-1 words of T(T(V)), then onto V
-    outer = _outer_letter_projection(b1, witness)
-    doubled = (outer[0], b1.letter_projection.apply(*outer))
-    # evaluation multiplies the letters, then projects to single letters
-    prod = b1.unit_elt()
-    for elt in witness:
-        prod = b1.mult_elt(prod, elt)
-    evaluated = (prod[0], b1.letter_projection.apply(prod[0], prod[1]))
+    doubled = _letter_part(b1, _outer_letter_projection(b1, witness))
+    # evaluation multiplies the letters, then projects to single letters;
+    # in T(V) with V in degree 1 the product of elements is their kron
+    prod = (unit_letter[0] + v_letter[0], _kron(unit_letter[1], v_letter[1], p))
+    evaluated = _letter_part(b1, prod)
 
-    eta = b1.unit_inclusion
     omega = b1.letter_projection
-    retr = omega.compose(eta).equals(GradedMap.identity(omega.target))
+    retr = omega.compose(b1.unit_inclusion).equals(GradedMap.identity(omega.target))
     return AlgebraWitnessReport(
         v_dim=v_dim,
-        field_name=fld.name,
+        field_name=_field_name(p),
         truncation=truncation,
-        doubled_value=(doubled[0], tuple(doubled[1])),
-        evaluated_value=(evaluated[0], tuple(evaluated[1])),
-        values_differ=tuple(doubled[1]) != tuple(evaluated[1]),
+        doubled_value=doubled,
+        evaluated_value=evaluated,
+        values_differ=doubled[1] != evaluated[1],
         unit_retraction_holds=retr,
     )

@@ -14,7 +14,10 @@ from functools import lru_cache
 import numpy as np
 
 from hsep import exactalg
-from hsep.sepkit import NotSeparabilityIdempotent
+
+
+class NotSeparabilityIdempotent(ValueError):
+    """The element fails the linear separability conditions."""
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import sepkit_util
 from corpus_util import zmod
 
 from hsep import cli, sepkit
@@ -345,7 +346,16 @@ class TestTalg:
 
     @pytest.mark.parametrize(
         "command, dim, deg, field",
-        [("verify", 3, 4, "q"), ("verify", 2, 5, "7"), ("verify", 4, 3, "q"), ("witness", 3, 4, "q")],
+        [
+            ("verify", 3, 4, "q"),
+            ("verify", 2, 5, "7"),
+            ("verify", 4, 3, "q"),
+            ("witness", 3, 4, "q"),
+            # p <= N, where the restricted primitives differ from Witt's count
+            ("verify", 3, 4, "2"),
+            ("verify", 2, 5, "3"),
+            ("witness", 2, 5, "7"),
+        ],
     )
     def test_json_report_bytes(self, capsys, command, dim, deg, field):
         code, out, err = run(
@@ -424,7 +434,7 @@ class TestTensorKernelGuard:
         with pytest.raises(sepkit.ModuliTooLarge):
             sepkit.tensor_power(identity_hom(zmod(46341)), arity)
         # the CLI catches this class, which must not swallow other ValueErrors
-        assert not issubclass(sepkit.NotSeparabilityIdempotent, sepkit.ModuliTooLarge)
+        assert not issubclass(sepkit_util.NotSeparabilityIdempotent, sepkit.ModuliTooLarge)
 
 
 class TestCoprimeModuliGuard:

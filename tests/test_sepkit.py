@@ -3,12 +3,19 @@
 import pytest
 
 from corpus_util import build_corpus, zmod
-from sepkit_util import beta, contains, is_h_idempotent, sweedler_delta, verify_coring_laws, verify_member
+from sepkit_util import (
+    NotSeparabilityIdempotent,
+    beta,
+    contains,
+    is_h_idempotent,
+    sweedler_delta,
+    verify_coring_laws,
+    verify_member,
+)
 
 from hsep.finring import check_ring_hom, construct_standard_ring, identity_hom
 from hsep.sepkit import (
     UNDECIDED,
-    NotSeparabilityIdempotent,
     find_ring_retractions,
     h_separability_report,
     is_ring_epimorphism,

@@ -1,6 +1,7 @@
 """Truncated tensor bialgebra: construction, the bialgebra laws, primitives,
 the identities, and the span gates."""
 
+import dataclasses
 import functools
 import itertools
 import os
@@ -12,7 +13,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from talg_util import oracle_primitives, rank, spans_within
+from talg_util import (
+    element,
+    evaluation_blocks,
+    mult_elt,
+    oracle_primitives,
+    rank,
+    spans_within,
+    unit_elt,
+    word_elt,
+    zero_elt,
+)
 
 from hsep import tensorbialg
 from hsep.exactalg import ConstructionCheckFailed
@@ -20,8 +31,6 @@ from hsep.tensorbialg import (
     DimensionGuardExceeded,
     GradedMap,
     GradedSpace,
-    PrimeField,
-    RationalField,
     TruncatedTensorBialgebra,
     build_truncated,
     exact_field,
@@ -35,9 +44,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def counit(bialg):
     """Projection onto the empty word, as a map to a point space."""
-    field, n = bialg.field, bialg.N
-    point = GradedSpace(field, (1,) + (0,) * n, (("1",),) + ((),) * n)
-    blocks = ((tuple(field.one() for _ in range(bialg.carrier.dims[0])),),) + ((),) * n
+    n = bialg.N
+    point = GradedSpace(bialg.field, (1,) + (0,) * n, (("1",),) + ((),) * n)
+    blocks = (np.ones((1, 1), dtype=np.int64),) + tuple(np.zeros((0, m), dtype=np.int64) for m in bialg.carrier.dims[1:])
     return GradedMap(bialg.carrier, point, blocks)
 
 
@@ -49,11 +58,7 @@ def length_component(bialg, n):
         tuple(len(m) for m in members),
         tuple(tuple(bialg.carrier.labels[d][i] for i in m) for d, m in enumerate(members)),
     )
-    one, zero = bialg.field.one(), bialg.field.zero()
-    blocks = tuple(
-        tuple(tuple(one if i == k else zero for k in m) for i in range(bialg.carrier.dims[d]))
-        for d, m in enumerate(members)
-    )
+    blocks = tuple(np.eye(bialg.carrier.dims[d], dtype=np.int64)[:, m] for d, m in enumerate(members))
     return space, GradedMap(space, bialg.carrier, blocks)
 
 
@@ -117,10 +122,10 @@ def oracle_primitive_dims(v_dim, field, upto):
     return dims
 
 
-def reduce_counts(field, counts):
+def reduce_counts(p, counts):
     """Integer coefficients as field elements, zeros dropped."""
-    values = {key: field.from_int(c) for key, c in counts.items()}
-    return {key: x for key, x in values.items() if not field.is_zero(x)}
+    values = {key: element(p, c) for key, c in counts.items()}
+    return {key: x for key, x in values.items() if x != 0}
 
 
 # (base, field): T(V) with dim V = 0..3; the same model built on the
@@ -154,13 +159,13 @@ class TestModelLaws:
     def test_unit_and_concatenation(self, base, fname):
         b = law_model(base, fname)
         for w in all_words(b):
-            assert b.mult_elt(b.unit_elt(), b.word_elt(w)) == b.word_elt(w)
-            assert b.mult_elt(b.word_elt(w), b.unit_elt()) == b.word_elt(w)
-        zero_top = (b.N, b.carrier.zero_vec(b.N))
+            assert mult_elt(b, unit_elt(b), word_elt(b, w)) == word_elt(b, w)
+            assert mult_elt(b, word_elt(b, w), unit_elt(b)) == word_elt(b, w)
+        zero_top = zero_elt(b, b.N)
         for w1, w2 in itertools.product(all_words(b), repeat=2):
             d = b.index[w1][0] + b.index[w2][0]
-            expect = b.word_elt(w1 + w2) if d <= b.N else zero_top
-            assert b.mult_elt(b.word_elt(w1), b.word_elt(w2)) == expect, (w1, w2)
+            expect = word_elt(b, w1 + w2) if d <= b.N else zero_top
+            assert mult_elt(b, word_elt(b, w1), word_elt(b, w2)) == expect, (w1, w2)
 
     def test_associativity(self, base, fname):
         b = law_model(base, fname)
@@ -169,8 +174,8 @@ class TestModelLaws:
             for w2 in all_words(b, b.N - d1):
                 d2 = b.index[w2][0]
                 for w3 in all_words(b, b.N - d1 - d2):
-                    x, y, z = b.word_elt(w1), b.word_elt(w2), b.word_elt(w3)
-                    assert b.mult_elt(b.mult_elt(x, y), z) == b.mult_elt(x, b.mult_elt(y, z)), (w1, w2, w3)
+                    x, y, z = word_elt(b, w1), word_elt(b, w2), word_elt(b, w3)
+                    assert mult_elt(b, mult_elt(b, x, y), z) == mult_elt(b, x, mult_elt(b, y, z)), (w1, w2, w3)
 
     def test_coassociativity_and_counit(self, base, fname):
         b = law_model(base, fname)
@@ -207,12 +212,12 @@ class TestModelLaws:
         b = law_model(base, fname)
         omega = b.letter_projection
         letters, incl = length_component(b, 1)
-        assert incl.blocks == b.unit_inclusion.blocks
+        assert all(np.array_equal(x, y) for x, y in zip(incl.blocks, b.unit_inclusion.blocks, strict=True))
         assert omega.compose(incl).equals(GradedMap.identity(omega.target))
         for n in range(b.N + 1):
             if n != 1:
                 comp = omega.compose(length_component(b, n)[1])
-                assert not any(x for block in comp.blocks for row in block for x in row), n
+                assert not any(block.any() for block in comp.blocks), n
 
 
 class TestConstruction:
@@ -261,8 +266,8 @@ class TestConstruction:
             build_truncated(v_dim, "q", 2)
 
     def test_field_parsing(self):
-        assert isinstance(exact_field("q"), RationalField)
-        assert isinstance(exact_field("5"), PrimeField)
+        assert exact_field("q") == exact_field("Q") == exact_field(0) == 0
+        assert exact_field("5") == exact_field(5) == 5
         with pytest.raises(ValueError):
             exact_field(6)
         with pytest.raises(ValueError):
@@ -321,18 +326,15 @@ class TestPrimitives:
         zero = GradedMap(
             p.space,
             eps.target,
-            tuple(
-                tuple(tuple(b.field.zero() for _ in range(p.space.dims[d])) for _ in range(eps.target.dims[d]))
-                for d in range(b.N + 1)
-            ),
+            tuple(np.zeros((eps.target.dims[d], p.space.dims[d]), dtype=np.int64) for d in range(b.N + 1)),
         )
         assert comp.equals(zero)
         # the unit is not primitive, and the inclusion factors through the
         # augmentation kernel: ζ∘ξ̂ = ξ with ζ the identity in degrees >= 1
         assert p.space.dims[0] == 0
         assert p.aug_kernel.dims == (0,) + b.carrier.dims[1:]
-        zeta = GradedMap(p.aug_kernel, b.carrier, (((),),) + GradedMap.identity(b.carrier).blocks[1:])
-        xi_hat = GradedMap(p.space, p.aug_kernel, ((),) + p.into_carrier.blocks[1:])
+        zeta = GradedMap(p.aug_kernel, b.carrier, (np.zeros((1, 0), dtype=np.int64),) + GradedMap.identity(b.carrier).blocks[1:])
+        xi_hat = GradedMap(p.space, p.aug_kernel, (np.zeros((0, 0), dtype=np.int64),) + p.into_carrier.blocks[1:])
         assert zeta.compose(xi_hat).equals(p.into_carrier)
 
 
@@ -348,7 +350,7 @@ def test_blockwise_primitives_match_whole_degree_oracle(base, fname):
     b = law_model(base, fname)
     prims = primitives(b)
     for d in range(b.N + 1):
-        blockwise = [list(col) for col in zip(*prims.into_carrier.blocks[d])]
+        blockwise = prims.into_carrier.blocks[d].T.tolist()
         whole = oracle_primitives(b, d)
         assert rank(b.field, blockwise) == rank(b.field, whole) == len(whole) == prims.space.dims[d]
         assert spans_within(b.field, blockwise, whole) and spans_within(b.field, whole, blockwise)
@@ -357,6 +359,126 @@ def test_blockwise_primitives_match_whole_degree_oracle(base, fname):
         free = prims.free[d]
         assert list(free) == sorted(set(free))
         assert [[v[f] for f in free] for v in blockwise] == np.eye(len(free), dtype=int).tolist()
+
+
+@pytest.mark.parametrize("fname", ["q", "2"])
+def test_double_model_primitives_with_shared_solves_match_oracle(fname):
+    """The double model reuses T(V)'s block solves wherever the block keys
+    agree; its basis is still that of one elimination of each degree."""
+    field = exact_field(fname)
+    kernels = {}
+    prims = primitives(build_truncated(2, field, 4), kernels)
+    double = TruncatedTensorBialgebra(prims.space, 4)
+    solved = len(kernels)
+    double_prims = primitives(double, kernels)
+    blocks = sum(len({tuple(sorted(w)) for w in words}) for words in double.words)
+    assert len(kernels) - solved < blocks
+    for d in range(double.N + 1):
+        assert double_prims.into_carrier.blocks[d].T.tolist() == oracle_primitives(double, d), d
+
+
+@pytest.mark.parametrize("v_dim, deg, most", [(3, 4, 16), (2, 5, 19)])
+def test_each_block_key_is_solved_once(monkeypatch, v_dim, deg, most):
+    """T(V) and the double model share one solve per block key: at (3,4)
+    there are 16 keys against 156 letter-content blocks, at (2,5) 19
+    against 84."""
+    original, calls = tensorbialg._kernel, []
+
+    def counted(rows, p):
+        calls.append(rows.shape)
+        return original(rows, p)
+
+    monkeypatch.setattr(tensorbialg, "_kernel", counted)
+    assert verify_bialgebra_adjunction(v_dim, "q", deg).all_hold
+    assert len(calls) <= most
+
+
+EVALUATION_MODELS = [(v, n, f) for f in ("q", "2") for v, n in ((2, 3), (3, 2), (2, 4))]
+
+
+@pytest.mark.parametrize("v_dim, deg, fname", EVALUATION_MODELS, ids=["%d-%d-%s" % m for m in EVALUATION_MODELS])
+def test_kronecker_evaluation_matches_word_products(v_dim, deg, fname):
+    """The Kronecker evaluation of the double model and of the
+    augmentation-kernel model into T(V) is the word-by-word product."""
+    field = exact_field(fname)
+    base = build_truncated(v_dim, field, deg)
+    prims = primitives(base)
+    zeta = tuple(np.eye(n, m, dtype=np.int64) for n, m in zip(base.carrier.dims, prims.aug_kernel.dims))
+    for outer_base, letters in ((prims.space, prims.into_carrier.blocks), (prims.aug_kernel, zeta)):
+        outer = TruncatedTensorBialgebra(outer_base, deg)
+        evaluation = tensorbialg._evaluation(outer, base, letters)
+        assert [b.tolist() for b in evaluation.blocks] == evaluation_blocks(outer, base, letters)
+
+
+def test_failures_are_named(monkeypatch):
+    """Letters that multiply out to 0 break (b) and (c); each names the
+    first failing basis vector, and (c) builds its model only to label it."""
+
+    def zero(letters, comp, p):
+        rows, cols = np.prod([letters[c].shape for c in comp], axis=0, dtype=int) if comp else (1, 1)
+        return np.zeros((rows, cols), dtype=np.int64)
+
+    monkeypatch.setattr(tensorbialg, "_monomials", zero)
+    report = verify_bialgebra_adjunction(2, "q", 3)
+    assert report.unit_retraction_holds
+    assert report.failure_witnesses == (
+        ("heavy-composition", "p1_0"),
+        ("letter-projection-restriction", (1, "v0")),
+    )
+
+
+def python_product(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+class TestExactProduct:
+    """int64 only where no entry can wrap; Python ints and Fractions past it."""
+
+    def test_rational_entry(self):
+        a = np.array([[Fraction(1, 2), 3], [0, -1]], dtype=object)
+        b = np.array([[2, 1], [5, 7]], dtype=np.int64)
+        out = tensorbialg._product(a, b, 0)
+        assert out.dtype == object
+        assert out.tolist() == python_product(a.tolist(), b.tolist()) == [[16, Fraction(43, 2)], [-5, -7]]
+
+    def test_past_the_int64_bound(self):
+        # 2·2⁴⁰·2²³ = 2⁶⁴: in int64 the single entry would wrap to 0
+        a = np.array([[2**40, 2**40]], dtype=np.int64)
+        b = np.array([[2**23], [2**23]], dtype=np.int64)
+        out = tensorbialg._product(a, b, 0)
+        assert out.dtype == object
+        assert out.tolist() == python_product(a.tolist(), b.tolist()) == [[2**64]]
+        assert tensorbialg._product(a, b, 7).tolist() == [[2**64 % 7]]
+        assert tensorbialg._kron(a, b, 0).tolist() == [[2**63, 2**63], [2**63, 2**63]]
+        # at 2⁶² the bound holds and the product stays in int64
+        assert tensorbialg._product(a, b // 4, 0).dtype == np.int64
+
+
+WITT_GRID = [(2, 7, "7"), (3, 4, "2"), (2, 6, "2"), (2, 6, "3"), (1, 5, "2"), (3, 4, "3"), (2, 5, "5"), (2, 6, "q"), (1, 4, "q")]
+
+
+@pytest.mark.parametrize("v_dim, deg, fname", WITT_GRID, ids=["%d-%d-%s" % m for m in WITT_GRID])
+def test_primitive_dims_formula(v_dim, deg, fname):
+    """Witt's necklace counts over Q, and over F_p the sum over the p^k
+    dividing d, equal the solved dimensions."""
+    field = exact_field(fname)
+    assert tensorbialg._primitive_dims(v_dim, field, deg) == primitives(build_truncated(v_dim, field, deg)).space.dims
+
+
+@pytest.mark.parametrize(
+    "v_dim, deg, fname, total",
+    # the double model does not fit at (2,7); at (3,5) it does, and the
+    # augmentation-kernel model does not
+    [(2, 7, "7", 10923), (2, 7, "q", 10923), (3, 5, "q", 4666)],
+)
+def test_guard_trips_before_any_solve(monkeypatch, v_dim, deg, fname, total):
+    def no_solve(rows, p):
+        raise AssertionError("a block solved before the guard")
+
+    monkeypatch.setattr(tensorbialg, "_kernel", no_solve)
+    message = r"truncated model needs %d\+ dimensions \(guard 4096\)" % total
+    with pytest.raises(DimensionGuardExceeded, match=message):
+        verify_bialgebra_adjunction(v_dim, fname, deg)
 
 
 class TestAdjunctionIdentities:
@@ -398,7 +520,7 @@ class TestAlgebraWitness:
         def keep_pairs(bialg, word):
             if len(word) != 2:
                 return original(bialg, word)
-            return bialg.mult_elt(*word)
+            return mult_elt(bialg, *word)
 
         monkeypatch.setattr(tensorbialg, "_outer_letter_projection", keep_pairs)
         rep = tensor_algebra_witness(2, field, 3)
@@ -412,26 +534,47 @@ class TestAlgebraWitness:
             tensor_algebra_witness(1, "q", 1)
 
 
-def lose_letters(rows, K, free):
+def lose_letters(monkeypatch):
     """Each letter's solve returns no primitive.  Only a letter's block has
     all-zero rows: Δ − (−)⊗1 − 1⊗(−) vanishes on single letters alone."""
-    return (K, free) if rows.any() else (K[:, :0], free[:0])
+    original = tensorbialg._kernel
+
+    def lose(rows, p):
+        K, free = original(rows, p)
+        return (K, free) if rows.any() else (K[:, :0], free[:0])
+
+    monkeypatch.setattr(tensorbialg, "_kernel", lose)
 
 
-def duplicate_first_letter():
+def change_primitives(monkeypatch, model, change):
+    """Pass the primitives of the model-th `primitives` call (1 for T(V), 2
+    for the double model) through `change`, a map on PrimitivesData."""
+    original, calls = tensorbialg.primitives, []
+
+    def patched(bialg, kernels=None):
+        calls.append(bialg)
+        prims = original(bialg, kernels)
+        return change(prims) if len(calls) == model else prims
+
+    monkeypatch.setattr(tensorbialg, "primitives", patched)
+
+
+def with_basis(prims, d, block, free):
+    """prims with the degree-d basis `block`, the unit vectors on `free`."""
+    xi = prims.into_carrier
+    blocks = xi.blocks[:d] + (block,) + xi.blocks[d + 1 :]
+    frees = prims.free[:d] + (tuple(free),) + prims.free[d + 1 :]
+    return dataclasses.replace(prims, into_carrier=dataclasses.replace(xi, blocks=blocks), free=frees)
+
+
+def duplicate_first_letter(monkeypatch):
     """The first letter's primitive comes back twice and the second letter's
     not at all, so degree 1 keeps its count but loses its span."""
-    letters = []
 
-    def change(rows, K, free):
-        if rows.any():
-            return K, free
-        letters.append(K)
-        if len(letters) == 1:
-            return np.hstack([K, K]), np.concatenate([free, free])
-        return K[:, :0], free[:0]
+    def change(prims):
+        return with_basis(prims, 1, prims.into_carrier.blocks[1][:, [0, 0]], prims.free[1])
 
-    return change
+    change_primitives(monkeypatch, 1, change)
 
 
 class TestSpanGates:
@@ -439,41 +582,26 @@ class TestSpanGates:
     must lie in the span of the computed primitives; a kernel solve that
     loses or corrupts a primitive raises, also under python -O."""
 
-    @staticmethod
-    def patch_kernel(monkeypatch, change, model=None):
-        """Pass each letter-content block's (rows, K, free) through `change`;
-        with `model`, only while the primitives of the model on a base of
-        those dims are solved."""
-        solving = [None]
-        original_primitives, original_kernel = tensorbialg.primitives, tensorbialg._kernel
-
-        def tracked(bialg):
-            solving[0] = bialg.base.dims
-            return original_primitives(bialg)
-
-        def patched(rows, p):
-            K, free = original_kernel(rows, p)
-            return change(rows, K, free) if model in (None, solving[0]) else (K, free)
-
-        monkeypatch.setattr(tensorbialg, "primitives", tracked)
-        monkeypatch.setattr(tensorbialg, "_kernel", patched)
-
     # in T(V) with dim V = 2 and N = 3 the letters are the two words of degree 1
-    @pytest.mark.parametrize("change", [lambda: lose_letters, duplicate_first_letter], ids=["lost", "duplicated"])
-    def test_letter_primitive_lost(self, monkeypatch, change):
-        self.patch_kernel(monkeypatch, change())
+    @pytest.mark.parametrize("fault", [lose_letters, duplicate_first_letter], ids=["lost", "duplicated"])
+    def test_letter_primitive_lost(self, monkeypatch, fault):
+        fault(monkeypatch)
         with pytest.raises(ConstructionCheckFailed, match="letters must be primitive"):
             verify_bialgebra_adjunction(2, "q", 3)
 
     def test_non_primitive_in_the_double_model(self, monkeypatch):
         # the double model on the primitives (dims 0, 2, 1, 2) has the squares
-        # w0·w0 and w1·w1 of its degree-1 letters, each alone in its block of
-        # three pairs; claimed primitive, w0·w0 evaluates to v0·v0, which is
-        # not primitive over Q
-        def claim_squares(rows, K, free):
-            return (np.ones((1, 1), dtype=K.dtype), np.array([0])) if rows.shape == (3, 1) else (K, free)
+        # w0·w0 and w1·w1 of its degree-1 letters at positions 0 and 3 of
+        # degree 2; claimed primitive, w0·w0 evaluates to v0·v0, which is
+        # not primitive over Q.  The double model shares its block solves
+        # with T(V), where v0·v0 has the same block key as w0·w0, so the
+        # claim goes into the returned basis rather than into a solve.
+        def claim_squares(prims):
+            block = prims.into_carrier.blocks[2]
+            squares = np.eye(block.shape[0], dtype=block.dtype)[:, [0, 3]]
+            return with_basis(prims, 2, np.hstack([squares, block]), (0, 3) + prims.free[2])
 
-        self.patch_kernel(monkeypatch, claim_squares, model=(0, 2, 1, 2))
+        change_primitives(monkeypatch, 2, claim_squares)
         with pytest.raises(ConstructionCheckFailed, match="image of a primitive is not primitive"):
             verify_bialgebra_adjunction(2, "q", 3)
 
