@@ -460,11 +460,7 @@ def _kernel(rows, p):
 
 def _cokernel_mod_prime(relations, mods, p):
     g = len(mods)
-    dtype = _field_dtype(p)
-    rel = ((relations.astype(object) if dtype is object else relations) % p).astype(dtype).T
-    if rel.dtype != object:  # np.unique takes no axis on object arrays; it only saves time
-        rel = np.unique(rel, axis=0)
-    K, free = _kernel(rel, p)
+    K, free = _kernel(np.unique((relations % p).astype(np.int64).T, axis=0), p)
     if len(free) == g:
         return FinAbPresentation(mods, mods)
     # the relations are the row span, so x ↦ Kᵀx kills exactly them
@@ -485,7 +481,7 @@ def cokernel(relations: np.ndarray, generator_moduli) -> FinAbPresentation:
     to the explicit relation columns.  The presentation is the identity,
     and stores no matrix, when there are no relations and the m_i are a
     divisor chain of nontrivial moduli, or when every m_i is one prime p
-    and no relation is nonzero mod p.
+    within `_field_dtype`'s int64 bound and no relation is nonzero mod p.
     """
     mods = tuple(int(x) for x in generator_moduli)
     g = len(mods)
@@ -503,7 +499,9 @@ def cokernel(relations: np.ndarray, generator_moduli) -> FinAbPresentation:
         eye = np.eye(g, dtype=np.int64)
         return _presentation(tuple(mods[i] for i in keep), mods, eye[keep], eye[:, keep])
     p = mods[0]
-    if all(mi == p for mi in mods) and _is_prime(p):
+    # past the int64 bound the Smith path is as exact, and it skips the
+    # trial division of a large modulus
+    if all(mi == p for mi in mods) and _field_dtype(p) is np.int64 and _is_prime(p):
         return _cokernel_mod_prime(relations, mods, p)
     snf = smith_normal_form(np.hstack([relations, _diagonal(mods)]))
     d = snf.diagonal

@@ -705,7 +705,11 @@ def find_rafael_retractions(adj: AdjunctionData, side="left"):
 
 
 def monad_from_adjunction(adj: AdjunctionData) -> MonadData:
-    """The monad (RL, RεL, η) of the adjunction."""
+    """The monad (RL, RεL, η) of the adjunction.
+
+    Not re-validated: RL of a validated adjunction is a monad by the
+    triangle identities.  `find_monad_augmentations` validates the monad
+    it is given."""
     bcat = adj.left.source
     rl = compose_functors(adj.right, adj.left)
     mult = NatTransform(
@@ -716,7 +720,7 @@ def monad_from_adjunction(adj: AdjunctionData) -> MonadData:
             for b in bcat.objects
         },
     )
-    return MonadData(rl, adj.unit, mult).validate()
+    return MonadData(rl, adj.unit, mult)
 
 
 def _algebra_label(b, aname):

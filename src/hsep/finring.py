@@ -6,6 +6,14 @@ validates bilinearity compatibility, associativity and the unit laws
 exhaustively on basis tuples; the named families (matrix, triangular,
 product, group ring, polynomial quotient, tensor product, quotient)
 are built on top and never bypass that validation.
+
+Products, hom checks and ideals contract the structure tensor
+`np_mul` with `_exact_einsum`, in int64 while the sums stay below 2⁶²
+and in Python ints past that.  A⊗_R B is the cokernel of the balance
+relations that sepkit's tensor powers use (`phi_actions`,
+`balance_relations`), and both A⊗_R B and S/I carry the product of
+their generators onto the presentation in `_ring_on_presentation`:
+e_u·e_v = P·mul(L·e_u, L·e_v), with the canonical homs read off P.
 """
 
 from __future__ import annotations
@@ -55,6 +63,8 @@ __all__ = [
     "ring_from_doc",
     "hom_from_doc",
     "hom_to_doc",
+    "phi_actions",
+    "balance_relations",
 ]
 
 
@@ -113,6 +123,32 @@ class ReduciblePolynomialAllowed(UserWarning):
     """The quotient polynomial is reducible; the ring is still built."""
 
 
+def _int_array(values, shape):
+    """Nested Python ints as an int64 array, or as an object array of
+    Python ints when an entry does not fit in int64."""
+    try:
+        return np.array(values, dtype=np.int64).reshape(shape)
+    except OverflowError:
+        return np.array(values, dtype=object).reshape(shape)
+
+
+def _exact_einsum(spec, *operands):
+    """np.einsum of integer arrays (an explicit "->" spec), exact: in int64
+    while every output entry sums products below 2⁶², in Python ints past
+    that.  The bound is the number of summed terms times the largest
+    absolute entry of each operand.  Only the four-operand transport
+    pays for numpy's contraction-order search."""
+    inputs, output = spec.split("->")
+    sizes = {}
+    bound = 1
+    for letters, a in zip(inputs.split(","), operands):
+        sizes.update(zip(letters, a.shape))
+        bound *= int(abs(a).max(initial=0))
+    bound *= math.prod(n for c, n in sizes.items() if c not in output)
+    dtype = np.int64 if bound < 2**62 else object
+    return np.einsum(spec, *(a.astype(dtype, copy=False) for a in operands), optimize=len(operands) > 3)
+
+
 @dataclass(frozen=True)
 class FiniteRing:
     """Finite ring: additive group ⊕ Z/m_i with structure constants.
@@ -138,15 +174,11 @@ class FiniteRing:
     @cached_property
     def np_mul(self):
         # structure tensor T[i, j, l] = coord l of e_i e_j
-        t = np.zeros((self.k, self.k, self.k), dtype=np.int64)
-        for i in range(self.k):
-            for j in range(self.k):
-                t[i, j, :] = self.mul_table[i][j]
-        return t
+        return _int_array(self.mul_table, (self.k,) * 3)
 
     @cached_property
     def np_moduli(self):
-        return np.array(self.moduli, dtype=np.int64)
+        return _int_array(self.moduli, (self.k,))
 
     def reduce(self, coords):
         return tuple(int(c) % m for c, m in zip(coords, self.moduli))
@@ -172,18 +204,8 @@ class FiniteRing:
         return tuple((-a) % m for a, m in zip(x, self.moduli))
 
     def mul_coords(self, x, y):
-        out = [0] * self.k
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.mul_table[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                cell = row[j]
-                for l in range(self.k):
-                    out[l] += xi * yj * cell[l]
-        return self.reduce(out)
+        x, y = (_int_array(v, (self.k,)) for v in (x, y))
+        return self.reduce(_exact_einsum("i,j,ijl->l", x, y, self.np_mul).tolist())
 
     def scalar_coords(self, c, x):
         return tuple((c * a) % m for a, m in zip(x, self.moduli))
@@ -277,28 +299,23 @@ def construct_ring(moduli, mul_table, unit, label="ring", basis_labels=None) -> 
     if k == 0:
         return ring
 
-    # bilinearity compatibility
-    for i in range(k):
-        for j in range(k):
-            cell = table[i][j]
-            for l in range(k):
-                if (moduli[i] * cell[l]) % moduli[l] or (moduli[j] * cell[l]) % moduli[l]:
-                    raise BilinearityIncompatible((i, j))
+    # bilinearity compatibility: m_i·(e_i e_j) and m_j·(e_i e_j) vanish,
+    # that is gcd(m_i, m_j)·(e_i e_j) does
+    t, mods = ring.np_mul, ring.np_moduli
+    killed = _exact_einsum("ij,ijl->ijl", np.gcd.outer(mods, mods), t) % mods
+    bad = np.argwhere(killed.any(axis=2))
+    if bad.size:
+        raise BilinearityIncompatible(tuple(int(x) for x in bad[0]))
 
-    # each einsum sums k products of two reduced entries: int64 below the
-    # bound, Python ints past it
-    dtype = np.int64 if k * max(moduli) ** 2 < 2**62 else object
-    t = np.array(table, dtype=dtype).reshape(k, k, k)
-    mods = np.array(moduli, dtype=dtype)
-    left = np.einsum("ija,alc->ijlc", t, t)
-    right = np.einsum("jla,iac->ijlc", t, t)
+    left = _exact_einsum("ija,alc->ijlc", t, t)
+    right = _exact_einsum("jla,iac->ijlc", t, t)
     bad = np.argwhere((left - right) % mods != 0)
     if bad.size:
         raise NotAssociative(tuple(int(x) for x in bad[0][:3]))
-    u = np.array(unit, dtype=dtype)
-    eye = np.eye(k, dtype=dtype) % mods
-    lhs = np.einsum("j,jil->il", u, t) % mods
-    rhs = np.einsum("j,ijl->il", u, t) % mods
+    u = _int_array(unit, (k,))
+    eye = np.eye(k, dtype=np.int64) % mods
+    lhs = _exact_einsum("j,jil->il", u, t) % mods
+    rhs = _exact_einsum("j,ijl->il", u, t) % mods
     bad = np.flatnonzero(((lhs != eye) | (rhs != eye)).any(axis=1))
     if bad.size:
         raise UnitLawFails(int(bad[0]))
@@ -314,31 +331,25 @@ class RingHom:
     matrix: tuple[tuple[int, ...], ...]
 
     def apply_coords(self, coords):
-        out = [0] * self.target.k
-        for i, ci in enumerate(coords):
-            if not ci:
-                continue
-            img = self.matrix[i]
-            for l in range(self.target.k):
-                out[l] += ci * img[l]
-        return self.target.reduce(out)
+        coords = _int_array(coords, (self.source.k,))
+        return self.target.reduce(_exact_einsum("i,il->l", coords, self.np_matrix).tolist())
 
     def __call__(self, elem):
         coords = elem.coords if isinstance(elem, RingElem) else elem
         return self.target.element(self.apply_coords(coords))
 
+    @cached_property
+    def np_matrix(self):
+        """Row i holds the coordinates of φ(e_i)."""
+        return _int_array(self.matrix, (self.source.k, self.target.k))
+
     def is_image_central(self):
-        t = self.target
-        for img in self.matrix:
-            for j in range(t.k):
-                ej = t.basis_element(j).coords
-                if t.mul_coords(img, ej) != t.mul_coords(ej, img):
-                    return False
-        return True
+        t, phi = self.target.np_mul, self.np_matrix
+        diff = _exact_einsum("ra,ajl->rjl", phi, t) - _exact_einsum("ra,jal->rjl", phi, t)
+        return not (diff % self.target.np_moduli).any()
 
     def image_order(self):
-        matrix = np.array(self.matrix, dtype=object).reshape(self.source.k, self.target.k)
-        _, orders = subgroup_basis(matrix, self.target.moduli)
+        _, orders = subgroup_basis(self.np_matrix, self.target.moduli)
         return math.prod(orders)
 
     def is_surjective(self):
@@ -356,18 +367,16 @@ def check_ring_hom(matrix, source: FiniteRing, target: FiniteRing) -> RingHom:
         raise DimensionMismatch("hom matrix columns need one coordinate per target basis element")
     matrix = tuple(tuple(int(c) % m for c, m in zip(col, target.moduli)) for col in matrix)
     hom = RingHom(source, target, matrix)
-    for i in range(source.k):
-        img = matrix[i]
-        mi = source.moduli[i]
-        for l in range(target.k):
-            if (mi * img[l]) % target.moduli[l]:
-                raise NotAdditiveWellDefined(i)
-    for i in range(source.k):
-        for j in range(source.k):
-            lhs = hom.apply_coords(source.mul_table[i][j])
-            rhs = target.mul_coords(matrix[i], matrix[j])
-            if lhs != rhs:
-                raise NotMultiplicative((i, j))
+    phi, mods = hom.np_matrix, target.np_moduli
+    bad = np.flatnonzero((_exact_einsum("i,il->il", source.np_moduli, phi) % mods).any(axis=1))
+    if bad.size:
+        raise NotAdditiveWellDefined(int(bad[0]))
+    # φ(e_i e_j) against φ(e_i)φ(e_j), first failing pair in row-major order
+    lhs = _exact_einsum("ija,ac->ijc", source.np_mul, phi)
+    rhs = _exact_einsum("ia,jb,abc->ijc", phi, phi, target.np_mul)
+    bad = np.argwhere(((lhs - rhs) % mods).any(axis=2))
+    if bad.size:
+        raise NotMultiplicative(tuple(int(x) for x in bad[0]))
     if hom.apply_coords(source.unit) != target.unit:
         raise NotUnital()
     return hom
@@ -381,7 +390,7 @@ def compose_homs(second: RingHom, first: RingHom) -> RingHom:
     """second ∘ first, revalidated."""
     if first.target != second.source:
         raise ValueError("homs do not compose")
-    matrix = tuple(second.apply_coords(first.matrix[i]) for i in range(first.source.k))
+    matrix = _exact_einsum("ia,al->il", first.np_matrix, second.np_matrix).tolist()
     return check_ring_hom(matrix, first.source, second.target)
 
 
@@ -397,13 +406,10 @@ class CommutativityReport:
 
 def commutativity_report(ring: FiniteRing) -> CommutativityReport:
     """Basis-pair commutativity plus the center as a linear solution set."""
-    k = ring.k
-    is_comm = all(
-        ring.mul_table[i][j] == ring.mul_table[j][i] for i in range(k) for j in range(k)
-    )
+    k, t = ring.k, ring.np_mul
+    is_comm = bool((t == t.transpose(1, 0, 2)).all())
     # x*e_i - e_i*x == 0, one congruence per output coordinate l: row (i, l)
     # holds coordinate l of e_j*e_i - e_i*e_j in column j
-    t = np.array(ring.mul_table, dtype=object).reshape(k, k, k)
     a = (t.transpose(1, 2, 0) - t.transpose(0, 2, 1)).reshape(k * k, k)
     center = solve_modular_system(a, [0] * (k * k), ring.moduli * k, unknown_moduli=ring.moduli)
     return CommutativityReport(is_comm, center)
@@ -683,6 +689,52 @@ def _standard_polynomial_quotient(params):
     return StandardRing(ring, {"scalar": scalar}, elements)
 
 
+def phi_actions(hom):
+    """(right, left), both of shape (kr, k, k): right[r, a, c] is coordinate
+    c of e_a·φ(r) and left[r, b, c] is coordinate c of φ(r)·e_b."""
+    s = hom.target
+    t, phi = s.np_mul, hom.np_matrix
+    right = _exact_einsum("asc,rs->rac", t, phi) % s.np_moduli
+    left = _exact_einsum("rs,sbc->rbc", phi, t) % s.np_moduli
+    return right, left
+
+
+def balance_relations(right, left):
+    """Relation columns (x_i·φ(r))⊗e_b − x_i⊗(φ(r)·e_b) of X⊗_R S.
+
+    right[r, i, j] is coordinate j of x_i·φ(r), for the generators x_i of
+    the right R-module X; left[r, b, c] is coordinate c of φ(r)·e_b.  Rows
+    are the generators x_j⊗e_c, j-major.  Zero columns are dropped and
+    the rest come once each, in lexicographic order.
+    """
+    kr, n, _ = right.shape
+    k = left.shape[1]
+    dtype = np.result_type(right, left)
+    rel = np.einsum("rij,bc->jcrib", right, np.eye(k, dtype=dtype))
+    rel -= np.einsum("ij,rbc->jcrib", np.eye(n, dtype=dtype), left)
+    arr = rel.reshape(n * k, kr * n * k)
+    arr = arr[:, (arr != 0).any(axis=0)]
+    if dtype == object:  # np.unique takes no axis on object arrays
+        cols = sorted(set(map(tuple, arr.T.tolist())))
+        return np.array(cols, dtype=object).reshape(len(cols), n * k).T
+    return np.unique(arr, axis=1) if arr.shape[1] else arr
+
+
+def _ring_on_presentation(pres, mul, unit, label, prefix):
+    """The ring on the canonical coordinates of `pres`, a quotient of
+    generators whose products are mul[i, j, :] and whose unit is `unit`:
+    e_u·e_v = P·mul(L·e_u, L·e_v), as one contraction, and the unit is
+    P·unit.  Returns the ring and P (rank x generators)."""
+    if pres.is_identity:
+        p = l = np.eye(pres.generator_count, dtype=np.int64)
+    else:
+        p, l = pres.P, pres.L
+    table = _exact_einsum("iu,jv,ijw,rw->uvr", l, l, mul, p).tolist()
+    unit = _exact_einsum("rw,w->r", p, unit).tolist()
+    labels = tuple("%s%d" % (prefix, i) for i in range(pres.rank))
+    return construct_ring(pres.moduli, table, unit, label, labels), p
+
+
 def _standard_tensor_product(params):
     hom_a, hom_b = params["homs"]
     base = hom_a.source
@@ -695,77 +747,17 @@ def _standard_tensor_product(params):
         if not hom.is_image_central():
             raise NonCentralImage("%s factor does not centralize the base image" % name)
     a, b = hom_a.target, hom_b.target
-    ka, kb = a.k, b.k
-    gens = ka * kb
-    idx = lambda i, j: i * kb + j
-    gen_moduli = [math.gcd(a.moduli[i], b.moduli[j]) for i in range(ka) for j in range(kb)]
-    rel_cols = []
-    for r in range(base.k):
-        ra = hom_a.matrix[r]
-        rb = hom_b.matrix[r]
-        for i in range(ka):
-            xi = a.mul_coords(a.basis_element(i).coords, ra)
-            for j in range(kb):
-                yj = b.mul_coords(rb, b.basis_element(j).coords)
-                col = [0] * gens
-                for c in range(ka):
-                    if xi[c]:
-                        col[idx(c, j)] += xi[c]
-                for c in range(kb):
-                    if yj[c]:
-                        col[idx(i, c)] -= yj[c]
-                if any(col):
-                    rel_cols.append(col)
-    relations = np.array(rel_cols, dtype=object).reshape(len(rel_cols), gens).T
-    pres = cokernel(relations, gen_moduli)
-
-    def pure_pair(xa, xb):
-        raw = [0] * gens
-        for i in range(ka):
-            if xa[i]:
-                for j in range(kb):
-                    if xb[j]:
-                        raw[idx(i, j)] += xa[i] * xb[j]
-        return pres.project(raw)
-
-    def mul_raw(x, y):
-        # x, y are generator-coordinate vectors of pair tensors
-        out = [0] * gens
-        for i in range(ka):
-            for j in range(kb):
-                vx = x[idx(i, j)]
-                if not vx:
-                    continue
-                for s in range(ka):
-                    for t in range(kb):
-                        vy = y[idx(s, t)]
-                        if not vy:
-                            continue
-                        pa = a.mul_table[i][s]
-                        pb = b.mul_table[j][t]
-                        for c in range(ka):
-                            if pa[c]:
-                                for d in range(kb):
-                                    if pb[d]:
-                                        out[idx(c, d)] += vx * vy * pa[c] * pb[d]
-        return out
-
-    rank = pres.rank
-    table = []
-    for u in range(rank):
-        lu = pres.lift(tuple(1 if i == u else 0 for i in range(rank)))
-        row = []
-        for v in range(rank):
-            lv = pres.lift(tuple(1 if i == v else 0 for i in range(rank)))
-            row.append(pres.project(mul_raw(lu, lv)))
-        table.append(tuple(row))
-    unit = pure_pair(a.unit, b.unit)
-    labels = tuple("t%d" % i for i in range(rank))
-    ring = construct_ring(pres.moduli, table, unit, "%s (x)_{%s} %s" % (a.label, base.label, b.label), labels)
-    left_cols = tuple(pure_pair(a.basis_element(i).coords, b.unit) for i in range(ka))
-    right_cols = tuple(pure_pair(a.unit, b.basis_element(j).coords) for j in range(kb))
-    left = check_ring_hom(left_cols, a, ring)
-    right = check_ring_hom(right_cols, b, ring)
+    relations = balance_relations(phi_actions(hom_a)[0], phi_actions(hom_b)[1])
+    pres = cokernel(relations, np.gcd.outer(a.np_moduli, b.np_moduli).ravel())
+    # the generators e_i⊗f_j multiply slot by slot
+    g = a.k * b.k
+    mul = _exact_einsum("isc,jtd->ijstcd", a.np_mul, b.np_mul).reshape(g, g, g)
+    ua, ub = _int_array(a.unit, (a.k,)), _int_array(b.unit, (b.k,))
+    label = "%s (x)_{%s} %s" % (a.label, base.label, b.label)
+    ring, p = _ring_on_presentation(pres, mul, _exact_einsum("i,j->ij", ua, ub).ravel(), label, "t")
+    p = p.reshape(pres.rank, a.k, b.k)
+    left = check_ring_hom(_exact_einsum("rij,j->ir", p, ub).tolist(), a, ring)  # e_i ↦ e_i⊗1
+    right = check_ring_hom(_exact_einsum("rij,i->jr", p, ua).tolist(), b, ring)  # f_j ↦ 1⊗f_j
     unit_hom = compose_homs(left, hom_a)
     return StandardRing(ring, {"left": left, "right": right, "unit": unit_hom}, {})
 
@@ -773,16 +765,13 @@ def _standard_tensor_product(params):
 def _ideal_subgroup(ring: FiniteRing, generators):
     if any(len(g) != ring.k for g in generators):
         raise DimensionMismatch("ideal generators need one coordinate per basis element")
-    vectors = lambda vecs: np.array(vecs, dtype=object).reshape(len(vecs), ring.k)
-    gens, orders = subgroup_basis(vectors([ring.reduce(g) for g in generators]), ring.moduli)
+    k, t = ring.k, ring.np_mul
+    gens, orders = subgroup_basis(_int_array([ring.reduce(g) for g in generators], (len(generators), k)), ring.moduli)
     while True:
-        new = list(gens)
-        for g in gens:
-            for i in range(ring.k):
-                ei = ring.basis_element(i).coords
-                new.append(ring.mul_coords(ei, g))
-                new.append(ring.mul_coords(g, ei))
-        gens2, orders2 = subgroup_basis(vectors(new), ring.moduli)
+        g = _int_array(gens, (len(gens), k))
+        # each generator g, then e_i·g and g·e_i for every basis element e_i
+        products = np.stack([_exact_einsum("ial,ga->gil", t, g), _exact_einsum("ail,ga->gil", t, g)], axis=2)
+        gens2, orders2 = subgroup_basis(np.vstack([g, products.reshape(-1, k)]), ring.moduli)
         if math.prod(orders2) == math.prod(orders):
             return gens2
         gens, orders = gens2, orders2
@@ -791,19 +780,9 @@ def _ideal_subgroup(ring: FiniteRing, generators):
 def _standard_quotient(params):
     base = params["base"]
     ideal = _ideal_subgroup(base, params["ideal"])
-    relations = np.array(ideal, dtype=object).reshape(len(ideal), base.k).T
-    pres = cokernel(relations, base.moduli)
-    rank = pres.rank
-    lifts = [pres.lift(tuple(1 if i == u else 0 for i in range(rank))) for u in range(rank)]
-    table = tuple(
-        tuple(pres.project(base.mul_coords(lifts[u], lifts[v])) for v in range(rank))
-        for u in range(rank)
-    )
-    unit = pres.project(base.unit)
-    ring = construct_ring(pres.moduli, table, unit, "%s/I" % base.label,
-                          tuple("q%d" % i for i in range(rank)))
-    cols = tuple(pres.project(base.basis_element(i).coords) for i in range(base.k))
-    projection = check_ring_hom(cols, base, ring)
+    pres = cokernel(_int_array(ideal, (len(ideal), base.k)).T, base.moduli)
+    ring, p = _ring_on_presentation(pres, base.np_mul, _int_array(base.unit, (base.k,)), "%s/I" % base.label, "q")
+    projection = check_ring_hom(p.T.tolist(), base, ring)
     return StandardRing(ring, {"projection": projection}, {})
 
 

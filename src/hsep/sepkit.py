@@ -13,7 +13,11 @@ x_i of S⊗_R S and the basis e_b of S, rank₂·k of them instead of the k³
 pure tensors.  Its projection and lift on the pure tensors are
 composites through S⊗_R S, and construction checks them against every
 balance relation of the pure tensors; that β is balanced follows, and
-is left to the test oracles.  Both groups read the projection and lift
+is left to the test oracles.  The balance relations of both groups
+come from `finring.phi_actions` and `finring.balance_relations`, which
+also build finring's A⊗_R B; finring moves a product onto a
+presentation (its tensor product and quotient) in
+`_ring_on_presentation`.  Both groups read the projection and lift
 arrays of their `exactalg.FinAbPresentation`; an identity presentation
 has none, and S⊗_R S⊗_R S then never multiplies by it.  Every
 construction check raises `exactalg.ConstructionCheckFailed` and every
@@ -54,6 +58,8 @@ from .exactalg import (
     solve_quadratic,
 )
 from .finring import RingHom, check_ring_hom, commutativity_report
+from .finring import balance_relations as _balance_relations
+from .finring import phi_actions as _phi_actions
 
 __all__ = [
     "TensorPower",
@@ -82,36 +88,6 @@ class ModuliTooLarge(ValueError):
 
 class InternalCriterionMismatch(RuntimeError):
     """Two provably equivalent criteria disagreed: an implementation bug."""
-
-
-def _phi_actions(hom):
-    """(right, left), both of shape (kr, k, k): right[r, a, c] is coordinate
-    c of e_a·φ(r) and left[r, b, c] is coordinate c of φ(r)·e_b."""
-    s = hom.target
-    t = s.np_mul
-    phi = np.array(hom.matrix, dtype=np.int64).reshape(hom.source.k, s.k)
-    right = np.einsum("asc,rs->rac", t, phi) % s.np_moduli
-    left = np.einsum("rs,sbc->rbc", phi, t) % s.np_moduli
-    return right, left
-
-
-def _balance_relations(right, left):
-    """Relation columns (x_i·φ(r))⊗e_b − x_i⊗(φ(r)·e_b) of X⊗_R S.
-
-    right[r, i, j] is coordinate j of x_i·φ(r), for the generators x_i of
-    the right R-module X; left[r, b, c] is coordinate c of φ(r)·e_b.  Rows
-    are the generators x_j⊗e_c, j-major.  Zero and repeated columns are
-    dropped.
-    """
-    kr, n, _ = right.shape
-    k = left.shape[1]
-    rel = np.einsum("rij,bc->jcrib", right, np.eye(k, dtype=np.int64))
-    rel -= np.einsum("ij,rbc->jcrib", np.eye(n, dtype=np.int64), left)
-    arr = rel.reshape(n * k, kr * n * k)
-    arr = arr[:, np.any(arr, axis=0)]
-    if arr.shape[1]:
-        arr = np.unique(arr, axis=1)
-    return arr
 
 
 class TensorPower:
@@ -342,10 +318,9 @@ class TripleTensorPower(TensorPower):
         n = square.group.rank
         self.gens = k**3
         self.np_gen_moduli = np.gcd.outer(square.np_gen_moduli, s.np_moduli).ravel()
-        phi = np.array(hom.matrix, dtype=np.int64).reshape(hom.source.k, k)
         actions = square.action_matrices[1]
         # right[r, i, j]: coordinate j of x_i·φ(r)
-        right = np.einsum("rs,sji->rij", phi, actions) % square.np_moduli
+        right = np.einsum("rs,sji->rij", hom.np_matrix, actions) % square.np_moduli
         gen_moduli = np.gcd.outer(square.np_moduli, s.np_moduli).ravel()
         rel = _balance_relations(right, _phi_actions(hom)[1])
         group = self.group = cokernel(rel, gen_moduli.tolist())

@@ -173,6 +173,39 @@ class TestRingStandard:
         assert code == 2
 
 
+class TestLargePrimes:
+    """No trial division of a large prime: the size checks come first.
+    Each command runs in a subprocess with a wall-clock bound, so a
+    regression fails instead of stalling the suite."""
+
+    MERSENNE = 2**61 - 1
+
+    @staticmethod
+    def cli(*argv):
+        root = Path(__file__).resolve().parent.parent
+        path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+        return subprocess.run(
+            [sys.executable, "-m", "hsep.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+
+    def test_talg_field_limit_before_primality(self):
+        out = self.cli("talg", "verify", "--dim", "1", "--deg", "2", "--field", str(self.MERSENNE))
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == "error: field '%d': prime fields are supported up to p = 97\n" % self.MERSENNE
+
+    def test_quotient_past_the_int64_field_bound(self):
+        # 2 is a unit mod 2⁶¹ − 1, so the quotient is the zero ring
+        params = {"base": modular(self.MERSENNE), "ideal": [[2]]}
+        out = self.cli("--format", "json", "ring", "standard", "quotient", "--params", json.dumps(params))
+        assert out.returncode == 0, out.stderr
+        doc = json.loads(out.stdout)
+        assert (doc["moduli"], doc["canonical_homs"]) == ([], ["projection"])
+
+
 class TestCat:
     def test_check_category(self, capsys, tmp_path):
         from hsep.fincat import category_to_doc, chain_poset

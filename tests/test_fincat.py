@@ -469,6 +469,23 @@ class TestLawCheckCost:
             assert len(calls) <= 2 * size, value
 
 
+class TestSearchValidations:
+    def test_five_searches_validate_three_functors(self, monkeypatch):
+        # the monad RL is not re-validated; find_monad_augmentations
+        # validates its argument, eilenberg_moore its forgetful functor and
+        # find_section_functors its one candidate
+        adj = cyclic_chain_adjunction(4, 7, 1, u=3, h=1)  # C4×[7] ⇄ C4×[8]
+        calls = []
+        original = FunctorData.validate
+        monkeypatch.setattr(FunctorData, "validate", lambda self: calls.append(1) or original(self))
+        assert [len(found) for found in find_rafael_retractions(adj, "left")] == [1, 1]
+        assert [len(found) for found in find_rafael_retractions(adj, "right")] == [0, 0]
+        assert len(find_monad_augmentations(monad_from_adjunction(adj))) == 1
+        assert len(find_section_functors(eilenberg_moore(adj)[1])) == 1
+        assert len(find_h_separability_structures(adj.left)) == 1
+        assert len(calls) == 3
+
+
 class TestRafael:
     def test_identity_adjunction(self):
         sep, heavy = find_rafael_retractions(ADJUNCTIONS["identity_2chain"], "left")
@@ -517,6 +534,15 @@ class TestRafaelOracle:
     def test_augmentations_match_oracle(self, name):
         monad = monad_from_adjunction(ORACLE_ADJUNCTIONS[name])
         assert [n.key() for n in find_monad_augmentations(monad)] == oracle_monad_augmentations(monad)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_ADJUNCTIONS))
+    def test_derived_monads_are_monads(self, name):
+        # monad_from_adjunction does not validate its result: the triangle
+        # identities make RL a monad, on either side of the adjunction
+        adj = ORACLE_ADJUNCTIONS[name]
+        for side in (adj, adj.opposite()):
+            monad = monad_from_adjunction(side)
+            assert monad.validate() is monad
 
     def test_naturality_and_heavy_law_filter(self):
         # In every fixture the unit law leaves only natural, heavy families,
