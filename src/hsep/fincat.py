@@ -26,9 +26,17 @@ order and triples in (f, g, h ∈ out_of(g[1])) order, the order of the
 loops over morphisms in tests/cat_util.py, so the witness is the one
 those loops find.
 
-The naturality and multiplicativity laws of a retraction family are
-written once, in _structure_law_failure: HSepStructure.validate checks
-them on the whole family, and the search on each newly assigned pair.
+The naturality and multiplicativity laws of a retraction family P of a
+functor F are integer rows on those tables, built once per functor
+(_Conditions).  Each pair (x, y) of objects owns one slot per morphism
+of Hom(Fx, Fy); P is an array over the slots, holding morphism ids of
+F's source.  Naturality is one row per (u, m, v), multiplicativity one
+per (g, f), each tagged with the last of its pairs in search order, and
+a row is checked by gathers on vals[ptr[·] + pos[·]].  The search checks
+at the i-th pair only the rows tagged i; _structure_law_failure reads a
+dict family into the same slots for HSepStructure.validate.  A natural
+transformation's squares are one array comparison on its target's
+table, against each functor's cached image array.
 """
 
 from __future__ import annotations
@@ -147,6 +155,7 @@ class _CompositionTable(NamedTuple):
     pos[g] is g's index in out_of(g[0]), and the row of f, from ptr[f],
     lists g∘f for each g in out_of(f[1]): vals[ptr[f] + pos[g]] is the id
     of g∘f, and first and second are the ids of f and g along vals.
+    Objects are numbered in objects order.
     """
 
     mors: list
@@ -155,6 +164,7 @@ class _CompositionTable(NamedTuple):
     ptr: np.ndarray
     second: np.ndarray
     vals: np.ndarray
+    ends: np.ndarray  # the source and target object index of each morphism
 
     @property
     def out_degree(self):
@@ -164,6 +174,13 @@ class _CompositionTable(NamedTuple):
     @property
     def first(self):
         return np.repeat(np.arange(len(self.mors)), self.out_degree)
+
+
+def _expand(counts):
+    """Item i repeated counts[i] times, and beside each copy its rank 0, 1, ...
+    among the copies of i."""
+    item = np.repeat(np.arange(len(counts)), counts)
+    return item, np.arange(len(item)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +246,9 @@ class FiniteCategory:
                 second.append(index[g])
                 vals.append(index[(f[0], g[1], name)])
         pos = [self.out_of(f[0]).index(f) for f in mors]
-        return _CompositionTable(mors, index, *(np.array(a, dtype=np.int64) for a in (pos, ptr, second, vals)))
+        number = {x: i for i, x in enumerate(self.objects)}
+        ends = np.array([(number[f[0]], number[f[1]]) for f in mors], dtype=np.int64).reshape(-1, 2)
+        return _CompositionTable(mors, index, *(np.array(a, dtype=np.int64) for a in (pos, ptr, second, vals)), ends)
 
     def validate(self):
         seen = set(self.objects)
@@ -256,9 +275,7 @@ class FiniteCategory:
             raise IdentityLawFails("id;f != f" if left[i] else "f;id != f", t.mors[i])
         # the triples (f, g, h) in scan order: pair p = (f, g) once for each
         # h, and k the position of h in out_of(g[1])
-        reps = t.out_degree[t.second]
-        p = np.repeat(np.arange(len(t.vals)), reps)
-        k = np.arange(len(p)) - np.repeat(np.cumsum(reps) - reps, reps)
+        p, k = _expand(t.out_degree[t.second])
         h_gf = t.vals[t.ptr[t.vals[p]] + k]
         hg = t.vals[t.ptr[t.second[p]] + k]
         bad = h_gf != t.vals[t.ptr[t.first[p]] + t.pos[hg]]  # against (h∘g)∘f
@@ -307,14 +324,23 @@ class FunctorData:
             if self.apply(self.source.id_mor(x)) != self.target.id_mor(self.object_map[x]):
                 raise FunctorLawFails("identity not preserved", x)
         # F(g∘f) = F(g)∘F(f) on every pair (f, g) of the source's table, in its order
-        s, t = self.source._table, self.target._table
-        img = np.array([t.index[self.apply(f)] for f in s.mors], dtype=np.int64)
+        s, t, img = self.source._table, self.target._table, self._img
         first = s.first
         bad = img[s.vals] != t.vals[t.ptr[img[first]] + t.pos[img[s.second]]]
         if bad.any():
             p = bad.argmax()
             raise FunctorLawFails("composition not preserved", (s.mors[first[p]], s.mors[s.second[p]]))
         return self
+
+    @cached_property
+    def _img(self):
+        """The target-table id of F(f) for each source morphism f, in morphisms() order."""
+        index = self.target._table.index
+        return np.array([index[self.apply(f)] for f in self.source._table.mors], dtype=np.int64)
+
+    @cached_property
+    def _conditions(self):
+        return _Conditions.build(self)
 
     def component_key(self):
         return tuple(sorted(self.object_map.items())), tuple(sorted(self.morphism_map.items()))
@@ -371,12 +397,13 @@ class NatTransform:
             fx, gx = f_fun.object_map[x], g_fun.object_map[x]
             if self.components.get(x) not in cat.hom_set(fx, gx):
                 raise MalformedData("component outside hom-set", x)
-        for f in f_fun.source.morphisms():
-            x, y = f[0], f[1]
-            lhs = cat.comp(f_fun.apply(f), self.component(y))
-            rhs = cat.comp(self.component(x), g_fun.apply(f))
-            if lhs != rhs:
-                raise NaturalityFails("square does not commute", f)
+        # α_y∘F(f) = G(f)∘α_x for every f, in morphisms() order, on the target's table
+        s, t = f_fun.source._table, cat._table
+        alpha = np.array([t.index[self.component(x)] for x in f_fun.source.objects], dtype=np.int64)
+        ax, ay = alpha[s.ends].T
+        bad = t.vals[t.ptr[f_fun._img] + t.pos[ay]] != t.vals[t.ptr[ax] + t.pos[g_fun._img]]
+        if bad.any():
+            raise NaturalityFails("square does not commute", s.mors[bad.argmax()])
         return self
 
     def key(self):
@@ -447,50 +474,98 @@ class MonadData:
         return self
 
 
+class _Conditions(NamedTuple):
+    """The naturality and multiplicativity laws of a retraction family P of
+    F: B → A, as integer rows over slots.
+
+    The pair (x, y) of B's objects is number x·n + y, in search order, and
+    owns one slot for each m in Hom(Fx, Fy), from base[pair] in hom-set
+    order; slot_mor is the A-table id of its m, and pin[f] the slot of Ff.
+    P is an array of B-table ids over those S slots, then over one
+    constant slot S + f for each morphism f of B, which holds f;
+    slot_pair is the pair of each slot, −1 for a constant one.  A row
+    (h, a, b, c) asks P[h] = P[c]∘P[b]∘P[a].  Naturality, for u: w → x,
+    m in Hom(Fx, Fy) and v: y → z, is the row (slot of Fv∘m∘Fu in (w, z),
+    S + u, m, S + v); multiplicativity, for g in Hom(Fx, Fy) and f in
+    Hom(Fy, Fz), is (slot of f∘g in (x, z), S + id_x, g, f).  Rows are
+    sorted by the last pair of their slots, naturality first: those of
+    pair i run from start[i].
+    """
+
+    base: np.ndarray
+    slot_pair: np.ndarray
+    slot_mor: np.ndarray
+    pin: np.ndarray
+    rows: np.ndarray
+    start: np.ndarray
+
+    @classmethod
+    def build(cls, fun):
+        sb, ta, img = fun.source._table, fun.target._table, fun._img
+        n, na = len(fun.source.objects), len(fun.target.objects)
+        ident = np.array([sb.index[fun.source.id_mor(x)] for x in fun.source.objects], dtype=np.int64)
+        fobj = ta.ends[img[ident], 0]  # F(id_x) = id_Fx
+        # A's hom-set of each morphism, p·|A| + q, whose ids run in hom order: place is the index in it
+        key = ta.ends @ np.array([na, 1])
+        _, place = _expand(np.array([len(names) for names in fun.target.hom.values()], dtype=np.int64))
+        first = np.zeros(na * na, dtype=np.int64)
+        first[key] = np.arange(len(key)) - place
+        pair_hom = (fobj[:, None] * na + fobj).ravel()
+        slot_pair, rank = _expand(np.bincount(key, minlength=na * na)[pair_hom])
+        slot_mor, S = first[pair_hom[slot_pair]] + rank, len(slot_pair)
+        base = np.searchsorted(slot_pair, np.arange(n * n + 1))
+        x, y = np.divmod(slot_pair, n)
+        src, tgt = sb.ends.T
+        # naturality: each u: w → x, each slot m of a pair (x, y), and each v
+        # out of y, which the row of id_y in B's table lists
+        u, k = _expand(base[(tgt + 1) * n] - base[tgt * n])
+        m = base[tgt[u] * n] + k
+        r, k = _expand(sb.out_degree[ident[y[m]]])
+        u, m, v = u[r], m[r], sb.second[sb.ptr[ident[y[m[r]]]] + k]
+        conj = ta.vals[ta.ptr[ta.vals[ta.ptr[img[u]] + ta.pos[slot_mor[m]]]] + ta.pos[img[v]]]
+        nat = np.stack([base[src[u] * n + tgt[v]] + place[conj], S + u, m, S + v], axis=1)
+        # multiplicativity: each slot g of (x, y), each slot f of a pair (y, z)
+        g, k = _expand(base[(y + 1) * n] - base[y * n])
+        f = base[y[g] * n] + k
+        fg = base[x[g] * n + y[f]] + place[ta.vals[ta.ptr[slot_mor[g]] + ta.pos[slot_mor[f]]]]
+        rows = np.concatenate([nat, np.stack([fg, S + ident[x[g]], g, f], axis=1)])
+        slot_pair = np.r_[slot_pair, np.full(len(sb.mors), -1)]
+        tag = slot_pair[rows].max(axis=1)
+        order = np.lexsort((rows[:, 3] < S, tag))
+        start = np.searchsorted(tag[order], np.arange(n * n + 1))
+        return cls(base, slot_pair, slot_mor, base[sb.ends @ np.array([n, 1])] + place[img], rows[order], start)
+
+
+def _broken(sb, P, rows):
+    """The mask of the rows (h, a, b, c) with P[h] != P[c]∘P[b]∘P[a], on B's table sb."""
+    h, a, b, c = rows.T
+    ba = sb.vals[sb.ptr[P[a]] + sb.pos[P[b]]]
+    return P[h] != sb.vals[sb.ptr[ba] + sb.pos[P[c]]]
+
+
 def _structure_law_failure(fun, P, new=None):
     """The first failure of naturality, then of multiplicativity, of the
     partial family P, or None.  Checked are the conditions all of whose
     pairs P assigns; given the pair `new`, only those that involve it."""
-    bcat, acat = fun.source, fun.target
-
-    def p_apply(x, y, m):
-        return (x, y, P[(x, y)][m[2]])
-
-    def image_hom(x, y, name):
-        return (fun.object_map[x], fun.object_map[y], name)
-
-    # naturality: P(Fv∘m∘Fu) = v∘P(m)∘u for m: Fx → Fy, u: w → x, v: y → z
-    inner = P if new is None else [new]
-    squares = [(u, (x, y), v) for x, y in inner
-               for u in bcat.into(x) for v in bcat.out_of(y) if (u[0], v[1]) in P]
-    if new is not None:  # new as the outer pair (w, z)
-        w, z = new
-        squares += [((w, x, un), (x, y), (y, z, vn)) for x, y in P if (x, y) != new
-                    for un in bcat.hom_set(w, x) for vn in bcat.hom_set(y, z)]
-    for u, (x, y), v in squares:
-        for name in P[(x, y)]:
-            m = image_hom(x, y, name)
-            conj = acat.comp(acat.comp(fun.apply(u), m), fun.apply(v))
-            if p_apply(u[0], v[1], conj) != bcat.comp(bcat.comp(u, p_apply(x, y, m)), v):
-                return NaturalityFails("P not natural", (u, m, v))
-    # multiplicativity: P(f∘g) = P(f)∘P(g) for g: Fx → Fy, f: Fy → Fz
-    objects = bcat.objects
-    if new is None:
-        triples = [(x, y, z) for x, y in P for z in objects]
-    else:
-        a, b = new
-        triples = dict.fromkeys(
-            [(a, b, t) for t in objects] + [(t, a, b) for t in objects] + [(a, t, b) for t in objects]
-        )
-    for x, y, z in triples:
-        if (x, y) not in P or (y, z) not in P or (x, z) not in P:
-            continue
-        for gname in P[(x, y)]:
-            g = image_hom(x, y, gname)
-            for fname in P[(y, z)]:
-                f = image_hom(y, z, fname)
-                if p_apply(x, z, acat.comp(g, f)) != bcat.comp(p_apply(x, y, g), p_apply(y, z, f)):
-                    return CategoryLawError("P not multiplicative", (g, f))
+    c, sb, ta = fun._conditions, fun.source._table, fun.target._table
+    pairs = [(x, y) for x in fun.source.objects for y in fun.source.objects]
+    assigned = np.array([pair in P for pair in pairs] + [True])  # a constant slot's pair, -1, is assigned
+    vals = [
+        sb.index[(*pairs[p], P[pairs[p]][ta.mors[m][2]])] if assigned[p] else -1
+        for p, m in zip(c.slot_pair.tolist(), c.slot_mor.tolist())
+    ]
+    vals = np.array(vals + list(range(len(sb.mors))), dtype=np.int64)
+    at = c.slot_pair[c.rows]
+    keep = assigned[at].all(axis=1)
+    rows = c.rows[keep if new is None else keep & (at == pairs.index(new)).any(axis=1)]
+    bad = _broken(sb, vals, rows)
+    natural = bad & (rows[:, 3] >= len(c.slot_mor))  # v, a constant
+    if natural.any():
+        _, u, m, v = rows[natural.argmax()]
+        return NaturalityFails("P not natural", (sb.mors[vals[u]], ta.mors[c.slot_mor[m]], sb.mors[vals[v]]))
+    if bad.any():
+        _, _, g, f = rows[bad.argmax()]
+        return CategoryLawError("P not multiplicative", (ta.mors[c.slot_mor[g]], ta.mors[c.slot_mor[f]]))
     return None
 
 
@@ -592,62 +667,48 @@ def find_h_separability_structures(fun: FunctorData, cap=None):
     """All families P: Hom(F−,F−) → Hom(−,−) making F heavily separable.
 
     Exhaustive product over function spaces, with the retraction
-    constraint pinned first.  Each naturality and multiplicativity
-    condition is checked once, when the last of its pairs is assigned,
-    so the structures found are not validated again.
+    constraint pinned first; the cap bounds that product before any
+    condition row is built.  P is an array over F's slots, and each
+    naturality and multiplicativity row is checked once, when the last of
+    its pairs is assigned, so the structures found are not validated
+    again.
     """
     cap = SEARCH_CAP if cap is None else cap
     bcat, acat = fun.source, fun.target
     pairs = [(x, y) for x in bcat.objects for y in bcat.objects]
-    domains = {}
-    pinned = {}
     space = 1
     for x, y in pairs:
-        fx, fy = fun.object_map[x], fun.object_map[y]
-        dom = acat.hom_set(fx, fy)
-        cod = bcat.hom_set(x, y)
-        pin = {}
-        for f in cod:
-            image = fun.morphism_map[(x, y, f)]
-            if image in pin and pin[image] != f:
-                return []  # F not injective on this hom-set: no retraction
-            pin[image] = f
-        if len(pin) < len(dom) and not cod:
-            return []
-        pinned[(x, y)] = pin
-        domains[(x, y)] = dom
-        free = len(dom) - len(pin)
-        space *= max(1, len(cod)) ** free
+        dom, cod = acat.hom_set(fun.object_map[x], fun.object_map[y]), bcat.hom_set(x, y)
+        pinned = len({fun.morphism_map[(x, y, f)] for f in cod})
+        if pinned < len(cod) or (dom and not cod):
+            return []  # F not injective on Hom(x, y), or nothing for P to take Hom(Fx, Fy) to
+        space *= max(1, len(cod)) ** (len(dom) - pinned)
         if space > cap:
             raise CapExceeded(space)
 
-    results = []
-    assignment = {}
-
-    def tables_for(pair):
-        x, y = pair
-        dom = domains[pair]
-        cod = bcat.hom_set(x, y)
-        pin = pinned[pair]
-        free = [d for d in dom if d not in pin]
-        for choice in itertools.product(cod, repeat=len(free)):
-            table = dict(pin)
-            table.update(zip(free, choice))
-            yield table
+    c, sb = fun._conditions, bcat._table
+    P = np.r_[np.full(len(c.slot_mor), -1), np.arange(len(sb.mors))]
+    P[c.pin] = np.arange(len(sb.mors))  # P(Ff) = f
+    free = np.flatnonzero(P < 0)
+    free = np.split(free, np.searchsorted(free, c.base[1:-1]))  # by pair
+    found = []
 
     def backtrack(i):
         if i == len(pairs):
-            results.append(HSepStructure(fun, dict(assignment)))
+            family = {pair: {} for pair in pairs}
+            for p, m, b in zip(c.slot_pair.tolist(), c.slot_mor.tolist(), P.tolist()):
+                family[pairs[p]][acat._table.mors[m][2]] = sb.mors[b][2]
+            found.append(HSepStructure(fun, family))
             return
-        for table in tables_for(pairs[i]):
-            assignment[pairs[i]] = table
-            if _structure_law_failure(fun, assignment, pairs[i]) is None:
+        rows = c.rows[c.start[i] : c.start[i + 1]]
+        cod = [sb.index[(*pairs[i], f)] for f in bcat.hom_set(*pairs[i])]
+        for choice in itertools.product(cod, repeat=len(free[i])):
+            P[free[i]] = choice
+            if not _broken(sb, P, rows).any():
                 backtrack(i + 1)
-            del assignment[pairs[i]]
 
     backtrack(0)
-    results.sort(key=lambda s: s.key())
-    return results
+    return sorted(found, key=HSepStructure.key)
 
 
 def _unit_retractions(monad: MonadData):

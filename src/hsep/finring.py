@@ -662,14 +662,25 @@ def _poly_is_reducible(f, p):
     return False
 
 
+_POLY_STEPS = 10**6  # trial divisions testing p, and candidate factors of the polynomial
+
+
 def _standard_polynomial_quotient(params):
-    p = int(params["p"])
+    """F_p[x]/(f).  p takes up to √p trial divisions, and the reducibility
+    check up to p^(deg f // 2) candidate factors; past _POLY_STEPS either
+    is refused before any is tried.  The exponent stops at 20, where
+    2^20 is past the bound already."""
+    p, d = int(params["p"]), len(params["poly"]) - 1
+    if p > _POLY_STEPS**2 or (p > 1 and p ** min(d // 2, 20) > _POLY_STEPS):
+        raise ValueError(
+            "polynomial quotients are supported for p <= 10^12 and p^(degree // 2) <= 10^6, got p = %d, degree %d"
+            % (p, d)
+        )
     if not _is_prime(p):
         raise ValueError("polynomial quotient base must be a prime field")
     f = [int(c) % p for c in params["poly"]]
     if len(f) < 2 or f[-1] != 1:
         raise ValueError("polynomial must be monic of degree >= 1")
-    d = len(f) - 1
     if _poly_is_reducible(f, p):
         warnings.warn("quotient polynomial is reducible", ReduciblePolynomialAllowed)
     moduli = (p,) * d

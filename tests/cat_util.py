@@ -1,6 +1,6 @@
 """Shared finite-category corpus: small posets, monoids, adjunctions,
-the brute-force natural-retraction oracle, and the category and functor
-law checks written out as loops over morphisms."""
+the brute-force natural-retraction oracle, and the category, functor and
+naturality law checks written out as loops over morphisms."""
 
 import itertools
 from pathlib import Path
@@ -14,6 +14,7 @@ from hsep.fincat import (
     IdentityLawFails,
     MalformedData,
     NatTransform,
+    NaturalityFails,
     NotAssociativeComposition,
     adjunction_from_doc,
     chain_poset,
@@ -476,4 +477,19 @@ def oracle_functor_law_failure(fun):
         for g in src.morphisms():
             if g[0] == f[1] and fun.apply(src.comp(f, g)) != tgt.comp(fun.apply(f), fun.apply(g)):
                 return FunctorLawFails("composition not preserved", (f, g))
+    return None
+
+
+def oracle_nat_transform_failure(alpha):
+    """The first failure of `alpha`'s components or naturality squares as
+    an exception, or None: F(f);α_y = α_x;G(f) composed with `comp`, one
+    morphism f at a time."""
+    f_fun, g_fun = alpha.source_functor, alpha.target_functor
+    cat = f_fun.target
+    for x in f_fun.source.objects:
+        if alpha.components.get(x) not in cat.hom_set(f_fun.object_map[x], g_fun.object_map[x]):
+            return MalformedData("component outside hom-set", x)
+    for f in f_fun.source.morphisms():
+        if cat.comp(f_fun.apply(f), alpha.component(f[1])) != cat.comp(alpha.component(f[0]), g_fun.apply(f)):
+            return NaturalityFails("square does not commute", f)
     return None

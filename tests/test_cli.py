@@ -197,6 +197,16 @@ class TestLargePrimes:
         assert (out.returncode, out.stdout) == (2, "")
         assert out.stderr == "error: field '%d': prime fields are supported up to p = 97\n" % self.MERSENNE
 
+    def test_polynomial_quotient_size_before_primality(self):
+        # neither √p trial divisions nor the search for factors is started
+        params = {"p": self.MERSENNE, "poly": [1, 0, 1]}
+        out = self.cli("ring", "standard", "polynomial_quotient", "--params", json.dumps(params))
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == (
+            "error: standard ring: polynomial quotients are supported for p <= 10^12 and p^(degree // 2) <= 10^6,"
+            " got p = %d, degree 2\n" % self.MERSENNE
+        )
+
     def test_quotient_past_the_int64_field_bound(self):
         # 2 is a unit mod 2⁶¹ − 1, so the quotient is the zero ring
         params = {"base": modular(self.MERSENNE), "ideal": [[2]]}

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import os
 import random
 import subprocess
@@ -26,6 +27,7 @@ from cat_util import (
     oracle_functor_law_failure,
     oracle_h_separability_structures,
     oracle_monad_augmentations,
+    oracle_nat_transform_failure,
     oracle_rafael_retractions,
     oracle_structure_law_failure,
     parallel_arrows_inclusion,
@@ -62,6 +64,19 @@ from hsep.fincat import (
 
 ADJUNCTIONS = build_adjunctions()
 ORACLE_ADJUNCTIONS = oracle_adjunctions()
+
+
+def _run_optimized(script):
+    """Run `script` under python -O with src on the path."""
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 class TestValidation:
@@ -202,6 +217,23 @@ def _ff_chain_functor():
     ).validate()
 
 
+def _small_cyclic_adjunctions(seed=14):
+    """C_m×[n] ⇄ C_m×[n + extra] for m ≤ 3, n ≤ 3 and extra ∈ {0, 1}, the
+    automorphism u and the unit h drawn from a seeded generator."""
+    rng = random.Random(seed)
+    fixtures = {}
+    for m in (2, 3):
+        for n in (1, 2, 3):
+            for extra in (0, 1):
+                u, h = rng.choice([a for a in range(1, m) if math.gcd(a, m) == 1]), rng.randrange(m)
+                name = "c%dx%d_extra%d_u%d_h%d" % (m, n, extra, u, h)
+                fixtures[name] = cyclic_chain_adjunction(m, n, extra, u=u, h=h)
+    return fixtures
+
+
+SMALL_CYCLIC_ADJUNCTIONS = _small_cyclic_adjunctions()
+
+
 def _structure_fixtures():
     chain2, chain3 = chain_poset(2), chain_poset(3, prefix="d")
     incl = inclusion_terminal_into_chain(chain2, "c1")
@@ -225,7 +257,7 @@ def _structure_fixtures():
     for order in ((0, 1, 2), (2, 1, 0), (1, 0, 2)):
         fixtures["parallel_arrows_%d%d%d" % order] = parallel_arrows_inclusion(order)
     fixtures["parallel_arrows_multiplicative"] = parallel_arrows_inclusion(composite="s")
-    for name, adj in ORACLE_ADJUNCTIONS.items():
+    for name, adj in {**ORACLE_ADJUNCTIONS, **SMALL_CYCLIC_ADJUNCTIONS}.items():
         fixtures[name + "/L"] = adj.left
         fixtures[name + "/R"] = adj.right
     return fixtures
@@ -272,6 +304,38 @@ class TestHSepOracle:
                 assert (failure and str(failure).split(" at ")[0]) == (expected and "P not " + expected)
                 if failure:
                     break
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_changed_free_value_fails_as_the_oracle(self, seed):
+        # one value of P off F's image changed within its hom-set: P∘F = id
+        # still holds, and validate names the law the oracle names first
+        rng = random.Random(seed)
+        for name in ("c2_into_v4", "c2x3_into_v4x3", "parallel_arrows_multiplicative"):
+            fun = STRUCTURE_FIXTURES[name]
+            P = copy.deepcopy(rng.choice(find_h_separability_structures(fun)).P)
+            image = {pair: {fun.morphism_map[(*pair, f)] for f in fun.source.hom_set(*pair)} for pair in P}
+            (x, y), m = rng.choice([(pair, m) for pair in sorted(P) for m in sorted(P[pair]) if m not in image[pair]])
+            P[(x, y)][m] = rng.choice([f for f in fun.source.hom_set(x, y) if f != P[(x, y)][m]])
+            expected = oracle_structure_law_failure(fun, P)
+            failure = _first_failure(HSepStructure(fun, P))
+            assert (failure and str(failure).split(" at ")[0]) == (expected and "P not " + expected), (name, m)
+            assert failure is None or type(failure) is (NaturalityFails if expected == "natural" else CategoryLawError)
+
+    def test_search_matches_oracle_under_optimize(self):
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, %r)\n"
+            "from cat_util import c2_chain_into_v4_chain, cyclic_chain_adjunction, oracle_h_separability_structures\n"
+            "from hsep.fincat import find_h_separability_structures\n"
+            "adj = cyclic_chain_adjunction(3, 2, 1, u=2, h=1)\n"
+            "funs = [c2_chain_into_v4_chain(3), adj.left, adj.right]\n"
+            "same = [[s.key() for s in find_h_separability_structures(f)] == oracle_h_separability_structures(f)\n"
+            "        for f in funs]\n"
+            "print('optimize=%%d same=%%s' %% (sys.flags.optimize, same))\n"
+        ) % str(Path(__file__).resolve().parent)
+        out = _run_optimized(script)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "optimize=1 same=[True, True, True]"
 
     def test_fixture_counts(self):
         counts = {name: len(oracle_h_separability_structures(fun)) for name, fun in STRUCTURE_FIXTURES.items()}
@@ -331,15 +395,7 @@ class TestHSepValidateFailures:
             "except NaturalityFails as err:\n"
             "    print('optimize=%%d raised: %%s' %% (sys.flags.optimize, str(err).split(' at ')[0]))\n"
         ) % str(Path(__file__).resolve().parent)
-        root = Path(__file__).resolve().parent.parent
-        path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        out = _run_optimized(script)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "optimize=1 raised: P not natural"
 
@@ -376,12 +432,19 @@ def _same_failure(got, expected):
 class TestLawTableOracle:
     """`validate` on the integer composition tables against the loops over
     morphisms in cat_util, on C_m×[n], their opposites and an
-    Eilenberg-Moore category, each with one entry corrupted."""
+    Eilenberg-Moore category, each with one entry corrupted, and on the
+    natural transformations of two adjunctions and their monads."""
 
     ADJ = cyclic_chain_adjunction(3, 3, 1, u=2, h=1)
     EM, FORGET = eilenberg_moore(ADJ)
     CATEGORIES = [cyclic_chain(m, n, "b") for m, n in ((2, 3), (3, 2), (4, 2))] + [ADJ.left.target, EM]
     FUNCTORS = [ADJ.left, ADJ.right, FORGET, c2_chain_into_v4_chain(2)]
+    TRANSFORMS = [
+        alpha
+        for adj in (ADJ, cyclic_chain_adjunction(2, 3, 0, u=1, h=1))
+        for side in (adj, adj.opposite())
+        for alpha in (side.unit, side.counit, monad_from_adjunction(side).mult)
+    ]
 
     @staticmethod
     def corrupt_category(cat, rng):
@@ -434,6 +497,26 @@ class TestLawTableOracle:
                 expected = oracle_functor_law_failure(broken)
                 assert _same_failure(_first_failure(broken), expected), (seed, broken.label)
 
+    @staticmethod
+    def corrupt_transform(alpha, rng):
+        """A copy of alpha with one component renamed within its hom-set."""
+        components = dict(alpha.components)
+        x = rng.choice(sorted(components))
+        fx, gx = alpha.source_functor.object_map[x], alpha.target_functor.object_map[x]
+        components[x] = rng.choice(alpha.source_functor.target.hom_set(fx, gx))
+        return NatTransform(alpha.source_functor, alpha.target_functor, components)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_corrupted_transform_fails_as_the_oracle(self, seed):
+        rng = random.Random(seed)
+        for alpha in self.TRANSFORMS:
+            broken = self.corrupt_transform(alpha, rng)
+            assert _same_failure(_first_failure(broken), oracle_nat_transform_failure(broken)), (seed, alpha)
+
+    def test_uncorrupted_transforms_pass_both(self):
+        for alpha in self.TRANSFORMS:
+            assert oracle_nat_transform_failure(alpha) is None and _first_failure(alpha) is None
+
     def test_every_failure_kind_is_reached(self):
         kinds = set()
         for seed in range(12):
@@ -442,7 +525,9 @@ class TestLawTableOracle:
                 kinds.add(type(oracle_category_law_failure(self.corrupt_category(cat, rng))))
             for fun in self.FUNCTORS:
                 kinds.add(type(oracle_functor_law_failure(self.corrupt_functor(fun, rng))))
-        assert {MalformedData, IdentityLawFails, NotAssociativeComposition, FunctorLawFails} <= kinds
+            for alpha in self.TRANSFORMS:
+                kinds.add(type(oracle_nat_transform_failure(self.corrupt_transform(alpha, rng))))
+        assert {MalformedData, IdentityLawFails, NotAssociativeComposition, FunctorLawFails, NaturalityFails} <= kinds
 
 
 class TestLawCheckCost:
@@ -467,6 +552,31 @@ class TestLawCheckCost:
             calls.clear()
             value.validate()
             assert len(calls) <= 2 * size, value
+
+
+class TestStructureSearchCost:
+    """The structure search runs on the condition rows: `comp` is never
+    called, and the cap is checked before any row is built."""
+
+    def test_structure_search_does_not_compose(self, monkeypatch):
+        adjunctions = (
+            cyclic_chain_adjunction(4, 7, 1, u=3, h=1),  # C4×[7] ⇄ C4×[8]
+            cyclic_chain_adjunction(3, 9, 0, u=2, h=1),  # C3×[9] ⇄ C3×[9]
+        )
+        calls = []
+        original = FiniteCategory.comp
+        monkeypatch.setattr(FiniteCategory, "comp", lambda self, f, g: calls.append(1) or original(self, f, g))
+        assert [len(find_h_separability_structures(adj.left)) for adj in adjunctions] == [1, 1]
+        assert calls == []
+
+    def test_cap_before_any_condition_row(self, monkeypatch):
+        def build(cls, fun):
+            raise AssertionError("condition rows built")
+
+        monkeypatch.setattr(fincat._Conditions, "build", classmethod(build))
+        with pytest.raises(CapExceeded) as err:
+            find_h_separability_structures(c2_doubling_into_c4(), cap=3)
+        assert err.value.size == 4  # 2 free values of C4, each one of C2's 2
 
 
 class TestSearchValidations:

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from hsep import finring
 from hsep.exactalg import DimensionMismatch
 from hsep.finring import (
     BilinearityIncompatible,
@@ -143,6 +144,17 @@ class TestStandardRings:
         x = std.elements["x"]
         assert (x * x).coords == (-ring.one()).coords
         direct_law_check(ring)
+
+    def test_polynomial_quotient_size_guard_comes_first(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("work started past the size guard")
+
+        monkeypatch.setattr(finring, "_is_prime", never)
+        monkeypatch.setattr(finring, "_poly_is_reducible", never)
+        # p past 10^12, then 2^20 candidate factors of a degree-40 polynomial
+        for params in ({"p": 10**12 + 39, "poly": [1, 1]}, {"p": 2, "poly": [1] + [0] * 39 + [1]}):
+            with pytest.raises(ValueError, match=r"supported for p <= 10\^12 and p\^\(degree // 2\) <= 10\^6"):
+                construct_standard_ring("polynomial_quotient", params)
 
     def test_reducible_polynomial_warns(self):
         with pytest.warns(ReduciblePolynomialAllowed):
