@@ -32,11 +32,23 @@ functor F are integer rows on those tables, built once per functor
 of Hom(Fx, Fy); P is an array over the slots, holding morphism ids of
 F's source.  Naturality is one row per (u, m, v), multiplicativity one
 per (g, f), each tagged with the last of its pairs in search order, and
-a row is checked by gathers on vals[ptr[·] + pos[·]].  The search checks
-at the i-th pair only the rows tagged i; _structure_law_failure reads a
-dict family into the same slots for HSepStructure.validate.  A natural
-transformation's squares are one array comparison on its target's
-table, against each functor's cached image array.
+a row is checked by gathers on vals[ptr[·] + pos[·]];
+_structure_law_failure reads a dict family into the same slots for
+HSepStructure.validate.
+
+Every law is written once, as a failure mask over rows: _broken for
+those structure rows, _unnatural for a natural transformation's squares
+α_y∘F(f) = G(f)∘α_x (one row per morphism f, against each functor's
+cached image array) and _uncomposed for a functor's F(g∘f) = F(g)∘F(f)
+(one row (f, g, g∘f) per composable pair of its source).  validate
+passes all rows; the three searches pass the rows of one stage.  They
+run on one engine, _assignments, which fills an integer array stage by
+stage on an explicit stack of itertools.product iterators, with no
+recursion, and checks at each stage only the rows whose last slot it
+assigns: the structure search has one stage per pair of objects, the
+unit retractions (Rafael's theorem, the monad augmentations and, on the
+opposite adjunction, the counit sections) one per object, and the
+section functors one per morphism.  No search calls comp.
 """
 
 from __future__ import annotations
@@ -323,13 +335,12 @@ class FunctorData:
         for x in self.source.objects:
             if self.apply(self.source.id_mor(x)) != self.target.id_mor(self.object_map[x]):
                 raise FunctorLawFails("identity not preserved", x)
-        # F(g∘f) = F(g)∘F(f) on every pair (f, g) of the source's table, in its order
-        s, t, img = self.source._table, self.target._table, self._img
-        first = s.first
-        bad = img[s.vals] != t.vals[t.ptr[img[first]] + t.pos[img[s.second]]]
+        s = self.source._table
+        pairs = np.stack([s.first, s.second, s.vals], axis=1)  # (f, g, g∘f) in table order
+        bad = _uncomposed(self.target._table, self._img, pairs)
         if bad.any():
-            p = bad.argmax()
-            raise FunctorLawFails("composition not preserved", (s.mors[first[p]], s.mors[s.second[p]]))
+            f, g, _ = pairs[bad.argmax()]
+            raise FunctorLawFails("composition not preserved", (s.mors[f], s.mors[g]))
         return self
 
     @cached_property
@@ -397,13 +408,11 @@ class NatTransform:
             fx, gx = f_fun.object_map[x], g_fun.object_map[x]
             if self.components.get(x) not in cat.hom_set(fx, gx):
                 raise MalformedData("component outside hom-set", x)
-        # α_y∘F(f) = G(f)∘α_x for every f, in morphisms() order, on the target's table
-        s, t = f_fun.source._table, cat._table
-        alpha = np.array([t.index[self.component(x)] for x in f_fun.source.objects], dtype=np.int64)
-        ax, ay = alpha[s.ends].T
-        bad = t.vals[t.ptr[f_fun._img] + t.pos[ay]] != t.vals[t.ptr[ax] + t.pos[g_fun._img]]
+        index, mors = cat._table.index, f_fun.source._table.mors
+        alpha = np.array([index[self.component(x)] for x in f_fun.source.objects], dtype=np.int64)
+        bad = _unnatural(f_fun, g_fun, alpha, np.arange(len(mors)))
         if bad.any():
-            raise NaturalityFails("square does not commute", s.mors[bad.argmax()])
+            raise NaturalityFails("square does not commute", mors[bad.argmax()])
         return self
 
     def key(self):
@@ -543,6 +552,45 @@ def _broken(sb, P, rows):
     return P[h] != sb.vals[sb.ptr[ba] + sb.pos[P[c]]]
 
 
+def _uncomposed(t, img, rows):
+    """The mask of the rows (f, g, g∘f) of a functor's source table with
+    img[g∘f] != img[g]∘img[f] on its target table t; img holds t-ids."""
+    f, g, gf = rows.T
+    return img[gf] != t.vals[t.ptr[img[f]] + t.pos[img[g]]]
+
+
+def _unnatural(f_fun, g_fun, alpha, rows):
+    """The mask of the source morphisms f: x → y in `rows` with
+    α_y∘F(f) != G(f)∘α_x; alpha holds each component's target-table id,
+    in objects order."""
+    s, t = f_fun.source._table, f_fun.target._table
+    ax, ay = alpha[s.ends[rows]].T
+    return t.vals[t.ptr[f_fun._img[rows]] + t.pos[ay]] != t.vals[t.ptr[ax] + t.pos[g_fun._img[rows]]]
+
+
+def _assignments(P, stages, broken):
+    """Every completion of the integer array P that breaks no row, depth
+    first on an explicit stack of itertools.product iterators.
+
+    A stage (slots, choices, rows) gives P[slots] each combination of
+    `choices`, one list of ids per slot, in product order; its rows are
+    those whose last slot it assigns, and broken(P, rows) is their
+    failure mask.  P itself is yielded: copy what is kept."""
+    if not stages:
+        yield P
+        return
+    stack = [itertools.product(*stages[0][1])]  # one iterator per stage assigned so far
+    while stack:
+        slots, _, rows = stages[len(stack) - 1]
+        # the top stage takes its next choice that breaks none of its rows
+        if not any(not broken(P, rows).any() for P[slots] in stack[-1]):
+            stack.pop()
+        elif len(stack) == len(stages):
+            yield P
+        else:
+            stack.append(itertools.product(*stages[len(stack)][1]))
+
+
 def _structure_law_failure(fun, P, new=None):
     """The first failure of naturality, then of multiplicativity, of the
     partial family P, or None.  Checked are the conditions all of whose
@@ -668,10 +716,10 @@ def find_h_separability_structures(fun: FunctorData, cap=None):
 
     Exhaustive product over function spaces, with the retraction
     constraint pinned first; the cap bounds that product before any
-    condition row is built.  P is an array over F's slots, and each
-    naturality and multiplicativity row is checked once, when the last of
-    its pairs is assigned, so the structures found are not validated
-    again.
+    condition row is built.  P is an array over F's slots, one stage of
+    _assignments per pair of objects, and each naturality and
+    multiplicativity row is checked once, when the last of its pairs is
+    assigned, so the structures found are not validated again.
     """
     cap = SEARCH_CAP if cap is None else cap
     bcat, acat = fun.source, fun.target
@@ -691,23 +739,14 @@ def find_h_separability_structures(fun: FunctorData, cap=None):
     P[c.pin] = np.arange(len(sb.mors))  # P(Ff) = f
     free = np.flatnonzero(P < 0)
     free = np.split(free, np.searchsorted(free, c.base[1:-1]))  # by pair
+    cods = [[sb.index[(*pair, f)] for f in bcat.hom_set(*pair)] for pair in pairs]
+    stages = [(free[i], [cods[i]] * len(free[i]), c.rows[c.start[i] : c.start[i + 1]]) for i in range(len(pairs))]
     found = []
-
-    def backtrack(i):
-        if i == len(pairs):
-            family = {pair: {} for pair in pairs}
-            for p, m, b in zip(c.slot_pair.tolist(), c.slot_mor.tolist(), P.tolist()):
-                family[pairs[p]][acat._table.mors[m][2]] = sb.mors[b][2]
-            found.append(HSepStructure(fun, family))
-            return
-        rows = c.rows[c.start[i] : c.start[i + 1]]
-        cod = [sb.index[(*pairs[i], f)] for f in bcat.hom_set(*pairs[i])]
-        for choice in itertools.product(cod, repeat=len(free[i])):
-            P[free[i]] = choice
-            if not _broken(sb, P, rows).any():
-                backtrack(i + 1)
-
-    backtrack(0)
+    for P in _assignments(P, stages, lambda P, rows: _broken(sb, P, rows)):
+        family = {pair: {} for pair in pairs}
+        for p, m, b in zip(c.slot_pair.tolist(), c.slot_mor.tolist(), P.tolist()):
+            family[pairs[p]][acat._table.mors[m][2]] = sb.mors[b][2]
+        found.append(HSepStructure(fun, family))
     return sorted(found, key=HSepStructure.key)
 
 
@@ -715,38 +754,35 @@ def _unit_retractions(monad: MonadData):
     """Natural γ: T → Id with γ∘η = id, split into (separable, heavy); the
     heavy ones, γ∘γT = γ∘μ, are the augmentations of the monad.
 
-    Each object's choices are filtered by the unit law before the capped
-    product is taken.
+    γ is an array of B-table ids over the objects, one stage per object,
+    whose choices are the γ_b with γ_b∘η_b = id_b; the cap bounds their
+    product.  A naturality square is checked when the later of its two
+    objects is assigned, and the heavy law is one row comparison on each
+    natural γ.
     """
     cat, t = monad.functor.source, monad.functor
-    objects = cat.objects
-    choice_sets = []
-    space = 1
-    for b in objects:
-        tb, eta = t.object_map[b], monad.unit.component(b)
-        choices = [g for g in cat.hom_set(tb, b) if cat.comp(eta, (tb, b, g)) == cat.id_mor(b)]
-        choice_sets.append(choices)
-        space *= len(choices)
+    if not all(cat.hom_set(t.object_map[x], x) for x in cat.objects):
+        return [], []  # some γ_x has no candidate: no table is built
+    sb, idf = cat._table, identity_functor(cat)
+    eta = [sb.index[monad.unit.component(x)] for x in cat.objects]
+    mu = [sb.index[monad.mult.component(x)] for x in cat.objects]
+    choices, space = [], 1
+    for e, x in zip(eta, cat.objects):
+        hom = [sb.index[(t.object_map[x], x, g)] for g in cat.hom_set(t.object_map[x], x)]
+        choices.append([g for g in hom if sb.vals[sb.ptr[e] + sb.pos[g]] == sb.index[cat.id_mor(x)]])
+        space *= len(choices[-1])
     if space > SEARCH_CAP:
         raise CapExceeded(space)
-    idf = identity_functor(cat)
+    last = sb.ends.max(axis=1)  # the later object of each morphism
+    stages = [([i], [c], np.flatnonzero(last == i)) for i, c in enumerate(choices)]
     sep, heavy = [], []
-    for combo in itertools.product(*choice_sets):
-        cand = NatTransform(t, idf, dict(zip(objects, combo)))
-        try:
-            cand.validate()
-        except CategoryLawError:
-            continue
+    for gamma in _assignments(np.full(len(cat.objects), -1), stages, lambda P, rows: _unnatural(t, idf, P, rows)):
+        cand = NatTransform(t, idf, {x: sb.mors[g][2] for x, g in zip(cat.objects, gamma.tolist())})
         sep.append(cand)
-        if all(
-            cat.comp(cand.component(t.object_map[b]), cand.component(b))
-            == cat.comp(monad.mult.component(b), cand.component(b))
-            for b in objects
-        ):
+        # γ_x∘γ_Tx = γ_x∘μ_x, with Tx the end of η_x
+        if (sb.vals[sb.ptr[gamma[sb.ends[eta, 1]]] + sb.pos[gamma]] == sb.vals[sb.ptr[mu] + sb.pos[gamma]]).all():
             heavy.append(cand)
-    sep.sort(key=NatTransform.key)
-    heavy.sort(key=NatTransform.key)
-    return sep, heavy
+    return sorted(sep, key=NatTransform.key), sorted(heavy, key=NatTransform.key)
 
 
 def find_rafael_retractions(adj: AdjunctionData, side="left"):
@@ -837,12 +873,14 @@ def eilenberg_moore(adj: AdjunctionData):
 def find_section_functors(u: FunctorData, cap=None):
     """All functors Γ with U∘Γ = Id on the target of U.
 
-    The cap bounds the candidates enumerated over all object choices
-    together, not those of each choice."""
+    For each choice of objects, Γ is an array of U's source ids over the
+    morphisms of U's target, one stage per morphism: f takes each of its
+    lifts and id_x only id_Γx, and Γ(g∘f) = Γ(g)∘Γ(f) is checked at the
+    last of f, g and g∘f.  The cap bounds the lifts enumerated over all
+    object choices together, not those of each choice."""
     cap = SEARCH_CAP if cap is None else cap
     src, tgt = u.source, u.target
-    fibers = {}
-    space = 1
+    fibers, space = {}, 1
     for x in tgt.objects:
         fiber = tuple(o for o in src.objects if u.object_map[o] == x)
         if not fiber:
@@ -851,37 +889,32 @@ def find_section_functors(u: FunctorData, cap=None):
         space *= len(fiber)
         if space > cap:
             raise CapExceeded(space)
+    s, t = tgt._table, src._table
+    pairs = np.stack([s.first, s.second, s.vals], axis=1)  # (f, g, g∘f) in table order
+    pairs = pairs[np.argsort(pairs.max(axis=1))]  # by the last of f, g and g∘f
+    pair_rows = np.split(pairs, np.searchsorted(pairs.max(axis=1), np.arange(1, len(s.mors))))
     results = []
-    tgt_mors = list(tgt.morphisms())
     enumerated = 0  # candidates of the object choices before this one
     for combo in itertools.product(*(fibers[x] for x in tgt.objects)):
         gamma_obj = dict(zip(tgt.objects, combo))
-        mor_candidates = []
-        total = 1
-        for f in tgt_mors:
+        lifts, total = [], 1
+        for f in s.mors:
             gx, gy = gamma_obj[f[0]], gamma_obj[f[1]]
-            cands = tuple(
-                name
-                for name in src.hom_set(gx, gy)
-                if u.morphism_map[(gx, gy, name)] == f[2]
-            )
-            mor_candidates.append(cands)
-            total *= len(cands)
+            lifts.append([t.index[(gx, gy, g)] for g in src.hom_set(gx, gy) if u.morphism_map[(gx, gy, g)] == f[2]])
+            total *= len(lifts[-1])
             if not total:
                 break
             if enumerated + total > cap:
                 raise CapExceeded(enumerated + total)
-        enumerated += total
-        for mor_combo in itertools.product(*mor_candidates):
-            gamma_mor = {f: name for f, name in zip(tgt_mors, mor_combo)}
-            cand = FunctorData(tgt, src, gamma_obj, gamma_mor, label="Γ")
-            try:
-                cand.validate()
-            except CategoryLawError:
-                continue
-            results.append(cand)
-    results.sort(key=lambda g: g.component_key())
-    return results
+            if f == tgt.id_mor(f[0]):
+                lifts[-1] = [g for g in lifts[-1] if g == t.index[src.id_mor(gx)]]
+        else:  # every morphism has a lift
+            enumerated += total
+            stages = [([k], [lifts[k]], pair_rows[k]) for k in range(len(s.mors))]
+            for img in _assignments(np.full(len(s.mors), -1), stages, lambda P, rows: _uncomposed(t, P, rows)):
+                gamma_mor = {f: t.mors[g][2] for f, g in zip(s.mors, img.tolist())}
+                results.append(FunctorData(tgt, src, gamma_obj, gamma_mor, label="Γ"))
+    return sorted(results, key=FunctorData.component_key)
 
 
 def find_monad_augmentations(monad: MonadData):

@@ -1,6 +1,7 @@
 """Shared finite-category corpus: small posets, monoids, adjunctions,
-the brute-force natural-retraction oracle, and the category, functor and
-naturality law checks written out as loops over morphisms."""
+the brute-force natural-retraction and section-functor oracles, and the
+category, functor and naturality law checks written out as loops over
+morphisms."""
 
 import itertools
 from pathlib import Path
@@ -66,6 +67,26 @@ def galois_two_chain_terminal():
     counit = NatTransform(
         compose_functors(left, right), identity_functor(a), {"t0": a.identity["t0"]}
     )
+    return AdjunctionData(left, right, unit, counit).validate()
+
+
+def codiscrete_pair_collapse():
+    """The codiscrete category on x, y (one morphism ab: a → b for any two
+    objects) ⇄ terminal: L collapses, R picks y.  RL is the constant y, so
+    the monad moves x, and γ_x = yx retracts the unit and is heavy."""
+    objects = ("x", "y")
+    b = FiniteCategory(
+        objects,
+        {(p, q): (p + q,) for p in objects for q in objects},
+        {(p, q, r, p + q, q + r): p + r for p in objects for q in objects for r in objects},
+        {o: o + o for o in objects},
+        "codiscrete2",
+    ).validate()
+    a = terminal_category()
+    left = collapse_to_terminal(b)
+    right = FunctorData(a, b, {"t0": "y"}, {("t0", "t0", a.identity["t0"]): "yy"}, label="pick y").validate()
+    unit = NatTransform(identity_functor(b), compose_functors(right, left), {"x": "xy", "y": "yy"})
+    counit = NatTransform(compose_functors(left, right), identity_functor(a), {"t0": a.identity["t0"]})
     return AdjunctionData(left, right, unit, counit).validate()
 
 
@@ -263,9 +284,11 @@ def cyclic_chain_adjunction(m, n, extra, u, h):
 
 
 def oracle_adjunctions():
-    """build_adjunctions(), both corpus adjunctions, and two C3 × chain
-    adjunctions: one with LR = Id, one with LR != Id."""
+    """build_adjunctions(), both corpus adjunctions, a collapse whose monad
+    moves an object, and two C3 × chain adjunctions: one with LR = Id,
+    one with LR != Id."""
     fixtures = dict(build_adjunctions())
+    fixtures["codiscrete_collapse"] = codiscrete_pair_collapse()
     for case in ("rafael_c2", "galois_2chain"):
         fixtures["corpus_" + case] = adjunction_from_doc(str(CORPUS / case / "adjunction.json"))
     fixtures["c3x2_lr_identity"] = cyclic_chain_adjunction(3, 2, 0, u=2, h=1)
@@ -493,3 +516,24 @@ def oracle_nat_transform_failure(alpha):
         if cat.comp(f_fun.apply(f), alpha.component(f[1])) != cat.comp(alpha.component(f[0]), g_fun.apply(f)):
             return NaturalityFails("square does not commute", f)
     return None
+
+
+def oracle_section_functors(u):
+    """Sorted component keys of all functors Γ with U∘Γ = Id: every object
+    choice, every lift of each morphism, and the functor laws checked by
+    the loops of oracle_functor_law_failure."""
+    src, tgt = u.source, u.target
+    fibers = [[o for o in src.objects if u.object_map[o] == x] for x in tgt.objects]
+    tgt_mors = list(tgt.morphisms())
+    found = []
+    for combo in itertools.product(*fibers):
+        gamma_obj = dict(zip(tgt.objects, combo))
+        lifts = []
+        for x, y, f in tgt_mors:
+            gx, gy = gamma_obj[x], gamma_obj[y]
+            lifts.append([name for name in src.hom_set(gx, gy) if u.morphism_map[(gx, gy, name)] == f])
+        for names in itertools.product(*lifts):
+            gamma = FunctorData(tgt, src, gamma_obj, dict(zip(tgt_mors, names)))
+            if oracle_functor_law_failure(gamma) is None:
+                found.append(gamma.component_key())
+    return sorted(found)

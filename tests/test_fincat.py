@@ -29,6 +29,7 @@ from cat_util import (
     oracle_monad_augmentations,
     oracle_nat_transform_failure,
     oracle_rafael_retractions,
+    oracle_section_functors,
     oracle_structure_law_failure,
     parallel_arrows_inclusion,
     structure_candidates,
@@ -202,6 +203,11 @@ class TestHSepStructures:
 
         monkeypatch.setattr(HSepStructure, "validate", fail)
         assert len(find_h_separability_structures(c2_into_v4())) == 2
+
+    def test_forty_objects_do_not_recurse(self):
+        # one stage per pair of objects: 1600 stages, past Python's default
+        # recursion limit; a chain's identity has the identity family only
+        assert len(find_h_separability_structures(identity_functor(chain_poset(40)))) == 1
 
 
 def _ff_chain_functor():
@@ -569,6 +575,29 @@ class TestStructureSearchCost:
         assert [len(find_h_separability_structures(adj.left)) for adj in adjunctions] == [1, 1]
         assert calls == []
 
+    def test_natural_and_section_searches_do_not_compose(self, monkeypatch):
+        adjunctions = (
+            cyclic_chain_adjunction(4, 7, 1, u=3, h=1),  # C4×[7] ⇄ C4×[8]
+            cyclic_chain_adjunction(3, 9, 0, u=2, h=1),  # C3×[9] ⇄ C3×[9]
+        )
+        monads = [monad_from_adjunction(adj) for adj in adjunctions]
+        forgetful = [eilenberg_moore(adj)[1] for adj in adjunctions]
+        calls = []
+        original = FiniteCategory.comp
+        monkeypatch.setattr(FiniteCategory, "comp", lambda self, f, g: calls.append(1) or original(self, f, g))
+        for side, counts in (("left", [[1, 1], [1, 1]]), ("right", [[0, 0], [1, 1]])):
+            assert [[len(found) for found in find_rafael_retractions(adj, side)] for adj in adjunctions] == counts
+        assert [[len(found) for found in fincat._unit_retractions(monad)] for monad in monads] == [[1, 1], [1, 1]]
+        assert [len(find_section_functors(u)) for u in forgetful] == [1, 1]
+        assert calls == []
+
+    def test_no_candidate_builds_no_table(self):
+        # C3×[2] ⇄ C3×[3]: Hom(a1, LR a1) is empty, so the counit side has no
+        # candidate and the opposite category's composition table is not built
+        adj = cyclic_chain_adjunction(3, 2, 1, u=2, h=1)
+        assert find_rafael_retractions(adj, "right") == ([], [])
+        assert "_table" not in vars(adj.left.target.opposite())
+
     def test_cap_before_any_condition_row(self, monkeypatch):
         def build(cls, fun):
             raise AssertionError("condition rows built")
@@ -580,10 +609,10 @@ class TestStructureSearchCost:
 
 
 class TestSearchValidations:
-    def test_five_searches_validate_three_functors(self, monkeypatch):
-        # the monad RL is not re-validated; find_monad_augmentations
-        # validates its argument, eilenberg_moore its forgetful functor and
-        # find_section_functors its one candidate
+    def test_five_searches_validate_two_functors(self, monkeypatch):
+        # the monad RL is not re-validated, nor is a section candidate;
+        # find_monad_augmentations validates its argument and
+        # eilenberg_moore its forgetful functor
         adj = cyclic_chain_adjunction(4, 7, 1, u=3, h=1)  # C4×[7] ⇄ C4×[8]
         calls = []
         original = FunctorData.validate
@@ -593,7 +622,7 @@ class TestSearchValidations:
         assert len(find_monad_augmentations(monad_from_adjunction(adj))) == 1
         assert len(find_section_functors(eilenberg_moore(adj)[1])) == 1
         assert len(find_h_separability_structures(adj.left)) == 1
-        assert len(calls) == 3
+        assert len(calls) == 2
 
 
 class TestRafael:
@@ -670,6 +699,31 @@ class TestRafaelOracle:
         sep, heavy = fincat._unit_retractions(pair(c2, {"*": "1"}, {"*": "g"}))
         assert [n.components for n in sep] == [{"*": "1"}] and heavy == []
         assert oracle_monad_augmentations(pair(c2, {"*": "1"}, {"*": "g"})) == []
+
+    def test_searches_match_oracles_under_optimize(self):
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, %r)\n"
+            "from cat_util import cyclic_chain_adjunction, oracle_monad_augmentations, oracle_rafael_retractions\n"
+            "from cat_util import oracle_section_functors\n"
+            "from hsep.fincat import eilenberg_moore, find_monad_augmentations, find_rafael_retractions\n"
+            "from hsep.fincat import find_section_functors, monad_from_adjunction\n"
+            "same = []\n"
+            "for adj in (cyclic_chain_adjunction(3, 2, 1, u=2, h=1), cyclic_chain_adjunction(2, 3, 0, u=1, h=1)):\n"
+            "    for side in ('left', 'right'):\n"
+            "        sep, heavy = find_rafael_retractions(adj, side)\n"
+            "        keys = ([n.key() for n in sep], [n.key() for n in heavy])\n"
+            "        same.append(keys == oracle_rafael_retractions(adj, side))\n"
+            "    monad = monad_from_adjunction(adj)\n"
+            "    same.append([n.key() for n in find_monad_augmentations(monad)] == oracle_monad_augmentations(monad))\n"
+            "    for side in (adj, adj.opposite()):\n"
+            "        u = eilenberg_moore(side)[1]\n"
+            "        same.append([g.component_key() for g in find_section_functors(u)] == oracle_section_functors(u))\n"
+            "print('optimize=%%d same=%%s' %% (sys.flags.optimize, all(same) and len(same)))\n"
+        ) % str(Path(__file__).resolve().parent)
+        out = _run_optimized(script)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "optimize=1 same=10"
 
     def test_cap_is_read_at_call_time(self, monkeypatch):
         # c2_twisted keeps one candidate after the unit-law filter; at the
@@ -771,8 +825,9 @@ class TestSections:
         em, forget = eilenberg_moore(ADJUNCTIONS["rl_identity"])
         assert len(find_section_functors(forget)) == 1
 
-    def test_two_point_fiber_gives_two_sections(self):
-        # two isolated objects over a single point: either lift works
+    @staticmethod
+    def two_point_fiber():
+        """Two isolated objects over a single point: either lift works."""
         two = FiniteCategory(
             ("a", "b"),
             {("a", "a"): ("ia",), ("b", "b"): ("ib",)},
@@ -780,13 +835,26 @@ class TestSections:
             {"a": "ia", "b": "ib"},
         ).validate()
         term = chain_poset(1, prefix="t")
-        u = FunctorData(
+        return FunctorData(
             two,
             term,
             {"a": "t0", "b": "t0"},
             {("a", "a", "ia"): term.identity["t0"], ("b", "b", "ib"): term.identity["t0"]},
         ).validate()
-        assert len(find_section_functors(u)) == 2
+
+    @staticmethod
+    def idempotent_onto_terminal():
+        """The monoid {1, e}, e∘e = e, onto the terminal category: e is an
+        idempotent lift of the identity that preserves composition, and
+        only Γ(id) = 1 is a functor."""
+        term = chain_poset(1, prefix="t")
+        monoid = fincat.monoid_category(("1", "e"), [[0, 1], [1, 1]], 0, label="{1,e}")
+        return FunctorData(
+            monoid, term, {"*": "t0"}, {("*", "*", n): term.identity["t0"] for n in ("1", "e")}
+        ).validate()
+
+    def test_two_point_fiber_gives_two_sections(self):
+        assert len(find_section_functors(self.two_point_fiber())) == 2
 
     @staticmethod
     def v4_pair_onto_c2():
@@ -814,6 +882,32 @@ class TestSections:
             with pytest.raises(CapExceeded) as err:
                 find_section_functors(u, cap=cap)
             assert cap < err.value.size <= 8
+
+
+class TestSectionOracle:
+    """find_section_functors against the brute force in cat_util, which
+    builds every lift and checks the functor laws by loops over morphisms."""
+
+    FUNCTORS = {
+        **{
+            name + suffix: eilenberg_moore(side)[1]
+            for name, adj in ORACLE_ADJUNCTIONS.items()
+            for suffix, side in (("", adj), ("^op", adj.opposite()))
+        },
+        "v4_pair_onto_c2": TestSections.v4_pair_onto_c2(),
+        "two_point_fiber": TestSections.two_point_fiber(),
+        "idempotent_onto_terminal": TestSections.idempotent_onto_terminal(),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FUNCTORS))
+    def test_sections_match_oracle(self, name):
+        u = self.FUNCTORS[name]
+        assert [g.component_key() for g in find_section_functors(u)] == oracle_section_functors(u)
+
+    def test_fixture_counts(self):
+        counts = {name: len(oracle_section_functors(u)) for name, u in self.FUNCTORS.items()}
+        assert (counts["v4_pair_onto_c2"], counts["two_point_fiber"], counts["idempotent_onto_terminal"]) == (4, 2, 1)
+        assert counts["galois_collapse"] == 0 and counts["galois_collapse^op"] == 1
 
 
 class TestAugmentations:
