@@ -10,21 +10,30 @@ monad augmentations and, on the opposite adjunction, the counit
 sections), and Eilenberg-Moore section functors.  Searches raise
 CapExceeded past SEARCH_CAP candidates.  Everything is small and
 checked exhaustively.  Composable morphisms come from each category's
-index of its morphisms by source and target, kept in morphisms() order
-so that the first failure found does not move.
+table, whose row for f: x → y lists out_of(y) in morphisms() order, so
+that the first failure found does not move.
 
-Each category also keeps one integer view of its composition table,
-built once in the scan that checks every composite exists and lies in
-its hom-set.  Morphism ids follow morphisms(); pos[g] is g's index in
-out_of(g[0]), ptr[f] is the prefix sum of len(out_of(f[1])), and
-vals[ptr[f] + pos[g]] is the id of g∘f: one entry per composable pair,
-no N×N array.  The identity laws, associativity on every composable
-triple, (h∘g)∘f against h∘(g∘f), and a functor's F(g∘f) = F(g)∘F(f) on
-every pair are array comparisons on it.  The first failure reported is
-the first index of the failure mask, with pairs in (f, g ∈ out_of(f[1]))
-order and triples in (f, g, h ∈ out_of(g[1])) order, the order of the
-loops over morphisms in tests/cat_util.py, so the witness is the one
-those loops find.
+Each category also keeps one integer view of its composition table.
+Morphism ids follow morphisms(); pos[g] is g's index in out_of(g[0]),
+ptr[f] is the prefix sum of len(out_of(f[1])), and vals[ptr[f] + pos[g]]
+is the id of g∘f: one entry per composable pair, no N×N array.  pos,
+ptr and the ids along each row come from the hom-set sizes (_layout);
+vals is filled in one pass over the compose entries, with −1 left where
+a composite is missing and −2 where it lies outside its hom-set, and the
+first such slot in table order is the error raised.  Derived categories
+and functors gather theirs from tables that exist, and read no composite
+through a dict: an opposite keeps the original's morphism ids, its slot
+(f, g) is the original's (g, f), and it is gathered only when first
+used; the Eilenberg-Moore category reads its algebras, its hom-sets and
+its table off the base category's; an identity functor's image array is
+arange, a composite's is the second's gathered at the first's, and an
+opposite's is the original's.  The identity laws, associativity on
+every composable triple, (h∘g)∘f against h∘(g∘f), and a functor's
+F(g∘f) = F(g)∘F(f) on every pair are array comparisons on the table.
+The first failure reported is the first index of the failure mask, with
+pairs in (f, g ∈ out_of(f[1])) order and triples in (f, g, h ∈
+out_of(g[1])) order, the order of the loops over morphisms in
+tests/cat_util.py, so the witness is the one those loops find.
 
 The naturality and multiplicativity laws of a retraction family P of a
 functor F are integer rows on those tables, built once per functor
@@ -48,7 +57,8 @@ recursion, and checks at each stage only the rows whose last slot it
 assigns: the structure search has one stage per pair of objects, the
 unit retractions (Rafael's theorem, the monad augmentations and, on the
 opposite adjunction, the counit sections) one per object, and the
-section functors one per morphism.  No search calls comp.
+section functors one for every morphism with a single lift together and
+one per other morphism.  No search calls comp.
 """
 
 from __future__ import annotations
@@ -195,6 +205,31 @@ def _expand(counts):
     return item, np.arange(len(item)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
+def _layout(ends, n):
+    """pos, ptr, first and second of the composition table of the morphisms
+    whose source and target object indices, among n objects, are `ends`."""
+    src, tgt = ends.T
+    order = np.argsort(src, kind="stable")  # out_of(0), out_of(1), ..., each in id order
+    size = np.bincount(src, minlength=n)
+    start = np.cumsum(size) - size
+    pos = np.empty(len(src), dtype=np.int64)
+    pos[order] = np.arange(len(src)) - np.repeat(start, size)
+    first, k = _expand(size[tgt])
+    return pos, np.cumsum(size[tgt]) - size[tgt], first, order[start[tgt[first]] + k]
+
+
+def _homs(cat):
+    """(size, first, place) on cat's table: the size and first id of each
+    hom-set (x, y), indexed by x·n + y, and each morphism's index in its
+    hom-set, whose ids run consecutively in hom order."""
+    t, n = cat._table, len(cat.objects)
+    key = t.ends @ np.array([n, 1])
+    _, place = _expand(np.array([len(names) for names in cat.hom.values()], dtype=np.int64))
+    first = np.zeros(n * n, dtype=np.int64)
+    first[key] = np.arange(len(key)) - place
+    return np.bincount(key, minlength=n * n), first, place
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteCategory:
     """objects, hom tables, composition table (g∘f), identities."""
@@ -239,28 +274,44 @@ class FiniteCategory:
         return (x, z, self.compose[(x, y1, z, fn, gn)])
 
     @cached_property
-    def _table(self):
-        """The integer composition table, built in the scan that checks that
-        each composite exists and lies in its hom-set."""
+    def _raw_table(self):
+        """The integer composition table, read in one pass over the compose
+        entries; a slot holds −1 for a missing composite and −2 for one
+        outside its hom-set.  Entries that name no morphism are ignored."""
         mors = list(self.morphisms())
         index = {f: i for i, f in enumerate(mors)}
-        ptr, second, vals = [], [], []
-        for f in mors:
-            ptr.append(len(vals))
-            for g in self.out_of(f[1]):
-                key = (f[0], f[1], g[1], f[2], g[2])
-                try:
-                    name = self.compose[key]
-                except KeyError:
-                    raise MalformedData("missing composite", key) from None
-                if name not in self.hom_set(f[0], g[1]):
-                    raise MalformedData("composite outside hom-set", key)
-                second.append(index[g])
-                vals.append(index[(f[0], g[1], name)])
-        pos = [self.out_of(f[0]).index(f) for f in mors]
         number = {x: i for i, x in enumerate(self.objects)}
-        ends = np.array([(number[f[0]], number[f[1]]) for f in mors], dtype=np.int64).reshape(-1, 2)
-        return _CompositionTable(mors, index, *(np.array(a, dtype=np.int64) for a in (pos, ptr, second, vals)), ends)
+        ends = np.array([(number[x], number[y]) for x, y, _ in mors], dtype=np.int64).reshape(-1, 2)
+        pos, ptr, _, second = _layout(ends, len(self.objects))
+
+        def ids(entries):
+            return [
+                (index.get((x, y, f), -1), index.get((y, z, g), -1), index.get((x, z, h), -2))
+                for (x, y, z, f, g), h in entries
+            ]
+
+        try:
+            fgh = ids(self.compose.items())
+        except TypeError:  # a composite that cannot be hashed, a list say, names no morphism
+            fgh = ids((key, h if h.__hash__ else object()) for key, h in self.compose.items())
+        f, g, h = np.fromiter(itertools.chain.from_iterable(fgh), np.int64, 3 * len(fgh)).reshape(-1, 3).T
+        named = (f >= 0) & (g >= 0)
+        vals = np.full(len(second), -1, dtype=np.int64)
+        vals[ptr[f[named]] + pos[g[named]]] = h[named]
+        return _CompositionTable(mors, index, pos, ptr, second, vals, ends)
+
+    @cached_property
+    def _table(self):
+        """The integer composition table, once every composite exists and
+        lies in its hom-set; the first failure in table order is raised."""
+        t = self._raw_table
+        bad = t.vals < 0
+        if bad.any():
+            i = bad.argmax()
+            f, g = t.mors[t.first[i]], t.mors[t.second[i]]
+            message = "missing composite" if t.vals[i] == -1 else "composite outside hom-set"
+            raise MalformedData(message, (f[0], f[1], g[1], f[2], g[2]))
+        return t
 
     def validate(self):
         seen = set(self.objects)
@@ -278,35 +329,66 @@ class FiniteCategory:
                 raise MalformedData("identity not in hom-set", x)
         t = self._table
         ids = np.arange(len(t.mors))
-        source_id = np.array([t.index[self.id_mor(f[0])] for f in t.mors], dtype=np.int64)
-        target_id = np.array([t.index[self.id_mor(f[1])] for f in t.mors], dtype=np.int64)
+        ident = np.array([t.index[self.id_mor(x)] for x in self.objects], dtype=np.int64)
+        source_id, target_id = ident[t.ends.T]
         left = t.vals[t.ptr[source_id] + t.pos] != ids  # f∘id
         bad = left | (t.vals[t.ptr + t.pos[target_id]] != ids)  # id∘f
         if bad.any():
             i = bad.argmax()
             raise IdentityLawFails("id;f != f" if left[i] else "f;id != f", t.mors[i])
         # the triples (f, g, h) in scan order: pair p = (f, g) once for each
-        # h, and k the position of h in out_of(g[1])
+        # h, and h = second[ptr[g] + k] the k-th of out_of(g[1])
         p, k = _expand(t.out_degree[t.second])
         h_gf = t.vals[t.ptr[t.vals[p]] + k]
         hg = t.vals[t.ptr[t.second[p]] + k]
         bad = h_gf != t.vals[t.ptr[t.first[p]] + t.pos[hg]]  # against (h∘g)∘f
         if bad.any():
             i = bad.argmax()
-            f, g = t.mors[t.first[p[i]]], t.mors[t.second[p[i]]]
-            raise NotAssociativeComposition("(h∘g)∘f != h∘(g∘f)", (f, g, self.out_of(g[1])[k[i]]))
+            f, g, h = t.first[p[i]], t.second[p[i]], t.second[t.ptr[t.second[p[i]]] + k[i]]
+            raise NotAssociativeComposition("(h∘g)∘f != h∘(g∘f)", (t.mors[f], t.mors[g], t.mors[h]))
         return self
 
     def opposite(self):
         """The opposite category: arrows reversed, every name kept.  It is
-        made once per category, so its composition table is built once."""
+        made once per category and keeps its morphism ids, so its
+        composition table is gathered from this one when first used."""
         return self._opposite
 
     @cached_property
     def _opposite(self):
-        return FiniteCategory(
-            self.objects, _OppositeTable(self.hom), _OppositeTable(self.compose), self.identity, self.label + "^op"
+        return _GatheredCategory(
+            self.objects,
+            _OppositeTable(self.hom),
+            _OppositeTable(self.compose),
+            self.identity,
+            self.label + "^op",
+            gather=lambda: _opposite_table(self._raw_table, len(self.objects)),
         )
+
+
+def _opposite_table(t, n):
+    """The raw composition table of the opposite of the category, with n
+    objects, whose raw table is t, on the same morphism ids: its slot
+    (f, g), g∘f there, is f∘g here, t's slot (g, f)."""
+    ends = np.ascontiguousarray(t.ends[:, ::-1])
+    pos, ptr, first, second = _layout(ends, n)
+    mors = [(y, x, name) for x, y, name in t.mors]
+    vals = t.vals[t.ptr[second] + t.pos[first]]
+    return _CompositionTable(mors, {f: i for i, f in enumerate(mors)}, pos, ptr, second, vals, ends)
+
+
+class _GatheredCategory(FiniteCategory):
+    """A category whose raw composition table gather() derives, when first
+    used, from tables that exist: an opposite's, or an Eilenberg-Moore
+    category's."""
+
+    def __init__(self, *fields, gather, **named):
+        super().__init__(*fields, **named)
+        object.__setattr__(self, "_gather", gather)
+
+    @cached_property
+    def _raw_table(self):
+        return self._gather()
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,37 +439,58 @@ class FunctorData:
         return tuple(sorted(self.object_map.items())), tuple(sorted(self.morphism_map.items()))
 
     def opposite(self):
-        """F^op between the opposite categories, with the same maps."""
-        return FunctorData(
+        """F^op between the opposite categories, with the same maps; the
+        opposites keep the morphism ids, so F^op has F's image array."""
+        return _GatheredFunctor(
             self.source.opposite(),
             self.target.opposite(),
             self.object_map,
             _OppositeTable(self.morphism_map),
             self.label + "^op",
+            gather=lambda: self._img,
         )
 
 
+class _GatheredFunctor(FunctorData):
+    """A functor whose image array gather() derives, when first used, from
+    arrays that exist: an opposite's, an identity's or a composite's."""
+
+    def __init__(self, *fields, gather, **named):
+        super().__init__(*fields, **named)
+        object.__setattr__(self, "_gather", gather)
+
+    @cached_property
+    def _img(self):
+        return self._gather()
+
+
 def identity_functor(cat: FiniteCategory) -> FunctorData:
-    return FunctorData(
+    return _GatheredFunctor(
         cat,
         cat,
         {x: x for x in cat.objects},
         {f: f[2] for f in cat.morphisms()},
         label="Id",
+        gather=lambda: np.arange(len(cat._table.mors)),
     )
 
 
 def compose_functors(second: FunctorData, first: FunctorData) -> FunctorData:
-    """second ∘ first."""
+    """second ∘ first; through one category, its image array is second's
+    gathered at first's."""
     if first.target is not second.source and first.target.objects != second.source.objects:
         raise MalformedData("functors do not compose")
-    return FunctorData(
+    om = first.object_map
+    maps = (
         first.source,
         second.target,
-        {x: second.object_map[first.object_map[x]] for x in first.source.objects},
-        {f: second.apply(first.apply(f))[2] for f in first.source.morphisms()},
-        label="%s∘%s" % (second.label, first.label),
+        {x: second.object_map[om[x]] for x in first.source.objects},
+        {f: second.morphism_map[om[f[0]], om[f[1]], first.morphism_map[f]] for f in first.source.morphisms()},
+        "%s∘%s" % (second.label, first.label),
     )
+    if first.target is second.source:
+        return _GatheredFunctor(*maps, gather=lambda: second._img[first._img])
+    return FunctorData(*maps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -514,13 +617,9 @@ class _Conditions(NamedTuple):
         n, na = len(fun.source.objects), len(fun.target.objects)
         ident = np.array([sb.index[fun.source.id_mor(x)] for x in fun.source.objects], dtype=np.int64)
         fobj = ta.ends[img[ident], 0]  # F(id_x) = id_Fx
-        # A's hom-set of each morphism, p·|A| + q, whose ids run in hom order: place is the index in it
-        key = ta.ends @ np.array([na, 1])
-        _, place = _expand(np.array([len(names) for names in fun.target.hom.values()], dtype=np.int64))
-        first = np.zeros(na * na, dtype=np.int64)
-        first[key] = np.arange(len(key)) - place
+        size, first, place = _homs(fun.target)
         pair_hom = (fobj[:, None] * na + fobj).ravel()
-        slot_pair, rank = _expand(np.bincount(key, minlength=na * na)[pair_hom])
+        slot_pair, rank = _expand(size[pair_hom])
         slot_mor, S = first[pair_hom[slot_pair]] + rank, len(slot_pair)
         base = np.searchsorted(slot_pair, np.arange(n * n + 1))
         x, y = np.divmod(slot_pair, n)
@@ -825,47 +924,69 @@ def _algebra_label(b, aname):
 
 
 def eilenberg_moore(adj: AdjunctionData):
-    """Category of algebras of the monad (RL, RεL, η) and its forgetful functor."""
+    """Category of algebras of the monad (RL, RεL, η) and its forgetful functor.
+
+    Everything is read off B's table by gathers, g∘f at vals[ptr[f] +
+    pos[g]]: the algebras a: Tb → b, with a∘η_b = id_b and a∘Ta = a∘μ_b,
+    in objects then hom order; the algebra morphisms f: (b, a) → (c, c'),
+    with f∘a = c'∘Tf; and the composition table of the algebras, whose ids
+    follow its morphisms() and whose composites are looked up in their
+    hom-sets, −2 where one is not an algebra morphism.  No dict composes;
+    the category's validation on that table is the gate on the result."""
     monad = monad_from_adjunction(adj)
-    bcat = adj.left.source
-    t = monad.functor
-    algebras = []
-    for b in bcat.objects:
-        tb = t.object_map[b]
-        for aname in bcat.hom_set(tb, b):
-            a = (tb, b, aname)
-            if bcat.comp(monad.unit.component(b), a) != bcat.id_mor(b):
-                continue
-            if bcat.comp(t.apply(a), a) != bcat.comp(monad.mult.component(b), a):
-                continue
-            algebras.append((b, a))
-    objects = tuple(_algebra_label(b, a[2]) for b, a in algebras)
-    by_label = dict(zip(objects, algebras))
-    hom = {}
-    for ob1, (b, a) in by_label.items():
-        for ob2, (c, caction) in by_label.items():
-            names = []
-            for fname in bcat.hom_set(b, c):
-                f = (b, c, fname)
-                if bcat.comp(a, f) == bcat.comp(t.apply(f), caction):
-                    names.append(fname)
-            hom[(ob1, ob2)] = tuple(names)
-    compose = {}
-    for ob1, (b, _) in by_label.items():
-        for ob2, (c, _) in by_label.items():
-            for ob3, (d, _) in by_label.items():
-                for fn in hom[(ob1, ob2)]:
-                    for gn in hom[(ob2, ob3)]:
-                        comp = bcat.comp((b, c, fn), (c, d, gn))
-                        compose[(ob1, ob2, ob3, fn, gn)] = comp[2]
-    identity = {ob: bcat.identity[by_label[ob][0]] for ob in objects}
-    em = FiniteCategory(objects, hom, compose, identity, label="EM(%s)" % t.label).validate()
-    forgetful = FunctorData(
-        em,
-        bcat,
-        {ob: by_label[ob][0] for ob in objects},
-        {(ob1, ob2, fn): fn for (ob1, ob2), names in hom.items() for fn in names},
-        label="U",
+    bcat, t = adj.left.source, monad.functor
+    sb, n, timg = bcat._table, len(bcat.objects), t._img
+    size, start, place = _homs(bcat)
+
+    def comp(f, g):
+        return sb.vals[sb.ptr[f] + sb.pos[g]]
+
+    def ids(component):
+        return np.array([sb.index[component(b)] for b in bcat.objects], dtype=np.int64)
+
+    ident, eta, mu = ids(bcat.id_mor), ids(monad.unit.component), ids(monad.mult.component)
+    tb = sb.ends[eta, 1]
+    b, r = _expand(size[tb * n + np.arange(n)])  # each a in Hom(Tb, b)
+    a = start[tb[b] * n + b] + r
+    keep = (comp(eta[b], a) == ident[b]) & (comp(timg[a], a) == comp(mu[b], a))
+    obj, act = b[keep], a[keep]
+    k = len(obj)
+    # each f in Hom(b, c) for each pair (i, j) of algebras, numbered i·k + j
+    p, r = _expand(size[(obj[:, None] * n + obj).ravel()])
+    i, j = np.divmod(p, k)
+    f = start[obj[i] * n + obj[j]] + r
+    keep = comp(act[i], f) == comp(timg[f], act[j])
+    em_id = np.full(len(f), -2, dtype=np.int64)
+    em_id[keep] = np.arange(keep.sum())
+    under, ends = f[keep], np.stack([i[keep], j[keep]], axis=1)
+    pos, ptr, first, second = _layout(ends, k)
+    h = comp(under[first], under[second])
+    x, y, z = ends[first, 0], ends[second, 0], ends[second, 1]
+    inside = (sb.ends[h, 0] == obj[x]) & (sb.ends[h, 1] == obj[z])
+    vals = np.full(len(h), -2, dtype=np.int64)
+    vals[inside] = em_id[(np.searchsorted(p, x * k + z) + place[h])[inside]]
+
+    # names and algebra labels as object arrays, gathered by id
+    names = np.fromiter((m[2] for m in sb.mors), object, len(sb.mors))
+    labels = np.fromiter(map(_algebra_label, np.fromiter(bcat.objects, object, n)[obj], names[act]), object, k)
+    objects = tuple(labels)
+    mors = list(zip(labels[ends[:, 0]], labels[ends[:, 1]], names[under]))
+    hom = {(ob1, ob2): () for ob1 in objects for ob2 in objects}
+    for ob1, ob2, name in mors:
+        hom[(ob1, ob2)] += (name,)
+    keys = zip(labels[x], labels[y], labels[z], names[under[first]], names[under[second]])
+    table = _CompositionTable(mors, {m: e for e, m in enumerate(mors)}, pos, ptr, second, vals, ends)
+    under_obj = [bcat.objects[b] for b in obj.tolist()]
+    em = _GatheredCategory(
+        objects,
+        hom,
+        dict(zip(keys, names[h])),
+        {ob: bcat.identity[b] for ob, b in zip(objects, under_obj)},
+        label="EM(%s)" % t.label,
+        gather=lambda: table,
+    ).validate()
+    forgetful = _GatheredFunctor(
+        em, bcat, dict(zip(objects, under_obj)), {m: m[2] for m in mors}, label="U", gather=lambda: under
     ).validate()
     return em, forgetful
 
@@ -874,10 +995,12 @@ def find_section_functors(u: FunctorData, cap=None):
     """All functors Γ with U∘Γ = Id on the target of U.
 
     For each choice of objects, Γ is an array of U's source ids over the
-    morphisms of U's target, one stage per morphism: f takes each of its
-    lifts and id_x only id_Γx, and Γ(g∘f) = Γ(g)∘Γ(f) is checked at the
-    last of f, g and g∘f.  The cap bounds the lifts enumerated over all
-    object choices together, not those of each choice."""
+    morphisms of U's target: f takes each of its lifts and id_x only id_Γx.
+    The morphisms with a single lift are assigned in one first stage, and
+    each other morphism in a stage of its own; Γ(g∘f) = Γ(g)∘Γ(f) is
+    checked at the stage of the last of f, g and g∘f.  The cap bounds the
+    lifts enumerated over all object choices together, not those of each
+    choice."""
     cap = SEARCH_CAP if cap is None else cap
     src, tgt = u.source, u.target
     fibers, space = {}, 1
@@ -891,8 +1014,6 @@ def find_section_functors(u: FunctorData, cap=None):
             raise CapExceeded(space)
     s, t = tgt._table, src._table
     pairs = np.stack([s.first, s.second, s.vals], axis=1)  # (f, g, g∘f) in table order
-    pairs = pairs[np.argsort(pairs.max(axis=1))]  # by the last of f, g and g∘f
-    pair_rows = np.split(pairs, np.searchsorted(pairs.max(axis=1), np.arange(1, len(s.mors))))
     results = []
     enumerated = 0  # candidates of the object choices before this one
     for combo in itertools.product(*(fibers[x] for x in tgt.objects)):
@@ -910,7 +1031,15 @@ def find_section_functors(u: FunctorData, cap=None):
                 lifts[-1] = [g for g in lifts[-1] if g == t.index[src.id_mor(gx)]]
         else:  # every morphism has a lift
             enumerated += total
-            stages = [([k], [lifts[k]], pair_rows[k]) for k in range(len(s.mors))]
+            # the morphisms with one lift are stage 0, together; each other is a stage
+            multi = np.array([len(c) != 1 for c in lifts], dtype=bool)
+            stage = np.where(multi, np.cumsum(multi), 0)
+            tag = stage[pairs].max(axis=1)  # the stage of the last of f, g and g∘f
+            bounds = np.arange(1, multi.sum() + 1)
+            by_stage, by_tag = np.argsort(stage, kind="stable"), np.argsort(tag, kind="stable")
+            slots = np.split(by_stage, np.searchsorted(stage[by_stage], bounds))
+            checks = np.split(pairs[by_tag], np.searchsorted(tag[by_tag], bounds))
+            stages = [(k, [lifts[i] for i in k], rows) for k, rows in zip(slots, checks)]
             for img in _assignments(np.full(len(s.mors), -1), stages, lambda P, rows: _uncomposed(t, P, rows)):
                 gamma_mor = {f: t.mors[g][2] for f, g in zip(s.mors, img.tolist())}
                 results.append(FunctorData(tgt, src, gamma_obj, gamma_mor, label="Γ"))
@@ -950,14 +1079,10 @@ def _resolve(doc, base_dir):
 def category_from_doc(doc, base_dir=None) -> FiniteCategory:
     doc, _ = _resolve(doc, base_dir)
     hom = {(x, y): tuple(names) for x, y, names in doc.get("homs", [])}
-    compose = {}
-    for entry in doc.get("compose", []):
-        x, y, z, f, g, h = entry
-        compose[(x, y, z, f, g)] = h
     return FiniteCategory(
         tuple(doc["objects"]),
         hom,
-        compose,
+        {(x, y, z, f, g): h for x, y, z, f, g, h in doc.get("compose", [])},
         dict(doc["identities"]),
         doc.get("label", "category"),
     ).validate()

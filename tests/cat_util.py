@@ -1,7 +1,7 @@
 """Shared finite-category corpus: small posets, monoids, adjunctions,
-the brute-force natural-retraction and section-functor oracles, and the
-category, functor and naturality law checks written out as loops over
-morphisms."""
+the brute-force natural-retraction, section-functor and Eilenberg-Moore
+oracles, and the category, functor and naturality law checks written out
+as loops over morphisms."""
 
 import itertools
 from pathlib import Path
@@ -22,6 +22,7 @@ from hsep.fincat import (
     compose_functors,
     identity_adjunction,
     identity_functor,
+    monad_from_adjunction,
     monoid_category,
 )
 
@@ -537,3 +538,52 @@ def oracle_section_functors(u):
             if oracle_functor_law_failure(gamma) is None:
                 found.append(gamma.component_key())
     return sorted(found)
+
+
+def oracle_eilenberg_moore(adj):
+    """(category, forgetful functor) of the algebras of the monad of adj,
+    built with dict lookups and `comp`: every candidate action checked,
+    every B-morphism between two algebras tested, every composable pair
+    composed one at a time."""
+    monad = monad_from_adjunction(adj)
+    bcat = adj.left.source
+    t = monad.functor
+    algebras = []
+    for b in bcat.objects:
+        tb = t.object_map[b]
+        for aname in bcat.hom_set(tb, b):
+            a = (tb, b, aname)
+            if bcat.comp(monad.unit.component(b), a) != bcat.id_mor(b):
+                continue
+            if bcat.comp(t.apply(a), a) != bcat.comp(monad.mult.component(b), a):
+                continue
+            algebras.append((b, a))
+    objects = tuple("%s|%s" % (b, a[2]) for b, a in algebras)
+    by_label = dict(zip(objects, algebras))
+    hom = {}
+    for ob1, (b, a) in by_label.items():
+        for ob2, (c, caction) in by_label.items():
+            names = []
+            for fname in bcat.hom_set(b, c):
+                f = (b, c, fname)
+                if bcat.comp(a, f) == bcat.comp(t.apply(f), caction):
+                    names.append(fname)
+            hom[(ob1, ob2)] = tuple(names)
+    compose = {}
+    for ob1, (b, _) in by_label.items():
+        for ob2, (c, _) in by_label.items():
+            for ob3, (d, _) in by_label.items():
+                for fn in hom[(ob1, ob2)]:
+                    for gn in hom[(ob2, ob3)]:
+                        comp = bcat.comp((b, c, fn), (c, d, gn))
+                        compose[(ob1, ob2, ob3, fn, gn)] = comp[2]
+    identity = {ob: bcat.identity[by_label[ob][0]] for ob in objects}
+    em = FiniteCategory(objects, hom, compose, identity, label="EM(%s)" % t.label).validate()
+    forgetful = FunctorData(
+        em,
+        bcat,
+        {ob: by_label[ob][0] for ob in objects},
+        {(ob1, ob2, fn): fn for (ob1, ob2), names in hom.items() for fn in names},
+        label="U",
+    ).validate()
+    return em, forgetful

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cat_util import (
@@ -24,6 +25,7 @@ from cat_util import (
     inclusion_terminal_into_chain,
     oracle_adjunctions,
     oracle_category_law_failure,
+    oracle_eilenberg_moore,
     oracle_functor_law_failure,
     oracle_h_separability_structures,
     oracle_monad_augmentations,
@@ -438,8 +440,10 @@ def _same_failure(got, expected):
 class TestLawTableOracle:
     """`validate` on the integer composition tables against the loops over
     morphisms in cat_util, on C_m×[n], their opposites and an
-    Eilenberg-Moore category, each with one entry corrupted, and on the
-    natural transformations of two adjunctions and their monads."""
+    Eilenberg-Moore category, each with one entry corrupted, also after a
+    JSON round trip, and on the natural transformations of two adjunctions
+    and their monads; and each opposite's gathered table against a fresh
+    build of its own tables."""
 
     ADJ = cyclic_chain_adjunction(3, 3, 1, u=2, h=1)
     EM, FORGET = eilenberg_moore(ADJ)
@@ -492,6 +496,141 @@ class TestLawTableOracle:
                 broken = broken.opposite() if side else broken
                 expected = oracle_category_law_failure(broken)
                 assert _same_failure(_first_failure(broken), expected), (seed, broken.label)
+
+    @staticmethod
+    def decoded(text):
+        """The category of a category document's JSON text, not validated."""
+        doc = json.loads(text)
+        return FiniteCategory(
+            tuple(doc["objects"]),
+            {(x, y): tuple(names) for x, y, names in doc["homs"]},
+            {tuple(entry[:5]): entry[5] for entry in doc["compose"]},
+            doc["identities"],
+            doc["label"],
+        )
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_corrupted_category_from_json_fails_as_the_oracle(self, seed):
+        # category_from_doc reads the table off freshly decoded strings, none
+        # shared with the corrupted category or with the oracle's own copy
+        rng = random.Random(seed)
+        for cat in self.CATEGORIES:
+            for side in (False, True):
+                broken = self.corrupt_category(cat, rng)
+                text = json.dumps(fincat.category_to_doc(broken.opposite() if side else broken))
+                try:
+                    fincat.category_from_doc(json.loads(text))
+                    failure = None
+                except CategoryLawError as err:
+                    failure = err
+                assert _same_failure(failure, oracle_category_law_failure(self.decoded(text))), (seed, broken.label)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_first_of_several_bad_composites_is_the_oracle(self, seed):
+        # several composites missing or outside their hom-sets, and entries
+        # naming no morphism, which are ignored: the one pass reports the
+        # first bad slot in table order, directly and after a JSON round trip
+        rng = random.Random(seed)
+        for cat in self.CATEGORIES:
+            for side in (cat, cat.opposite()):
+                compose = dict(side.compose)
+                for key in rng.sample(sorted(compose), 4):
+                    if rng.random() < 0.5:
+                        del compose[key]
+                    else:
+                        compose[key] = "outside"
+                x, y = rng.choice(sorted(side.hom))
+                compose[(x, y, y, "unnamed", side.identity[y])] = side.identity[y]
+                broken = FiniteCategory(side.objects, dict(side.hom), compose, side.identity, side.label)
+                expected = oracle_category_law_failure(broken)
+                assert isinstance(expected, MalformedData) and "composite" in str(expected)
+                assert _same_failure(_first_failure(broken), expected), (seed, side.label)
+                text = json.dumps(fincat.category_to_doc(broken))
+                with pytest.raises(MalformedData) as err:
+                    fincat.category_from_doc(json.loads(text))
+                assert _same_failure(err.value, oracle_category_law_failure(self.decoded(text))), (seed, side.label)
+
+    def test_unhashable_composite_lies_outside_its_hom_set(self):
+        doc = fincat.category_to_doc(self.CATEGORIES[0])
+        doc["compose"][3][5] = ["not", "a", "name"]
+        text = json.dumps(doc)
+        with pytest.raises(MalformedData, match="composite outside hom-set") as err:
+            fincat.category_from_doc(json.loads(text))
+        assert _same_failure(err.value, oracle_category_law_failure(self.decoded(text)))
+
+    def test_entries_naming_no_morphism_are_ignored(self):
+        for cat in self.CATEGORIES:
+            for side in (cat, cat.opposite()):
+                x, y, name = next(side.morphisms())
+                extra = {(x, y, y, "unnamed", side.identity[y]): name, (x, x, y, side.identity[x], "unnamed"): name}
+                padded = FiniteCategory(side.objects, dict(side.hom), {**side.compose, **extra}, side.identity)
+                assert padded.validate() is padded
+                assert self.same_table(padded._table, side._table)
+
+    @staticmethod
+    def same_table(got, expected):
+        return (got.mors, got.index) == (expected.mors, expected.index) and all(
+            a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got[2:], expected[2:])
+        )
+
+    def test_opposite_table_is_its_fresh_build(self):
+        # the opposite's table, gathered from the original's, against the one
+        # pass over its own compose entries; corrupted categories compare
+        # their raw tables, missing (−1) and outside (−2) composites included
+        rng = random.Random(0)
+        corrupted = [self.corrupt_category(cat, rng) for cat in self.CATEGORIES for _ in range(6)]
+        for cat in self.CATEGORIES + corrupted:
+            op = cat.opposite()
+            fresh = FiniteCategory(op.objects, dict(op.hom), dict(op.compose), op.identity)
+            assert self.same_table(op._raw_table, fresh._raw_table), op.label
+            assert self.same_table(op.opposite()._raw_table, cat._raw_table), op.label
+        assert any((cat._raw_table.vals == -1).any() for cat in corrupted)
+        assert any((cat._raw_table.vals == -2).any() for cat in corrupted)
+
+    def test_table_gates_fire_under_optimize(self):
+        # a missing composite and one outside its hom-set in a document, and
+        # Eilenberg-Moore categories of identity monads read off a corrupted
+        # table of B, in slots that no algebra or algebra-morphism test
+        # reads: in C4, a∘a read as a3 is caught by associativity on the
+        # algebras' table; in C2×[2], a composite b0 → b1 read as a
+        # morphism b1 → b1 lies outside the algebras' hom-set
+        script = (
+            "import json, sys\n"
+            "sys.path.insert(0, %r)\n"
+            "from cat_util import c4_category, cyclic_chain\n"
+            "from hsep.fincat import CategoryLawError, MalformedData, category_from_doc, category_to_doc\n"
+            "from hsep.fincat import eilenberg_moore, identity_adjunction\n"
+            "raised = []\n"
+            "doc = category_to_doc(cyclic_chain(3, 2, 'b'))\n"
+            "missing, outside = json.loads(json.dumps(doc)), json.loads(json.dumps(doc))\n"
+            "del missing['compose'][5]\n"
+            "outside['compose'][5][5] = 'outside'\n"
+            "for broken in (missing, outside):\n"
+            "    try:\n"
+            "        category_from_doc(broken)\n"
+            "    except MalformedData as err:\n"
+            "        raised.append(str(err).split(' at ')[0])\n"
+            "for cat, f, g, wrong in (\n"
+            "    (c4_category(), ('*', '*', 'a'), ('*', '*', 'a'), ('*', '*', 'a3')),\n"
+            "    (cyclic_chain(2, 2, 'b'), ('b0', 'b0', 'b00.1'), ('b0', 'b1', 'b01.0'), ('b1', 'b1', 'b11.0')),\n"
+            "):\n"
+            "    adj = identity_adjunction(cat)\n"
+            "    t = cat._table\n"
+            "    t.vals[t.ptr[t.index[f]] + t.pos[t.index[g]]] = t.index[wrong]\n"
+            "    try:\n"
+            "        eilenberg_moore(adj)\n"
+            "    except CategoryLawError as err:\n"
+            "        raised.append('%%s: %%s' %% (type(err).__name__, str(err).split(' at ')[0]))\n"
+            "print('optimize=%%d raised=%%s' %% (sys.flags.optimize, raised))\n"
+        ) % str(Path(__file__).resolve().parent)
+        out = _run_optimized(script)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "optimize=1 raised=%s" % [
+            "missing composite",
+            "composite outside hom-set",
+            "NotAssociativeComposition: (h∘g)∘f != h∘(g∘f)",
+            "MalformedData: composite outside hom-set",
+        ]
 
     @pytest.mark.parametrize("seed", range(12))
     def test_corrupted_functor_fails_as_the_oracle(self, seed):
@@ -581,15 +720,30 @@ class TestStructureSearchCost:
             cyclic_chain_adjunction(3, 9, 0, u=2, h=1),  # C3×[9] ⇄ C3×[9]
         )
         monads = [monad_from_adjunction(adj) for adj in adjunctions]
-        forgetful = [eilenberg_moore(adj)[1] for adj in adjunctions]
         calls = []
         original = FiniteCategory.comp
         monkeypatch.setattr(FiniteCategory, "comp", lambda self, f, g: calls.append(1) or original(self, f, g))
+        forgetful = [eilenberg_moore(adj)[1] for adj in adjunctions]
+        assert calls == []  # the algebras are read off B's table
         for side, counts in (("left", [[1, 1], [1, 1]]), ("right", [[0, 0], [1, 1]])):
             assert [[len(found) for found in find_rafael_retractions(adj, side)] for adj in adjunctions] == counts
         assert [[len(found) for found in fincat._unit_retractions(monad)] for monad in monads] == [[1, 1], [1, 1]]
         assert [len(find_section_functors(u)) for u in forgetful] == [1, 1]
         assert calls == []
+
+    def test_single_lifts_share_the_first_stage(self, monkeypatch):
+        # once the objects are chosen, each morphism of an Eilenberg-Moore
+        # forgetful functor has one lift: one stage, not one per morphism;
+        # on V4 ⊔ V4 → C2, id has one lift and g two, for each of 2 choices
+        stages = []
+        original = fincat._assignments
+        monkeypatch.setattr(fincat, "_assignments", lambda P, s, broken: stages.append(len(s)) or original(P, s, broken))
+        forget = eilenberg_moore(cyclic_chain_adjunction(4, 7, 1, u=3, h=1))[1]  # C4×[7] ⇄ C4×[8]
+        assert len(find_section_functors(forget)) == 1
+        assert stages == [1]
+        stages.clear()
+        assert len(find_section_functors(TestSections.v4_pair_onto_c2())) == 4
+        assert stages == [2, 2]
 
     def test_no_candidate_builds_no_table(self):
         # C3×[2] ⇄ C3×[3]: Hom(a1, LR a1) is empty, so the counit side has no
@@ -809,6 +963,38 @@ class TestEilenbergMoore:
                 continue
             count += 1
         assert len(em.objects) == count == 1
+
+
+EM_ADJUNCTIONS = {
+    **{
+        name + suffix: side
+        for name, adj in ORACLE_ADJUNCTIONS.items()
+        for suffix, side in (("", adj), ("^op", adj.opposite()))
+    },
+    "c4x7_into_c4x8": cyclic_chain_adjunction(4, 7, 1, u=3, h=1),
+    "c3x9_iso": cyclic_chain_adjunction(3, 9, 0, u=2, h=1),
+}
+
+
+class TestEilenbergMooreOracle:
+    """eilenberg_moore, read off B's table by gathers, against the
+    dict-and-comp construction in cat_util."""
+
+    @pytest.mark.parametrize("name", sorted(EM_ADJUNCTIONS))
+    def test_matches_oracle(self, name):
+        adj = EM_ADJUNCTIONS[name]
+        (em, forget), (oem, oforget) = eilenberg_moore(adj), oracle_eilenberg_moore(adj)
+        assert (em.objects, list(em.hom.items()), em.identity, em.label) == (
+            oem.objects, list(oem.hom.items()), oem.identity, oem.label
+        )
+        assert em.compose == oem.compose
+        assert (list(forget.object_map.items()), list(forget.morphism_map.items()), forget.label) == (
+            list(oforget.object_map.items()), list(oforget.morphism_map.items()), oforget.label
+        )
+        assert forget.source is em and forget.target is adj.left.source
+        fresh = FiniteCategory(oem.objects, oem.hom, oem.compose, oem.identity)
+        assert TestLawTableOracle.same_table(em._table, fresh._table)
+        assert np.array_equal(forget._img, oforget._img)
 
 
 class TestSections:
