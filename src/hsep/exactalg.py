@@ -9,7 +9,10 @@ kernels.  Numpy arrays are the one matrix type: `smith_normal_form`,
 integer arrays (signed integers, or object arrays of Python ints) and
 raise `DimensionMismatch` on anything else.  The big-integer algorithms
 convert their input to Python ints once, and the Smith transforms come
-back as object arrays.  `_rref` is the workbench's one row reduction,
+back as object arrays.  `exact_einsum` is the workbench's one exact
+product: every contraction whose dtype the code chooses runs through it,
+in int64 while no sum can wrap and in Python ints past that.  `_rref` is
+the workbench's one row reduction,
 with `_kernel` beside it: over 𝔽_p for every prime (XOR on GF(2), int64
 while no product can overflow, Python ints past that) and over ℚ in
 exact `Fraction`s.  `cokernel` over a prime and the tensor bialgebra's
@@ -47,6 +50,7 @@ __all__ = [
     "solve_modular_system",
     "solve_quadratic",
     "subgroup_basis",
+    "exact_einsum",
 ]
 
 
@@ -97,6 +101,40 @@ def _int_rows(a, what):
     _check_matrix(a, what)
     rows = a.tolist()
     return rows if a.dtype != object else [[operator.index(x) for x in row] for row in rows]
+
+
+def _int_array(values, shape):
+    """Nested Python ints as an int64 array, or as an object array of
+    Python ints when an entry does not fit in int64."""
+    try:
+        return np.array(values, dtype=np.int64).reshape(shape)
+    except OverflowError:
+        return np.array(values, dtype=object).reshape(shape)
+
+
+def exact_einsum(spec, *operands):
+    """np.einsum of integer arrays (an explicit "->" spec), exact.
+
+    The one place that picks int64 or Python ints for a contraction:
+    int64 when every operand is a signed-integer array and the number of
+    summed terms times the largest absolute entry of each operand is at
+    most 2⁶², object arrays otherwise.  An object operand (Python ints or
+    `Fraction`s) is never cast to int64.  The bit of headroom keeps the
+    sum or difference of two results exact.  Only contractions of three or
+    more operands over more than 2²⁰ index points pay for numpy's
+    contraction-order search."""
+    inputs, output = spec.split("->")
+    sizes = {}
+    ints, bound = True, 1
+    for letters, a in zip(inputs.split(","), operands):
+        sizes.update(zip(letters, a.shape))
+        ints = ints and a.dtype.kind == "i"
+        if ints:
+            bound *= int(abs(a).max(initial=0))
+    bound *= math.prod(n for c, n in sizes.items() if c not in output)
+    dtype = np.int64 if ints and bound <= 2**62 else object
+    optimize = len(operands) > 2 and math.prod(sizes.values()) > 2**20
+    return np.einsum(spec, *(a.astype(dtype, copy=False) for a in operands), optimize=optimize)
 
 
 def _eye_list(n):
@@ -647,13 +685,10 @@ class AffineSolutionSet:
         a, b, mods = self.system
         coord = self.coordinate_moduli
         vecs = (self.particular,) + self.kernel_generators
-        # A reduced mod m times vectors reduced mod M: int64 sums stay exact below the bound
-        dtype = np.int64 if max(mods) * max(coord, default=1) * len(coord) < 2**63 else object
-        m = np.array(mods, dtype=dtype)[:, None]
-        a = (a % m).astype(dtype)
-        v = np.array([[x % mj for x, mj in zip(vec, coord)] for vec in vecs], dtype=dtype).reshape(len(vecs), len(coord))
-        res = a @ v.T
-        res[:, 0] -= np.array([bi % mi for bi, mi in zip(b, mods)], dtype=dtype)
+        m = _int_array(mods, (len(mods), 1))
+        v = _int_array([[x % mj for x, mj in zip(vec, coord)] for vec in vecs], (len(vecs), len(coord)))
+        res = exact_einsum("ij,nj->in", a % m, v)
+        res[:, 0] -= _int_array([bi % mi for bi, mi in zip(b, mods)], (len(mods),))
         bad = np.flatnonzero((res % m).any(axis=0))
         if bad.size:
             which = "the particular solution" if bad[0] == 0 else "kernel generator %d" % (bad[0] - 1)
@@ -713,9 +748,8 @@ def solve_modular_system(a: np.ndarray, b, moduli, unknown_moduli=None) -> Affin
             raise DimensionMismatch("unknown_moduli length")
         if any(m < 1 for m in M):
             raise ValueError("unknown moduli must be >= 1")
-        for row, mi in zip(a_rows, mods):
-            if any((x * mj) % mi for x, mj in zip(row, M)):
-                raise ValueError("system is not well defined modulo the unknown moduli")
+        if (exact_einsum("ij,j->ij", a, _int_array(M, (n_x,))) % _int_array(mods, (n_eq, 1))).any():
+            raise ValueError("system is not well defined modulo the unknown moduli")
     a = a.copy()
     a.flags.writeable = False
     system = (a, b, mods)
@@ -808,9 +842,8 @@ def _affine_map(rows, pivots, q):
 
 def _apply_map(A, points, q):
     """The points x of x̂ = A·ŷ for the rows y of `points`, reduced mod q."""
-    dtype = np.int64 if A.shape[0] * q * q < 2**63 else object
-    yhat = np.hstack([np.ones((len(points), 1), dtype=np.int64), points]).astype(dtype)
-    return ((yhat @ A.T.astype(dtype))[:, 1:] % q).astype(np.int64)
+    yhat = np.hstack([np.ones((len(points), 1), dtype=np.int64), points])
+    return (exact_einsum("nj,ij->ni", yhat, A)[:, 1:] % q).astype(np.int64)
 
 
 def _linear_roots(rows, q):
@@ -845,9 +878,7 @@ def _linearized(Q, q):
 
 def _substitute(Q, A, q):
     """The forms ŷᵀ(AᵀQ_r A)ŷ of x̂ᵀQ_r x̂ at x̂ = A·ŷ, reduced mod q."""
-    dtype = np.int64 if Q.shape[1] ** 2 * q**3 < 2**63 else object
-    A = A.astype(dtype)
-    return np.einsum("ui,ruv,vj->rij", A, Q.astype(dtype), A, optimize=True) % q
+    return exact_einsum("ui,ruv,vj->rij", A, Q, A) % q
 
 
 def _field_roots(Q, q):
@@ -884,8 +915,7 @@ def _field_roots(Q, q):
 
 def _prime_power_roots(Q, b, e, q):
     """Every c, with c_i read mod q^e[i], such that ĉᵀQ_r ĉ ≡ 0 (mod q^b[r])
-    for every r.  Q must be reduced mod q^b[r], row r, in a dtype that
-    holds (n+1)²·q^(3·max b) exactly.
+    for every r.  Q must be reduced mod q^b[r], row r.
 
     The roots mod q come from `_field_roots`, and each is lifted one digit
     at a time (Hensel): at c = c₀ + q^j·d, F_r ≡ F_r(c₀) + q^j·J_r(c₀)·d
@@ -901,16 +931,17 @@ def _prime_power_roots(Q, b, e, q):
     roots = _field_roots(Q % q, q)
     for j in range(1, int(b.max(initial=0))):
         forms = Q[b > j]
-        sym = forms + forms.transpose(0, 2, 1)
+        # the Jacobian is read mod q only, and this sum cannot wrap
+        sym = forms % q + forms.transpose(0, 2, 1) % q
         grow = np.flatnonzero(e > j)
         qj = q**j
         lifted = [np.zeros((0, len(active)), dtype=np.int64)]
         for c0 in roots:
-            chat = np.concatenate([[1], c0]).astype(forms.dtype)
-            vals = np.einsum("u,ruv,v->r", chat, forms, chat) % (qj * q)
+            chat = np.concatenate([[1], c0])
+            vals = exact_einsum("u,ruv,v->r", chat, forms, chat) % (qj * q)
             if (vals % qj).any():
                 raise ConstructionCheckFailed("a root mod %d^%d fails its equations" % (q, j))
-            rows = np.hstack([(sym @ chat)[:, grow + 1] % q, (vals // qj)[:, None]])
+            rows = np.hstack([exact_einsum("ruv,v->ru", sym, chat)[:, grow + 1] % q, (vals // qj)[:, None]])
             digits = _linear_roots(rows, q)
             new = np.repeat(c0[None], len(digits), axis=0)
             new[:, grow] += qj * digits
@@ -923,16 +954,13 @@ def _prime_power_roots(Q, b, e, q):
 
 def _vanishes(Q, mods, chat):
     """Whether every ĉᵀQ_r ĉ ≡ 0 (mod mods[r]), for each row ĉ of chat."""
-    m = np.array(mods, dtype=np.int64 if max(mods, default=1) < 2**63 else object)[:, None, None]
-    top = max(int(chat.max(initial=1)), 1)
-    dtype = np.int64 if Q.shape[1] ** 2 * int(m.max(initial=1)) * top**2 < 2**63 else object
-    forms, chat = (Q % m).astype(dtype), chat.astype(dtype)
-    m = m[:, 0, 0]
+    m = _int_array(mods, (len(mods),))
+    forms = Q % m[:, None, None]
     ok = np.ones(len(chat), dtype=bool)
     step = max(1, 2**20 // max(Q.shape[0] * Q.shape[1], 1))
     for lo in range(0, len(chat), step):
         c = chat[lo : lo + step]
-        ok[lo : lo + step] = ~(np.einsum("nu,ruv,nv->nr", c, forms, c) % m).any(axis=1)
+        ok[lo : lo + step] = ~(exact_einsum("nu,ruv,nv->nr", c, forms, c) % m).any(axis=1)
     return ok
 
 
@@ -977,8 +1005,7 @@ def solve_quadratic(affine: AffineSolutionSet, Q: np.ndarray, mods) -> np.ndarra
         top = int(b.max())
         e = [min(_valuation(o, q), top) for o in orders]
         qb = np.array([q ** int(x) for x in b[rows]], dtype=Q.dtype)[:, None, None]
-        form_dtype = np.int64 if (n + 1) ** 2 * q ** (3 * top) < 2**63 else object
-        roots = _prime_power_roots((Q[rows] % qb).astype(form_dtype), b[rows], e, q)
+        roots = _prime_power_roots(Q[rows] % qb, b[rows], e, q)
         if not len(roots):
             return np.zeros((0, width), dtype=np.int64)
         # CRT: c ≡ coeffs (mod step) and c ≡ roots (mod q^e)

@@ -8,12 +8,12 @@ product, group ring, polynomial quotient, tensor product, quotient)
 are built on top and never bypass that validation.
 
 Products, hom checks and ideals contract the structure tensor
-`np_mul` with `_exact_einsum`, in int64 while the sums stay below 2⁶²
-and in Python ints past that.  A⊗_R B is the cokernel of the balance
-relations that sepkit's tensor powers use (`phi_actions`,
-`balance_relations`), and both A⊗_R B and S/I carry the product of
-their generators onto the presentation in `_ring_on_presentation`:
-e_u·e_v = P·mul(L·e_u, L·e_v), with the canonical homs read off P.
+`np_mul` with `exactalg.exact_einsum`, which picks int64 or Python ints
+for each contraction.  A⊗_R B is the cokernel of the balance relations
+that sepkit's tensor powers use (`phi_actions`, `balance_relations`),
+and both A⊗_R B and S/I carry the product of their generators onto the
+presentation in `_ring_on_presentation`: e_u·e_v = P·mul(L·e_u, L·e_v),
+with the canonical homs read off P.
 """
 
 from __future__ import annotations
@@ -30,8 +30,10 @@ import numpy as np
 from .exactalg import (
     CapExceeded,
     DimensionMismatch,
+    _int_array,
     _is_prime,
     cokernel,
+    exact_einsum,
     solve_modular_system,
     subgroup_basis,
 )
@@ -123,32 +125,6 @@ class ReduciblePolynomialAllowed(UserWarning):
     """The quotient polynomial is reducible; the ring is still built."""
 
 
-def _int_array(values, shape):
-    """Nested Python ints as an int64 array, or as an object array of
-    Python ints when an entry does not fit in int64."""
-    try:
-        return np.array(values, dtype=np.int64).reshape(shape)
-    except OverflowError:
-        return np.array(values, dtype=object).reshape(shape)
-
-
-def _exact_einsum(spec, *operands):
-    """np.einsum of integer arrays (an explicit "->" spec), exact: in int64
-    while every output entry sums products below 2⁶², in Python ints past
-    that.  The bound is the number of summed terms times the largest
-    absolute entry of each operand.  Only the four-operand transport
-    pays for numpy's contraction-order search."""
-    inputs, output = spec.split("->")
-    sizes = {}
-    bound = 1
-    for letters, a in zip(inputs.split(","), operands):
-        sizes.update(zip(letters, a.shape))
-        bound *= int(abs(a).max(initial=0))
-    bound *= math.prod(n for c, n in sizes.items() if c not in output)
-    dtype = np.int64 if bound < 2**62 else object
-    return np.einsum(spec, *(a.astype(dtype, copy=False) for a in operands), optimize=len(operands) > 3)
-
-
 @dataclass(frozen=True)
 class FiniteRing:
     """Finite ring: additive group ⊕ Z/m_i with structure constants.
@@ -205,7 +181,7 @@ class FiniteRing:
 
     def mul_coords(self, x, y):
         x, y = (_int_array(v, (self.k,)) for v in (x, y))
-        return self.reduce(_exact_einsum("i,j,ijl->l", x, y, self.np_mul).tolist())
+        return self.reduce(exact_einsum("i,j,ijl->l", x, y, self.np_mul).tolist())
 
     def scalar_coords(self, c, x):
         return tuple((c * a) % m for a, m in zip(x, self.moduli))
@@ -302,20 +278,20 @@ def construct_ring(moduli, mul_table, unit, label="ring", basis_labels=None) -> 
     # bilinearity compatibility: m_i·(e_i e_j) and m_j·(e_i e_j) vanish,
     # that is gcd(m_i, m_j)·(e_i e_j) does
     t, mods = ring.np_mul, ring.np_moduli
-    killed = _exact_einsum("ij,ijl->ijl", np.gcd.outer(mods, mods), t) % mods
+    killed = exact_einsum("ij,ijl->ijl", np.gcd.outer(mods, mods), t) % mods
     bad = np.argwhere(killed.any(axis=2))
     if bad.size:
         raise BilinearityIncompatible(tuple(int(x) for x in bad[0]))
 
-    left = _exact_einsum("ija,alc->ijlc", t, t)
-    right = _exact_einsum("jla,iac->ijlc", t, t)
+    left = exact_einsum("ija,alc->ijlc", t, t)
+    right = exact_einsum("jla,iac->ijlc", t, t)
     bad = np.argwhere((left - right) % mods != 0)
     if bad.size:
         raise NotAssociative(tuple(int(x) for x in bad[0][:3]))
     u = _int_array(unit, (k,))
     eye = np.eye(k, dtype=np.int64) % mods
-    lhs = _exact_einsum("j,jil->il", u, t) % mods
-    rhs = _exact_einsum("j,ijl->il", u, t) % mods
+    lhs = exact_einsum("j,jil->il", u, t) % mods
+    rhs = exact_einsum("j,ijl->il", u, t) % mods
     bad = np.flatnonzero(((lhs != eye) | (rhs != eye)).any(axis=1))
     if bad.size:
         raise UnitLawFails(int(bad[0]))
@@ -332,7 +308,7 @@ class RingHom:
 
     def apply_coords(self, coords):
         coords = _int_array(coords, (self.source.k,))
-        return self.target.reduce(_exact_einsum("i,il->l", coords, self.np_matrix).tolist())
+        return self.target.reduce(exact_einsum("i,il->l", coords, self.np_matrix).tolist())
 
     def __call__(self, elem):
         coords = elem.coords if isinstance(elem, RingElem) else elem
@@ -345,7 +321,7 @@ class RingHom:
 
     def is_image_central(self):
         t, phi = self.target.np_mul, self.np_matrix
-        diff = _exact_einsum("ra,ajl->rjl", phi, t) - _exact_einsum("ra,jal->rjl", phi, t)
+        diff = exact_einsum("ra,ajl->rjl", phi, t) - exact_einsum("ra,jal->rjl", phi, t)
         return not (diff % self.target.np_moduli).any()
 
     def image_order(self):
@@ -368,12 +344,12 @@ def check_ring_hom(matrix, source: FiniteRing, target: FiniteRing) -> RingHom:
     matrix = tuple(tuple(int(c) % m for c, m in zip(col, target.moduli)) for col in matrix)
     hom = RingHom(source, target, matrix)
     phi, mods = hom.np_matrix, target.np_moduli
-    bad = np.flatnonzero((_exact_einsum("i,il->il", source.np_moduli, phi) % mods).any(axis=1))
+    bad = np.flatnonzero((exact_einsum("i,il->il", source.np_moduli, phi) % mods).any(axis=1))
     if bad.size:
         raise NotAdditiveWellDefined(int(bad[0]))
     # φ(e_i e_j) against φ(e_i)φ(e_j), first failing pair in row-major order
-    lhs = _exact_einsum("ija,ac->ijc", source.np_mul, phi)
-    rhs = _exact_einsum("ia,jb,abc->ijc", phi, phi, target.np_mul)
+    lhs = exact_einsum("ija,ac->ijc", source.np_mul, phi)
+    rhs = exact_einsum("ia,jb,abc->ijc", phi, phi, target.np_mul)
     bad = np.argwhere(((lhs - rhs) % mods).any(axis=2))
     if bad.size:
         raise NotMultiplicative(tuple(int(x) for x in bad[0]))
@@ -390,7 +366,7 @@ def compose_homs(second: RingHom, first: RingHom) -> RingHom:
     """second ∘ first, revalidated."""
     if first.target != second.source:
         raise ValueError("homs do not compose")
-    matrix = _exact_einsum("ia,al->il", first.np_matrix, second.np_matrix).tolist()
+    matrix = exact_einsum("ia,al->il", first.np_matrix, second.np_matrix).tolist()
     return check_ring_hom(matrix, first.source, second.target)
 
 
@@ -705,8 +681,8 @@ def phi_actions(hom):
     c of e_a·φ(r) and left[r, b, c] is coordinate c of φ(r)·e_b."""
     s = hom.target
     t, phi = s.np_mul, hom.np_matrix
-    right = _exact_einsum("asc,rs->rac", t, phi) % s.np_moduli
-    left = _exact_einsum("rs,sbc->rbc", phi, t) % s.np_moduli
+    right = exact_einsum("asc,rs->rac", t, phi) % s.np_moduli
+    left = exact_einsum("rs,sbc->rbc", phi, t) % s.np_moduli
     return right, left
 
 
@@ -740,8 +716,8 @@ def _ring_on_presentation(pres, mul, unit, label, prefix):
         p = l = np.eye(pres.generator_count, dtype=np.int64)
     else:
         p, l = pres.P, pres.L
-    table = _exact_einsum("iu,jv,ijw,rw->uvr", l, l, mul, p).tolist()
-    unit = _exact_einsum("rw,w->r", p, unit).tolist()
+    table = exact_einsum("iu,jv,ijw,rw->uvr", l, l, mul, p).tolist()
+    unit = exact_einsum("rw,w->r", p, unit).tolist()
     labels = tuple("%s%d" % (prefix, i) for i in range(pres.rank))
     return construct_ring(pres.moduli, table, unit, label, labels), p
 
@@ -762,13 +738,13 @@ def _standard_tensor_product(params):
     pres = cokernel(relations, np.gcd.outer(a.np_moduli, b.np_moduli).ravel())
     # the generators e_i⊗f_j multiply slot by slot
     g = a.k * b.k
-    mul = _exact_einsum("isc,jtd->ijstcd", a.np_mul, b.np_mul).reshape(g, g, g)
+    mul = exact_einsum("isc,jtd->ijstcd", a.np_mul, b.np_mul).reshape(g, g, g)
     ua, ub = _int_array(a.unit, (a.k,)), _int_array(b.unit, (b.k,))
     label = "%s (x)_{%s} %s" % (a.label, base.label, b.label)
-    ring, p = _ring_on_presentation(pres, mul, _exact_einsum("i,j->ij", ua, ub).ravel(), label, "t")
+    ring, p = _ring_on_presentation(pres, mul, exact_einsum("i,j->ij", ua, ub).ravel(), label, "t")
     p = p.reshape(pres.rank, a.k, b.k)
-    left = check_ring_hom(_exact_einsum("rij,j->ir", p, ub).tolist(), a, ring)  # e_i ↦ e_i⊗1
-    right = check_ring_hom(_exact_einsum("rij,i->jr", p, ua).tolist(), b, ring)  # f_j ↦ 1⊗f_j
+    left = check_ring_hom(exact_einsum("rij,j->ir", p, ub).tolist(), a, ring)  # e_i ↦ e_i⊗1
+    right = check_ring_hom(exact_einsum("rij,i->jr", p, ua).tolist(), b, ring)  # f_j ↦ 1⊗f_j
     unit_hom = compose_homs(left, hom_a)
     return StandardRing(ring, {"left": left, "right": right, "unit": unit_hom}, {})
 
@@ -781,7 +757,7 @@ def _ideal_subgroup(ring: FiniteRing, generators):
     while True:
         g = _int_array(gens, (len(gens), k))
         # each generator g, then e_i·g and g·e_i for every basis element e_i
-        products = np.stack([_exact_einsum("ial,ga->gil", t, g), _exact_einsum("ail,ga->gil", t, g)], axis=2)
+        products = np.stack([exact_einsum("ial,ga->gil", t, g), exact_einsum("ail,ga->gil", t, g)], axis=2)
         gens2, orders2 = subgroup_basis(np.vstack([g, products.reshape(-1, k)]), ring.moduli)
         if math.prod(orders2) == math.prod(orders):
             return gens2

@@ -52,6 +52,8 @@ from .exactalg import (
     AffineSolutionSet,
     CapExceeded,
     ConstructionCheckFailed,
+    _int_array,
+    exact_einsum,
     solve_modular_system,
     subgroup_basis,
     cokernel,
@@ -472,13 +474,9 @@ def find_ring_retractions(hom: RingHom, cap=DEFAULT_CAP):
         raise CapExceeded(sol.size)
     # E(e_i e_j) − E(e_i)E(e_j), coordinate l, is quadratic on E = v_0 + Σ c_u v_u
     n1 = 1 + len(sol.kernel_generators)
-    big = max(src.moduli + tgt.moduli, default=1)
-    # a coordinate of E(e_i)E(e_j) sums kr² products of three reduced
-    # entries, and one of E(e_i e_j) ks products of two
-    dtype = np.int64 if (kr * kr + ks) * big**3 < 2**63 else object
-    vecs = np.array((sol.particular,) + sol.kernel_generators, dtype=dtype).reshape(n1, kr, ks)
-    forms = -np.einsum("uai,vbj,abl->ijluv", vecs, vecs, src.np_mul.astype(dtype), optimize=True)
-    forms[..., 0, :] += np.einsum("ijc,ulc->ijlu", tgt.np_mul.astype(dtype), vecs, optimize=True)
+    vecs = _int_array((sol.particular,) + sol.kernel_generators, (n1, kr, ks))
+    forms = -exact_einsum("uai,vbj,abl->ijluv", vecs, vecs, src.np_mul)
+    forms[..., 0, :] += exact_einsum("ijc,ulc->ijlu", tgt.np_mul, vecs)
     members = solve_quadratic(sol, forms.reshape(ks * ks * kr, n1, n1), src.moduli * (ks * ks))
     found = [check_ring_hom(tuple(map(tuple, m.reshape(kr, ks).T.tolist())), tgt, src) for m in members]
     found.sort(key=lambda h: h.matrix)

@@ -20,10 +20,10 @@ computed primitives, or `exactalg.ConstructionCheckFailed` is raised
 
 Scalars are exact, and a field is passed as its characteristic: 0 for
 the rationals, or a prime p <= 97.  A graded map keeps one 2-D numpy
-array per degree.  Over 𝔽_p it is int64 reduced mod p.  Over ℚ it is
-int64 while every entry is an integer and each product stays below 2⁶³
-in size, and an object array of `Fraction`s otherwise; `_product` and
-`_kron` choose, as `exactalg._field_dtype` chooses for eliminations.
+array per degree.  Over 𝔽_p it is int64 reduced mod p.  Over ℚ it is int64
+while every entry is an integer, and an object array of `Fraction`s
+otherwise.  `_product` and `_kron` run on `exactalg.exact_einsum`,
+which keeps them in int64 only while no entry can wrap.
 
 Δ keeps the multiset of letters of a word, so the primitives of each
 degree are solved one letter-content block at a time, on `exactalg`'s
@@ -52,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exactalg import ConstructionCheckFailed, _is_prime, _kernel
+from .exactalg import ConstructionCheckFailed, _is_prime, _kernel, exact_einsum
 
 __all__ = [
     "exact_field",
@@ -99,36 +99,16 @@ def _field_name(p):
 # exact products; eliminations run in exactalg
 
 
-def _absmax(a):
-    return int(np.abs(a).max()) if a.size else 0
-
-
-def _exact(op, a, b, p, terms):
-    """op(a, b) over the field of characteristic p, where each entry sums
-    `terms` products of an entry of a and one of b: in int64 when both are
-    int64 and terms·|a|·|b| < 2⁶³, else in Python ints or `Fraction`s.
-    Reduced to int64 mod p over 𝔽_p."""
-    if a.dtype == b.dtype == np.int64 and terms * _absmax(a) * _absmax(b) < 2**63:
-        out = op(a, b)
-        return out % p if p else out
-    out = op(a.astype(object), b.astype(object))
-    return (out % p).astype(np.int64) if p else out
-
-
 def _product(a, b, p):
-    return _exact(np.matmul, a, b, p, a.shape[-1])
-
-
-def _kronecker(a, b):
-    """np.kron of two vectors or two matrices, as one broadcast product."""
-    out = np.multiply.outer(a, b)
-    if a.ndim == 2:
-        out = out.transpose(0, 2, 1, 3)
-    return out.reshape(np.multiply(a.shape, b.shape))
+    """a·b over the field of characteristic p, reduced mod p over 𝔽_p."""
+    out = exact_einsum("ij,jk->ik", a, b)
+    return out % p if p else out
 
 
 def _kron(a, b, p):
-    return _exact(_kronecker, a, b, p, 1)
+    """np.kron of two vectors or two matrices over the field of characteristic p."""
+    out = exact_einsum("ij,kl->ikjl", np.atleast_2d(a), np.atleast_2d(b)).reshape(np.multiply(a.shape, b.shape))
+    return out % p if p else out
 
 
 def _integral(K):
@@ -166,10 +146,6 @@ class GradedSpace:
     @property
     def top(self):
         return len(self.dims) - 1
-
-    @property
-    def total_dim(self):
-        return sum(self.dims)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,6 +22,7 @@ from hsep.exactalg import (
     ConstructionCheckFailed,
     DimensionMismatch,
     cokernel,
+    exact_einsum,
     smith_normal_form,
     solve_modular_system,
     subgroup_basis,
@@ -537,6 +538,19 @@ class TestSolveModularSystem:
                 mat([[1]]), [0], [4], unknown_moduli=[2]
             )
 
+    @pytest.mark.parametrize("scale", [1, 2**64], ids=["int64", "past-int64"])
+    def test_ill_defined_in_the_last_row_only(self, scale):
+        # row i is well defined when A[i, j]·M_j ≡ 0 (mod m_i) for every j;
+        # rows 0 and 1 are, and row 2 fails on 1·M_0 mod m_2
+        a = np.array([[1, 0], [0, 4], [1, 1]], dtype=np.int64)
+        unknown = [2 * scale, 2 * scale]
+        mods = [2 * scale, 4 * scale, 4 * scale]
+        with pytest.raises(ValueError, match="^system is not well defined modulo the unknown moduli$"):
+            solve_modular_system(a, [0, 0, 0], mods, unknown_moduli=unknown)
+        # without it: x_0 ≡ 0 (mod 2·scale) and 4·x_1 ≡ 0 (mod 4·scale)
+        sol = solve_modular_system(a[:2], [0, 0], mods[:2], unknown_moduli=unknown)
+        assert sol.size == 2 and contains(sol, (0, scale)) and not contains(sol, (1, 0))
+
     def test_contains(self):
         sol = solve_modular_system(mat([[1, 1]]), [0], [2])
         assert contains(sol, (1, 1))
@@ -547,6 +561,95 @@ class TestSolveModularSystem:
         assert sol.size == 16
         with pytest.raises(CapExceeded):
             sol.members(cap=8)
+
+
+def einsum_oracle(spec, *operands):
+    """np.einsum by a loop over every index point, in Python ints or
+    `Fraction`s, as nested lists of the output's shape."""
+    inputs, output = spec.split("->")
+    inputs = inputs.split(",")
+    sizes = {}
+    for letters, a in zip(inputs, operands):
+        sizes.update(zip(letters, a.shape))
+    letters = sorted(sizes)
+    nested = [a.tolist() for a in operands]
+    out = {}
+    for point in itertools.product(*(range(sizes[c]) for c in letters)):
+        at = dict(zip(letters, point))
+        term = 1
+        for ins, entry in zip(inputs, nested):
+            for c in ins:
+                entry = entry[at[c]]
+            term *= entry
+        key = tuple(at[c] for c in output)
+        out[key] = out.get(key, 0) + term
+    flat = [out.get(key, 0) for key in itertools.product(*(range(sizes[c]) for c in output))]
+    return np.array(flat, dtype=object).reshape(tuple(sizes[c] for c in output)).tolist()
+
+
+class TestExactEinsum:
+    """int64 exactly when every operand is a signed-integer array and
+    (summed terms)·Π(largest |entry|) ≤ 2⁶², against a Python-int loop."""
+
+    @staticmethod
+    def random_case(rng):
+        letters = "abcde"
+        sizes = {c: rng.choice([0, 1, 1, 2, 2, 3]) for c in letters}
+        specs = [rng.sample(letters, rng.randint(0, 3)) for _ in range(rng.randint(1, 4))]
+        used = sorted(set().union(*specs))
+        output = rng.sample(used, rng.randint(0, len(used)))
+        top = rng.choice([5, 2**15, 2**20, 2**31, 2**62])
+        operands = [
+            np.array([rng.randint(-top, top) for _ in range(math.prod(sizes[c] for c in ins))], dtype=np.int64).reshape(
+                tuple(sizes[c] for c in ins)
+            )
+            for ins in specs
+        ]
+        spec = ",".join("".join(ins) for ins in specs) + "->" + "".join(output)
+        return spec, operands, sizes
+
+    def test_against_a_python_loop(self):
+        rng = random.Random(20180611)
+        dtypes = set()
+        for _ in range(400):
+            spec, operands, sizes = self.random_case(rng)
+            out = exact_einsum(spec, *operands)
+            # a full contraction of object arrays comes back as a Python scalar
+            dtype = getattr(out, "dtype", np.dtype(object))
+            inputs, output = spec.split("->")
+            terms = math.prod(n for c, n in sizes.items() if c in inputs and c not in output)
+            bound = terms * math.prod(int(abs(a).max(initial=0)) for a in operands)
+            assert dtype == (np.int64 if bound <= 2**62 else object), spec
+            assert (out.tolist() if dtype != object or output else out) == einsum_oracle(spec, *operands), spec
+            dtypes.add(dtype)
+        assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+    def test_at_the_bound(self):
+        # a bound of exactly 2⁶² stays int64: one term of 2⁶², or two of 2⁶¹
+        assert exact_einsum("i->i", np.array([2**62])).dtype == np.int64
+        assert exact_einsum("ij,jk->ik", np.array([[2**31, 2**31]]), np.array([[2**30], [2**30]])).dtype == np.int64
+        # a bound of 2⁶² + 1 does not
+        past = exact_einsum("i,i->i", np.array([2**62 + 1]), np.array([1]))
+        assert past.dtype == object and past.tolist() == [2**62 + 1]
+
+    def test_summed_terms_count(self):
+        # each product is 2⁶², the sum of two is 2⁶³, which int64 would wrap
+        out = exact_einsum("ij,j->i", np.array([[2**31, 2**31]]), np.array([2**31, 2**31]))
+        assert out.dtype == object and out.tolist() == [2**63]
+
+    def test_object_operands_are_never_cast(self):
+        small = np.array([[1, 2], [3, 4]], dtype=object)
+        out = exact_einsum("ij,jk->ik", small, np.eye(2, dtype=np.int64))
+        assert out.dtype == object and out.tolist() == [[1, 2], [3, 4]]
+        third = np.array([[Fraction(1, 3), Fraction(2, 3)]], dtype=object)
+        out = exact_einsum("ij,jk->ik", third, np.array([[3], [6]]))
+        assert out.dtype == object and out.tolist() == [[5]]
+        assert exact_einsum("i,i->i", np.array([Fraction(1, 2)], dtype=object), np.array([1])).tolist() == [Fraction(1, 2)]
+
+    def test_zero_size_operands(self):
+        out = exact_einsum("ij,jk->ik", np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3), dtype=np.int64))
+        assert out.dtype == np.int64 and out.tolist() == [[0] * 3] * 2
+        assert exact_einsum("ij,jk->ik", np.zeros((0, 2), dtype=object), np.ones((2, 1), dtype=np.int64)).shape == (0, 1)
 
 
 class TestSubgroupBasis:

@@ -1,0 +1,69 @@
+"""One function picks int64 or Python ints for a contraction:
+`exactalg.exact_einsum`.  Any other comparison against 2⁶² or 2⁶³ in
+`src/hsep` is a second, private choice of that bound, unless it is one of
+the sites below, which choose no contraction dtype."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hsep"
+
+KEPT = {
+    ("exactalg.py", "exact_einsum"),
+    # a presentation's storage dtype
+    ("exactalg.py", "_presentation"),
+    # the row reduction's dtype over a prime field
+    ("exactalg.py", "_field_dtype"),
+    # the CRT recombination's dtype
+    ("exactalg.py", "solve_quadratic"),
+    # the input guard of the int64 tensor kernels (`ModuliTooLarge`)
+    ("sepkit.py", "TensorPower.__init__"),
+    # a kernel of integral rationals stored as int64
+    ("tensorbialg.py", "_integral"),
+}
+
+
+def _is_bound(node):
+    """Whether an expression is 2**62 or 2**63, as a power, a shift or a literal."""
+    if isinstance(node, ast.BinOp) and isinstance(node.left, ast.Constant) and isinstance(node.right, ast.Constant):
+        if isinstance(node.op, ast.Pow):
+            return node.left.value == 2 and node.right.value in (62, 63)
+        if isinstance(node.op, ast.LShift):
+            return node.left.value == 1 and node.right.value in (62, 63)
+    return isinstance(node, ast.Constant) and node.value in (2**62, 2**63, 2**63 - 1)
+
+
+def bound_comparisons(source):
+    """(qualified name of the enclosing function or class, line) of every
+    comparison that has 2⁶² or 2⁶³ in an operand."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Compare):
+                operands = [child.left, *child.comparators]
+                if any(_is_bound(n) for operand in operands for n in ast.walk(operand)):
+                    found.append((".".join(scope), child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_the_scan_finds_a_private_bound():
+    source = "class K:\n    def f(self, a, b):\n        return 'int64' if a * b < 2**63 else 'object'\n"
+    assert bound_comparisons(source) == [("K.f", 3)]
+    assert bound_comparisons("x = 1 if y <= 1 << 62 else 2\n") == [("", 1)]
+    assert bound_comparisons("x = 1 if y < 2**61 else 2\n") == []
+
+
+def test_only_exact_einsum_chooses_a_contraction_dtype():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [(path.name, name, line) for name, line in bound_comparisons(path.read_text())]
+    stray = ["%s:%d (%s)" % (file, line, name or "module") for file, name, line in found if (file, name) not in KEPT]
+    assert stray == [], "int64 bounds outside exactalg.exact_einsum at %s" % ", ".join(stray)
+    assert ("exactalg.py", "exact_einsum") in {(file, name) for file, name, _ in found}
