@@ -12,17 +12,19 @@ convert their input to Python ints once, and the Smith transforms come
 back as object arrays.  `exact_einsum` is the workbench's one exact
 product: every contraction whose dtype the code chooses runs through it,
 in int64 while no sum can wrap and in Python ints past that.  `_rref` is
-the workbench's one row reduction,
-with `_kernel` beside it: over 𝔽_p for every prime (XOR on GF(2), int64
-while no product can overflow, Python ints past that) and over ℚ in
-exact `Fraction`s.  `cokernel` over a prime and the tensor bialgebra's
-primitives both solve through it, and so does `solve_quadratic`, which
+the workbench's one row reduction, with `_kernel` beside it, over 𝔽_p
+for every prime: XOR on GF(2), int64 while no product can overflow,
+Python ints past that.  Nothing eliminates over ℚ; the tensor
+bialgebra's primitives are built, not solved.  `cokernel` over a prime
+solves through it, and so does `solve_quadratic`, which
 finds the members of an affine set where a system of quadratic forms
 vanishes: by CRT over the prime powers of the moduli, linearization with
 branching over 𝔽_p, and Hensel lifting mod p^k.  A presentation holds its projection
 and lift as reduced, read-only numpy arrays (int64 below the overflow
 bound, Python ints past it), and an identity presentation holds no
-matrix at all.  All values are immutable after construction and all
+matrix at all.  An affine solution set lists its members the same way:
+int64 while (largest modulus)·(largest kernel order) < 2⁶³, Python ints
+past it.  All values are immutable after construction and all
 operations are pure, so concurrent reads are safe.  A construction that
 fails its defining equations raises `ConstructionCheckFailed`, also
 under `python -O`.
@@ -34,7 +36,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -436,23 +437,16 @@ def _clear(rows, c, pivot_row, p):
         return
     if p == 2:
         rows[mask] ^= pivot_row
-    elif p == 0:
-        # Fraction arithmetic is slow, so touch only the pivot row's support
-        support = np.flatnonzero(pivot_row)
-        at = np.ix_(mask, support)
-        rows[at] = rows[at] - np.outer(colv[mask], pivot_row[support])
     else:
         rows[mask] = (rows[mask] - np.outer(colv[mask], pivot_row)) % p
 
 
 def _rref(rows, p):
-    """Reduced row echelon form of a 2-D integer array over GF(p), or of
-    a rational one over ℚ in exact `Fraction`s when p = 0.  Returns (the
-    nonzero rref rows, pivot columns).  GF(2) eliminates by XOR of uint8
-    rows, other primes in int64 or Python ints by `_field_dtype`."""
-    if p == 0:
-        A = rows.astype(object) + Fraction(0)
-    elif p == 2:
+    """Reduced row echelon form of a 2-D integer array over GF(p).
+    Returns (the nonzero rref rows, pivot columns).  GF(2) eliminates by
+    XOR of uint8 rows, other primes in int64 or Python ints by
+    `_field_dtype`."""
+    if p == 2:
         A = (rows % 2).astype(np.uint8)
     else:
         A = rows.astype(_field_dtype(p)) % p
@@ -468,9 +462,7 @@ def _rref(rows, p):
         pr = r + int(nzr[0])
         if pr != r:
             A[[r, pr]] = A[[pr, r]]
-        if p == 0:
-            A[r] = A[r] / A[r, c]
-        elif p != 2:
+        if p != 2:
             A[r] = A[r] * pow(int(A[r, c]), -1, p) % p
         _clear(A[r + 1:], c, A[r], p)
         pivots.append(c)
@@ -482,7 +474,7 @@ def _rref(rows, p):
 
 
 def _kernel(rows, p):
-    """Kernel basis of a 2-D array over GF(p), or over ℚ when p = 0.
+    """Kernel basis of a 2-D integer array over GF(p).
 
     Returns (K, free): K has one column per free column of the rref, is the
     identity on the free columns, and rows·K ≡ 0; each pivot coordinate is
@@ -492,8 +484,8 @@ def _kernel(rows, p):
     free = np.setdiff1d(np.arange(ncols), pivots)
     K = np.zeros((ncols, len(free)), dtype=rref.dtype)
     K[free, np.arange(len(free))] = 1
-    K[pivots, :] = -rref[:, free] % p if p else -rref[:, free]
-    return (K if p else K + Fraction(0)), free
+    K[pivots, :] = -rref[:, free] % p
+    return K, free
 
 
 def _cokernel_mod_prime(relations, mods, p):
@@ -703,15 +695,22 @@ class AffineSolutionSet:
         return 0 if self.is_empty else math.prod(self.kernel_orders)
 
     def member_array(self):
-        """All members as a numpy array, coefficient tuples in lex order."""
+        """All members as a numpy array, coefficient tuples in lex order.
+
+        A member plus k·g, with k below a kernel order and g reduced, stays
+        below (largest modulus)·(largest order), so the array is int64
+        while that is below 2⁶³ and Python ints past it."""
+        width = len(self.coordinate_moduli)
         if self.is_empty:
-            return np.zeros((0, len(self.coordinate_moduli)), dtype=np.int64)
-        mods = np.array(self.coordinate_moduli, dtype=np.int64)
-        arr = np.array([self.particular], dtype=np.int64)
+            return np.zeros((0, width), dtype=np.int64)
+        big = max(self.coordinate_moduli, default=1) * max(self.kernel_orders, default=1)
+        dtype = np.int64 if big < 2**63 else object
+        mods = np.array(self.coordinate_moduli, dtype=dtype)
+        arr = np.array([self.particular], dtype=dtype).reshape(1, width)
         for gen, order in zip(self.kernel_generators, self.kernel_orders):
-            g = np.array(gen, dtype=np.int64)
-            reps = np.arange(order, dtype=np.int64)[None, :, None] * g[None, None, :]
-            arr = (arr[:, None, :] + reps).reshape(-1, len(mods)) % mods
+            g = np.array(gen, dtype=dtype)
+            reps = np.arange(order).astype(dtype)[None, :, None] * g[None, None, :]
+            arr = (arr[:, None, :] + reps).reshape(-1, width) % mods
         return arr
 
     def members(self, cap=None):

@@ -13,23 +13,22 @@ Building a model checks no law.  The bialgebra laws of concatenation and
 the subset coproduct hold for every base, so tests/test_tensorbialg.py
 proves them once, on every word, pair and triple of models shaped like
 the three that `verify_bialgebra_adjunction` builds.  What depends on
-the linear algebra is gated at run time: the letters, and the image of
-every primitive of the double model, must lie in the span of the
-computed primitives, or `exactalg.ConstructionCheckFailed` is raised
+the primitive basis is gated at run time: its dimensions must be Witt's,
+and the letters and the image of every primitive of the double model
+must lie in its span, or `exactalg.ConstructionCheckFailed` is raised
 (also under `python -O`).
 
 Scalars are exact, and a field is passed as its characteristic: 0 for
 the rationals, or a prime p <= 97.  A graded map keeps one 2-D numpy
-array per degree.  Over 𝔽_p it is int64 reduced mod p.  Over ℚ it is int64
-while every entry is an integer, and an object array of `Fraction`s
-otherwise.  `_product` and `_kron` run on `exactalg.exact_einsum`,
-which keeps them in int64 only while no entry can wrap.
+array per degree.  Over 𝔽_p it is int64 reduced mod p.  Over ℚ every map
+built here is integral, since the primitive basis is unitriangular over
+ℤ.  `_product` and `_kron` run on `exactalg.exact_einsum`, which keeps
+them in int64 only while no entry can wrap and in Python ints past it.
 
-Δ keeps the multiset of letters of a word, so the primitives of each
-degree are solved one letter-content block at a time, on `exactalg`'s
-row reduction.  A block's system depends only on its key, its words with
-each letter replaced by its rank among the block's letters, so each key
-is solved once per verification, for both models that need primitives.
+No system is solved.  The primitives are built from Lyndon words (see
+`primitives`), and the coordinates of a primitive in that basis come
+from its entries on the basis's leading words, through the integer
+inverse of the unitriangular lead block.
 
 The base model has its letters in degree 1, where the words with letters
 of degrees c₁, …, c_k multiply, in `itertools.product` order, onto the
@@ -52,7 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exactalg import ConstructionCheckFailed, _is_prime, _kernel, exact_einsum
+from .exactalg import ConstructionCheckFailed, _is_prime, exact_einsum
 
 __all__ = [
     "exact_field",
@@ -96,7 +95,7 @@ def _field_name(p):
 
 
 # ---------------------------------------------------------------------------
-# exact products; eliminations run in exactalg
+# exact products
 
 
 def _product(a, b, p):
@@ -111,21 +110,20 @@ def _kron(a, b, p):
     return out % p if p else out
 
 
-def _integral(K):
-    """An object array of rationals as int64 when its entries are integers
-    below 2⁶³ in size; otherwise unchanged."""
-    if K.dtype == object and all(x.denominator == 1 and abs(x) < 2**63 for x in K.flat):
-        return np.array([int(x) for x in K.flat], dtype=np.int64).reshape(K.shape)
-    return K
-
-
-def _coordinates(p, basis, free, targets):
-    """X with basis·X = targets, or None when a column of targets lies
-    outside the span of the columns of basis.  Column i of basis is the
-    unit vector on row free[i] there, so X is targets on the free rows;
-    one product against basis checks it."""
-    X = targets[list(free)]
-    return X if not (_product(basis, X, p) != targets).any() else None
+def _coordinates(prims, carried, message):
+    """A map into the carrier as a map into the primitives: per degree, X
+    with basis·X = the targets.  The basis is unitriangular on its lead
+    rows, so X is the inverse of that block times the targets on those
+    rows.  One product against the basis checks X; a target outside the
+    span of the basis raises `ConstructionCheckFailed(message)`."""
+    p = prims.space.field
+    blocks = []
+    for d, (basis, targets) in enumerate(zip(prims.into_carrier.blocks, carried.blocks)):
+        X = _product(prims.lead_inverse[d], targets[list(prims.lead[d])], p)
+        if (_product(basis, X, p) != targets).any():
+            raise ConstructionCheckFailed(message)
+        blocks.append(X)
+    return GradedMap(carried.source, prims.space, tuple(blocks))
 
 
 def _first_column(a, b):
@@ -208,36 +206,27 @@ def _check_guard(dims, truncation, guard):
             )
 
 
-def _mobius(n):
-    mu, f = 1, 2
-    while f * f <= n:
-        if n % f == 0:
-            n //= f
-            if n % f == 0:
-                return 0
-            mu = -mu
-        f += 1
-    return -mu if n > 1 else mu
-
-
-def _necklaces(v, n):
-    """Witt's count of aperiodic necklaces of length n on v letters: the
-    degree-n dimension of the free Lie algebra on v letters of degree 1."""
-    return sum(_mobius(e) * v ** (n // e) for e in range(1, n + 1) if n % e == 0) // n
-
-
-def _primitive_dims(v_dim, p, truncation):
-    """Dimensions of the primitives of T(V), dim V = v_dim in degree 1:
-    Witt's W(d) over ℚ, and Σ over p^k dividing d of W(d/p^k) over 𝔽_p,
-    where the p^k-th powers of Lie elements are primitive too."""
-    dims = [0]
+def _primitive_dims(dims, p, truncation):
+    """Dimensions of the primitives of T(V), with dims[j] letters of
+    degree j.  Over ℚ they are Witt's counts L(n) of Lyndon words,
+    Σ over e dividing n of e·L(e) = s_n, where s_n = n·c_n +
+    Σ_(0<j<n) c_j·s_(n−j) are the power sums of the inverse roots of
+    1 − Σ c_j·t^j (s_n = v^n for v letters of degree 1).  Over 𝔽_p the
+    p^k-th powers of Lie elements are primitive too, so degree d adds
+    L(d/p^k) for every p^k dividing d."""
+    c = [dims[j] if j < len(dims) else 0 for j in range(truncation + 1)]
+    s, lyndon = [0], [0]
+    for n in range(1, truncation + 1):
+        s.append(n * c[n] + sum(c[j] * s[n - j] for j in range(1, n)))
+        lyndon.append((s[n] - sum(e * lyndon[e] for e in range(1, n) if n % e == 0)) // n)
+    out = [0]
     for d in range(1, truncation + 1):
-        total, n = _necklaces(v_dim, d), d
+        total, n = lyndon[d], d
         while p and n % p == 0:
             n //= p
-            total += _necklaces(v_dim, n)
-        dims.append(total)
-    return tuple(dims)
+            total += lyndon[n]
+        out.append(total)
+    return tuple(out)
 
 
 def _delta(word):
@@ -329,71 +318,111 @@ def build_truncated(v_dim, field, truncation, guard=DIM_GUARD) -> TruncatedTenso
 class PrimitivesData:
     """Primitive subspace, its inclusion and the augmentation kernel.
 
-    free[d] lists the free columns of degree d in ascending order: basis
-    vector i of that degree is the unit vector on free[d][i] there."""
+    Basis vector i of degree d has its leading word on row lead[d][i]
+    with coefficient 1, and every other word it contains is
+    lexicographically larger, so the lead rows of the basis form a lower
+    unitriangular integer block."""
 
     space: GradedSpace
     into_carrier: GradedMap  # the subobject inclusion
     aug_kernel: GradedSpace  # all words of degree >= 1
-    free: tuple[tuple[int, ...], ...]
+    lead: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def lead_inverse(self):
+        """Per degree, the integer inverse of the lead block, reduced mod p
+        over 𝔽_p."""
+        p = self.space.field
+        return tuple(_unitriangular_inverse(block[list(rows)], p) for block, rows in zip(self.into_carrier.blocks, self.lead))
 
 
-def _primitive_block(key, p):
-    """Kernel of Δ − (−)⊗1 − 1⊗(−) on the span of the words of `key`, which
-    share their letters; (K, free) as `exactalg._kernel` gives them, with K
-    in int64 when its entries are integers."""
-    rows = {}  # pair of words -> its row
-    for k, w in enumerate(key):
-        counts = _delta(w)
-        counts[(w, ())] -= 1
-        counts[((), w)] -= 1
-        for pair, c in counts.items():
-            rows.setdefault(pair, [0] * len(key))[k] = c
-    mat = np.array(list(rows.values()), dtype=np.int64).reshape(len(rows), len(key))
-    K, free = _kernel(mat, p)
-    return _integral(K), free
+def _unitriangular_inverse(block, p):
+    """The inverse of a unitriangular m × m integer matrix I − N, reduced
+    mod p over 𝔽_p.  N is nilpotent, so the inverse is Σ_(k<m) N^k: the
+    product of the factors I + N^(2^j) for j below the bit length of m."""
+    eye = np.eye(len(block), dtype=np.int64)
+    inverse, power = eye, eye - block
+    for _ in range(len(block).bit_length()):
+        inverse, power = _product(inverse, eye + power, p), _product(power, power, p)
+    return inverse
 
 
-def primitives(bialg: TruncatedTensorBialgebra, kernels=None) -> PrimitivesData:
+def _is_lyndon(word):
+    """Whether a word is strictly smaller than each of its proper suffixes."""
+    return all(word < word[i:] for i in range(1, len(word)))
+
+
+def _times(x, y):
+    """The product of two elements of T(V) given as dicts word -> coefficient."""
+    out = {}
+    for u, a in x.items():
+        for v, b in y.items():
+            out[u + v] = out.get(u + v, 0) + a * b
+    return out
+
+
+def _bracketing(word, memo):
+    """The standard bracketing of a Lyndon word, as a dict word -> integer
+    coefficient: a letter is itself, and a longer word uv, with v its
+    smallest proper suffix, is [u][v] − [v][u].  memo keeps the brackets
+    already built."""
+    if word not in memo:
+        if len(word) == 1:
+            memo[word] = {word: 1}
+        else:
+            i = min(range(1, len(word)), key=lambda i: word[i:])
+            u, v = _bracketing(word[:i], memo), _bracketing(word[i:], memo)
+            uv, vu = _times(u, v), _times(v, u)
+            memo[word] = {w: c for w in uv.keys() | vu.keys() if (c := uv.get(w, 0) - vu.get(w, 0))}
+    return memo[word]
+
+
+def primitives(bialg: TruncatedTensorBialgebra) -> PrimitivesData:
     """Degree-n primitives: kernel of Δ − (−)⊗1 − 1⊗(−).
 
-    Δ keeps the multiset of letters of a word, so the system splits into
-    one block per letter content.  Each block is solved as its key: its
-    words with each letter replaced by its rank among the block's letters.
-    Blocks with one key have one integer system, so `kernels` (key ->
-    (K, free)) may be shared by the models of one field; each key missing
-    from it is solved and added.  A block's free columns are those of the
-    whole degree's elimination, and the basis is ordered by them, as one
-    elimination of the whole degree would order it.  In degree 0 the map
-    is −1⊗1, so every primitive lies in the augmentation kernel.
+    They are the free Lie algebra on the letters over ℚ (Chen, Fox and
+    Lyndon 1958) and the free restricted Lie algebra over 𝔽_p (Jacobson),
+    so no system is solved.  Each Lyndon word ℓ gives its standard
+    bracketing [ℓ], and over 𝔽_p also [ℓ]^(p^k) within the cutoff.  With
+    letters ordered by (degree, index), [ℓ] is ℓ plus lexicographically
+    larger words of the same letters (Reutenauer, Free Lie Algebras,
+    1993, Thm 5.1), and [ℓ]^(p^k) is likewise ℓ^(p^k) plus larger words,
+    so each degree's basis is ordered by its leading words and is
+    unitriangular on them.  Its dimensions must be Witt's, or
+    `ConstructionCheckFailed` is raised.  In degree 0 the map is −1⊗1, so
+    every primitive lies in the augmentation kernel.
     """
-    p = bialg.field
-    kernels = {} if kernels is None else kernels
-    blocks, free_cols = [], []
-    for words in bialg.words:
-        content = {}
-        for j, w in enumerate(words):
-            content.setdefault(tuple(sorted(w)), []).append(j)
-        found = []  # (free column, the block's columns, kernel vector)
-        for letters, cols in content.items():
-            rank = {x: r for r, x in enumerate(sorted(set(letters)))}
-            key = tuple(tuple(rank[x] for x in words[j]) for j in cols)
-            if key not in kernels:
-                kernels[key] = _primitive_block(key, p)
-            K, free = kernels[key]
-            found.extend((cols[f], cols, K[:, i]) for i, f in enumerate(free))
-        found.sort(key=lambda item: item[0])
-        block = np.zeros((len(words), len(found)), dtype=np.result_type(np.int64, *(v for *_, v in found)))
-        for i, (_, cols, vec) in enumerate(found):
-            block[cols, i] = vec
+    p, N = bialg.field, bialg.N
+    memo = {}
+    found = [[] for _ in range(N + 1)]  # per degree: (leading word, element)
+    for d in range(1, N + 1):
+        for word in bialg.words[d]:
+            if not _is_lyndon(word):
+                continue
+            element, lead, e = _bracketing(word, memo), word, d
+            found[d].append((lead, element))
+            while p and e * p <= N:
+                element = functools.reduce(_times, [{w: c % p for w, c in element.items()}] * p)
+                lead, e = lead * p, e * p
+                found[e].append((lead, element))
+    dims = tuple(len(f) for f in found)
+    witt = _primitive_dims(bialg.base.dims, p, N)
+    if dims != witt:
+        raise ConstructionCheckFailed("primitive basis has dimensions %s, not Witt's %s" % (dims, witt))
+    blocks, lead_rows = [], []
+    for d, elements in enumerate(found):
+        elements.sort(key=lambda item: item[0])
+        block = np.zeros((bialg.carrier.dims[d], len(elements)), dtype=np.int64)
+        for i, (_, element) in enumerate(elements):
+            for w, c in element.items():
+                block[bialg.index[w][1], i] = c % p if p else c
         blocks.append(block)
-        free_cols.append(tuple(f for f, *_ in found))
-    dims = tuple(len(f) for f in free_cols)
+        lead_rows.append(tuple(bialg.index[w][1] for w, _ in elements))
     labels = tuple(tuple("p%d_%d" % (d, i) for i in range(n)) for d, n in enumerate(dims))
     space = GradedSpace(p, dims, labels)
     aug = GradedSpace(p, (0,) + bialg.carrier.dims[1:], ((),) + bialg.carrier.labels[1:])
     xi = GradedMap(space, bialg.carrier, tuple(blocks))
-    return PrimitivesData(space, xi, aug, tuple(free_cols))
+    return PrimitivesData(space, xi, aug, tuple(lead_rows))
 
 
 def _evaluation(outer, inner, letters):
@@ -417,18 +446,6 @@ def _monomials(letters, comp, p):
     products, in `itertools.product` order, of the realized letters of
     those degrees."""
     return functools.reduce(lambda a, b: _kron(a, b, p), (letters[c] for c in comp), np.ones((1, 1), dtype=np.int64))
-
-
-def _restrict_to_primitives(prims_from, prims_to, full_map):
-    """Corestrict carrier-level full_map to primitive coordinates."""
-    carried = full_map.compose(prims_from.into_carrier)
-    blocks = []
-    for block, basis, free in zip(carried.blocks, prims_to.into_carrier.blocks, prims_to.free):
-        coords = _coordinates(prims_to.space.field, basis, free, block)
-        if coords is None:
-            raise ConstructionCheckFailed("image of a primitive is not primitive")
-        blocks.append(coords)
-    return GradedMap(prims_from.space, prims_to.space, tuple(blocks))
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,23 +483,16 @@ def verify_bialgebra_adjunction(v_dim, field, truncation, guard=DIM_GUARD) -> Bi
     b1 = build_truncated(v_dim, p, truncation, guard=guard)
     # the double and augmentation-kernel models must fit as well, and
     # their bases are known before anything is solved
-    _check_guard(_primitive_dims(v_dim, p, truncation), truncation, guard)
+    _check_guard(_primitive_dims(b1.base.dims, p, truncation), truncation, guard)
     if v_dim:
         _check_guard((0,) + b1.carrier.dims[1:], truncation, guard)
-    kernels = {}  # block key -> (K, free), shared by both models
-    p1 = primitives(b1, kernels)
+    p1 = primitives(b1)
     omega = b1.letter_projection
     gamma_v = omega.compose(p1.into_carrier)  # W -> V
     failures = []
 
     # (a) unit retraction: V -> W -> V is the identity
-    eta_blocks = []
-    for basis, free, letters in zip(p1.into_carrier.blocks, p1.free, b1.unit_inclusion.blocks):
-        coords = _coordinates(p, basis, free, letters)
-        if coords is None:
-            raise ConstructionCheckFailed("letters must be primitive")
-        eta_blocks.append(coords)
-    bold_eta = GradedMap(omega.target, p1.space, tuple(eta_blocks))
+    bold_eta = _coordinates(p1, b1.unit_inclusion, "letters must be primitive")
     where = gamma_v.compose(bold_eta).first_difference(GradedMap.identity(omega.target))
     if where is not None:
         failures.append(("unit-retraction", b1.base.labels[where[0]][where[1]]))
@@ -490,10 +500,10 @@ def verify_bialgebra_adjunction(v_dim, field, truncation, guard=DIM_GUARD) -> Bi
 
     # (b) heavy composition on the double model
     b2 = TruncatedTensorBialgebra(p1.space, truncation, guard=guard)
-    p2 = primitives(b2, kernels)
+    p2 = primitives(b2)
     gamma_w = b2.letter_projection.compose(p2.into_carrier)  # P2 -> W
     evaluation = _evaluation(b2, b1, p1.into_carrier.blocks)  # carrier2 -> carrier1
-    eval_on_prims = _restrict_to_primitives(p2, p1, evaluation)  # P2 -> W
+    eval_on_prims = _coordinates(p1, evaluation.compose(p2.into_carrier), "image of a primitive is not primitive")  # P2 -> W
     where = gamma_v.compose(gamma_w).first_difference(gamma_v.compose(eval_on_prims))
     if where is not None:
         failures.append(("heavy-composition", p2.space.labels[where[0]][where[1]]))

@@ -1,9 +1,11 @@
 """Word-level oracles for the truncated tensor bialgebra.
 
-`primitives` solves Δ − (−)⊗1 − 1⊗(−) one letter-content block at a
-time on `exactalg`'s elimination.  The oracle here writes the whole
-degree's system on every ordered pair of words and row-reduces it with
-plain list arithmetic, sharing no code with `exactalg`.
+`primitives` builds the primitives from Lyndon words, with no system
+solved.  The oracle here writes the whole degree's system on every
+ordered pair of words and row-reduces it with plain dict arithmetic,
+sharing no code with `tensorbialg` or `exactalg`.  `lie_basis` expands
+the same Lyndon basis independently: brackets as uv − vu on word dicts,
+p-th powers by `mult_elt`.
 
 `tensorbialg` multiplies and evaluates words as Kronecker products of
 arrays.  The product here concatenates words one pair at a time, on
@@ -13,6 +15,7 @@ A field is its characteristic p, 0 for ℚ; its elements are `Fraction`s
 over ℚ and ints in 0..p−1 over 𝔽_p.
 """
 
+import itertools
 from fractions import Fraction
 
 
@@ -20,35 +23,57 @@ def element(p, x):
     return x % p if p else Fraction(x)
 
 
-def rref(p, rows):
-    """(nonzero rref rows, pivot columns), Gauss–Jordan over the field."""
-    m = [[element(p, x) for x in r] for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], -1, p) if p else 1 / m[r][c]
-        m[r] = [element(p, inv * x) for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [element(p, a - f * b) for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
+def _entries(p, row):
+    """The nonzero entries of a list or dict row as a dict column -> field element."""
+    pairs = row.items() if isinstance(row, dict) else enumerate(row)
+    return {c: v for c, x in pairs if (v := element(p, x)) != 0}
+
+
+def _add_multiple(p, row, factor, other):
+    """row + factor·other on dict rows, zeros dropped."""
+    out = dict(row)
+    for c, x in other.items():
+        v = element(p, out.get(c, 0) + factor * x)
+        if v != 0:
+            out[c] = v
+        else:
+            out.pop(c, None)
+    return out
+
+
+def rref(p, rows, ncols=None):
+    """(nonzero rref rows, pivot columns), Gauss–Jordan over the field.
+
+    Rows are lists, or dicts column -> entry with ncols given; each is
+    kept as a dict of its nonzero entries, so sparse systems stay cheap.
+    Every row is reduced against the pivot rows found so far, then each
+    pivot row against the later ones."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    pivot_rows = {}  # pivot column -> row that is 1 there and 0 before it
+    for row in rows:
+        r = _entries(p, row)
+        while r:
+            c = min(r)
+            if c not in pivot_rows:
+                inv = pow(r[c], -1, p) if p else 1 / r[c]
+                pivot_rows[c] = {k: element(p, inv * x) for k, x in r.items()}
+                break
+            r = _add_multiple(p, r, -r[c], pivot_rows[c])
+    pivots = sorted(pivot_rows)
+    for c in reversed(pivots):
+        row = pivot_rows[c]
+        for later in [k for k in row if k != c and k in pivot_rows]:
+            row = _add_multiple(p, row, -row[later], pivot_rows[later])
+        pivot_rows[c] = row
+    zero = element(p, 0)
+    return [[pivot_rows[c].get(j, zero) for j in range(ncols)] for c in pivots], pivots
 
 
 def kernel_basis(p, rows, ncols):
     """One kernel vector per free column: 1 there, minus the rref row entry
     on each pivot coordinate."""
-    rr, pivots = rref(p, rows)
+    rr, pivots = rref(p, rows, ncols)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -62,23 +87,69 @@ def kernel_basis(p, rows, ncols):
 
 
 def primitive_system(bialg, d):
-    """Δ − (−)⊗1 − 1⊗(−) on the degree-d words, one row per ordered pair
-    of words whose degrees sum to d."""
-    pairs = [(w1, w2) for d1 in range(d + 1) for w1 in bialg.words[d1] for w2 in bialg.words[d - d1]]
-    index = {pair: i for i, pair in enumerate(pairs)}
-    words = bialg.words[d]
-    mat = [[0] * len(words) for _ in pairs]
-    for j, w in enumerate(words):
+    """Δ − (−)⊗1 − 1⊗(−) on the degree-d words, one dict row per ordered
+    pair of words whose degrees sum to d."""
+    rows = {}
+    for j, w in enumerate(bialg.words[d]):
         for pair, coeff in bialg.delta_word(w).items():
-            mat[index[pair]][j] = coeff
+            rows.setdefault(pair, {})[j] = coeff
         for pair in ((w, ()), ((), w)):
-            mat[index[pair]][j] -= 1
-    return mat
+            rows[pair][j] -= 1
+    return list(rows.values())
 
 
 def oracle_primitives(bialg, d):
     """Degree-d primitive basis from one elimination of the whole degree."""
     return kernel_basis(bialg.field, primitive_system(bialg, d), bialg.carrier.dims[d])
+
+
+def is_lyndon(word):
+    """Strictly smaller than each of its nontrivial rotations."""
+    return len(word) > 0 and all(word < word[i:] + word[:i] for i in range(1, len(word)))
+
+
+def standard_bracket(word):
+    """[u, v] = uv − vu as a dict word -> integer, where v is the longest
+    proper suffix of the Lyndon word uv that is itself Lyndon; a letter
+    is itself."""
+    if len(word) == 1:
+        return {word: 1}
+    v = next(word[i:] for i in range(1, len(word)) if is_lyndon(word[i:]))
+    x, y = standard_bracket(word[: len(word) - len(v)]), standard_bracket(v)
+    out = {}
+    for (a, ca), (b, cb) in itertools.product(x.items(), y.items()):
+        out[a + b] = out.get(a + b, 0) + ca * cb
+        out[b + a] = out.get(b + a, 0) - ca * cb
+    return out
+
+
+def lie_basis(bialg, d):
+    """The degree-d Lyndon basis as coefficient lists: [ℓ] for each Lyndon
+    word ℓ of degree d, and over 𝔽_p also [ℓ]^k for ℓ of degree d/k with k
+    a power of p, ordered by their leading words ℓ and ℓ^k."""
+    p = bialg.field
+    items = []
+    for e in range(1, d + 1):
+        k = d // e
+        if d % e or (k > 1 and not (p and _is_power(k, p))):
+            continue
+        for word in bialg.words[e]:
+            if is_lyndon(word):
+                vec = zero_elt(bialg, e)[1]
+                for w, c in standard_bracket(word).items():
+                    _, i = bialg.index[w]
+                    vec[i] = element(p, vec[i] + c)
+                power = (e, vec)
+                for _ in range(k - 1):
+                    power = mult_elt(bialg, power, (e, vec))
+                items.append((word * k, power[1]))
+    return [vec for _, vec in sorted(items, key=lambda item: item[0])]
+
+
+def _is_power(k, p):
+    while k % p == 0:
+        k //= p
+    return k == 1
 
 
 def rank(p, vectors):

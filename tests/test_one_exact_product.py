@@ -16,10 +16,10 @@ KEPT = {
     ("exactalg.py", "_field_dtype"),
     # the CRT recombination's dtype
     ("exactalg.py", "solve_quadratic"),
+    # the storage dtype of an affine set's enumerated members
+    ("exactalg.py", "AffineSolutionSet.member_array"),
     # the input guard of the int64 tensor kernels (`ModuliTooLarge`)
     ("sepkit.py", "TensorPower.__init__"),
-    # a kernel of integral rationals stored as int64
-    ("tensorbialg.py", "_integral"),
 }
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import itertools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,9 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import talg_census
 from talg_util import (
     element,
     evaluation_blocks,
+    lie_basis,
     mult_elt,
     oracle_primitives,
     rank,
@@ -25,7 +28,7 @@ from talg_util import (
     zero_elt,
 )
 
-from hsep import tensorbialg
+from hsep import exactalg, tensorbialg
 from hsep.exactalg import ConstructionCheckFailed
 from hsep.tensorbialg import (
     DimensionGuardExceeded,
@@ -342,55 +345,85 @@ ORACLE_MODELS = LAW_MODELS + [("V3", "7")]
 
 
 @pytest.mark.parametrize("base, fname", ORACLE_MODELS, ids=["%s-%s" % m for m in ORACLE_MODELS])
-def test_blockwise_primitives_match_whole_degree_oracle(base, fname):
-    """Solving by letter content spans what one elimination of the whole
-    degree spans, with the very same basis vectors in the same order.
-    V3 is T(V), dim V = 3, truncated at 4: the first model of `talg
-    verify` at (3,4), here over Q, F2 and F7."""
-    b = law_model(base, fname)
+def test_primitives_match_whole_degree_oracle(base, fname):
+    """The Lyndon basis spans what one elimination of the whole degree
+    spans, and each of its vectors is the independent bracket expansion of
+    its Lyndon word.  V3 is T(V), dim V = 3, truncated at 4: the first
+    model of `talg verify` at (3,4), here over Q, F2 and F7."""
+    assert_lyndon_basis(law_model(base, fname))
+
+
+def assert_lyndon_basis(b):
+    """In every degree, the basis has the oracle's rank and span and is
+    `lie_basis`, and each vector is 1 on its lead row, whose word is the
+    lexicographically smallest it contains, with the lead words ascending."""
     prims = primitives(b)
     for d in range(b.N + 1):
-        blockwise = prims.into_carrier.blocks[d].T.tolist()
+        basis = prims.into_carrier.blocks[d].T.tolist()
         whole = oracle_primitives(b, d)
-        assert rank(b.field, blockwise) == rank(b.field, whole) == len(whole) == prims.space.dims[d]
-        assert spans_within(b.field, blockwise, whole) and spans_within(b.field, whole, blockwise)
-        assert blockwise == whole, d
-        # the basis is the identity on the ascending free columns
-        free = prims.free[d]
-        assert list(free) == sorted(set(free))
-        assert [[v[f] for f in free] for v in blockwise] == np.eye(len(free), dtype=int).tolist()
+        assert rank(b.field, basis) == rank(b.field, whole) == len(whole) == prims.space.dims[d]
+        assert spans_within(b.field, basis, whole) and spans_within(b.field, whole, basis)
+        assert basis == lie_basis(b, d), d
+        block, lead, words = prims.into_carrier.blocks[d], prims.lead[d], b.words[d]
+        assert [words[r] for r in lead] == sorted(words[r] for r in lead)
+        for i, r in enumerate(lead):
+            assert block[r, i] == 1
+            assert min(words[j] for j in np.flatnonzero(block[:, i])) == words[r]
 
 
-@pytest.mark.parametrize("fname", ["q", "2"])
-def test_double_model_primitives_with_shared_solves_match_oracle(fname):
-    """The double model reuses T(V)'s block solves wherever the block keys
-    agree; its basis is still that of one elimination of each degree."""
-    field = exact_field(fname)
-    kernels = {}
-    prims = primitives(build_truncated(2, field, 4), kernels)
-    double = TruncatedTensorBialgebra(prims.space, 4)
-    solved = len(kernels)
-    double_prims = primitives(double, kernels)
-    blocks = sum(len({tuple(sorted(w)) for w in words}) for words in double.words)
-    assert len(kernels) - solved < blocks
-    for d in range(double.N + 1):
-        assert double_prims.into_carrier.blocks[d].T.tolist() == oracle_primitives(double, d), d
+@pytest.mark.parametrize("fname", ["q", "2", "3"])
+def test_double_model_primitives_match_oracle(fname):
+    """The double model's letters lie in several degrees; its Lyndon basis
+    spans the whole-degree kernel and is the bracket expansion."""
+    prims = primitives(build_truncated(2, exact_field(fname), 4))
+    assert_lyndon_basis(TruncatedTensorBialgebra(prims.space, 4))
 
 
-@pytest.mark.parametrize("v_dim, deg, most", [(3, 4, 16), (2, 5, 19)])
-def test_each_block_key_is_solved_once(monkeypatch, v_dim, deg, most):
-    """T(V) and the double model share one solve per block key: at (3,4)
-    there are 16 keys against 156 letter-content blocks, at (2,5) 19
-    against 84."""
-    original, calls = tensorbialg._kernel, []
+@pytest.mark.parametrize("fname", ["q", "2", "7"])
+@pytest.mark.parametrize("v_dim, deg", [(3, 4), (2, 5)])
+def test_no_row_reduction_on_the_talg_path(monkeypatch, v_dim, deg, fname):
+    """Both models' primitives come from Lyndon words: `exactalg._rref`,
+    which every kernel and cokernel solve runs on, is never called."""
+    original, calls = exactalg._rref, []
 
     def counted(rows, p):
         calls.append(rows.shape)
         return original(rows, p)
 
-    monkeypatch.setattr(tensorbialg, "_kernel", counted)
-    assert verify_bialgebra_adjunction(v_dim, "q", deg).all_hold
-    assert len(calls) <= most
+    monkeypatch.setattr(exactalg, "_rref", counted)
+    assert verify_bialgebra_adjunction(v_dim, fname, deg).all_hold
+    assert calls == []
+
+
+@pytest.mark.parametrize("p", [0, 2, 7])
+def test_unitriangular_inverse(p):
+    """The inverse of seeded dense lower unitriangular integer matrices, up
+    to 8 × 8, where N⁷ ≠ 0: exact over Q, reduced mod p over F_p."""
+    rng = random.Random(31 + p)
+    for m in range(9):
+        strict = np.array([[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)], dtype=np.int64).reshape(m, m)
+        block = np.tril(strict, -1) + np.eye(m, dtype=np.int64)
+        inverse = tensorbialg._unitriangular_inverse(block, p)
+        error = block.astype(object) @ inverse.astype(object) - np.eye(m, dtype=np.int64)
+        assert not (error % p if p else error).any()
+        if p:
+            assert ((0 <= inverse) & (inverse < p)).all()
+
+
+def census_slice():
+    """A seeded slice of tests/talg_census.py: 12 models with dim V of 1
+    or 2 and N ≤ 5, and 6 more among them over 𝔽_p with p ≤ N, where the
+    restricted powers appear."""
+    pool = [case for case in talg_census.CASES if 1 <= case[0] <= 2 and case[1] <= 5]
+    rng = random.Random(18)
+    return sorted(set(rng.sample(pool, 12) + rng.sample([c for c in pool if c[2] and c[2] <= c[1]], 6)))
+
+
+@pytest.mark.parametrize("case", census_slice(), ids=lambda case: "%d-%d-%d-%s" % case)
+def test_census_slice(case):
+    bialg = talg_census.build(*case)
+    assert bialg is not None
+    assert talg_census.disagreements(bialg) == []
 
 
 EVALUATION_MODELS = [(v, n, f) for f in ("q", "2") for v, n in ((2, 3), (3, 2), (2, 4))]
@@ -459,10 +492,12 @@ WITT_GRID = [(2, 7, "7"), (3, 4, "2"), (2, 6, "2"), (2, 6, "3"), (1, 5, "2"), (3
 
 @pytest.mark.parametrize("v_dim, deg, fname", WITT_GRID, ids=["%d-%d-%s" % m for m in WITT_GRID])
 def test_primitive_dims_formula(v_dim, deg, fname):
-    """Witt's necklace counts over Q, and over F_p the sum over the p^k
-    dividing d, equal the solved dimensions."""
+    """Witt's counts over Q, and over F_p the sum over the p^k dividing d,
+    equal the built dimensions and the ranks of the oracle's kernels."""
     field = exact_field(fname)
-    assert tensorbialg._primitive_dims(v_dim, field, deg) == primitives(build_truncated(v_dim, field, deg)).space.dims
+    dims = tensorbialg._primitive_dims((0, v_dim), field, deg)
+    assert dims == primitives(build_truncated(v_dim, field, deg)).space.dims
+    assert list(dims[1:]) == oracle_primitive_dims(v_dim, fname, deg)
 
 
 @pytest.mark.parametrize(
@@ -471,11 +506,11 @@ def test_primitive_dims_formula(v_dim, deg, fname):
     # augmentation-kernel model does not
     [(2, 7, "7", 10923), (2, 7, "q", 10923), (3, 5, "q", 4666)],
 )
-def test_guard_trips_before_any_solve(monkeypatch, v_dim, deg, fname, total):
-    def no_solve(rows, p):
-        raise AssertionError("a block solved before the guard")
+def test_guard_trips_before_any_bracket(monkeypatch, v_dim, deg, fname, total):
+    def no_bracket(word, memo):
+        raise AssertionError("a primitive built before the guard")
 
-    monkeypatch.setattr(tensorbialg, "_kernel", no_solve)
+    monkeypatch.setattr(tensorbialg, "_bracketing", no_bracket)
     message = r"truncated model needs %d\+ dimensions \(guard 4096\)" % total
     with pytest.raises(DimensionGuardExceeded, match=message):
         verify_bialgebra_adjunction(v_dim, fname, deg)
@@ -535,15 +570,20 @@ class TestAlgebraWitness:
 
 
 def lose_letters(monkeypatch):
-    """Each letter's solve returns no primitive.  Only a letter's block has
-    all-zero rows: Δ − (−)⊗1 − 1⊗(−) vanishes on single letters alone."""
-    original = tensorbialg._kernel
+    """Each letter's bracket comes back as 0, so every degree keeps its
+    count but degree 1 loses its span."""
+    original = tensorbialg._bracketing
 
-    def lose(rows, p):
-        K, free = original(rows, p)
-        return (K, free) if rows.any() else (K[:, :0], free[:0])
+    def lose(word, memo):
+        return {} if len(word) == 1 else original(word, memo)
 
-    monkeypatch.setattr(tensorbialg, "_kernel", lose)
+    monkeypatch.setattr(tensorbialg, "_bracketing", lose)
+
+
+def skip_a_lyndon_word(monkeypatch):
+    """The last Lyndon word of degree 3 is not found."""
+    original = tensorbialg._is_lyndon
+    monkeypatch.setattr(tensorbialg, "_is_lyndon", lambda word: original(word) and word != ((1, 0), (1, 1), (1, 1)))
 
 
 def change_primitives(monkeypatch, model, change):
@@ -551,20 +591,21 @@ def change_primitives(monkeypatch, model, change):
     for the double model) through `change`, a map on PrimitivesData."""
     original, calls = tensorbialg.primitives, []
 
-    def patched(bialg, kernels=None):
+    def patched(bialg):
         calls.append(bialg)
-        prims = original(bialg, kernels)
+        prims = original(bialg)
         return change(prims) if len(calls) == model else prims
 
     monkeypatch.setattr(tensorbialg, "primitives", patched)
 
 
-def with_basis(prims, d, block, free):
-    """prims with the degree-d basis `block`, the unit vectors on `free`."""
+def with_basis(prims, d, block, lead):
+    """prims with the degree-d basis `block`, whose leading words are on
+    the rows `lead`."""
     xi = prims.into_carrier
     blocks = xi.blocks[:d] + (block,) + xi.blocks[d + 1 :]
-    frees = prims.free[:d] + (tuple(free),) + prims.free[d + 1 :]
-    return dataclasses.replace(prims, into_carrier=dataclasses.replace(xi, blocks=blocks), free=frees)
+    leads = prims.lead[:d] + (tuple(lead),) + prims.lead[d + 1 :]
+    return dataclasses.replace(prims, into_carrier=dataclasses.replace(xi, blocks=blocks), lead=leads)
 
 
 def duplicate_first_letter(monkeypatch):
@@ -572,15 +613,22 @@ def duplicate_first_letter(monkeypatch):
     not at all, so degree 1 keeps its count but loses its span."""
 
     def change(prims):
-        return with_basis(prims, 1, prims.into_carrier.blocks[1][:, [0, 0]], prims.free[1])
+        return with_basis(prims, 1, prims.into_carrier.blocks[1][:, [0, 0]], prims.lead[1])
 
     change_primitives(monkeypatch, 1, change)
 
 
 class TestSpanGates:
-    """The letters, and the image of each primitive of the double model,
-    must lie in the span of the computed primitives; a kernel solve that
-    loses or corrupts a primitive raises, also under python -O."""
+    """The primitives must have Witt's dimensions, and the letters and the
+    image of each primitive of the double model must lie in their span; a
+    construction that misses, loses or corrupts a primitive raises, also
+    under python -O."""
+
+    def test_dimension_gate(self, monkeypatch):
+        skip_a_lyndon_word(monkeypatch)
+        message = r"primitive basis has dimensions \(0, 2, 1, 1\), not Witt's \(0, 2, 1, 2\)"
+        with pytest.raises(ConstructionCheckFailed, match=message):
+            verify_bialgebra_adjunction(2, "q", 3)
 
     # in T(V) with dim V = 2 and N = 3 the letters are the two words of degree 1
     @pytest.mark.parametrize("fault", [lose_letters, duplicate_first_letter], ids=["lost", "duplicated"])
@@ -593,32 +641,40 @@ class TestSpanGates:
         # the double model on the primitives (dims 0, 2, 1, 2) has the squares
         # w0·w0 and w1·w1 of its degree-1 letters at positions 0 and 3 of
         # degree 2; claimed primitive, w0·w0 evaluates to v0·v0, which is
-        # not primitive over Q.  The double model shares its block solves
-        # with T(V), where v0·v0 has the same block key as w0·w0, so the
-        # claim goes into the returned basis rather than into a solve.
+        # not primitive over Q
         def claim_squares(prims):
             block = prims.into_carrier.blocks[2]
             squares = np.eye(block.shape[0], dtype=block.dtype)[:, [0, 3]]
-            return with_basis(prims, 2, np.hstack([squares, block]), (0, 3) + prims.free[2])
+            return with_basis(prims, 2, np.hstack([squares, block]), (0, 3) + prims.lead[2])
 
         change_primitives(monkeypatch, 2, claim_squares)
         with pytest.raises(ConstructionCheckFailed, match="image of a primitive is not primitive"):
             verify_bialgebra_adjunction(2, "q", 3)
 
-    def test_gate_fires_under_optimize(self):
+    def test_gates_fire_under_optimize(self):
         script = (
             "import sys\n"
+            "import numpy as np\n"
             "from hsep import tensorbialg\n"
             "from hsep.exactalg import ConstructionCheckFailed\n"
-            "original = tensorbialg._kernel\n"
-            "def lose(rows, p):\n"
-            "    K, free = original(rows, p)\n"
-            "    return (K, free) if rows.any() else (K[:, :0], free[:0])\n"
-            "tensorbialg._kernel = lose\n"
-            "try:\n"
-            "    tensorbialg.verify_bialgebra_adjunction(2, 'q', 3)\n"
-            "except ConstructionCheckFailed as err:\n"
-            "    print('optimize=%d raised: %s' % (sys.flags.optimize, err))\n"
+            "bracketing, is_lyndon, primitives = tensorbialg._bracketing, tensorbialg._is_lyndon, tensorbialg.primitives\n"
+            "def lose(word, memo):\n"
+            "    return {} if len(word) == 1 else bracketing(word, memo)\n"
+            "def skip(word):\n"
+            "    return is_lyndon(word) and word != ((1, 0), (1, 1), (1, 1))\n"
+            "def claim_square(bialg):\n"
+            "    prims = primitives(bialg)\n"
+            "    if bialg.base.dims[1:] == (2, 1, 2):\n"
+            "        block = prims.into_carrier.blocks[2]\n"
+            "        block[:, 0] = np.eye(block.shape[0], dtype=block.dtype)[:, 0]\n"
+            "    return prims\n"
+            "for name, fault in (('_bracketing', lose), ('_is_lyndon', skip), ('primitives', claim_square)):\n"
+            "    setattr(tensorbialg, name, fault)\n"
+            "    try:\n"
+            "        tensorbialg.verify_bialgebra_adjunction(2, 'q', 3)\n"
+            "    except ConstructionCheckFailed as err:\n"
+            "        print('optimize=%d raised: %s' % (sys.flags.optimize, err))\n"
+            "    setattr(tensorbialg, name, {'_bracketing': bracketing, '_is_lyndon': is_lyndon, 'primitives': primitives}[name])\n"
         )
         path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
         out = subprocess.run(
@@ -629,4 +685,8 @@ class TestSpanGates:
             timeout=120,
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "optimize=1 raised: letters must be primitive"
+        assert out.stdout.splitlines() == [
+            "optimize=1 raised: letters must be primitive",
+            "optimize=1 raised: primitive basis has dimensions (0, 2, 1, 1), not Witt's (0, 2, 1, 2)",
+            "optimize=1 raised: image of a primitive is not primitive",
+        ]
