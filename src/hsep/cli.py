@@ -11,6 +11,7 @@ keys); the default is human-readable text.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -32,9 +33,12 @@ def default_cap():
     env = os.environ.get("SEPKIT_CAP")
     if env:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError as err:
             raise InputError("SEPKIT_CAP must be an integer: %r" % env) from err
+        if cap < 0:
+            raise InputError("SEPKIT_CAP must not be negative: %r" % env)
+        return cap
     return sepkit.DEFAULT_CAP
 
 
@@ -44,7 +48,10 @@ def _emit(doc, lines, args):
     else:
         text = "\n".join(lines) + "\n"
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as err:
+            raise InputError("%s: %s" % (args.output, err)) from err
     else:
         sys.stdout.write(text)
 
@@ -52,9 +59,12 @@ def _emit(doc, lines, args):
 def _load_doc(path):
     try:
         with open(path) as fh:
-            return json.load(fh), Path(path).parent
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise InputError("%s: %s" % (path, err)) from err
+    if not isinstance(doc, dict):
+        raise InputError("%s: expected a JSON object, got %s" % (path, type(doc).__name__))
+    return doc, Path(path).parent
 
 
 def _load_hom(path):
@@ -464,12 +474,20 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first `main` call and shared by the rest."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        if hasattr(args, "cap") and args.cap is None:
-            args.cap = default_cap()
+        if hasattr(args, "cap"):
+            if args.cap is None:
+                args.cap = default_cap()
+            elif args.cap < 0:
+                raise InputError("--cap must not be negative: %d" % args.cap)
         return args.func(args)
     except (InputError, FileNotFoundError, sepkit.ModuliTooLarge) as err:
         sys.stderr.write("error: %s\n" % str(err).replace("\n", " "))

@@ -8,8 +8,12 @@ kernels.  Numpy arrays are the one matrix type: `smith_normal_form`,
 `cokernel`, `subgroup_basis` and `solve_modular_system` take 2-D
 integer arrays (signed integers, or object arrays of Python ints) and
 raise `DimensionMismatch` on anything else.  The big-integer algorithms
-convert their input to Python ints once, and the Smith transforms come
-back as object arrays.  `exact_einsum` is the workbench's one exact
+convert their input to Python ints once.  A Smith form keeps its
+transforms as logs of the reduction's row and column operations, and
+each caller replays them onto only what it reads (rows of U, U·x, U⁻¹·x,
+V·x), at one row of the operand per operation; the full U, U⁻¹ and V
+are built from the same logs on first access, as object arrays of
+Python ints.  `exact_einsum` is the workbench's one exact
 product: every contraction whose dtype the code chooses runs through it,
 in int64 while no sum can wrap and in Python ints past that.  `_rref` is
 the workbench's one row reduction, with `_kernel` beside it, over 𝔽_p
@@ -36,6 +40,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -138,39 +143,33 @@ def exact_einsum(spec, *operands):
     return np.einsum(spec, *(a.astype(dtype, copy=False) for a in operands), optimize=optimize)
 
 
-def _eye_list(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 class _SnfWorker:
-    """Mutable reduction state: M together with U, V and U⁻¹.
+    """Mutable reduction state: M and the logs of the operations on it.
 
-    Invariant after every operation: M == U @ source @ V and U @ Uinv == I.
-    Per-row nonzero column sets keep pivot search cheap on large
-    mostly-diagonal inputs.
+    Invariant after every operation: M == U @ source @ V, where U is the
+    product of the logged row operations and V that of the logged column
+    operations, replayed by `SmithDecomposition`.  Per-row nonzero column
+    sets keep pivot search cheap on large mostly-diagonal inputs.
     """
 
     def __init__(self, rows, m):
         self.n = len(rows)
         self.m = m
         self.M = rows
-        self.U = _eye_list(self.n)
-        self.Uinv = _eye_list(self.n)
-        self.V = _eye_list(self.m)
+        self.row_ops = []
+        self.col_ops = []
         self.nz = [set(j for j, v in enumerate(row) if v) for row in self.M]
 
     def swap_rows(self, a, b):
         if a == b:
             return
-        M, U = self.M, self.U
+        M = self.M
         M[a], M[b] = M[b], M[a]
         self.nz[a], self.nz[b] = self.nz[b], self.nz[a]
-        U[a], U[b] = U[b], U[a]
-        for row in self.Uinv:
-            row[a], row[b] = row[b], row[a]
+        self.row_ops.append((a, b, None))
 
     def addmul_row(self, dst, src, q):
-        # row_dst += q*row_src; Uinv picks up the inverse column op
+        # row_dst += q*row_src
         if q == 0:
             return
         md, ms = self.M[dst], self.M[src]
@@ -182,21 +181,13 @@ class _SnfWorker:
                 nzd.add(j)
             else:
                 nzd.discard(j)
-        ud, us = self.U[dst], self.U[src]
-        for j in range(self.n):
-            ud[j] += q * us[j]
-        for row in self.Uinv:
-            row[src] -= q * row[dst]
+        self.row_ops.append((dst, src, q))
 
     def negate_row(self, a):
         ma = self.M[a]
         for j in self.nz[a]:
             ma[j] = -ma[j]
-        ua = self.U[a]
-        for j in range(self.n):
-            ua[j] = -ua[j]
-        for row in self.Uinv:
-            row[a] = -row[a]
+        self.row_ops.append((a, a, -1))
 
     def swap_cols(self, a, b):
         if a == b:
@@ -214,8 +205,7 @@ class _SnfWorker:
                     else:
                         nzi.discard(b)
                         nzi.add(a)
-        for row in self.V:
-            row[a], row[b] = row[b], row[a]
+        self.col_ops.append((a, b, None))
 
     def addmul_col(self, dst, src, q):
         # col_dst += q*col_src
@@ -230,23 +220,92 @@ class _SnfWorker:
                     self.nz[i].add(dst)
                 else:
                     self.nz[i].discard(dst)
-        for row in self.V:
-            row[dst] += q * row[src]
+        self.col_ops.append((dst, src, q))
+
+
+def _replay(ops, x, how):
+    """x, a list of rows of Python ints, multiplied in place on the left
+    by E = E_k···E_1, the product of the logged row operations, when `how`
+    is "E"; by E⁻¹ when it is "inverse"; by Eᵀ when it is "transpose".
+
+    An operation (a, b, q) adds q times row b to row a; q = None swaps
+    rows a and b, and (a, a, -1) negates row a.  Each costs one row of x."""
+    inverse, transpose = how == "inverse", how == "transpose"
+    for a, b, q in ops if how == "E" else reversed(ops):
+        if q is None:
+            x[a], x[b] = x[b], x[a]
+        elif a == b:
+            x[a] = [-v for v in x[a]]
+        else:
+            if inverse:
+                q = -q
+            elif transpose:
+                a, b = b, a
+            x[a] = [u + q * v for u, v in zip(x[a], x[b])]
+    return x
 
 
 @dataclass(frozen=True, eq=False)
 class SmithDecomposition:
     """U @ source @ V is diagonal with d1 | d2 | ... on its diagonal.
 
-    U and V are unimodular and u_inv is the exact inverse of U,
-    accumulated during the reduction; all three are object arrays of
-    Python ints.  `diagonal` holds the min(rows, cols) diagonal entries.
+    The reduction logs its elementary operations instead of accumulating
+    the transforms: U is the product of `row_ops` and V the transpose of
+    that of `col_ops`, both unimodular (see `_replay`).  `u_rows`,
+    `u_dot`, `u_inv_dot` and `v_dot` apply the logs to what a caller
+    reads, one row of the operand per operation.  The full U, its exact
+    inverse u_inv and V are built from the same logs on first access.
+    All come back as object arrays of Python ints.  `diagonal` holds the
+    min(rows, cols) diagonal entries; `shape` is the source's.
     """
 
     diagonal: tuple[int, ...]
-    U: np.ndarray
-    u_inv: np.ndarray
-    V: np.ndarray
+    shape: tuple[int, int]
+    row_ops: tuple
+    col_ops: tuple
+
+    def _apply(self, ops, size, x, how):
+        """`_replay` of `ops` on the rows of x, which must number `size`."""
+        column = getattr(x, "ndim", None) == 1
+        rows = _int_rows(x[:, None] if column else x, "operand")
+        if len(rows) != size:
+            raise DimensionMismatch("operand has %d rows for a %d x %d transform" % (len(rows), size, size))
+        return np.array(_replay(ops, rows, how), dtype=object).reshape(x.shape)
+
+    def u_dot(self, x):
+        """U @ x, for a 1-D or 2-D integer array x."""
+        return self._apply(self.row_ops, self.shape[0], x, "E")
+
+    def u_inv_dot(self, x):
+        """U⁻¹ @ x, for a 1-D or 2-D integer array x."""
+        return self._apply(self.row_ops, self.shape[0], x, "inverse")
+
+    def v_dot(self, x):
+        """V @ x, for a 1-D or 2-D integer array x."""
+        return self._apply(self.col_ops, self.shape[1], x, "transpose")
+
+    def u_rows(self, rows):
+        """U[rows], as the columns (Uᵀ)[:, rows]."""
+        return self._apply(self.row_ops, self.shape[0], _unit_columns(self.shape[0], rows), "transpose").T
+
+    @cached_property
+    def U(self):
+        return self.u_dot(np.eye(self.shape[0], dtype=np.int64))
+
+    @cached_property
+    def u_inv(self):
+        return self.u_inv_dot(np.eye(self.shape[0], dtype=np.int64))
+
+    @cached_property
+    def V(self):
+        return self.v_dot(np.eye(self.shape[1], dtype=np.int64))
+
+
+def _unit_columns(n, cols):
+    """The columns `cols` of the n × n identity, as an int64 array."""
+    out = np.zeros((n, len(cols)), dtype=np.int64)
+    out[list(cols), np.arange(len(cols))] = 1
+    return out
 
 
 def _smith(rows, m):
@@ -302,6 +361,8 @@ def _smith(rows, m):
                 continue
             # row and column are clear; force the pivot to divide the rest
             p = M[t][t]
+            if p == 1:
+                break
             bad = None
             for i in range(t + 1, n):
                 for j in nz[i]:
@@ -314,12 +375,11 @@ def _smith(rows, m):
                 break
             w.addmul_row(t, bad, 1)
         t += 1
-    square = lambda rows, k: np.array(rows, dtype=object).reshape(k, k)
     return SmithDecomposition(
         diagonal=tuple(M[i][i] for i in range(limit)),
-        U=square(w.U, n),
-        u_inv=square(w.Uinv, n),
-        V=square(w.V, m),
+        shape=(n, m),
+        row_ops=tuple(w.row_ops),
+        col_ops=tuple(w.col_ops),
     )
 
 
@@ -500,7 +560,7 @@ def _cokernel_mod_prime(relations, mods, p):
 
 
 def _diagonal(values):
-    return np.diag(np.array(values, dtype=object))
+    return np.diag(_int_array(values, (len(values),)))
 
 
 def cokernel(relations: np.ndarray, generator_moduli) -> FinAbPresentation:
@@ -539,8 +599,8 @@ def cokernel(relations: np.ndarray, generator_moduli) -> FinAbPresentation:
         raise ConstructionCheckFailed("the generator moduli leave a zero invariant factor")
     keep = [i for i in range(g) if d[i] != 1]
     moduli = tuple(d[i] for i in keep)
-    proj = snf.U[keep] % np.array(moduli, dtype=object)[:, None]
-    lift = snf.u_inv[:, keep] % np.array(mods, dtype=object)[:, None]
+    proj = snf.u_rows(keep) % np.array(moduli, dtype=object)[:, None]
+    lift = snf.u_inv_dot(_unit_columns(g, keep)) % np.array(mods, dtype=object)[:, None]
     return _presentation(moduli, mods, proj, lift)
 
 
@@ -562,25 +622,22 @@ def subgroup_basis(vectors: np.ndarray, ambient_moduli):
     mods = np.array(M, dtype=object)
     reduced = (vectors.astype(object) % mods).tolist()
     vecs = [v for v in dict.fromkeys(map(tuple, reduced)) if any(v)]
-    cols = np.array(vecs, dtype=object).reshape(len(vecs), n).T
+    cols = _int_array(vecs, (len(vecs), n)).T
     s1 = smith_normal_form(np.hstack([cols, _diagonal(M)]))
     d = np.array(s1.diagonal, dtype=object)
     if not all(di >= 1 for di in d):
         raise ConstructionCheckFailed("the ambient moduli leave a zero invariant factor")
-    # lattice basis of span(vectors, diag(M)): C = Uinv @ diag(d)
-    C = s1.u_inv * d
-    # coordinates of diag(M) in basis C: X = diag(d)^-1 @ U @ diag(M)
+    # the lattice span(vectors, diag(M)) has basis C = Uinv @ diag(d), and
+    # diag(M) has coordinates X = diag(d)^-1 @ U @ diag(M) in it
     X = s1.U * mods
     if (X % d[:, None]).any():
         raise ConstructionCheckFailed("the lattice basis does not span the ambient moduli")
-    s2 = smith_normal_form(X // d[:, None])
-    gens = []
-    orders = []
-    for i, o in enumerate(s2.diagonal):
-        if o > 1:
-            gens.append(tuple(((C @ s2.u_inv[:, i]) % mods).tolist()))
-            orders.append(o)
-    return tuple(gens), tuple(orders)
+    s2 = smith_normal_form(_int_array((X // d[:, None]).tolist(), (n, n)))
+    big = [i for i, o in enumerate(s2.diagonal) if o > 1]
+    # generator i is C @ s2.u_inv[:, i]
+    coords = d[:, None] * s2.u_inv_dot(_unit_columns(n, big))
+    gens = s1.u_inv_dot(coords) % mods[:, None]
+    return tuple(map(tuple, gens.T.tolist())), tuple(s2.diagonal[i] for i in big)
 
 
 def _echelon_mod(rows, L):
@@ -633,21 +690,28 @@ def _echelon_mod(rows, L):
 def _integer_solve_full(mat_rows, rhs, width):
     """Solve M z == rhs over Z, M given as lists of Python ints.
 
-    Returns (particular, kernel basis as the rows of an array) or None."""
-    s = _smith(mat_rows, width)
-    ub = s.U @ np.array(rhs, dtype=object)
-    d = s.diagonal
+    Returns (particular, kernel basis as the rows of an array), or None
+    when row i of U proves that there is no solution: U[i]·M ≡ 0 and
+    U[i]·rhs ≢ 0 modulo d_i (exactly, when d_i = 0).  The proof is
+    checked, so a corrupt form cannot pass for an inconsistent system;
+    a solution is checked by `AffineSolutionSet`."""
+    s = _smith([row[:] for row in mat_rows], width)
+    ub = s.u_dot(np.array(rhs, dtype=object))
+    d = s.diagonal + (0,) * (len(ub) - len(s.diagonal))
     w = np.zeros(width, dtype=object)
-    for i, ui in enumerate(ub):
-        di = d[i] if i < len(d) else 0
-        if di:
-            if ui % di:
-                return None
-            w[i] = ui // di
-        elif ui:
+    for i, (ui, di) in enumerate(zip(ub, d)):
+        if ui % di if di else ui:
+            aug = np.array([row + [bi] for row, bi in zip(mat_rows, rhs)], dtype=object).reshape(len(rhs), width + 1)
+            proof = s.u_rows([i])[0] @ aug
+            if di:
+                proof %= di
+            if proof[:-1].any() or not proof[-1]:
+                raise ConstructionCheckFailed("the Smith form does not prove the system inconsistent")
             return None
+        if di:
+            w[i] = ui // di
     free = [j for j in range(width) if j >= len(d) or d[j] == 0]
-    return s.V @ w, s.V[:, free].T
+    return s.v_dot(w), s.v_dot(_unit_columns(width, free)).T
 
 
 @dataclass(frozen=True)

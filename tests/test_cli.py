@@ -137,6 +137,132 @@ class TestExitCodes:
         ]
 
 
+def fresh_process(*argv):
+    """`python -m hsep` in a new interpreter, hsep imported from src/."""
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-m", "hsep", *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        timeout=120,
+    )
+
+
+class TestParserReuse:
+    """`main` builds its parser on the first call, not at import, and
+    every later call in the process reuses it."""
+
+    def test_many_calls_build_one_parser(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            hom = str(CORPUS / "z4_to_z2" / "hom.json")
+            for _ in range(4):
+                assert run(capsys, "sep", "epi", hom)[0] == 0
+                assert run(capsys, "--format", "json", "talg", "witness", "--dim", "1", "--deg", "2", "--field", "q")[0] == 0
+                assert run(capsys, "sep", "report", hom, "--cap", "-1")[0] == 2
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+
+    def test_import_builds_no_parser(self):
+        root = Path(__file__).resolve().parent.parent
+        path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+        probe = subprocess.run(
+            [sys.executable, "-c", "from hsep import cli; print(cli._parser.cache_info().currsize)"],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (probe.returncode, probe.stdout) == (0, "0\n"), probe.stderr
+
+    def test_back_to_back_calls_match_fresh_processes(self, capsys, monkeypatch, tmp_path):
+        hom = str(CORPUS / "m2_f2_over_f2" / "hom.json")
+        adjunction = str(CORPUS / "rafael_c2" / "adjunction.json")
+        out = "{out}"
+        # (SEPKIT_CAP or None, argv): subcommands, formats, outputs and caps interleaved
+        calls = [
+            (None, ["--format", "json", "--output", out, "sep", "report", hom]),
+            ("1", ["sep", "idempotents", hom]),
+            (None, ["--format", "json", "sep", "idempotents", hom, "--h-only"]),
+            ("0", ["--output", out, "--format", "json", "sep", "report", hom]),
+            (None, ["talg", "witness", "--dim", "2", "--deg", "3", "--field", "7"]),
+            ("-2", ["--format", "json", "sep", "idempotents", hom]),
+            (None, ["--format", "json", "cat", "rafael", adjunction, "--side", "right"]),
+            (None, ["--output", out, "cat", "check", adjunction]),
+            ("5", ["sep", "report", hom]),
+        ]
+        for i, (cap, argv) in enumerate(calls):
+            monkeypatch.delenv("SEPKIT_CAP", raising=False)
+            if cap is not None:
+                monkeypatch.setenv("SEPKIT_CAP", cap)
+            results = []
+            for where in ("in", "fresh"):
+                target = tmp_path / ("%s-%d.txt" % (where, i))
+                args = [a.format(out=target) for a in argv]
+                if where == "in":
+                    code, stdout, stderr = run(capsys, *args)
+                    got = (code, stdout.encode(), stderr.encode())
+                else:
+                    proc = fresh_process(*args)
+                    got = (proc.returncode, proc.stdout, proc.stderr)
+                results.append(got + (target.read_bytes() if target.exists() else None,))
+            assert results[0] == results[1], argv
+
+
+class TestCliErrors:
+    """Every input or output error prints one `error: ` line and exits 2."""
+
+    HOM = str(CORPUS / "m2_f2_over_f2" / "hom.json")
+
+    @pytest.mark.parametrize("under_a_file", [False, True], ids=["directory", "not-a-directory"])
+    def test_unwritable_output(self, capsys, tmp_path, under_a_file):
+        target = tmp_path
+        if under_a_file:
+            (tmp_path / "file").write_text("")
+            target = tmp_path / "file" / "report.json"
+        code, out, err = run(capsys, "--output", str(target), "sep", "epi", self.HOM)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: %s: " % target) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["cat check", "cat rafael", "sep report", "ring validate"])
+    @pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ("3", "int"), ('"adjunction"', "str"), ("null", "NoneType")])
+    def test_document_that_is_not_an_object(self, capsys, tmp_path, command, text, kind):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code, out, err = run(capsys, *command.split(), str(path))
+        assert (code, out, err) == (2, "", "error: %s: expected a JSON object, got %s\n" % (path, kind))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sep", "report", HOM, "--cap", "-1"], ["sep", "idempotents", HOM, "--cap", "-7"], ["corpus", "run", str(CORPUS), "--cap", "-1"]],
+    )
+    def test_negative_cap(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: --cap must not be negative: %s\n" % argv[-1])
+
+    def test_negative_cap_from_the_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("SEPKIT_CAP", "-1")
+        code, out, err = run(capsys, "sep", "report", self.HOM)
+        assert (code, out, err) == (2, "", "error: SEPKIT_CAP must not be negative: '-1'\n")
+
+    def test_cap_zero_is_legal(self, capsys, monkeypatch):
+        expect = (3, "undecided: locus size 8 exceeds cap 0\n", "")
+        assert run(capsys, "sep", "idempotents", self.HOM, "--cap", "0") == expect
+        monkeypatch.setenv("SEPKIT_CAP", "0")
+        assert run(capsys, "sep", "idempotents", self.HOM) == expect
+
+
+def test_python_dash_m_hsep():
+    out = fresh_process("--help")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith(b"usage: hsep ")
+
+
 class TestJsonFormat:
     def test_sorted_keys_byte_stable(self, capsys):
         path = str(CORPUS / "f3_into_f9" / "hom.json")

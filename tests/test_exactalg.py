@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import os
 import random
@@ -27,7 +28,8 @@ from hsep.exactalg import (
     solve_modular_system,
     subgroup_basis,
 )
-from hsep.finring import NotAssociative, UnitLawFails, construct_ring, construct_standard_ring
+from hsep.finring import NotAssociative, UnitLawFails, construct_ring, construct_standard_ring, hom_from_doc
+from hsep.sepkit import h_separability_report
 from hsep.tensorbialg import exact_field
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -471,6 +473,196 @@ class TestSmithGates:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "optimize=1 raised: the generator moduli leave a zero invariant factor"
+
+
+def random_matrix(rng, n, m, bound):
+    """An n × m integer array with entries in [−bound, bound]: int64, or
+    Python ints once bound passes int64."""
+    values = [[rng.randint(-bound, bound) for _ in range(m)] for _ in range(n)]
+    return np.array(values, dtype=np.int64 if bound < 2**63 else object).reshape(n, m)
+
+
+class TestSmithLog:
+    """A Smith form holds the logs of its row and column operations.  Each
+    accessor replays them onto what a caller reads and must match the full
+    transforms, which are built from the same logs and checked by
+    U·A·V = D, U·U⁻¹ = I and det = ±1."""
+
+    @pytest.mark.parametrize("bound", [9, 2**70], ids=["int64", "past-int64"])
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (4, 3), (5, 5)])
+    def test_accessors_match_the_full_transforms(self, shape, bound):
+        rng = random.Random(hash((shape, bound)) % 2**32)
+        n, m = shape
+        for _ in range(8):
+            s = check_decomposition(random_matrix(rng, n, m, bound))
+            x, y = random_matrix(rng, n, 3, bound), random_matrix(rng, m, 2, bound)
+            assert s.u_dot(x).tolist() == (s.U @ x.astype(object)).tolist()
+            assert s.u_dot(x[:, 0]).tolist() == (s.U @ x[:, 0].astype(object)).tolist()
+            assert s.u_inv_dot(x).tolist() == (s.u_inv @ x.astype(object)).tolist()
+            assert s.v_dot(y).tolist() == (s.V @ y.astype(object)).tolist()
+            assert s.v_dot(y[:, 1]).tolist() == (s.V @ y[:, 1].astype(object)).tolist()
+            rows = rng.sample(range(n), rng.randint(0, n))
+            assert s.u_rows(rows).shape == (len(rows), n)
+            assert s.u_rows(rows).tolist() == s.U[rows].tolist()
+            for out in (s.u_dot(x), s.u_inv_dot(x), s.v_dot(y), s.u_rows(rows)):
+                assert out.dtype == object and all(type(v) is int for v in out.flat)
+
+    def test_operands_must_fit(self):
+        s = smith_normal_form(mat([[2, 4, 4], [6, 8, 0]]))
+        for call in (lambda: s.u_dot(np.zeros((3, 1), dtype=np.int64)), lambda: s.v_dot(np.zeros(2, dtype=np.int64))):
+            with pytest.raises(DimensionMismatch):
+                call()
+
+    @pytest.mark.parametrize(
+        "a, transforms",
+        [
+            (
+                [[4, 6, 2], [6, 0, 8], [2, 8, 0]],
+                (
+                    (2, 2, 16),
+                    [[1, 0, 0], [0, 0, 1], [-4, 1, 5]],
+                    [[1, 0, 0], [4, -5, 1], [0, 1, 0]],
+                    [[0, 1, -4], [0, 0, 1], [1, -2, 5]],
+                ),
+            ),
+            (
+                [[0, -3, 6, 4], [9, 12, -15, 2]],
+                (
+                    (1, 9),
+                    [[0, 1], [-1, 38]],
+                    [[38, -1], [1, 0]],
+                    [[0, 0, 0, 1], [0, 3, -8, -114], [1, 2, -6, -85], [8, -3, 3, 42]],
+                ),
+            ),
+        ],
+    )
+    def test_transforms_are_pinned(self, a, transforms):
+        # the pivot rule and the order of the operations fix every entry
+        # of the transforms, not only the diagonal
+        s = smith_normal_form(mat(a))
+        assert (s.diagonal, s.U.tolist(), s.u_inv.tolist(), s.V.tolist()) == transforms
+
+
+class TestSmithReads:
+    """`cokernel`, `subgroup_basis` and `solve_modular_system` replay the
+    logs onto what they read; none builds a full U⁻¹ or V, and `cokernel`
+    builds no full U."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = {"smith": 0}
+        for name in ("U", "u_inv", "V"):
+            full = exactalg.SmithDecomposition.__dict__[name].func
+
+            def counted(self, full=full, name=name):
+                built[name] = built.get(name, 0) + 1
+                return full(self)
+
+            monkeypatch.setattr(exactalg.SmithDecomposition, name, property(counted))
+        smith = exactalg._smith
+
+        def counted_smith(rows, m):
+            built["smith"] += 1
+            return smith(rows, m)
+
+        monkeypatch.setattr(exactalg, "_smith", counted_smith)
+        return built
+
+    def test_cokernel(self, built):
+        rng = random.Random(17)
+        for _ in range(20):
+            g = rng.randint(1, 5)
+            rel = random_matrix(rng, g, rng.randint(0, 4), 12)
+            cokernel(rel, [rng.choice([4, 6, 8, 9, 12]) for _ in range(g)])
+        assert built["smith"] >= 15 and set(built) == {"smith"}
+
+    def test_subgroup_basis(self, built):
+        rng = random.Random(19)
+        for _ in range(20):
+            n = rng.randint(1, 4)
+            subgroup_basis(random_matrix(rng, rng.randint(1, 4), n, 12), [rng.choice([4, 6, 8]) for _ in range(n)])
+        assert built["smith"] == 40 and set(built) == {"smith", "U"}
+
+    def test_solve_modular_system(self, built):
+        rng = random.Random(23)
+        for _ in range(20):
+            n_eq, n_x = rng.randint(1, 3), rng.randint(1, 3)
+            solve_modular_system(random_matrix(rng, n_eq, n_x, 12), [rng.randint(0, 11) for _ in range(n_eq)], [rng.choice([4, 6, 9]) for _ in range(n_eq)])
+        assert built["smith"] >= 20 and "u_inv" not in built and "V" not in built
+
+    def test_sep_report(self, built):
+        hom = hom_from_doc(json.loads((ROOT / "tests" / "golden" / "sep-homs" / "z8-to-z4.json").read_text()), ROOT)
+        h_separability_report(hom)
+        assert built["smith"] > 0 and "u_inv" not in built and "V" not in built
+
+
+# the solver's form corrupted in one logged operation: system, log, message
+CORRUPT_SOLVER_FORMS = [
+    ([[2, 3, 5], [1, 4, 6]], [1, 2], [6, 9], "row_ops", "the Smith form does not prove the system inconsistent"),
+    ([[2, 3, 5], [1, 4, 6]], [1, 2], [6, 9], "col_ops", "the particular solution fails the defining system"),
+    ([[1, 1]], [1], [2], "col_ops", "kernel generator 0 fails the defining system"),
+]
+CORRUPT_SOLVER_FORM = """
+import dataclasses
+import numpy as np
+from hsep import exactalg
+
+def corrupt_solver_form(log):
+    # the solver's form adds q + 1 times a row or column where the
+    # reduction added q times; every other form stays clean
+    clean = exactalg._smith
+
+    def corrupted(rows, m):
+        snf = clean(rows, m)
+        ops = list(getattr(snf, log))
+        i = next(k for k, (a, b, q) in enumerate(ops) if q is not None and a != b)
+        ops[i] = ops[i][:2] + (ops[i][2] + 1,)
+        return dataclasses.replace(snf, **{log: tuple(ops)})
+
+    exactalg.smith_normal_form = lambda a: clean(exactalg._int_rows(a, "matrix"), a.shape[1])
+    exactalg._smith = corrupted
+"""
+
+
+class TestSolverFormGates:
+    """A corrupt operation in the log of the solver's Smith form raises:
+    a wrong solution fails `AffineSolutionSet`'s check, and a wrong proof
+    of inconsistency fails its own, also under -O."""
+
+    @pytest.mark.parametrize("a, b, mods, log, message", CORRUPT_SOLVER_FORMS)
+    def test_corrupt_operation_raises(self, monkeypatch, a, b, mods, log, message):
+        assert not solve_modular_system(np.array(a), b, mods).is_empty
+        # corrupt_solver_form rebinds both; monkeypatch restores them
+        monkeypatch.setattr(exactalg, "smith_normal_form", exactalg.smith_normal_form)
+        monkeypatch.setattr(exactalg, "_smith", exactalg._smith)
+        namespace = {}
+        exec(CORRUPT_SOLVER_FORM, namespace)
+        namespace["corrupt_solver_form"](log)
+        with pytest.raises(ConstructionCheckFailed, match="^%s$" % message):
+            solve_modular_system(np.array(a), b, mods)
+
+    def test_gates_fire_under_optimize(self):
+        script = CORRUPT_SOLVER_FORM + (
+            "import sys\n"
+            "clean = exactalg.smith_normal_form, exactalg._smith\n"
+            "for a, b, mods, log, _ in %r:\n"
+            "    corrupt_solver_form(log)\n"
+            "    try:\n"
+            "        exactalg.solve_modular_system(np.array(a), b, mods)\n"
+            "    except exactalg.ConstructionCheckFailed as err:\n"
+            "        print('optimize=%%d raised: %%s' %% (sys.flags.optimize, err))\n"
+            "    exactalg.smith_normal_form, exactalg._smith = clean\n"
+        ) % (CORRUPT_SOLVER_FORMS,)
+        path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == ["optimize=1 raised: %s" % m for *_, m in CORRUPT_SOLVER_FORMS]
 
 
 class TestSolveModularSystem:
