@@ -56,6 +56,17 @@ def _emit(doc, lines, args):
         sys.stdout.write(text)
 
 
+def _check_output(path):
+    """Fail before the command runs when `path` cannot be a file: a
+    directory, or a path whose parent is not a directory.  Nothing is
+    created; any other write error is raised by _emit."""
+    target = Path(path)
+    if target.is_dir():
+        raise InputError("%s: is a directory" % path)
+    if not target.parent.is_dir():
+        raise InputError("%s: %s is not a directory" % (path, target.parent))
+
+
 def _load_doc(path):
     try:
         with open(path) as fh:
@@ -483,6 +494,8 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
+        if args.output:
+            _check_output(args.output)
         if hasattr(args, "cap"):
             if args.cap is None:
                 args.cap = default_cap()

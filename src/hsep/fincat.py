@@ -10,40 +10,38 @@ monad augmentations and, on the opposite adjunction, the counit
 sections), and Eilenberg-Moore section functors.  Searches raise
 CapExceeded past SEARCH_CAP candidates.  Everything is small and
 checked exhaustively.  Composable morphisms come from each category's
-table, whose row for f: x → y lists out_of(y) in morphisms() order, so
-that the first failure found does not move.
+table, whose row for f: x → y lists the morphisms out of y in
+morphisms() order, so that the first failure found does not move.
 
-Each category also keeps one integer view of its composition table.
-Morphism ids follow morphisms(); pos[g] is g's index in out_of(g[0]),
-ptr[f] is the prefix sum of len(out_of(f[1])), and vals[ptr[f] + pos[g]]
-is the id of g∘f: one entry per composable pair, no N×N array.  pos,
-ptr and the ids along each row come from the hom-set sizes (_layout);
-vals is filled in one pass over the compose entries, with −1 left where
-a composite is missing and −2 where it lies outside its hom-set, and the
-first such slot in table order is the error raised.  Derived categories
-and functors gather theirs from tables that exist, and read no composite
-through a dict: an opposite keeps the original's morphism ids, its slot
-(f, g) is the original's (g, f), and it is gathered only when first
-used; the Eilenberg-Moore category reads its algebras, its hom-sets and
-its table off the base category's; an identity functor's image array is
-arange, a composite's is the second's gathered at the first's, and an
-opposite's is the original's.  The identity laws, associativity on
-every composable triple, (h∘g)∘f against h∘(g∘f), and a functor's
-F(g∘f) = F(g)∘F(f) on every pair are array comparisons on the table.
-The first failure reported is the first index of the failure mask, with
-pairs in (f, g ∈ out_of(f[1])) order and triples in (f, g, h ∈
-out_of(g[1])) order, the order of the loops over morphisms in
-tests/cat_util.py, so the witness is the one those loops find.
+Each category keeps one integer view of its composition table.
+Morphism ids follow morphisms(); out(x) is the list of morphisms out of
+x in that order, pos[g] is g's index in out(g[0]), ptr[f] is the prefix
+sum of len(out(f[1])), and vals[ptr[f] + pos[g]] is the id of g∘f: one
+entry per composable pair, no N×N array.  pos, ptr and the ids along
+each row come from the hom-set sizes (_layout); vals is filled in one
+pass over the compose entries, with −1 left where a composite is missing
+and −2 where it lies outside its hom-set, and the first such slot in
+table order is the error raised.  Derived categories and functors
+gather theirs from tables that exist, and read no composite through a
+dict: an opposite keeps the original's morphism ids, its slot (f, g) is
+the original's (g, f), and it is gathered only when first used; the
+Eilenberg-Moore category reads its algebras, its hom-sets and its table
+off the base category's; an identity functor's image array is arange, a
+composite's is the second's gathered at the first's, and an opposite's
+is the original's.  The identity laws, associativity on every
+composable triple, (h∘g)∘f against h∘(g∘f), and a functor's F(g∘f) =
+F(g)∘F(f) on every pair are array comparisons on the table.  The first
+failure reported is the first index of the failure mask, with pairs in
+(f, g ∈ out(f[1])) order and triples in (f, g, h ∈ out(g[1])) order,
+the order of the loops over morphisms in tests/cat_util.py, so the
+witness is the one those loops find.
 
 The naturality and multiplicativity laws of a retraction family P of a
 functor F are integer rows on those tables, built once per functor
 (_Conditions).  Each pair (x, y) of objects owns one slot per morphism
 of Hom(Fx, Fy); P is an array over the slots, holding morphism ids of
 F's source.  Naturality is one row per (u, m, v), multiplicativity one
-per (g, f), each tagged with the last of its pairs in search order, and
-a row is checked by gathers on vals[ptr[·] + pos[·]];
-_structure_law_failure reads a dict family into the same slots for
-HSepStructure.validate.
+per (g, f), and a row is checked by gathers on vals[ptr[·] + pos[·]].
 
 Every law is written once, as a failure mask over rows: _broken for
 those structure rows, _unnatural for a natural transformation's squares
@@ -53,12 +51,13 @@ cached image array) and _uncomposed for a functor's F(g∘f) = F(g)∘F(f)
 passes all rows; the three searches pass the rows of one stage.  They
 run on one engine, _assignments, which fills an integer array stage by
 stage on an explicit stack of itertools.product iterators, with no
-recursion, and checks at each stage only the rows whose last slot it
-assigns: the structure search has one stage per pair of objects, the
-unit retractions (Rafael's theorem, the monad augmentations and, on the
-opposite adjunction, the counit sections) one per object, and the
-section functors one for every morphism with a single lift together and
-one per other morphism.  No search calls comp.
+recursion.  Each search gives it the slots, their choices, one group
+per slot (a pair of objects, an object or a morphism) and the rows with
+the slots each reads; the engine forms the stages: every slot with a
+single choice in one first stage, then one stage per group in
+increasing order, and each row checked at the stage that assigns the
+last of its slots.  So a fully faithful F, whose slots are all pinned
+to P(Ff) = f, is one stage.  No search calls comp.
 """
 
 from __future__ import annotations
@@ -174,10 +173,10 @@ class _OppositeTable(Mapping):
 class _CompositionTable(NamedTuple):
     """A category's composition on integer ids, which follow morphisms().
 
-    pos[g] is g's index in out_of(g[0]), and the row of f, from ptr[f],
-    lists g∘f for each g in out_of(f[1]): vals[ptr[f] + pos[g]] is the id
-    of g∘f, and first and second are the ids of f and g along vals.
-    Objects are numbered in objects order.
+    pos[g] is g's index among the morphisms out of g[0], and the row of
+    f, from ptr[f], lists g∘f for each g out of f[1]: vals[ptr[f] +
+    pos[g]] is the id of g∘f, and first and second are the ids of f and
+    g along vals.  Objects are numbered in objects order.
     """
 
     mors: list
@@ -190,7 +189,7 @@ class _CompositionTable(NamedTuple):
 
     @property
     def out_degree(self):
-        """len(out_of(f[1])) for each f: the length of f's row."""
+        """The number of morphisms out of f[1] for each f: the length of f's row."""
         return np.diff(self.ptr, append=len(self.vals))
 
     @property
@@ -209,7 +208,7 @@ def _layout(ends, n):
     """pos, ptr, first and second of the composition table of the morphisms
     whose source and target object indices, among n objects, are `ends`."""
     src, tgt = ends.T
-    order = np.argsort(src, kind="stable")  # out_of(0), out_of(1), ..., each in id order
+    order = np.argsort(src, kind="stable")  # out of object 0, of 1, ..., each in id order
     size = np.bincount(src, minlength=n)
     start = np.cumsum(size) - size
     pos = np.empty(len(src), dtype=np.int64)
@@ -247,21 +246,6 @@ class FiniteCategory:
         for (x, y), names in self.hom.items():
             for name in names:
                 yield (x, y, name)
-
-    @cached_property
-    def _ends(self):
-        """The morphisms by source and by target, each list in morphisms() order."""
-        out, into = {}, {}
-        for f in self.morphisms():
-            out.setdefault(f[0], []).append(f)
-            into.setdefault(f[1], []).append(f)
-        return out, into
-
-    def out_of(self, x):
-        return self._ends[0].get(x, ())
-
-    def into(self, y):
-        return self._ends[1].get(y, ())
 
     def id_mor(self, x):
         return (x, x, self.identity[x])
@@ -337,7 +321,7 @@ class FiniteCategory:
             i = bad.argmax()
             raise IdentityLawFails("id;f != f" if left[i] else "f;id != f", t.mors[i])
         # the triples (f, g, h) in scan order: pair p = (f, g) once for each
-        # h, and h = second[ptr[g] + k] the k-th of out_of(g[1])
+        # h, and h = second[ptr[g] + k] the k-th morphism out of g[1]
         p, k = _expand(t.out_degree[t.second])
         h_gf = t.vals[t.ptr[t.vals[p]] + k]
         hg = t.vals[t.ptr[t.second[p]] + k]
@@ -595,21 +579,19 @@ class _Conditions(NamedTuple):
     order; slot_mor is the A-table id of its m, and pin[f] the slot of Ff.
     P is an array of B-table ids over those S slots, then over one
     constant slot S + f for each morphism f of B, which holds f;
-    slot_pair is the pair of each slot, −1 for a constant one.  A row
-    (h, a, b, c) asks P[h] = P[c]∘P[b]∘P[a].  Naturality, for u: w → x,
-    m in Hom(Fx, Fy) and v: y → z, is the row (slot of Fv∘m∘Fu in (w, z),
+    slot_pair is the pair of each of the S slots.  A row (h, a, b, c)
+    asks P[h] = P[c]∘P[b]∘P[a].  Naturality, for u: w → x, m in
+    Hom(Fx, Fy) and v: y → z, is the row (slot of Fv∘m∘Fu in (w, z),
     S + u, m, S + v); multiplicativity, for g in Hom(Fx, Fy) and f in
-    Hom(Fy, Fz), is (slot of f∘g in (x, z), S + id_x, g, f).  Rows are
-    sorted by the last pair of their slots, naturality first: those of
-    pair i run from start[i].
+    Hom(Fy, Fz), is (slot of f∘g in (x, z), S + id_x, g, f).  The
+    naturality rows come first, so a row is one of them exactly when its
+    c is a constant slot.
     """
 
-    base: np.ndarray
     slot_pair: np.ndarray
     slot_mor: np.ndarray
     pin: np.ndarray
     rows: np.ndarray
-    start: np.ndarray
 
     @classmethod
     def build(cls, fun):
@@ -637,11 +619,7 @@ class _Conditions(NamedTuple):
         f = base[y[g] * n] + k
         fg = base[x[g] * n + y[f]] + place[ta.vals[ta.ptr[slot_mor[g]] + ta.pos[slot_mor[f]]]]
         rows = np.concatenate([nat, np.stack([fg, S + ident[x[g]], g, f], axis=1)])
-        slot_pair = np.r_[slot_pair, np.full(len(sb.mors), -1)]
-        tag = slot_pair[rows].max(axis=1)
-        order = np.lexsort((rows[:, 3] < S, tag))
-        start = np.searchsorted(tag[order], np.arange(n * n + 1))
-        return cls(base, slot_pair, slot_mor, base[sb.ends @ np.array([n, 1])] + place[img], rows[order], start)
+        return cls(slot_pair, slot_mor, base[sb.ends @ np.array([n, 1])] + place[img], rows)
 
 
 def _broken(sb, P, rows):
@@ -667,17 +645,31 @@ def _unnatural(f_fun, g_fun, alpha, rows):
     return t.vals[t.ptr[f_fun._img[rows]] + t.pos[ay]] != t.vals[t.ptr[ax] + t.pos[g_fun._img[rows]]]
 
 
-def _assignments(P, stages, broken):
+def _assignments(P, slots, choices, group, rows, reads, broken):
     """Every completion of the integer array P that breaks no row, depth
     first on an explicit stack of itertools.product iterators.
 
-    A stage (slots, choices, rows) gives P[slots] each combination of
-    `choices`, one list of ids per slot, in product order; its rows are
-    those whose last slot it assigns, and broken(P, rows) is their
-    failure mask.  P itself is yielded: copy what is kept."""
-    if not stages:
-        yield P
-        return
+    P[slots[i]] takes each id of the list choices[i].  The slots with a
+    single choice are assigned in one first stage, and the others in one
+    stage per value of `group`, in increasing order; a stage gives its
+    slots each combination of their choices, in product order.  Row r
+    reads P at reads[r], where an index outside `slots` holds a constant,
+    and is checked at the stage that assigns the last of those slots:
+    broken(P, rows) is the failure mask of that stage's rows.  P itself
+    is yielded: copy what is kept."""
+    key = np.where([len(c) == 1 for c in choices], -1, group)
+    ids, stage = np.unique(key, return_inverse=True)
+    at = np.zeros(len(P), dtype=np.int64)  # the stage of each index of P, 0 for a constant
+    at[slots] = stage
+    tag = at[reads].max(axis=1, initial=0)
+    bounds, order, by_tag = np.arange(1, len(ids)), np.argsort(stage, kind="stable"), np.argsort(tag, kind="stable")
+    stages = [
+        (slots[k], [choices[i] for i in k], checked)
+        for k, checked in zip(
+            np.split(order, np.searchsorted(stage[order], bounds)),
+            np.split(rows[by_tag], np.searchsorted(tag[by_tag], bounds)),
+        )
+    ]
     stack = [itertools.product(*stages[0][1])]  # one iterator per stage assigned so far
     while stack:
         slots, _, rows = stages[len(stack) - 1]
@@ -688,32 +680,6 @@ def _assignments(P, stages, broken):
             yield P
         else:
             stack.append(itertools.product(*stages[len(stack)][1]))
-
-
-def _structure_law_failure(fun, P, new=None):
-    """The first failure of naturality, then of multiplicativity, of the
-    partial family P, or None.  Checked are the conditions all of whose
-    pairs P assigns; given the pair `new`, only those that involve it."""
-    c, sb, ta = fun._conditions, fun.source._table, fun.target._table
-    pairs = [(x, y) for x in fun.source.objects for y in fun.source.objects]
-    assigned = np.array([pair in P for pair in pairs] + [True])  # a constant slot's pair, -1, is assigned
-    vals = [
-        sb.index[(*pairs[p], P[pairs[p]][ta.mors[m][2]])] if assigned[p] else -1
-        for p, m in zip(c.slot_pair.tolist(), c.slot_mor.tolist())
-    ]
-    vals = np.array(vals + list(range(len(sb.mors))), dtype=np.int64)
-    at = c.slot_pair[c.rows]
-    keep = assigned[at].all(axis=1)
-    rows = c.rows[keep if new is None else keep & (at == pairs.index(new)).any(axis=1)]
-    bad = _broken(sb, vals, rows)
-    natural = bad & (rows[:, 3] >= len(c.slot_mor))  # v, a constant
-    if natural.any():
-        _, u, m, v = rows[natural.argmax()]
-        return NaturalityFails("P not natural", (sb.mors[vals[u]], ta.mors[c.slot_mor[m]], sb.mors[vals[v]]))
-    if bad.any():
-        _, _, g, f = rows[bad.argmax()]
-        return CategoryLawError("P not multiplicative", (ta.mors[c.slot_mor[g]], ta.mors[c.slot_mor[f]]))
-    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -742,9 +708,19 @@ class HSepStructure:
         for f in bcat.morphisms():
             if self.apply(f[0], f[1], fun.apply(f)) != f:
                 raise CategoryLawError("P∘F != id", f)
-        failure = _structure_law_failure(fun, self.P)
-        if failure is not None:
-            raise failure
+        # the family on the slots, then the constants; the naturality rows
+        # come first, so the first failing row names naturality before
+        # multiplicativity
+        c, sb, ta = fun._conditions, bcat._table, acat._table
+        pairs = [(x, y) for x in bcat.objects for y in bcat.objects]
+        values = [(*pairs[p], self.P[pairs[p]][ta.mors[m][2]]) for p, m in zip(c.slot_pair.tolist(), c.slot_mor.tolist())]
+        P = np.array([sb.index[f] for f in values] + list(range(len(sb.mors))), dtype=np.int64)
+        bad = _broken(sb, P, c.rows)
+        if bad.any():
+            _, a, b, d = c.rows[bad.argmax()]  # (h, u, m, v) or (f∘g, id_x, g, f)
+            if d >= len(c.slot_mor):  # v, a constant: a naturality row
+                raise NaturalityFails("P not natural", (sb.mors[P[a]], ta.mors[c.slot_mor[b]], sb.mors[P[d]]))
+            raise CategoryLawError("P not multiplicative", (ta.mors[c.slot_mor[b]], ta.mors[c.slot_mor[d]]))
         return self
 
     def key(self):
@@ -814,10 +790,11 @@ def find_h_separability_structures(fun: FunctorData, cap=None):
     """All families P: Hom(F−,F−) → Hom(−,−) making F heavily separable.
 
     Exhaustive product over function spaces, with the retraction
-    constraint pinned first; the cap bounds that product before any
-    condition row is built.  P is an array over F's slots, one stage of
-    _assignments per pair of objects, and each naturality and
-    multiplicativity row is checked once, when the last of its pairs is
+    constraint pinned; the cap bounds that product before any condition
+    row is built.  P is an array over F's slots, grouped by pair of
+    objects: the slots pinned to P(Ff) = f, and any other with one
+    choice, are _assignments' first stage, and each naturality and
+    multiplicativity row is checked once, when the last of its slots is
     assigned, so the structures found are not validated again.
     """
     cap = SEARCH_CAP if cap is None else cap
@@ -834,14 +811,14 @@ def find_h_separability_structures(fun: FunctorData, cap=None):
             raise CapExceeded(space)
 
     c, sb = fun._conditions, bcat._table
-    P = np.r_[np.full(len(c.slot_mor), -1), np.arange(len(sb.mors))]
-    P[c.pin] = np.arange(len(sb.mors))  # P(Ff) = f
-    free = np.flatnonzero(P < 0)
-    free = np.split(free, np.searchsorted(free, c.base[1:-1]))  # by pair
+    S = len(c.slot_mor)
     cods = [[sb.index[(*pair, f)] for f in bcat.hom_set(*pair)] for pair in pairs]
-    stages = [(free[i], [cods[i]] * len(free[i]), c.rows[c.start[i] : c.start[i + 1]]) for i in range(len(pairs))]
+    choices = [cods[p] for p in c.slot_pair.tolist()]
+    for f, slot in enumerate(c.pin.tolist()):
+        choices[slot] = [f]  # P(Ff) = f
+    P = np.r_[np.full(S, -1), np.arange(len(sb.mors))]
     found = []
-    for P in _assignments(P, stages, lambda P, rows: _broken(sb, P, rows)):
+    for P in _assignments(P, np.arange(S), choices, c.slot_pair, c.rows, c.rows, lambda P, rows: _broken(sb, P, rows)):
         family = {pair: {} for pair in pairs}
         for p, m, b in zip(c.slot_pair.tolist(), c.slot_mor.tolist(), P.tolist()):
             family[pairs[p]][acat._table.mors[m][2]] = sb.mors[b][2]
@@ -853,11 +830,11 @@ def _unit_retractions(monad: MonadData):
     """Natural γ: T → Id with γ∘η = id, split into (separable, heavy); the
     heavy ones, γ∘γT = γ∘μ, are the augmentations of the monad.
 
-    γ is an array of B-table ids over the objects, one stage per object,
+    γ is an array of B-table ids over the objects, grouped by object,
     whose choices are the γ_b with γ_b∘η_b = id_b; the cap bounds their
-    product.  A naturality square is checked when the later of its two
-    objects is assigned, and the heavy law is one row comparison on each
-    natural γ.
+    product.  The naturality square of a morphism is checked when the
+    later of its two objects is assigned, and the heavy law is one row
+    comparison on each natural γ.
     """
     cat, t = monad.functor.source, monad.functor
     if not all(cat.hom_set(t.object_map[x], x) for x in cat.objects):
@@ -872,10 +849,11 @@ def _unit_retractions(monad: MonadData):
         space *= len(choices[-1])
     if space > SEARCH_CAP:
         raise CapExceeded(space)
-    last = sb.ends.max(axis=1)  # the later object of each morphism
-    stages = [([i], [c], np.flatnonzero(last == i)) for i, c in enumerate(choices)]
-    sep, heavy = [], []
-    for gamma in _assignments(np.full(len(cat.objects), -1), stages, lambda P, rows: _unnatural(t, idf, P, rows)):
+    n, sep, heavy = len(cat.objects), [], []
+    squares = np.arange(len(sb.mors))  # one per morphism, reading γ at its ends
+    for gamma in _assignments(
+        np.full(n, -1), np.arange(n), choices, np.arange(n), squares, sb.ends, lambda P, rows: _unnatural(t, idf, P, rows)
+    ):
         cand = NatTransform(t, idf, {x: sb.mors[g][2] for x, g in zip(cat.objects, gamma.tolist())})
         sep.append(cand)
         # γ_x∘γ_Tx = γ_x∘μ_x, with Tx the end of η_x
@@ -995,12 +973,12 @@ def find_section_functors(u: FunctorData, cap=None):
     """All functors Γ with U∘Γ = Id on the target of U.
 
     For each choice of objects, Γ is an array of U's source ids over the
-    morphisms of U's target: f takes each of its lifts and id_x only id_Γx.
-    The morphisms with a single lift are assigned in one first stage, and
-    each other morphism in a stage of its own; Γ(g∘f) = Γ(g)∘Γ(f) is
-    checked at the stage of the last of f, g and g∘f.  The cap bounds the
-    lifts enumerated over all object choices together, not those of each
-    choice."""
+    morphisms of U's target, grouped by morphism: f takes each of its
+    lifts and id_x only id_Γx, so in _assignments the morphisms with a
+    single lift share the first stage and each other one has its own;
+    Γ(g∘f) = Γ(g)∘Γ(f) is checked at the stage of the last of f, g and
+    g∘f.  The cap bounds the lifts enumerated over all object choices
+    together, not those of each choice."""
     cap = SEARCH_CAP if cap is None else cap
     src, tgt = u.source, u.target
     fibers, space = {}, 1
@@ -1031,16 +1009,8 @@ def find_section_functors(u: FunctorData, cap=None):
                 lifts[-1] = [g for g in lifts[-1] if g == t.index[src.id_mor(gx)]]
         else:  # every morphism has a lift
             enumerated += total
-            # the morphisms with one lift are stage 0, together; each other is a stage
-            multi = np.array([len(c) != 1 for c in lifts], dtype=bool)
-            stage = np.where(multi, np.cumsum(multi), 0)
-            tag = stage[pairs].max(axis=1)  # the stage of the last of f, g and g∘f
-            bounds = np.arange(1, multi.sum() + 1)
-            by_stage, by_tag = np.argsort(stage, kind="stable"), np.argsort(tag, kind="stable")
-            slots = np.split(by_stage, np.searchsorted(stage[by_stage], bounds))
-            checks = np.split(pairs[by_tag], np.searchsorted(tag[by_tag], bounds))
-            stages = [(k, [lifts[i] for i in k], rows) for k, rows in zip(slots, checks)]
-            for img in _assignments(np.full(len(s.mors), -1), stages, lambda P, rows: _uncomposed(t, P, rows)):
+            ids = np.arange(len(s.mors))
+            for img in _assignments(np.full(len(ids), -1), ids, lifts, ids, pairs, pairs, lambda P, rows: _uncomposed(t, P, rows)):
                 gamma_mor = {f: t.mors[g][2] for f, g in zip(s.mors, img.tolist())}
                 results.append(FunctorData(tgt, src, gamma_obj, gamma_mor, label="Γ"))
     return sorted(results, key=FunctorData.component_key)

@@ -229,6 +229,29 @@ class TestCliErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: %s: " % target) and err.count("\n") == 1
 
+    @pytest.mark.parametrize("target", ["directory", "under-a-file", "under-a-missing-directory"])
+    def test_unwritable_output_fails_before_the_command(self, capsys, monkeypatch, tmp_path, target):
+        # the command itself is replaced by one that fails if it is called
+        def refuse(args):
+            raise AssertionError("the command ran")
+
+        parser = cli.build_parser()
+        parse_args = parser.parse_args
+
+        def parse_refusing(argv):
+            args = parse_args(argv)
+            args.func = refuse
+            return args
+
+        monkeypatch.setattr(parser, "parse_args", parse_refusing)
+        monkeypatch.setattr(cli, "_parser", lambda: parser)
+        (tmp_path / "file").write_text("")
+        path = {"directory": tmp_path, "under-a-file": tmp_path / "file" / "r.txt", "under-a-missing-directory": tmp_path / "no" / "r.txt"}[target]
+        code, out, err = run(capsys, "--output", str(path), "sep", "report", self.HOM)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: %s: " % path) and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"] and (tmp_path / "file").read_text() == ""
+
     @pytest.mark.parametrize("command", ["cat check", "cat rafael", "sep report", "ring validate"])
     @pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ("3", "int"), ('"adjunction"', "str"), ("null", "NoneType")])
     def test_document_that_is_not_an_object(self, capsys, tmp_path, command, text, kind):

@@ -298,20 +298,42 @@ class TestHSepOracle:
             assert failure == (expected and "P not " + expected), structure_key(P)
 
     @pytest.mark.parametrize("name", sorted(STRUCTURE_FIXTURES))
-    def test_each_condition_is_checked_at_its_last_pair(self, name):
-        # replay the search's order on every candidate: the first pair at
-        # which the check fails is the first prefix the oracle rejects, and
-        # the law it names is the oracle's
+    def test_each_condition_is_checked_at_its_last_slot(self, name, monkeypatch):
+        # wrap the search's law check: every row it checks reads assigned
+        # slots only, and its stage, the one that assigns the last of its
+        # slots, is the stage at which it is checked; the stages are the
+        # slots with one choice, then one per group in increasing order
         fun = STRUCTURE_FIXTURES[name]
-        for P in structure_candidates(fun):
-            prefix = {}
-            for pair, table in P.items():
-                prefix[pair] = table
-                failure = fincat._structure_law_failure(fun, prefix, pair)
-                expected = oracle_structure_law_failure(fun, prefix)
-                assert (failure and str(failure).split(" at ")[0]) == (expected and "P not " + expected)
-                if failure:
-                    break
+        original, runs = fincat._assignments, []
+
+        def assignments(P, slots, choices, group, rows, reads, broken):
+            multi = sorted({g for c, g in zip(choices, group.tolist()) if len(c) != 1})
+            stage = np.zeros(len(P), dtype=np.int64)  # 0 for a constant
+            for slot, c, g in zip(slots.tolist(), choices, group.tolist()):
+                stage[slot] = 0 if len(c) == 1 else 1 + multi.index(g)
+            at, checked = {}, []  # the stage of each rows array, and the rows checked
+            runs.append((stage[slots], stage[reads].max(axis=1, initial=0), checked))
+
+            def check(P, rows):
+                assert (P[rows] >= 0).all()
+                if id(rows) not in at:
+                    # first visit: the slots of later stages were never assigned
+                    at[id(rows)] = stage[slots][P[slots] >= 0].max(initial=0)
+                    assert (P[slots][stage[slots] > at[id(rows)]] < 0).all()
+                    checked.append((at[id(rows)], rows))
+                assert (stage[rows].max(axis=1, initial=0) == at[id(rows)]).all()
+                return broken(P, rows)
+
+            return original(P, slots, choices, group, rows, reads, check)
+
+        monkeypatch.setattr(fincat, "_assignments", assignments)
+        found = find_h_separability_structures(fun)
+        for slot_stage, row_stage, checked in runs:
+            rows = np.concatenate([r for _, r in checked] + [np.empty((0, 4), dtype=np.int64)])
+            assert len(rows) == len({tuple(r) for r in rows.tolist()}) == sum(row_stage <= max(s for s, _ in checked))
+            if found:  # every stage was reached, and every row checked once
+                assert sorted(s for s, _ in checked) == list(range(slot_stage.max(initial=0) + 1))
+                assert len(rows) == len(row_stage)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_changed_free_value_fails_as_the_oracle(self, seed):
@@ -406,20 +428,6 @@ class TestHSepValidateFailures:
         out = _run_optimized(script)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "optimize=1 raised: P not natural"
-
-
-class TestEndpointIndex:
-    CATEGORIES = [
-        cat
-        for adj in ORACLE_ADJUNCTIONS.values()
-        for cat in (adj.left.source, adj.left.target, adj.left.target.opposite())
-    ] + [v4_category()]
-
-    def test_index_keeps_morphisms_order(self):
-        for cat in self.CATEGORIES:
-            for x in cat.objects:
-                assert list(cat.out_of(x)) == [f for f in cat.morphisms() if f[0] == x]
-                assert list(cat.into(x)) == [f for f in cat.morphisms() if f[1] == x]
 
 
 def _first_failure(value):
@@ -690,8 +698,9 @@ class TestLawCheckCost:
         calls = []
         original = FiniteCategory.comp
         monkeypatch.setattr(FiniteCategory, "comp", lambda self, f, g: calls.append(1) or original(self, f, g))
-        morphisms = len(list(acat.morphisms()))
-        triples = sum(len(acat.out_of(g[1])) for f in acat.morphisms() for g in acat.out_of(f[1]))
+        mors = list(acat.morphisms())
+        out = {x: sum(f[0] == x for f in mors) for x in acat.objects}
+        morphisms, triples = len(mors), sum(out[g[1]] for f in mors for g in mors if g[0] == f[1])
         assert (morphisms, triples) == (144, 21120)
         for value, size in ((bcat, 112), (acat, morphisms), (fun, morphisms)):
             calls.clear()
@@ -731,19 +740,44 @@ class TestStructureSearchCost:
         assert [len(find_section_functors(u)) for u in forgetful] == [1, 1]
         assert calls == []
 
+    @staticmethod
+    def stage_counts(monkeypatch):
+        """The number of stages each _assignments run checks rows at, one
+        list entry per run; on a search that finds a result every stage is
+        reached, and each stage checks its own rows array."""
+        runs, original = [], fincat._assignments
+
+        def assignments(P, slots, choices, group, rows, reads, broken):
+            seen = set()
+            runs.append(seen)
+            return original(P, slots, choices, group, rows, reads, lambda P, rows: seen.add(id(rows)) or broken(P, rows))
+
+        monkeypatch.setattr(fincat, "_assignments", assignments)
+        return runs
+
     def test_single_lifts_share_the_first_stage(self, monkeypatch):
         # once the objects are chosen, each morphism of an Eilenberg-Moore
         # forgetful functor has one lift: one stage, not one per morphism;
         # on V4 ⊔ V4 → C2, id has one lift and g two, for each of 2 choices
-        stages = []
-        original = fincat._assignments
-        monkeypatch.setattr(fincat, "_assignments", lambda P, s, broken: stages.append(len(s)) or original(P, s, broken))
         forget = eilenberg_moore(cyclic_chain_adjunction(4, 7, 1, u=3, h=1))[1]  # C4×[7] ⇄ C4×[8]
+        runs = self.stage_counts(monkeypatch)
         assert len(find_section_functors(forget)) == 1
-        assert stages == [1]
-        stages.clear()
+        assert [len(seen) for seen in runs] == [1]
+        runs.clear()
         assert len(find_section_functors(TestSections.v4_pair_onto_c2())) == 4
-        assert stages == [2, 2]
+        assert [len(seen) for seen in runs] == [2, 2]
+
+    def test_pinned_slots_share_the_first_stage(self, monkeypatch):
+        # a fully faithful functor pins every slot to P(Ff) = f: one stage,
+        # not one per pair of objects (49, 81 and 1600 of them)
+        funs = [
+            cyclic_chain_adjunction(4, 7, 1, u=3, h=1).left,  # C4×[7] → C4×[8]
+            cyclic_chain_adjunction(3, 9, 0, u=2, h=1).left,  # C3×[9] → C3×[9]
+            identity_functor(chain_poset(40)),
+        ]
+        runs = self.stage_counts(monkeypatch)
+        assert [len(find_h_separability_structures(fun)) for fun in funs] == [1, 1, 1]
+        assert [len(seen) for seen in runs] == [1, 1, 1]
 
     def test_no_candidate_builds_no_table(self):
         # C3×[2] ⇄ C3×[3]: Hom(a1, LR a1) is empty, so the counit side has no
