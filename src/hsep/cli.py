@@ -502,7 +502,7 @@ def main(argv=None):
             elif args.cap < 0:
                 raise InputError("--cap must not be negative: %d" % args.cap)
         return args.func(args)
-    except (InputError, FileNotFoundError, sepkit.ModuliTooLarge) as err:
+    except (InputError, FileNotFoundError) as err:
         sys.stderr.write("error: %s\n" % str(err).replace("\n", " "))
         return EXIT_INPUT
 

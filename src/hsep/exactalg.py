@@ -474,14 +474,7 @@ def _is_divisor_chain(mods):
 
 
 def _is_prime(p):
-    if p < 2:
-        return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 1
-    return True
+    return _prime_factors(p) == [p]
 
 
 def _field_dtype(p):
@@ -1007,7 +1000,8 @@ def _prime_power_roots(Q, b, e, q):
             rows = np.hstack([exact_einsum("ruv,v->ru", sym, chat)[:, grow + 1] % q, (vals // qj)[:, None]])
             digits = _linear_roots(rows, q)
             new = np.repeat(c0[None], len(digits), axis=0)
-            new[:, grow] += qj * digits
+            if grow.size:  # then q^j is below an order, and fits in int64
+                new[:, grow] += qj * digits
             lifted.append(new)
         roots = np.vstack(lifted)
     out = np.zeros((len(roots), n), dtype=np.int64)
@@ -1033,16 +1027,20 @@ def solve_quadratic(affine: AffineSolutionSet, Q: np.ndarray, mods) -> np.ndarra
     `affine` is p + Σ c_i g_i with c_i ∈ Z/o_i, for its kernel orders o_i.
     Q is an (R, n+1, n+1) integer array, and F_r(c) = ĉᵀQ_r ĉ with
     ĉ = (1, c) must vanish modulo mods[r].  Each F_r must be well defined
-    on the c_i mod o_i.  Returns the members as the rows of an int64
-    array, in the lexicographic order of c.
+    on the c_i mod o_i.  Returns the members as the rows of an array of
+    int64 or Python ints, in the lexicographic order of c.
 
     The moduli split into prime powers (CRT).  In c_i, both q^b and o_i
     are periods of F mod q^b, so F mod q^b reads only c_i mod
-    q^min(v_q(o_i), b).  `_prime_power_roots` solves each prime, the
-    residues are recombined, and the digits of c that no modulus reads
-    are free.  Every root is substituted back into F in one vectorised
-    evaluation, and a miss raises `ConstructionCheckFailed`.  The work is
-    bounded by the size of `affine`, which the caller caps.
+    q^min(v_q(o_i), b).  Modulo the part of lcm(mods) coprime to every
+    o_i, F is therefore constant, and is tested once at c = 0.  Only the
+    primes that also divide an o_i are found, by trial division of
+    gcd(lcm(mods), lcm(o_i)); `_prime_power_roots` solves each of them,
+    the residues are recombined, and the digits of c that no modulus
+    reads are free.  Every root is substituted back into F in one
+    vectorised evaluation, and a miss raises `ConstructionCheckFailed`.
+    The work, the factoring included, is bounded by the size of
+    `affine`, which the caller caps.
     """
     n = len(affine.kernel_orders)
     width = len(affine.coordinate_moduli)
@@ -1059,10 +1057,16 @@ def solve_quadratic(affine: AffineSolutionSet, Q: np.ndarray, mods) -> np.ndarra
         Q = Q.astype(object)
     orders = affine.kernel_orders
     dtype = np.int64 if max(orders, default=1) ** 2 < 2**63 else object
+    coprime = math.lcm(*mods)
+    shared = math.gcd(coprime, math.lcm(*orders))
+    while math.gcd(coprime, shared) > 1:
+        coprime //= math.gcd(coprime, shared)
+    if any(int(f) % math.gcd(m, coprime) for f, m in zip(Q[:, 0, 0], mods)):
+        return np.zeros((0, width), dtype=np.int64)
     # c is known mod step; it starts unknown
     coeffs = np.zeros((1, n), dtype=dtype)
     step = np.ones(n, dtype=dtype)
-    for q in _prime_factors(math.lcm(*mods)):
+    for q in _prime_factors(shared):
         b = np.array([_valuation(m, q) for m in mods])
         rows = np.flatnonzero(b)
         top = int(b.max())
@@ -1084,6 +1088,5 @@ def solve_quadratic(affine: AffineSolutionSet, Q: np.ndarray, mods) -> np.ndarra
     chat = np.hstack([np.ones((len(coeffs), 1), dtype=dtype), coeffs])
     if not _vanishes(Q, mods, chat).all():
         raise ConstructionCheckFailed("a root of the quadratic system fails it")
-    gens = np.array(affine.kernel_generators, dtype=np.int64).reshape(n, width)
-    base = np.array(affine.particular, dtype=np.int64)
-    return (base + coeffs.astype(np.int64) @ gens) % np.array(affine.coordinate_moduli, dtype=np.int64)
+    vecs = _int_array((affine.particular,) + affine.kernel_generators, (n + 1, width))
+    return exact_einsum("nu,uw->nw", chat, vecs) % _int_array(affine.coordinate_moduli, (width,))

@@ -19,7 +19,8 @@ also build finring's A⊗_R B; finring moves a product onto a
 presentation (its tensor product and quotient) in
 `_ring_on_presentation`.  Both groups read the projection and lift
 arrays of their `exactalg.FinAbPresentation`; an identity presentation
-has none, and S⊗_R S⊗_R S then never multiplies by it.  Every
+has none, and S⊗_R S⊗_R S then never multiplies by it.  Every product
+goes through `exactalg.exact_einsum`, so no modulus is too large.  Every
 construction check raises `exactalg.ConstructionCheckFailed` and every
 verdict cross-check `InternalCriterionMismatch`, so both also run under
 `python -O`.
@@ -67,7 +68,6 @@ __all__ = [
     "TensorPower",
     "TripleTensorPower",
     "SeparabilityVerdict",
-    "ModuliTooLarge",
     "InternalCriterionMismatch",
     "UNDECIDED",
     "DEFAULT_CAP",
@@ -82,10 +82,6 @@ __all__ = [
 
 DEFAULT_CAP = 10**6
 UNDECIDED = "undecided-by-enumeration"
-
-
-class ModuliTooLarge(ValueError):
-    """k⁵·(exponent of S)⁴ reaches 2⁶², past the int64 tensor kernels."""
 
 
 class InternalCriterionMismatch(RuntimeError):
@@ -112,28 +108,13 @@ class TensorPower:
         self.hom = hom
         s = hom.target
         k = self.k = s.k
-        big = math.lcm(*s.moduli)
-        # The kernels accumulate in int64.  Every entry they multiply is
-        # reduced below its modulus, and each modulus is at most big, the
-        # exponent of S: S⊗_R S and S⊗_R S⊗_R S are quotients of sums of
-        # Z/m with m | big, so their canonical moduli divide big too.  The
-        # largest sum is the projection of β(v_u, v_v) in `_heavy_forms`:
-        # k³ terms, each a canonical entry times k² products of three
-        # entries, so below k⁵·big⁴.  The products that build and check
-        # S⊗_R S⊗_R S sum at most k³ products of two entries (rank₂ ≤ k²
-        # terms in the composites), so stay below k³·big².  The same bound
-        # keeps the presentations of both groups in int64.
-        if k and k**5 * big**4 >= 2**62:
-            raise ModuliTooLarge(
-                "moduli too large for the exact vectorized tensor kernels"
-            )
         self.gens = k * k
         self.np_gen_moduli = np.gcd.outer(s.np_moduli, s.np_moduli).ravel()
         self.gen_moduli = tuple(int(m) for m in self.np_gen_moduli)
         # gens x ncols, kept for the well-definedness checks
         self.relation_array = _balance_relations(*_phi_actions(hom))
         group = self.group = cokernel(self.relation_array, self.gen_moduli)
-        self.np_moduli = np.array(group.moduli, dtype=np.int64)
+        self.np_moduli = _int_array(group.moduli, (group.rank,))
         if group.is_identity:
             self.np_project = self.np_lift = np.eye(self.gens, dtype=np.int64)
         else:
@@ -144,13 +125,13 @@ class TensorPower:
 
     def _verify_construction(self):
         rel = self.relation_array
-        if rel.shape[1] and ((self.np_project @ rel) % self.np_moduli[:, None]).any():
+        if rel.shape[1] and (exact_einsum("rg,gc->rc", self.np_project, rel) % self.np_moduli[:, None]).any():
             raise ConstructionCheckFailed("projection does not kill a balance relation")
         if self.k:
             smod = self.hom.target.np_moduli[:, None]
-            if rel.shape[1] and ((self._raw_mult @ rel) % smod).any():
+            if rel.shape[1] and (exact_einsum("ag,gc->ac", self._raw_mult, rel) % smod).any():
                 raise ConstructionCheckFailed("multiplication not balanced")
-            if ((self.np_mult @ self.np_project - self._raw_mult) % smod).any():
+            if ((exact_einsum("ar,rg->ag", self.np_mult, self.np_project) - self._raw_mult) % smod).any():
                 raise ConstructionCheckFailed("mult disagrees with the product on pure tensors")
 
     def _require_square(self, what):
@@ -170,7 +151,7 @@ class TensorPower:
         """Multiplication S⊗S → S on canonical coordinates (k x rank)."""
         self._require_square("multiplication")
         smod = self.hom.target.np_moduli
-        return (self._raw_mult @ self.np_lift) % smod[:, None]
+        return exact_einsum("ag,gr->ar", self._raw_mult, self.np_lift) % smod[:, None]
 
     @cached_property
     def triple(self):
@@ -188,13 +169,13 @@ class TensorPower:
             # s·(e_a⊗e_b) = (s·e_a)⊗e_b and (e_a⊗e_b)·s = e_a⊗(e_b·s): the
             # product table re-indexed
             eye = np.eye(k, dtype=np.int64)
-            left = np.einsum("sac,bd->scbad", t, eye).reshape(k, rank, rank)
-            right = np.einsum("ac,bsd->sadcb", eye, t).reshape(k, rank, rank)
+            left = exact_einsum("sac,bd->scbad", t, eye).reshape(k, rank, rank)
+            right = exact_einsum("ac,bsd->sadcb", eye, t).reshape(k, rank, rank)
         else:
             p = self.np_project.reshape(rank, k, k)
             l = self.np_lift.reshape(k, k, rank)
-            left = np.einsum("rcb,sac,abq->srq", p, t, l, optimize=True)
-            right = np.einsum("rac,bsc,abq->srq", p, t, l, optimize=True)
+            left = exact_einsum("rcb,sac,abq->srq", p, t, l)
+            right = exact_einsum("rac,bsc,abq->srq", p, t, l)
         mods = self.np_moduli[None, :, None]
         return left % mods, right % mods
 
@@ -234,35 +215,29 @@ class TensorPower:
             coords = e.coords if hasattr(e, "coords") else tuple(e)
             if len(coords) != self.k:
                 raise ValueError("element has wrong coordinate length")
-            vecs.append(np.array(coords, dtype=np.int64))
-        if self.arity == 2:
-            raw = np.einsum("a,b->ab", vecs[0], vecs[1]).ravel()
-        else:
-            raw = np.einsum("a,b,c->abc", vecs[0], vecs[1], vecs[2]).ravel()
-        return self.project(raw)
+            vecs.append(_int_array(coords, (self.k,)))
+        spec = ("a,b->ab", "a,b,c->abc")[self.arity - 2]
+        return self.project(exact_einsum(spec, *vecs).ravel())
 
     def project(self, raw):
-        raw = np.asarray(raw, dtype=np.int64)
-        out = (self.np_project @ raw) % self.np_moduli
-        return tuple(int(x) for x in out)
+        raw = _int_array(raw, (self.gens,))
+        return tuple(int(x) for x in exact_einsum("rg,g->r", self.np_project, raw) % self.np_moduli)
 
     def lift(self, coords):
-        coords = np.asarray(coords, dtype=np.int64)
-        return (self.np_lift @ coords) % self.np_gen_moduli
+        coords = _int_array(coords, (self.group.rank,))
+        return exact_einsum("gr,r->g", self.np_lift, coords) % self.np_gen_moduli
 
     def mult(self, coords):
         """Counit of the Sweedler coring: a⊗b ↦ ab."""
         s = self.hom.target
-        out = (self.np_mult @ np.asarray(coords, dtype=np.int64)) % np.array(
-            s.moduli, dtype=np.int64
-        )
+        out = exact_einsum("ar,r->a", self.np_mult, _int_array(coords, (self.group.rank,))) % s.np_moduli
         return s.element(tuple(int(x) for x in out))
 
     counit = mult
 
     def is_central(self, coords):
         diff, mods = self.action_difference
-        vals = (diff @ np.asarray(coords, dtype=np.int64)) % mods
+        vals = exact_einsum("ir,r->i", diff, _int_array(coords, (self.group.rank,))) % mods
         return not vals.any()
 
     def is_separability_idempotent(self, coords):
@@ -322,11 +297,11 @@ class TripleTensorPower(TensorPower):
         self.np_gen_moduli = np.gcd.outer(square.np_gen_moduli, s.np_moduli).ravel()
         actions = square.action_matrices[1]
         # right[r, i, j]: coordinate j of x_i·φ(r)
-        right = np.einsum("rs,sji->rij", hom.np_matrix, actions) % square.np_moduli
+        right = exact_einsum("rs,sji->rij", hom.np_matrix, actions) % square.np_moduli
         gen_moduli = np.gcd.outer(square.np_moduli, s.np_moduli).ravel()
         rel = _balance_relations(right, _phi_actions(hom)[1])
         group = self.group = cokernel(rel, gen_moduli.tolist())
-        self.np_moduli = np.array(group.moduli, dtype=np.int64)
+        self.np_moduli = _int_array(group.moduli, (group.rank,))
         rank = group.rank
         self._square = square
         if group.is_identity:
@@ -339,31 +314,29 @@ class TripleTensorPower(TensorPower):
     @cached_property
     def np_project(self):
         """P = P_new·(P₂⊗I_k), or P₂⊗I_k when P_new is the identity."""
-        p2 = self._square.np_project
+        p2, k = self._square.np_project, self.k
         if self._project_new is None:
-            p = np.kron(p2, np.eye(self.k, dtype=np.int64))
+            p = exact_einsum("ia,cd->icad", p2, np.eye(k, dtype=np.int64))
         else:
-            p = np.einsum("ric,ia->rac", self._project_new, p2).reshape(self.group.rank, self.gens)
-        p %= self.np_moduli[:, None]
-        return p
+            p = exact_einsum("ric,ia->rac", self._project_new, p2)
+        return p.reshape(self.group.rank, self.gens) % self.np_moduli[:, None]
 
     @cached_property
     def np_lift(self):
         """L = (L₂⊗I_k)·L_new, or L₂⊗I_k when L_new is the identity."""
-        l2 = self._square.np_lift
+        l2, k = self._square.np_lift, self.k
         if self._lift_new is None:
-            l = np.kron(l2, np.eye(self.k, dtype=np.int64))
+            l = exact_einsum("ai,cd->acid", l2, np.eye(k, dtype=np.int64))
         else:
-            l = np.einsum("ai,icq->acq", l2, self._lift_new).reshape(self.gens, self.group.rank)
-        l %= self.np_gen_moduli[:, None]
-        return l
+            l = exact_einsum("ai,icq->acq", l2, self._lift_new)
+        return l.reshape(self.gens, self.group.rank) % self.np_gen_moduli[:, None]
 
     def _verify_presentation(self, square, actions):
         k, n, rank = self.k, square.group.rank, self.group.rank
         # P₂(e_a⊗e_b·e_s) = P₂(e_a⊗e_b)·e_s for every basis element s
         p2 = square.np_project
-        lhs = (actions @ p2).reshape(k, n, k, k)
-        rhs = np.einsum("jac,bsc->sjab", p2.reshape(n, k, k), self.hom.target.np_mul)
+        lhs = exact_einsum("sij,jg->sig", actions, p2).reshape(k, n, k, k)
+        rhs = exact_einsum("jac,bsc->sjab", p2.reshape(n, k, k), self.hom.target.np_mul)
         if ((lhs - rhs) % square.np_moduli[None, :, None, None]).any():
             raise ConstructionCheckFailed("right action disagrees with the product on pure tensors")
         # the balance relations of S⊗S⊗S are ρ⊗e_d (slots 0,1) and e_d⊗ρ
@@ -371,17 +344,17 @@ class TripleTensorPower(TensorPower):
         rel = square.relation_array
         if rel.shape[1]:
             p3 = self.np_project.reshape(rank, k * k, k)
-            slots01 = np.matmul(rel.T, p3)
-            slots12 = self.np_project.reshape(rank * k, k * k) @ rel
+            slots01 = exact_einsum("gc,rgd->rcd", rel, p3)
+            slots12 = exact_einsum("ag,gc->ac", self.np_project.reshape(rank * k, k * k), rel)
             if (slots01 % self.np_moduli[:, None, None]).any() or (
                 slots12.reshape(rank, k * rel.shape[1]) % self.np_moduli[:, None]
             ).any():
                 raise ConstructionCheckFailed("projection does not kill a balance relation of S⊗S⊗S")
         if self._project_new is None:
             # P·L = (P₂·L₂)⊗I_k, and each order gcd(d_i, m_c) divides d_i
-            pl, pl_mods = p2 @ square.np_lift, square.np_moduli
+            pl, pl_mods = exact_einsum("ig,gj->ij", p2, square.np_lift), square.np_moduli
         else:
-            pl, pl_mods = self.np_project @ self.np_lift, self.np_moduli
+            pl, pl_mods = exact_einsum("ig,gj->ij", self.np_project, self.np_lift), self.np_moduli
         if ((pl - np.eye(len(pl_mods), dtype=np.int64)) % pl_mods[:, None]).any():
             raise ConstructionCheckFailed("projection after lift is not the identity on S⊗S⊗S")
 
@@ -417,21 +390,24 @@ def _heavy_forms(t2: TensorPower):
 
     Q_r[u, v] is coordinate r of β(v_u, v_v) for v_0 = p and v_i = g_i,
     computed on their lifts, with Δ(v_v) folded into row 0: (n+1)² β
-    evaluations.  Every sum stays below the k⁵·big⁴ < 2⁶² of
-    `TensorPower`'s guard: a raw coordinate is k² products of three
-    reduced entries, and a projected one k³ of those times an entry of P.
+    evaluations.
     """
     locus, tri, k = t2.locus, t2.triple, t2.k
-    vecs = np.array((locus.particular,) + locus.kernel_generators, dtype=np.int64)
-    x = ((vecs @ t2.np_lift.T) % t2.np_gen_moduli).reshape(len(vecs), k, k)
+    n1 = 1 + len(locus.kernel_generators)
+    vecs = _int_array((locus.particular,) + locus.kernel_generators, (n1, t2.group.rank))
+    x = (exact_einsum("ur,gr->ug", vecs, t2.np_lift) % t2.np_gen_moduli).reshape(n1, k, k)
     s = t2.hom.target
-    raw = np.einsum("uab,bce,vcd->uvaed", x, s.np_mul, x, optimize=True)
-    raw[0] -= np.einsum("vad,c->vacd", x, np.array(s.unit, dtype=np.int64))
-    raw = raw.reshape(len(vecs), len(vecs), k**3)
+    first = np.eye(n1, dtype=np.int64)[0]
+    raw = exact_einsum("uab,bce,vcd->uvaed", x, s.np_mul, x) - exact_einsum(
+        "u,vad,c->uvacd", first, x, _int_array(s.unit, (k,))
+    )
+    raw = raw.reshape(n1, n1, k**3)
     # P = P_new·(P₂⊗I_k) is the identity when both factors are
-    if not (tri.group.is_identity and t2.group.is_identity):
-        raw = raw @ tri.np_project.T
-    return (raw % tri.np_moduli).transpose(2, 0, 1), tri.np_moduli
+    if tri.group.is_identity and t2.group.is_identity:
+        forms = raw.transpose(2, 0, 1)
+    else:
+        forms = exact_einsum("uvg,rg->ruv", raw, tri.np_project)
+    return forms % tri.np_moduli[:, None, None], tri.np_moduli
 
 
 def is_ring_epimorphism(hom: RingHom) -> bool:
@@ -455,14 +431,13 @@ def find_ring_retractions(hom: RingHom, cap=DEFAULT_CAP):
     src, tgt = hom.source, hom.target
     kr, ks = src.k, tgt.k
     nx = kr * ks  # unknown l·ks + j is coordinate l of E(e_j)
-    phi = np.array(hom.matrix, dtype=np.int64).reshape(kr, ks)
     eye = np.eye(kr, dtype=np.int64)
     # E(e_j) is killed by the order of e_j, E∘φ = id and E(1) = 1, with
     # each congruence on coordinate l of E taken modulo src.moduli[l]
     rows = np.vstack([
         np.diag(np.tile(tgt.np_moduli, kr)),
-        np.einsum("ij,lm->ilmj", phi, eye).reshape(kr * kr, nx),
-        np.kron(eye, np.array(tgt.unit, dtype=np.int64)),
+        exact_einsum("ij,lm->ilmj", hom.np_matrix, eye).reshape(kr * kr, nx),
+        exact_einsum("lm,j->lmj", eye, _int_array(tgt.unit, (ks,))).reshape(kr, nx),
     ])
     b = [0] * nx + eye.ravel().tolist() + list(src.unit)
     unknown = tuple(m for m in src.moduli for _ in range(ks))

@@ -11,10 +11,9 @@ from pathlib import Path
 
 import pytest
 
-import sepkit_util
 from corpus_util import zmod
 
-from hsep import cli, sepkit
+from hsep import cli, exactalg, sepkit
 from hsep.cli import main
 from hsep.finring import check_ring_hom, construct_standard_ring, identity_hom
 
@@ -572,9 +571,10 @@ def modular(m):
 
 
 class TestTensorKernelGuard:
-    """TensorPower refuses k⁵·(largest modulus)⁴ >= 2⁶², its int64 bound; the
-    sep commands report that as an input error, and just below the bound
-    they decide exactly."""
+    """k⁵·(largest modulus)⁴ < 2⁶² was once the bound of sepkit's int64
+    tensor kernels, and the sep commands refused past it.  Every product
+    now goes through `exact_einsum`, so they decide exactly on both sides
+    of it."""
 
     @staticmethod
     def identity_doc(tmp_path, m):
@@ -614,25 +614,36 @@ class TestTensorKernelGuard:
 
     @pytest.mark.parametrize("command", ["report", "epi", "idempotents"])
     @pytest.mark.parametrize("kind, m", [("identity", 46341), ("diagonal", 19484)])
-    def test_past_the_bound_is_input_error(self, capsys, tmp_path, command, kind, m):
+    def test_past_the_bound_decides(self, capsys, tmp_path, command, kind, m):
+        # the identity is epi, so heavy; the diagonal has central image and is not epi
+        heavy = kind == "identity"
         doc = getattr(self, kind + "_doc")(tmp_path, m)
-        code, out, err = run(capsys, "sep", command, doc)
-        assert (code, out) == (2, "")
-        assert err == "error: moduli too large for the exact vectorized tensor kernels\n"
+        argv = ["idempotents", "--h-only"] if command == "idempotents" else [command]
+        code, out, err = run(capsys, "--format", "json", "sep", *argv, doc)
+        report = json.loads(out)
+        assert (code, err) == (0 if heavy else 1, "")
+        if command == "report":
+            assert report["separable"] is True
+            assert report["h_separable"] is heavy and report["ring_epimorphism"] is heavy
+            assert [w["coords"] for w in report["h_witnesses"]] == ([[1]] if heavy else [])
+            assert report["notes"]["h_decided_by"] == ("ring-epimorphism" if heavy else "central-image-shortcut")
+            assert report["retraction_count"] == (1 if heavy else 4)
+        elif command == "epi":
+            assert report["ring_epimorphism"] is heavy
+        else:
+            assert [w["coords"] for w in report["idempotents"]] == ([[1]] if heavy else [])
 
     @pytest.mark.parametrize("arity", [2, 3])
-    def test_guard_at_each_arity(self, arity):
-        assert sepkit.tensor_power(identity_hom(zmod(46340)), arity).arity == arity
-        with pytest.raises(sepkit.ModuliTooLarge):
-            sepkit.tensor_power(identity_hom(zmod(46341)), arity)
-        # the CLI catches this class, which must not swallow other ValueErrors
-        assert not issubclass(sepkit_util.NotSeparabilityIdempotent, sepkit.ModuliTooLarge)
+    def test_past_the_bound_at_each_arity(self, arity):
+        for m in (46340, 46341):
+            power = sepkit.tensor_power(identity_hom(zmod(m)), arity)
+            assert (power.arity, power.group.moduli) == (arity, (m,))
 
 
 class TestCoprimeModuliGuard:
-    """The guard bounds by the exponent of S, the lcm of its basis moduli:
+    """The old bound was on the exponent of S, the lcm of its basis moduli:
     Z/(ab) → Z/a × Z/b has S⊗S = Z/(ab) while the largest basis modulus
-    is max(a, b)."""
+    is max(a, b).  Past it, these extensions are decided too."""
 
     @staticmethod
     def crt_doc(tmp_path, a, b):
@@ -654,19 +665,65 @@ class TestCoprimeModuliGuard:
         assert code == 0 and report["ring_epimorphism"] and report["h_separable"] is True
         assert report["locus_size"] == 1
 
-    def test_past_the_bound_is_input_error(self, capsys, tmp_path):
-        code, out, err = run(capsys, "sep", "report", self.crt_doc(tmp_path, 4, 4871))
-        assert (code, out) == (2, "")
-        assert err == "error: moduli too large for the exact vectorized tensor kernels\n"
+    def test_past_the_bound_decides(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "--format", "json", "sep", "report", self.crt_doc(tmp_path, 4, 4871))
+        report = json.loads(out)
+        assert code == 0 and report["ring_epimorphism"] and report["h_separable"] is True
+        assert report["locus_size"] == 1
 
-    def test_tensor_power_sees_the_exponent(self):
+    def test_tensor_power_past_the_bound(self):
         hom = check_ring_hom(
             ((1, 1),),
             zmod(4 * 4871),
             construct_standard_ring("product", {"factors": [zmod(4), zmod(4871)]}).ring,
         )
-        with pytest.raises(sepkit.ModuliTooLarge):
-            sepkit.tensor_power(hom, 2)
+        assert sepkit.tensor_power(hom, 2).group.moduli == (4 * 4871,)
+        assert sepkit.is_ring_epimorphism(hom)
+
+
+class TestHugeModuli:
+    """Moduli past int64, or primes near it: the products go to Python
+    ints, and the quadratic solver trial-divides nothing past the lcm of
+    the kernel orders of the set it solves on, never the moduli."""
+
+    P = 2**61 - 1
+
+    @pytest.fixture(autouse=True)
+    def no_trial_division(self, monkeypatch):
+        factor = exactalg._prime_factors
+
+        def below_the_orders(n):
+            # every locus here is one point: the lcm of no kernel orders is 1
+            if n > 1:
+                raise AssertionError("trial division of %d" % n)
+            return factor(n)
+
+        monkeypatch.setattr(exactalg, "_prime_factors", below_the_orders)
+
+    def test_identity_past_int64(self, capsys, tmp_path):
+        doc = TestTensorKernelGuard.identity_doc(tmp_path, 2**70)
+        code, out, err = run(capsys, "--format", "json", "sep", "report", doc)
+        report = json.loads(out)
+        assert (code, err) == (0, "")
+        assert report["ring_epimorphism"] and report["h_separable"] is True
+        assert [w["coords"] for w in report["h_witnesses"]] == [[1]]
+
+    def test_large_prime_diagonal(self, capsys, tmp_path):
+        doc = TestTensorKernelGuard.diagonal_doc(tmp_path, self.P)
+        code, out, err = run(capsys, "--format", "json", "sep", "report", doc)
+        report = json.loads(out)
+        assert (code, err) == (1, "")
+        assert report["separable"] is True and report["h_separable"] is False
+        assert report["notes"]["h_decided_by"] == "central-image-shortcut"
+        # E(e_1) ranges over Z/p, past the default cap
+        assert report["notes"]["retraction_space_over_cap"] == self.P
+        assert report["retraction_count"] is None
+
+    def test_triangular_over_a_large_prime_field(self):
+        hom = construct_standard_ring("triangular", {"n": 3, "base": zmod(self.P)}).homs["into_matrix"]
+        verdict = sepkit.h_separability_report(hom)
+        assert verdict.is_ring_epi and verdict.is_h_separable is True
+        assert verdict.h_witnesses == (sepkit.tensor_power(hom, 2).one_one,)
 
 
 class TestCorpusRunner:

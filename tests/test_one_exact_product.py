@@ -1,7 +1,9 @@
 """One function picks int64 or Python ints for a contraction:
 `exactalg.exact_einsum`.  Any other comparison against 2⁶² or 2⁶³ in
 `src/hsep` is a second, private choice of that bound, unless it is one of
-the sites below, which choose no contraction dtype."""
+the sites below, which choose no contraction dtype.  `sepkit.py`, whose
+tensor kernels once ran in raw int64, contracts only through
+`exact_einsum`: it has no `@` and no numpy product call."""
 
 import ast
 from pathlib import Path
@@ -18,9 +20,9 @@ KEPT = {
     ("exactalg.py", "solve_quadratic"),
     # the storage dtype of an affine set's enumerated members
     ("exactalg.py", "AffineSolutionSet.member_array"),
-    # the input guard of the int64 tensor kernels (`ModuliTooLarge`)
-    ("sepkit.py", "TensorPower.__init__"),
 }
+# numpy's products, as functions or methods (not `outer`, which gcd.outer shares)
+PRODUCTS = {"einsum", "matmul", "dot", "vdot", "inner", "tensordot", "kron"}
 
 
 def _is_bound(node):
@@ -53,6 +55,17 @@ def bound_comparisons(source):
     return found
 
 
+def raw_products(source):
+    """(line, operator or name) of every `@`, `@=` and numpy product call."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in PRODUCTS:
+            found.append((node.lineno, node.func.attr))
+    return sorted(found)
+
+
 def test_the_scan_finds_a_private_bound():
     source = "class K:\n    def f(self, a, b):\n        return 'int64' if a * b < 2**63 else 'object'\n"
     assert bound_comparisons(source) == [("K.f", 3)]
@@ -67,3 +80,15 @@ def test_only_exact_einsum_chooses_a_contraction_dtype():
     stray = ["%s:%d (%s)" % (file, line, name or "module") for file, name, line in found if (file, name) not in KEPT]
     assert stray == [], "int64 bounds outside exactalg.exact_einsum at %s" % ", ".join(stray)
     assert ("exactalg.py", "exact_einsum") in {(file, name) for file, name, _ in found}
+
+
+def test_the_scan_finds_a_raw_product():
+    source = "def f(a, b):\n    c = a @ b\n    c @= b\n    return np.einsum('ij->i', c) + a.dot(b) + np.kron(a, b)\n"
+    assert raw_products(source) == [(2, "@"), (3, "@"), (4, "dot"), (4, "einsum"), (4, "kron")]
+    assert raw_products("x = exact_einsum('ij,jk->ik', a, b) * 2\n") == []
+
+
+def test_sepkit_contracts_only_through_exact_einsum():
+    source = (SRC / "sepkit.py").read_text()
+    assert raw_products(source) == []
+    assert "exact_einsum(" in source

@@ -7,6 +7,7 @@ filters of `quadratic_util` on ring extensions.  Its gate must catch a
 corrupted form, also under `python -O`, and its row reductions are
 counted on the large scalar extensions."""
 
+import math
 import os
 import random
 import subprocess
@@ -105,6 +106,19 @@ SHAPES = [
     ((16, 4), (16, 8)),
     ((7, 7, 7), (7, 7)),
 ]
+# each has a modulus with a prime that divides no coordinate modulus
+COPRIME_SHAPES = [
+    ((4, 2, 12), (4, 21)),
+    ((9, 3), (33, 117, 2)),
+]
+SHAPES += COPRIME_SHAPES
+
+
+def coprime_part(m, n):
+    """The largest divisor of m coprime to n."""
+    while math.gcd(m, n) > 1:
+        m //= math.gcd(m, n)
+    return m
 
 
 class TestSolverOracle:
@@ -121,6 +135,30 @@ class TestSolverOracle:
             assert got.tolist() == want.tolist() and len(got)
         if len(set(coord)) > 1:
             assert mixed
+
+    @pytest.mark.parametrize("coord, mods", COPRIME_SHAPES)
+    def test_coprime_part_is_read_at_zero(self, coord, mods, monkeypatch):
+        """F is constant in c modulo the primes that divide no kernel order:
+        a constant shifted by 1 on such a row leaves no root, and the solver
+        trial-divides nothing past the lcm of the kernel orders."""
+        row = next(r for r, m in enumerate(mods) if coprime_part(m, math.lcm(*coord)) > 1)
+        factor, bound = exactalg._prime_factors, []
+
+        def below_the_orders(n):
+            if n > bound[-1]:
+                raise AssertionError("trial division of %d" % n)
+            return factor(n)
+
+        monkeypatch.setattr(exactalg, "_prime_factors", below_the_orders)
+        rng = random.Random(repr((coord, mods, row)))
+        for _ in range(12):
+            vectors = [[rng.randrange(c) for c in coord] for _ in range(len(coord))]
+            affine, Q, A = random_system(rng, coord, mods, vectors)
+            bound.append(math.lcm(*affine.kernel_orders))
+            assert solve_quadratic(affine, Q, mods).tolist() == brute_roots(affine, A, mods).tolist() != []
+            Q[row, 0, 0] += 1
+            A[row, 0, 0] += 1
+            assert solve_quadratic(affine, Q, mods).tolist() == brute_roots(affine, A, mods).tolist() == []
 
     def test_zero_forms_keep_every_member(self):
         affine, Q, _ = random_system(random.Random(1), (4, 6), (12,), [[1, 0], [0, 1]])
@@ -150,6 +188,12 @@ class TestSolverOracle:
         affine = AffineSolutionSet((m,), (0,), ((2**19,),), (4,))
         forms = np.array([[[-(2**20), 2**19], [0, 0]]], dtype=np.int64)
         assert solve_quadratic(affine, forms, (m,)).tolist() == [[2**20]]
+        # the same past int64: 2⁶⁹·c − 2⁶⁹ ≡ 0 (mod 2⁷⁰), c ∈ Z/2, whose
+        # sixty-nine Hensel steps after the first choose no digit
+        m = 2**70
+        affine = AffineSolutionSet((m,), (0,), ((2**69,),), (2,))
+        forms = np.array([[[-(2**69), 2**69], [0, 0]]], dtype=object)
+        assert solve_quadratic(affine, forms, (m,)).tolist() == [[2**69]]
 
     def test_empty_affine_set(self):
         empty = AffineSolutionSet((2, 2), None, (), ())

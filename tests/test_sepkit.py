@@ -261,9 +261,10 @@ class TestReport:
         assert v.is_h_separable is True
         assert v.is_ring_epi
 
-    def test_huge_moduli_rejected_not_overflowed(self):
+    def test_huge_moduli_decided_not_overflowed(self):
         from hsep.finring import construct_ring, identity_hom
 
         big = construct_ring((10**6,), (((1,),),), (1,), "Z/1e6")
-        with pytest.raises(ValueError):
-            tensor_power(identity_hom(big), 2)
+        for arity in (2, 3):
+            power = tensor_power(identity_hom(big), arity)
+            assert power.group.moduli == (10**6,) and power.one_one == (1,)
