@@ -293,19 +293,14 @@ def cmd_talg_verify(args):
     return EXIT_HOLDS if report.all_hold else EXIT_FAILS
 
 
-def _scalar(x):
-    """A field element for JSON: an int when integral, else the string "p/q"."""
-    return int(x) if x.denominator == 1 else str(x)
-
-
 def cmd_talg_witness(args):
     field = _parse_field(args.field)
     try:
         rep = tensorbialg.tensor_algebra_witness(args.dim, field, args.deg)
     except ValueError as err:  # bad sizes, or past the dimension guard
         raise InputError(str(err)) from err
-    doubled = [_scalar(x) for x in rep.doubled_value[1]]
-    evaluated = [_scalar(x) for x in rep.evaluated_value[1]]
+    doubled = list(rep.doubled_value[1])
+    evaluated = list(rep.evaluated_value[1])
     doc = {
         "v_dim": rep.v_dim,
         "field": rep.field_name,
@@ -502,7 +497,7 @@ def main(argv=None):
             elif args.cap < 0:
                 raise InputError("--cap must not be negative: %d" % args.cap)
         return args.func(args)
-    except (InputError, FileNotFoundError) as err:
+    except (InputError, OSError) as err:
         sys.stderr.write("error: %s\n" % str(err).replace("\n", " "))
         return EXIT_INPUT
 

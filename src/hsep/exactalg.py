@@ -10,12 +10,12 @@ integer arrays (signed integers, or object arrays of Python ints) and
 raise `DimensionMismatch` on anything else.  The big-integer algorithms
 convert their input to Python ints once.  A Smith form keeps its
 transforms as logs of the reduction's row and column operations, and
-each caller replays them onto only what it reads (rows of U, U·x, U⁻¹·x,
-V·x), at one row of the operand per operation; the full U, U⁻¹ and V
-are built from the same logs on first access, as object arrays of
-Python ints.  `exact_einsum` is the workbench's one exact
-product: every contraction whose dtype the code chooses runs through it,
-in int64 while no sum can wrap and in Python ints past that.  `_rref` is
+each caller replays them onto only what it reads (rows of U, U·x,
+U⁻¹·x, V·x), at one row of the operand per operation, as object arrays
+of Python ints; only `subgroup_basis` builds a full U.  `exact_einsum`
+is the workbench's one exact product: every contraction in `src/hsep`
+runs through it, in int64 while no sum can wrap and in Python ints past
+that.  `_rref` is
 the workbench's one row reduction, with `_kernel` beside it, over 𝔽_p
 for every prime: XOR on GF(2), int64 while no product can overflow,
 Python ints past that.  Nothing eliminates over ℚ; the tensor
@@ -36,7 +36,6 @@ under `python -O`.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -253,8 +252,8 @@ class SmithDecomposition:
     the transforms: U is the product of `row_ops` and V the transpose of
     that of `col_ops`, both unimodular (see `_replay`).  `u_rows`,
     `u_dot`, `u_inv_dot` and `v_dot` apply the logs to what a caller
-    reads, one row of the operand per operation.  The full U, its exact
-    inverse u_inv and V are built from the same logs on first access.
+    reads, one row of the operand per operation.  The full U, which
+    `subgroup_basis` reads, is built from the same log on first access.
     All come back as object arrays of Python ints.  `diagonal` holds the
     min(rows, cols) diagonal entries; `shape` is the source's.
     """
@@ -291,14 +290,6 @@ class SmithDecomposition:
     @cached_property
     def U(self):
         return self.u_dot(np.eye(self.shape[0], dtype=np.int64))
-
-    @cached_property
-    def u_inv(self):
-        return self.u_inv_dot(np.eye(self.shape[0], dtype=np.int64))
-
-    @cached_property
-    def V(self):
-        return self.v_dot(np.eye(self.shape[1], dtype=np.int64))
 
 
 def _unit_columns(n, cols):
@@ -405,7 +396,8 @@ class FinAbPresentation:
     when every product sum they take stays below 2⁶³, object arrays of
     Python ints past that.  An identity presentation, whose canonical
     coordinates are the generator coordinates, stores neither: P and L
-    are None and `is_identity` is true.
+    are None and `is_identity` is true.  P and L are the whole
+    interface: callers contract with them, through `exact_einsum`.
     """
 
     moduli: tuple[int, ...]
@@ -428,34 +420,6 @@ class FinAbPresentation:
     @property
     def order(self):
         return math.prod(self.moduli)
-
-    def _apply(self, mat, vec, vec_moduli, out_moduli):
-        vec = [int(x) % m for x, m in zip(vec, vec_moduli)]
-        if mat is None:
-            return tuple(vec)
-        out = mat @ np.array(vec, dtype=mat.dtype)
-        return tuple(int(x) % m for x, m in zip(out, out_moduli))
-
-    def project(self, vec):
-        """Canonical coordinates of a vector of generator coordinates."""
-        if len(vec) != self.generator_count:
-            raise DimensionMismatch("project expects %d coordinates" % self.generator_count)
-        return self._apply(self.P, vec, self.generator_moduli, self.moduli)
-
-    def lift(self, vec):
-        """Generator coordinates of a canonical vector, read modulo the moduli."""
-        if len(vec) != self.rank:
-            raise DimensionMismatch("lift expects %d coordinates" % self.rank)
-        return self._apply(self.L, vec, self.moduli, self.generator_moduli)
-
-    def zero(self):
-        return (0,) * self.rank
-
-    def elements(self, cap=None):
-        """All canonical coordinate tuples in lexicographic order."""
-        if cap is not None and self.order > cap:
-            raise CapExceeded(self.order)
-        return itertools.product(*(range(m) for m in self.moduli))
 
 
 def _presentation(moduli, generator_moduli, p_rows, l_rows):
@@ -627,7 +591,7 @@ def subgroup_basis(vectors: np.ndarray, ambient_moduli):
         raise ConstructionCheckFailed("the lattice basis does not span the ambient moduli")
     s2 = smith_normal_form(_int_array((X // d[:, None]).tolist(), (n, n)))
     big = [i for i, o in enumerate(s2.diagonal) if o > 1]
-    # generator i is C @ s2.u_inv[:, i]
+    # generator i is C·U₂⁻¹[:, i], for the U₂ of the second Smith form
     coords = d[:, None] * s2.u_inv_dot(_unit_columns(n, big))
     gens = s1.u_inv_dot(coords) % mods[:, None]
     return tuple(map(tuple, gens.T.tolist())), tuple(s2.diagonal[i] for i in big)
@@ -695,7 +659,7 @@ def _integer_solve_full(mat_rows, rhs, width):
     for i, (ui, di) in enumerate(zip(ub, d)):
         if ui % di if di else ui:
             aug = np.array([row + [bi] for row, bi in zip(mat_rows, rhs)], dtype=object).reshape(len(rhs), width + 1)
-            proof = s.u_rows([i])[0] @ aug
+            proof = exact_einsum("g,gw->w", s.u_rows([i])[0], aug)
             if di:
                 proof %= di
             if proof[:-1].any() or not proof[-1]:

@@ -222,7 +222,7 @@ def _homs(cat):
     hom-set (x, y), indexed by x·n + y, and each morphism's index in its
     hom-set, whose ids run consecutively in hom order."""
     t, n = cat._table, len(cat.objects)
-    key = t.ends @ np.array([n, 1])
+    key = t.ends[:, 0] * n + t.ends[:, 1]
     _, place = _expand(np.array([len(names) for names in cat.hom.values()], dtype=np.int64))
     first = np.zeros(n * n, dtype=np.int64)
     first[key] = np.arange(len(key)) - place
@@ -619,7 +619,7 @@ class _Conditions(NamedTuple):
         f = base[y[g] * n] + k
         fg = base[x[g] * n + y[f]] + place[ta.vals[ta.ptr[slot_mor[g]] + ta.pos[slot_mor[f]]]]
         rows = np.concatenate([nat, np.stack([fg, S + ident[x[g]], g, f], axis=1)])
-        return cls(slot_pair, slot_mor, base[sb.ends @ np.array([n, 1])] + place[img], rows)
+        return cls(slot_pair, slot_mor, base[sb.ends[:, 0] * n + sb.ends[:, 1]] + place[img], rows)
 
 
 def _broken(sb, P, rows):

@@ -1,11 +1,12 @@
 """Finite rings presented by structure constants.
 
 A ring is an additive group ⊕ Z/m_i with a dense basis-indexed
-multiplication table, a unit vector and a label.  Construction always
-validates bilinearity compatibility, associativity and the unit laws
-exhaustively on basis tuples; the named families (matrix, triangular,
-product, group ring, polynomial quotient, tensor product, quotient)
-are built on top and never bypass that validation.
+multiplication table, a unit vector and a label; its elements are
+coordinate tuples.  Construction always validates bilinearity
+compatibility, associativity and the unit laws exhaustively on basis
+tuples; the named families (matrix, triangular, product, group ring,
+polynomial quotient, tensor product, quotient) are built on top and
+never bypass that validation.
 
 Products, hom checks and ideals contract the structure tensor
 `np_mul` with `exactalg.exact_einsum`, which picks int64 or Python ints
@@ -18,6 +19,8 @@ with the canonical homs read off P.
 
 from __future__ import annotations
 
+import contextvars
+import itertools
 import json
 import math
 import warnings
@@ -28,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from .exactalg import (
-    CapExceeded,
     DimensionMismatch,
     _int_array,
     _is_prime,
@@ -40,7 +42,6 @@ from .exactalg import (
 
 __all__ = [
     "FiniteRing",
-    "RingElem",
     "RingHom",
     "StandardRing",
     "CommutativityReport",
@@ -159,89 +160,8 @@ class FiniteRing:
     def reduce(self, coords):
         return tuple(int(c) % m for c, m in zip(coords, self.moduli))
 
-    def element(self, coords):
-        if len(coords) != self.k:
-            raise DimensionMismatch("element needs %d coordinates" % self.k)
-        return RingElem(self, self.reduce(coords))
-
-    def zero(self):
-        return self.element((0,) * self.k)
-
-    def one(self):
-        return self.element(self.unit)
-
-    def basis_element(self, i):
-        return self.element(tuple(1 if j == i else 0 for j in range(self.k)))
-
-    def add_coords(self, x, y):
-        return tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))
-
-    def neg_coords(self, x):
-        return tuple((-a) % m for a, m in zip(x, self.moduli))
-
-    def mul_coords(self, x, y):
-        x, y = (_int_array(v, (self.k,)) for v in (x, y))
-        return self.reduce(exact_einsum("i,j,ijl->l", x, y, self.np_mul).tolist())
-
-    def scalar_coords(self, c, x):
-        return tuple((c * a) % m for a, m in zip(x, self.moduli))
-
-    def elements(self, cap=None):
-        if cap is not None and self.order > cap:
-            raise CapExceeded(self.order)
-        import itertools
-
-        for coords in itertools.product(*(range(m) for m in self.moduli)):
-            yield RingElem(self, coords)
-
-    def format_element(self, coords):
-        terms = []
-        for c, lab in zip(coords, self.basis_labels):
-            if c == 0:
-                continue
-            terms.append(lab if c == 1 else "%d*%s" % (c, lab))
-        return " + ".join(terms) if terms else "0"
-
     def __repr__(self):
         return "FiniteRing(%s, order=%d)" % (self.label, self.order)
-
-
-@dataclass(frozen=True)
-class RingElem:
-    ring: FiniteRing
-    coords: tuple[int, ...]
-
-    def __add__(self, other):
-        self._check(other)
-        return RingElem(self.ring, self.ring.add_coords(self.coords, other.coords))
-
-    def __sub__(self, other):
-        self._check(other)
-        return RingElem(self.ring, self.ring.add_coords(self.coords, self.ring.neg_coords(other.coords)))
-
-    def __neg__(self):
-        return RingElem(self.ring, self.ring.neg_coords(self.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return RingElem(self.ring, self.ring.scalar_coords(other, self.coords))
-        self._check(other)
-        return RingElem(self.ring, self.ring.mul_coords(self.coords, other.coords))
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return RingElem(self.ring, self.ring.scalar_coords(other, self.coords))
-        return NotImplemented
-
-    def _check(self, other):
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise ValueError("elements of different rings")
-
-    def is_zero(self):
-        return not any(self.coords)
-
-    def __str__(self):
-        return self.ring.format_element(self.coords)
 
 
 def construct_ring(moduli, mul_table, unit, label="ring", basis_labels=None) -> FiniteRing:
@@ -310,10 +230,6 @@ class RingHom:
         coords = _int_array(coords, (self.source.k,))
         return self.target.reduce(exact_einsum("i,il->l", coords, self.np_matrix).tolist())
 
-    def __call__(self, elem):
-        coords = elem.coords if isinstance(elem, RingElem) else elem
-        return self.target.element(self.apply_coords(coords))
-
     @cached_property
     def np_matrix(self):
         """Row i holds the coordinates of φ(e_i)."""
@@ -323,13 +239,6 @@ class RingHom:
         t, phi = self.target.np_mul, self.np_matrix
         diff = exact_einsum("ra,ajl->rjl", phi, t) - exact_einsum("ra,jal->rjl", phi, t)
         return not (diff % self.target.np_moduli).any()
-
-    def image_order(self):
-        _, orders = subgroup_basis(self.np_matrix, self.target.moduli)
-        return math.prod(orders)
-
-    def is_surjective(self):
-        return self.image_order() == self.target.order
 
     def __repr__(self):
         return "RingHom(%s -> %s)" % (self.source.label, self.target.label)
@@ -359,7 +268,7 @@ def check_ring_hom(matrix, source: FiniteRing, target: FiniteRing) -> RingHom:
 
 
 def identity_hom(ring: FiniteRing) -> RingHom:
-    return check_ring_hom(tuple(ring.basis_element(i).coords for i in range(ring.k)), ring, ring)
+    return check_ring_hom(np.eye(ring.k, dtype=np.int64).tolist(), ring, ring)
 
 
 def compose_homs(second: RingHom, first: RingHom) -> RingHom:
@@ -375,10 +284,6 @@ class CommutativityReport:
     is_commutative: bool
     center: object  # AffineSolutionSet over the ring's coordinates
 
-    @property
-    def center_order(self):
-        return self.center.size
-
 
 def commutativity_report(ring: FiniteRing) -> CommutativityReport:
     """Basis-pair commutativity plus the center as a linear solution set."""
@@ -393,7 +298,8 @@ def commutativity_report(ring: FiniteRing) -> CommutativityReport:
 
 @dataclass(frozen=True)
 class StandardRing:
-    """A named construction: the ring, its canonical homs, special elements."""
+    """A named construction: the ring, its canonical homs, and special
+    elements as coordinate tuples."""
 
     ring: FiniteRing
     homs: dict
@@ -512,19 +418,11 @@ def _standard_product(params):
     unit = tuple(a.unit) + tuple(b.unit)
     labels = tuple("L." + x for x in a.basis_labels) + tuple("R." + x for x in b.basis_labels)
     ring = construct_ring(moduli, table, unit, "%s x %s" % (a.label, b.label), labels)
-    proj_a = check_ring_hom(
-        tuple(a.basis_element(i).coords for i in range(ka)) + tuple(a.zero().coords for _ in range(kb)),
-        ring,
-        a,
-    )
-    proj_b = check_ring_hom(
-        tuple(b.zero().coords for _ in range(ka)) + tuple(b.basis_element(i).coords for i in range(kb)),
-        ring,
-        b,
-    )
+    proj_a = check_ring_hom(np.eye(ka, dtype=np.int64).tolist() + [(0,) * ka] * kb, ring, a)
+    proj_b = check_ring_hom([(0,) * kb] * ka + np.eye(kb, dtype=np.int64).tolist(), ring, b)
     homs = {"proj_0": proj_a, "proj_1": proj_b}
-    e0 = ring.element(tuple(a.unit) + (0,) * kb)
-    e1 = ring.element((0,) * ka + tuple(b.unit))
+    e0 = tuple(a.unit) + (0,) * kb
+    e1 = (0,) * ka + tuple(b.unit)
     if hom_a is not None:
         cols = tuple(
             tuple(hom_a.matrix[i]) + tuple(hom_b.matrix[i]) for i in range(base.k)
@@ -619,8 +517,6 @@ def _poly_is_reducible(f, p):
     d = len(f) - 1
     if d <= 1:
         return False
-    import itertools
-
     for deg in range(1, d // 2 + 1):
         for tail in itertools.product(range(p), repeat=deg):
             g = list(tail) + [1]
@@ -671,8 +567,8 @@ def _standard_polynomial_quotient(params):
     labels = tuple("1" if i == 0 else ("x" if i == 1 else "x^%d" % i) for i in range(d))
     ring = construct_ring(moduli, table, unit, "F%d[x]/(f)" % p, labels)
     base = _standard_modular({"n": p}).ring
-    scalar = check_ring_hom((ring.one().coords,), base, ring)
-    elements = {"x": ring.basis_element(1)} if d >= 2 else {}
+    scalar = check_ring_hom((ring.unit,), base, ring)
+    elements = {"x": (0, 1) + (0,) * (d - 2)} if d >= 2 else {}
     return StandardRing(ring, {"scalar": scalar}, elements)
 
 
@@ -696,12 +592,12 @@ def balance_relations(right, left):
     """
     kr, n, _ = right.shape
     k = left.shape[1]
-    dtype = np.result_type(right, left)
-    rel = np.einsum("rij,bc->jcrib", right, np.eye(k, dtype=dtype))
-    rel -= np.einsum("ij,rbc->jcrib", np.eye(n, dtype=dtype), left)
+    rel = exact_einsum("rij,bc->jcrib", right, np.eye(k, dtype=np.int64)) - exact_einsum(
+        "ij,rbc->jcrib", np.eye(n, dtype=np.int64), left
+    )
     arr = rel.reshape(n * k, kr * n * k)
     arr = arr[:, (arr != 0).any(axis=0)]
-    if dtype == object:  # np.unique takes no axis on object arrays
+    if arr.dtype == object:  # np.unique takes no axis on object arrays
         cols = sorted(set(map(tuple, arr.T.tolist())))
         return np.array(cols, dtype=object).reshape(len(cols), n * k).T
     return np.unique(arr, axis=1) if arr.shape[1] else arr
@@ -806,9 +702,27 @@ def ring_to_doc(ring: FiniteRing):
     }
 
 
-def _load_json(path):
+# the files of the references being followed, outermost first
+_CHAIN = contextvars.ContextVar("reference_chain", default=())
+
+
+def _follow(ref, base_dir, build):
+    """build(document, its directory) on the file that a document names by
+    path.  The file must hold a JSON object, and a chain of references
+    that comes back to a file on it is refused: both raise ValueError."""
+    path = Path(base_dir or ".") / ref
+    chain = _CHAIN.get()
+    if path.resolve() in chain:
+        raise ValueError("%s: reference cycle" % path)
     with open(path) as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("%s: expected a JSON object, got %s" % (path, type(doc).__name__))
+    token = _CHAIN.set(chain + (path.resolve(),))
+    try:
+        return build(doc, path.parent)
+    finally:
+        _CHAIN.reset(token)
 
 
 def standard_params_from_doc(params, base_dir=None):
@@ -828,8 +742,7 @@ def standard_params_from_doc(params, base_dir=None):
 def ring_from_doc(doc, base_dir=None):
     """Ring from an explicit document, a standard-kind document, or a path."""
     if isinstance(doc, str):
-        path = Path(base_dir or ".") / doc
-        return ring_from_doc(_load_json(path), path.parent)
+        return _follow(doc, base_dir, ring_from_doc)
     if "kind" in doc:
         std = construct_standard_ring(doc["kind"], standard_params_from_doc(doc.get("params", {}), base_dir))
         return std.ring
@@ -853,8 +766,7 @@ def hom_to_doc(hom: RingHom):
 def hom_from_doc(doc, base_dir=None):
     """Hom from an explicit matrix document or a named canonical hom."""
     if isinstance(doc, str):
-        path = Path(base_dir or ".") / doc
-        return hom_from_doc(_load_json(path), path.parent)
+        return _follow(doc, base_dir, hom_from_doc)
     if "standard" in doc:
         std_doc = doc["standard"]
         std = construct_standard_ring(

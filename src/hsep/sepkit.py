@@ -96,13 +96,12 @@ class TensorPower:
     elements, each of order the gcd of its slots' orders.  `np_project`
     maps pure-tensor coordinates onto canonical ones and `np_lift` is a
     section of it: the presentation's reduced arrays, or the identity
-    when the presentation is.  Construction verifies, as exact matrix
-    identities, that projection kills every balance relation and that
-    multiplication is well defined on classes.  S⊗_R S⊗_R S is presented from this group,
-    as (S⊗_R S)⊗_R S (`TripleTensorPower`).
+    when the presentation is.  Elements of S and of S⊗_R S are coordinate
+    tuples.  Construction verifies, as exact matrix identities, that
+    projection kills every balance relation and that multiplication is
+    well defined on classes.  S⊗_R S⊗_R S is presented from this group,
+    as (S⊗_R S)⊗_R S (`triple`).
     """
-
-    arity = 2
 
     def __init__(self, hom: RingHom):
         self.hom = hom
@@ -134,35 +133,28 @@ class TensorPower:
             if ((exact_einsum("ar,rg->ag", self.np_mult, self.np_project) - self._raw_mult) % smod).any():
                 raise ConstructionCheckFailed("mult disagrees with the product on pure tensors")
 
-    def _require_square(self, what):
-        if self.arity != 2:
-            raise ValueError("%s is defined on S⊗_R S only" % what)
-
     # -- numpy views -----------------------------------------------------
 
     @cached_property
     def _raw_mult(self):
-        # raw map on generators: a⊗b -> a*b, shape (k, gens); arity 2 only
+        # raw map on generators: a⊗b -> a*b, shape (k, gens)
         t = self.hom.target.np_mul
         return t.transpose(2, 0, 1).reshape(self.k, self.gens).copy()
 
     @cached_property
     def np_mult(self):
         """Multiplication S⊗S → S on canonical coordinates (k x rank)."""
-        self._require_square("multiplication")
         smod = self.hom.target.np_moduli
         return exact_einsum("ag,gr->ar", self._raw_mult, self.np_lift) % smod[:, None]
 
     @cached_property
     def triple(self):
         """S⊗_R S⊗_R S, presented from this group and checked."""
-        self._require_square("triple")
         return TripleTensorPower(self)
 
     @cached_property
     def action_matrices(self):
         """(left, right): arrays of shape (k, rank, rank), canonical coords."""
-        self._require_square("the S-actions")
         k, rank = self.k, self.group.rank
         t = self.hom.target.np_mul
         if self.group.is_identity:
@@ -186,17 +178,16 @@ class TensorPower:
         k, rank = self.k, self.group.rank
         diff = (left - right).reshape(k * rank, rank)
         mods = np.tile(self.np_moduli, k)
-        return diff % np.where(mods > 0, mods, 1)[:, None], mods
+        return diff % mods[:, None], mods
 
     @cached_property
     def one_one(self):
-        s = self.hom.target
-        return self.pure(*([s.one()] * self.arity))
+        unit = self.hom.target.unit
+        return self.pure(unit, unit)
 
     @cached_property
     def locus(self):
         """Affine set of separability idempotents in canonical coordinates."""
-        self._require_square("the separability locus")
         s = self.hom.target
         diff, dmods = self.action_difference
         a = np.vstack([self.np_mult, diff])
@@ -206,18 +197,10 @@ class TensorPower:
 
     # -- operations --------------------------------------------------------
 
-    def pure(self, *elems):
-        """Class of the pure tensor of the given ring elements."""
-        if len(elems) != self.arity:
-            raise ValueError("pure expects %d elements" % self.arity)
-        vecs = []
-        for e in elems:
-            coords = e.coords if hasattr(e, "coords") else tuple(e)
-            if len(coords) != self.k:
-                raise ValueError("element has wrong coordinate length")
-            vecs.append(_int_array(coords, (self.k,)))
-        spec = ("a,b->ab", "a,b,c->abc")[self.arity - 2]
-        return self.project(exact_einsum(spec, *vecs).ravel())
+    def pure(self, x, y):
+        """Class of the pure tensor x⊗y of two coordinate tuples of S."""
+        x, y = (_int_array(v, (self.k,)) for v in (x, y))
+        return self.project(exact_einsum("a,b->ab", x, y).ravel())
 
     def project(self, raw):
         raw = _int_array(raw, (self.gens,))
@@ -228,12 +211,9 @@ class TensorPower:
         return exact_einsum("gr,r->g", self.np_lift, coords) % self.np_gen_moduli
 
     def mult(self, coords):
-        """Counit of the Sweedler coring: a⊗b ↦ ab."""
-        s = self.hom.target
-        out = exact_einsum("ar,r->a", self.np_mult, _int_array(coords, (self.group.rank,))) % s.np_moduli
-        return s.element(tuple(int(x) for x in out))
-
-    counit = mult
+        """a⊗b ↦ ab, the counit of the Sweedler coring, as coordinates of S."""
+        out = exact_einsum("ar,r->a", self.np_mult, _int_array(coords, (self.group.rank,)))
+        return tuple(int(x) for x in out % self.hom.target.np_moduli)
 
     def is_central(self, coords):
         diff, mods = self.action_difference
@@ -243,29 +223,23 @@ class TensorPower:
     def is_separability_idempotent(self, coords):
         """The linear conditions: mult(e) = 1 and s·e = e·s for every s."""
         s = self.hom.target
-        return self.mult(coords).coords == s.unit and self.is_central(coords)
+        return self.mult(coords) == s.unit and self.is_central(coords)
 
     def format_element(self, coords):
         """Formal sum Σ c · e_i⊗e_j over the ring basis."""
-        s = self.hom.target
+        labels = self.hom.target.basis_labels
         raw = self.lift(coords)
         terms = []
         for g in range(self.gens):
             c = int(raw[g])
             if not c:
                 continue
-            idx = []
-            gg = g
-            for _ in range(self.arity):
-                idx.append(gg % self.k)
-                gg //= self.k
-            idx.reverse()
-            name = "⊗".join(s.basis_labels[i] for i in idx)
+            name = "%s⊗%s" % (labels[g // self.k], labels[g % self.k])
             terms.append(name if c == 1 else "%d*%s" % (c, name))
         return " + ".join(terms) if terms else "0"
 
 
-class TripleTensorPower(TensorPower):
+class TripleTensorPower:
     """S⊗_R S⊗_R S, presented as (S⊗_R S)⊗_R S.
 
     The generators are x_i⊗e_b, for the canonical generators x_i of
@@ -273,9 +247,10 @@ class TripleTensorPower(TensorPower):
     The relations are (x_i·φ(r))⊗e_b − x_i⊗(φ(r)·e_b), for every source
     basis element r; x_i·φ(r) is read off the right action of S on S⊗_R S.
     So the cokernel is solved on rank₂·k generators, not on the k³ pure
-    tensors.  `group` is that cokernel; its own project and lift act on
-    the x_i⊗e_b.  Projection and lift on the k³ pure tensors are
-    composites through S⊗_R S: P = P_new·(P₂⊗I_k) and L = (L₂⊗I_k)·L_new.
+    tensors.  `group` is that cokernel, presented on the x_i⊗e_b.
+    Projection and lift on the k³ pure tensors, `np_project` and
+    `np_lift`, are composites through S⊗_R S: P = P_new·(P₂⊗I_k) and
+    L = (L₂⊗I_k)·L_new.
     When P_new and L_new are the identity, as when the relations vanish,
     they are P₂⊗I_k and L₂⊗I_k, and nothing is multiplied.  P and L are
     built on first use: an M_n(Z/m)/(Z/m) report reads neither.
@@ -283,10 +258,9 @@ class TripleTensorPower(TensorPower):
     Construction verifies, as exact matrix identities, that the right
     action agrees with the product on pure tensors, that P kills every
     balance relation of the pure tensors in slots (0,1) and (1,2), and
-    that P·L is the identity on canonical coordinates.
+    that P·L is the identity on canonical coordinates.  The heavy forms
+    read it through these arrays alone.
     """
-
-    arity = 3
 
     def __init__(self, square: TensorPower):
         hom = self.hom = square.hom
@@ -360,7 +334,7 @@ class TripleTensorPower(TensorPower):
 
 
 @lru_cache(maxsize=None)
-def tensor_power(hom: RingHom, arity: int) -> TensorPower:
+def tensor_power(hom: RingHom, arity: int) -> TensorPower | TripleTensorPower:
     """S⊗_R S (arity 2) or S⊗_R S⊗_R S (arity 3), structure maps verified."""
     if arity == 2:
         return TensorPower(hom)
@@ -589,9 +563,6 @@ def verdict_to_doc(verdict: SeparabilityVerdict) -> dict:
         "retractions": None
         if verdict.retractions is None
         else [[list(col) for col in r.matrix] for r in verdict.retractions],
-        "notes": {
-            key: (val if not isinstance(val, bool) else bool(val))
-            for key, val in verdict.notes.items()
-        },
+        "notes": dict(verdict.notes),
     }
     return doc

@@ -3,11 +3,13 @@
 The tensor algebra on a graded space, truncated past a fixed internal
 degree, carries the coproduct that makes the letters primitive: a word
 maps to the sum over position subsets of subword ⊗ complementary
-subword.  Every map used here (multiplication, coproduct, counit,
-length-component inclusions, the projection onto single letters, the
-primitive inclusion, the evaluation of words of primitives) preserves
-internal degree, so the truncated model computes the adjunction
-identities faithfully in all degrees up to the cutoff.
+subword.  No verdict evaluates the coproduct: the primitives are built
+from Lyndon words (see `primitives`), and tests/talg_util.py expands it
+word by word for the oracles.  Every map used here (multiplication,
+the projection onto single letters, the primitive inclusion, the
+evaluation of words of primitives) preserves internal degree, so the
+truncated model computes the adjunction identities faithfully in all
+degrees up to the cutoff.
 
 Building a model checks no law.  The bialgebra laws of concatenation and
 the subset coproduct hold for every base, so tests/test_tensorbialg.py
@@ -229,25 +231,11 @@ def _primitive_dims(dims, p, truncation):
     return tuple(out)
 
 
-def _delta(word):
-    """Coproduct of a word as a dict pair -> integer coefficient."""
-    out = {}
-    n = len(word)
-    for mask in range(1 << n):
-        left = tuple(word[i] for i in range(n) if mask >> i & 1)
-        right = tuple(word[i] for i in range(n) if not mask >> i & 1)
-        key = (left, right)
-        out[key] = out.get(key, 0) + 1
-    return out
-
-
 class TruncatedTensorBialgebra:
     """Tensor algebra on a graded base, truncated past internal degree N.
 
     Basis words are tuples of letters (degree, index); the empty word is
-    the unit.  Multiplication is concatenation (zero past the cutoff),
-    the coproduct is the position-subset rule, the counit projects to
-    the empty word.
+    the unit.  Multiplication is concatenation (zero past the cutoff).
     """
 
     def __init__(self, base: GradedSpace, truncation: int, guard=DIM_GUARD):
@@ -275,8 +263,6 @@ class TruncatedTensorBialgebra:
             w: (d, i) for d in range(truncation + 1) for i, w in enumerate(self.words[d])
         }
         self.carrier = GradedSpace(self.field, tuple(len(ws) for ws in self.words), tuple(map(tuple, labels)))
-
-    delta_word = staticmethod(_delta)
 
     @cached_property
     def letter_projection(self):

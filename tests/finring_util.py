@@ -6,13 +6,17 @@ slow way: one relation column per (r, i, j), one product of lifted
 generators at a time in nested loops, and the ideal closed under basis
 multiples element by element.  Both return (ring document, {hom name:
 matrix}), so a comparison covers the ring and every canonical hom.
+
+Ring elements are coordinate tuples, and `mul`, `add` and `scale` are
+their arithmetic.  `project` and `lift` move coordinates through a
+`FinAbPresentation` by its P and L, one row at a time.
 """
 
+import itertools
 import math
+import random
 
 import numpy as np
-
-import random
 
 from hsep.exactalg import cokernel, subgroup_basis
 from hsep.finring import (
@@ -42,6 +46,39 @@ def mul(ring, x, y):
             for l in range(ring.k):
                 out[l] += xi * yj * cell[l]
     return ring.reduce(out)
+
+
+def add(space, *xs):
+    """The sum of coordinate tuples of a ring or a presentation, by its moduli."""
+    return tuple(sum(cs) % m for cs, m in zip(zip(*xs, strict=True), space.moduli, strict=True))
+
+
+def scale(ring, c, x):
+    """c·x for an integer c."""
+    return ring.reduce([c * a for a in x])
+
+
+def elements(moduli):
+    """Every coordinate tuple of ⊕ Z/m_i, in lexicographic order."""
+    return itertools.product(*(range(m) for m in moduli))
+
+
+def _apply(mat, vec, vec_moduli, out_moduli):
+    """mat·vec reduced, with vec read modulo vec_moduli; None is the identity."""
+    vec = [int(x) % m for x, m in zip(vec, vec_moduli, strict=True)]
+    if mat is not None:
+        vec = [sum(int(a) * x for a, x in zip(row, vec)) for row in mat.tolist()]
+    return tuple(x % m for x, m in zip(vec, out_moduli))
+
+
+def project(pres, vec):
+    """Canonical coordinates of generator coordinates of a presentation."""
+    return _apply(pres.P, vec, pres.generator_moduli, pres.moduli)
+
+
+def lift(pres, vec):
+    """Generator coordinates of canonical ones, read modulo the moduli."""
+    return _apply(pres.L, vec, pres.moduli, pres.generator_moduli)
 
 
 def _unit_vector(n, i):
@@ -86,7 +123,7 @@ def oracle_tensor_product(hom_a, hom_b):
                 for j in range(kb):
                     if xb[j]:
                         raw[idx(i, j)] += xa[i] * xb[j]
-        return pres.project(raw)
+        return project(pres, raw)
 
     def mul_raw(x, y):
         # x, y are generator-coordinate vectors of pair tensors
@@ -111,8 +148,8 @@ def oracle_tensor_product(hom_a, hom_b):
         return out
 
     rank = pres.rank
-    lifts = [pres.lift(_unit_vector(rank, u)) for u in range(rank)]
-    table = [[pres.project(mul_raw(lu, lv)) for lv in lifts] for lu in lifts]
+    lifts = [lift(pres, _unit_vector(rank, u)) for u in range(rank)]
+    table = [[project(pres, mul_raw(lu, lv)) for lv in lifts] for lu in lifts]
     labels = tuple("t%d" % i for i in range(rank))
     label = "%s (x)_{%s} %s" % (a.label, base.label, b.label)
     ring = construct_ring(pres.moduli, table, pure_pair(a.unit, b.unit), label, labels)
@@ -144,11 +181,11 @@ def oracle_quotient(base, generators):
     relations = np.array(ideal, dtype=object).reshape(len(ideal), base.k).T
     pres = cokernel(relations, base.moduli)
     rank = pres.rank
-    lifts = [pres.lift(_unit_vector(rank, u)) for u in range(rank)]
-    table = [[pres.project(mul(base, lu, lv)) for lv in lifts] for lu in lifts]
+    lifts = [lift(pres, _unit_vector(rank, u)) for u in range(rank)]
+    table = [[project(pres, mul(base, lu, lv)) for lv in lifts] for lu in lifts]
     labels = tuple("q%d" % i for i in range(rank))
-    ring = construct_ring(pres.moduli, table, pres.project(base.unit), "%s/I" % base.label, labels)
-    cols = [pres.project(_unit_vector(base.k, i)) for i in range(base.k)]
+    ring = construct_ring(pres.moduli, table, project(pres, base.unit), "%s/I" % base.label, labels)
+    cols = [project(pres, _unit_vector(base.k, i)) for i in range(base.k)]
     return ring_to_doc(ring), _homs({"projection": check_ring_hom(cols, base, ring)})
 
 

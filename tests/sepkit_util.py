@@ -4,9 +4,10 @@ S⊗_R S is the Sweedler coring of the extension: comultiplication sends
 a⊗b to a⊗1⊗b and the counit is multiplication, so a heavy separability
 idempotent is exactly an invariant grouplike element of that coring.
 `is_h_idempotent` checks that equation one element at a time; sepkit
-solves it as a quadratic system instead.  `contains` and
-`verify_member` test membership in an `AffineSolutionSet` directly, by
-an integer solve and by substitution.
+solves it as a quadratic system instead.  `triple_class` and
+`triple_pure` read S⊗_R S⊗_R S through its projection array.
+`contains` and `verify_member` test membership in an
+`AffineSolutionSet` directly, by an integer solve and by substitution.
 """
 
 from functools import lru_cache
@@ -23,7 +24,6 @@ class NotSeparabilityIdempotent(ValueError):
 @lru_cache(maxsize=None)
 def np_sweedler(t2):
     """a⊗b ↦ a⊗1⊗b on canonical coordinates (rank3 x rank)."""
-    t2._require_square("the Sweedler comultiplication")
     tri = t2.triple
     k = t2.k
     p3 = tri.np_project.reshape(tri.group.rank, k, k, k)
@@ -46,12 +46,22 @@ def beta(t2, x, y):
     xm = t2.lift(x).reshape(k, k)
     ym = t2.lift(y).reshape(k, k)
     raw = np.einsum("ab,bce,cd->aed", xm, t, ym, optimize=True).ravel()
-    return t2.triple.project(raw)
+    return triple_class(t2.triple, raw)
+
+
+def triple_class(t3, raw):
+    """Canonical coordinates in S⊗_R S⊗_R S of a vector on the k³ pure tensors."""
+    rows = t3.np_project.tolist()
+    return tuple(sum(int(p) * int(v) for p, v in zip(row, raw, strict=True)) % d for row, d in zip(rows, t3.group.moduli))
+
+
+def triple_pure(t3, x, y, z):
+    """Class of the pure tensor x⊗y⊗z of coordinate tuples of S."""
+    return triple_class(t3, [a * b * c for a in x for b in y for c in z])
 
 
 def verify_coring_laws(t2):
     """(ε⊗1)Δ = id and (1⊗ε)Δ = id on canonical coordinates."""
-    t2._require_square("the coring laws")
     tri = t2.triple
     k, rank = t2.k, t2.group.rank
     t = t2.hom.target.np_mul

@@ -9,7 +9,9 @@ p-th powers by `mult_elt`.
 
 `tensorbialg` multiplies and evaluates words as Kronecker products of
 arrays.  The product here concatenates words one pair at a time, on
-lists of field elements, for any graded base.
+lists of field elements, for any graded base.  `tensorbialg` never
+evaluates the coproduct; `delta_word` expands it on one word, for the
+law checks and the whole-degree oracle.
 
 A field is its characteristic p, 0 for ℚ; its elements are `Fraction`s
 over ℚ and ints in 0..p−1 over 𝔽_p.
@@ -86,12 +88,24 @@ def kernel_basis(p, rows, ncols):
     return basis
 
 
+def delta_word(word):
+    """Coproduct of a word as a dict (left, right) -> integer coefficient:
+    one term per subset of positions, the subword on it ⊗ the rest."""
+    out = {}
+    n = len(word)
+    for mask in range(1 << n):
+        left = tuple(word[i] for i in range(n) if mask >> i & 1)
+        right = tuple(word[i] for i in range(n) if not mask >> i & 1)
+        out[(left, right)] = out.get((left, right), 0) + 1
+    return out
+
+
 def primitive_system(bialg, d):
     """Δ − (−)⊗1 − 1⊗(−) on the degree-d words, one dict row per ordered
     pair of words whose degrees sum to d."""
     rows = {}
     for j, w in enumerate(bialg.words[d]):
-        for pair, coeff in bialg.delta_word(w).items():
+        for pair, coeff in delta_word(w).items():
             rows.setdefault(pair, {})[j] = coeff
         for pair in ((w, ()), ((), w)):
             rows[pair][j] -= 1

@@ -14,6 +14,7 @@ from cat_util import (
 )
 from conftest import record_acceptance
 from corpus_util import build_corpus, zmod
+from finring_util import _unit_vector, add, scale
 from sepkit_util import contains, is_h_idempotent
 from test_tensorbialg import oracle_primitive_dims
 
@@ -48,10 +49,6 @@ from hsep.tensorbialg import (
 )
 
 HOMS, STD = build_corpus()
-
-
-def add_coords(group, a, b):
-    return tuple((x + y) % m for x, y, m in zip(a, b, group.moduli))
 
 
 EPI_SUITE = [
@@ -120,13 +117,13 @@ def test_criterion_2_matrix_rings_never_heavy():
             ring = std.ring
             t2 = tensor_power(hom, 2)
             by_label = {lab: i for i, lab in enumerate(ring.basis_labels)}
-            e = t2.group.zero()
+            e = (0,) * t2.group.rank
             for i in range(1, n + 1):
                 term = t2.pure(
-                    ring.basis_element(by_label["E%d1" % i]),
-                    ring.basis_element(by_label["E1%d" % i]),
+                    _unit_vector(ring.k, by_label["E%d1" % i]),
+                    _unit_vector(ring.k, by_label["E1%d" % i]),
                 )
-                e = add_coords(t2.group, e, term)
+                e = add(t2.group, e, term)
             case = "M%d(Z/%d)" % (n, base_n)
             if not t2.is_separability_idempotent(e):
                 problems.append("%s: standard idempotent fails substitution" % case)
@@ -157,8 +154,8 @@ def test_criterion_3_field_triviality():
     hom = HOMS["f3_into_f9"]
     t2 = tensor_power(hom, 2)
     s = hom.target
-    one, x = s.one(), s.basis_element(1)
-    expected = add_coords(t2.group, t2.pure(2 * one, one), t2.pure(2 * (-x), x))
+    one, x = s.unit, _unit_vector(s.k, 1)
+    expected = add(t2.group, t2.pure(scale(s, 2, one), one), t2.pure(scale(s, -2, x), x))
     if t2.locus.members() != [expected]:
         problems.append("f9: unique idempotent is not 2*(1⊗1 - i⊗i)")
     record_acceptance(3, "field triviality with explicit idempotent", not problems)
@@ -250,7 +247,8 @@ def test_criterion_7_composition_and_products():
         unit = std.homs["unit"]
         t2 = tensor_power(unit, 2)
         e0, e1 = std.elements["e_0"], std.elements["e_1"]
-        cross = t2.pure(e0, e1) == t2.group.zero() and t2.pure(e1, e0) == t2.group.zero()
+        zero = (0,) * t2.group.rank
+        cross = t2.pure(e0, e1) == zero and t2.pure(e1, e0) == zero
         va = h_separability_report(hom_a).is_h_separable is True
         vb = h_separability_report(hom_b).is_h_separable is True
         vs = h_separability_report(unit).is_h_separable is True

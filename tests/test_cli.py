@@ -6,7 +6,6 @@ import os
 import shutil
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -272,6 +271,31 @@ class TestCliErrors:
         code, out, err = run(capsys, "sep", "report", self.HOM)
         assert (code, out, err) == (2, "", "error: SEPKIT_CAP must not be negative: '-1'\n")
 
+    @pytest.mark.parametrize("command", ["sep report", "cat check", "ring standard"])
+    def test_reference_to_a_directory(self, capsys, tmp_path, command):
+        # the document is readable, but a file it names is a directory
+        (tmp_path / "dir").mkdir()
+        adjunction = json.loads((CORPUS / "rafael_c2" / "adjunction.json").read_text())
+        doc = {"sep report": {"source": "dir", "target": F2, "matrix": [[1]]}, "cat check": dict(adjunction, left="dir")}.get(command)
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        params = json.dumps({"base": str(tmp_path / "dir"), "n": 2})
+        argv = ["ring", "standard", "matrix", "--params", params] if doc is None else command.split() + [str(tmp_path / "doc.json")]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["ring validate", "sep report"])
+    @pytest.mark.parametrize("ring, reason", [("a.json", "expected a JSON object, got str"), ("c.json", "reference cycle")])
+    def test_reference_cycle(self, capsys, tmp_path, command, ring, reason):
+        # a.json holds the string "a.json", and c.json is M2 over itself
+        (tmp_path / "a.json").write_text(json.dumps("a.json"))
+        (tmp_path / "c.json").write_text(json.dumps({"kind": "matrix", "params": {"base": "c.json", "n": 2}}))
+        top = tmp_path / "top.json"
+        hom = {"source": ring, "target": F2, "matrix": [[1]]}
+        top.write_text(json.dumps(hom if command == "sep report" else {"kind": "matrix", "params": {"base": ring, "n": 2}}))
+        code, out, err = run(capsys, *command.split(), str(top))
+        assert (code, out, err) == (2, "", "error: %s: %s: %s\n" % (top, tmp_path / ring, reason))
+
     def test_cap_zero_is_legal(self, capsys, monkeypatch):
         expect = (3, "undecided: locus size 8 exceeds cap 0\n", "")
         assert run(capsys, "sep", "idempotents", self.HOM, "--cap", "0") == expect
@@ -523,7 +547,6 @@ class TestTalg:
         assert (reports["q"].pop("field"), reports["7"].pop("field")) == ("Q", "F7")
         assert reports["q"] == reports["7"]
         assert reports["q"]["evaluated_then_projected"] == [1, [1, 0]]
-        assert cli._scalar(Fraction(-3, 4)) == "-3/4"
 
     def test_witness_text_prints_scalars(self, capsys):
         code, out, _ = run(capsys, "talg", "witness", "--dim", "2", "--deg", "3", "--field", "q")
@@ -637,7 +660,8 @@ class TestTensorKernelGuard:
     def test_past_the_bound_at_each_arity(self, arity):
         for m in (46340, 46341):
             power = sepkit.tensor_power(identity_hom(zmod(m)), arity)
-            assert (power.arity, power.group.moduli) == (arity, (m,))
+            kind = {2: sepkit.TensorPower, 3: sepkit.TripleTensorPower}[arity]
+            assert type(power) is kind and power.group.moduli == (m,)
 
 
 class TestCoprimeModuliGuard:

@@ -16,6 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from finring_util import (
@@ -30,6 +31,7 @@ from finring_util import (
     seeded_cases,
     standard,
 )
+from hsep.exactalg import exact_einsum
 from hsep.finring import (
     BilinearityIncompatible,
     NotAdditiveWellDefined,
@@ -138,7 +140,8 @@ def test_hom_checks_against_loops():
             seen.add(found and found[0])
             for _ in range(3):
                 x, y = (tuple(rng.randrange(m) for m in target.moduli) for _ in range(2))
-                assert target.mul_coords(x, y) == mul(target, x, y)
+                xy = exact_einsum("i,j,ijl->l", np.array(x, dtype=object), np.array(y, dtype=object), target.np_mul)
+                assert target.reduce(xy.tolist()) == mul(target, x, y)
     assert seen == {True, False, None, NotAdditiveWellDefined, NotMultiplicative, NotUnital}
 
 

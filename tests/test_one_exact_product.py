@@ -1,9 +1,9 @@
 """One function picks int64 or Python ints for a contraction:
 `exactalg.exact_einsum`.  Any other comparison against 2⁶² or 2⁶³ in
 `src/hsep` is a second, private choice of that bound, unless it is one of
-the sites below, which choose no contraction dtype.  `sepkit.py`, whose
-tensor kernels once ran in raw int64, contracts only through
-`exact_einsum`: it has no `@` and no numpy product call."""
+the sites below, which choose no contraction dtype.  No module contracts
+but through `exact_einsum`: the one `@` or numpy product call in
+`src/hsep` is the `np.einsum` that `exact_einsum` makes itself."""
 
 import ast
 from pathlib import Path
@@ -88,7 +88,11 @@ def test_the_scan_finds_a_raw_product():
     assert raw_products("x = exact_einsum('ij,jk->ik', a, b) * 2\n") == []
 
 
-def test_sepkit_contracts_only_through_exact_einsum():
-    source = (SRC / "sepkit.py").read_text()
-    assert raw_products(source) == []
-    assert "exact_einsum(" in source
+def test_every_module_contracts_only_through_exact_einsum():
+    found = [(path.name, line, name) for path in sorted(SRC.glob("*.py")) for line, name in raw_products(path.read_text())]
+    tree = ast.parse((SRC / "exactalg.py").read_text())
+    own = next(node for node in tree.body if getattr(node, "name", None) == "exact_einsum")
+    kept = [(file, line, name) for file, line, name in found if file == "exactalg.py" and own.lineno <= line <= own.end_lineno]
+    assert [name for _, _, name in kept] == ["einsum"]
+    stray = ["%s:%d (%s)" % site for site in found if site not in kept]
+    assert stray == [], "raw products outside exactalg.exact_einsum at %s" % ", ".join(stray)

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from corpus_util import build_corpus, diagonal_into_matrix, zmod
+from finring_util import _unit_vector
 from quadratic_util import heavy_members, retraction_space, retractions
 
 from hsep import exactalg
@@ -245,7 +246,7 @@ class TestRetractionOracle:
 def matrix_unit_witness(t2, n, j):
     """Coordinates of Σ_i E_ij⊗E_ji in S⊗_R S."""
     s = t2.hom.target
-    unit = {lab: s.basis_element(c) for c, lab in enumerate(s.basis_labels)}
+    unit = {lab: _unit_vector(s.k, c) for c, lab in enumerate(s.basis_labels)}
     total = np.zeros(t2.group.rank, dtype=np.int64)
     for i in range(1, n + 1):
         total += t2.pure(unit["E%d%d" % (i, j)], unit["E%d%d" % (j, i)])

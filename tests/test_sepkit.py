@@ -3,12 +3,14 @@
 import pytest
 
 from corpus_util import build_corpus, zmod
+from finring_util import _unit_vector, add, mul, scale
 from sepkit_util import (
     NotSeparabilityIdempotent,
     beta,
     contains,
     is_h_idempotent,
     sweedler_delta,
+    triple_pure,
     verify_coring_laws,
     verify_member,
 )
@@ -25,10 +27,6 @@ from hsep.sepkit import (
 )
 
 
-def add_coords(group, a, b):
-    return tuple((x + y) % m for x, y, m in zip(a, b, group.moduli))
-
-
 HOMS, STD = build_corpus()
 
 
@@ -36,7 +34,7 @@ class TestTensorPower:
     def test_identity_tensor_is_base(self):
         t2 = tensor_power(HOMS["id_z6"], 2)
         assert t2.group.order == 6
-        one = t2.hom.target.one()
+        one = t2.hom.target.unit
         assert any(t2.pure(one, one))
 
     def test_z4_to_z2_collapse(self):
@@ -55,11 +53,11 @@ class TestTensorPower:
         t2 = tensor_power(hom, 2)
         s, r = hom.target, hom.source
         for ri in range(r.k):
-            img = hom.target.element(hom.matrix[ri])
+            img = hom.matrix[ri]
             for a in range(s.k):
                 for b in range(s.k):
-                    x, y = s.basis_element(a), s.basis_element(b)
-                    assert t2.pure(x * img, y) == t2.pure(x, img * y)
+                    x, y = _unit_vector(s.k, a), _unit_vector(s.k, b)
+                    assert t2.pure(mul(s, x, img), y) == t2.pure(x, mul(s, img, y))
 
     def test_mult_and_delta_on_pure(self):
         hom = HOMS["f2_diag_f2sq"]
@@ -67,10 +65,10 @@ class TestTensorPower:
         s = hom.target
         for a in range(s.k):
             for b in range(s.k):
-                x, y = s.basis_element(a), s.basis_element(b)
+                x, y = _unit_vector(s.k, a), _unit_vector(s.k, b)
                 e = t2.pure(x, y)
-                assert t2.mult(e).coords == (x * y).coords
-                assert sweedler_delta(t2, e) == t2.triple.pure(x, s.one(), y)
+                assert t2.mult(e) == mul(s, x, y)
+                assert sweedler_delta(t2, e) == triple_pure(t2.triple, x, s.unit, y)
 
     def test_coring_counit_laws(self):
         for name in ("id_f2", "z4_to_z2", "f2_diag_f2sq", "t2_into_m2", "f3_into_f9"):
@@ -94,10 +92,10 @@ class TestSeparabilityLocus:
         t2 = tensor_power(hom, 2)
         s = hom.target
         by_label = {lab: i for i, lab in enumerate(s.basis_labels)}
-        e11 = s.basis_element(by_label["E11"])
-        e21 = s.basis_element(by_label["E21"])
-        e12 = s.basis_element(by_label["E12"])
-        e = add_coords(t2.group, t2.pure(e11, e11), t2.pure(e21, e12))
+        e11 = _unit_vector(s.k, by_label["E11"])
+        e21 = _unit_vector(s.k, by_label["E21"])
+        e12 = _unit_vector(s.k, by_label["E12"])
+        e = add(t2.group, t2.pure(e11, e11), t2.pure(e21, e12))
         assert t2.is_separability_idempotent(e)
         locus = separability_locus(hom)
         assert contains(locus, e)
@@ -106,9 +104,9 @@ class TestSeparabilityLocus:
         hom = HOMS["f2_diag_f2sq"]
         t2 = tensor_power(hom, 2)
         s = hom.target
-        e1 = s.element((1, 0))
-        e2 = s.element((0, 1))
-        e = add_coords(t2.group, t2.pure(e1, e1), t2.pure(e2, e2))
+        e1 = (1, 0)
+        e2 = (0, 1)
+        e = add(t2.group, t2.pure(e1, e1), t2.pure(e2, e2))
         locus = separability_locus(hom)
         assert contains(locus, e)
         assert not contains(locus, t2.one_one)
@@ -125,35 +123,34 @@ class TestHIdempotent:
     def test_diagonal_idempotent_not_heavy(self):
         hom = HOMS["f2_diag_f2sq"]
         t2 = tensor_power(hom, 2)
-        s = hom.target
-        e1, e2 = s.element((1, 0)), s.element((0, 1))
-        e = add_coords(t2.group, t2.pure(e1, e1), t2.pure(e2, e2))
+        e1, e2 = (1, 0), (0, 1)
+        e = add(t2.group, t2.pure(e1, e1), t2.pure(e2, e2))
         assert not is_h_idempotent(t2, e)
         # the surviving cross term is e1⊗e2⊗e1 + e2⊗e1⊗e2
         lhs = beta(t2, e, e)
         rhs = sweedler_delta(t2, e)
         t3 = t2.triple
-        cross = add_coords(
-            t3.group, t3.pure(e1, e2, e1), t3.pure(e2, e1, e2)
+        cross = add(
+            t3.group, triple_pure(t3, e1, e2, e1), triple_pure(t3, e2, e1, e2)
         )
-        assert lhs == add_coords(t3.group, rhs, cross)
+        assert lhs == add(t3.group, rhs, cross)
 
     def test_matrix_idempotent_not_heavy(self):
         hom = HOMS["f2_into_m2"]
         t2 = tensor_power(hom, 2)
         s = hom.target
         by_label = {lab: i for i, lab in enumerate(s.basis_labels)}
-        e = add_coords(
+        e = add(
             t2.group,
-            t2.pure(s.basis_element(by_label["E11"]), s.basis_element(by_label["E11"])),
-            t2.pure(s.basis_element(by_label["E21"]), s.basis_element(by_label["E12"])),
+            t2.pure(_unit_vector(s.k, by_label["E11"]), _unit_vector(s.k, by_label["E11"])),
+            t2.pure(_unit_vector(s.k, by_label["E21"]), _unit_vector(s.k, by_label["E12"])),
         )
         assert not is_h_idempotent(t2, e)
 
     def test_precondition_enforced(self):
         t2 = tensor_power(HOMS["f2_diag_f2sq"], 2)
         with pytest.raises(NotSeparabilityIdempotent):
-            is_h_idempotent(t2, t2.group.zero())
+            is_h_idempotent(t2, (0,) * t2.group.rank)
 
 
 class TestRingEpimorphism:
@@ -217,12 +214,12 @@ class TestReport:
         assert v.sep_locus.size == 1
         t2 = tensor_power(hom, 2)
         s = hom.target
-        one, x = s.one(), s.basis_element(1)
+        one, x = s.unit, _unit_vector(s.k, 1)
         # 2*(1⊗1 − i⊗i) with i² = −1
-        expected = add_coords(
+        expected = add(
             t2.group,
-            t2.pure(2 * one, one),
-            t2.pure(2 * (-x), x),
+            t2.pure(scale(s, 2, one), one),
+            t2.pure(scale(s, -2, x), x),
         )
         assert v.sep_locus.members() == [expected]
 
@@ -267,4 +264,5 @@ class TestReport:
         big = construct_ring((10**6,), (((1,),),), (1,), "Z/1e6")
         for arity in (2, 3):
             power = tensor_power(identity_hom(big), arity)
-            assert power.group.moduli == (10**6,) and power.one_one == (1,)
+            one_one = power.one_one if arity == 2 else triple_pure(power, (1,), (1,), (1,))
+            assert power.group.moduli == (10**6,) and one_one == (1,)

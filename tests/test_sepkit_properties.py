@@ -3,6 +3,7 @@
 import numpy as np
 
 from corpus_util import build_corpus, zmod
+from finring_util import mul
 from sepkit_util import is_h_idempotent, verify_coring_laws
 
 from hsep.finring import commutativity_report, compose_homs, construct_standard_ring
@@ -92,9 +93,8 @@ class TestProductCriterion:
         unit = std.homs["unit"]
         t2 = tensor_power(unit, 2)
         e0, e1 = std.elements["e_0"], std.elements["e_1"]
-        cross_vanish = (
-            t2.pure(e0, e1) == t2.group.zero() and t2.pure(e1, e0) == t2.group.zero()
-        )
+        zero = (0,) * t2.group.rank
+        cross_vanish = t2.pure(e0, e1) == zero and t2.pure(e1, e0) == zero
         va = h_separability_report(hom_a)
         vb = h_separability_report(hom_b)
         vs = h_separability_report(unit)
@@ -208,7 +208,7 @@ def image_subring(hom):
     def image_mul(ci, cj):
         a = [sum(c * g[l] for c, g in zip(ci, gens)) for l in range(s.k)]
         b = [sum(c * g[l] for c, g in zip(cj, gens)) for l in range(s.k)]
-        return express(s.mul_coords(s.reduce(a), s.reduce(b)))
+        return express(mul(s, s.reduce(a), s.reduce(b)))
 
     t = len(gens)
     basis = [tuple(1 if i == j else 0 for j in range(t)) for i in range(t)]

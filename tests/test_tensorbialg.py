@@ -16,6 +16,7 @@ import pytest
 
 import talg_census
 from talg_util import (
+    delta_word,
     element,
     evaluation_blocks,
     lie_basis,
@@ -184,12 +185,12 @@ class TestModelLaws:
         b = law_model(base, fname)
         field = b.field
         for w in all_words(b):
-            delta = b.delta_word(w)
+            delta = delta_word(w)
             left, right, eps_left, eps_right = {}, {}, {}, {}
             for (w1, w2), c in delta.items():
-                for (u1, u2), c2 in b.delta_word(w1).items():
+                for (u1, u2), c2 in delta_word(w1).items():
                     left[(u1, u2, w2)] = left.get((u1, u2, w2), 0) + c * c2
-                for (u1, u2), c2 in b.delta_word(w2).items():
+                for (u1, u2), c2 in delta_word(w2).items():
                     right[(w1, u1, u2)] = right.get((w1, u1, u2), 0) + c * c2
                 if w1 == ():
                     eps_left[w2] = eps_left.get(w2, 0) + c
@@ -204,11 +205,11 @@ class TestModelLaws:
         for w1 in all_words(b):
             for w2 in all_words(b, b.N - b.index[w1][0]):
                 rhs = {}
-                for (a1, a2), c1 in b.delta_word(w1).items():
-                    for (b1, b2), c2 in b.delta_word(w2).items():
+                for (a1, a2), c1 in delta_word(w1).items():
+                    for (b1, b2), c2 in delta_word(w2).items():
                         key = (a1 + b1, a2 + b2)
                         rhs[key] = rhs.get(key, 0) + c1 * c2
-                lhs = reduce_counts(b.field, b.delta_word(w1 + w2))
+                lhs = reduce_counts(b.field, delta_word(w1 + w2))
                 assert lhs == reduce_counts(b.field, rhs), (w1, w2)
 
     def test_letter_projection_retracts_letters(self, base, fname):
@@ -236,7 +237,7 @@ class TestConstruction:
         # Δ(vw) = 1⊗vw + v⊗w + w⊗v + vw⊗1, by direct expansion
         b = build_truncated(2, "q", 2)
         v, w = (1, 0), (1, 1)
-        expansion = b.delta_word((v, w))
+        expansion = delta_word((v, w))
         assert expansion == {
             ((), (v, w)): 1,
             ((v,), (w,)): 1,
