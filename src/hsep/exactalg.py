@@ -19,8 +19,11 @@ that.  `_rref` is
 the workbench's one row reduction, with `_kernel` beside it, over 𝔽_p
 for every prime: XOR on GF(2), int64 while no product can overflow,
 Python ints past that.  Nothing eliminates over ℚ; the tensor
-bialgebra's primitives are built, not solved.  `cokernel` over a prime
-solves through it, and so does `solve_quadratic`, which
+bialgebra's primitives are built, not solved.  `cokernel`,
+`subgroup_basis` and `solve_modular_system` solve through it when every
+modulus is one prime within that int64 bound (`_one_prime`), and take
+the Smith form otherwise; the solver's two paths give the same
+particular solution.  `solve_quadratic` eliminates through it too; it
 finds the members of an affine set where a system of quadratic forms
 vanishes: by CRT over the prime powers of the moduli, linearization with
 branching over 𝔽_p, and Hensel lifting mod p^k.  A presentation holds its projection
@@ -151,9 +154,8 @@ class _SnfWorker:
     sets keep pivot search cheap on large mostly-diagonal inputs.
     """
 
-    def __init__(self, rows, m):
+    def __init__(self, rows):
         self.n = len(rows)
-        self.m = m
         self.M = rows
         self.row_ops = []
         self.col_ops = []
@@ -302,7 +304,7 @@ def _unit_columns(n, cols):
 def _smith(rows, m):
     """Smith normal form of the n x m matrix given as lists of Python ints,
     which it reduces in place."""
-    w = _SnfWorker(rows, m)
+    w = _SnfWorker(rows)
     n, M, nz = w.n, w.M, w.nz
     limit = min(n, m)
     t = 0
@@ -446,6 +448,18 @@ def _field_dtype(p):
     return np.int64 if (p - 1) ** 2 + (p - 1) < 2**63 else object
 
 
+def _one_prime(moduli):
+    """p when every modulus is one prime p within `_field_dtype`'s int64
+    bound, else None: the moduli on which the 𝔽_p paths run.  Equality is
+    checked first, so trial division runs on one value; past the int64
+    bound the Smith path is as exact, and it skips the trial division of
+    a large modulus."""
+    p = moduli[0] if moduli else None
+    if p is not None and all(m == p for m in moduli) and _field_dtype(p) is np.int64 and _is_prime(p):
+        return p
+    return None
+
+
 def _clear(rows, c, pivot_row, p):
     """Subtract multiples of pivot_row from rows until column c is zero."""
     colv = rows[:, c]
@@ -490,6 +504,17 @@ def _rref(rows, p):
     return (A.astype(np.int64) if p == 2 else A), pivots
 
 
+def _unique_rows(rows):
+    """The distinct rows of a 2-D integer array (int64 or Python ints), in
+    lexicographic order: one lexsort and a compare of neighbouring rows."""
+    if rows.shape[0] < 2:
+        return rows
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(rows.shape[0], dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
 def _kernel(rows, p):
     """Kernel basis of a 2-D integer array over GF(p).
 
@@ -497,7 +522,12 @@ def _kernel(rows, p):
     identity on the free columns, and rows·K ≡ 0; each pivot coordinate is
     minus its rref row on the free columns."""
     rref, pivots = _rref(rows, p)
-    ncols = rows.shape[1]
+    return _rref_kernel(rref, pivots, rows.shape[1], p)
+
+
+def _rref_kernel(rref, pivots, ncols, p):
+    """`_kernel` of the first `ncols` columns of an rref whose pivots all
+    fall among them."""
     free = np.setdiff1d(np.arange(ncols), pivots)
     K = np.zeros((ncols, len(free)), dtype=rref.dtype)
     K[free, np.arange(len(free))] = 1
@@ -507,7 +537,7 @@ def _kernel(rows, p):
 
 def _cokernel_mod_prime(relations, mods, p):
     g = len(mods)
-    K, free = _kernel(np.unique((relations % p).astype(np.int64).T, axis=0), p)
+    K, free = _kernel(_unique_rows((relations % p).astype(np.int64).T), p)
     if len(free) == g:
         return FinAbPresentation(mods, mods)
     # the relations are the row span, so x ↦ Kᵀx kills exactly them
@@ -545,10 +575,8 @@ def cokernel(relations: np.ndarray, generator_moduli) -> FinAbPresentation:
             return FinAbPresentation(mods, mods)
         eye = np.eye(g, dtype=np.int64)
         return _presentation(tuple(mods[i] for i in keep), mods, eye[keep], eye[:, keep])
-    p = mods[0]
-    # past the int64 bound the Smith path is as exact, and it skips the
-    # trial division of a large modulus
-    if all(mi == p for mi in mods) and _field_dtype(p) is np.int64 and _is_prime(p):
+    p = _one_prime(mods)
+    if p is not None:
         return _cokernel_mod_prime(relations, mods, p)
     snf = smith_normal_form(np.hstack([relations, _diagonal(mods)]))
     d = snf.diagonal
@@ -568,6 +596,13 @@ def subgroup_basis(vectors: np.ndarray, ambient_moduli):
     Returns (generators, orders); orders form a divisor chain and the
     subgroup is the internal direct sum of the cyclic pieces, so
     enumerating all coefficient tuples hits each element exactly once.
+
+    When every M_j is one prime p (`_one_prime`), the subgroup is an
+    𝔽_p-subspace and the generators are the nonzero rows of its reduced
+    row echelon form (`_rref`), each of order p.  The Smith path, which
+    runs on every other set of moduli, gives orders (p,)·rank over a
+    prime too, so both paths give the same orders and the same subgroup;
+    the generators differ.
     """
     M = tuple(int(x) for x in ambient_moduli)
     n = len(M)
@@ -576,6 +611,10 @@ def subgroup_basis(vectors: np.ndarray, ambient_moduli):
         raise DimensionMismatch("subgroup vectors have %d coordinates for %d moduli" % (width, n))
     if n == 0:
         return (), ()
+    p = _one_prime(M)
+    if p is not None:
+        rref, _ = _rref(vectors % p, p)
+        return tuple(map(tuple, rref.tolist())), (p,) * len(rref)
     mods = np.array(M, dtype=object)
     reduced = (vectors.astype(object) % mods).tolist()
     vecs = [v for v in dict.fromkeys(map(tuple, reduced)) if any(v)]
@@ -671,6 +710,42 @@ def _integer_solve_full(mat_rows, rhs, width):
     return s.v_dot(w), s.v_dot(_unit_columns(width, free)).T
 
 
+def _rref_solution(aug, p):
+    """(x, rref, pivots) of a system [A | b] over 𝔽_p, given reduced in
+    int64: x is the rref's constant on each pivot column and 0 on every
+    free one.  None when a pivot falls in the b column."""
+    rref, pivots = _rref(aug, p)
+    width = aug.shape[1] - 1
+    if pivots and pivots[-1] == width:
+        return None
+    x = np.zeros(width, dtype=np.int64)
+    x[pivots] = rref[:, width]
+    return x, rref, pivots
+
+
+def _solve_mod_prime(aug, p):
+    """(particular, kernel basis as rows) of [A | b] over 𝔽_p, from one
+    rref, or None when the system is inconsistent.
+
+    An inconsistent system must be proved so: a y with yA ≡ 0 and yb ≡ 1
+    solves [Aᵀ 0; bᵀ 1] over 𝔽_p, and the product y·[A | b] is checked,
+    so a corrupt reduction cannot pass for an inconsistent system; a
+    solution is checked by `AffineSolutionSet`."""
+    n_eq, width = aug.shape[0], aug.shape[1] - 1
+    sol = _rref_solution(aug, p)
+    if sol is None:
+        dual = np.zeros((width + 1, n_eq + 1), dtype=np.int64)
+        dual[:, :n_eq] = aug.T
+        dual[width, n_eq] = 1
+        y = _rref_solution(dual, p)
+        proof = None if y is None else exact_einsum("g,gw->w", y[0], aug) % p
+        if proof is None or proof[:-1].any() or not proof[-1]:
+            raise ConstructionCheckFailed("the row reduction does not prove the system inconsistent")
+        return None
+    x, rref, pivots = sol
+    return x, _rref_kernel(rref, pivots, width, p)[0].T
+
+
 @dataclass(frozen=True)
 class AffineSolutionSet:
     """particular + subgroup, in the coordinates of `coordinate_moduli`.
@@ -750,9 +825,21 @@ def solve_modular_system(a: np.ndarray, b, moduli, unknown_moduli=None) -> Affin
     deduplicated by an echelon pass over Z/lcm, then the modulus columns
     are adjoined and the single integer system is solved through the
     Smith normal form.
+
+    When every equation and unknown modulus is one prime p
+    (`_one_prime`), one `_rref` of [A | b] over 𝔽_p replaces all three
+    steps: the particular solution is the rref's constant on each pivot
+    column and 0 on each free one, and the kernel generators are
+    `_kernel`'s basis, of orders (p,)·d.  An inconsistent system must
+    carry a checked proof, a y with yA ≡ 0 and yb ≢ 0.  The particular
+    is the one the Smith path returns.  Over a prime, `_echelon_mod`
+    leaves every row with a leading 1 and never rewrites a basis row;
+    `_smith` on [E | p·I] then pivots at (t, c_t) in order with no row
+    operation, and its column operations only add pivot columns into
+    later columns, so V·w is 0 on every free coordinate.
+    `tests/test_prime_solve.py` compares the two paths.
     """
-    a_rows = _int_rows(a, "system matrix")
-    n_eq, n_x = a.shape
+    n_eq, n_x = _check_matrix(a, "system matrix")
     if len(b) != n_eq or len(moduli) != n_eq:
         raise DimensionMismatch("system has %d equations, got %d rhs / %d moduli" % (n_eq, len(b), len(moduli)))
     mods = tuple(int(m) for m in moduli)
@@ -780,12 +867,20 @@ def solve_modular_system(a: np.ndarray, b, moduli, unknown_moduli=None) -> Affin
 
     if L == 1 or n_eq == 0:
         return full_ambient()
+    empty = AffineSolutionSet(M, None, (), (), system)
+    p = _one_prime(mods + M)
+    if p is not None:
+        b_col = np.array([bi % p for bi in b], dtype=np.int64)[:, None]
+        sol = _solve_mod_prime(np.hstack([(a % p).astype(np.int64), b_col]), p)
+        if sol is None:
+            return empty
+        x, gens = sol
+        return AffineSolutionSet(M, tuple(x.tolist()), tuple(map(tuple, gens.tolist())), (p,) * len(gens), system)
     aug = []
-    for row, mi, bi in zip(a_rows, mods, b):
+    for row, mi, bi in zip(_int_rows(a, "system matrix"), mods, b):
         s = L // mi
         aug.append([(x * s) % L for x in row] + [(bi * s) % L])
     ech = _echelon_mod(aug, L)
-    empty = AffineSolutionSet(M, None, (), (), system)
     eqs = []
     for row in ech:
         if any(row[:n_x]):
@@ -839,10 +934,7 @@ def _grid(sizes):
 
 
 def _distinct_rows(rows):
-    rows = rows[(rows != 0).any(axis=1)]
-    if rows.dtype != object and rows.shape[0] > 1:  # np.unique takes no axis on object arrays
-        rows = np.unique(rows, axis=0)
-    return rows
+    return _unique_rows(rows[(rows != 0).any(axis=1)])
 
 
 def _affine_map(rows, pivots, q):

@@ -34,6 +34,7 @@ from .exactalg import (
     DimensionMismatch,
     _int_array,
     _is_prime,
+    _unique_rows,
     cokernel,
     exact_einsum,
     solve_modular_system,
@@ -589,18 +590,20 @@ def balance_relations(right, left):
     the right R-module X; left[r, b, c] is coordinate c of φ(r)·e_b.  Rows
     are the generators x_j⊗e_c, j-major.  Zero columns are dropped and
     the rest come once each, in lexicographic order.
+
+    Column (r, i, b) is zero exactly when right[r, i] is supported on i,
+    left[r, b] on b, and right[r, i, i] == left[r, b, b] as integers, so
+    only the other columns are built.
     """
-    kr, n, _ = right.shape
-    k = left.shape[1]
-    rel = exact_einsum("rij,bc->jcrib", right, np.eye(k, dtype=np.int64)) - exact_einsum(
-        "ij,rbc->jcrib", np.eye(n, dtype=np.int64), left
+    n, k = right.shape[1], left.shape[1]
+    rdiag, ldiag = right[:, np.arange(n), np.arange(n)], left[:, np.arange(k), np.arange(k)]
+    r_off = ((right != 0) & ~np.eye(n, dtype=bool)).any(axis=2)
+    l_off = ((left != 0) & ~np.eye(k, dtype=bool)).any(axis=2)
+    r, i, b = np.nonzero(r_off[:, :, None] | l_off[:, None, :] | (rdiag[:, :, None] != ldiag[:, None, :]))
+    cols = exact_einsum("tj,tc->tjc", right[r, i], np.eye(k, dtype=np.int64)[b]) - exact_einsum(
+        "tj,tc->tjc", np.eye(n, dtype=np.int64)[i], left[r, b]
     )
-    arr = rel.reshape(n * k, kr * n * k)
-    arr = arr[:, (arr != 0).any(axis=0)]
-    if arr.dtype == object:  # np.unique takes no axis on object arrays
-        cols = sorted(set(map(tuple, arr.T.tolist())))
-        return np.array(cols, dtype=object).reshape(len(cols), n * k).T
-    return np.unique(arr, axis=1) if arr.shape[1] else arr
+    return _unique_rows(cols.reshape(len(r), n * k)).T
 
 
 def _ring_on_presentation(pres, mul, unit, label, prefix):

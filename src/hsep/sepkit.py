@@ -109,10 +109,9 @@ class TensorPower:
         k = self.k = s.k
         self.gens = k * k
         self.np_gen_moduli = np.gcd.outer(s.np_moduli, s.np_moduli).ravel()
-        self.gen_moduli = tuple(int(m) for m in self.np_gen_moduli)
         # gens x ncols, kept for the well-definedness checks
         self.relation_array = _balance_relations(*_phi_actions(hom))
-        group = self.group = cokernel(self.relation_array, self.gen_moduli)
+        group = self.group = cokernel(self.relation_array, self.np_gen_moduli)
         self.np_moduli = _int_array(group.moduli, (group.rank,))
         if group.is_identity:
             self.np_project = self.np_lift = np.eye(self.gens, dtype=np.int64)

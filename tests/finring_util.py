@@ -18,7 +18,7 @@ import random
 
 import numpy as np
 
-from hsep.exactalg import cokernel, subgroup_basis
+from hsep.exactalg import cokernel, exact_einsum, subgroup_basis
 from hsep.finring import (
     NotAdditiveWellDefined,
     NotMultiplicative,
@@ -157,6 +157,24 @@ def oracle_tensor_product(hom_a, hom_b):
     right = check_ring_hom([pure_pair(a.unit, _unit_vector(kb, j)) for j in range(kb)], b, ring)
     homs = {"left": left, "right": right, "unit": compose_homs(left, hom_a)}
     return ring_to_doc(ring), _homs(homs)
+
+
+def dense_balance_relations(right, left):
+    """`finring.balance_relations` the dense way: every column (r, i, b)
+    as (x_i·φ(r))⊗e_b − x_i⊗(φ(r)·e_b), by two contractions with
+    identities, then the zero columns dropped and the rest deduplicated
+    and sorted by `np.unique`, or by a set of tuples on Python ints."""
+    kr, n, _ = right.shape
+    k = left.shape[1]
+    rel = exact_einsum("rij,bc->jcrib", right, np.eye(k, dtype=np.int64)) - exact_einsum(
+        "ij,rbc->jcrib", np.eye(n, dtype=np.int64), left
+    )
+    arr = rel.reshape(n * k, kr * n * k)
+    arr = arr[:, (arr != 0).any(axis=0)]
+    if arr.dtype == object:  # np.unique takes no axis on object arrays
+        cols = sorted(set(map(tuple, arr.T.tolist())))
+        return np.array(cols, dtype=object).reshape(len(cols), n * k).T
+    return np.unique(arr, axis=1) if arr.shape[1] else arr
 
 
 def oracle_ideal(ring, generators):

@@ -383,6 +383,19 @@ class TestRowReduction:
             assert ((0 <= K) & (K < p)).all()
 
 
+class TestUniqueRows:
+    def test_matches_np_unique(self):
+        # np.unique(axis=0) sorts rows through a structured dtype; the
+        # lexsort gives the same rows in the same order, on Python ints too
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            a = rng.integers(-3, 3, size=(int(rng.integers(0, 25)), int(rng.integers(1, 5))))
+            expect = np.unique(a, axis=0).tolist()
+            assert exactalg._unique_rows(a).tolist() == expect
+            big = exactalg._unique_rows(a.astype(object) * 2**70)
+            assert big.tolist() == [[x * 2**70 for x in row] for row in expect]
+
+
 class TestPrimesPastInt64:
     """Past p(p − 1) ≥ 2⁶³ the elimination runs on Python ints."""
 
@@ -607,11 +620,12 @@ class TestSmithReads:
         assert built["smith"] > 0 and set(built) <= {"smith", "U"}
 
 
-# the solver's form corrupted in one logged operation: system, log, message
+# the solver's form corrupted in one logged operation: system, log, message;
+# every modulus is composite, since a prime system never takes the Smith path
 CORRUPT_SOLVER_FORMS = [
     ([[2, 3, 5], [1, 4, 6]], [1, 2], [6, 9], "row_ops", "the Smith form does not prove the system inconsistent"),
     ([[2, 3, 5], [1, 4, 6]], [1, 2], [6, 9], "col_ops", "the particular solution fails the defining system"),
-    ([[1, 1]], [1], [2], "col_ops", "kernel generator 0 fails the defining system"),
+    ([[1, 1]], [1], [4], "col_ops", "kernel generator 0 fails the defining system"),
 ]
 CORRUPT_SOLVER_FORM = """
 import dataclasses

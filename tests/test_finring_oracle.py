@@ -23,6 +23,7 @@ from finring_util import (
     SEEDED_MODULI,
     big_basis_cases,
     big_basis_ring,
+    dense_balance_relations,
     mul,
     oracle,
     oracle_bilinearity_failure,
@@ -31,6 +32,9 @@ from finring_util import (
     seeded_cases,
     standard,
 )
+from corpus_util import build_corpus
+
+from hsep import finring, sepkit
 from hsep.exactalg import exact_einsum
 from hsep.finring import (
     BilinearityIncompatible,
@@ -190,3 +194,52 @@ def test_under_optimize():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "optimize=1 cases=27 mismatches=0"
+
+
+def balance_homs():
+    homs = dict(build_corpus()[0])
+    for n in (4, 6):
+        homs.update(("seeded over Z/%d #%d" % (n, i), h) for i, h in enumerate(seeded_homs(n)))
+    ring = big_basis_ring()
+    homs["big basis identity"] = identity_hom(ring)
+    return homs
+
+
+BALANCE_HOMS = balance_homs()
+
+
+@pytest.mark.parametrize("name", sorted(BALANCE_HOMS))
+def test_balance_relations_against_dense(monkeypatch, name):
+    # S⊗S and S⊗S⊗S each build their relations once
+    calls = []
+
+    def record(right, left):
+        calls.append((right, left, finring.balance_relations(right, left)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(sepkit, "_balance_relations", record)
+    sepkit.TensorPower(BALANCE_HOMS[name]).triple
+    assert len(calls) == 2
+    for right, left, ours in calls:
+        dense = dense_balance_relations(right, left)
+        assert (ours.shape, ours.dtype) == (dense.shape, dense.dtype)
+        assert ours.tolist() == dense.tolist()
+
+
+@pytest.mark.parametrize("scale", [1, 2**61, 2**70])
+def test_balance_relations_on_random_actions(scale):
+    # mostly diagonal actions, so that many columns vanish, with entries
+    # past int64 at the largest scale
+    rng = random.Random(scale % 1000)
+    for _ in range(30):
+        kr, n, k = rng.randint(0, 3), rng.randint(0, 4), rng.randint(0, 4)
+
+        def action(size):
+            a = [[[rng.choice([0, 1, -1, 2]) * scale if i == j or rng.random() < 0.15 else 0 for j in range(size)]
+                  for i in range(size)] for _ in range(kr)]
+            return np.array(a, dtype=np.int64 if scale < 2**62 else object).reshape(kr, size, size)
+
+        right, left = action(n), action(k)
+        ours, dense = finring.balance_relations(right, left), dense_balance_relations(right, left)
+        assert (ours.shape, ours.dtype) == (dense.shape, dense.dtype)
+        assert ours.tolist() == dense.tolist()

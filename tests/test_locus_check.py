@@ -83,6 +83,8 @@ class TestEveryMemberOracle:
 
 class TestFaultInjection:
     LOCUS = separability_locus(CASES["M2(Z/3)"])
+    # the Smith path solves only systems over a composite modulus
+    COMPOSITE = separability_locus(CASES["M2(Z/4)"])
 
     def test_corrupted_generator_by_replace(self):
         gens = (self.LOCUS.particular,) + self.LOCUS.kernel_generators[1:]
@@ -96,21 +98,22 @@ class TestFaultInjection:
 
     def test_corrupted_generator_in_the_solver(self, monkeypatch):
         original = exactalg.subgroup_basis
-        j = failing_column(self.LOCUS)
+        j = failing_column(self.COMPOSITE)
 
         def corrupt(vectors, moduli):
             gens, orders = original(vectors, moduli)
             bad = tuple((x + (i == j)) % m for i, (x, m) in enumerate(zip(gens[-1], moduli)))
             return gens[:-1] + (bad,), orders
 
-        assert resolve(self.LOCUS) == self.LOCUS
+        assert resolve(self.COMPOSITE) == self.COMPOSITE
         monkeypatch.setattr(exactalg, "subgroup_basis", corrupt)
-        with pytest.raises(ConstructionCheckFailed, match="kernel generator %d" % (len(self.LOCUS.kernel_generators) - 1)):
-            resolve(self.LOCUS)
+        last = len(self.COMPOSITE.kernel_generators) - 1
+        with pytest.raises(ConstructionCheckFailed, match="kernel generator %d" % last):
+            resolve(self.COMPOSITE)
 
     def test_corrupted_particular_in_the_solver(self, monkeypatch):
         original = exactalg._integer_solve_full
-        j = failing_column(self.LOCUS)
+        j = failing_column(self.COMPOSITE)
 
         def corrupt(mat_rows, rhs, width):
             z0, kernel = original(mat_rows, rhs, width)
@@ -118,7 +121,7 @@ class TestFaultInjection:
 
         monkeypatch.setattr(exactalg, "_integer_solve_full", corrupt)
         with pytest.raises(ConstructionCheckFailed, match="particular solution"):
-            resolve(self.LOCUS)
+            resolve(self.COMPOSITE)
 
     def test_not_an_assertion(self):
         assert not issubclass(ConstructionCheckFailed, AssertionError)

@@ -80,7 +80,7 @@ class TestPresentationOracle:
         # ambient (Z/2)^16; the balance subgroup computed by raw closure
         hom = HOMS["t2_into_m2"]
         t2 = tensor_power(hom, 2)
-        moduli = t2.gen_moduli
+        moduli = t2.np_gen_moduli.tolist()
         relations = balance_relation_vectors(hom, 2)
         subgroup = subgroup_closure(relations, moduli)
         ambient = 1
@@ -100,7 +100,7 @@ class TestPresentationOracle:
         hom = HOMS["z4_to_z2"]
         t2 = tensor_power(hom, 2)
         relations = balance_relation_vectors(hom, 2)
-        subgroup = subgroup_closure(relations, t2.gen_moduli)
+        subgroup = subgroup_closure(relations, t2.np_gen_moduli.tolist())
         assert len(subgroup) == 1
         assert t2.group.order == 2
 
