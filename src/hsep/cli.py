@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import fincat, finring, sepkit, tensorbialg
+from . import documents, fincat, finring, sepkit, tensorbialg
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -69,13 +69,11 @@ def _check_output(path):
 
 def _load_doc(path):
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+        return documents.load(path), Path(path).parent
+    except documents.NotAnObject as err:
+        raise InputError(str(err)) from err
+    except (OSError, ValueError) as err:  # a decode error is a ValueError
         raise InputError("%s: %s" % (path, err)) from err
-    if not isinstance(doc, dict):
-        raise InputError("%s: expected a JSON object, got %s" % (path, type(doc).__name__))
-    return doc, Path(path).parent
 
 
 def _load_hom(path):

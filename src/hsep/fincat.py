@@ -19,9 +19,18 @@ x in that order, pos[g] is g's index in out(g[0]), ptr[f] is the prefix
 sum of len(out(f[1])), and vals[ptr[f] + pos[g]] is the id of g∘f: one
 entry per composable pair, no N×N array.  pos, ptr and the ids along
 each row come from the hom-set sizes (_layout); vals is filled in one
-pass over the compose entries, with −1 left where a composite is missing
-and −2 where it lies outside its hom-set, and the first such slot in
-table order is the error raised.  Derived categories and functors
+pass over the compose entries [X, Y, Z, f, g, g∘f], by one index.get for
+each of f, g and g∘f, with −1 left where a composite is missing and −2
+where it lies outside its hom-set, and the first such slot in table
+order is the error raised.  A category document's entries are its own
+decoded list: its compose mapping (X, Y, Z, f, g) → g∘f is built only
+when something reads it (category_to_doc, an opposite's compose), and
+comp reads the table, so no verdict builds it.  Document files are
+decoded by documents.load, which decodes an inline copy that repeats an
+earlier one once, so adjunction_from_doc builds each distinct category
+once and knows its copies by identity; a category or functor given
+inline must be a JSON object, and one given by path a file that holds
+one.  Derived categories and functors
 gather theirs from tables that exist, and read no composite through a
 dict: an opposite keeps the original's morphism ids, its slot (f, g) is
 the original's (g, f), and it is gathered only when first used; the
@@ -63,7 +72,7 @@ to P(Ff) = f, is one stage.  No search calls comp.
 from __future__ import annotations
 
 import itertools
-import json
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -72,6 +81,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .documents import load
 from .exactalg import CapExceeded
 
 SEARCH_CAP = 10**7  # candidates a search may enumerate; read at call time
@@ -170,6 +180,29 @@ class _OppositeTable(Mapping):
         return len(self._table)
 
 
+class _Entries(Mapping):
+    """A category document's compose list of [X, Y, Z, f, g, g∘f] entries,
+    read as the mapping (X, Y, Z, f, g) → g∘f, the later of two entries
+    for one key winning.  The table is built from the list itself; the
+    dict is built only when something reads the mapping."""
+
+    def __init__(self, entries):
+        self.entries = entries
+
+    @cached_property
+    def _dict(self):
+        return {(x, y, z, f, g): h for x, y, z, f, g, h in self.entries}
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self):
+        return len(self._dict)
+
+
 class _CompositionTable(NamedTuple):
     """A category's composition on integer ids, which follow morphisms().
 
@@ -251,37 +284,48 @@ class FiniteCategory:
         return (x, x, self.identity[x])
 
     def comp(self, f, g):
-        """g∘f for f: X→Y and g: Y→Z."""
-        (x, y1, fn), (y2, z, gn) = f, g
-        if y1 != y2:
+        """g∘f for f: X→Y and g: Y→Z, read off the composition table."""
+        if f[1] != g[0]:
             raise MalformedData("morphisms do not compose", (f, g))
-        return (x, z, self.compose[(x, y1, z, fn, gn)])
+        t = self._table
+        return t.mors[t.vals[t.ptr[t.index[f]] + t.pos[t.index[g]]]]
 
     @cached_property
     def _raw_table(self):
         """The integer composition table, read in one pass over the compose
-        entries; a slot holds −1 for a missing composite and −2 for one
-        outside its hom-set.  Entries that name no morphism are ignored."""
+        entries [X, Y, Z, f, g, g∘f], a document's own list or the items of
+        a dict, by one index.get for each of f, g and g∘f; a slot holds −1
+        for a missing composite and −2 for one outside its hom-set.
+        Entries that name no morphism are ignored, and of two entries for
+        one slot the later wins, as in a dict."""
         mors = list(self.morphisms())
         index = {f: i for i, f in enumerate(mors)}
         number = {x: i for i, x in enumerate(self.objects)}
         ends = np.array([(number[x], number[y]) for x, y, _ in mors], dtype=np.int64).reshape(-1, 2)
         pos, ptr, _, second = _layout(ends, len(self.objects))
+        entries = self.compose.entries if isinstance(self.compose, _Entries) else [(*k, h) for k, h in self.compose.items()]
 
         def ids(entries):
             return [
                 (index.get((x, y, f), -1), index.get((y, z, g), -1), index.get((x, z, h), -2))
-                for (x, y, z, f, g), h in entries
+                for x, y, z, f, g, h in entries
             ]
 
         try:
-            fgh = ids(self.compose.items())
-        except TypeError:  # a composite that cannot be hashed, a list say, names no morphism
-            fgh = ids((key, h if h.__hash__ else object()) for key, h in self.compose.items())
+            fgh = ids(entries)
+        except TypeError:
+            # the first malformed entry raises what building the compose
+            # dict raises; else a composite that cannot be hashed, a list
+            # say, names no morphism
+            for x, y, z, f, g, _ in entries:
+                hash((x, y, z, f, g))
+            fgh = ids([(x, y, z, f, g, h if h.__hash__ else object()) for x, y, z, f, g, h in entries])
         f, g, h = np.fromiter(itertools.chain.from_iterable(fgh), np.int64, 3 * len(fgh)).reshape(-1, 3).T
         named = (f >= 0) & (g >= 0)
+        slot = ptr[f[named]] + pos[g[named]]
+        _, last = np.unique(slot[::-1], return_index=True)  # each slot's last entry, counted from the end
         vals = np.full(len(second), -1, dtype=np.int64)
-        vals[ptr[f[named]] + pos[g[named]]] = h[named]
+        vals[slot[::-1][last]] = h[named][::-1][last]
         return _CompositionTable(mors, index, pos, ptr, second, vals, ends)
 
     @cached_property
@@ -1037,22 +1081,25 @@ def category_to_doc(cat: FiniteCategory) -> dict:
     }
 
 
-def _resolve(doc, base_dir):
-    """(document, its base directory): inline, or a path relative to base_dir."""
+def _resolve(doc, base_dir, kind):
+    """(document, its base directory): a JSON object given inline, or the
+    one in the file at a path relative to base_dir; anything else is a
+    ValueError."""
     if isinstance(doc, str):
         path = Path(base_dir or ".") / doc
-        with open(path) as fh:
-            return json.load(fh), path.parent
+        return load(path), path.parent
+    if not isinstance(doc, dict):
+        raise ValueError("a %s must be a JSON object or a path, got %s" % (kind, type(doc).__name__))
     return doc, base_dir
 
 
 def category_from_doc(doc, base_dir=None) -> FiniteCategory:
-    doc, _ = _resolve(doc, base_dir)
+    doc, _ = _resolve(doc, base_dir, "category")
     hom = {(x, y): tuple(names) for x, y, names in doc.get("homs", [])}
     return FiniteCategory(
         tuple(doc["objects"]),
         hom,
-        {(x, y, z, f, g): h for x, y, z, f, g, h in doc.get("compose", [])},
+        _Entries(doc.get("compose", [])),
         dict(doc["identities"]),
         doc.get("label", "category"),
     ).validate()
@@ -1060,7 +1107,7 @@ def category_from_doc(doc, base_dir=None) -> FiniteCategory:
 
 def _functor(doc, base_dir, category) -> FunctorData:
     """The functor of a document, its categories from `category(spec, base_dir)`; not validated."""
-    doc, base_dir = _resolve(doc, base_dir)
+    doc, base_dir = _resolve(doc, base_dir, "functor")
     source, target = category(doc["source"], base_dir), category(doc["target"], base_dir)
     morphism_map = {(x, y, f): ff for x, y, f, ff in doc["morphisms"]}
     return FunctorData(source, target, dict(doc["objects"]), morphism_map, doc.get("label", "functor"))
@@ -1072,15 +1119,19 @@ def functor_from_doc(doc, base_dir=None) -> FunctorData:
 
 def adjunction_from_doc(doc, base_dir=None) -> AdjunctionData:
     """Each distinct category document is built and validated once, and
-    each functor once, by `AdjunctionData.validate`."""
-    doc, base_dir = _resolve(doc, base_dir)
+    each functor once, by `AdjunctionData.validate`.  documents.loads
+    decodes a repeated inline copy once, so a copy is known by identity
+    first; an equal copy, from another file or formatted differently, is
+    known by ==."""
+    doc, base_dir = _resolve(doc, base_dir, "adjunction")
     built = []  # (category document, category)
 
     def category(spec, base):
-        cdoc, _ = _resolve(spec, base)
-        for seen, cat in built:
-            if seen == cdoc:
-                return cat
+        cdoc, _ = _resolve(spec, base, "category")
+        for same in (operator.is_, operator.eq):
+            for seen, cat in built:
+                if same(seen, cdoc):
+                    return cat
         built.append((cdoc, category_from_doc(cdoc)))
         return built[-1][1]
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextvars
 import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .documents import load
 from .exactalg import (
     DimensionMismatch,
     _int_array,
@@ -717,10 +717,7 @@ def _follow(ref, base_dir, build):
     chain = _CHAIN.get()
     if path.resolve() in chain:
         raise ValueError("%s: reference cycle" % path)
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("%s: expected a JSON object, got %s" % (path, type(doc).__name__))
+    doc = load(path)
     token = _CHAIN.set(chain + (path.resolve(),))
     try:
         return build(doc, path.parent)

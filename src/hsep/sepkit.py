@@ -306,9 +306,10 @@ class TripleTensorPower:
 
     def _verify_presentation(self, square, actions):
         k, n, rank = self.k, square.group.rank, self.group.rank
-        # P₂(e_a⊗e_b·e_s) = P₂(e_a⊗e_b)·e_s for every basis element s
-        p2 = square.np_project
-        lhs = exact_einsum("sij,jg->sig", actions, p2).reshape(k, n, k, k)
+        # P₂(e_a⊗e_b·e_s) = P₂(e_a⊗e_b)·e_s for every basis element s; when
+        # S⊗S's presentation is the identity, P₂ = I and nothing is multiplied
+        p2, identity = square.np_project, square.group.is_identity
+        lhs = (actions if identity else exact_einsum("sij,jg->sig", actions, p2)).reshape(k, n, k, k)
         rhs = exact_einsum("jac,bsc->sjab", p2.reshape(n, k, k), self.hom.target.np_mul)
         if ((lhs - rhs) % square.np_moduli[None, :, None, None]).any():
             raise ConstructionCheckFailed("right action disagrees with the product on pure tensors")
@@ -324,8 +325,10 @@ class TripleTensorPower:
             ).any():
                 raise ConstructionCheckFailed("projection does not kill a balance relation of S⊗S⊗S")
         if self._project_new is None:
-            # P·L = (P₂·L₂)⊗I_k, and each order gcd(d_i, m_c) divides d_i
-            pl, pl_mods = exact_einsum("ig,gj->ij", p2, square.np_lift), square.np_moduli
+            # P·L = (P₂·L₂)⊗I_k, and each order gcd(d_i, m_c) divides d_i;
+            # P₂·L₂ is L₂ when P₂ = I
+            pl = square.np_lift if identity else exact_einsum("ig,gj->ij", p2, square.np_lift)
+            pl_mods = square.np_moduli
         else:
             pl, pl_mods = exact_einsum("ig,gj->ij", self.np_project, self.np_lift), self.np_moduli
         if ((pl - np.eye(len(pl_mods), dtype=np.int64)) % pl_mods[:, None]).any():

@@ -18,6 +18,7 @@ from hsep.fincat import (
     NaturalityFails,
     NotAssociativeComposition,
     adjunction_from_doc,
+    category_to_doc,
     chain_poset,
     compose_functors,
     identity_adjunction,
@@ -27,6 +28,14 @@ from hsep.fincat import (
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def comp(cat, f, g):
+    """g∘f read off cat's compose mapping, not its integer table, which
+    `FiniteCategory.comp` reads: the oracles below compose through this."""
+    if f[1] != g[0]:
+        raise MalformedData("morphisms do not compose", (f, g))
+    return (f[0], g[1], cat.compose[(f[0], f[1], g[1], f[2], g[2])])
 
 
 def terminal_category():
@@ -284,6 +293,35 @@ def cyclic_chain_adjunction(m, n, extra, u, h):
     return AdjunctionData(left, right, unit, counit).validate()
 
 
+def adjunction_doc(adj):
+    """The document of adj with every category inline, as the benchmark
+    writes them: each category appears twice, as the same text."""
+    cats = {}
+
+    def category(cat):
+        if id(cat) not in cats:
+            cats[id(cat)] = category_to_doc(cat)
+        return cats[id(cat)]
+
+    def functor(fun):
+        return {
+            "type": "functor",
+            "label": fun.label,
+            "source": category(fun.source),
+            "target": category(fun.target),
+            "objects": dict(fun.object_map),
+            "morphisms": [[*key, name] for key, name in fun.morphism_map.items()],
+        }
+
+    return {
+        "type": "adjunction",
+        "left": functor(adj.left),
+        "right": functor(adj.right),
+        "unit": dict(adj.unit.components),
+        "counit": dict(adj.counit.components),
+    }
+
+
 def oracle_adjunctions():
     """build_adjunctions(), both corpus adjunctions, a collapse whose monad
     moves an object, and two C3 × chain adjunctions: one with LR = Id,
@@ -322,14 +360,14 @@ def oracle_rafael_retractions(adj, side):
         rl = compose_functors(adj.right, adj.left)
         for cand in _natural_families(rl, identity_functor(bcat), bcat, lambda b: (rl.object_map[b], b)):
             if any(
-                bcat.comp(adj.unit.component(b), cand.component(b)) != bcat.id_mor(b)
+                comp(bcat, adj.unit.component(b), cand.component(b)) != bcat.id_mor(b)
                 for b in bcat.objects
             ):
                 continue
             sep.append(cand.key())
             if all(
-                bcat.comp(cand.component(rl.object_map[b]), cand.component(b))
-                == bcat.comp(adj.right.apply(adj.counit.component(adj.left.object_map[b])), cand.component(b))
+                comp(bcat, cand.component(rl.object_map[b]), cand.component(b))
+                == comp(bcat, adj.right.apply(adj.counit.component(adj.left.object_map[b])), cand.component(b))
                 for b in bcat.objects
             ):
                 heavy.append(cand.key())
@@ -338,14 +376,14 @@ def oracle_rafael_retractions(adj, side):
         lr = compose_functors(adj.left, adj.right)
         for cand in _natural_families(identity_functor(acat), lr, acat, lambda a: (a, lr.object_map[a])):
             if any(
-                acat.comp(cand.component(a), adj.counit.component(a)) != acat.id_mor(a)
+                comp(acat, cand.component(a), adj.counit.component(a)) != acat.id_mor(a)
                 for a in acat.objects
             ):
                 continue
             sep.append(cand.key())
             if all(
-                acat.comp(cand.component(a), cand.component(lr.object_map[a]))
-                == acat.comp(cand.component(a), adj.left.apply(adj.unit.component(adj.right.object_map[a])))
+                comp(acat, cand.component(a), cand.component(lr.object_map[a]))
+                == comp(acat, cand.component(a), adj.left.apply(adj.unit.component(adj.right.object_map[a])))
                 for a in acat.objects
             ):
                 heavy.append(cand.key())
@@ -357,11 +395,11 @@ def oracle_monad_augmentations(monad):
     cat, t = monad.functor.source, monad.functor
     found = []
     for cand in _natural_families(t, identity_functor(cat), cat, lambda b: (t.object_map[b], b)):
-        if any(cat.comp(monad.unit.component(b), cand.component(b)) != cat.id_mor(b) for b in cat.objects):
+        if any(comp(cat, monad.unit.component(b), cand.component(b)) != cat.id_mor(b) for b in cat.objects):
             continue
         if all(
-            cat.comp(cand.component(t.object_map[b]), cand.component(b))
-            == cat.comp(monad.mult.component(b), cand.component(b))
+            comp(cat, cand.component(t.object_map[b]), cand.component(b))
+            == comp(cat, monad.mult.component(b), cand.component(b))
             for b in cat.objects
         ):
             found.append(cand.key())
@@ -410,8 +448,8 @@ def oracle_structure_law_failure(fun, P):
                 for v in bcat.morphisms():
                     if v[0] != y or (u[0], v[1]) not in P:
                         continue
-                    conj = acat.comp(acat.comp(fun.apply(u), fmor), fun.apply(v))
-                    if p_apply(u[0], v[1], conj) != bcat.comp(bcat.comp(u, p_apply(x, y, fmor)), v):
+                    conj = comp(acat, comp(acat, fun.apply(u), fmor), fun.apply(v))
+                    if p_apply(u[0], v[1], conj) != comp(bcat, comp(bcat, u, p_apply(x, y, fmor)), v):
                         return "natural"
     for (x, y), t1 in P.items():
         fx, fy = fun.object_map[x], fun.object_map[y]
@@ -423,7 +461,7 @@ def oracle_structure_law_failure(fun, P):
                 g = (fx, fy, gname)
                 for fname in t2:
                     f = (fy, fz, fname)
-                    if p_apply(x, z, acat.comp(g, f)) != bcat.comp(p_apply(x, y, g), p_apply(y, z, f)):
+                    if p_apply(x, z, comp(acat, g, f)) != comp(bcat, p_apply(x, y, g), p_apply(y, z, f)):
                         return "multiplicative"
     return None
 
@@ -439,9 +477,9 @@ def oracle_h_separability_structures(fun):
 
 # ---------------------------------------------------------------------------
 # law-check oracle: the category and functor laws as loops over morphisms,
-# pairs and triples, on the dict tables and `comp`, in the scan order the
-# integer tables of `FiniteCategory.validate` and `FunctorData.validate`
-# report their first failure in.
+# pairs and triples, on the dict tables and this module's `comp`, in the
+# scan order the integer tables of `FiniteCategory.validate` and
+# `FunctorData.validate` report their first failure in.
 
 
 def oracle_category_law_failure(cat):
@@ -469,16 +507,16 @@ def oracle_category_law_failure(cat):
             if cat.compose[key] not in cat.hom_set(f[0], g[1]):
                 return MalformedData("composite outside hom-set", key)
     for f in cat.morphisms():
-        if cat.comp(cat.id_mor(f[0]), f) != f:
+        if comp(cat, cat.id_mor(f[0]), f) != f:
             return IdentityLawFails("id;f != f", f)
-        if cat.comp(f, cat.id_mor(f[1])) != f:
+        if comp(cat, f, cat.id_mor(f[1])) != f:
             return IdentityLawFails("f;id != f", f)
     for f in cat.morphisms():
         for g in cat.morphisms():
             if g[0] != f[1]:
                 continue
             for h in cat.morphisms():
-                if h[0] == g[1] and cat.comp(cat.comp(f, g), h) != cat.comp(f, cat.comp(g, h)):
+                if h[0] == g[1] and comp(cat, comp(cat, f, g), h) != comp(cat, f, comp(cat, g, h)):
                     return NotAssociativeComposition("(h∘g)∘f != h∘(g∘f)", (f, g, h))
     return None
 
@@ -499,7 +537,7 @@ def oracle_functor_law_failure(fun):
             return FunctorLawFails("identity not preserved", x)
     for f in src.morphisms():
         for g in src.morphisms():
-            if g[0] == f[1] and fun.apply(src.comp(f, g)) != tgt.comp(fun.apply(f), fun.apply(g)):
+            if g[0] == f[1] and fun.apply(comp(src, f, g)) != comp(tgt, fun.apply(f), fun.apply(g)):
                 return FunctorLawFails("composition not preserved", (f, g))
     return None
 
@@ -514,7 +552,7 @@ def oracle_nat_transform_failure(alpha):
         if alpha.components.get(x) not in cat.hom_set(f_fun.object_map[x], g_fun.object_map[x]):
             return MalformedData("component outside hom-set", x)
     for f in f_fun.source.morphisms():
-        if cat.comp(f_fun.apply(f), alpha.component(f[1])) != cat.comp(alpha.component(f[0]), g_fun.apply(f)):
+        if comp(cat, f_fun.apply(f), alpha.component(f[1])) != comp(cat, alpha.component(f[0]), g_fun.apply(f)):
             return NaturalityFails("square does not commute", f)
     return None
 
@@ -553,9 +591,9 @@ def oracle_eilenberg_moore(adj):
         tb = t.object_map[b]
         for aname in bcat.hom_set(tb, b):
             a = (tb, b, aname)
-            if bcat.comp(monad.unit.component(b), a) != bcat.id_mor(b):
+            if comp(bcat, monad.unit.component(b), a) != bcat.id_mor(b):
                 continue
-            if bcat.comp(t.apply(a), a) != bcat.comp(monad.mult.component(b), a):
+            if comp(bcat, t.apply(a), a) != comp(bcat, monad.mult.component(b), a):
                 continue
             algebras.append((b, a))
     objects = tuple("%s|%s" % (b, a[2]) for b, a in algebras)
@@ -566,7 +604,7 @@ def oracle_eilenberg_moore(adj):
             names = []
             for fname in bcat.hom_set(b, c):
                 f = (b, c, fname)
-                if bcat.comp(a, f) == bcat.comp(t.apply(f), caction):
+                if comp(bcat, a, f) == comp(bcat, t.apply(f), caction):
                     names.append(fname)
             hom[(ob1, ob2)] = tuple(names)
     compose = {}
@@ -575,8 +613,7 @@ def oracle_eilenberg_moore(adj):
             for ob3, (d, _) in by_label.items():
                 for fn in hom[(ob1, ob2)]:
                     for gn in hom[(ob2, ob3)]:
-                        comp = bcat.comp((b, c, fn), (c, d, gn))
-                        compose[(ob1, ob2, ob3, fn, gn)] = comp[2]
+                        compose[(ob1, ob2, ob3, fn, gn)] = comp(bcat, (b, c, fn), (c, d, gn))[2]
     identity = {ob: bcat.identity[by_label[ob][0]] for ob in objects}
     em = FiniteCategory(objects, hom, compose, identity, label="EM(%s)" % t.label).validate()
     forgetful = FunctorData(

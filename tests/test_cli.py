@@ -258,6 +258,25 @@ class TestCliErrors:
         code, out, err = run(capsys, *command.split(), str(path))
         assert (code, out, err) == (2, "", "error: %s: expected a JSON object, got %s\n" % (path, kind))
 
+    @pytest.mark.parametrize("command", ["cat check", "sep report", "ring validate"])
+    @pytest.mark.parametrize("fault", ["not utf-8", "integer too long"])
+    def test_document_that_cannot_be_decoded(self, capsys, tmp_path, command, fault):
+        # both used to end in a traceback: the bytes are not text, or json
+        # refuses an integer of more digits than int() converts
+        path = tmp_path / "doc.json"
+        if fault == "not utf-8":
+            path.write_bytes(b"\xff{}")
+            reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        else:
+            path.write_text('{"moduli": [%s]}' % ("1" * 5000))
+            try:
+                int("1" * 5000)
+                pytest.skip("this interpreter converts integers of any length")
+            except ValueError as err:
+                reason = str(err)
+        code, out, err = run(capsys, *command.split(), str(path))
+        assert (code, out, err) == (2, "", "error: %s: %s\n" % (path, reason))
+
     @pytest.mark.parametrize(
         "argv",
         [["sep", "report", HOM, "--cap", "-1"], ["sep", "idempotents", HOM, "--cap", "-7"], ["corpus", "run", str(CORPUS), "--cap", "-1"]],
@@ -436,6 +455,93 @@ class TestCat:
         assert code == 1 and out.startswith("invalid: ")
         code, out, err = run(capsys, "cat", "rafael", str(path))
         assert code == 2 and out == "" and err.startswith("error: ")
+
+    SLOTS = {"left.source": "category", "right.target": "category", "left": "functor", "right": "functor"}
+
+    @staticmethod
+    def with_slot(doc, slot, value):
+        doc = json.loads(json.dumps(doc))
+        *path, last = slot.split(".")
+        parent = doc
+        for key in path:
+            parent = parent[key]
+        parent[last] = value
+        return doc
+
+    @pytest.mark.parametrize("command", ["cat check", "cat rafael"])
+    @pytest.mark.parametrize("slot", sorted(SLOTS))
+    @pytest.mark.parametrize("value, kind", [(5, "int"), ([1, 2], "list"), (None, "NoneType"), (True, "bool")])
+    def test_inline_value_that_is_not_an_object(self, capsys, tmp_path, command, slot, value, kind):
+        adjunction = json.loads((CORPUS / "rafael_c2" / "adjunction.json").read_text())
+        path = tmp_path / "adjunction.json"
+        path.write_text(json.dumps(self.with_slot(adjunction, slot, value)))
+        code, out, err = run(capsys, *command.split(), str(path))
+        expected = "error: %s: a %s must be a JSON object or a path, got %s\n" % (path, self.SLOTS[slot], kind)
+        assert (code, out, err) == (2, "", expected)
+
+    @pytest.mark.parametrize("command", ["cat check", "cat rafael"])
+    @pytest.mark.parametrize("slot", sorted(SLOTS))
+    def test_reference_to_a_file_that_is_not_an_object(self, capsys, tmp_path, command, slot):
+        adjunction = json.loads((CORPUS / "rafael_c2" / "adjunction.json").read_text())
+        (tmp_path / "value.json").write_text("[1, 2]")
+        path = tmp_path / "adjunction.json"
+        path.write_text(json.dumps(self.with_slot(adjunction, slot, "value.json")))
+        code, out, err = run(capsys, *command.split(), str(path))
+        assert (code, out, err) == (2, "", "error: %s: %s: expected a JSON object, got list\n" % (path, tmp_path / "value.json"))
+
+    def test_values_that_are_not_objects_under_optimize(self, tmp_path):
+        adjunction = json.loads((CORPUS / "rafael_c2" / "adjunction.json").read_text())
+        (tmp_path / "value.json").write_text("[1, 2]")
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+        for name, value, reason in (
+            ("inline", 5, "a category must be a JSON object or a path, got int"),
+            ("file", "value.json", "%s: expected a JSON object, got list" % (tmp_path / "value.json")),
+        ):
+            path = tmp_path / ("%s.json" % name)
+            path.write_text(json.dumps(self.with_slot(adjunction, "left.source", value)))
+            for command in ("check", "rafael"):
+                out = subprocess.run(
+                    [sys.executable, "-O", "-m", "hsep.cli", "cat", command, str(path)],
+                    env=env, capture_output=True, text=True, timeout=120,
+                )
+                assert (out.returncode, out.stdout, out.stderr) == (2, "", "error: %s: %s\n" % (path, reason))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            ["x", "x", ["x"], "id", "a", "a"],
+            ["x", "x", "x", {"a": 1}, "a", "a"],
+            [["x"], "x", "x", "id", {"a": 1}, "a"],
+            ["x", "x", "x", "id", "a"],
+            ["x", "x", "x", "id", "a", "a", "a"],
+            5,
+            "xxxxxx",
+        ],
+        ids=["list-object", "dict-name", "list-and-dict", "five-items", "seven-items", "int", "six-chars"],
+    )
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_malformed_compose_entry(self, capsys, tmp_path, entry, position):
+        # exit 2 and the message that building the compose dict raises,
+        # whatever the entry's place among the others
+        compose = [
+            ["x", "x", "x", "id", "id", "id"], ["x", "x", "x", "id", "a", "a"],
+            ["x", "x", "x", "a", "id", "a"], ["x", "x", "x", "a", "a", "id"],
+        ]
+        compose.insert(position, entry)
+        doc = {"type": "category", "objects": ["x"], "homs": [["x", "x", ["id", "a"]]], "compose": compose, "identities": {"x": "id"}}
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps(doc))
+        try:
+            {(x, y, z, f, g): h for x, y, z, f, g, h in compose}
+            reason = None
+        except (TypeError, ValueError) as err:
+            reason = str(err)
+        code, out, err = run(capsys, "cat", "check", str(path))
+        if reason is None:  # a six-character string unpacks into a key that names no morphism
+            assert (code, err) == (0, "")
+        else:
+            assert (code, out, err) == (2, "", "error: %s: %s\n" % (path, reason))
 
     def test_rafael_capped_search_is_undecided(self, capsys, monkeypatch):
         from hsep import fincat

@@ -14,6 +14,7 @@ import pytest
 
 from cat_util import (
     CORPUS,
+    adjunction_doc,
     build_adjunctions,
     c2_category,
     c2_chain_into_v4_chain,
@@ -576,6 +577,55 @@ class TestLawTableOracle:
                 assert self.same_table(padded._table, side._table)
 
     @staticmethod
+    def from_entries(text):
+        """The category of a category document's JSON text with its table
+        read off the decoded compose list, as category_from_doc reads it,
+        not validated."""
+        doc = json.loads(text)
+        return FiniteCategory(
+            tuple(doc["objects"]),
+            {(x, y): tuple(names) for x, y, names in doc["homs"]},
+            fincat._Entries(doc["compose"]),
+            doc["identities"],
+            doc["label"],
+        )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_duplicate_entries_the_later_wins(self, seed):
+        # a document may list one (X, Y, Z, f, g) more than once, with the
+        # right composite, another in its hom-set, one outside it or an
+        # unhashable one; as in the dict oracle, the last entry decides
+        rng = random.Random(seed)
+        for cat in self.CATEGORIES:
+            for side in (cat, cat.opposite()):
+                doc = fincat.category_to_doc(side)
+                for _ in range(4):
+                    entry = list(rng.choice(doc["compose"]))
+                    entry[5] = rng.choice([entry[5], "outside", ["not", "a", "name"], rng.choice(side.hom_set(entry[0], entry[2]))])
+                    doc["compose"].insert(rng.randrange(len(doc["compose"]) + 1), entry)
+                text = json.dumps(doc)
+                got, oracle = self.from_entries(text), self.decoded(text)
+                assert len(got.compose.entries) > len(oracle.compose)
+                assert self.same_table(got._raw_table, oracle._raw_table), (seed, side.label)
+                assert _same_failure(_first_failure(got), oracle_category_law_failure(oracle)), (seed, side.label)
+                assert dict(got.compose) == oracle.compose
+
+    def test_unhashable_composites_in_duplicates(self):
+        # an unhashable composite that a later entry corrects, and a right
+        # one that a later unhashable entry replaces
+        doc = fincat.category_to_doc(self.CATEGORIES[0])
+        first, second = doc["compose"][3], doc["compose"][7]
+        doc["compose"][3] = first[:5] + [["a", "list"]]
+        doc["compose"] += [first, second[:5] + [{"a": "dict"}]]
+        text = json.dumps(doc)
+        got, oracle = self.from_entries(text), self.decoded(text)
+        assert self.same_table(got._raw_table, oracle._raw_table)
+        assert got._raw_table.vals.tolist().count(-2) == 1
+        with pytest.raises(MalformedData, match="composite outside hom-set") as err:
+            fincat.category_from_doc(json.loads(text))
+        assert _same_failure(err.value, oracle_category_law_failure(oracle))
+
+    @staticmethod
     def same_table(got, expected):
         return (got.mors, got.index) == (expected.mors, expected.index) and all(
             a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got[2:], expected[2:])
@@ -794,6 +844,49 @@ class TestStructureSearchCost:
         with pytest.raises(CapExceeded) as err:
             find_h_separability_structures(c2_doubling_into_c4(), cap=3)
         assert err.value.size == 4  # 2 free values of C4, each one of C2's 2
+
+
+class TestDocumentCategoriesBuildNoComposeDict:
+    """A verdict on a document reads each category's table off its
+    compose list: the (X, Y, Z, f, g) → g∘f mapping is built only when
+    something reads it, which no verdict does, on the document categories
+    or on their opposites."""
+
+    @pytest.fixture
+    def adjunction_paths(self, monkeypatch, tmp_path):
+        def refuse(self):
+            raise AssertionError("compose dict built")
+
+        monkeypatch.setattr(fincat._Entries, "_dict", property(refuse))
+        paths = [CORPUS / "rafael_c2" / "adjunction.json", CORPUS / "galois_2chain" / "adjunction.json"]
+        for name, adj in (("c4", cyclic_chain_adjunction(4, 7, 1, u=3, h=1)), ("c3", cyclic_chain_adjunction(3, 4, 0, u=2, h=1))):
+            paths.append(tmp_path / ("%s.json" % name))
+            paths[-1].write_text(json.dumps(adjunction_doc(adj)))
+        return paths
+
+    def test_the_guard_fires(self, adjunction_paths):
+        adj = fincat.adjunction_from_doc(str(adjunction_paths[0]))
+        with pytest.raises(AssertionError, match="compose dict built"):
+            dict(adj.left.source.compose)
+        with pytest.raises(AssertionError, match="compose dict built"):
+            dict(adj.left.source.opposite().compose)
+
+    def test_cli_verdicts(self, adjunction_paths, capsys):
+        from hsep.cli import main
+
+        for path in adjunction_paths:
+            assert main(["cat", "check", str(path)]) == 0
+            for side in ("left", "right"):
+                assert main(["cat", "rafael", str(path), "--side", side]) in (0, 1)
+        capsys.readouterr()
+
+    def test_library_searches(self, adjunction_paths):
+        for path in adjunction_paths:
+            adj = fincat.adjunction_from_doc(str(path))
+            find_monad_augmentations(monad_from_adjunction(adj))
+            find_section_functors(eilenberg_moore(adj)[1])
+            find_h_separability_structures(adj.left)
+            find_h_separability_structures(adj.right.opposite())
 
 
 class TestSearchValidations:

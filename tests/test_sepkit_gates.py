@@ -138,6 +138,29 @@ class TestTripleGates:
         with pytest.raises(ConstructionCheckFailed, match="does not kill a balance relation of S⊗S⊗S"):
             TripleTensorPower._verify_presentation(fake, t2, t2.action_matrices[1])
 
+    def test_right_action_off_by_one_under_an_identity_presentation(self, monkeypatch):
+        # M2(Z/2)/(Z/2): S⊗S has no relations, so P₂ = I and the action is
+        # compared with the product as it is
+        hom = construct_standard_ring("matrix", {"n": 2, "base": zmod(2)}).homs["scalar"]
+        t2 = TensorPower(hom)
+        assert t2.group.is_identity
+        corrupt_right_action(monkeypatch, (1, 2, 3))
+        with pytest.raises(ConstructionCheckFailed, match="right action disagrees"):
+            TripleTensorPower(t2)
+
+    def test_identity_presentation_multiplies_nothing_by_it(self, monkeypatch):
+        # with P₂ = I, neither actions·P₂ nor P₂·L₂ is computed
+        hom = construct_standard_ring("matrix", {"n": 3, "base": zmod(2)}).homs["scalar"]
+        t2 = TensorPower(hom)
+        assert t2.group.is_identity
+        products, original = [], sepkit.exact_einsum
+        monkeypatch.setattr(sepkit, "exact_einsum", lambda spec, *arrays: products.append(spec) or original(spec, *arrays))
+        TripleTensorPower(t2)
+        assert "sij,jg->sig" not in products and "ig,gj->ij" not in products
+        products.clear()
+        TripleTensorPower(TensorPower(triangular(2, 3)))
+        assert "sij,jg->sig" in products
+
     def test_gate_fires_under_optimize(self):
         script = (
             "import sys\n"
