@@ -15,14 +15,16 @@ U⁻¹·x, V·x), at one row of the operand per operation, as object arrays
 of Python ints; only `subgroup_basis` builds a full U.  `exact_einsum`
 is the workbench's one exact product: every contraction in `src/hsep`
 runs through it, in int64 while no sum can wrap and in Python ints past
-that.  `_rref` is
-the workbench's one row reduction, with `_kernel` beside it, over 𝔽_p
-for every prime: XOR on GF(2), int64 while no product can overflow,
-Python ints past that.  Nothing eliminates over ℚ; the tensor
-bialgebra's primitives are built, not solved.  `cokernel`,
-`subgroup_basis` and `solve_modular_system` solve through it when every
-modulus is one prime within that int64 bound (`_one_prime`), and take
-the Smith form otherwise; the solver's two paths give the same
+that.  `_rref` is the workbench's one row reduction, with `_kernel`
+beside it, over Z/q for a prime power q, pivoting only on units (over
+𝔽_p, on any nonzero entry): XOR on GF(2), int64 while no product can
+overflow, Python ints past that.  Nothing eliminates over ℚ; the tensor
+bialgebra's primitives are built, not solved.  `cokernel` and
+`subgroup_basis` solve through it when every modulus is one prime within
+that int64 bound (`_one_prime`), and `solve_modular_system` when every
+modulus is one prime power q = pᵉ within it (`_prime_power`) and the row
+reduction finds a unit in every column it pivots on; each takes the
+Smith form otherwise, and the solver's two paths give the same
 particular solution.  `solve_quadratic` eliminates through it too; it
 finds the members of an affine set where a system of quadratic forms
 vanishes: by CRT over the prime powers of the moduli, linearization with
@@ -443,44 +445,61 @@ def _is_prime(p):
     return _prime_factors(p) == [p]
 
 
-def _field_dtype(p):
-    """int64 while every x − a·b of reduced entries mod p stays below 2⁶³, Python ints past that."""
-    return np.int64 if (p - 1) ** 2 + (p - 1) < 2**63 else object
+def _field_dtype(q):
+    """int64 while every x − a·b of reduced entries mod q stays below 2⁶³, Python ints past that."""
+    return np.int64 if (q - 1) ** 2 + (q - 1) < 2**63 else object
+
+
+def _prime_power(moduli):
+    """(p, e) when every modulus is one q = pᵉ within `_field_dtype`'s
+    int64 bound, else None: the moduli on which the row-reduction paths
+    run.  Equality is checked first, so trial division runs on one value;
+    past the int64 bound the Smith path is as exact, and it skips the
+    trial division of a large modulus."""
+    q = moduli[0] if moduli else None
+    if q is None or any(m != q for m in moduli) or _field_dtype(q) is not np.int64:
+        return None
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        return None
+    return factors[0], _valuation(q, factors[0])
 
 
 def _one_prime(moduli):
     """p when every modulus is one prime p within `_field_dtype`'s int64
-    bound, else None: the moduli on which the 𝔽_p paths run.  Equality is
-    checked first, so trial division runs on one value; past the int64
-    bound the Smith path is as exact, and it skips the trial division of
-    a large modulus."""
-    p = moduli[0] if moduli else None
-    if p is not None and all(m == p for m in moduli) and _field_dtype(p) is np.int64 and _is_prime(p):
-        return p
-    return None
+    bound (`_prime_power` with e = 1), else None."""
+    pe = _prime_power(moduli)
+    return pe[0] if pe is not None and pe[1] == 1 else None
 
 
-def _clear(rows, c, pivot_row, p):
-    """Subtract multiples of pivot_row from rows until column c is zero."""
+def _clear(rows, c, pivot_row, q):
+    """Subtract multiples of pivot_row, whose entry in column c is 1, from
+    rows until column c is zero mod q."""
     colv = rows[:, c]
     mask = colv != 0
     if not mask.any():
         return
-    if p == 2:
+    if q == 2:
         rows[mask] ^= pivot_row
     else:
-        rows[mask] = (rows[mask] - np.outer(colv[mask], pivot_row)) % p
+        rows[mask] = (rows[mask] - np.outer(colv[mask], pivot_row)) % q
 
 
-def _rref(rows, p):
-    """Reduced row echelon form of a 2-D integer array over GF(p).
-    Returns (the nonzero rref rows, pivot columns).  GF(2) eliminates by
-    XOR of uint8 rows, other primes in int64 or Python ints by
-    `_field_dtype`."""
-    if p == 2:
+def _rref(rows, q):
+    """Reduced row echelon form of a 2-D integer array over Z/q, for a
+    prime power q, pivoting only on units: for a prime q, on any nonzero
+    entry.
+    Returns (the nonzero rref rows, pivot columns), each pivot 1, or None
+    when a column's remaining entries are nonzero but none is a unit.
+    The non-units of Z/pᵉ are the ideal (p), so then no combination of
+    the rows has a unit there either: the row module has no echelon basis
+    with unit pivots.  Whether it has one, and then the form, depend only
+    on the row module.  GF(2) eliminates by XOR of uint8 rows, every other
+    q in int64 or Python ints by `_field_dtype`."""
+    if q == 2:
         A = (rows % 2).astype(np.uint8)
     else:
-        A = rows.astype(_field_dtype(p)) % p
+        A = rows.astype(_field_dtype(q)) % q
     nrows, ncols = A.shape
     r = 0
     pivots = []
@@ -491,17 +510,22 @@ def _rref(rows, p):
         if nzr.size == 0:
             continue
         pr = r + int(nzr[0])
+        if math.gcd(int(A[pr, c]), q) != 1:
+            units = nzr[np.gcd(A[r + nzr, c], q) == 1]
+            if units.size == 0:
+                return None
+            pr = r + int(units[0])
         if pr != r:
             A[[r, pr]] = A[[pr, r]]
-        if p != 2:
-            A[r] = A[r] * pow(int(A[r, c]), -1, p) % p
-        _clear(A[r + 1:], c, A[r], p)
+        if q != 2:
+            A[r] = A[r] * pow(int(A[r, c]), -1, q) % q
+        _clear(A[r + 1:], c, A[r], q)
         pivots.append(c)
         r += 1
     for i in range(len(pivots) - 1, 0, -1):
-        _clear(A[:i], pivots[i], A[i], p)
+        _clear(A[:i], pivots[i], A[i], q)
     A = A[: len(pivots)]
-    return (A.astype(np.int64) if p == 2 else A), pivots
+    return (A.astype(np.int64) if q == 2 else A), pivots
 
 
 def _unique_rows(rows):
@@ -525,13 +549,21 @@ def _kernel(rows, p):
     return _rref_kernel(rref, pivots, rows.shape[1], p)
 
 
-def _rref_kernel(rref, pivots, ncols, p):
-    """`_kernel` of the first `ncols` columns of an rref whose pivots all
-    fall among them."""
-    free = np.setdiff1d(np.arange(ncols), pivots)
+def _free_columns(ncols, pivots):
+    """The columns below `ncols` that hold no pivot, ascending.  A mask,
+    not `np.setdiff1d`, whose first call imports `numpy.ma`."""
+    free = np.ones(ncols, dtype=bool)
+    free[pivots] = False
+    return np.flatnonzero(free)
+
+
+def _rref_kernel(rref, pivots, ncols, q):
+    """`_kernel` of the first `ncols` columns of an rref over Z/q whose
+    pivots all fall among them."""
+    free = _free_columns(ncols, pivots)
     K = np.zeros((ncols, len(free)), dtype=rref.dtype)
     K[free, np.arange(len(free))] = 1
-    K[pivots, :] = -rref[:, free] % p
+    K[pivots, :] = -rref[:, free] % q
     return K, free
 
 
@@ -710,11 +742,15 @@ def _integer_solve_full(mat_rows, rhs, width):
     return s.v_dot(w), s.v_dot(_unit_columns(width, free)).T
 
 
-def _rref_solution(aug, p):
-    """(x, rref, pivots) of a system [A | b] over 𝔽_p, given reduced in
-    int64: x is the rref's constant on each pivot column and 0 on every
-    free one.  None when a pivot falls in the b column."""
-    rref, pivots = _rref(aug, p)
+def _rref_solution(aug, q):
+    """(x, rref, pivots) of a system [A | b] over Z/q, for a prime power
+    q, given reduced in int64: x is the rref's constant on each pivot
+    column and 0 on every free one.  None when `_rref` finds no unit
+    pivots or puts a pivot in the b column."""
+    reduced = _rref(aug, q)
+    if reduced is None:
+        return None
+    rref, pivots = reduced
     width = aug.shape[1] - 1
     if pivots and pivots[-1] == width:
         return None
@@ -723,27 +759,19 @@ def _rref_solution(aug, p):
     return x, rref, pivots
 
 
-def _solve_mod_prime(aug, p):
-    """(particular, kernel basis as rows) of [A | b] over 𝔽_p, from one
-    rref, or None when the system is inconsistent.
-
-    An inconsistent system must be proved so: a y with yA ≡ 0 and yb ≡ 1
-    solves [Aᵀ 0; bᵀ 1] over 𝔽_p, and the product y·[A | b] is checked,
-    so a corrupt reduction cannot pass for an inconsistent system; a
-    solution is checked by `AffineSolutionSet`."""
+def _prove_inconsistent(aug, p):
+    """Raise `ConstructionCheckFailed` unless [A | b] over 𝔽_p is proved
+    inconsistent: a y with yA ≡ 0 and yb ≡ 1 solves [Aᵀ 0; bᵀ 1], and the
+    product y·[A | b] is checked, so a corrupt reduction cannot pass for
+    an inconsistent system."""
     n_eq, width = aug.shape[0], aug.shape[1] - 1
-    sol = _rref_solution(aug, p)
-    if sol is None:
-        dual = np.zeros((width + 1, n_eq + 1), dtype=np.int64)
-        dual[:, :n_eq] = aug.T
-        dual[width, n_eq] = 1
-        y = _rref_solution(dual, p)
-        proof = None if y is None else exact_einsum("g,gw->w", y[0], aug) % p
-        if proof is None or proof[:-1].any() or not proof[-1]:
-            raise ConstructionCheckFailed("the row reduction does not prove the system inconsistent")
-        return None
-    x, rref, pivots = sol
-    return x, _rref_kernel(rref, pivots, width, p)[0].T
+    dual = np.zeros((width + 1, n_eq + 1), dtype=np.int64)
+    dual[:, :n_eq] = aug.T
+    dual[width, n_eq] = 1
+    y = _rref_solution(dual, p)
+    proof = None if y is None else exact_einsum("g,gw->w", y[0], aug) % p
+    if proof is None or proof[:-1].any() or not proof[-1]:
+        raise ConstructionCheckFailed("the row reduction does not prove the system inconsistent")
 
 
 @dataclass(frozen=True)
@@ -826,18 +854,40 @@ def solve_modular_system(a: np.ndarray, b, moduli, unknown_moduli=None) -> Affin
     are adjoined and the single integer system is solved through the
     Smith normal form.
 
-    When every equation and unknown modulus is one prime p
-    (`_one_prime`), one `_rref` of [A | b] over 𝔽_p replaces all three
-    steps: the particular solution is the rref's constant on each pivot
-    column and 0 on each free one, and the kernel generators are
-    `_kernel`'s basis, of orders (p,)·d.  An inconsistent system must
-    carry a checked proof, a y with yA ≡ 0 and yb ≢ 0.  The particular
-    is the one the Smith path returns.  Over a prime, `_echelon_mod`
-    leaves every row with a leading 1 and never rewrites a basis row;
-    `_smith` on [E | p·I] then pivots at (t, c_t) in order with no row
-    operation, and its column operations only add pivot columns into
-    later columns, so V·w is 0 on every free coordinate.
-    `tests/test_prime_solve.py` compares the two paths.
+    When every equation and unknown modulus is one prime power q = pᵉ
+    (`_prime_power`), the zero and repeated rows of [A | b] are dropped
+    (`_distinct_rows`) and one `_rref` over Z/q replaces all three
+    steps, when it pivots on units throughout and puts no pivot in the b
+    column: the particular solution is the rref's constant on each pivot
+    column and 0 on each free one, and the kernel generators are the
+    identity on the free columns, each of order q.  That kernel is free,
+    so the Smith path's `subgroup_basis` finds the same orders.  The
+    solutions depend only on the row module of [A | b], and so does the
+    rref.  Over 𝔽_p (e = 1) every nonzero entry is a unit, and an
+    inconsistent system must carry a checked proof, a y with yA ≡ 0 and
+    yb ≢ 0.  Over Z/pᵉ with e > 1, a column whose remaining entries are
+    nonzero non-units, or a pivot in the b column, hands the system to
+    the Smith path, which proves an inconsistency itself.
+
+    The particular is the one the Smith path returns.  Let N, the row
+    module of [A | b], have unit pivots at c_0 < c_1 < ….  A member of N
+    that vanishes before c is 0 at c unless c is some c_t, and the rref
+    row of c_t is such a member with a 1 there.  Take an echelon
+    generating set of N whose rows leading before c lead with 1: a
+    member vanishing before c takes no multiple of those rows, so its
+    entry at c is a multiple of the leading entry of the row that leads
+    at c.  By induction on c, `_echelon_mod`'s basis E has one row
+    leading at each c_t and no other, and that entry, a divisor of q
+    that must be a unit, is 1.  `_smith` on [E | q·I] then pivots at
+    (t, c_t) for each t in turn, on the first 1 of its row: by step t
+    the rows above t hold only their pivots and the rows below vanish
+    at c_t, so no row operation is logged, and its column operations
+    swap columns t and c_t and add the pivot column into later columns.
+    Replayed onto w, which is 0 past the rank, they leave V·w nonzero
+    only on the pivot columns, so it is 0 on every free coordinate.  A
+    particular that is 0 there is the rref's constant.
+    `tests/test_prime_solve.py`, `tests/test_prime_power_solve.py` and
+    `tests/solve_census.py` compare the two paths.
     """
     n_eq, n_x = _check_matrix(a, "system matrix")
     if len(b) != n_eq or len(moduli) != n_eq:
@@ -855,7 +905,8 @@ def solve_modular_system(a: np.ndarray, b, moduli, unknown_moduli=None) -> Affin
             raise DimensionMismatch("unknown_moduli length")
         if any(m < 1 for m in M):
             raise ValueError("unknown moduli must be >= 1")
-        if (exact_einsum("ij,j->ij", a, _int_array(M, (n_x,))) % _int_array(mods, (n_eq, 1))).any():
+        # A·diag(M) ≡ 0 row by row; that holds when L divides every M_j
+        if any(m % L for m in M) and (exact_einsum("ij,j->ij", a, _int_array(M, (n_x,))) % _int_array(mods, (n_eq, 1))).any():
             raise ValueError("system is not well defined modulo the unknown moduli")
     a = a.copy()
     a.flags.writeable = False
@@ -868,14 +919,20 @@ def solve_modular_system(a: np.ndarray, b, moduli, unknown_moduli=None) -> Affin
     if L == 1 or n_eq == 0:
         return full_ambient()
     empty = AffineSolutionSet(M, None, (), (), system)
-    p = _one_prime(mods + M)
-    if p is not None:
-        b_col = np.array([bi % p for bi in b], dtype=np.int64)[:, None]
-        sol = _solve_mod_prime(np.hstack([(a % p).astype(np.int64), b_col]), p)
-        if sol is None:
+    pe = _prime_power(mods + M)
+    if pe is not None:
+        p, e = pe
+        q = p**e
+        b_col = np.array([bi % q for bi in b], dtype=np.int64)[:, None]
+        aug = _distinct_rows(np.hstack([(a % q).astype(np.int64), b_col]))
+        sol = _rref_solution(aug, q)
+        if sol is not None:
+            x, rref, pivots = sol
+            gens = _rref_kernel(rref, pivots, n_x, q)[0].T
+            return AffineSolutionSet(M, tuple(x.tolist()), tuple(map(tuple, gens.tolist())), (q,) * len(gens), system)
+        if e == 1:
+            _prove_inconsistent(aug, p)
             return empty
-        x, gens = sol
-        return AffineSolutionSet(M, tuple(x.tolist()), tuple(map(tuple, gens.tolist())), (p,) * len(gens), system)
     aug = []
     for row, mi, bi in zip(_int_rows(a, "system matrix"), mods, b):
         s = L // mi
@@ -942,7 +999,7 @@ def _affine_map(rows, pivots, q):
     (x_1, ..., x_n, 1) with no pivot in the constant column; ŷ is 1
     followed by the free variables."""
     n = rows.shape[1] - 1
-    free = np.setdiff1d(np.arange(n), pivots)
+    free = _free_columns(n, pivots)
     A = np.zeros((n + 1, len(free) + 1), dtype=np.int64)
     A[0, 0] = 1
     A[free + 1, np.arange(1, len(free) + 1)] = 1

@@ -37,7 +37,6 @@ from .exactalg import (
     _unique_rows,
     cokernel,
     exact_einsum,
-    solve_modular_system,
     subgroup_basis,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "FiniteRing",
     "RingHom",
     "StandardRing",
-    "CommutativityReport",
     "RingConstructionError",
     "NotAssociative",
     "UnitLawFails",
@@ -62,7 +60,6 @@ __all__ = [
     "check_ring_hom",
     "identity_hom",
     "compose_homs",
-    "commutativity_report",
     "ring_to_doc",
     "ring_from_doc",
     "hom_from_doc",
@@ -157,6 +154,13 @@ class FiniteRing:
     @cached_property
     def np_moduli(self):
         return _int_array(self.moduli, (self.k,))
+
+    @property
+    def is_commutative(self):
+        """Whether e_i·e_j = e_j·e_i for every basis pair, which the
+        table holds reduced."""
+        t = self.np_mul
+        return bool((t == t.transpose(1, 0, 2)).all())
 
     def reduce(self, coords):
         return tuple(int(c) % m for c, m in zip(coords, self.moduli))
@@ -278,23 +282,6 @@ def compose_homs(second: RingHom, first: RingHom) -> RingHom:
         raise ValueError("homs do not compose")
     matrix = exact_einsum("ia,al->il", first.np_matrix, second.np_matrix).tolist()
     return check_ring_hom(matrix, first.source, second.target)
-
-
-@dataclass(frozen=True)
-class CommutativityReport:
-    is_commutative: bool
-    center: object  # AffineSolutionSet over the ring's coordinates
-
-
-def commutativity_report(ring: FiniteRing) -> CommutativityReport:
-    """Basis-pair commutativity plus the center as a linear solution set."""
-    k, t = ring.k, ring.np_mul
-    is_comm = bool((t == t.transpose(1, 0, 2)).all())
-    # x*e_i - e_i*x == 0, one congruence per output coordinate l: row (i, l)
-    # holds coordinate l of e_j*e_i - e_i*e_j in column j
-    a = (t.transpose(1, 2, 0) - t.transpose(0, 2, 1)).reshape(k * k, k)
-    center = solve_modular_system(a, [0] * (k * k), ring.moduli * k, unknown_moduli=ring.moduli)
-    return CommutativityReport(is_comm, center)
 
 
 @dataclass(frozen=True)
@@ -626,8 +613,7 @@ def _standard_tensor_product(params):
     base = hom_a.source
     if hom_b.source != base:
         raise ValueError("tensor factors must share the base ring")
-    comm = commutativity_report(base)
-    if not comm.is_commutative:
+    if not base.is_commutative:
         raise ValueError("tensor base ring must be commutative")
     for name, hom in (("left", hom_a), ("right", hom_b)):
         if not hom.is_image_central():

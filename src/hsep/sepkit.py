@@ -60,7 +60,7 @@ from .exactalg import (
     cokernel,
     solve_quadratic,
 )
-from .finring import RingHom, check_ring_hom, commutativity_report
+from .finring import RingHom, check_ring_hom
 from .finring import balance_relations as _balance_relations
 from .finring import phi_actions as _phi_actions
 
@@ -307,10 +307,19 @@ class TripleTensorPower:
     def _verify_presentation(self, square, actions):
         k, n, rank = self.k, square.group.rank, self.group.rank
         # P₂(e_a⊗e_b·e_s) = P₂(e_a⊗e_b)·e_s for every basis element s; when
-        # S⊗S's presentation is the identity, P₂ = I and nothing is multiplied
-        p2, identity = square.np_project, square.group.is_identity
-        lhs = (actions if identity else exact_einsum("sij,jg->sig", actions, p2)).reshape(k, n, k, k)
-        rhs = exact_einsum("jac,bsc->sjab", p2.reshape(n, k, k), self.hom.target.np_mul)
+        # S⊗S's presentation is the identity, P₂ = I and nothing is
+        # multiplied: rhs[s, (a', c), a, b], coordinate (a', c) of
+        # e_a⊗(e_b·e_s), is (e_b·e_s)_c when a' = a and 0 otherwise
+        p2, identity, mul = square.np_project, square.group.is_identity, self.hom.target.np_mul
+        if identity:
+            lhs = actions.reshape(k, n, k, k)
+            rhs = np.zeros((k, k, k, k, k), dtype=mul.dtype)
+            a = np.arange(k)
+            rhs[:, a, :, a, :] = mul.transpose(1, 2, 0)
+            rhs = rhs.reshape(k, n, k, k)
+        else:
+            lhs = exact_einsum("sij,jg->sig", actions, p2).reshape(k, n, k, k)
+            rhs = exact_einsum("jac,bsc->sjab", p2.reshape(n, k, k), mul)
         if ((lhs - rhs) % square.np_moduli[None, :, None, None]).any():
             raise ConstructionCheckFailed("right action disagrees with the product on pure tensors")
         # the balance relations of S⊗S⊗S are ρ⊗e_d (slots 0,1) and e_d⊗ρ
@@ -471,7 +480,7 @@ def h_separability_report(hom: RingHom, cap=DEFAULT_CAP) -> SeparabilityVerdict:
     is_sep = not locus.is_empty
     epi = is_ring_epimorphism(hom)
     central = hom.is_image_central()
-    target_comm = commutativity_report(hom.target).is_commutative
+    target_comm = hom.target.is_commutative
     one_one_sep = t2.is_separability_idempotent(t2.one_one)
 
     witnesses = ()

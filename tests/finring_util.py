@@ -18,7 +18,7 @@ import random
 
 import numpy as np
 
-from hsep.exactalg import cokernel, exact_einsum, subgroup_basis
+from hsep.exactalg import cokernel, exact_einsum, solve_modular_system, subgroup_basis
 from hsep.finring import (
     NotAdditiveWellDefined,
     NotMultiplicative,
@@ -240,6 +240,16 @@ def oracle_bilinearity_failure(moduli, table):
                 if (moduli[i] * cell) % moduli[l] or (moduli[j] * cell) % moduli[l]:
                     return i, j
     return None
+
+
+def center(ring):
+    """The center of `ring` as an `AffineSolutionSet`: the x with
+    x·e_i − e_i·x = 0 for every basis element e_i, one congruence per
+    output coordinate l; row (i, l) holds coordinate l of e_j·e_i − e_i·e_j
+    in column j."""
+    k, t = ring.k, ring.np_mul
+    a = (t.transpose(1, 2, 0) - t.transpose(0, 2, 1)).reshape(k * k, k)
+    return solve_modular_system(a, [0] * (k * k), ring.moduli * k, unknown_moduli=ring.moduli)
 
 
 def oracle_is_image_central(hom):

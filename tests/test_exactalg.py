@@ -611,7 +611,7 @@ class TestSmithReads:
         rng = random.Random(23)
         for _ in range(20):
             n_eq, n_x = rng.randint(1, 3), rng.randint(1, 3)
-            solve_modular_system(random_matrix(rng, n_eq, n_x, 12), [rng.randint(0, 11) for _ in range(n_eq)], [rng.choice([4, 6, 9]) for _ in range(n_eq)])
+            solve_modular_system(random_matrix(rng, n_eq, n_x, 12), [rng.randint(0, 11) for _ in range(n_eq)], [rng.choice([6, 10, 12]) for _ in range(n_eq)])
         assert built["smith"] >= 20 and set(built) <= {"smith", "U"}
 
     def test_sep_report(self, built):
@@ -621,11 +621,12 @@ class TestSmithReads:
 
 
 # the solver's form corrupted in one logged operation: system, log, message;
-# every modulus is composite, since a prime system never takes the Smith path
+# no set of moduli is one prime power, whose unit-pivot systems are
+# row-reduced instead
 CORRUPT_SOLVER_FORMS = [
     ([[2, 3, 5], [1, 4, 6]], [1, 2], [6, 9], "row_ops", "the Smith form does not prove the system inconsistent"),
     ([[2, 3, 5], [1, 4, 6]], [1, 2], [6, 9], "col_ops", "the particular solution fails the defining system"),
-    ([[1, 1]], [1], [4], "col_ops", "kernel generator 0 fails the defining system"),
+    ([[1, 1]], [1], [6], "col_ops", "kernel generator 0 fails the defining system"),
 ]
 CORRUPT_SOLVER_FORM = """
 import dataclasses
@@ -763,6 +764,19 @@ class TestSolveModularSystem:
         # without it: x_0 ≡ 0 (mod 2·scale) and 4·x_1 ≡ 0 (mod 4·scale)
         sol = solve_modular_system(a[:2], [0, 0], mods[:2], unknown_moduli=unknown)
         assert sol.size == 2 and contains(sol, (0, scale)) and not contains(sol, (1, 0))
+
+    def test_well_definedness_product_only_when_needed(self, monkeypatch):
+        # A·diag(M) ≡ 0 row by row holds when lcm(moduli) divides every
+        # unknown modulus, so its product is skipped there; a non-dividing
+        # M still has it computed, and an ill-defined row still raises
+        products, original = [], exactalg.exact_einsum
+        monkeypatch.setattr(exactalg, "exact_einsum", lambda spec, *arrays: products.append(spec) or original(spec, *arrays))
+        solve_modular_system(mat([[1, 3], [2, 1]]), [1, 0], [2, 4], unknown_moduli=[4, 8])
+        assert "ij,j->ij" not in products
+        sol = solve_modular_system(mat([[2, 1]]), [0], [4], unknown_moduli=[2, 4])
+        assert "ij,j->ij" in products and sol.size == 2
+        with pytest.raises(ValueError, match="^system is not well defined modulo the unknown moduli$"):
+            solve_modular_system(mat([[1, 1]]), [0], [4], unknown_moduli=[2, 4])
 
     def test_contains(self):
         sol = solve_modular_system(mat([[1, 1]]), [0], [2])

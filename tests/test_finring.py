@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from finring_util import _unit_vector, add, elements, mul, scale
+from finring_util import _unit_vector, add, center, elements, mul, scale
 
 from hsep import finring
 from hsep.exactalg import DimensionMismatch, subgroup_basis
@@ -19,7 +19,6 @@ from hsep.finring import (
     NotUnital,
     ReduciblePolynomialAllowed,
     check_ring_hom,
-    commutativity_report,
     compose_homs,
     construct_ring,
     construct_standard_ring,
@@ -257,27 +256,38 @@ class TestRingHom:
 class TestCommutativity:
     def test_matrix_ring_center(self):
         std = construct_standard_ring("matrix", {"base": zmod(2), "n": 2})
-        report = commutativity_report(std.ring)
-        assert not report.is_commutative
-        # oracle: enumerate all 16 elements and intersect centralizers
         ring = std.ring
-        center = [
+        assert not ring.is_commutative
+        # oracle: enumerate all 16 elements and intersect centralizers
+        expect = [
             x
             for x in elements(ring.moduli)
             if all(mul(ring, x, y) == mul(ring, y, x) for y in elements(ring.moduli))
         ]
-        assert report.center.size == len(center) == 2
-        members = set(report.center.members())
-        assert members == set(center)
+        solved = center(ring)
+        assert solved.size == len(expect) == 2
+        assert set(solved.members()) == set(expect)
 
     def test_commutative_rings(self):
         ring = construct_ring(
             (2, 2), (((1, 0), (0, 0)), ((0, 0), (0, 1))), (1, 1), "F2xF2"
         )
-        rep = commutativity_report(ring)
-        assert rep.is_commutative
-        assert rep.center.size == ring.order
-        assert commutativity_report(zmod(6)).is_commutative
+        assert ring.is_commutative
+        assert center(ring).size == ring.order
+        assert zmod(6).is_commutative
+
+    def test_is_commutative_matches_the_centre(self):
+        # the table comparison against the centre the solver finds
+        rings = [zmod(6), zmod(4)]
+        for n, m in ((1, 4), (2, 2), (2, 4), (2, 9), (3, 2)):
+            rings.append(construct_standard_ring("matrix", {"base": zmod(m), "n": n}).ring)
+            rings.append(construct_standard_ring("triangular", {"base": zmod(m), "n": n}).ring)
+        rings.append(construct_standard_ring("product", {"factors": [zmod(2), zmod(9)]}).ring)
+        seen = set()
+        for ring in rings:
+            assert ring.is_commutative == (center(ring).size == ring.order), ring
+            seen.add(ring.is_commutative)
+        assert seen == {True, False}
 
 
 class TestDocs:

@@ -83,8 +83,8 @@ class TestEveryMemberOracle:
 
 class TestFaultInjection:
     LOCUS = separability_locus(CASES["M2(Z/3)"])
-    # the Smith path solves only systems over a composite modulus
-    COMPOSITE = separability_locus(CASES["M2(Z/4)"])
+    # the Smith path solves the systems over a modulus that is not a prime power
+    COMPOSITE = separability_locus(CASES["M2(Z/6)"])
 
     def test_corrupted_generator_by_replace(self):
         gens = (self.LOCUS.particular,) + self.LOCUS.kernel_generators[1:]

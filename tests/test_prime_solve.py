@@ -1,12 +1,13 @@
 """The prime-field path of `solve_modular_system` and `subgroup_basis`,
-against the Smith path that every other set of moduli takes.
+against the Smith path.
 
-Patching `exactalg._is_prime` to return False sends a prime system down
-the Smith path.  The two paths must give the same particular solution,
-the same kernel orders and the same members: equal particulars and
-equal kernel spans, which the Smith path's `subgroup_basis` compares
-without a row reduction.  Tiny systems are also solved by brute force.
-A corrupt row reduction must raise, also under -O.
+Patching `exactalg._prime_power` to return None
+(`solve_census.smith_path`) sends a prime system down the Smith path.
+The two paths must give the same particular solution, the same kernel
+orders and the same members: equal particulars and equal kernel spans,
+which the Smith path's `subgroup_basis` compares without a row
+reduction.  Tiny systems are also solved by brute force.  A corrupt row
+reduction must raise, also under -O, over 𝔽_p and over Z/pᵉ.
 """
 
 import itertools
@@ -16,26 +17,21 @@ import random
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 
 from corpus_util import build_corpus, zmod
+from solve_census import report_systems, smith_path
 
-from hsep import exactalg, finring, sepkit
-from hsep.exactalg import CapExceeded, ConstructionCheckFailed, solve_modular_system, subgroup_basis
-from hsep.finring import commutativity_report, construct_standard_ring, hom_from_doc
-from hsep.sepkit import find_ring_retractions, separability_locus
+from hsep import exactalg
+from hsep.exactalg import ConstructionCheckFailed, solve_modular_system, subgroup_basis
+from hsep.finring import construct_standard_ring, hom_from_doc
 
 ROOT = Path(__file__).resolve().parent.parent
 SMALL_PRIMES = (2, 3, 5, 7, 11)
 BIG_PRIME = 3037000493  # the largest prime with (p − 1)² + (p − 1) < 2⁶³
 PRIMES = SMALL_PRIMES + (BIG_PRIME,)
-
-
-def smith_path():
-    return mock.patch.object(exactalg, "_is_prime", lambda n: False)
 
 
 def smith_orders(vectors, p, n):
@@ -149,32 +145,10 @@ HOMS.update({"corpus/" + name: hom for name, hom in golden_homs().items()})
 HOMS.update(standard_homs())
 
 
-def verdict_systems(hom):
-    """Every system a verdict on `hom` hands the solver: the locus, the
-    ring-retraction system and the centres of both rings."""
-    calls = []
-    real = exactalg.solve_modular_system
-
-    def record(a, b, mods, unknown_moduli=None):
-        calls.append((a, list(b), list(mods), unknown_moduli))
-        return real(a, b, mods, unknown_moduli)
-
-    with mock.patch.object(sepkit, "solve_modular_system", record), mock.patch.object(finring, "solve_modular_system", record):
-        try:
-            find_ring_retractions(hom, cap=0)
-        except CapExceeded:
-            pass
-        commutativity_report(hom.source)
-        commutativity_report(hom.target)
-    locus = separability_locus(hom)
-    calls.append(locus.system + (locus.coordinate_moduli,))
-    return calls
-
-
 class TestVerdictSystems:
     @pytest.mark.parametrize("name", sorted(HOMS))
     def test_prime_path_matches_smith_path(self, name):
-        for a, b, mods, unknown in verdict_systems(HOMS[name]):
+        for a, b, mods, unknown in report_systems(HOMS[name]):
             n_x = a.shape[1]
             unknown = tuple(unknown) if unknown is not None else None
             p = exactalg._one_prime(tuple(mods) + (unknown or ()))
@@ -193,21 +167,24 @@ class TestVerdictSystems:
         prime = sum(
             exactalg._one_prime(tuple(mods) + tuple(unknown or ())) is not None
             for hom in HOMS.values()
-            for _, _, mods, unknown in verdict_systems(hom)
+            for _, _, mods, unknown in report_systems(hom)
             if len(mods)
         )
         assert prime >= 3 * len(standard_homs())
 
 
-# the solver's row reduction of [A | b] corrupted: system, corruption, message
+# the solver's row reduction of [A | b] corrupted: system, corruption,
+# message; over Z/4 and Z/9 a reduction that finds no solution hands the
+# system to the Smith path, which needs no proof from it
 CORRUPT_REDUCTIONS = [
-    ([[1, 1, 2], [0, 1, 1]], [1, 2], p, how, message)
-    for p in (2, 5)
+    ([[1, 1, 2], [0, 1, 1]], [1, 2], q, how, message)
+    for q in (2, 5, 4, 9)
     for how, message in (
         ("particular", "the particular solution fails the defining system"),
         ("generator", "kernel generator 0 fails the defining system"),
         ("inconsistent", "the row reduction does not prove the system inconsistent"),
     )
+    if how != "inconsistent" or q in (2, 5)
 ]
 CORRUPT_REDUCTION = """
 import numpy as np
@@ -220,8 +197,8 @@ def corrupt_reduction(how):
     clean = exactalg._rref
     calls = []
 
-    def corrupted(rows, p):
-        rref, pivots = clean(rows, p)
+    def corrupted(rows, q):
+        rref, pivots = clean(rows, q)
         calls.append(rows.shape)
         if len(calls) > 1:
             return rref, pivots
@@ -230,7 +207,7 @@ def corrupt_reduction(how):
             return np.vstack([rref, np.eye(1, width + 1, width, dtype=rref.dtype)]), pivots + [width]
         rref = rref.copy()
         c = width if how == "particular" else next(c for c in range(width) if c not in pivots)
-        rref[0, c] = (rref[0, c] + 1) % p
+        rref[0, c] = (rref[0, c] + 1) % q
         return rref, pivots
 
     exactalg._rref = corrupted
@@ -238,19 +215,19 @@ def corrupt_reduction(how):
 
 
 class TestPrimePathGates:
-    """A corrupt row reduction on the prime path raises: a wrong solution
+    """A corrupt row reduction over 𝔽_p or Z/pᵉ raises: a wrong solution
     fails `AffineSolutionSet`'s check, and a false claim of inconsistency
-    finds no proof, also under -O."""
+    over 𝔽_p finds no proof, also under -O."""
 
-    @pytest.mark.parametrize("a, b, p, how, message", CORRUPT_REDUCTIONS)
-    def test_corrupt_reduction_raises(self, monkeypatch, a, b, p, how, message):
-        assert not solve_modular_system(np.array(a), b, [p, p]).is_empty
+    @pytest.mark.parametrize("a, b, q, how, message", CORRUPT_REDUCTIONS)
+    def test_corrupt_reduction_raises(self, monkeypatch, a, b, q, how, message):
+        assert not solve_modular_system(np.array(a), b, [q, q]).is_empty
         monkeypatch.setattr(exactalg, "_rref", exactalg._rref)  # restored after the test
         namespace = {}
         exec(CORRUPT_REDUCTION, namespace)
         namespace["corrupt_reduction"](how)
         with pytest.raises(ConstructionCheckFailed, match="^%s$" % message):
-            solve_modular_system(np.array(a), b, [p, p])
+            solve_modular_system(np.array(a), b, [q, q])
 
     def test_inconsistent_system_is_proved(self):
         # a true inconsistency passes its proof on both primes
@@ -261,10 +238,10 @@ class TestPrimePathGates:
         script = CORRUPT_REDUCTION + (
             "import sys\n"
             "clean = exactalg._rref\n"
-            "for a, b, p, how, _ in %r:\n"
+            "for a, b, q, how, _ in %r:\n"
             "    corrupt_reduction(how)\n"
             "    try:\n"
-            "        exactalg.solve_modular_system(np.array(a), b, [p, p])\n"
+            "        exactalg.solve_modular_system(np.array(a), b, [q, q])\n"
             "    except exactalg.ConstructionCheckFailed as err:\n"
             "        print('optimize=%%d raised: %%s' %% (sys.flags.optimize, err))\n"
             "    exactalg._rref = clean\n"

@@ -156,10 +156,10 @@ class TestTripleGates:
         products, original = [], sepkit.exact_einsum
         monkeypatch.setattr(sepkit, "exact_einsum", lambda spec, *arrays: products.append(spec) or original(spec, *arrays))
         TripleTensorPower(t2)
-        assert "sij,jg->sig" not in products and "ig,gj->ij" not in products
+        assert not {"sij,jg->sig", "jac,bsc->sjab", "ig,gj->ij"} & set(products)
         products.clear()
         TripleTensorPower(TensorPower(triangular(2, 3)))
-        assert "sij,jg->sig" in products
+        assert {"sij,jg->sig", "jac,bsc->sjab"} <= set(products)
 
     def test_gate_fires_under_optimize(self):
         script = (
@@ -167,14 +167,16 @@ class TestTripleGates:
             "from corpus_util import zmod\n"
             "from hsep.finring import construct_standard_ring\n"
             "from hsep.sepkit import TensorPower, TripleTensorPower\n"
-            "hom = construct_standard_ring('triangular', {'base': zmod(3), 'n': 2}).homs['into_matrix']\n"
-            "t2 = TensorPower(hom)\n"
-            "right = t2.action_matrices[1]\n"
-            "right[0, 0, 0] = (right[0, 0, 0] + 1) % 3\n"
-            "try:\n"
-            "    TripleTensorPower(t2)\n"
-            "except Exception as err:\n"
-            "    print('optimize=%d raised %s: %s' % (sys.flags.optimize, type(err).__name__, err))\n"
+            "for kind, name, m in (('triangular', 'into_matrix', 3), ('matrix', 'scalar', 2)):\n"
+            "    # S⊗S of M2(Z/2)/(Z/2) has the identity presentation, that of T2 → M2 not\n"
+            "    hom = construct_standard_ring(kind, {'base': zmod(m), 'n': 2}).homs[name]\n"
+            "    t2 = TensorPower(hom)\n"
+            "    right = t2.action_matrices[1]\n"
+            "    right[0, 0, 0] = (right[0, 0, 0] + 1) % m\n"
+            "    try:\n"
+            "        TripleTensorPower(t2)\n"
+            "    except Exception as err:\n"
+            "        print('optimize=%d identity=%s raised %s: %s' % (sys.flags.optimize, t2.group.is_identity, type(err).__name__, err))\n"
         )
         path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")])
         out = subprocess.run(
@@ -185,10 +187,11 @@ class TestTripleGates:
             timeout=120,
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == (
-            "optimize=1 raised ConstructionCheckFailed: "
-            "right action disagrees with the product on pure tensors"
-        )
+        assert out.stdout.splitlines() == [
+            "optimize=1 identity=%s raised ConstructionCheckFailed: "
+            "right action disagrees with the product on pure tensors" % identity
+            for identity in (False, True)
+        ]
 
 
 class TestSquareGates:
