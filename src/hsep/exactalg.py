@@ -7,36 +7,37 @@ quotient construction and solver in the workbench sits on these
 kernels.  Numpy arrays are the one matrix type: `smith_normal_form`,
 `cokernel`, `subgroup_basis` and `solve_modular_system` take 2-D
 integer arrays (signed integers, or object arrays of Python ints) and
-raise `DimensionMismatch` on anything else.  The big-integer algorithms
-convert their input to Python ints once.  A Smith form keeps its
-transforms as logs of the reduction's row and column operations, and
-each caller replays them onto only what it reads (rows of U, U·x,
-U⁻¹·x, V·x), at one row of the operand per operation, as object arrays
-of Python ints; only `subgroup_basis` builds a full U.  `exact_einsum`
-is the workbench's one exact product: every contraction in `src/hsep`
-runs through it, in int64 while no sum can wrap and in Python ints past
-that.  `_rref` is the workbench's one row reduction, with `_kernel`
-beside it, over Z/q for a prime power q, pivoting only on units (over
-𝔽_p, on any nonzero entry): XOR on GF(2), int64 while no product can
-overflow, Python ints past that.  Nothing eliminates over ℚ; the tensor
-bialgebra's primitives are built, not solved.  `cokernel` and
-`subgroup_basis` solve through it when every modulus is one prime within
-that int64 bound (`_one_prime`), and `solve_modular_system` when every
-modulus is one prime power q = pᵉ within it (`_prime_power`) and the row
-reduction finds a unit in every column it pivots on; each takes the
-Smith form otherwise, and the solver's two paths give the same
-particular solution.  `solve_quadratic` eliminates through it too; it
-finds the members of an affine set where a system of quadratic forms
-vanishes: by CRT over the prime powers of the moduli, linearization with
-branching over 𝔽_p, and Hensel lifting mod p^k.  A presentation holds its projection
-and lift as reduced, read-only numpy arrays (int64 below the overflow
-bound, Python ints past it), and an identity presentation holds no
-matrix at all.  An affine solution set lists its members the same way:
-int64 while (largest modulus)·(largest kernel order) < 2⁶³, Python ints
-past it.  All values are immutable after construction and all
-operations are pure, so concurrent reads are safe.  A construction that
-fails its defining equations raises `ConstructionCheckFailed`, also
-under `python -O`.
+raise `DimensionMismatch` on anything else.
+
+`_rref` is the workbench's one row reduction: the Howell form over Z/q
+for any q, on numpy rows (XOR on GF(2), int64 while no product can
+overflow, Python ints past that), with `_kernel` beside it over 𝔽_p.
+`solve_modular_system` solves every system with one Howell form over
+Z/N, N the lcm of its moduli, and its particular solution is the
+colexicographically least member of the solution set (the last
+coordinate compared first), so it depends only on the set.  The Smith
+form stays only behind `cokernel` and `subgroup_basis`, whose printed
+coordinates its U fixes, and each takes one row reduction instead when
+every modulus is one prime p within that int64 bound (`_one_prime`).  A
+Smith form keeps U as a log of its row operations, replayed onto only
+what a caller reads; when the columns hold a multiple of every unit
+vector, as in a cokernel, it reduces its entries modulo their lattice
+modulus, so they cannot grow.  Nothing eliminates over ℚ; the tensor
+bialgebra's primitives are built, not solved.  `exact_einsum` is the
+workbench's one exact product: every contraction in `src/hsep` runs
+through it, in int64 while no sum can wrap and in Python ints past that.
+`solve_quadratic` finds the members of an affine set where a system of
+quadratic forms vanishes: by CRT over the prime powers of the moduli,
+linearization with branching over 𝔽_p, and Hensel lifting mod p^k.
+
+A presentation holds its projection and lift as reduced, read-only
+numpy arrays (int64 below the overflow bound, Python ints past it), and
+an identity presentation holds no matrix at all.  An affine solution set
+lists its members the same way: int64 while (largest modulus)·(largest
+kernel order) < 2⁶³, Python ints past it.  All values are immutable
+after construction and all operations are pure, so concurrent reads are
+safe.  A construction that fails its defining equations raises
+`ConstructionCheckFailed`, also under `python -O`.
 """
 
 from __future__ import annotations
@@ -148,19 +149,35 @@ def exact_einsum(spec, *operands):
 
 
 class _SnfWorker:
-    """Mutable reduction state: M and the logs of the operations on it.
+    """Mutable reduction state: M and the log of the row operations on it.
 
-    Invariant after every operation: M == U @ source @ V, where U is the
-    product of the logged row operations and V that of the logged column
-    operations, replayed by `SmithDecomposition`.  Per-row nonzero column
-    sets keep pivot search cheap on large mostly-diagonal inputs.
+    Invariant after every operation: span(columns of M) + N·Zⁿ = U·Λ,
+    where Λ is the source's column lattice, U the product of the logged
+    row operations (replayed by `SmithDecomposition`) and N the lattice
+    modulus (`_lattice_modulus`); with no modulus, span = U·Λ exactly.
+    Column operations keep the span and are not logged.  With a modulus,
+    an entry that reaches N⁴ in absolute value is reduced into [0, N),
+    which subtracts a multiple of N·e_i.  Below N⁴ the reduction is the
+    exact one, so a form whose entries never grow that far keeps the
+    transform, and the printed coordinates, it always had.  N⁴ is chosen,
+    not derived: the transform, and so a cokernel's printed presentation,
+    depends on the relation matrix and not only on its lattice, so every
+    input whose exact form grows past the threshold may print other
+    coordinates than the exact form does.  At N² the big-basis tensor
+    product of `tests/test_finring_oracle.py`, whose exact forms peak at
+    N^3.81, prints different presentations from two congruent relation
+    matrices of one lattice; N³ and N⁴ pass it, and N⁴ moves fewer
+    printed reports than N³ (`tests/test_exactalg.py` lists the ones N⁴
+    moves).  Per-row nonzero column sets keep pivot search cheap on large
+    mostly-diagonal inputs.
     """
 
-    def __init__(self, rows):
+    def __init__(self, rows, modulus):
         self.n = len(rows)
         self.M = rows
         self.row_ops = []
-        self.col_ops = []
+        self.modulus = modulus
+        self.big = None if modulus is None else modulus**4
         self.nz = [set(j for j, v in enumerate(row) if v) for row in self.M]
 
     def swap_rows(self, a, b):
@@ -176,9 +193,11 @@ class _SnfWorker:
         if q == 0:
             return
         md, ms = self.M[dst], self.M[src]
-        nzd = self.nz[dst]
+        nzd, big = self.nz[dst], self.big
         for j in self.nz[src]:
             v = md[j] + q * ms[j]
+            if big is not None and not -big < v < big:
+                v %= self.modulus
             md[j] = v
             if v:
                 nzd.add(j)
@@ -199,31 +218,25 @@ class _SnfWorker:
             va, vb = row[a], row[b]
             if va or vb:
                 row[a], row[b] = vb, va
-                nzi = self.nz[i]
-                ina, inb = a in nzi, b in nzi
-                if ina != inb:
-                    if ina:
-                        nzi.discard(a)
-                        nzi.add(b)
-                    else:
-                        nzi.discard(b)
-                        nzi.add(a)
-        self.col_ops.append((a, b, None))
+                if (a in self.nz[i]) != (b in self.nz[i]):
+                    self.nz[i] ^= {a, b}
 
     def addmul_col(self, dst, src, q):
         # col_dst += q*col_src
         if q == 0:
             return
+        big = self.big
         for i, row in enumerate(self.M):
             vs = row[src]
             if vs:
                 v = row[dst] + q * vs
+                if big is not None and not -big < v < big:
+                    v %= self.modulus
                 row[dst] = v
                 if v:
                     self.nz[i].add(dst)
                 else:
                     self.nz[i].discard(dst)
-        self.col_ops.append((dst, src, q))
 
 
 def _replay(ops, x, how):
@@ -250,46 +263,42 @@ def _replay(ops, x, how):
 
 @dataclass(frozen=True, eq=False)
 class SmithDecomposition:
-    """U @ source @ V is diagonal with d1 | d2 | ... on its diagonal.
+    """U·Λ = diag(d1, d2, ...)·Zⁿ for the column lattice Λ of the source,
+    with d1 | d2 | ... its invariant factors; for a source of full row rank,
+    x ↦ (U·x mod d_i) maps Zⁿ onto ⊕ Z/d_i with kernel Λ.
 
-    The reduction logs its elementary operations instead of accumulating
-    the transforms: U is the product of `row_ops` and V the transpose of
-    that of `col_ops`, both unimodular (see `_replay`).  `u_rows`,
-    `u_dot`, `u_inv_dot` and `v_dot` apply the logs to what a caller
-    reads, one row of the operand per operation.  The full U, which
-    `subgroup_basis` reads, is built from the same log on first access.
-    All come back as object arrays of Python ints.  `diagonal` holds the
-    min(rows, cols) diagonal entries; `shape` is the source's.
+    The reduction logs its row operations instead of accumulating U, a
+    unimodular product (see `_replay`).  `u_rows`, `u_dot` and `u_inverse_dot`
+    apply the log to what a caller reads, one row of the operand per
+    operation; the full U, which `subgroup_basis` reads, is built from the
+    same log on first access.  All come back as object arrays of Python
+    ints, exact.  `diagonal` holds the min(rows, cols) diagonal entries;
+    `shape` is the source's.
     """
 
     diagonal: tuple[int, ...]
     shape: tuple[int, int]
     row_ops: tuple
-    col_ops: tuple
 
-    def _apply(self, ops, size, x, how):
-        """`_replay` of `ops` on the rows of x, which must number `size`."""
+    def _apply(self, x, how):
+        """`_replay` of the row log on the rows of x, which must number `shape[0]`."""
         column = getattr(x, "ndim", None) == 1
         rows = _int_rows(x[:, None] if column else x, "operand")
-        if len(rows) != size:
-            raise DimensionMismatch("operand has %d rows for a %d x %d transform" % (len(rows), size, size))
-        return np.array(_replay(ops, rows, how), dtype=object).reshape(x.shape)
+        if len(rows) != self.shape[0]:
+            raise DimensionMismatch("operand has %d rows for a %d x %d transform" % (len(rows), self.shape[0], self.shape[0]))
+        return np.array(_replay(self.row_ops, rows, how), dtype=object).reshape(x.shape)
 
     def u_dot(self, x):
         """U @ x, for a 1-D or 2-D integer array x."""
-        return self._apply(self.row_ops, self.shape[0], x, "E")
+        return self._apply(x, "E")
 
-    def u_inv_dot(self, x):
+    def u_inverse_dot(self, x):
         """U⁻¹ @ x, for a 1-D or 2-D integer array x."""
-        return self._apply(self.row_ops, self.shape[0], x, "inverse")
-
-    def v_dot(self, x):
-        """V @ x, for a 1-D or 2-D integer array x."""
-        return self._apply(self.col_ops, self.shape[1], x, "transpose")
+        return self._apply(x, "inverse")
 
     def u_rows(self, rows):
         """U[rows], as the columns (Uᵀ)[:, rows]."""
-        return self._apply(self.row_ops, self.shape[0], _unit_columns(self.shape[0], rows), "transpose").T
+        return self._apply(_unit_columns(self.shape[0], rows), "transpose").T
 
     @cached_property
     def U(self):
@@ -303,10 +312,29 @@ def _unit_columns(n, cols):
     return out
 
 
-def _smith(rows, m):
+def _lattice_modulus(a):
+    """N when the columns of the 2-D integer array `a` hold a nonzero
+    multiple of every unit vector: the lcm over rows i of the gcd of the
+    entries of the columns that are nonzero only in row i.  The column
+    lattice then holds N·Zⁿ.  None otherwise."""
+    if not a.size:
+        return None
+    nz = a != 0
+    single = nz.sum(axis=0) == 1
+    rows = nz[:, single].argmax(axis=0)
+    g = [0] * a.shape[0]
+    for i, v in zip(rows.tolist(), a[:, single][rows, np.arange(len(rows))].tolist()):
+        g[i] = math.gcd(g[i], v)
+    return math.lcm(*g) if all(g) else None
+
+
+def _smith(rows, m, modulus):
     """Smith normal form of the n x m matrix given as lists of Python ints,
-    which it reduces in place."""
-    w = _SnfWorker(rows)
+    which it reduces in place, keeping its entries below N⁴ for a lattice
+    modulus N.  A settled pivot is then cut to its gcd with N, and each
+    diagonal entry d is read as gcd(d, N), with 0 standing for N: the span
+    of the final diagonal plus N·Zⁿ is U·Λ."""
+    w = _SnfWorker(rows, modulus)
     n, M, nz = w.n, w.M, w.nz
     limit = min(n, m)
     t = 0
@@ -356,6 +384,9 @@ def _smith(rows, m):
                 continue
             # row and column are clear; force the pivot to divide the rest
             p = M[t][t]
+            if modulus is not None and modulus % p:
+                # p·e_t and N·e_t span gcd(p, N)·e_t: a column operation
+                p = M[t][t] = math.gcd(p, modulus)
             if p == 1:
                 break
             bad = None
@@ -370,21 +401,22 @@ def _smith(rows, m):
                 break
             w.addmul_row(t, bad, 1)
         t += 1
-    return SmithDecomposition(
-        diagonal=tuple(M[i][i] for i in range(limit)),
-        shape=(n, m),
-        row_ops=tuple(w.row_ops),
-        col_ops=tuple(w.col_ops),
-    )
+    diagonal = [M[i][i] for i in range(limit)]
+    if modulus is not None:
+        diagonal = [math.gcd(d, modulus) for d in diagonal]
+    return SmithDecomposition(diagonal=tuple(diagonal), shape=(n, m), row_ops=tuple(w.row_ops))
 
 
 def smith_normal_form(a: np.ndarray) -> SmithDecomposition:
-    """Smith normal form with transforms of a 2-D integer array.
+    """Smith normal form with its row transform of a 2-D integer array.
 
     Deterministic: the pivot is the smallest absolute nonzero entry of
-    the remaining submatrix, ties broken in row-major order.
+    the remaining submatrix, ties broken in row-major order.  When the
+    columns hold a nonzero multiple of every unit vector, the reduction
+    works modulo their lattice modulus N (`_lattice_modulus`), so no entry
+    grows past N⁴.
     """
-    return _smith(_int_rows(a, "matrix"), a.shape[1])
+    return _smith(_int_rows(a, "matrix"), a.shape[1], _lattice_modulus(a))
 
 
 @dataclass(frozen=True, eq=False)
@@ -450,26 +482,16 @@ def _field_dtype(q):
     return np.int64 if (q - 1) ** 2 + (q - 1) < 2**63 else object
 
 
-def _prime_power(moduli):
-    """(p, e) when every modulus is one q = pᵉ within `_field_dtype`'s
-    int64 bound, else None: the moduli on which the row-reduction paths
-    run.  Equality is checked first, so trial division runs on one value;
-    past the int64 bound the Smith path is as exact, and it skips the
-    trial division of a large modulus."""
-    q = moduli[0] if moduli else None
-    if q is None or any(m != q for m in moduli) or _field_dtype(q) is not np.int64:
-        return None
-    factors = _prime_factors(q)
-    if len(factors) != 1:
-        return None
-    return factors[0], _valuation(q, factors[0])
-
-
 def _one_prime(moduli):
     """p when every modulus is one prime p within `_field_dtype`'s int64
-    bound (`_prime_power` with e = 1), else None."""
-    pe = _prime_power(moduli)
-    return pe[0] if pe is not None and pe[1] == 1 else None
+    bound, else None: the moduli on which `cokernel` and `subgroup_basis`
+    row-reduce.  Equality is checked first, so trial division runs on one
+    value; past the int64 bound the Smith path is as exact, and it skips
+    the trial division of a large modulus."""
+    p = moduli[0] if moduli else None
+    if p is None or any(m != p for m in moduli) or _field_dtype(p) is not np.int64:
+        return None
+    return p if _is_prime(p) else None
 
 
 def _clear(rows, c, pivot_row, q):
@@ -485,46 +507,71 @@ def _clear(rows, c, pivot_row, q):
         rows[mask] = (rows[mask] - np.outer(colv[mask], pivot_row)) % q
 
 
+def _to_divisor(a, q):
+    """A unit w of Z/q with w·a ≡ gcd(a, q), for a ≢ 0."""
+    g = math.gcd(a, q)
+    w = pow(a // g, -1, q // g)
+    while math.gcd(w, q) != 1:
+        w += q // g
+    return w
+
+
 def _rref(rows, q):
-    """Reduced row echelon form of a 2-D integer array over Z/q, for a
-    prime power q, pivoting only on units: for a prime q, on any nonzero
-    entry.
-    Returns (the nonzero rref rows, pivot columns), each pivot 1, or None
-    when a column's remaining entries are nonzero but none is a unit.
-    The non-units of Z/pᵉ are the ideal (p), so then no combination of
-    the rows has a unit there either: the row module has no echelon basis
-    with unit pivots.  Whether it has one, and then the form, depend only
-    on the row module.  GF(2) eliminates by XOR of uint8 rows, every other
-    q in int64 or Python ints by `_field_dtype`."""
+    """Howell form of a 2-D integer array over Z/q (Howell, Linear
+    Multilinear Algebra 1986; Storjohann and Mulders, ESA 1998): the
+    nonzero rows of an echelon basis of the row module, and their pivot
+    columns.  Each pivot is a divisor g of q, 1 when the column had a
+    unit, and the entries above it lie in [0, g), so the form depends only
+    on the row module; over 𝔽_p it is the reduced row echelon form.
+
+    A column with a unit pivots on the first nonzero entry when it is a
+    unit, else on the first unit, and clears the rest by one numpy
+    update.  A column with nonzero entries but no unit folds them into
+    one row by 2 × 2 unimodular steps (the extended gcd), scales the
+    pivot to the divisor g, and appends the annihilator row (q/g)·row,
+    which vanishes at the pivot.  That keeps the Howell property: every
+    member of the module that vanishes before column c is a combination of
+    the rows that pivot at c or later.  GF(2) eliminates by XOR of uint8
+    rows, every other q in int64 or Python ints by `_field_dtype`."""
     if q == 2:
         A = (rows % 2).astype(np.uint8)
     else:
         A = rows.astype(_field_dtype(q)) % q
-    nrows, ncols = A.shape
     r = 0
     pivots = []
-    for c in range(ncols):
-        if r >= nrows:
+    for c in range(A.shape[1]):
+        if r >= A.shape[0]:
             break
         nzr = np.nonzero(A[r:, c])[0]
         if nzr.size == 0:
             continue
         pr = r + int(nzr[0])
-        if math.gcd(int(A[pr, c]), q) != 1:
+        if q != 2 and math.gcd(int(A[pr, c]), q) != 1:
             units = nzr[np.gcd(A[r + nzr, c], q) == 1]
-            if units.size == 0:
-                return None
-            pr = r + int(units[0])
+            pr = r + int(units[0]) if units.size else pr
         if pr != r:
             A[[r, pr]] = A[[pr, r]]
+        if q != 2 and math.gcd(int(A[r, c]), q) != 1:
+            for i in (r + np.nonzero(A[r + 1:, c])[0] + 1).tolist():
+                a, b = int(A[r, c]), int(A[i, c])
+                x, y, g = _xgcd(a, b)
+                A[r], A[i] = (x % q * A[r] % q + y % q * A[i] % q) % q, (a // g * A[i] % q - b // g * A[r] % q) % q
         if q != 2:
-            A[r] = A[r] * pow(int(A[r, c]), -1, q) % q
-        _clear(A[r + 1:], c, A[r], q)
+            A[r] = A[r] * _to_divisor(int(A[r, c]), q) % q
+        g = int(A[r, c])
+        if g == 1:
+            _clear(A[r + 1:], c, A[r], q)
+        elif (annihilator := A[r] * (q // g) % q).any():
+            A = np.vstack([A, annihilator[None]])
         pivots.append(c)
         r += 1
-    for i in range(len(pivots) - 1, 0, -1):
-        _clear(A[:i], pivots[i], A[i], q)
-    A = A[: len(pivots)]
+    A = A[:r]
+    for i, c in enumerate(pivots):
+        g = int(A[i, c])
+        if g == 1:
+            _clear(A[:i], c, A[i], q)
+        else:
+            A[:i] = (A[:i] - np.outer(A[:i, c] // g, A[i])) % q
     return (A.astype(np.int64) if q == 2 else A), pivots
 
 
@@ -546,7 +593,11 @@ def _kernel(rows, p):
     identity on the free columns, and rows·K ≡ 0; each pivot coordinate is
     minus its rref row on the free columns."""
     rref, pivots = _rref(rows, p)
-    return _rref_kernel(rref, pivots, rows.shape[1], p)
+    free = _free_columns(rows.shape[1], pivots)
+    K = np.zeros((rows.shape[1], len(free)), dtype=rref.dtype)
+    K[free, np.arange(len(free))] = 1
+    K[pivots, :] = -rref[:, free] % p
+    return K, free
 
 
 def _free_columns(ncols, pivots):
@@ -555,16 +606,6 @@ def _free_columns(ncols, pivots):
     free = np.ones(ncols, dtype=bool)
     free[pivots] = False
     return np.flatnonzero(free)
-
-
-def _rref_kernel(rref, pivots, ncols, q):
-    """`_kernel` of the first `ncols` columns of an rref over Z/q whose
-    pivots all fall among them."""
-    free = _free_columns(ncols, pivots)
-    K = np.zeros((ncols, len(free)), dtype=rref.dtype)
-    K[free, np.arange(len(free))] = 1
-    K[pivots, :] = -rref[:, free] % q
-    return K, free
 
 
 def _cokernel_mod_prime(relations, mods, p):
@@ -617,7 +658,7 @@ def cokernel(relations: np.ndarray, generator_moduli) -> FinAbPresentation:
     keep = [i for i in range(g) if d[i] != 1]
     moduli = tuple(d[i] for i in keep)
     proj = snf.u_rows(keep) % np.array(moduli, dtype=object)[:, None]
-    lift = snf.u_inv_dot(_unit_columns(g, keep)) % np.array(mods, dtype=object)[:, None]
+    lift = snf.u_inverse_dot(_unit_columns(g, keep)) % np.array(mods, dtype=object)[:, None]
     return _presentation(moduli, mods, proj, lift)
 
 
@@ -663,113 +704,50 @@ def subgroup_basis(vectors: np.ndarray, ambient_moduli):
     s2 = smith_normal_form(_int_array((X // d[:, None]).tolist(), (n, n)))
     big = [i for i, o in enumerate(s2.diagonal) if o > 1]
     # generator i is C·U₂⁻¹[:, i], for the U₂ of the second Smith form
-    coords = d[:, None] * s2.u_inv_dot(_unit_columns(n, big))
-    gens = s1.u_inv_dot(coords) % mods[:, None]
+    coords = d[:, None] * s2.u_inverse_dot(_unit_columns(n, big))
+    gens = s1.u_inverse_dot(coords) % mods[:, None]
     return tuple(map(tuple, gens.T.tolist())), tuple(s2.diagonal[i] for i in big)
 
 
-def _echelon_mod(rows, L):
-    """Echelon generating set of the row span over Z/L (span preserving)."""
-    basis = {}
-    stack = []
-    for r in rows:
-        rr = [v % L for v in r]
-        if any(rr):
-            stack.append(rr)
-    while stack:
-        v = stack.pop()
-        j = next((idx for idx, val in enumerate(v) if val), None)
-        if j is None:
-            continue
-        if j not in basis:
-            vj = v[j]
-            g = math.gcd(vj, L)
-            k = vj // g
-            if k != 1:
-                u = pow(k, -1, L // g)
-                w = [(u * x) % L for x in v]
-                rem = [(x - k * y) % L for x, y in zip(v, w)]
-                basis[j] = w
-                if any(rem):
-                    stack.append(rem)
-            else:
-                basis[j] = v
-        else:
-            w = basis[j]
-            g0, vj = w[j], v[j]
-            if vj % g0 == 0:
-                q = vj // g0
-                v2 = [(x - q * y) % L for x, y in zip(v, w)]
-                if any(v2):
-                    stack.append(v2)
-            else:
-                x, y, g2 = _xgcd(g0, vj)
-                new = [(x * a + y * b) % L for a, b in zip(w, v)]
-                basis[j] = new
-                w2 = [(a - (g0 // g2) * c) % L for a, c in zip(w, new)]
-                v2 = [(b - (vj // g2) * c) % L for b, c in zip(v, new)]
-                if any(w2):
-                    stack.append(w2)
-                if any(v2):
-                    stack.append(v2)
-    return [basis[j] for j in sorted(basis)]
+def _back_substitute(H, pivots, n, q):
+    """(particular, kernel spanning rows) of the Howell form H of [A | b]
+    over Z/q with n unknowns and no pivot in the b column.
+
+    Right to left, each free unknown takes 0 and each pivot unknown the
+    least value that solves its row, g·x ≡ rhs: rhs/g, as g divides q.
+    The Howell property makes every such choice extend to the left, so
+    this is the colexicographically least solution.  The kernel is
+    spanned by one vector per free column (1 there, 0 on the other free
+    columns) and one per pivot g > 1 (q/g there, 0 to its right), each
+    back-substituted the same way.  Every entry above a unit pivot is 0,
+    so R, the pivot rows' right-hand sides once the free columns are set,
+    changes only where a pivot g > 1 is substituted into the rows above
+    it; a unit pivot's unknowns are its final row of R."""
+    g = H[np.arange(len(pivots)), pivots]
+    free = _free_columns(n, pivots)
+    extra = np.flatnonzero(g != 1).tolist()
+    R = np.hstack([H[:, n:], -H[:, free] % q, np.zeros((len(pivots), len(extra)), dtype=H.dtype)])
+    for t in range(len(extra) - 1, -1, -1):
+        i, gi = extra[t], int(g[extra[t]])
+        R[i] //= gi
+        R[i, 1 + len(free) + t] = q // gi
+        R[:i] = (R[:i] - np.outer(H[:i, pivots[i]], R[i])) % q
+    X = np.zeros((n, R.shape[1]), dtype=H.dtype)
+    X[free, 1 + np.arange(len(free))] = 1
+    X[pivots] = R
+    return X[:, 0], X[:, 1:].T
 
 
-def _integer_solve_full(mat_rows, rhs, width):
-    """Solve M z == rhs over Z, M given as lists of Python ints.
-
-    Returns (particular, kernel basis as the rows of an array), or None
-    when row i of U proves that there is no solution: U[i]·M ≡ 0 and
-    U[i]·rhs ≢ 0 modulo d_i (exactly, when d_i = 0).  The proof is
-    checked, so a corrupt form cannot pass for an inconsistent system;
-    a solution is checked by `AffineSolutionSet`."""
-    s = _smith([row[:] for row in mat_rows], width)
-    ub = s.u_dot(np.array(rhs, dtype=object))
-    d = s.diagonal + (0,) * (len(ub) - len(s.diagonal))
-    w = np.zeros(width, dtype=object)
-    for i, (ui, di) in enumerate(zip(ub, d)):
-        if ui % di if di else ui:
-            aug = np.array([row + [bi] for row, bi in zip(mat_rows, rhs)], dtype=object).reshape(len(rhs), width + 1)
-            proof = exact_einsum("g,gw->w", s.u_rows([i])[0], aug)
-            if di:
-                proof %= di
-            if proof[:-1].any() or not proof[-1]:
-                raise ConstructionCheckFailed("the Smith form does not prove the system inconsistent")
-            return None
-        if di:
-            w[i] = ui // di
-    free = [j for j in range(width) if j >= len(d) or d[j] == 0]
-    return s.v_dot(w), s.v_dot(_unit_columns(width, free)).T
-
-
-def _rref_solution(aug, q):
-    """(x, rref, pivots) of a system [A | b] over Z/q, for a prime power
-    q, given reduced in int64: x is the rref's constant on each pivot
-    column and 0 on every free one.  None when `_rref` finds no unit
-    pivots or puts a pivot in the b column."""
-    reduced = _rref(aug, q)
-    if reduced is None:
-        return None
-    rref, pivots = reduced
+def _prove_inconsistent(aug, q):
+    """Raise `ConstructionCheckFailed` unless [A | b] over Z/q is proved
+    inconsistent: the Howell row of [A | b | I] that leads in the b column
+    is [yA | yb | y] with yA ≡ 0 and yb ≢ 0, and the product y·[A | b] is
+    checked, so a corrupt reduction cannot pass for an inconsistent
+    system."""
     width = aug.shape[1] - 1
-    if pivots and pivots[-1] == width:
-        return None
-    x = np.zeros(width, dtype=np.int64)
-    x[pivots] = rref[:, width]
-    return x, rref, pivots
-
-
-def _prove_inconsistent(aug, p):
-    """Raise `ConstructionCheckFailed` unless [A | b] over 𝔽_p is proved
-    inconsistent: a y with yA ≡ 0 and yb ≡ 1 solves [Aᵀ 0; bᵀ 1], and the
-    product y·[A | b] is checked, so a corrupt reduction cannot pass for
-    an inconsistent system."""
-    n_eq, width = aug.shape[0], aug.shape[1] - 1
-    dual = np.zeros((width + 1, n_eq + 1), dtype=np.int64)
-    dual[:, :n_eq] = aug.T
-    dual[width, n_eq] = 1
-    y = _rref_solution(dual, p)
-    proof = None if y is None else exact_einsum("g,gw->w", y[0], aug) % p
+    H, pivots = _rref(np.hstack([aug, np.eye(aug.shape[0], dtype=aug.dtype)]), q)
+    y = H[pivots.index(width), width + 1 :] if width in pivots else None
+    proof = None if y is None else exact_einsum("g,gw->w", y, aug) % q
     if proof is None or proof[:-1].any() or not proof[-1]:
         raise ConstructionCheckFailed("the row reduction does not prove the system inconsistent")
 
@@ -849,45 +827,26 @@ def solve_modular_system(a: np.ndarray, b, moduli, unknown_moduli=None) -> Affin
 
     A is a 2-D integer array.  Unknown j ranges over
     Z/unknown_moduli[j]; by default every unknown is taken modulo
-    lcm(moduli), which loses no solutions.  Redundant congruences are
-    deduplicated by an echelon pass over Z/lcm, then the modulus columns
-    are adjoined and the single integer system is solved through the
-    Smith normal form.
+    lcm(moduli), which loses no solutions.
 
-    When every equation and unknown modulus is one prime power q = pᵉ
-    (`_prime_power`), the zero and repeated rows of [A | b] are dropped
-    (`_distinct_rows`) and one `_rref` over Z/q replaces all three
-    steps, when it pivots on units throughout and puts no pivot in the b
-    column: the particular solution is the rref's constant on each pivot
-    column and 0 on each free one, and the kernel generators are the
-    identity on the free columns, each of order q.  That kernel is free,
-    so the Smith path's `subgroup_basis` finds the same orders.  The
-    solutions depend only on the row module of [A | b], and so does the
-    rref.  Over 𝔽_p (e = 1) every nonzero entry is a unit, and an
-    inconsistent system must carry a checked proof, a y with yA ≡ 0 and
-    yb ≢ 0.  Over Z/pᵉ with e > 1, a column whose remaining entries are
-    nonzero non-units, or a pivot in the b column, hands the system to
-    the Smith path, which proves an inconsistency itself.
+    One Howell form (`_rref`) solves every system.  With N the lcm of all
+    equation and unknown moduli, congruence i is scaled by N/moduli[i] to
+    one over Z/N, and the unknowns are read in Z/N: the system is well
+    defined modulo the unknown moduli, so its solutions there are the
+    lifts of the solutions sought.  The zero and repeated rows of [A | b]
+    are dropped (`_distinct_rows`), and the Howell form of the rest is
+    inconsistent exactly when a row leads in the b column; that verdict
+    carries a checked proof, a y with yA ≡ 0 and yb ≢ 0
+    (`_prove_inconsistent`).  Otherwise `_back_substitute` gives the
+    particular and a spanning set of the kernel, which `subgroup_basis`
+    turns into independent generators, unless every pivot is 1 and every
+    unknown modulus is N: the kernel is then free on the free columns,
+    each generator of order N.
 
-    The particular is the one the Smith path returns.  Let N, the row
-    module of [A | b], have unit pivots at c_0 < c_1 < ….  A member of N
-    that vanishes before c is 0 at c unless c is some c_t, and the rref
-    row of c_t is such a member with a 1 there.  Take an echelon
-    generating set of N whose rows leading before c lead with 1: a
-    member vanishing before c takes no multiple of those rows, so its
-    entry at c is a multiple of the leading entry of the row that leads
-    at c.  By induction on c, `_echelon_mod`'s basis E has one row
-    leading at each c_t and no other, and that entry, a divisor of q
-    that must be a unit, is 1.  `_smith` on [E | q·I] then pivots at
-    (t, c_t) for each t in turn, on the first 1 of its row: by step t
-    the rows above t hold only their pivots and the rows below vanish
-    at c_t, so no row operation is logged, and its column operations
-    swap columns t and c_t and add the pivot column into later columns.
-    Replayed onto w, which is 0 past the rank, they leave V·w nonzero
-    only on the pivot columns, so it is 0 on every free coordinate.  A
-    particular that is 0 there is the rref's constant.
-    `tests/test_prime_solve.py`, `tests/test_prime_power_solve.py` and
-    `tests/solve_census.py` compare the two paths.
+    Invariant: the particular is the colexicographically least member of
+    the solution set (the last coordinate compared first), each coordinate
+    in [0, unknown_moduli[j]).  It depends only on the set, so every
+    correct solver prints the same particular.
     """
     n_eq, n_x = _check_matrix(a, "system matrix")
     if len(b) != n_eq or len(moduli) != n_eq:
@@ -911,50 +870,24 @@ def solve_modular_system(a: np.ndarray, b, moduli, unknown_moduli=None) -> Affin
     a = a.copy()
     a.flags.writeable = False
     system = (a, b, mods)
-
-    def full_ambient():
+    N = math.lcm(L, *M)
+    dtype = _field_dtype(N)
+    m = _int_array(mods, (n_eq, 1))
+    rhs = _int_array([bi % mi for bi, mi in zip(b, mods)], (n_eq, 1))
+    aug = _distinct_rows(np.hstack([a % m, rhs]).astype(dtype) * _int_array([N // mi for mi in mods], (n_eq, 1)).astype(dtype))
+    if L == 1 or not aug.shape[0]:
         gens, orders = subgroup_basis(np.eye(n_x, dtype=np.int64), M)
         return AffineSolutionSet(M, (0,) * n_x, gens, orders, system)
-
-    if L == 1 or n_eq == 0:
-        return full_ambient()
-    empty = AffineSolutionSet(M, None, (), (), system)
-    pe = _prime_power(mods + M)
-    if pe is not None:
-        p, e = pe
-        q = p**e
-        b_col = np.array([bi % q for bi in b], dtype=np.int64)[:, None]
-        aug = _distinct_rows(np.hstack([(a % q).astype(np.int64), b_col]))
-        sol = _rref_solution(aug, q)
-        if sol is not None:
-            x, rref, pivots = sol
-            gens = _rref_kernel(rref, pivots, n_x, q)[0].T
-            return AffineSolutionSet(M, tuple(x.tolist()), tuple(map(tuple, gens.tolist())), (q,) * len(gens), system)
-        if e == 1:
-            _prove_inconsistent(aug, p)
-            return empty
-    aug = []
-    for row, mi, bi in zip(_int_rows(a, "system matrix"), mods, b):
-        s = L // mi
-        aug.append([(x * s) % L for x in row] + [(bi * s) % L])
-    ech = _echelon_mod(aug, L)
-    eqs = []
-    for row in ech:
-        if any(row[:n_x]):
-            eqs.append(row)
-        elif row[n_x] % L:
-            return empty
-    if not eqs:
-        return full_ambient()
-    r = len(eqs)
-    mat = [eqs[i][:n_x] + [L if j == i else 0 for j in range(r)] for i in range(r)]
-    rhs = [eqs[i][n_x] for i in range(r)]
-    sol = _integer_solve_full(mat, rhs, n_x + r)
-    if sol is None:
-        return empty
-    z0, kernel = sol
-    particular = tuple(int(z0[j]) % M[j] for j in range(n_x))
-    gens, orders = subgroup_basis(kernel[:, :n_x], M)
+    H, pivots = _rref(aug, N)
+    if pivots[-1] == n_x:
+        _prove_inconsistent(aug, N)
+        return AffineSolutionSet(M, None, (), (), system)
+    x, gens = _back_substitute(H, pivots, n_x, N)
+    particular = tuple(int(v) % mj for v, mj in zip(x.tolist(), M))
+    if (H[np.arange(len(pivots)), pivots] == 1).all() and all(mj == N for mj in M):
+        gens, orders = tuple(map(tuple, gens.tolist())), (N,) * len(gens)
+    else:
+        gens, orders = subgroup_basis(gens, M)
     return AffineSolutionSet(M, particular, gens, orders, system)
 
 

@@ -14,6 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
+import smith_oracle
+
 from hsep import exactalg
 
 
@@ -92,16 +94,11 @@ def is_h_idempotent(t2, coords) -> bool:
 
 
 def contains(affine, vec):
-    """vec ∈ particular + ⟨kernel generators⟩, by an integer solve."""
-    if affine.is_empty:
-        return False
-    n = len(affine.coordinate_moduli)
-    if len(vec) != n:
+    """vec ∈ particular + ⟨kernel generators⟩, by an integer solve of
+    `smith_oracle`, which shares no code with the solver."""
+    if not affine.is_empty and len(vec) != len(affine.coordinate_moduli):
         raise exactalg.DimensionMismatch("member length")
-    diff = [(int(v) - p) % m for v, p, m in zip(vec, affine.particular, affine.coordinate_moduli)]
-    cols = [list(g) for g in affine.kernel_generators]
-    rows = [[c[i] for c in cols] + [affine.coordinate_moduli[i] if j == i else 0 for j in range(n)] for i in range(n)]
-    return exactalg._integer_solve_full(rows, diff, len(cols) + n) is not None
+    return smith_oracle.contains(affine, vec)
 
 
 def verify_member(affine, vec):

@@ -1,4 +1,5 @@
-"""Census of the unit-pivot solve over Z/q against the Smith path.
+"""Census of `exactalg.solve_modular_system` against the integer Smith
+solve of `smith_oracle`.
 
 For n ≤ 3, q ∈ {4, 8, 9, 25, 27} and four bases of each ring (the
 standard one and three seeded changes of basis, `basis_change`), this
@@ -6,21 +7,22 @@ collects the systems a `sep report` hands `exactalg.solve_modular_system`
 on M_n(Z/q)/(Z/q) and on T_n(Z/q) → M_n(Z/q): the separability locus,
 the ring-retraction system and the centre of each ring.  The report no
 longer solves the centres; `finring_util.center` builds the system it
-solved.  Each system is solved twice: as the solver chooses, and with
-`exactalg._prime_power` patched to None, which sends every system down
-the Smith path.  Both must give the same particular solution, the same
-kernel orders and the same kernel span, which the Smith path's
-`subgroup_basis` compares: the span of both generator sets must have
-the orders of either.
+solved.  Each system is solved by the solver and by the oracle, and
+`differences` names what disagrees: emptiness, the oracle's particular
+outside the solver's set, the order of either kernel or of their joint
+span, or a particular that is not the colexicographically least member
+of the oracle's set (`smith_oracle.colex_least`).
 
 Run it from the repository root:
 
     PYTHONPATH=src:tests python3 tests/solve_census.py
 
-It prints one line per extension, with how many of its systems took the
-row reduction and how many fell back to the Smith path, and exits 1
-after the last if any system differed.  tests/test_prime_power_solve.py
-runs a seeded slice.
+It prints one line per extension: how many of its systems the Howell
+form solved, how many of their kernels `subgroup_basis` turned into
+independent generators through a Smith form, and how many fell back to
+a Smith form of the system itself, which is never; it exits 1 after the
+last if any system differed.  tests/test_modular_solve.py runs a seeded
+slice.
 """
 
 import math
@@ -30,10 +32,11 @@ from unittest import mock
 
 import numpy as np
 
+import smith_oracle
 from finring_util import center
 
 from hsep import exactalg, sepkit
-from hsep.exactalg import CapExceeded, exact_einsum, solve_modular_system, subgroup_basis
+from hsep.exactalg import CapExceeded, exact_einsum, solve_modular_system
 from hsep.finring import check_ring_hom, construct_ring, construct_standard_ring
 from hsep.sepkit import find_ring_retractions, separability_locus
 
@@ -43,15 +46,10 @@ SEEDS = (0, 1, 2, 3)
 CASES = [(kind, n, q, seed) for kind in KINDS for n in (1, 2, 3) for q in MODULI for seed in SEEDS]
 
 
-def smith_path():
-    return mock.patch.object(exactalg, "_prime_power", lambda moduli: None)
-
-
 def basis_change(k, q, rng):
     """(G, G⁻¹) mod q for G = P·D·S: a seeded permutation P, a diagonal D
-    of units and a shear S = I + c·E_ij, i ≠ j.  A denser G, such as a
-    product of full unitriangular matrices, sends the Smith path of
-    S⊗S's cokernel into coefficient growth on T3."""
+    of units and a shear S = I + c·E_ij, i ≠ j.  `dense_basis_change`
+    gives a denser G."""
     perm = list(range(k))
     rng.shuffle(perm)
     p = np.eye(k, dtype=np.int64)[perm]
@@ -67,6 +65,29 @@ def basis_change(k, q, rng):
     return g, g_inv
 
 
+def dense_basis_change(k, q, rng):
+    """(G, G⁻¹) mod q for G = L·U, with L and U seeded unitriangular
+    matrices whose every off-diagonal entry is random: every entry of G
+    is then dense.  A triangular inverse is built by back-substitution
+    over Z, so G⁻¹ = U⁻¹·L⁻¹ needs no division."""
+    low = np.eye(k, dtype=np.int64)
+    up = np.eye(k, dtype=np.int64)
+    for i in range(k):
+        for j in range(i):
+            low[i, j], up[j, i] = rng.randrange(q), rng.randrange(q)
+    return low @ up % q, _unitriangular_inverse(up, q) @ _unitriangular_inverse(low.T, q).T % q
+
+
+def _unitriangular_inverse(t, q):
+    """The inverse mod q of an upper unitriangular matrix."""
+    k = len(t)
+    inv = np.eye(k, dtype=np.int64)
+    for i in range(k - 1, -1, -1):
+        for j in range(i + 1, k):
+            inv[i] = (inv[i] - t[i, j] * inv[j]) % q
+    return inv
+
+
 def rebased(ring, g, g_inv):
     """`ring`, every modulus q, on the basis e'_a = Σ_i G[i, a]·e_i."""
     q = ring.moduli[0]
@@ -76,9 +97,9 @@ def rebased(ring, g, g_inv):
     return construct_ring(ring.moduli, table.tolist(), unit.tolist(), ring.label, labels)
 
 
-def extension(kind, n, q, seed):
+def extension(kind, n, q, seed, change=basis_change):
     """M_n(Z/q)/(Z/q) ("M") or T_n(Z/q) → M_n(Z/q) ("T"); seed 0 keeps the
-    standard bases, and any other seed changes both."""
+    standard bases, and any other seed changes both by `change`."""
     base = construct_standard_ring("modular", {"n": q}).ring
     if kind == "M":
         hom = construct_standard_ring("matrix", {"n": n, "base": base}).homs["scalar"]
@@ -88,8 +109,8 @@ def extension(kind, n, q, seed):
         return hom
     rng = random.Random(repr((kind, n, q, seed)))
     src, tgt = hom.source, hom.target
-    gs, gs_inv = basis_change(src.k, q, rng)
-    gt, gt_inv = basis_change(tgt.k, q, rng)
+    gs, gs_inv = change(src.k, q, rng)
+    gt, gt_inv = change(tgt.k, q, rng)
     # row a of the new matrix: φ(e'_a) in the new target coordinates
     matrix = exact_einsum("ja,jl,cl->ac", gs, hom.np_matrix, gt_inv) % q
     return check_ring_hom(matrix.tolist(), rebased(src, gs, gs_inv), rebased(tgt, gt, gt_inv))
@@ -119,65 +140,69 @@ def report_systems(hom):
     return [(a, b, mods, None if unknown is None else tuple(unknown)) for a, b, mods, unknown in calls]
 
 
-def span_orders(vectors, moduli):
-    """The orders of the span of `vectors` in ⊕ Z/m_j, by the Smith path."""
-    with smith_path():
-        return subgroup_basis(np.array(vectors, dtype=object).reshape(len(vectors), len(moduli)), moduli)[1]
-
-
 def differences(a, b, mods, unknown):
-    """What differs between the solver's answer and the Smith path's:
-    an empty list when they agree."""
+    """What differs between the solver's answer and the oracle's: an
+    empty list when they agree."""
     fast = solve_modular_system(a, b, mods, unknown)
-    with smith_path():
-        slow = solve_modular_system(a, b, mods, unknown)
+    slow = smith_oracle.solve(a, b, mods, unknown)
+    if fast.is_empty or slow is None:
+        return [] if fast.is_empty and slow is None else ["emptiness"]
     bad = []
-    if fast.particular != slow.particular:
+    if not smith_oracle.contains(fast, slow[0]):
         bad.append("particular")
-    if fast.kernel_orders != slow.kernel_orders:
+    moduli = fast.coordinate_moduli
+    order = smith_oracle.span_order(fast.kernel_generators, moduli)
+    if order != fast.size or smith_oracle.span_order(slow[1], moduli) != order:
         bad.append("orders")
-    elif fast.kernel_orders and not fast.is_empty:
-        union = span_orders(fast.kernel_generators + slow.kernel_generators, fast.coordinate_moduli)
-        if union != fast.kernel_orders:
-            bad.append("span")
+    elif smith_oracle.span_order(fast.kernel_generators + tuple(slow[1]), moduli) != order:
+        bad.append("span")
+    if smith_oracle.colex_least(slow[0], slow[1], moduli) != fast.particular:
+        bad.append("not colex-least")
     return bad
 
 
-def took_row_reduction(a, b, mods, unknown):
-    """Whether the solver answers this system from its row reduction: its
-    Smith path, which every system with an equation takes otherwise,
-    begins with `_echelon_mod`."""
-    echelon = []
-    real = exactalg._echelon_mod
+def smith_calls(a, b, mods, unknown):
+    """(Smith forms run inside `subgroup_basis`, Smith forms run outside
+    it) while the solver answers this system."""
+    inside, outside, depth = [0], [0], [0]
+    smith, basis = exactalg._smith, exactalg.subgroup_basis
 
-    def counted(rows, modulus):
-        echelon.append(modulus)
-        return real(rows, modulus)
+    def counted_smith(*args):
+        (inside if depth[0] else outside)[0] += 1
+        return smith(*args)
 
-    with mock.patch.object(exactalg, "_echelon_mod", counted):
+    def counted_basis(*args):
+        depth[0] += 1
+        try:
+            return basis(*args)
+        finally:
+            depth[0] -= 1
+
+    with mock.patch.object(exactalg, "_smith", counted_smith), mock.patch.object(exactalg, "subgroup_basis", counted_basis):
         solve_modular_system(a, b, mods, unknown)
-    return not echelon
+    return inside[0], outside[0]
 
 
-def census(case):
-    """(systems on the row reduction, systems on the Smith path, the
+def census(case, change=basis_change):
+    """(systems, systems whose kernel took a Smith form in
+    `subgroup_basis`, systems that took one anywhere else, the
     differences found) for one extension."""
-    systems = report_systems(extension(*case))
-    fast = sum(took_row_reduction(*system) for system in systems)
+    systems = report_systems(extension(*case, change=change))
+    calls = [smith_calls(*system) for system in systems]
     bad = ["system %d: %s" % (i, ", ".join(d)) for i, system in enumerate(systems) if (d := differences(*system))]
-    return fast, len(systems) - fast, bad
+    return len(systems), sum(1 for inside, _ in calls if inside), sum(1 for _, outside in calls if outside), bad
 
 
 def main():
     failed = 0
     for case in CASES:
-        fast, slow, bad = census(case)
-        failed += bool(bad)
+        total, kernels, fallbacks, bad = census(case)
+        failed += bool(bad) or bool(fallbacks)
         kind, n, q, seed = case
         name = ("M%d(Z/%d)/(Z/%d)" % (n, q, q) if kind == "M" else "T%d(Z/%d) -> M%d(Z/%d)" % (n, q, n, q)) + ", basis %d" % seed
-        print("%s: %d row-reduced, %d on the Smith path, %s" % (name, fast, slow, "; ".join(bad) if bad else "same"))
+        print("%s: %d row-reduced, %d kernels through subgroup_basis, %d fallbacks, %s" % (name, total, kernels, fallbacks, "; ".join(bad) if bad else "same"))
         sys.stdout.flush()
-    print("%d of %d extensions differ" % (failed, len(CASES)))
+    print("%d of %d extensions differ or fall back" % (failed, len(CASES)))
     return 1 if failed else 0
 
 

@@ -83,7 +83,7 @@ class TestEveryMemberOracle:
 
 class TestFaultInjection:
     LOCUS = separability_locus(CASES["M2(Z/3)"])
-    # the Smith path solves the systems over a modulus that is not a prime power
+    # a locus over a modulus that is not a prime power
     COMPOSITE = separability_locus(CASES["M2(Z/6)"])
 
     def test_corrupted_generator_by_replace(self):
@@ -96,30 +96,33 @@ class TestFaultInjection:
         with pytest.raises(ConstructionCheckFailed, match="particular solution"):
             dataclasses.replace(self.LOCUS, particular=zero)
 
+    @staticmethod
+    def corrupt_back_substitution(monkeypatch, which):
+        """The solver's back-substitution returns its particular, or its
+        last kernel vector, plus 1 at a coordinate the system reads."""
+        original = exactalg._back_substitute
+        j = failing_column(TestFaultInjection.COMPOSITE)
+
+        def corrupt(H, pivots, n, q):
+            x, gens = original(H, pivots, n, q)
+            x, gens = x.copy(), gens.copy()
+            if which == "particular":
+                x[j] = (x[j] + 1) % q
+            else:
+                gens[-1, j] = (gens[-1, j] + 1) % q
+            return x, gens
+
+        monkeypatch.setattr(exactalg, "_back_substitute", corrupt)
+
     def test_corrupted_generator_in_the_solver(self, monkeypatch):
-        original = exactalg.subgroup_basis
-        j = failing_column(self.COMPOSITE)
-
-        def corrupt(vectors, moduli):
-            gens, orders = original(vectors, moduli)
-            bad = tuple((x + (i == j)) % m for i, (x, m) in enumerate(zip(gens[-1], moduli)))
-            return gens[:-1] + (bad,), orders
-
         assert resolve(self.COMPOSITE) == self.COMPOSITE
-        monkeypatch.setattr(exactalg, "subgroup_basis", corrupt)
+        self.corrupt_back_substitution(monkeypatch, "generator")
         last = len(self.COMPOSITE.kernel_generators) - 1
         with pytest.raises(ConstructionCheckFailed, match="kernel generator %d" % last):
             resolve(self.COMPOSITE)
 
     def test_corrupted_particular_in_the_solver(self, monkeypatch):
-        original = exactalg._integer_solve_full
-        j = failing_column(self.COMPOSITE)
-
-        def corrupt(mat_rows, rhs, width):
-            z0, kernel = original(mat_rows, rhs, width)
-            return [x + (i == j) for i, x in enumerate(z0)], kernel
-
-        monkeypatch.setattr(exactalg, "_integer_solve_full", corrupt)
+        self.corrupt_back_substitution(monkeypatch, "particular")
         with pytest.raises(ConstructionCheckFailed, match="particular solution"):
             resolve(self.COMPOSITE)
 
@@ -154,6 +157,15 @@ class TestFaultInjection:
             "    dataclasses.replace(locus, kernel_generators=gens)\n"
             "except ConstructionCheckFailed as err:\n"
             "    print('optimize=%d raised: %s' % (sys.flags.optimize, err))\n"
+            "import pytest\n"
+            "from test_locus_check import TestFaultInjection, resolve\n"
+            "for which in ('particular', 'generator'):\n"
+            "    with pytest.MonkeyPatch.context() as patch:\n"
+            "        TestFaultInjection.corrupt_back_substitution(patch, which)\n"
+            "        try:\n"
+            "            resolve(TestFaultInjection.COMPOSITE)\n"
+            "        except ConstructionCheckFailed as err:\n"
+            "            print('optimize=%d raised: %s' % (sys.flags.optimize, err))\n"
         )
         path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")])
         out = subprocess.run(
@@ -164,4 +176,9 @@ class TestFaultInjection:
             timeout=120,
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "optimize=1 raised: kernel generator 0 fails the defining system"
+        last = len(self.COMPOSITE.kernel_generators) - 1
+        assert out.stdout.splitlines() == [
+            "optimize=1 raised: kernel generator 0 fails the defining system",
+            "optimize=1 raised: the particular solution fails the defining system",
+            "optimize=1 raised: kernel generator %d fails the defining system" % last,
+        ]
