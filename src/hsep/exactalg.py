@@ -1067,6 +1067,20 @@ def _vanishes(Q, mods, chat):
     return ok
 
 
+def _distinct_forms(Q, mods):
+    """The indices, in order, of the forms that add a condition: a form
+    that is zero mod its modulus, or that repeats an earlier (form mod m,
+    m), vanishes wherever the others do."""
+    flat = (Q % _int_array(mods, (len(mods), 1, 1))).reshape(len(mods), Q.shape[1] * Q.shape[2])
+    seen, keep = set(), []
+    for r in np.flatnonzero((flat != 0).any(axis=1)):
+        key = (mods[r], tuple(flat[r]) if flat.dtype == object else flat[r].tobytes())
+        if key not in seen:
+            seen.add(key)
+            keep.append(r)
+    return keep
+
+
 def solve_quadratic(affine: AffineSolutionSet, Q: np.ndarray, mods) -> np.ndarray:
     """The members of `affine` at which a system of quadratic forms vanishes.
 
@@ -1083,7 +1097,9 @@ def solve_quadratic(affine: AffineSolutionSet, Q: np.ndarray, mods) -> np.ndarra
     primes that also divide an o_i are found, by trial division of
     gcd(lcm(mods), lcm(o_i)); `_prime_power_roots` solves each of them,
     the residues are recombined, and the digits of c that no modulus
-    reads are free.  Every root is substituted back into F in one
+    reads are free.  A form that vanishes wherever the others do, zero
+    or a repeat (`_distinct_forms`), is dropped before the primes are
+    solved.  Every root is substituted back into every form of Q in one
     vectorised evaluation, and a miss raises `ConstructionCheckFailed`.
     The work, the factoring included, is bounded by the size of
     `affine`, which the caller caps.
@@ -1101,24 +1117,26 @@ def solve_quadratic(affine: AffineSolutionSet, Q: np.ndarray, mods) -> np.ndarra
         return np.zeros((0, width), dtype=np.int64)
     if max(mods, default=1) >= 2**63:
         Q = Q.astype(object)
+    keep = _distinct_forms(Q, mods)
+    forms, form_mods = Q[keep], tuple(mods[r] for r in keep)
     orders = affine.kernel_orders
     dtype = np.int64 if max(orders, default=1) ** 2 < 2**63 else object
-    coprime = math.lcm(*mods)
+    coprime = math.lcm(*form_mods)
     shared = math.gcd(coprime, math.lcm(*orders))
     while math.gcd(coprime, shared) > 1:
         coprime //= math.gcd(coprime, shared)
-    if any(int(f) % math.gcd(m, coprime) for f, m in zip(Q[:, 0, 0], mods)):
+    if any(int(f) % math.gcd(m, coprime) for f, m in zip(forms[:, 0, 0], form_mods)):
         return np.zeros((0, width), dtype=np.int64)
     # c is known mod step; it starts unknown
     coeffs = np.zeros((1, n), dtype=dtype)
     step = np.ones(n, dtype=dtype)
     for q in _prime_factors(shared):
-        b = np.array([_valuation(m, q) for m in mods])
+        b = np.array([_valuation(m, q) for m in form_mods])
         rows = np.flatnonzero(b)
         top = int(b.max())
         e = [min(_valuation(o, q), top) for o in orders]
-        qb = np.array([q ** int(x) for x in b[rows]], dtype=Q.dtype)[:, None, None]
-        roots = _prime_power_roots(Q[rows] % qb, b[rows], e, q)
+        qb = np.array([q ** int(x) for x in b[rows]], dtype=forms.dtype)[:, None, None]
+        roots = _prime_power_roots(forms[rows] % qb, b[rows], e, q)
         if not len(roots):
             return np.zeros((0, width), dtype=np.int64)
         # CRT: c ≡ coeffs (mod step) and c ≡ roots (mod q^e)

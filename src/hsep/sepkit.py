@@ -29,10 +29,15 @@ The locus comes from `exactalg.solve_modular_system` as particular +
 Σ c_i g_i, checked there once on those vectors, which covers every
 member.  On it β(e,e) − Δ(e) is a quadratic form in the c_i, and
 `h_idempotents`, which reports and the CLI share, finds its roots with
-`exactalg.solve_quadratic` instead of visiting every member.  A ring
-retraction's E(xy) = E(x)E(y) is quadratic in the same way on the linear
-solutions of E∘φ = id, and `find_ring_retractions` solves it with the
-same solver.  Both still run only on sets within the caller's cap.
+`exactalg.solve_quadratic` instead of visiting every member.
+S⊗_R S⊗_R S is built for that system alone, and only where it has
+unknowns: a locus of exactly {1⊗1}, as for every ring epimorphism, is
+heavy in any ring, as β(1⊗1, 1⊗1) = 1⊗1⊗1 = Δ(1⊗1), so an
+epimorphism's report builds no S⊗_R S⊗_R S.  The report still checks
+the locus solve against the epimorphism criterion.  A ring retraction's
+E(xy) = E(x)E(y) is quadratic in the same way on the linear solutions
+of E∘φ = id, and `find_ring_retractions` solves it with the same
+solver.  Both still run only on sets within the caller's cap.
 
 S⊗_R S is also the Sweedler coring of the extension: comultiplication
 sends a⊗b to a⊗1⊗b and the counit is multiplication, so a heavy
@@ -163,10 +168,12 @@ class TensorPower:
             left = exact_einsum("sac,bd->scbad", t, eye).reshape(k, rank, rank)
             right = exact_einsum("ac,bsd->sadcb", eye, t).reshape(k, rank, rank)
         else:
+            # contracted pairwise: k⁴·n + k³·n² multiply-adds instead of
+            # k⁴·n², n = rank; 2·k⁵ against k⁶ when n = k, as for an epi
             p = self.np_project.reshape(rank, k, k)
             l = self.np_lift.reshape(k, k, rank)
-            left = exact_einsum("rcb,sac,abq->srq", p, t, l)
-            right = exact_einsum("rac,bsc,abq->srq", p, t, l)
+            left = exact_einsum("rcb,scbq->srq", p, exact_einsum("sac,abq->scbq", t, l))
+            right = exact_einsum("rac,sacq->srq", p, exact_einsum("bsc,abq->sacq", t, l))
         mods = self.np_moduli[None, :, None]
         return left % mods, right % mods
 
@@ -361,11 +368,18 @@ def separability_locus(hom: RingHom) -> AffineSolutionSet:
 
 def h_idempotents(t2: TensorPower):
     """The heavy separability idempotents, sorted: the roots of the heavy
-    quadratic system on the locus.  The caller bounds the locus size."""
-    if t2.locus.is_empty:
+    quadratic system on the locus.  The caller bounds the locus size.
+
+    A locus of exactly {1⊗1}, as for a ring epimorphism, is heavy in any
+    ring: β(1⊗1, 1⊗1) = 1⊗1·1⊗1 = 1⊗1⊗1 = Δ(1⊗1).  The system then has no
+    unknowns and S⊗_R S⊗_R S is not built."""
+    locus = t2.locus
+    if locus.is_empty:
         return ()
+    if not locus.kernel_generators and locus.particular == t2.one_one:
+        return (t2.one_one,)
     forms, mods = _heavy_forms(t2)
-    members = solve_quadratic(t2.locus, forms, mods)
+    members = solve_quadratic(locus, forms, mods)
     return tuple(sorted(tuple(int(x) for x in row) for row in members))
 
 

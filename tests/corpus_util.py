@@ -1,6 +1,11 @@
 """Shared corpus of ring extensions used across the test suite."""
 
-from hsep.finring import check_ring_hom, construct_ring, construct_standard_ring, identity_hom
+import json
+from pathlib import Path
+
+from hsep.finring import check_ring_hom, construct_ring, construct_standard_ring, hom_from_doc, identity_hom
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def zmod(n):
@@ -102,3 +107,10 @@ def build_corpus():
         "dual": dual,
     }
     return homs, standards
+
+
+def hom_documents():
+    """"doc:<folder>/<stem>" -> RingHom, for every hom document of the
+    corpus and of tests/golden/sep-homs."""
+    paths = sorted((ROOT / "corpus").glob("*/hom.json")) + sorted((ROOT / "tests" / "golden" / "sep-homs").glob("*.json"))
+    return {"doc:%s/%s" % (p.parent.name, p.stem): hom_from_doc(json.loads(p.read_text()), p.parent) for p in paths}

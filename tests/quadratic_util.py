@@ -1,10 +1,13 @@
-"""Enumeration oracles for the two quadratic searches of `sepkit`.
+"""Enumeration oracles for `exactalg.solve_quadratic` and the two
+quadratic searches of `sepkit`.
 
-`sepkit` decides the heavy condition and the multiplicativity of a ring
-retraction by solving a quadratic system with `exactalg.solve_quadratic`.
-These are the vectorised filters it used before: every member of the
-affine set goes through the condition, and the survivors are kept.  They
-share no code with the solver.
+`brute_roots` evaluates a quadratic system on every member of an affine
+set.  `sepkit` decides the heavy condition and the multiplicativity of
+a ring retraction by solving a quadratic system with
+`exactalg.solve_quadratic`; the other oracles are the vectorised
+filters it used before: every member of the affine set goes through the
+condition, and the survivors are kept.  They share no code with the
+solver.
 """
 
 import numpy as np
@@ -13,6 +16,15 @@ from hsep.exactalg import solve_modular_system
 from hsep.finring import check_ring_hom
 
 CHUNK = 2048
+
+
+def brute_roots(affine, A, mods):
+    """The members x of `affine` with x̂ᵀA_r x̂ ≡ 0 (mod mods[r]) for every
+    r, x̂ = (1, x), on the members' own coordinates."""
+    members = affine.member_array()
+    xhat = np.hstack([np.ones((len(members), 1), dtype=np.int64), members])
+    vals = np.einsum("nu,ruv,nv->nr", xhat, A, xhat) % np.array(mods)
+    return members[~vals.any(axis=1)]
 
 
 def h_pass_mask(t2, members):

@@ -19,7 +19,7 @@ import pytest
 
 from corpus_util import build_corpus, diagonal_into_matrix, zmod
 from finring_util import _unit_vector
-from quadratic_util import heavy_members, retraction_space, retractions
+from quadratic_util import brute_roots, heavy_members, retraction_space, retractions
 
 from hsep import exactalg
 from hsep.exactalg import (
@@ -88,13 +88,6 @@ def random_system(rng, coord, mods, vectors):
     W[1:, 0] = particular
     W[1:, 1:] = np.array(gens, dtype=np.int64).reshape(len(gens), w).T
     return affine, np.einsum("ui,ruv,vj->rij", W, A, W), A
-
-
-def brute_roots(affine, A, mods):
-    members = affine.member_array()
-    xhat = np.hstack([np.ones((len(members), 1), dtype=np.int64), members])
-    vals = np.einsum("nu,ruv,nv->nr", xhat, A, xhat) % np.array(mods)
-    return members[~vals.any(axis=1)]
 
 
 SHAPES = [
@@ -195,6 +188,51 @@ class TestSolverOracle:
         affine = AffineSolutionSet((m,), (0,), ((2**69,),), (2,))
         forms = np.array([[[-(2**69), 2**69], [0, 0]]], dtype=object)
         assert solve_quadratic(affine, forms, (m,)).tolist() == [[2**69]]
+
+    @pytest.mark.parametrize("coord, mods", SHAPES)
+    def test_duplicated_and_zero_forms(self, coord, mods, monkeypatch):
+        """Each form again, shifted by a multiple of its modulus, a zero
+        form and a multiple of a modulus, shuffled in: the roots are the
+        enumeration's, and the prime loop sees only the distinct forms."""
+        seen, original = [], exactalg._prime_power_roots
+
+        def counted(Q, b, e, q):
+            seen.append(len(Q))
+            return original(Q, b, e, q)
+
+        monkeypatch.setattr(exactalg, "_prime_power_roots", counted)
+        rng = random.Random(repr(("duplicates", coord, mods)))
+        for _ in range(8):
+            vectors = [[rng.randrange(c) for c in coord] for _ in range(len(coord))]
+            affine, Q, A = random_system(rng, coord, mods, vectors)
+            R = len(mods)
+            shift = np.array([[[rng.randrange(-3, 4) * m for _ in range(Q.shape[2])] for _ in range(Q.shape[1])] for m in mods])
+            Qs = np.concatenate([Q, Q + shift, np.zeros_like(Q[:1]), mods[0] * Q[:1]])
+            As = np.concatenate([A, A, np.zeros_like(A[:1]), np.zeros_like(A[:1])])
+            ms = mods + mods + (mods[0], mods[0])
+            order = list(range(len(ms)))
+            rng.shuffle(order)
+            Qs, As, ms = Qs[order], As[order], tuple(ms[i] for i in order)
+            seen.clear()
+            assert solve_quadratic(affine, Qs, ms).tolist() == brute_roots(affine, As, ms).tolist() != []
+            assert all(n <= R for n in seen)
+
+    def test_distinct_forms(self):
+        # F, F shifted by its modulus, zero, F under another modulus (the
+        # same residues mod 2 as mod 4), a multiple of the modulus, and F
+        # again: the first and fourth stay
+        f = np.array([[1, 1], [0, 1]], dtype=np.int64)
+        Q = np.stack([f, f + 4, 0 * f, f, 4 * f, f])
+        assert exactalg._distinct_forms(Q, (4, 4, 4, 2, 4, 4)) == [0, 3]
+        assert exactalg._distinct_forms(Q.astype(object), (4, 4, 4, 2, 4, 4)) == [0, 3]
+
+    def test_a_dropped_form_is_still_checked(self, monkeypatch):
+        # the solver sees no form, so every c is a root; c = 1 fails the
+        # caller's form c ≡ 0 (mod 2)
+        affine, forms = one_form()
+        monkeypatch.setattr(exactalg, "_distinct_forms", lambda Q, mods: [])
+        with pytest.raises(ConstructionCheckFailed, match="fails it"):
+            solve_quadratic(affine, forms, (2,))
 
     def test_empty_affine_set(self):
         empty = AffineSolutionSet((2, 2), None, (), ())
