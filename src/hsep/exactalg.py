@@ -1,34 +1,33 @@
 """Exact integer and mixed-modulus linear algebra.
 
-Smith normal forms of arbitrary-precision integer matrices, canonical
-invariant-factor presentations of finite abelian groups, and affine
-solution sets of simultaneous congruences with mixed moduli.  Every
-quotient construction and solver in the workbench sits on these
-kernels.  Numpy arrays are the one matrix type: `smith_normal_form`,
-`cokernel`, `subgroup_basis` and `solve_modular_system` take 2-D
-integer arrays (signed integers, or object arrays of Python ints) and
-raise `DimensionMismatch` on anything else.
+Canonical invariant-factor presentations of finite abelian groups,
+independent generators of subgroups, and affine solution sets of
+simultaneous congruences with mixed moduli.  Every quotient construction
+and solver in the workbench sits on these kernels.  Numpy arrays are the
+one matrix type: `cokernel`, `subgroup_basis` and `solve_modular_system`
+take 2-D integer arrays (signed integers, or object arrays of Python
+ints) and raise `DimensionMismatch` on anything else.
 
 `_rref` is the workbench's one row reduction: the Howell form over Z/q
 for any q, on numpy rows (XOR on GF(2), int64 while no product can
-overflow, Python ints past that), with `_kernel` beside it over 𝔽_p.
+overflow, Python ints past that).  It depends only on the row module, so
+everything read off it depends only on the module too.
 `solve_modular_system` solves every system with one Howell form over
 Z/N, N the lcm of its moduli, and its particular solution is the
 colexicographically least member of the solution set (the last
-coordinate compared first), so it depends only on the set.  The Smith
-form stays only behind `cokernel` and `subgroup_basis`, whose printed
-coordinates its U fixes, and each takes one row reduction instead when
-every modulus is one prime p within that int64 bound (`_one_prime`).  A
-Smith form keeps U as a log of its row operations, replayed onto only
-what a caller reads; when the columns hold a multiple of every unit
-vector, as in a cokernel, it reduces its entries modulo their lattice
-modulus, so they cannot grow.  Nothing eliminates over ℚ; the tensor
-bialgebra's primitives are built, not solved.  `exact_einsum` is the
-workbench's one exact product: every contraction in `src/hsep` runs
-through it, in int64 while no sum can wrap and in Python ints past that.
-`solve_quadratic` finds the members of an affine set where a system of
-quadratic forms vanishes: by CRT over the prime powers of the moduli,
-linearization with branching over 𝔽_p, and Hensel lifting mod p^k.
+coordinate compared first).  `cokernel` takes the Howell form of the
+relation lattice over Z/N, eliminates its unit-pivot columns and puts
+the rest through one small Smith form over Z/N (`_smith`), the only
+one in the workbench, so its printed coordinates depend only on the
+lattice.  `subgroup_basis` presents the subgroup on the rows of its
+Howell form and reads independent generators off that `cokernel`.
+Nothing eliminates over ℚ; the tensor bialgebra's primitives are built,
+not solved.  `exact_einsum` is the workbench's one exact product: every
+contraction in `src/hsep` runs through it, in int64 while no sum can
+wrap and in Python ints past that.  `solve_quadratic` finds the members
+of an affine set where a system of quadratic forms vanishes: by CRT over
+the prime powers of the moduli, linearization with branching over 𝔽_p,
+and Hensel lifting mod p^k.
 
 A presentation holds its projection and lift as reduced, read-only
 numpy arrays (int64 below the overflow bound, Python ints past it), and
@@ -43,20 +42,16 @@ safe.  A construction that fails its defining equations raises
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 __all__ = [
-    "SmithDecomposition",
     "FinAbPresentation",
     "AffineSolutionSet",
     "DimensionMismatch",
     "CapExceeded",
     "ConstructionCheckFailed",
-    "smith_normal_form",
     "cokernel",
     "solve_modular_system",
     "solve_quadratic",
@@ -106,14 +101,6 @@ def _check_matrix(a, what):
     return a.shape
 
 
-def _int_rows(a, what):
-    """The rows of a 2-D integer array as lists of Python ints: the one
-    conversion into the big-integer algorithms."""
-    _check_matrix(a, what)
-    rows = a.tolist()
-    return rows if a.dtype != object else [[operator.index(x) for x in row] for row in rows]
-
-
 def _int_array(values, shape):
     """Nested Python ints as an int64 array, or as an object array of
     Python ints when an entry does not fit in int64."""
@@ -146,277 +133,6 @@ def exact_einsum(spec, *operands):
     dtype = np.int64 if ints and bound <= 2**62 else object
     optimize = len(operands) > 2 and math.prod(sizes.values()) > 2**20
     return np.einsum(spec, *(a.astype(dtype, copy=False) for a in operands), optimize=optimize)
-
-
-class _SnfWorker:
-    """Mutable reduction state: M and the log of the row operations on it.
-
-    Invariant after every operation: span(columns of M) + N·Zⁿ = U·Λ,
-    where Λ is the source's column lattice, U the product of the logged
-    row operations (replayed by `SmithDecomposition`) and N the lattice
-    modulus (`_lattice_modulus`); with no modulus, span = U·Λ exactly.
-    Column operations keep the span and are not logged.  With a modulus,
-    an entry that reaches N⁴ in absolute value is reduced into [0, N),
-    which subtracts a multiple of N·e_i.  Below N⁴ the reduction is the
-    exact one, so a form whose entries never grow that far keeps the
-    transform, and the printed coordinates, it always had.  N⁴ is chosen,
-    not derived: the transform, and so a cokernel's printed presentation,
-    depends on the relation matrix and not only on its lattice, so every
-    input whose exact form grows past the threshold may print other
-    coordinates than the exact form does.  At N² the big-basis tensor
-    product of `tests/test_finring_oracle.py`, whose exact forms peak at
-    N^3.81, prints different presentations from two congruent relation
-    matrices of one lattice; N³ and N⁴ pass it, and N⁴ moves fewer
-    printed reports than N³ (`tests/test_exactalg.py` lists the ones N⁴
-    moves).  Per-row nonzero column sets keep pivot search cheap on large
-    mostly-diagonal inputs.
-    """
-
-    def __init__(self, rows, modulus):
-        self.n = len(rows)
-        self.M = rows
-        self.row_ops = []
-        self.modulus = modulus
-        self.big = None if modulus is None else modulus**4
-        self.nz = [set(j for j, v in enumerate(row) if v) for row in self.M]
-
-    def swap_rows(self, a, b):
-        if a == b:
-            return
-        M = self.M
-        M[a], M[b] = M[b], M[a]
-        self.nz[a], self.nz[b] = self.nz[b], self.nz[a]
-        self.row_ops.append((a, b, None))
-
-    def addmul_row(self, dst, src, q):
-        # row_dst += q*row_src
-        if q == 0:
-            return
-        md, ms = self.M[dst], self.M[src]
-        nzd, big = self.nz[dst], self.big
-        for j in self.nz[src]:
-            v = md[j] + q * ms[j]
-            if big is not None and not -big < v < big:
-                v %= self.modulus
-            md[j] = v
-            if v:
-                nzd.add(j)
-            else:
-                nzd.discard(j)
-        self.row_ops.append((dst, src, q))
-
-    def negate_row(self, a):
-        ma = self.M[a]
-        for j in self.nz[a]:
-            ma[j] = -ma[j]
-        self.row_ops.append((a, a, -1))
-
-    def swap_cols(self, a, b):
-        if a == b:
-            return
-        for i, row in enumerate(self.M):
-            va, vb = row[a], row[b]
-            if va or vb:
-                row[a], row[b] = vb, va
-                if (a in self.nz[i]) != (b in self.nz[i]):
-                    self.nz[i] ^= {a, b}
-
-    def addmul_col(self, dst, src, q):
-        # col_dst += q*col_src
-        if q == 0:
-            return
-        big = self.big
-        for i, row in enumerate(self.M):
-            vs = row[src]
-            if vs:
-                v = row[dst] + q * vs
-                if big is not None and not -big < v < big:
-                    v %= self.modulus
-                row[dst] = v
-                if v:
-                    self.nz[i].add(dst)
-                else:
-                    self.nz[i].discard(dst)
-
-
-def _replay(ops, x, how):
-    """x, a list of rows of Python ints, multiplied in place on the left
-    by E = E_k···E_1, the product of the logged row operations, when `how`
-    is "E"; by E⁻¹ when it is "inverse"; by Eᵀ when it is "transpose".
-
-    An operation (a, b, q) adds q times row b to row a; q = None swaps
-    rows a and b, and (a, a, -1) negates row a.  Each costs one row of x."""
-    inverse, transpose = how == "inverse", how == "transpose"
-    for a, b, q in ops if how == "E" else reversed(ops):
-        if q is None:
-            x[a], x[b] = x[b], x[a]
-        elif a == b:
-            x[a] = [-v for v in x[a]]
-        else:
-            if inverse:
-                q = -q
-            elif transpose:
-                a, b = b, a
-            x[a] = [u + q * v for u, v in zip(x[a], x[b])]
-    return x
-
-
-@dataclass(frozen=True, eq=False)
-class SmithDecomposition:
-    """U·Λ = diag(d1, d2, ...)·Zⁿ for the column lattice Λ of the source,
-    with d1 | d2 | ... its invariant factors; for a source of full row rank,
-    x ↦ (U·x mod d_i) maps Zⁿ onto ⊕ Z/d_i with kernel Λ.
-
-    The reduction logs its row operations instead of accumulating U, a
-    unimodular product (see `_replay`).  `u_rows`, `u_dot` and `u_inverse_dot`
-    apply the log to what a caller reads, one row of the operand per
-    operation; the full U, which `subgroup_basis` reads, is built from the
-    same log on first access.  All come back as object arrays of Python
-    ints, exact.  `diagonal` holds the min(rows, cols) diagonal entries;
-    `shape` is the source's.
-    """
-
-    diagonal: tuple[int, ...]
-    shape: tuple[int, int]
-    row_ops: tuple
-
-    def _apply(self, x, how):
-        """`_replay` of the row log on the rows of x, which must number `shape[0]`."""
-        column = getattr(x, "ndim", None) == 1
-        rows = _int_rows(x[:, None] if column else x, "operand")
-        if len(rows) != self.shape[0]:
-            raise DimensionMismatch("operand has %d rows for a %d x %d transform" % (len(rows), self.shape[0], self.shape[0]))
-        return np.array(_replay(self.row_ops, rows, how), dtype=object).reshape(x.shape)
-
-    def u_dot(self, x):
-        """U @ x, for a 1-D or 2-D integer array x."""
-        return self._apply(x, "E")
-
-    def u_inverse_dot(self, x):
-        """U⁻¹ @ x, for a 1-D or 2-D integer array x."""
-        return self._apply(x, "inverse")
-
-    def u_rows(self, rows):
-        """U[rows], as the columns (Uᵀ)[:, rows]."""
-        return self._apply(_unit_columns(self.shape[0], rows), "transpose").T
-
-    @cached_property
-    def U(self):
-        return self.u_dot(np.eye(self.shape[0], dtype=np.int64))
-
-
-def _unit_columns(n, cols):
-    """The columns `cols` of the n × n identity, as an int64 array."""
-    out = np.zeros((n, len(cols)), dtype=np.int64)
-    out[list(cols), np.arange(len(cols))] = 1
-    return out
-
-
-def _lattice_modulus(a):
-    """N when the columns of the 2-D integer array `a` hold a nonzero
-    multiple of every unit vector: the lcm over rows i of the gcd of the
-    entries of the columns that are nonzero only in row i.  The column
-    lattice then holds N·Zⁿ.  None otherwise."""
-    if not a.size:
-        return None
-    nz = a != 0
-    single = nz.sum(axis=0) == 1
-    rows = nz[:, single].argmax(axis=0)
-    g = [0] * a.shape[0]
-    for i, v in zip(rows.tolist(), a[:, single][rows, np.arange(len(rows))].tolist()):
-        g[i] = math.gcd(g[i], v)
-    return math.lcm(*g) if all(g) else None
-
-
-def _smith(rows, m, modulus):
-    """Smith normal form of the n x m matrix given as lists of Python ints,
-    which it reduces in place, keeping its entries below N⁴ for a lattice
-    modulus N.  A settled pivot is then cut to its gcd with N, and each
-    diagonal entry d is read as gcd(d, N), with 0 standing for N: the span
-    of the final diagonal plus N·Zⁿ is U·Λ."""
-    w = _SnfWorker(rows, modulus)
-    n, M, nz = w.n, w.M, w.nz
-    limit = min(n, m)
-    t = 0
-    while t < limit:
-        best = None
-        for i in range(t, n):
-            row = M[i]
-            for j in nz[i]:
-                if j < t:
-                    continue
-                cand = (abs(row[j]), i, j)
-                if best is None or cand < best:
-                    best = cand
-            if best is not None and best[0] == 1 and best[1] == i:
-                break  # later rows cannot beat an abs-1 pivot found here
-        if best is None:
-            break
-        w.swap_rows(t, best[1])
-        w.swap_cols(t, best[2])
-        if M[t][t] < 0:
-            w.negate_row(t)
-        while True:
-            dirty = False
-            i = 0
-            while i < n:
-                if i != t and M[i][t]:
-                    q = M[i][t] // M[t][t]
-                    w.addmul_row(i, t, -q)
-                    if M[i][t]:
-                        w.swap_rows(i, t)  # remainder becomes the smaller pivot
-                        dirty = True
-                        continue
-                i += 1
-            if dirty:
-                continue
-            j = 0
-            while j < m:
-                if j != t and M[t][j]:
-                    q = M[t][j] // M[t][t]
-                    w.addmul_col(j, t, -q)
-                    if M[t][j]:
-                        w.swap_cols(j, t)
-                        dirty = True
-                        continue
-                j += 1
-            if dirty:
-                continue
-            # row and column are clear; force the pivot to divide the rest
-            p = M[t][t]
-            if modulus is not None and modulus % p:
-                # p·e_t and N·e_t span gcd(p, N)·e_t: a column operation
-                p = M[t][t] = math.gcd(p, modulus)
-            if p == 1:
-                break
-            bad = None
-            for i in range(t + 1, n):
-                for j in nz[i]:
-                    if j > t and M[i][j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            w.addmul_row(t, bad, 1)
-        t += 1
-    diagonal = [M[i][i] for i in range(limit)]
-    if modulus is not None:
-        diagonal = [math.gcd(d, modulus) for d in diagonal]
-    return SmithDecomposition(diagonal=tuple(diagonal), shape=(n, m), row_ops=tuple(w.row_ops))
-
-
-def smith_normal_form(a: np.ndarray) -> SmithDecomposition:
-    """Smith normal form with its row transform of a 2-D integer array.
-
-    Deterministic: the pivot is the smallest absolute nonzero entry of
-    the remaining submatrix, ties broken in row-major order.  When the
-    columns hold a nonzero multiple of every unit vector, the reduction
-    works modulo their lattice modulus N (`_lattice_modulus`), so no entry
-    grows past N⁴.
-    """
-    return _smith(_int_rows(a, "matrix"), a.shape[1], _lattice_modulus(a))
 
 
 @dataclass(frozen=True, eq=False)
@@ -480,18 +196,6 @@ def _is_prime(p):
 def _field_dtype(q):
     """int64 while every x − a·b of reduced entries mod q stays below 2⁶³, Python ints past that."""
     return np.int64 if (q - 1) ** 2 + (q - 1) < 2**63 else object
-
-
-def _one_prime(moduli):
-    """p when every modulus is one prime p within `_field_dtype`'s int64
-    bound, else None: the moduli on which `cokernel` and `subgroup_basis`
-    row-reduce.  Equality is checked first, so trial division runs on one
-    value; past the int64 bound the Smith path is as exact, and it skips
-    the trial division of a large modulus."""
-    p = moduli[0] if moduli else None
-    if p is None or any(m != p for m in moduli) or _field_dtype(p) is not np.int64:
-        return None
-    return p if _is_prime(p) else None
 
 
 def _clear(rows, c, pivot_row, q):
@@ -586,20 +290,6 @@ def _unique_rows(rows):
     return rows[keep]
 
 
-def _kernel(rows, p):
-    """Kernel basis of a 2-D integer array over GF(p).
-
-    Returns (K, free): K has one column per free column of the rref, is the
-    identity on the free columns, and rows·K ≡ 0; each pivot coordinate is
-    minus its rref row on the free columns."""
-    rref, pivots = _rref(rows, p)
-    free = _free_columns(rows.shape[1], pivots)
-    K = np.zeros((rows.shape[1], len(free)), dtype=rref.dtype)
-    K[free, np.arange(len(free))] = 1
-    K[pivots, :] = -rref[:, free] % p
-    return K, free
-
-
 def _free_columns(ncols, pivots):
     """The columns below `ncols` that hold no pivot, ascending.  A mask,
     not `np.setdiff1d`, whose first call imports `numpy.ma`."""
@@ -608,15 +298,116 @@ def _free_columns(ncols, pivots):
     return np.flatnonzero(free)
 
 
-def _cokernel_mod_prime(relations, mods, p):
-    g = len(mods)
-    K, free = _kernel(_unique_rows((relations % p).astype(np.int64).T), p)
-    if len(free) == g:
-        return FinAbPresentation(mods, mods)
-    # the relations are the row span, so x ↦ Kᵀx kills exactly them
-    lift = np.zeros((g, len(free)), dtype=K.dtype)
-    lift[free, np.arange(len(free))] = 1
-    return _presentation((p,) * len(free), mods, K.T, lift)
+def _howell_reduce(V, H, pivots, q):
+    """(C, R) with V ≡ C·H + R over Z/q: each row of V reduced by the rows
+    of the Howell form H in order, the coefficient of row i, pivot g in
+    column c, being ⌊v_c / g⌋.  By the Howell property R vanishes exactly
+    on the rows of V that lie in the row module of H."""
+    C = np.zeros((V.shape[0], len(pivots)), dtype=H.dtype)
+    V = V.astype(H.dtype)
+    for i, c in enumerate(pivots):
+        C[:, i] = V[:, c] // H[i, c]
+        V = (V - np.outer(C[:, i], H[i])) % q
+    return C, V
+
+
+def _smith(rows, m, modulus, x):
+    """Smith normal form over Z/N, N = modulus, of the n × m matrix A
+    given as lists of Python ints, which it reduces in place.  Returns
+    (d, U·x, W) for some U invertible mod N with U·A·V ≡ diag(d) (mod N),
+    V invertible mod N: `x` is an n-row integer array with entries in
+    [0, N), which the row operations act on, and W = (U⁻¹)ᵀ, both reduced
+    mod N in `_field_dtype(N)`.  d has n entries, each the gcd of a
+    diagonal entry with N, so that N stands for a zero or missing one:
+    y ↦ (U·y mod d_i) maps (Z/N)ⁿ onto ⊕ Z/d_i with kernel the column
+    span of A.
+
+    The pivot is the smallest absolute nonzero entry of the remaining
+    submatrix, ties broken in row-major order.  The entries stay exact
+    until one reaches N⁴ in absolute value, and is then reduced into
+    [0, N), which subtracts a multiple of N·e_i; a settled pivot p is cut
+    to gcd(p, N) the same way.  `cokernel` hands it a Howell form's rows,
+    entries in [0, N) that depend only on the lattice, so there the
+    threshold only bounds the growth of the entries.  It still picks the
+    printed coordinates: at N instead, the golden
+    `tests/golden/ring-standard/tensor-z12-z12-z4xz6.json` moves.
+    """
+    N, big, n = modulus, modulus**4, len(rows)
+    M = rows
+    U = x.astype(_field_dtype(N))
+    W = np.eye(n, dtype=U.dtype)
+
+    def cut(v):
+        return v if -big < v < big else v % N
+
+    def addmul_row(dst, src, q):
+        # row_dst += q·row_src; U⁻¹ then subtracts q·(column dst) from column src
+        M[dst] = [cut(a + q * b) if b else a for a, b in zip(M[dst], M[src])]
+        q %= N
+        U[dst] = (U[dst] + q * U[src]) % N
+        W[src] = (W[src] - q * W[dst]) % N
+
+    def swap_rows(a, b):
+        M[a], M[b] = M[b], M[a]
+        U[[a, b]], W[[a, b]] = U[[b, a]], W[[b, a]]
+
+    def addmul_col(dst, src, q):
+        for row in M:
+            if row[src]:
+                row[dst] = cut(row[dst] + q * row[src])
+
+    def swap_cols(a, b):
+        for row in M:
+            row[a], row[b] = row[b], row[a]
+
+    limit = min(n, m)
+    for t in range(limit):
+        best = None
+        for i in range(t, n):
+            for j in range(t, m):
+                if M[i][j] and (best is None or (abs(M[i][j]), i, j) < best):
+                    best = (abs(M[i][j]), i, j)
+            if best is not None and best[0] == 1 and best[1] == i:
+                break  # later rows cannot beat an abs-1 pivot found here
+        if best is None:
+            break
+        swap_rows(t, best[1])
+        swap_cols(t, best[2])
+        if M[t][t] < 0:
+            M[t] = [-v for v in M[t]]
+            U[t], W[t] = -U[t] % N, -W[t] % N
+        while True:
+            dirty = False
+            i = 0
+            while i < n:
+                if i != t and M[i][t]:
+                    addmul_row(i, t, -(M[i][t] // M[t][t]))
+                    if M[i][t]:
+                        swap_rows(i, t)  # remainder becomes the smaller pivot
+                        dirty = True
+                        continue
+                i += 1
+            if dirty:
+                continue
+            j = 0
+            while j < m:
+                if j != t and M[t][j]:
+                    addmul_col(j, t, -(M[t][j] // M[t][t]))
+                    if M[t][j]:
+                        swap_cols(j, t)
+                        dirty = True
+                        continue
+                j += 1
+            if dirty:
+                continue
+            # row and column are clear; force the pivot to divide the rest
+            p = M[t][t] = math.gcd(M[t][t], N)
+            bad = None if p == 1 else next((i for i in range(t + 1, n) if any(v % p for v in M[i][t + 1 :])), None)
+            if bad is None:
+                break
+            addmul_row(t, bad, 1)
+    d = tuple(math.gcd(M[i][i], N) if i < limit else N for i in range(n))
+    return d, U, W
 
 
 def _diagonal(values):
@@ -629,9 +420,27 @@ def cokernel(relations: np.ndarray, generator_moduli) -> FinAbPresentation:
     `relations` is a 2-D integer array with one row per generator.  Each
     generator g_i carries the order relation m_i * g_i == 0 in addition
     to the explicit relation columns.  The presentation is the identity,
-    and stores no matrix, when there are no relations and the m_i are a
-    divisor chain of nontrivial moduli, or when every m_i is one prime p
-    within `_field_dtype`'s int64 bound and no relation is nonzero mod p.
+    and stores no matrix, exactly when its moduli are the m_i and P is the
+    identity: when there are no relations and the m_i are a divisor chain
+    of nontrivial moduli, for one, or when every m_i is N and every
+    relation vanishes mod N.
+
+    With N = lcm(m_i), the relation lattice holds N·Zⁿ, so it is the row
+    module over Z/N of the relation columns and the m_i·e_i, and its
+    Howell form (`_rref`) depends only on the lattice.  A column with a
+    unit pivot is eliminated: x ↦ x − Σ x_c·h_c over the unit-pivot rows
+    h_c, pivot column c, is x modulo the lattice and vanishes on those
+    columns, so it leaves coordinates on the other columns F.  The
+    rows with non-unit pivots, restricted to F, take one Smith form over
+    Z/N (`_smith`), whose U fixes the coordinates: P = U·(that
+    elimination) and L = U⁻¹ on F, 0 on the eliminated columns.  Both are
+    functions of the Howell form, so the printed coordinates depend only on
+    the lattice the relations span, not on the relation matrix.
+
+    The presentation is checked, also under `python -O`: P kills every
+    relation and order relation, P·L is the identity, and the order Π d_i
+    is N^g over the order of the Howell form's row module, Π N/g over its
+    pivots g.  A failure raises `ConstructionCheckFailed`.
     """
     mods = tuple(int(x) for x in generator_moduli)
     g = len(mods)
@@ -648,18 +457,39 @@ def cokernel(relations: np.ndarray, generator_moduli) -> FinAbPresentation:
             return FinAbPresentation(mods, mods)
         eye = np.eye(g, dtype=np.int64)
         return _presentation(tuple(mods[i] for i in keep), mods, eye[keep], eye[:, keep])
-    p = _one_prime(mods)
-    if p is not None:
-        return _cokernel_mod_prime(relations, mods, p)
-    snf = smith_normal_form(np.hstack([relations, _diagonal(mods)]))
-    d = snf.diagonal
-    if not all(di >= 1 for di in d):
-        raise ConstructionCheckFailed("the generator moduli leave a zero invariant factor")
-    keep = [i for i in range(g) if d[i] != 1]
+    N = math.lcm(*mods)
+    orders = _diagonal(mods)[[i for i, m in enumerate(mods) if m != N]]
+    lattice = _distinct_rows(np.vstack([relations.T, orders]) % _int_array([N], (1, 1)))
+    if not lattice.shape[0]:
+        return FinAbPresentation(mods, mods)
+    H, pivots = _rref(lattice, N)
+    pivot_values = H[np.arange(len(pivots)), pivots]
+    unit = pivot_values == 1
+    eliminated = np.array(pivots, dtype=np.int64)[unit]
+    F = _free_columns(g, eliminated)
+    # x ↦ x − Σ x_c·h_c over the unit-pivot rows, on the columns F
+    elim = np.zeros((len(F), g), dtype=H.dtype)
+    elim[np.arange(len(F)), F] = 1
+    elim[:, eliminated] = (-H[unit][:, F] % N).T
+    d, proj, W = _smith(H[~unit][:, F].T.tolist(), int((~unit).sum()), N, elim)
+    keep = [i for i, di in enumerate(d) if di != 1]
     moduli = tuple(d[i] for i in keep)
-    proj = snf.u_rows(keep) % np.array(moduli, dtype=object)[:, None]
-    lift = snf.u_inverse_dot(_unit_columns(g, keep)) % np.array(mods, dtype=object)[:, None]
-    return _presentation(moduli, mods, proj, lift)
+    dk = _int_array(moduli, (len(keep), 1))
+    proj = proj[keep] % dk
+    lift = np.zeros((g, len(keep)), dtype=W.dtype)
+    lift[F] = W[keep].T
+    lift %= _int_array(mods, (g, 1))
+    if math.prod(moduli) * math.prod(N // int(x) for x in pivot_values) != N**g:
+        raise ConstructionCheckFailed("the invariant factors miss the order of the cokernel")
+    eye = np.eye(len(keep), dtype=np.int64)
+    # L vanishes off F, so P·L is P[:, F]·L[F]
+    if (exact_einsum("kg,rg->kr", proj, lattice) % dk).any() or ((exact_einsum("kf,fj->kj", proj[:, F], lift[F]) - eye) % dk).any():
+        raise ConstructionCheckFailed("the presentation does not kill its relations or lift its coordinates")
+    if moduli == mods and (proj == eye).all():
+        return FinAbPresentation(mods, mods)
+    # P column-major, as the transposed kernel it replaces was: sepkit's
+    # S⊗S⊗S contractions over the generators run faster on it
+    return _presentation(moduli, mods, np.asfortranarray(proj), lift)
 
 
 def subgroup_basis(vectors: np.ndarray, ambient_moduli):
@@ -670,43 +500,40 @@ def subgroup_basis(vectors: np.ndarray, ambient_moduli):
     subgroup is the internal direct sum of the cyclic pieces, so
     enumerating all coefficient tuples hits each element exactly once.
 
-    When every M_j is one prime p (`_one_prime`), the subgroup is an
-    𝔽_p-subspace and the generators are the nonzero rows of its reduced
-    row echelon form (`_rref`), each of order p.  The Smith path, which
-    runs on every other set of moduli, gives orders (p,)·rank over a
-    prime too, so both paths give the same orders and the same subgroup;
-    the generators differ.
+    Coordinate j is scaled by N/M_j into (Z/N)ⁿ, N = lcm(M_j), and the
+    subgroup is the row module of its Howell form h_1…h_r, pivots g_i
+    (`_rref`).  Its members are Σ c_i·h_i with each c_i in [0, N/g_i) once,
+    and by the Howell property (N/g_i)·h_i is a combination Σ t_ik·h_k of
+    the rows after it, so the subgroup is presented on the c_i by the
+    relations (N/g_i)·e_i − Σ t_ik·e_k, an upper-triangular T.  Orders and
+    generators are read off `cokernel(Tᵀ, (N,)·r)`: generator i is L·e_i
+    applied to the h's, scaled back.  Both depend only on the subgroup, as
+    the Howell form does.  Every vector and every (N/g_i)·h_i must reduce
+    to zero by the Howell rows, and Π orders must equal Π N/g_i, or
+    `ConstructionCheckFailed` is raised.
     """
     M = tuple(int(x) for x in ambient_moduli)
     n = len(M)
     width = _check_matrix(vectors, "subgroup vectors")[1]
     if width != n:
         raise DimensionMismatch("subgroup vectors have %d coordinates for %d moduli" % (width, n))
-    if n == 0:
+    N = math.lcm(*M)
+    scale = _int_array([N // m for m in M], (n,))
+    rows = _distinct_rows(vectors % _int_array(M, (n,)) * scale)
+    if not rows.shape[0]:
         return (), ()
-    p = _one_prime(M)
-    if p is not None:
-        rref, _ = _rref(vectors % p, p)
-        return tuple(map(tuple, rref.tolist())), (p,) * len(rref)
-    mods = np.array(M, dtype=object)
-    reduced = (vectors.astype(object) % mods).tolist()
-    vecs = [v for v in dict.fromkeys(map(tuple, reduced)) if any(v)]
-    cols = _int_array(vecs, (len(vecs), n)).T
-    s1 = smith_normal_form(np.hstack([cols, _diagonal(M)]))
-    d = np.array(s1.diagonal, dtype=object)
-    if not all(di >= 1 for di in d):
-        raise ConstructionCheckFailed("the ambient moduli leave a zero invariant factor")
-    # the lattice span(vectors, diag(M)) has basis C = Uinv @ diag(d), and
-    # diag(M) has coordinates X = diag(d)^-1 @ U @ diag(M) in it
-    X = s1.U * mods
-    if (X % d[:, None]).any():
-        raise ConstructionCheckFailed("the lattice basis does not span the ambient moduli")
-    s2 = smith_normal_form(_int_array((X // d[:, None]).tolist(), (n, n)))
-    big = [i for i, o in enumerate(s2.diagonal) if o > 1]
-    # generator i is C·U₂⁻¹[:, i], for the U₂ of the second Smith form
-    coords = d[:, None] * s2.u_inverse_dot(_unit_columns(n, big))
-    gens = s1.u_inverse_dot(coords) % mods[:, None]
-    return tuple(map(tuple, gens.T.tolist())), tuple(s2.diagonal[i] for i in big)
+    H, pivots = _rref(rows, N)
+    cyclic = [N // int(H[i, c]) for i, c in enumerate(pivots)]
+    r = len(pivots)
+    C, rest = _howell_reduce(np.vstack([H * _int_array(cyclic, (r, 1)) % N, rows]), H, pivots, N)
+    if rest.any():
+        raise ConstructionCheckFailed("the row reduction is not a Howell form of the vectors")
+    pres = cokernel((C[:r] - np.diag(_int_array(cyclic, (r,)))).T % N, (N,) * r)
+    if math.prod(pres.moduli) != math.prod(cyclic):
+        raise ConstructionCheckFailed("the subgroup orders miss the order of its Howell form")
+    coeffs = np.eye(r, dtype=np.int64) if pres.is_identity else pres.L
+    gens = exact_einsum("ik,ij->kj", coeffs, H) % N // scale
+    return tuple(map(tuple, gens.tolist())), pres.moduli
 
 
 def _back_substitute(H, pivots, n, q):

@@ -19,8 +19,8 @@ Run it from the repository root:
 
 It prints one line per extension: how many of its systems the Howell
 form solved, how many of their kernels `subgroup_basis` turned into
-independent generators through a Smith form, and how many fell back to
-a Smith form of the system itself, which is never; it exits 1 after the
+independent generators through the Smith form inside its `cokernel`,
+and how many ran a Smith form anywhere else, which is never; it exits 1 after the
 last if any system differed.  tests/test_modular_solve.py runs a seeded
 slice.
 """
@@ -161,32 +161,51 @@ def differences(a, b, mods, unknown):
     return bad
 
 
-def smith_calls(a, b, mods, unknown):
-    """(Smith forms run inside `subgroup_basis`, Smith forms run outside
-    it) while the solver answers this system."""
-    inside, outside, depth = [0], [0], [0]
-    smith, basis = exactalg._smith, exactalg.subgroup_basis
+class SmithCount:
+    """Counts `exactalg._smith` calls made inside `exactalg.cokernel` and
+    outside it, while patched in."""
 
-    def counted_smith(*args):
-        (inside if depth[0] else outside)[0] += 1
-        return smith(*args)
+    def __init__(self):
+        self.inside = self.outside = self.depth = 0
+        self.smith, self.cokernel = exactalg._smith, exactalg.cokernel
 
-    def counted_basis(*args):
-        depth[0] += 1
+    def counted_smith(self, *args):
+        if self.depth:
+            self.inside += 1
+        else:
+            self.outside += 1
+        return self.smith(*args)
+
+    def counted_cokernel(self, *args):
+        self.depth += 1
         try:
-            return basis(*args)
+            return self.cokernel(*args)
         finally:
-            depth[0] -= 1
+            self.depth -= 1
 
-    with mock.patch.object(exactalg, "_smith", counted_smith), mock.patch.object(exactalg, "subgroup_basis", counted_basis):
+    def __enter__(self):
+        self.patches = [mock.patch.object(exactalg, "_smith", self.counted_smith), mock.patch.object(exactalg, "cokernel", self.counted_cokernel)]
+        for patch in self.patches:
+            patch.start()
+        return self
+
+    def __exit__(self, *exc):
+        for patch in self.patches:
+            patch.stop()
+
+
+def smith_calls(a, b, mods, unknown):
+    """(Smith forms run inside `cokernel`, Smith forms run outside it)
+    while the solver answers this system."""
+    with SmithCount() as count:
         solve_modular_system(a, b, mods, unknown)
-    return inside[0], outside[0]
+    return count.inside, count.outside
 
 
 def census(case, change=basis_change):
-    """(systems, systems whose kernel took a Smith form in
-    `subgroup_basis`, systems that took one anywhere else, the
-    differences found) for one extension."""
+    """(systems, systems that took a Smith form inside `cokernel`, which
+    `subgroup_basis` calls on a kernel, systems that took one anywhere
+    else, the differences found) for one extension."""
     systems = report_systems(extension(*case, change=change))
     calls = [smith_calls(*system) for system in systems]
     bad = ["system %d: %s" % (i, ", ".join(d)) for i, system in enumerate(systems) if (d := differences(*system))]
@@ -200,7 +219,7 @@ def main():
         failed += bool(bad) or bool(fallbacks)
         kind, n, q, seed = case
         name = ("M%d(Z/%d)/(Z/%d)" % (n, q, q) if kind == "M" else "T%d(Z/%d) -> M%d(Z/%d)" % (n, q, n, q)) + ", basis %d" % seed
-        print("%s: %d row-reduced, %d kernels through subgroup_basis, %d fallbacks, %s" % (name, total, kernels, fallbacks, "; ".join(bad) if bad else "same"))
+        print("%s: %d row-reduced, %d kernels through a cokernel Smith form, %d fallbacks, %s" % (name, total, kernels, fallbacks, "; ".join(bad) if bad else "same"))
         sys.stdout.flush()
     print("%d of %d extensions differ or fall back" % (failed, len(CASES)))
     return 1 if failed else 0

@@ -1,8 +1,6 @@
 """Exact linear algebra kernels, checked against independent oracles."""
 
-import dataclasses
 import itertools
-import json
 import math
 import os
 import random
@@ -14,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import smith_oracle
 import solve_census
 from finring_util import elements, lift, project
-from sepkit_util import contains, verify_member
+from sepkit_util import contains, is_h_idempotent, verify_member
 from talg_util import rref as oracle_rref
 
 from hsep import exactalg, sepkit
@@ -26,11 +25,10 @@ from hsep.exactalg import (
     DimensionMismatch,
     cokernel,
     exact_einsum,
-    smith_normal_form,
     solve_modular_system,
     subgroup_basis,
 )
-from hsep.finring import NotAssociative, UnitLawFails, construct_ring, construct_standard_ring, hom_from_doc
+from hsep.finring import NotAssociative, UnitLawFails, construct_ring, construct_standard_ring
 from hsep.sepkit import h_separability_report, verdict_to_doc
 from hsep.tensorbialg import exact_field
 
@@ -88,132 +86,187 @@ def determinantal_divisors(a):
     return tuple(out)
 
 
-def full_u_inv(s):
-    """The full U⁻¹ of a Smith form, replayed onto the identity."""
-    return s.u_inverse_dot(np.eye(s.shape[0], dtype=np.int64))
-
-
-def check_decomposition(a):
-    """U·Λ = diag(d)·Zⁿ for the column lattice Λ of a: every row i of U·a
-    is a multiple of d_i (zero past the diagonal), and the rows divided by
-    d_i have determinantal divisors all 1, so they extend to a unimodular
-    matrix; U is unimodular."""
-    s = smith_normal_form(a)
+def check_smith(a, modulus):
+    """`exactalg._smith` of the integer matrix a over Z/N, N = modulus,
+    against the textbook integer Smith form of `smith_oracle`: each d_i is
+    the gcd of the oracle's with N (N past the oracle's diagonal),
+    U·U⁻¹ ≡ I (mod N) for the U it applies to the identity, and row i of
+    U·a vanishes mod d_i.  With the oracle's orders, the last makes
+    x ↦ (U·x mod d_i) an isomorphism of (Z/N)ⁿ modulo the columns of a
+    onto ⊕ Z/d_i."""
     n, m = a.shape
-    diag = s.diagonal
-    assert len(diag) == min(n, m)
-    ua = (s.U @ a.astype(object)).tolist()
-    d = list(diag) + [0] * (n - len(diag))
-    assert all((all(x % di == 0 for x in row) if di else not any(row)) for row, di in zip(ua, d))
-    scaled = [[x // di for x in row] for row, di in zip(ua, d) if di]
-    if scaled and m:
-        assert set(determinantal_divisors(mat(scaled, m))) == {1}
-    assert (s.U @ full_u_inv(s)).tolist() == np.eye(n, dtype=np.int64).tolist()
-    assert abs(determinant(s.U.tolist())) == 1
-    for i in range(len(diag) - 1):
-        assert diag[i] >= 0
-        if diag[i]:
-            assert diag[i + 1] % diag[i] == 0
-        else:
-            assert diag[i + 1] == 0
-    return s
+    rows = [[int(x) for x in row] for row in a.tolist()]
+    d, U, W = exactalg._smith([row[:] for row in rows], m, modulus, np.eye(n, dtype=np.int64))
+    _, expect, _ = smith_oracle.smith(rows, m)
+    assert d == tuple(math.gcd(x, modulus) for x in expect) + (modulus,) * (n - len(expect))
+    u, w = U.astype(object), W.astype(object)
+    assert U.shape == W.shape == (n, n)
+    assert ((u @ w.T - np.eye(n, dtype=np.int64)) % modulus == 0).all()
+    assert ((0 <= u) & (u < modulus)).all() and ((0 <= w) & (w < modulus)).all()
+    ua = u @ a.astype(object) % modulus
+    assert all(not (row % di).any() for row, di in zip(ua, d))
+    return d
 
 
 class TestSmithNormalForm:
+    """The small Smith form over Z/N behind `cokernel`."""
+
     def test_frozen_example(self):
         # oracle: d1 = gcd of entries = 2, d1*d2 = |det| = |16-24| = 8
         a = mat([[2, 4], [6, 8]])
-        s = check_decomposition(a)
-        assert s.diagonal == (2, 4)
+        assert check_smith(a, 16) == (2, 4)
+        assert check_smith(a, 12) == (2, 4)
+        assert check_smith(a, 6) == (2, 2)
         assert determinantal_divisors(a) == (2, 4)
 
     def test_identity(self):
         for n in (1, 2, 5):
-            s = check_decomposition(np.eye(n, dtype=np.int64))
-            assert s.diagonal == (1,) * n
+            assert check_smith(np.eye(n, dtype=np.int64), 12) == (1,) * n
 
     def test_zero(self):
-        s = check_decomposition(np.zeros((3, 4), dtype=np.int64))
-        assert s.diagonal == (0, 0, 0)
+        # a zero diagonal entry, and the rows past the columns, read as N
+        assert check_smith(np.zeros((3, 4), dtype=np.int64), 8) == (8, 8, 8)
+        assert check_smith(np.zeros((3, 1), dtype=np.int64), 8) == (8, 8, 8)
 
     def test_rectangular_and_negative(self):
         a = np.array([[0, -3, 6], [9, 12, -15]], dtype=np.int64)
-        s = check_decomposition(a)
-        assert s.diagonal == determinantal_divisors(a)
+        assert check_smith(a, 27) == tuple(math.gcd(x, 27) for x in determinantal_divisors(a))
 
-    def test_random_matrices_match_oracle(self):
-        rng = random.Random(20240817)
-        for _ in range(60):
-            n = rng.randint(1, 4)
-            m = rng.randint(1, 4)
-            a = mat([[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)], m)
-            s = check_decomposition(a)
-            assert s.diagonal == determinantal_divisors(a)
+    @pytest.mark.parametrize("modulus", [4, 6, 8, 9, 12, 2**70])
+    def test_random_matrices_match_oracle(self, modulus):
+        rng = random.Random(20240817 + modulus % 1000)
+        for _ in range(40):
+            n, m = rng.randint(1, 5), rng.randint(0, 5)
+            check_smith(random_matrix(rng, n, m, rng.choice([modulus - 1, 9, 10**6])), modulus)
+
+    def test_entries_past_the_threshold_are_reduced(self):
+        # entries of N⁴ and past it are reduced mod N, and the diagonal
+        # still matches the oracle
+        rng = random.Random(4)
+        for _ in range(30):
+            a = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), 10**5)
+            check_smith(a, 6)
 
     def test_determinism(self):
-        a = mat([[4, 6, 2], [6, 0, 8], [2, 8, 0]])
-        first, second = smith_normal_form(a), smith_normal_form(a)
-        assert first.diagonal == second.diagonal
-        assert np.array_equal(first.U, second.U)
+        a = [[4, 6, 2], [6, 0, 8], [2, 8, 0]]
+        first = exactalg._smith([r[:] for r in a], 3, 32, np.eye(3, dtype=np.int64))
+        second = exactalg._smith([r[:] for r in a], 3, 32, np.eye(3, dtype=np.int64))
+        assert first[0] == second[0] and (first[1] == second[1]).all() and (first[2] == second[2]).all()
+
+    def test_row_operations_act_on_the_given_rows(self):
+        # U·x for any x equals U applied to the identity, times x
+        rng = random.Random(8)
+        for _ in range(20):
+            n, m = rng.randint(1, 5), rng.randint(0, 5)
+            rows = random_matrix(rng, n, m, 30).tolist()
+            x = random_matrix(rng, n, 4, 11) % 12
+            _, u, _ = exactalg._smith([r[:] for r in rows], m, 12, np.eye(n, dtype=np.int64))
+            d, ux, _ = exactalg._smith([r[:] for r in rows], m, 12, x)
+            assert (ux == u @ x % 12).all()
 
     def test_large_diagonal_input_is_fast(self):
         n = 400
-        s = smith_normal_form(np.diag(np.full(n, 4)))
-        assert s.diagonal == (4,) * n
+        d, _, _ = exactalg._smith([[4 * (i == j) for j in range(n)] for i in range(n)], n, 8, np.eye(n, dtype=np.int64))
+        assert d == (4,) * n
 
 
-class TestLatticeModulus:
-    """When the columns hold a nonzero multiple of every unit vector, the
-    column lattice holds N·Zⁿ for their lattice modulus N, and the Smith
-    form reduces its entries mod N once they reach N⁴.  Its diagonal and
-    U must still be the lattice's, by the determinantal-divisor oracle."""
+def fingerprint(pres):
+    """Everything a presentation stores: moduli, and P and L as dtype,
+    shape and bytes (an object array by its Python ints)."""
 
-    def test_detected(self):
-        assert exactalg._lattice_modulus(mat([[5, 6, 0, 1], [0, 0, 4, 1]])) == 4
-        assert exactalg._lattice_modulus(mat([[2, 1], [0, 1]])) is None
-        assert exactalg._lattice_modulus(np.zeros((0, 3), dtype=np.int64)) is None
+    def raw(a):
+        return None if a is None else (a.dtype.str, a.shape, a.tobytes() if a.dtype != object else a.tolist())
 
-    @pytest.mark.parametrize("bound", [10**6, 2**70], ids=["int64", "past-int64"])
-    def test_matches_the_oracle(self, bound):
-        rng = random.Random(bound % 997)
-        for _ in range(40):
-            n, k = rng.randint(1, 4), rng.randint(0, 3)
-            mods = [rng.choice([1, 2, 4, 6, 9, 12]) for _ in range(n)]
-            a = np.hstack([random_matrix(rng, n, k, bound), np.diag(mods).astype(object)])
-            if rng.random() < 0.5:  # a relation that is a multiple of one unit vector
-                a = np.hstack([a, (rng.randint(1, 40) * np.eye(n, dtype=np.int64)[:, [rng.randrange(n)]]).astype(object)])
-            s = check_decomposition(a)
-            assert s.diagonal == determinantal_divisors(a)
+    return pres.moduli, pres.generator_moduli, raw(pres.P), raw(pres.L)
 
-    def test_lattice_of_everything(self):
-        # 5·e_0 and 6·e_0, 5·e_1 and 6·e_1: the lattice is Z², N = 1
-        a = mat([[5, 6, 0, 0, 3], [0, 0, 5, 6, 7]])
-        assert exactalg._lattice_modulus(a) == 1
-        assert check_decomposition(a).diagonal == (1, 1)
 
-    def test_printed_form_moves_where_the_reduction_fires(self, monkeypatch):
-        """`cokernel`'s presentation depends on the relation matrix, not
-        only on its lattice, so the reduced Smith form prints other S⊗S
-        coordinates than the exact one wherever the exact form grows past
-        N⁴.  Among the changed-basis T2 → M2 reports over Z/4 … Z/12 and
-        T3 → M3 over Z/4 (`solve_census.extension`), that is exactly these
-        six; every verdict and count agrees on all of them."""
-        cases = [("T", 2, q, s) for q in (4, 6, 8, 9, 10, 12) for s in range(4)] + [("T", 3, 4, s) for s in range(4)]
+LATTICE_MODULI = {"Z4": (4,), "Z6": (6,), "Z8": (8,), "Z9": (9,), "Z12": (12,), "mixed": (1, 2, 3, 4, 6, 8, 9, 12)}
+
+
+def other_columns(rng, cols, mods):
+    """Another spanning set of the lattice of the columns `cols` (lists of
+    Python ints) plus the m_i·e_i: permuted, one column duplicated, mixed
+    by unimodular integer column operations, then each shifted by a
+    multiple of every m_i·e_i."""
+    cols = [list(c) for c in cols]
+    rng.shuffle(cols)
+    if cols:
+        cols.append(list(rng.choice(cols)))
+    for _ in range(2 * len(cols)):
+        if len(cols) > 1:
+            a, b = rng.sample(range(len(cols)), 2)
+            k = rng.choice([-3, -2, -1, 1, 2, 3])
+            cols[a] = [x + k * y for x, y in zip(cols[a], cols[b])]
+    return [[x + rng.randint(-3, 3) * m for x, m in zip(c, mods)] for c in cols]
+
+
+class TestLatticeInvariance:
+    """`cokernel` prints coordinates that depend only on the lattice the
+    relations span together with the order relations, and
+    `subgroup_basis` generators that depend only on the subgroup."""
+
+    @pytest.mark.parametrize("name", sorted(LATTICE_MODULI))
+    def test_cokernel(self, name):
+        rng = random.Random("cokernel " + name)
+        for _ in range(60):
+            g = rng.randint(1, 5)
+            mods = tuple(rng.choice(LATTICE_MODULI[name]) for _ in range(g))
+            cols = [[rng.randrange(-13, 13) for _ in range(g)] for _ in range(rng.randint(1, 5))]
+            want = fingerprint(cokernel(mat(cols, g).T.copy(), mods))
+            for _ in range(3):
+                other = other_columns(rng, cols, mods)
+                assert fingerprint(cokernel(mat(other, g).T.copy(), mods)) == want, (cols, other, mods)
+
+    @pytest.mark.parametrize("name", sorted(LATTICE_MODULI))
+    def test_subgroup_basis(self, name):
+        rng = random.Random("subgroup " + name)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            M = tuple(rng.choice(LATTICE_MODULI[name]) for _ in range(n))
+            vecs = [[rng.randrange(-13, 13) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+            gens, orders = subgroup_basis(mat(vecs, n), M)
+            assert math.prod(orders) == smith_oracle.span_order(vecs, M)
+            assert all(orders[i + 1] % orders[i] == 0 for i in range(len(orders) - 1))
+            for _ in range(3):
+                other = other_columns(rng, vecs, M)
+                assert subgroup_basis(mat(other, n), M) == (gens, orders), (vecs, other, M)
+            # the generators themselves span the subgroup, and give it back
+            assert subgroup_basis(mat(list(gens) or [[0] * n], n), M) == (gens, orders)
+
+
+# The census reports whose printed S⊗S coordinates moved when `cokernel`
+# became a function of the relation lattice: T_n(Z/q) → M_n(Z/q) in the
+# changed bases of `solve_census.extension`, "shear" seeds 1-4 by
+# `basis_change` and "dense" seeds 1-2 by `dense_basis_change`.  No
+# standard-basis, prime-modulus, M_n, corpus or golden report moved.
+MOVED = {
+    (n, q): ["shear1", "shear2", "shear3", "shear4", "dense1", "dense2"] for n in (2, 3) for q in (4, 6, 8, 9, 10, 12)
+}
+MOVED[2, 8].remove("dense1")
+
+
+def moved_extension(n, q, basis):
+    change = solve_census.dense_basis_change if basis.startswith("dense") else solve_census.basis_change
+    return solve_census.extension("T", n, q, int(basis[-1]), change=change)
+
+
+class TestPrintedChange:
+    """Each moved report keeps every field but `locus_particular` and
+    `h_witnesses`: here the standard basis's, as every other field of a
+    T_n → M_n report is basis-free.  The epimorphism's locus is {1⊗1}, so
+    both print 1⊗1 in the new coordinates, a heavy idempotent."""
+
+    @pytest.mark.parametrize("n, q, basis", [(n, q, b) for (n, q), bases in sorted(MOVED.items()) for b in bases], ids=lambda x: str(x))
+    def test_moved_report_keeps_every_other_field(self, n, q, basis):
         printed = ("locus_particular", "h_witnesses")
-        moved = set()
-        # uncached, so each report builds its S⊗S under its own Smith form
-        monkeypatch.setattr(sepkit, "tensor_power", sepkit.tensor_power.__wrapped__)
-        for case in cases:
-            docs = []
-            for modulus in (exactalg._lattice_modulus, lambda a: None):
-                with monkeypatch.context() as patch:
-                    patch.setattr(exactalg, "_lattice_modulus", modulus)
-                    docs.append(verdict_to_doc(h_separability_report(solve_census.extension(*case))))
-            reduced, exact = ({k: v for k, v in doc.items() if k not in printed} for doc in docs)
-            assert reduced == exact and len(docs[0]["h_witnesses"]) == len(docs[1]["h_witnesses"])
-            if docs[0] != docs[1]:
-                moved.add(case)
-        assert moved == {("T", 2, 9, 2), ("T", 2, 9, 3), ("T", 2, 10, 1), ("T", 2, 10, 2), ("T", 2, 12, 3), ("T", 3, 4, 2)}
+        hom = moved_extension(n, q, basis)
+        doc = verdict_to_doc(h_separability_report(hom))
+        standard = verdict_to_doc(h_separability_report(solve_census.extension("T", n, q, 0)))
+        assert {k: v for k, v in doc.items() if k not in printed} == {k: v for k, v in standard.items() if k not in printed}
+        t2 = sepkit.tensor_power(hom, 2)
+        witnesses = [tuple(w["coords"]) for w in doc["h_witnesses"]]
+        assert witnesses == [tuple(doc["locus_particular"]["coords"])] == [t2.one_one]
+        assert all(is_h_idempotent(t2, w) for w in witnesses)
 
 
 class TestArrayInputs:
@@ -228,7 +281,6 @@ class TestArrayInputs:
     )
     def test_rejects_other_inputs(self, bad):
         for call in (
-            lambda: smith_normal_form(bad),
             lambda: cokernel(bad, (4,)),
             lambda: subgroup_basis(bad, (4, 4)),
             lambda: solve_modular_system(bad, [0], [4]),
@@ -237,8 +289,6 @@ class TestArrayInputs:
                 call()
 
     def test_empty_shapes_keep_their_width(self):
-        s = smith_normal_form(np.zeros((0, 3), dtype=np.int64))
-        assert s.diagonal == () and s.U.shape == full_u_inv(s).shape == (0, 0)
         assert subgroup_basis(np.zeros((0, 2), dtype=np.int64), (2, 4)) == ((), ())
         assert solve_modular_system(np.zeros((0, 3), dtype=np.int64), [], [], unknown_moduli=[2, 2, 2]).size == 8
         with pytest.raises(DimensionMismatch):
@@ -297,31 +347,27 @@ class TestCokernel:
         images = {project(pres, (a, b)) for a in range(4) for b in range(4)}
         assert len(images) == pres.order
 
-    def test_prime_path_equivalent_to_snf_path(self):
-        # the GF(p) shortcut and the Smith-normal-form route must induce
-        # the same quotient: equal invariant factors, equal class relation
+    def test_same_quotient_as_the_oracle(self):
+        # the invariant factors are the oracle Smith form's, and two
+        # vectors have one class exactly when the oracle's U·x agree
         rng = random.Random(11)
-        for _ in range(25):
+        for _ in range(40):
             g = rng.randint(1, 5)
-            p = rng.choice([2, 3, 5])
+            mods = [rng.choice([2, 3, 5, 4, 6, 9]) for _ in range(g)]
             ncols = rng.randint(0, 4)
             rel = mat([[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(g)], ncols)
-            fast = cokernel(rel, (p,) * g)
-            snf = smith_normal_form(np.hstack([rel, np.diag(np.full(g, p))]))
-            d = snf.diagonal
+            pres = cokernel(rel, mods)
+            u, d, _ = smith_oracle.smith([row + [m * (i == j) for j, m in enumerate(mods)] for i, row in enumerate(rel.tolist())], ncols + g)
             keep = [i for i in range(g) if d[i] != 1]
-            assert fast.moduli == tuple(d[i] for i in keep)
+            assert pres.moduli == tuple(d[i] for i in keep)
 
-            def snf_project(vec):
-                img = snf.U @ np.array(vec, dtype=object)
-                return tuple(img[i] % d[i] for i in keep)
+            def oracle_project(vec):
+                return tuple(sum(a * b for a, b in zip(u[i], vec)) % d[i] for i in keep)
 
             for _ in range(30):
-                x = [rng.randrange(p) for _ in range(g)]
-                y = [rng.randrange(p) for _ in range(g)]
-                assert (project(fast, x) == project(fast, y)) == (
-                    snf_project(x) == snf_project(y)
-                )
+                x = [rng.randrange(m) for m in mods]
+                y = [rng.randrange(m) for m in mods]
+                assert (project(pres, x) == project(pres, y)) == (oracle_project(x) == oracle_project(y))
 
 
 class TestPresentationArrays:
@@ -340,6 +386,22 @@ class TestPresentationArrays:
         pres = cokernel(np.array([[3, 0], [6, 9]]), (3, 3))
         assert pres.is_identity and pres.moduli == (3, 3)
 
+    @pytest.mark.parametrize(
+        "rel, mods",
+        [
+            ([[0], [0]], (4, 4)),  # no relation survives mod N
+            ([[2], [4]], (2, 4)),  # the relations lie in the order relations' lattice
+            ([[2], [0]], (4, 4)),  # Z/2 ⊕ Z/4 on its own generators
+        ],
+    )
+    def test_identity_whenever_the_coordinates_are_the_generators(self, rel, mods):
+        # the flag depends only on the lattice: the moduli are the m_i
+        # and P is the identity
+        pres = cokernel(mat(rel), mods)
+        assert pres.is_identity == (pres.moduli == mods)
+        if pres.moduli == mods:
+            assert pres.P is None and pres.L is None
+
     def test_dropped_order_one_generator(self):
         pres = cokernel(np.zeros((3, 0), dtype=np.int64), (1, 2, 4))
         assert not pres.is_identity and pres.moduli == (2, 4)
@@ -349,8 +411,8 @@ class TestPresentationArrays:
     @pytest.mark.parametrize(
         "rel, mods",
         [
-            ([[1], [1]], (2, 2)),  # the prime path finds a pivot
-            ([[0], [0]], (4, 4)),  # the Smith path, even though P comes out as I
+            ([[1], [1]], (2, 2)),  # a unit pivot
+            ([[2], [0]], (4, 4)),  # moduli (2, 4), not the generators' (4, 4)
             ([[], []], (2, 3)),  # no relations, but not a divisor chain
         ],
     )
@@ -372,27 +434,23 @@ class TestPresentationArrays:
             assert not pres.P.flags.writeable and not pres.L.flags.writeable
 
     def test_past_int64_like_python_ints(self):
-        # P·x and L·y take products past 2⁶³: the arrays hold Python ints
-        # and agree with the Smith transforms computed directly
+        # P·x and L·y take products past 2⁶³: the arrays hold Python ints,
+        # and the classes are the oracle Smith form's
         mods = (2**62, 3 * 2**62)
         rel = np.array([[2**40 + 1], [5]])
         pres = cokernel(rel, mods)
         assert pres.P.dtype == object and pres.L.dtype == object
-        snf = smith_normal_form(np.hstack([rel, np.diag(np.array(mods, dtype=object))]))
-        d = snf.diagonal
+        u, d, _ = smith_oracle.smith([[2**40 + 1, mods[0], 0], [5, 0, mods[1]]], 3)
         keep = [i for i in range(2) if d[i] != 1]
         assert pres.moduli == tuple(d[i] for i in keep)
-        assert int(pres.P.max()) * (max(mods) - 1) >= 2**63
-        assert int(pres.L.max()) * (max(pres.moduli) - 1) >= 2**63
-        inverse = full_u_inv(snf)
         rng = random.Random(3)
         for _ in range(50):
             x = [rng.randrange(-(2**70), 2**70) for _ in range(2)]
-            assert project(pres, x) == tuple((snf.U @ np.array(x, dtype=object))[i] % d[i] for i in keep)
-            y = [rng.randrange(d[i]) for i in keep]
-            lifted = tuple(sum(inverse[r, i] * yi for i, yi in zip(keep, y)) % mods[r] for r in range(2))
-            assert lift(pres, y) == lifted
-            assert project(pres, lifted) == tuple(y)
+            y = [rng.randrange(-(2**70), 2**70) for _ in range(2)]
+            same = all(sum(a * (b - c) for a, b, c in zip(u[i], x, y)) % d[i] == 0 for i in keep)
+            assert (project(pres, x) == project(pres, y)) == same
+            z = tuple(rng.randrange(di) for di in pres.moduli)
+            assert project(pres, lift(pres, z)) == z
 
 
 # (rows, cols), with the empty shapes of a degree that has no words
@@ -400,7 +458,7 @@ ROW_SHAPES = [(0, 0), (0, 4), (3, 0), (1, 1), (2, 5), (4, 3), (5, 5), (6, 4)]
 
 
 class TestRowReduction:
-    """`_rref` and `_kernel` over GF(2), GF(3) and GF(7), on seeded
+    """`_rref` over GF(2), GF(3) and GF(7), on seeded
     integer matrices, against Gauss–Jordan on lists of the field's
     own elements."""
 
@@ -426,19 +484,6 @@ class TestRowReduction:
             assert pivots == expect_pivots
             assert rref.shape == (len(pivots), a.shape[1])
             assert rref.tolist() == expect
-
-    @pytest.mark.parametrize("p", [2, 3, 7])
-    def test_kernel(self, p):
-        for a in self.matrices(p):
-            K, free = exactalg._kernel(a, p)
-            cols = a.shape[1]
-            _, expect_pivots = self.oracle(p, a)
-            assert len(expect_pivots) + len(free) == cols
-            assert list(free) == [c for c in range(cols) if c not in expect_pivots]
-            assert K.shape == (cols, len(free))
-            assert K[free].tolist() == np.eye(len(free), dtype=np.int64).tolist()
-            assert not (a.astype(object) @ K.astype(object) % p).any()
-            assert ((0 <= K) & (K < p)).all()
 
 
 class TestUniqueRows:
@@ -500,52 +545,74 @@ class TestPrimesPastInt64:
         assert quotient.ring.moduli == (p,)
 
 
+# Each corruption patches one stage of `cokernel` or `subgroup_basis` by
+# assignment, so that a fresh `python -O` process can run it too.
+CORRUPTIONS = """
+import dataclasses
+from hsep import exactalg
+
+smith, rref, cokernel = exactalg._smith, exactalg._rref, exactalg.cokernel
+
+
+def trivial_diagonal(rows, n, m, modulus):
+    d, U, W = smith(rows, n, m, modulus)
+    return (1,) * len(d), U, W
+
+
+def shifted_howell_entry(rows, q):
+    H, pivots = rref(rows, q)
+    H = H.copy()
+    H[0, -1] = (H[0, -1] + 1) % q
+    return H, pivots
+
+
+def doubled_moduli(relations, moduli):
+    pres = cokernel(relations, moduli)
+    return dataclasses.replace(pres, moduli=tuple(2 * m for m in pres.moduli))
+
+
+CORRUPTIONS = {"_smith": trivial_diagonal, "_rref": shifted_howell_entry, "cokernel": doubled_moduli}
+"""
+# (stage corrupted, call, the gate's message)
+GATES = [
+    ("_smith", "cokernel(np.array([[2], [0]]), (4, 4))", "the invariant factors miss the order of the cokernel"),
+    ("_smith", "subgroup_basis(np.array([[2]]), (4,))", "the invariant factors miss the order of the cokernel"),
+    ("_rref", "cokernel(np.array([[1], [1]]), (4, 4))", "the presentation does not kill its relations or lift its coordinates"),
+    ("_rref", "subgroup_basis(np.array([[1, 1]]), (4, 4))", "the row reduction is not a Howell form of the vectors"),
+    ("cokernel", "subgroup_basis(np.array([[2, 1]]), (4, 4))", "the subgroup orders miss the order of its Howell form"),
+]
+
+
 class TestSmithGates:
-    """The invariant factors `cokernel` and `subgroup_basis` read off a
-    Smith form are checked, and a corrupt form raises, also under -O."""
+    """`cokernel` checks its presentation against the Howell form's order
+    and its own relations, and `subgroup_basis` checks its Howell form and
+    the orders it reads off `cokernel`.  A corrupt Smith diagonal, Howell
+    form or cokernel raises, also under -O."""
 
-    @staticmethod
-    def corrupt_diagonal(monkeypatch, value):
-        original = exactalg.smith_normal_form
+    @pytest.mark.parametrize("stage, call, message", GATES, ids=["smith-cokernel", "smith-subgroup", "howell-cokernel", "howell-subgroup", "orders-subgroup"])
+    def test_corruption_raises(self, stage, call, message, monkeypatch):
+        scope = {}
+        exec(CORRUPTIONS, scope)
+        monkeypatch.setattr(exactalg, stage, scope["CORRUPTIONS"][stage])
+        with pytest.raises(ConstructionCheckFailed, match="^%s$" % message):
+            eval(call, {"np": np, "cokernel": exactalg.cokernel, "subgroup_basis": subgroup_basis})
 
-        def corrupted(a):
-            snf = original(a)
-            return dataclasses.replace(snf, diagonal=tuple(value(d) for d in snf.diagonal))
-
-        monkeypatch.setattr(exactalg, "smith_normal_form", corrupted)
-
-    def test_cokernel_zero_invariant_factor(self, monkeypatch):
-        self.corrupt_diagonal(monkeypatch, lambda d: 0)
-        with pytest.raises(ConstructionCheckFailed, match="zero invariant factor"):
-            cokernel(np.zeros((2, 0), dtype=np.int64), (2, 3))
-
-    def test_subgroup_zero_invariant_factor(self, monkeypatch):
-        self.corrupt_diagonal(monkeypatch, lambda d: 0)
-        with pytest.raises(ConstructionCheckFailed, match="zero invariant factor"):
-            subgroup_basis(np.array([[1]]), (4,))
-
-    def test_subgroup_lattice_misses_a_modulus(self, monkeypatch):
-        # span((1), (4)) is Z with d = 1; d = 8 claims the lattice 8Z,
-        # which does not hold the modulus 4
-        self.corrupt_diagonal(monkeypatch, lambda d: 8 * d)
-        with pytest.raises(ConstructionCheckFailed, match="does not span the ambient moduli"):
-            subgroup_basis(np.array([[1]]), (4,))
+    def test_uncorrupted_calls_pass(self):
+        for _, call, _ in GATES:
+            eval(call, {"np": np, "cokernel": cokernel, "subgroup_basis": subgroup_basis})
 
     def test_gate_fires_under_optimize(self):
-        script = (
-            "import dataclasses, sys\n"
+        script = CORRUPTIONS + (
+            "import sys\n"
             "import numpy as np\n"
-            "from hsep import exactalg\n"
-            "original = exactalg.smith_normal_form\n"
-            "def corrupted(a):\n"
-            "    snf = original(a)\n"
-            "    return dataclasses.replace(snf, diagonal=(0,) * len(snf.diagonal))\n"
-            "exactalg.smith_normal_form = corrupted\n"
-            "try:\n"
-            "    exactalg.cokernel(np.zeros((2, 0), dtype=np.int64), (2, 3))\n"
-            "except exactalg.ConstructionCheckFailed as err:\n"
-            "    print('optimize=%d raised: %s' % (sys.flags.optimize, err))\n"
-        )
+            "for stage, call in %r:\n"
+            "    setattr(exactalg, stage, CORRUPTIONS[stage])\n"
+            "    try:\n"
+            "        eval(call, {'np': np, 'cokernel': exactalg.cokernel, 'subgroup_basis': exactalg.subgroup_basis})\n"
+            "    except exactalg.ConstructionCheckFailed as err:\n"
+            "        print('optimize=%%d raised: %%s' %% (sys.flags.optimize, err))\n"
+            "    setattr(exactalg, stage, {'_smith': smith, '_rref': rref, 'cokernel': cokernel}[stage])\n"
+        ) % ([(stage, call) for stage, call, _ in GATES],)
         path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
         out = subprocess.run(
             [sys.executable, "-O", "-c", script],
@@ -555,7 +622,7 @@ class TestSmithGates:
             timeout=120,
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "optimize=1 raised: the generator moduli leave a zero invariant factor"
+        assert out.stdout.splitlines() == ["optimize=1 raised: %s" % message for _, _, message in GATES]
 
 
 def random_matrix(rng, n, m, bound):
@@ -563,117 +630,6 @@ def random_matrix(rng, n, m, bound):
     Python ints once bound passes int64."""
     values = [[rng.randint(-bound, bound) for _ in range(m)] for _ in range(n)]
     return np.array(values, dtype=np.int64 if bound < 2**63 else object).reshape(n, m)
-
-
-class TestSmithLog:
-    """A Smith form holds the log of its row operations.  Each accessor
-    replays it onto what a caller reads and must match the full U and U⁻¹,
-    which are built from the same log and checked by U·Λ = diag(d)·Zⁿ,
-    U·U⁻¹ = I and det = ±1."""
-
-    @pytest.mark.parametrize("bound", [9, 2**70], ids=["int64", "past-int64"])
-    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (4, 3), (5, 5)])
-    def test_accessors_match_the_full_transforms(self, shape, bound):
-        rng = random.Random(hash((shape, bound)) % 2**32)
-        n, m = shape
-        for _ in range(8):
-            s = check_decomposition(random_matrix(rng, n, m, bound))
-            x = random_matrix(rng, n, 3, bound)
-            assert s.u_dot(x).tolist() == (s.U @ x.astype(object)).tolist()
-            assert s.u_dot(x[:, 0]).tolist() == (s.U @ x[:, 0].astype(object)).tolist()
-            assert s.u_inverse_dot(x).tolist() == (full_u_inv(s) @ x.astype(object)).tolist()
-            assert s.u_inverse_dot(x[:, 1]).tolist() == (full_u_inv(s) @ x[:, 1].astype(object)).tolist()
-            rows = rng.sample(range(n), rng.randint(0, n))
-            assert s.u_rows(rows).shape == (len(rows), n)
-            assert s.u_rows(rows).tolist() == s.U[rows].tolist()
-            for out in (s.u_dot(x), s.u_inverse_dot(x), s.u_rows(rows)):
-                assert out.dtype == object and all(type(v) is int for v in out.flat)
-
-    def test_operands_must_fit(self):
-        s = smith_normal_form(mat([[2, 4, 4], [6, 8, 0]]))
-        for call in (lambda: s.u_dot(np.zeros((3, 1), dtype=np.int64)), lambda: s.u_inverse_dot(np.zeros(3, dtype=np.int64))):
-            with pytest.raises(DimensionMismatch):
-                call()
-
-    @pytest.mark.parametrize(
-        "a, transforms",
-        [
-            (
-                [[4, 6, 2], [6, 0, 8], [2, 8, 0]],
-                (
-                    (2, 2, 16),
-                    [[1, 0, 0], [0, 0, 1], [-4, 1, 5]],
-                    [[1, 0, 0], [4, -5, 1], [0, 1, 0]],
-                ),
-            ),
-            (
-                [[0, -3, 6, 4], [9, 12, -15, 2]],
-                (
-                    (1, 9),
-                    [[0, 1], [-1, 38]],
-                    [[38, -1], [1, 0]],
-                ),
-            ),
-        ],
-    )
-    def test_transforms_are_pinned(self, a, transforms):
-        # the pivot rule and the order of the operations fix every entry
-        # of the row transform, not only the diagonal
-        s = smith_normal_form(mat(a))
-        assert (s.diagonal, s.U.tolist(), full_u_inv(s).tolist()) == transforms
-
-
-class TestSmithReads:
-    """`cokernel` and `subgroup_basis` replay the row log onto what they
-    read, and `solve_modular_system` runs a Smith form only inside
-    `subgroup_basis`.  A Smith form builds no full U⁻¹, and only
-    `subgroup_basis` builds a full U."""
-
-    @pytest.fixture
-    def built(self, monkeypatch):
-        built = {"smith": 0}
-        full = exactalg.SmithDecomposition.__dict__["U"].func
-
-        def counted(self):
-            built["U"] = built.get("U", 0) + 1
-            return full(self)
-
-        monkeypatch.setattr(exactalg.SmithDecomposition, "U", property(counted))
-        smith = exactalg._smith
-
-        def counted_smith(*args):
-            built["smith"] += 1
-            return smith(*args)
-
-        monkeypatch.setattr(exactalg, "_smith", counted_smith)
-        return built
-
-    def test_cokernel(self, built):
-        rng = random.Random(17)
-        for _ in range(20):
-            g = rng.randint(1, 5)
-            rel = random_matrix(rng, g, rng.randint(0, 4), 12)
-            cokernel(rel, [rng.choice([4, 6, 8, 9, 12]) for _ in range(g)])
-        assert built["smith"] >= 15 and set(built) == {"smith"}
-
-    def test_subgroup_basis(self, built):
-        rng = random.Random(19)
-        for _ in range(20):
-            n = rng.randint(1, 4)
-            subgroup_basis(random_matrix(rng, rng.randint(1, 4), n, 12), [rng.choice([4, 6, 8]) for _ in range(n)])
-        assert built["smith"] == 40 and set(built) == {"smith", "U"}
-
-    def test_solve_modular_system(self, built):
-        rng = random.Random(23)
-        for _ in range(20):
-            n_eq, n_x = rng.randint(1, 3), rng.randint(1, 3)
-            solve_modular_system(random_matrix(rng, n_eq, n_x, 12), [rng.randint(0, 11) for _ in range(n_eq)], [rng.choice([6, 10, 12]) for _ in range(n_eq)])
-        assert built["smith"] > 0 and set(built) == {"smith", "U"}
-
-    def test_sep_report(self, built):
-        hom = hom_from_doc(json.loads((ROOT / "tests" / "golden" / "sep-homs" / "z8-to-z4.json").read_text()), ROOT)
-        h_separability_report(hom)
-        assert built["smith"] > 0 and set(built) <= {"smith", "U"}
 
 
 class TestSolveModularSystem:

@@ -32,11 +32,12 @@ import smith_oracle
 import solve_census
 from corpus_util import build_corpus, zmod
 from smith_oracle import colex_key
-from solve_census import report_systems, smith_calls
+from solve_census import SmithCount, report_systems, smith_calls
 
 from hsep import exactalg
-from hsep.exactalg import ConstructionCheckFailed, cokernel, solve_modular_system, subgroup_basis
+from hsep.exactalg import ConstructionCheckFailed, solve_modular_system, subgroup_basis
 from hsep.finring import construct_standard_ring, hom_from_doc
+from hsep.sepkit import h_separability_report
 
 ROOT = Path(__file__).resolve().parent.parent
 BIG_PRIME = 3037000493  # the largest prime with (p − 1)² + (p − 1) < 2⁶³
@@ -295,7 +296,7 @@ class TestHowellForm:
             assert want[0].tolist() == got[0].tolist() and want[1] == got[1]
 
 
-class TestSmithOnlyBehindSubgroupBasis:
+class TestSmithOnlyInsideCokernel:
     def test_the_solver_never_reaches_smith(self):
         rng = random.Random(41)
         inside = 0
@@ -316,18 +317,27 @@ class TestSmithOnlyBehindSubgroupBasis:
             sol = solve_modular_system(a, [1, 2, 1, 0], [q] * 4)
         assert sol.particular == ((q - 3) % q, 2 % q, 0) and sol.kernel_orders == (q,)
 
-    @pytest.mark.parametrize("q", PRIME_POWERS)
-    def test_subgroup_basis_and_cokernel_keep_smith(self, q):
+    @pytest.mark.parametrize("q", PRIME_POWERS + COMPOSITE)
+    def test_subgroup_basis_and_cokernel(self, q):
+        # a subgroup and the quotient by it: each cokernel takes at most
+        # one Smith form, and subgroup_basis takes its own inside one
         rng = random.Random(900 + q)
-        for _ in range(6):
-            n = rng.randint(1, 4)
-            vectors = np.array([[rng.randrange(q) for _ in range(n)] for _ in range(rng.randint(1, 4))], dtype=np.int64)
-            with mock.patch.object(exactalg, "_smith", wraps=exactalg._smith) as smith:
+        with SmithCount() as count:
+            for _ in range(6):
+                n = rng.randint(1, 4)
+                vectors = np.array([[rng.randrange(q) for _ in range(n)] for _ in range(rng.randint(1, 4))], dtype=np.int64)
                 gens, orders = subgroup_basis(vectors, (q,) * n)
-                pres = cokernel(vectors.T.copy(), (q,) * n)
-            assert smith.call_count == 3
-            assert math.prod(orders) == smith_oracle.span_order(vectors.tolist(), (q,) * n)
-            assert math.prod(orders) * pres.order == q**n
+                pres = exactalg.cokernel(vectors.T.copy(), (q,) * n)
+                assert math.prod(orders) == smith_oracle.span_order(vectors.tolist(), (q,) * n)
+                assert math.prod(orders) * pres.order == q**n
+        assert count.outside == 0 and 0 < count.inside <= 12
+
+    @pytest.mark.parametrize("name", ["z8-to-z4", "z6-quotient", "m3-z4-scalar"])
+    def test_sep_report(self, name):
+        hom = hom_from_doc(json.loads((ROOT / "tests" / "golden" / "sep-homs" / ("%s.json" % name)).read_text()), ROOT)
+        with SmithCount() as count:
+            h_separability_report(hom)
+        assert count.outside == 0
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_subgroup_basis_over_a_prime(self, p):

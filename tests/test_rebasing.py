@@ -30,7 +30,7 @@ from hsep.sepkit import h_separability_report, verdict_to_doc
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 30
 # (kind, n, q): T_n(Z/q) → M_n(Z/q) ("T") or M_n(Z/q)/(Z/q) ("M")
-CASES = [("T", 3, 4), ("T", 3, 9), ("M", 2, 4), ("M", 2, 6)]
+CASES = [("T", 3, 4), ("T", 3, 6), ("T", 3, 8), ("T", 3, 9), ("M", 2, 4), ("M", 2, 6)]
 SEEDS = (1, 2)
 
 
