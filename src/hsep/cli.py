@@ -1,11 +1,20 @@
 """Command-line front door.
 
 Subcommands: `ring validate/standard`, `sep report/epi/idempotents`,
-`cat check/rafael`, `talg verify/witness`, `corpus run`.  Verdict
-subcommands exit 0 when the queried property holds, 1 when it does
-not, 2 on input error, 3 when enumeration was capped and the question
-stays undecided.  `--format json` emits byte-stable reports (sorted
-keys); the default is human-readable text.
+`cat check/rafael`, `talg verify/witness`, `corpus run`.
+
+Every command takes one path.  Its producer takes parsed inputs (a hom
+and a cap, an adjunction and a side, or dim, field and deg) and returns
+`(doc, lines, holds)`, where `holds` is True, False or
+`sepkit.UNDECIDED`.  `main` hands the doc and lines to the one writer,
+`_emit`: `--format json` writes the doc, byte-stable with sorted keys,
+and the default text format writes the lines.  It then returns
+`_EXIT[holds]`: 0 when the queried property holds, 1 when it does not,
+3 when enumeration was capped and the question stays undecided.  Input
+errors raise `InputError` in the loaders (`_load_*`, `_parse_field`)
+or at a size guard, and exit 2 with one `error: ` line on stderr.
+`corpus run` calls the same producers through `_CASES` and compares
+each case's expected keys against the producer's doc.
 """
 
 from __future__ import annotations
@@ -23,6 +32,8 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_INPUT = 2
 EXIT_UNDECIDED = 3
+# a producer's `holds` -> the exit code; the only such map
+_EXIT = {True: EXIT_HOLDS, False: EXIT_FAILS, sepkit.UNDECIDED: EXIT_UNDECIDED}
 
 
 class InputError(Exception):
@@ -92,107 +103,65 @@ def cmd_ring_validate(args):
     try:
         ring = finring.ring_from_doc(doc, base)
     except finring.RingConstructionError as err:
-        _emit({"valid": False, "error": str(err)}, ["invalid: %s" % err], args)
-        return EXIT_FAILS
+        return {"valid": False, "error": str(err)}, ["invalid: %s" % err], False
     except (ValueError, KeyError, TypeError) as err:
         raise InputError("%s: %s" % (args.file, err)) from err
-    _emit(
-        {"valid": True, "label": ring.label, "order": ring.order, "basis": ring.k},
-        ["valid: %s (order %d, %d basis elements)" % (ring.label, ring.order, ring.k)],
-        args,
-    )
-    return EXIT_HOLDS
+    doc = {"valid": True, "label": ring.label, "order": ring.order, "basis": ring.k}
+    return doc, ["valid: %s (order %d, %d basis elements)" % (ring.label, ring.order, ring.k)], True
 
 
 def cmd_ring_standard(args):
     try:
         params = json.loads(args.params) if args.params else {}
-        std = finring.construct_standard_ring(
-            args.kind, finring.standard_params_from_doc(params)
-        )
+        std = finring.construct_standard_ring(args.kind, finring.standard_params_from_doc(params))
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as err:
         raise InputError("standard ring: %s" % err) from err
     doc = finring.ring_to_doc(std.ring)
     doc["canonical_homs"] = sorted(std.homs)
-    _emit(
-        doc,
-        [json.dumps(doc, indent=2, sort_keys=True)],
-        args,
-    )
-    return EXIT_HOLDS
+    return doc, [json.dumps(doc, indent=2, sort_keys=True)], True
 
 
 # -- sep ----------------------------------------------------------------
 
 
-def _verdict_lines(doc):
-    h = doc["h_separable"]
+def sep_report(hom, cap):
+    doc = sepkit.verdict_to_doc(sepkit.h_separability_report(hom, cap=cap))
     lines = [
         "extension: %s over %s" % (doc["target"], doc["source"]),
         "separable: %s" % str(doc["separable"]).lower(),
-        "h-separable: %s" % (h if isinstance(h, str) else str(h).lower()),
+        "h-separable: %s" % str(doc["h_separable"]).lower(),
         "ring epimorphism: %s" % str(doc["ring_epimorphism"]).lower(),
         "locus size: %d" % doc["locus_size"],
     ]
-    for w in doc["h_witnesses"]:
-        lines.append("h-witness: %s  %s" % (w["coords"], w["formal_sum"]))
+    lines += ["h-witness: %s  %s" % (w["coords"], w["formal_sum"]) for w in doc["h_witnesses"]]
     if doc["retraction_count"] is not None:
         lines.append("ring retractions: %d" % doc["retraction_count"])
-    return lines
+    return doc, lines, doc["h_separable"]
 
 
-def cmd_sep_report(args):
-    hom = _load_hom(args.hom)
-    verdict = sepkit.h_separability_report(hom, cap=args.cap)
-    doc = sepkit.verdict_to_doc(verdict)
-    _emit(doc, _verdict_lines(doc), args)
-    if verdict.is_h_separable == sepkit.UNDECIDED:
-        return EXIT_UNDECIDED
-    return EXIT_HOLDS if verdict.is_h_separable else EXIT_FAILS
-
-
-def cmd_sep_epi(args):
-    hom = _load_hom(args.hom)
+def sep_epi(hom):
     epi = sepkit.is_ring_epimorphism(hom)
-    doc = {
-        "source": hom.source.label,
-        "target": hom.target.label,
-        "ring_epimorphism": epi,
-    }
-    _emit(doc, ["ring epimorphism: %s" % str(epi).lower()], args)
-    return EXIT_HOLDS if epi else EXIT_FAILS
+    doc = {"source": hom.source.label, "target": hom.target.label, "ring_epimorphism": epi}
+    return doc, ["ring epimorphism: %s" % str(epi).lower()], epi
 
 
-def cmd_sep_idempotents(args):
-    hom = _load_hom(args.hom)
+def sep_idempotents(hom, cap, h_only):
     t2 = sepkit.tensor_power(hom, 2)
     locus = t2.locus
     if locus.is_empty:
-        _emit(
-            {"locus_size": 0, "idempotents": []},
-            ["no separability idempotents"],
-            args,
-        )
-        return EXIT_FAILS
-    if locus.size > args.cap:
-        _emit(
-            {"locus_size": locus.size, "idempotents": None},
-            ["undecided: locus size %d exceeds cap %d" % (locus.size, args.cap)],
-            args,
-        )
-        return EXIT_UNDECIDED
-    members = sepkit.h_idempotents(t2) if args.h_only else locus.members()
+        return {"locus_size": 0, "idempotents": []}, ["no separability idempotents"], False
+    if locus.size > cap:
+        lines = ["undecided: locus size %d exceeds cap %d" % (locus.size, cap)]
+        return {"locus_size": locus.size, "idempotents": None}, lines, sepkit.UNDECIDED
+    members = sepkit.h_idempotents(t2) if h_only else locus.members()
     doc = {
         "locus_size": locus.size,
-        "h_only": bool(args.h_only),
-        "idempotents": [
-            {"coords": list(m), "formal_sum": t2.format_element(m)} for m in members
-        ],
+        "h_only": h_only,
+        "idempotents": [{"coords": list(m), "formal_sum": t2.format_element(m)} for m in members],
     }
-    lines = ["%d idempotent(s)%s" % (len(members), " passing the heavy condition" if args.h_only else "")]
+    lines = ["%d idempotent(s)%s" % (len(members), " passing the heavy condition" if h_only else "")]
     lines += ["  %s  %s" % (list(m), t2.format_element(m)) for m in members]
-    _emit(doc, lines, args)
-    return EXIT_HOLDS if members else EXIT_FAILS
+    return doc, lines, bool(members)
 
 
 # -- cat ----------------------------------------------------------------
@@ -215,43 +184,43 @@ def _load_cat_doc(path):
     raise InputError("%s: unknown document type %r" % (path, kind))
 
 
+def _load_adjunction(path):
+    try:
+        value = _load_cat_doc(path)
+    except fincat.CategoryLawError as err:
+        raise InputError("%s: %s" % (path, err)) from err
+    if not isinstance(value, fincat.AdjunctionData):
+        raise InputError("%s: rafael needs an adjunction document" % path)
+    return value
+
+
 def cmd_cat_check(args):
     try:
         value = _load_cat_doc(args.file)
     except fincat.CategoryLawError as err:
-        _emit({"valid": False, "error": str(err)}, ["invalid: %s" % err], args)
-        return EXIT_FAILS
-    _emit({"valid": True, "kind": type(value).__name__}, ["valid %s" % type(value).__name__], args)
-    return EXIT_HOLDS
+        return {"valid": False, "error": str(err)}, ["invalid: %s" % err], False
+    return {"valid": True, "kind": type(value).__name__}, ["valid %s" % type(value).__name__], True
 
 
-def cmd_cat_rafael(args):
+def cat_rafael(adj, side):
     try:
-        value = _load_cat_doc(args.file)
-    except fincat.CategoryLawError as err:
-        raise InputError("%s: %s" % (args.file, err)) from err
-    if not isinstance(value, fincat.AdjunctionData):
-        raise InputError("%s: rafael needs an adjunction document" % args.file)
-    try:
-        sep, heavy = fincat.find_rafael_retractions(value, args.side)
+        sep, heavy = fincat.find_rafael_retractions(adj, side)
     except fincat.CapExceeded as err:
-        doc = {"side": args.side, "h_separable": sepkit.UNDECIDED, "candidates": err.size}
-        _emit(doc, ["side: %s" % args.side, "undecided: %s" % err], args)
-        return EXIT_UNDECIDED
+        doc = {"side": side, "h_separable": sepkit.UNDECIDED, "candidates": err.size}
+        return doc, ["side: %s" % side, "undecided: %s" % err], sepkit.UNDECIDED
     doc = {
-        "side": args.side,
+        "side": side,
         "separable_witness_count": len(sep),
         "h_witness_count": len(heavy),
         "h_separable": bool(heavy),
         "h_witnesses": [dict(sorted(n.components.items())) for n in heavy],
     }
     lines = [
-        "side: %s" % args.side,
+        "side: %s" % side,
         "separable witnesses: %d" % len(sep),
         "h-separability witnesses: %d" % len(heavy),
     ]
-    _emit(doc, lines, args)
-    return EXIT_HOLDS if heavy else EXIT_FAILS
+    return doc, lines, bool(heavy)
 
 
 # -- talg ---------------------------------------------------------------
@@ -264,12 +233,15 @@ def _parse_field(text):
         raise InputError("field %r: %s" % (text, err)) from err
 
 
-def cmd_talg_verify(args):
-    field = _parse_field(args.field)
+def _talg_report(build, dim, field, deg):
     try:
-        report = tensorbialg.verify_bialgebra_adjunction(args.dim, field, args.deg)
+        return build(dim, field, deg)
     except ValueError as err:  # bad sizes, or past the dimension guard
         raise InputError(str(err)) from err
+
+
+def talg_verify(dim, field, deg):
+    report = _talg_report(tensorbialg.verify_bialgebra_adjunction, dim, field, deg)
     doc = {
         "v_dim": report.v_dim,
         "field": report.field_name,
@@ -287,16 +259,11 @@ def cmd_talg_verify(args):
         "heavy composition: %s" % str(report.heavy_composition_holds).lower(),
         "restricted projection identity: %s" % str(report.letter_projection_identity_holds).lower(),
     ]
-    _emit(doc, lines, args)
-    return EXIT_HOLDS if report.all_hold else EXIT_FAILS
+    return doc, lines, bool(report.all_hold)
 
 
-def cmd_talg_witness(args):
-    field = _parse_field(args.field)
-    try:
-        rep = tensorbialg.tensor_algebra_witness(args.dim, field, args.deg)
-    except ValueError as err:  # bad sizes, or past the dimension guard
-        raise InputError(str(err)) from err
+def talg_witness(dim, field, deg):
+    rep = _talg_report(tensorbialg.tensor_algebra_witness, dim, field, deg)
     doubled = list(rep.doubled_value[1])
     evaluated = list(rep.evaluated_value[1])
     doc = {
@@ -315,48 +282,49 @@ def cmd_talg_witness(args):
         "values differ: %s" % str(rep.values_differ).lower(),
         "unit retraction still holds: %s" % str(rep.unit_retraction_holds).lower(),
     ]
-    _emit(doc, lines, args)
-    return EXIT_HOLDS if rep.values_differ and rep.unit_retraction_holds else EXIT_FAILS
+    return doc, lines, bool(rep.values_differ and rep.unit_retraction_holds)
 
 
 # -- corpus -------------------------------------------------------------
 
 
-def _case_report(case_dir, spec, cap):
-    kind = spec.get("type")
-    if kind == "sep_report":
-        hom = finring.hom_from_doc(spec["hom"], case_dir)
-        return sepkit.verdict_to_doc(sepkit.h_separability_report(hom, cap=cap))
-    if kind == "sep_epi":
-        hom = finring.hom_from_doc(spec["hom"], case_dir)
-        epi = sepkit.is_ring_epimorphism(hom)
-        return {"ring_epimorphism": epi}
-    if kind == "cat_rafael":
-        adj = fincat.adjunction_from_doc(spec["adjunction"], case_dir)
-        sep, heavy = fincat.find_rafael_retractions(adj, spec.get("side", "left"))
-        return {
-            "separable_witness_count": len(sep),
-            "h_witness_count": len(heavy),
-            "h_separable": bool(heavy),
-        }
-    if kind == "talg_verify":
-        rep = tensorbialg.verify_bialgebra_adjunction(
-            spec["dim"], tensorbialg.exact_field(spec["field"]), spec["deg"]
-        )
-        return {
-            "all_hold": rep.all_hold,
-            "unit_retraction": rep.unit_retraction_holds,
-            "heavy_composition": rep.heavy_composition_holds,
-        }
-    if kind == "talg_witness":
-        rep = tensorbialg.tensor_algebra_witness(
-            spec["dim"], tensorbialg.exact_field(spec["field"]), spec["deg"]
-        )
-        return {
-            "values_differ": rep.values_differ,
-            "unit_retraction": rep.unit_retraction_holds,
-        }
-    raise InputError("unknown corpus case type %r" % kind)
+# case type -> (spec, case directory, cap) -> the producer's (doc, lines, holds)
+_CASES = {
+    "sep_report": lambda spec, base, cap: sep_report(finring.hom_from_doc(spec["hom"], base), cap),
+    "sep_epi": lambda spec, base, cap: sep_epi(finring.hom_from_doc(spec["hom"], base)),
+    "cat_rafael": lambda spec, base, cap: cat_rafael(
+        fincat.adjunction_from_doc(spec["adjunction"], base), spec.get("side", "left")
+    ),
+    "talg_verify": lambda spec, base, cap: talg_verify(
+        spec["dim"], tensorbialg.exact_field(spec["field"]), spec["deg"]
+    ),
+    "talg_witness": lambda spec, base, cap: talg_witness(
+        spec["dim"], tensorbialg.exact_field(spec["field"]), spec["deg"]
+    ),
+}
+
+
+def _load_case(case):
+    path = case / "expect.json"
+    spec, _ = _load_doc(path)
+    expect = spec.get("expect", {})
+    if not isinstance(expect, dict):
+        raise InputError("%s: \"expect\" must be a JSON object, got %s" % (path, type(expect).__name__))
+    return spec, expect
+
+
+def _run_case(case, spec, expect, cap):
+    """The case's mismatches against its producer's doc, or {"error":
+    message} when the case raises: a broken case is a mismatch."""
+    try:
+        produce = _CASES.get(spec.get("type"))
+        if produce is None:
+            raise InputError("unknown corpus case type %r" % spec.get("type"))
+        doc = produce(spec, case, cap)[0]
+    except Exception as err:
+        return {"error": str(err)}
+    got = {key: doc.get(key, "<missing>") for key in expect}
+    return {key: {"expected": want, "got": got[key]} for key, want in expect.items() if got[key] != want}
 
 
 def cmd_corpus_run(args):
@@ -366,42 +334,24 @@ def cmd_corpus_run(args):
     cases = sorted(p for p in root.iterdir() if (p / "expect.json").is_file())
     if not cases:
         raise InputError("%s holds no cases (directories with expect.json)" % root)
-    results = []
-    failures = 0
-    for case in cases:
-        spec, _ = _load_doc(case / "expect.json")
-        try:
-            produced = _case_report(case, spec, args.cap)
-        except Exception as err:  # a broken case document is a mismatch
-            results.append((case.name, False, {"error": str(err)}))
-            failures += 1
-            continue
-        mismatches = {}
-        for key, expected in spec.get("expect", {}).items():
-            got = produced.get(key, "<missing>")
-            if got != expected:
-                mismatches[key] = {"expected": expected, "got": got}
-        ok = not mismatches
-        failures += 0 if ok else 1
-        results.append((case.name, ok, mismatches))
+    specs = [(case, *_load_case(case)) for case in cases]
+    results = [(case.name, _run_case(case, spec, expect, args.cap)) for case, spec, expect in specs]
+    failures = sum(1 for _, mm in results if mm)
     doc = {
-        "cases": [
-            {"name": name, "ok": ok, "mismatches": mm} for name, ok, mm in results
-        ],
+        "cases": [{"name": name, "ok": not mm, "mismatches": mm} for name, mm in results],
         "failures": failures,
         "total": len(results),
     }
     lines = []
-    for name, ok, mm in results:
-        lines.append("%-28s %s" % (name, "ok" if ok else "MISMATCH"))
+    for name, mm in results:
+        lines.append("%-28s %s" % (name, "MISMATCH" if mm else "ok"))
         for key, detail in sorted(mm.items()):
             if isinstance(detail, dict):
                 lines.append("    %s: expected %r, got %r" % (key, detail["expected"], detail["got"]))
             else:  # the case raised: {"error": message}
                 lines.append("    %s: %s" % (key, detail))
     lines.append("%d/%d cases match" % (len(results) - failures, len(results)))
-    _emit(doc, lines, args)
-    return EXIT_HOLDS if failures == 0 else EXIT_FAILS
+    return doc, lines, failures == 0
 
 
 # -- entry point --------------------------------------------------------
@@ -416,9 +366,7 @@ def build_parser():
     parser.add_argument("--output", help="write the report to a file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ring = sub.add_parser("ring", help="ring documents").add_subparsers(
-        dest="sub", required=True
-    )
+    ring = sub.add_parser("ring", help="ring documents").add_subparsers(dest="sub", required=True)
     v = ring.add_parser("validate", help="validate a ring document")
     v.add_argument("file")
     v.set_defaults(func=cmd_ring_validate)
@@ -427,50 +375,42 @@ def build_parser():
     s.add_argument("--params", help="JSON parameters for the construction")
     s.set_defaults(func=cmd_ring_standard)
 
-    sep = sub.add_parser("sep", help="separability of ring extensions").add_subparsers(
-        dest="sub", required=True
-    )
+    sep = sub.add_parser("sep", help="separability of ring extensions").add_subparsers(dest="sub", required=True)
     r = sep.add_parser("report", help="full h-separability verdict")
     r.add_argument("hom")
     r.add_argument("--cap", type=int, default=None)
-    r.set_defaults(func=cmd_sep_report)
+    r.set_defaults(func=lambda a: sep_report(_load_hom(a.hom), a.cap))
     e = sep.add_parser("epi", help="ring epimorphism decision")
     e.add_argument("hom")
-    e.set_defaults(func=cmd_sep_epi)
+    e.set_defaults(func=lambda a: sep_epi(_load_hom(a.hom)))
     i = sep.add_parser("idempotents", help="list separability idempotents")
     i.add_argument("hom")
     i.add_argument("--h-only", action="store_true")
     i.add_argument("--cap", type=int, default=None)
-    i.set_defaults(func=cmd_sep_idempotents)
+    i.set_defaults(func=lambda a: sep_idempotents(_load_hom(a.hom), a.cap, a.h_only))
 
-    cat = sub.add_parser("cat", help="finite category documents").add_subparsers(
-        dest="sub", required=True
-    )
+    cat = sub.add_parser("cat", help="finite category documents").add_subparsers(dest="sub", required=True)
     c = cat.add_parser("check", help="validate a category/functor/adjunction")
     c.add_argument("file")
     c.set_defaults(func=cmd_cat_check)
     ra = cat.add_parser("rafael", help="natural retractions of an adjunction")
     ra.add_argument("file")
     ra.add_argument("--side", choices=("left", "right"), default="left")
-    ra.set_defaults(func=cmd_cat_rafael)
+    ra.set_defaults(func=lambda a: cat_rafael(_load_adjunction(a.file), a.side))
 
-    talg = sub.add_parser("talg", help="truncated tensor bialgebra checks").add_subparsers(
-        dest="sub", required=True
-    )
+    talg = sub.add_parser("talg", help="truncated tensor bialgebra checks").add_subparsers(dest="sub", required=True)
     tv = talg.add_parser("verify", help="verify the adjunction identities")
     tv.add_argument("--dim", type=int, required=True)
     tv.add_argument("--deg", type=int, required=True)
     tv.add_argument("--field", required=True, help="q for rationals, or a prime")
-    tv.set_defaults(func=cmd_talg_verify)
+    tv.set_defaults(func=lambda a: talg_verify(a.dim, _parse_field(a.field), a.deg))
     tw = talg.add_parser("witness", help="tensor-algebra non-heaviness witness")
     tw.add_argument("--dim", type=int, required=True)
     tw.add_argument("--deg", type=int, required=True)
     tw.add_argument("--field", required=True)
-    tw.set_defaults(func=cmd_talg_witness)
+    tw.set_defaults(func=lambda a: talg_witness(a.dim, _parse_field(a.field), a.deg))
 
-    corpus = sub.add_parser("corpus", help="golden corpus").add_subparsers(
-        dest="sub", required=True
-    )
+    corpus = sub.add_parser("corpus", help="golden corpus").add_subparsers(dest="sub", required=True)
     cr = corpus.add_parser("run", help="run every golden case in a directory")
     cr.add_argument("dir")
     cr.add_argument("--cap", type=int, default=None)
@@ -494,7 +434,9 @@ def main(argv=None):
                 args.cap = default_cap()
             elif args.cap < 0:
                 raise InputError("--cap must not be negative: %d" % args.cap)
-        return args.func(args)
+        doc, lines, holds = args.func(args)
+        _emit(doc, lines, args)
+        return _EXIT[holds]
     except (InputError, OSError) as err:
         sys.stderr.write("error: %s\n" % str(err).replace("\n", " "))
         return EXIT_INPUT

@@ -286,12 +286,10 @@ def compose_homs(second: RingHom, first: RingHom) -> RingHom:
 
 @dataclass(frozen=True)
 class StandardRing:
-    """A named construction: the ring, its canonical homs, and special
-    elements as coordinate tuples."""
+    """A named construction: the ring and its canonical homs."""
 
     ring: FiniteRing
     homs: dict
-    elements: dict
 
 
 def _matrix_basis(base: FiniteRing, n, cells):
@@ -339,7 +337,7 @@ def _standard_modular(params):
     if n < 1:
         raise ValueError("modular ring needs n >= 1")
     ring = construct_ring((n,), (((1,),),), (1,), "Z/%d" % n, ("1",))
-    return StandardRing(ring, {}, {})
+    return StandardRing(ring, {})
 
 
 def _standard_matrix(params):
@@ -354,7 +352,7 @@ def _standard_matrix(params):
             col[index[(b, i, i)]] = 1
         cols.append(tuple(col))
     scalar = check_ring_hom(cols, base, ring)
-    return StandardRing(ring, {"scalar": scalar}, {})
+    return StandardRing(ring, {"scalar": scalar})
 
 
 def _standard_triangular(params):
@@ -377,7 +375,7 @@ def _standard_triangular(params):
             col[tri_index[(b, i, i)]] = 1
         scalar_cols.append(tuple(col))
     scalar = check_ring_hom(scalar_cols, base, tri)
-    return StandardRing(tri, {"into_matrix": inclusion, "scalar": scalar}, {})
+    return StandardRing(tri, {"into_matrix": inclusion, "scalar": scalar})
 
 
 def _standard_product(params):
@@ -409,14 +407,12 @@ def _standard_product(params):
     proj_a = check_ring_hom(np.eye(ka, dtype=np.int64).tolist() + [(0,) * ka] * kb, ring, a)
     proj_b = check_ring_hom([(0,) * kb] * ka + np.eye(kb, dtype=np.int64).tolist(), ring, b)
     homs = {"proj_0": proj_a, "proj_1": proj_b}
-    e0 = tuple(a.unit) + (0,) * kb
-    e1 = (0,) * ka + tuple(b.unit)
     if hom_a is not None:
         cols = tuple(
             tuple(hom_a.matrix[i]) + tuple(hom_b.matrix[i]) for i in range(base.k)
         )
         homs["unit"] = check_ring_hom(cols, base, ring)
-    return StandardRing(ring, homs, {"e_0": e0, "e_1": e1})
+    return StandardRing(ring, homs)
 
 
 def _validate_cayley(table, identity):
@@ -485,7 +481,7 @@ def _standard_group_ring(params):
         col[idx(b, identity)] = 1
         cols.append(tuple(col))
     scalar = check_ring_hom(cols, base, ring)
-    return StandardRing(ring, {"scalar": scalar}, {})
+    return StandardRing(ring, {"scalar": scalar})
 
 
 def _poly_mod(coeffs, f, p):
@@ -556,8 +552,7 @@ def _standard_polynomial_quotient(params):
     ring = construct_ring(moduli, table, unit, "F%d[x]/(f)" % p, labels)
     base = _standard_modular({"n": p}).ring
     scalar = check_ring_hom((ring.unit,), base, ring)
-    elements = {"x": (0, 1) + (0,) * (d - 2)} if d >= 2 else {}
-    return StandardRing(ring, {"scalar": scalar}, elements)
+    return StandardRing(ring, {"scalar": scalar})
 
 
 def phi_actions(hom):
@@ -631,7 +626,7 @@ def _standard_tensor_product(params):
     left = check_ring_hom(exact_einsum("rij,j->ir", p, ub).tolist(), a, ring)  # e_i ↦ e_i⊗1
     right = check_ring_hom(exact_einsum("rij,i->jr", p, ua).tolist(), b, ring)  # f_j ↦ 1⊗f_j
     unit_hom = compose_homs(left, hom_a)
-    return StandardRing(ring, {"left": left, "right": right, "unit": unit_hom}, {})
+    return StandardRing(ring, {"left": left, "right": right, "unit": unit_hom})
 
 
 def _ideal_subgroup(ring: FiniteRing, generators):
@@ -655,7 +650,7 @@ def _standard_quotient(params):
     pres = cokernel(_int_array(ideal, (len(ideal), base.k)).T, base.moduli)
     ring, p = _ring_on_presentation(pres, base.np_mul, _int_array(base.unit, (base.k,)), "%s/I" % base.label, "q")
     projection = check_ring_hom(p.T.tolist(), base, ring)
-    return StandardRing(ring, {"projection": projection}, {})
+    return StandardRing(ring, {"projection": projection})
 
 
 _STANDARD_KINDS = {

@@ -32,6 +32,14 @@ from hsep.finring import (
 )
 
 
+def product_idempotents(std):
+    """e_0 and e_1 of a product A × B from `construct_standard_ring`:
+    its unit with the B coordinates, or the A coordinates, set to 0."""
+    ka = std.homs["proj_0"].target.k
+    unit = std.ring.unit
+    return unit[:ka] + (0,) * (len(unit) - ka), (0,) * ka + unit[ka:]
+
+
 def mul(ring, x, y):
     """x·y by the multiplication table, one basis pair at a time."""
     out = [0] * ring.k

@@ -14,7 +14,7 @@ from cat_util import (
 )
 from conftest import record_acceptance
 from corpus_util import build_corpus, zmod
-from finring_util import _unit_vector, add, scale
+from finring_util import _unit_vector, add, product_idempotents, scale
 from sepkit_util import contains, is_h_idempotent
 from test_tensorbialg import oracle_primitive_dims
 
@@ -245,7 +245,7 @@ def test_criterion_7_composition_and_products():
         std = construct_standard_ring("product", {"homs": [hom_a, hom_b]})
         unit = std.homs["unit"]
         t2 = tensor_power(unit, 2)
-        e0, e1 = std.elements["e_0"], std.elements["e_1"]
+        e0, e1 = product_idempotents(std)
         zero = (0,) * t2.group.rank
         cross = t2.pure(e0, e1) == zero and t2.pure(e1, e0) == zero
         va = h_separability_report(hom_a).is_h_separable is True

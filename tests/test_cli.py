@@ -901,3 +901,53 @@ class TestCorpusRunner:
     def test_empty_dir_is_input_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "corpus", "run", str(tmp_path))
         assert code == 2
+
+    @pytest.mark.parametrize("expect, kind", [([], "list"), (3, "int"), ("ring_epimorphism", "str"), (None, "NoneType")])
+    def test_expect_that_is_not_an_object(self, capsys, tmp_path, expect, kind):
+        shutil.copytree(CORPUS / "z4_to_z2", tmp_path / "cases" / "a_ok")
+        case = tmp_path / "cases" / "b_bad"
+        shutil.copytree(CORPUS / "z4_to_z2", case)
+        (case / "expect.json").write_text(json.dumps({"type": "sep_epi", "hom": "hom.json", "expect": expect}))
+        code, out, err = run(capsys, "corpus", "run", str(tmp_path / "cases"))
+        path = case / "expect.json"
+        assert (code, out, err) == (2, "", 'error: %s: "expect" must be a JSON object, got %s\n' % (path, kind))
+
+    @staticmethod
+    def command_argv(case, spec):
+        """The command whose JSON report a corpus case of this type checks."""
+        kind = spec["type"]
+        if kind in ("sep_report", "sep_epi"):
+            return ["sep", kind[4:], str(case / spec["hom"])]
+        if kind == "cat_rafael":
+            return ["cat", "rafael", str(case / spec["adjunction"]), "--side", spec.get("side", "left")]
+        return ["talg", kind[5:], "--dim", str(spec["dim"]), "--deg", str(spec["deg"]), "--field", spec["field"]]
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.iterdir() if (p / "expect.json").is_file()))
+    def test_case_doc_is_the_command_report(self, capsys, monkeypatch, name):
+        """`corpus run` compares a case against the same doc that its
+        command writes with `--format json`, so any key of that report
+        can be expected."""
+        monkeypatch.delenv("SEPKIT_CAP", raising=False)
+        case = CORPUS / name
+        spec = json.loads((case / "expect.json").read_text())
+        doc, _, _ = cli._CASES[spec["type"]](spec, case, sepkit.DEFAULT_CAP)
+        code, out, err = run(capsys, "--format", "json", *self.command_argv(case, spec))
+        assert err == "" and json.loads(json.dumps(doc)) == json.loads(out)
+        assert set(spec["expect"]) <= set(doc)
+
+    def test_capped_rafael_case_is_undecided(self, capsys, monkeypatch, tmp_path):
+        from hsep import fincat
+
+        monkeypatch.setattr(fincat, "SEARCH_CAP", 0)
+        shutil.copytree(CORPUS / "rafael_c2", tmp_path / "cases" / "rafael_c2")
+        cases = str(tmp_path / "cases")
+        code, out, err = run(capsys, "corpus", "run", cases)
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert lines[0].split() == ["rafael_c2", "MISMATCH"]
+        assert "    h_separable: expected True, got 'undecided-by-enumeration'" in lines
+        assert not any(line.strip().startswith("error:") for line in lines)
+        code, out, _ = run(capsys, "--format", "json", "corpus", "run", cases)
+        mismatches = json.loads(out)["cases"][0]["mismatches"]
+        assert code == 1 and "error" not in mismatches
+        assert mismatches["h_separable"] == {"expected": True, "got": "undecided-by-enumeration"}

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from finring_util import _unit_vector, add, center, elements, mul, scale
+from finring_util import _unit_vector, add, center, elements, mul, product_idempotents, scale
 
 from hsep import finring
 from hsep.exactalg import DimensionMismatch, subgroup_basis
@@ -135,8 +135,9 @@ class TestStandardRings:
         std = construct_standard_ring("product", {"factors": [zmod(2), zmod(3)]})
         assert std.ring.order == 6
         assert std.homs["proj_0"].target.order == 2
-        e0, e1 = std.elements["e_0"], std.elements["e_1"]
+        e0, e1 = product_idempotents(std)
         assert not any(mul(std.ring, e0, e1))
+        assert (mul(std.ring, e0, e0), mul(std.ring, e1, e1)) == (e0, e1)
         assert add(std.ring, e0, e1) == std.ring.unit
 
     def test_polynomial_quotient_f9(self):
@@ -145,7 +146,7 @@ class TestStandardRings:
             std = construct_standard_ring("polynomial_quotient", {"p": 3, "poly": [1, 0, 1]})
         ring = std.ring
         assert ring.order == 9
-        x = std.elements["x"]
+        x = (0,) + ring.unit[:-1]  # the unit shifted up one degree
         assert mul(ring, x, x) == scale(ring, -1, ring.unit)
         direct_law_check(ring)
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from corpus_util import build_corpus, zmod
-from finring_util import mul
+from finring_util import mul, product_idempotents
 from sepkit_util import is_h_idempotent, verify_coring_laws
 
 from hsep.finring import compose_homs, construct_standard_ring
@@ -92,7 +92,7 @@ class TestProductCriterion:
         std = construct_standard_ring("product", {"homs": [hom_a, hom_b]})
         unit = std.homs["unit"]
         t2 = tensor_power(unit, 2)
-        e0, e1 = std.elements["e_0"], std.elements["e_1"]
+        e0, e1 = product_idempotents(std)
         zero = (0,) * t2.group.rank
         cross_vanish = t2.pure(e0, e1) == zero and t2.pure(e1, e0) == zero
         va = h_separability_report(hom_a)

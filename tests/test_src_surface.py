@@ -4,9 +4,11 @@ function of coordinates in a `tests/*_util.py`.
 A function, method, property or class is read when its name occurs in
 `src/hsep` as an `ast.Name` or as the attribute of an `ast.Attribute`.
 Dunders are exempt, and so are the module-level names in their module's
-`__all__`.  The scan matches names only: a method `size` counts as read
-wherever any `.size` is, so a name shared across classes can hide an
-orphan."""
+`__all__`.  A field, an annotated name in a class body, is read only when
+it occurs as the attribute of an `ast.Attribute`: a bare name of the same
+spelling is some other variable.  The scan matches names only: a method
+`size` counts as read wherever any `.size` is, so a name shared across
+classes can hide an orphan."""
 
 import ast
 from pathlib import Path
@@ -20,11 +22,16 @@ def orphans(sources):
     name -> source text, whose name none of them reads."""
     trees = {name: ast.parse(text) for name, text in sorted(sources.items())}
     nodes = [n for tree in trees.values() for n in ast.walk(tree)]
-    read = {n.id for n in nodes if isinstance(n, ast.Name)} | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    attributes = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    read = {n.id for n in nodes if isinstance(n, ast.Name)} | attributes
     found = []
 
     def visit(file, node, scope, public):
         for child in ast.iter_child_nodes(node):
+            if isinstance(node, ast.ClassDef) and isinstance(child, ast.AnnAssign) and isinstance(child.target, ast.Name):
+                if child.target.id not in attributes:
+                    found.append("%s:%s" % (file, ".".join(scope + (child.target.id,))))
+                continue
             if not isinstance(child, DEFS):
                 visit(file, child, scope, public)
                 continue
@@ -58,6 +65,22 @@ def test_the_scan_finds_an_orphan():
     assert orphans({"m.py": source}) == ["m.py:Shown.orphan", "m.py:_private"]
     # a read in another module counts, and so does a bare name
     assert orphans({"m.py": source, "n.py": "x = m.Shown().orphan() + _private()\n"}) == []
+
+
+def test_the_scan_finds_an_unread_field():
+    source = (
+        "__all__ = ['Record', 'use']\n"
+        "class Record:\n"
+        "    kept: int\n"
+        "    orphan: dict\n"
+        "    shadowed: str = ''\n"
+        "def use(record, orphan):\n"
+        "    shadowed = orphan\n"
+        "    return record.kept, shadowed\n"
+    )
+    # a bare name does not read a field, only an attribute does
+    assert orphans({"m.py": source}) == ["m.py:Record.orphan", "m.py:Record.shadowed"]
+    assert orphans({"m.py": source, "n.py": "y = r.orphan + r.shadowed\n"}) == []
 
 
 def test_src_defines_only_what_src_reads():
