@@ -32,7 +32,7 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_INPUT = 2
 EXIT_UNDECIDED = 3
-# a producer's `holds` -> the exit code; the only such map
+# a producer's `holds` (True, False or sepkit.UNDECIDED) -> the exit code
 _EXIT = {True: EXIT_HOLDS, False: EXIT_FAILS, sepkit.UNDECIDED: EXIT_UNDECIDED}
 
 
